@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,16 +113,15 @@ def make_params(n: int = 1024, levels: int = 4, dnum: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# precomputed tables (cached per params instance)
+# precomputed tables (cached per params value)
 
 _tables_cache: dict = {}
 
 
 def _cache(params: CkksParams):
-    key = id(params)
-    if key not in _tables_cache:
-        _tables_cache[key] = {}
-    return _tables_cache[key]
+    if params not in _tables_cache:
+        _tables_cache[params] = {}
+    return _tables_cache[params]
 
 
 def ext_moduli(params: CkksParams, level: int) -> list[Modulus]:
@@ -181,17 +180,19 @@ def digit_weight(params: CkksParams, d: int) -> int:
 class SecretKey:
     params: CkksParams
     coeffs: tuple[int, ...]   # ternary, centered
+    _ntt: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def ntt_limb(self, m: Modulus, power: int = 1) -> ResiduePoly:
-        cache = _cache(self.params)
-        key = ("sk", m.q, power)
-        if key not in cache:
+        """s^power under m: NTT domain, bit-reversed, SM; cached on the key."""
+        key = (m, power)
+        if key not in self._ntt:
             base = to_sm(make_poly(m, [c % m.q for c in self.coeffs]))
             limb = ntt_fwd(base)
             for _ in range(power - 1):
                 limb = vec_mmul(limb, ntt_fwd(base))
-            cache[key] = limb
-        return cache[key]
+            self._ntt[key] = limb
+        return self._ntt[key]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ vectors: elementwise multiply/add, the negacyclic NTT, fast base conversion
 (plain and merged with the deferred iNTT scaling), Galois automorphisms in
 both domains, the lane-matrix transpose, and a fused multiply-accumulate.
 
-Coefficient vectors are numpy uint64 arrays.  Moduli with a 32-bit
-Montgomery radix (q < 2^31) run fully vectorized; wider moduli fall back to
-exact big-integer loops.  Both paths produce identical words.
+Coefficient vectors are numpy uint64 arrays, and every kernel runs
+vectorized on them.  Montgomery multiplication has one exact reduction per
+radix class: one-word REDC for R <= 2^32 and a split-word REDC for R = 2^64
+(see _Kern).
 
 Layout conventions: forward NTT consumes natural coefficient order and
 produces bit-reversed evaluation order; the inverse accepts bit-reversed and
@@ -67,9 +68,11 @@ def bit_rev(i: int, bits: int) -> int:
 def bitrev_perm(n: int) -> np.ndarray:
     """Permutation array p with p[i] = bit-reverse of i over log2(n) bits."""
     if n not in _brv_cache:
-        bits = n.bit_length() - 1
-        _brv_cache[n] = np.array([bit_rev(i, bits) for i in range(n)],
-                                 dtype=np.int64)
+        # over k+1 bits, i's top bit becomes the low bit of its reversal
+        perm = np.zeros(1, dtype=np.int64)
+        while perm.size < n:
+            perm = np.concatenate((2 * perm, 2 * perm + 1))
+        _brv_cache[n] = perm
     return _brv_cache[n]
 
 
@@ -82,51 +85,88 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 
 
+def _mulhi(x, y0, y1):
+    """High 64-bit word of x*y for y = y1*2^32 + y0 below 2^59.
+
+    Schoolbook on 32-bit halves: with y1 < 2^27 the middle column sums to
+    less than 2^61, so no partial sum carries out of a 64-bit word.
+    """
+    x0, x1 = x & _MASK32, x >> _SH32
+    p10 = x1 * y0
+    mid = ((x0 * y0) >> _SH32) + x0 * y1 + (p10 & _MASK32)
+    return x1 * y1 + (p10 >> _SH32) + (mid >> _SH32)
+
+
 class _Kern:
+    """Vector primitives and twiddle tables for one modulus.
+
+    mmul is Montgomery's REDC on uint64 arrays, exact for every radix that
+    make_modulus accepts.  For R <= 2^32 the double word x*y + m*q stays
+    below 2*q*R <= 2^64, so it is formed directly.  For R = 2^64 the
+    double word is split into 64-bit halves: x*y + m*q is a multiple of
+    2^64, so its low halves cancel and carry exactly when lo(x*y) != 0, and
+    the quotient is hi(x*y) + hi(m*q) + carry (Montgomery, Math. Comp. 1985;
+    the 64-bit word split follows Harvey, J. Symb. Comp. 2014).
+    """
+
     def __init__(self, m: Modulus):
         self.m = m
-        self.fast = m.r_bits == 32
-        n, q = m.n, m.q
+        self._q = np.uint64(m.q)
+        self._qinv = np.uint64(m.q_inv_neg)
+        self._wide = m.r_bits == 64
+        if self._wide:
+            self._q0 = self._q & _MASK32
+            self._q1 = self._q >> _SH32
+        else:
+            self._rmask = np.uint64(m.r - 1)
+            self._rbits = np.uint64(m.r_bits)
         if m.ntt_ready:
-            br = bitrev_perm(n)
-            psis = [sm_encode(pow(m.omega, int(br[i]), q), m)
-                    for i in range(n)]
-            ipsis = [sm_encode(pow(m.omega_inv, int(br[i]), q), m)
-                     for i in range(n)]
-            self.psis = np.array(psis, dtype=np.uint64)
-            self.ipsis = np.array(ipsis, dtype=np.uint64)
+            br = bitrev_perm(m.n)
+            self.psis = self._powers_sm(m.omega)[br]
+            self.ipsis = self._powers_sm(m.omega_inv)[br]
             self.ninv_sm = sm_encode(m.n_inv, m)
-        if self.fast:
-            self._q = np.uint64(q)
-            self._qinv = np.uint64(m.q_inv_neg)
 
-    # elementwise Montgomery product; operands may be arrays or scalars
-    def mmul(self, x, y):
-        if self.fast:
-            x = np.asarray(x, dtype=np.uint64)
-            y = np.asarray(y, dtype=np.uint64)
-            t = x * y
-            mm = ((t & _MASK32) * self._qinv) & _MASK32
-            u = (t + mm * self._q) >> _SH32
-            return np.where(u >= self._q, u - self._q, u)
-        # exact big-integer path: object dtype keeps numpy broadcasting
+    def _powers_sm(self, w: int) -> np.ndarray:
+        """[w^0, ..., w^(n-1)] in single-Montgomery form, by doubling."""
         m = self.m
-        xo = np.asarray(x, dtype=np.uint64).astype(object)
-        yo = np.asarray(y, dtype=np.uint64).astype(object)
-        return ((xo * yo * m.r_inv) % m.q).astype(np.uint64)
+        pw = np.array([m.r % m.q], dtype=np.uint64)
+        step = np.array([sm_encode(w, m)], dtype=np.uint64)  # w^len(pw)
+        while pw.size < m.n:
+            pw = np.concatenate((pw, self.mmul(pw, step)))
+            step = self.mmul(step, step)
+        return pw
+
+    # elementwise Montgomery product x*y/R mod q of an array x and an array
+    # or scalar y, every word below q
+    def mmul(self, x, y):
+        x = np.asarray(x, dtype=np.uint64)
+        y = np.asarray(y, dtype=np.uint64)
+        q = self._q
+        if self._wide:
+            lo = x * y                          # wraps mod 2^64
+            hi = _mulhi(x, y & _MASK32, y >> _SH32)
+            mm = lo * self._qinv
+            u = hi + _mulhi(mm, self._q0, self._q1) + (lo != 0)
+        else:
+            t = x * y
+            mm = ((t & self._rmask) * self._qinv) & self._rmask
+            u = (t + mm * q) >> self._rbits
+        # u < 2q: u - q wraps above u exactly when u < q
+        return np.minimum(u, u - q)
 
     def madd(self, x, y):
-        q = np.uint64(self.m.q)
+        q = self._q
         x = np.asarray(x, dtype=np.uint64)
         y = np.asarray(y, dtype=np.uint64)
         s = x + y
-        return np.where(s >= q, s - q, s)
+        return np.minimum(s, s - q)
 
     def msub(self, x, y):
-        q = np.uint64(self.m.q)
+        q = self._q
         x = np.asarray(x, dtype=np.uint64)
         y = np.asarray(y, dtype=np.uint64)
-        return np.where(x >= y, x - y, x + q - y)
+        d = x - y                               # wraps when x < y
+        return np.minimum(d, d + q)
 
     def ntt(self, a: np.ndarray) -> np.ndarray:
         if not self.m.ntt_ready:

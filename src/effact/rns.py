@@ -1,9 +1,10 @@
 """Exact modular arithmetic: NTT-friendly primes and Montgomery representations.
 
-Words are capped at 59 bits so every product fits comfortably in double-word
-arithmetic.  Moduli below 2^31 get a 32-bit Montgomery radix, which lets the
-vector kernels run on uint64 numpy arrays; larger moduli default to a 64-bit
-radix and go through an exact big-integer path.
+Words are capped at 59 bits.  Moduli below 2^31 default to a 32-bit
+Montgomery radix and larger ones to a 64-bit radix; the vector kernels in
+poly.py reduce both, and any narrower radix with q*R < 2^63, exactly on
+uint64 arrays.  The word-level functions here are the big-integer reference
+they are tested against.
 
 Data words carry a representation tag:
 
@@ -17,9 +18,8 @@ minus one: SM*SM -> SM, NM*DM -> SM, SM*NM -> NM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from sympy import isprime
+import math
+from dataclasses import dataclass
 
 NM, SM, DM = 0, 1, 2
 
@@ -72,6 +72,54 @@ class Modulus:
         return f"Modulus(q={self.q}, n={self.n}, r_bits={self.r_bits})"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# _MR_PSI[k]: the least strong pseudoprime to every base in _MR_BASES[:k+1]
+# (Jaeschke, Math. Comp. 1993; Sorenson & Webster, Math. Comp. 2017)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the prime bases 2..37.
+
+    Exact below 318665857834031151167461 (about 3.2e23); stops after the
+    fewest bases that are exact for n.
+    """
+    if n < 2:
+        return False
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a, psi in zip(_MR_BASES, _MR_PSI):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise ValueError(f"{n} exceeds the deterministic Miller-Rabin range")
+
+
+def prev_prime(n: int) -> int:
+    """Largest prime strictly below n."""
+    if n <= 2:
+        raise ValueError(f"no prime below {n}")
+    p = n - 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
 def _find_omega(q: int, n: int) -> int:
     # omega = c^((q-1)/2n) has order exactly 2n iff omega^n == -1, because
     # 2n is a power of two dividing q-1.
@@ -89,13 +137,19 @@ def make_modulus(q: int, n: int, r_bits: int | None = None) -> Modulus:
         raise ValueError(f"ring degree {n} is not a power of two")
     if q.bit_length() > 59:
         raise ValueError(f"modulus {q} exceeds the 59-bit word cap")
-    if not isprime(q):
+    if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if r_bits is None:
         r_bits = 32 if q < (1 << 31) else 64
     r = 1 << r_bits
     if r <= q:
         raise ValueError(f"Montgomery radix 2^{r_bits} must exceed q={q}")
+    # the uint64 kernels hold x*y + m*q < 2*q*R in one word for R <= 2^32
+    # and split it into halves for R = 2^64; no other radix reduces exactly
+    if not (r_bits == 64 or (r_bits <= 32 and q * r < 1 << 63)):
+        raise ValueError(
+            f"Montgomery radix 2^{r_bits} unsupported for q={q}: "
+            f"need r_bits <= 32 with q*R < 2^63, or r_bits == 64")
     # primes not congruent to 1 mod 2n still support elementwise ops; the
     # transform tables are simply absent
     ntt_ready = (q - 1) % (2 * n) == 0
@@ -139,7 +193,7 @@ def make_modulus_chain(
     if p > hi:
         p -= two_n
     while len(found) < count and p > lo:
-        if p not in exclude and isprime(p):
+        if p not in exclude and is_prime(p):
             found.append(p)
         p -= two_n
     if len(found) < count:
@@ -151,7 +205,7 @@ def make_modulus_chain(
 
 
 # ---------------------------------------------------------------------------
-# word-level Montgomery arithmetic (exact big-integer path)
+# word-level Montgomery arithmetic (big-integer reference)
 
 def mont_mul(x: int, y: int, m: Modulus) -> int:
     """x * y * R^{-1} mod q, canonical result in [0, q)."""

@@ -14,11 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import sympy
-
 from . import ckks
 from .ir import Program, blank_image
-from .rns import Modulus, make_modulus, sm_encode
+from .rns import Modulus, make_modulus, prev_prime, sm_encode
 
 # full-scale bootstrapping mix targets used to calibrate the skeleton:
 # multiplies attributed to base conversion as a share of all multiplies,
@@ -104,7 +102,7 @@ def _moduli_for(wp: WorkloadParams) -> tuple[tuple[Modulus, ...],
         primes = []
         q = 2 ** 54
         while len(primes) < wp.levels + 1 + pcount:
-            q = int(sympy.prevprime(q))
+            q = prev_prime(q)
             primes.append(q)
         chain = tuple(make_modulus(q, wp.n) for q in primes[:wp.levels + 1])
         pch = tuple(make_modulus(q, wp.n) for q in primes[wp.levels + 1:])

@@ -223,3 +223,22 @@ def test_serialization_round_trip(setup):
         assert x.to_ints() == y.to_ints()
     with pytest.raises(ValueError):
         deserialize_ciphertext(b"XXXXXXXX" + blob[8:], params)
+
+
+def test_secret_key_limbs_are_per_key(setup):
+    params = setup[0]
+    sk0, _, _ = keygen_small(params, seed=0)
+    sk1, _, _ = keygen_small(params, seed=1)
+    rng = np.random.default_rng(9)
+    z = rand_msg(rng, 512)
+    ct = encrypt(z, params, sk0, seed=28)
+    assert rel_err(decrypt(ct, sk0, params), z) < 2 ** -20
+    assert rel_err(decrypt(ct, sk1, params), z) > 1
+
+
+def test_tables_cached_per_params_value(setup):
+    from effact import ckks
+    params = setup[0]
+    again = make_params()
+    assert again is not params and again == params
+    assert ckks.modup_tables(again, 2, 0) is ckks.modup_tables(params, 2, 0)

@@ -1,0 +1,94 @@
+"""Property tests: the uint64 Montgomery kernels against rns.mont_mul.
+
+Covers every radix class the kernels reduce: toy radices (r_bits 3-7),
+R = 2^32 and R = 2^64, on random NTT-friendly primes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from effact.poly import _kern, bitrev_perm
+from effact.rns import (
+    is_prime,
+    make_modulus,
+    make_modulus_chain,
+    mont_mul,
+    sm_encode,
+)
+
+# primes = 1 mod 4, each an NTT prime for n = 2
+TOY_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113)
+
+
+@st.composite
+def ntt_moduli(draw):
+    kind = draw(st.sampled_from(("toy", "r32", "r64")))
+    if kind == "toy":
+        q = draw(st.sampled_from(TOY_PRIMES))
+        return make_modulus(q, 2, draw(st.integers(q.bit_length(), 7)))
+    bits = draw(st.integers(20, 31) if kind == "r32" else st.integers(34, 59))
+    two_n = 2 << draw(st.integers(0, 10))
+    # first prime = 1 mod 2n at or below a random point in the bit range
+    p = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    p -= (p - 1) % two_n
+    while not is_prime(p):
+        p -= two_n
+    m = make_modulus(p, two_n // 2)
+    assert m.r_bits == (32 if kind == "r32" else 64)
+    return m
+
+
+def words(m, size):
+    return st.lists(st.integers(0, m.q - 1), min_size=size, max_size=size)
+
+
+def expect(xs, ys, m):
+    return [mont_mul(x, y, m) for x, y in zip(xs, ys)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_mmul_array_by_array(data):
+    m = data.draw(ntt_moduli())
+    size = data.draw(st.integers(1, 64))
+    xs, ys = data.draw(words(m, size)), data.draw(words(m, size))
+    got = _kern(m).mmul(np.array(xs, dtype=np.uint64),
+                        np.array(ys, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == expect(xs, ys, m)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_mmul_array_by_scalar(data):
+    m = data.draw(ntt_moduli())
+    xs = data.draw(words(m, data.draw(st.integers(1, 64))))
+    y = data.draw(st.integers(0, m.q - 1))
+    got = _kern(m).mmul(np.array(xs, dtype=np.uint64), np.uint64(y))
+    assert [int(v) for v in got] == expect(xs, [y] * len(xs), m)
+
+
+@settings(deadline=None)
+@given(ntt_moduli())
+def test_mmul_edge_words(m):
+    edge = sorted({0, 1, m.q - 2, m.q - 1})
+    xs = [x for x in edge for _ in edge]
+    ys = edge * len(edge)
+    got = _kern(m).mmul(np.array(xs, dtype=np.uint64),
+                        np.array(ys, dtype=np.uint64))
+    assert [int(v) for v in got] == expect(xs, ys, m)
+
+
+@pytest.mark.parametrize("n,bits,r_bits", [
+    (2, 3, 3), (8, 5, 5), (8, 7, 7), (64, 30, None), (1024, 31, 32),
+    (1024, 40, None), (16, 50, 64), (1024, 59, None), (256, 20, 64),
+])
+def test_twiddle_tables_match_pow(n, bits, r_bits):
+    m = make_modulus_chain(n, 1, bits, r_bits=r_bits)[0]
+    k = _kern(m)
+    br = bitrev_perm(n)
+    assert [int(v) for v in k.psis] == \
+        [sm_encode(pow(m.omega, int(br[i]), m.q), m) for i in range(n)]
+    assert [int(v) for v in k.ipsis] == \
+        [sm_encode(pow(m.omega_inv, int(br[i]), m.q), m) for i in range(n)]

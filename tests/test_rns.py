@@ -12,10 +12,12 @@ from effact.rns import (
     RnsBasis,
     compose_repr,
     dm_encode,
+    is_prime,
     make_modulus,
     make_modulus_chain,
     mont_mul,
     mont_reduce,
+    prev_prime,
     sm_decode,
     sm_encode,
 )
@@ -139,3 +141,42 @@ def test_make_modulus_rejections():
         make_modulus(17, 8, r_bits=4)
     with pytest.raises(ValueError):
         make_modulus((1 << 60) + 33, 8)
+
+
+def test_make_modulus_rejects_inexact_radix():
+    # q*2^32 >= 2^63: the one-word REDC at R=2^32 would overflow
+    q = 4294966769
+    with pytest.raises(ValueError, match="radix"):
+        make_modulus(q, 8, r_bits=32)
+    for r_bits in (33, 40, 63, 65):
+        with pytest.raises(ValueError, match="radix"):
+            make_modulus(q, 8, r_bits=r_bits)
+    assert make_modulus(q, 8, r_bits=64).r_bits == 64
+    assert make_modulus(2147483647, 8, r_bits=32).r_bits == 32
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-3, 30000) if is_prime(n)] == \
+        [n for n in range(-3, 30000) if isprime(n)]
+    rng = random.Random(11)
+    for lo in (1 << 31, 1 << 40, 1 << 58):
+        for n in range(lo - 2000, lo + 2000):
+            assert is_prime(n) == isprime(n)
+        for _ in range(500):
+            n = rng.randrange(lo, 2 * lo)
+            assert is_prime(n) == isprime(n)
+    # strong pseudoprimes to several small bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not is_prime(n) and not isprime(n)
+
+
+def test_prev_prime_matches_sympy():
+    from sympy import prevprime
+    q = 1 << 54
+    for _ in range(40):
+        assert prev_prime(q) == prevprime(q)
+        q = prev_prime(q)
+    assert [prev_prime(n) for n in (3, 4, 8, 98)] == [2, 3, 7, 97]
+    with pytest.raises(ValueError):
+        prev_prime(2)
