@@ -31,12 +31,15 @@ from .ir import (
 from .poly import make_bconv_tables
 from .rns import DM, NM, SM, ReprError, RnsBasis, compose_repr, mont_mul, sm_encode
 
+# machine opcode -> unit class, for the scheduler, the critical path and the
+# simulator.  DRAM is one channel; HardwareDescription.fu sizes the others.
+FU_CLASS = {"ntt": "ntt", "intt": "ntt", "mmul": "mmul", "mac": "mmul",
+            "mmad": "madd", "auto": "auto", "load": "dram", "store": "dram"}
+UNITS = ("ntt", "mmul", "madd", "auto")
 # ops executed on vector function units (streaming-merge candidates)
-FU_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto"}
-
-_FU_CLASS = {"ntt": "ntt", "intt": "ntt", "mmul": "mmul", "mac": "mmul",
-             "mmad": "madd", "auto": "auto",
-             "load": "dram", "store": "dram", "copy": "madd"}
+FU_OPS = {op for op, cls in FU_CLASS.items() if cls != "dram"}
+DRAM_BASE = 100               # cycles before the first word of a transfer
+WORD_BYTES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +65,21 @@ class HardwareDescription:
                      "fifo_depth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for k in ("ntt", "mmul", "madd", "auto"):
+        unknown = [k for k in counts if k not in UNITS]
+        if unknown:
+            raise ValueError(f"unknown unit class '{unknown[0]}' (not one "
+                             f"of {'/'.join(UNITS)})")
+        for k in UNITS:
             if counts.get(k, 0) <= 0:
                 raise ValueError(f"need at least one {k} unit")
+        for op, cycles in self.lat_override:
+            if op not in FU_CLASS:
+                raise ValueError(f"lat.{op}: '{op}' is not a machine opcode")
+            if cycles < 1:
+                raise ValueError(f"lat.{op} must be at least 1 cycle")
 
     def fu_count(self, cls: str) -> int:
-        return dict(self.fu).get(cls, 1)
+        return dict(self.fu).get(cls, 1)      # "dram": the one channel
 
     def lat(self, op: str, n: int) -> int:
         over = dict(self.lat_override)
@@ -78,8 +90,12 @@ class HardwareDescription:
             stages = max(1, int(math.log2(n)))
             return max(1, base * stages // self.ntt_pipelines)
         if op in ("load", "store"):
-            return 100 + max(1, 8 * n // self.dram_bw)
+            return DRAM_BASE + self.xfer(n)
         return base
+
+    def xfer(self, n: int) -> int:
+        """Cycles one n-word residue polynomial occupies the DRAM channel."""
+        return max(1, -(-WORD_BYTES * n // self.dram_bw))
 
 
 def parse_hw(text: str) -> HardwareDescription:
@@ -512,17 +528,23 @@ def _addr_key(a: Addr):
 
 
 def build_deps(p: Program) -> list[set[int]]:
-    """preds[k] = indices that must complete before instruction k."""
+    """preds[k] = indices that must complete before instruction k: register
+    RAW/WAR/WAW plus memory order (WAR/WAW arise only once registers are
+    reused, i.e. in machine code)."""
     preds: list[set[int]] = [set() for _ in p.instrs]
     last_def: dict[str, int] = {}
+    reg_readers: dict[str, list[int]] = {}
     last_write: dict = {}
     readers: dict = {}
     wild_writes: list[int] = []
     wild_reads: list[int] = []
     for idx, i in enumerate(p.instrs):
         for s in i.srcs:
-            if isinstance(s, Vreg) and str(s) in last_def:
-                preds[idx].add(last_def[str(s)])
+            if isinstance(s, Vreg):
+                r = str(s)
+                if r in last_def:
+                    preds[idx].add(last_def[r])
+                reg_readers.setdefault(r, []).append(idx)
         reads, writes = _mem_accesses(i)
         for a in reads:
             key = _addr_key(a)
@@ -552,13 +574,21 @@ def build_deps(p: Program) -> list[set[int]]:
                 last_write[key] = idx
         for d in i.dests:
             if isinstance(d, Vreg):
-                last_def[str(d)] = idx
+                r = str(d)
+                if r in last_def:
+                    preds[idx].add(last_def[r])
+                preds[idx].update(reg_readers.pop(r, ()))
+                last_def[r] = idx
         preds[idx].discard(idx)
     return preds
 
 
 def critical_path(p: Program, hw: HardwareDescription) -> int:
-    preds = build_deps(p)
+    return _longest_path(p, hw, build_deps(p))
+
+
+def _longest_path(p: Program, hw: HardwareDescription,
+                  preds: list[set[int]]) -> int:
     finish = [0] * len(p.instrs)
     for idx, i in enumerate(p.instrs):
         start = max((finish[j] for j in preds[idx]), default=0)
@@ -592,9 +622,8 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
         ready.sort(key=lambda k: (-prio[k], k))
         idx = ready.pop(0)
         i = out.instrs[idx]
-        cls = _FU_CLASS.get(i.op, "madd")
-        pool = fu_free.setdefault(
-            cls, [0] * (1 if cls == "dram" else hw.fu_count(cls)))
+        cls = FU_CLASS[i.op]
+        pool = fu_free.setdefault(cls, [0] * hw.fu_count(cls))
         u = min(range(len(pool)), key=lambda k: pool[k])
         start = max(ready_at[idx], pool[u])
         pool[u] = start + lat[idx]
@@ -612,7 +641,9 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
                   for k in order]
     cp = critical_path(out, hw)
     makespan = max((cycles[k] + lat[k] for k in range(n_instr)), default=0)
-    assert makespan >= cp
+    if makespan < cp:
+        raise RuntimeError(f"schedule makespan {makespan} is below the "
+                           f"critical path {cp}")
     out.notes["critical_path"] = cp
     out.notes["makespan"] = makespan
     out.form = "scheduled"

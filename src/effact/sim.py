@@ -6,6 +6,8 @@ datapath), a bandwidth-limited DRAM channel with a fixed base latency,
 SRAM bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
 SRAM.  Reports cycles, busy counts, utilizations, and DRAM traffic.
+Dependences, unit classes and latencies come from the compiler's one
+machine model: build_deps, FU_CLASS and HardwareDescription.lat/xfer.
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from .asm import check_machine_form
 from .compiler import (
-    FU_OPS,
+    DRAM_BASE,
+    FU_CLASS,
+    UNITS,
+    WORD_BYTES,
     HardwareDescription,
-    _addr_key,
-    _mem_accesses,
+    _longest_path,
+    build_deps,
     compile_program,
-    critical_path,
 )
-from .ir import Addr, Instr, Program, Vreg
-
-_WORD_BYTES = 8
+from .ir import Addr, Program, Vreg
 
 
 @dataclass
@@ -83,53 +86,6 @@ class SimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _fu_class(op: str, mac_unit: str) -> str:
-    table = {"ntt": "ntt", "intt": "ntt", "mmul": "mmul", "mmad": "madd",
-             "auto": "auto", "load": "dram", "store": "dram",
-             "mac": mac_unit}
-    return table[op]
-
-
-_DRAM_BASE = 100
-
-
-def _sim_deps(p: Program) -> list[set[int]]:
-    """Timing-order predecessors: register RAW/WAR/WAW plus memory order."""
-    preds: list[set[int]] = [set() for _ in p.instrs]
-    last_def: dict[str, int] = {}
-    readers_of: dict[str, list[int]] = {}
-    last_write: dict = {}
-    mem_readers: dict = {}
-    for idx, i in enumerate(p.instrs):
-        for s in i.srcs:
-            if isinstance(s, Vreg):
-                r = str(s)
-                if r in last_def:
-                    preds[idx].add(last_def[r])
-                readers_of.setdefault(r, []).append(idx)
-        reads, writes = _mem_accesses(i)
-        for a in reads:
-            key = _addr_key(a)
-            if key in last_write:
-                preds[idx].add(last_write[key])
-            mem_readers.setdefault(key, []).append(idx)
-        for a in writes:
-            key = _addr_key(a)
-            if key in last_write:
-                preds[idx].add(last_write[key])
-            preds[idx].update(mem_readers.pop(key, ()))
-            last_write[key] = idx
-        for d in i.dests:
-            if isinstance(d, Vreg):
-                r = str(d)
-                if r in last_def:
-                    preds[idx].add(last_def[r])
-                preds[idx].update(readers_of.pop(r, ()))
-                last_def[r] = idx
-        preds[idx].discard(idx)
-    return preds
-
-
 def _check_resources(p: Program, hw: HardwareDescription):
     for i in p.instrs:
         for o in list(i.srcs) + list(i.dests):
@@ -147,19 +103,18 @@ def simulate(p: Program, hw: HardwareDescription,
              mac_unit: str = "mmul", want_trace: bool = False) -> SimReport:
     if mac_unit not in ("mmul", "ntt"):
         raise ValueError("mac_unit must be 'mmul' or 'ntt'")
+    check_machine_form(p)
     _check_resources(p, hw)
     n = p.n
-    xfer = max(1, -(-_WORD_BYTES * n // hw.dram_bw))
-    preds = _sim_deps(p)
+    xfer = hw.xfer(n)
+    preds = build_deps(p)
 
-    pools: dict[str, list[int]] = {
-        cls: [0] * hw.fu_count(cls) for cls in ("ntt", "mmul", "madd", "auto")
-    }
-    busy = {cls: 0 for cls in pools}
-    busy["dram"] = 0
+    pools = {cls: [0] * hw.fu_count(cls) for cls in UNITS}
+    busy = dict.fromkeys((*UNITS, "dram"), 0)
     channel_free = 0
     complete = [0] * len(p.instrs)
-    load_b = store_b = stream_b = 0
+    moved = {"load": 0, "store": 0}
+    stream_b = 0
     conflicts_total = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)
     trace = []
@@ -173,18 +128,13 @@ def simulate(p: Program, hw: HardwareDescription,
 
     for idx, i in enumerate(p.instrs):
         ready = max((complete[j] for j in preds[idx]), default=0)
-        if i.op == "load":
-            s = dram_slot(ready)
-            complete[idx] = s + _DRAM_BASE + xfer
-            load_b += _WORD_BYTES * n
-        elif i.op == "store":
-            s = dram_slot(ready)
-            complete[idx] = s + _DRAM_BASE + xfer
-            store_b += _WORD_BYTES * n
+        lat = hw.lat(i.op, n)
+        if i.op in ("load", "store"):
+            # a transfer ends no earlier than its last word leaves the channel
+            complete[idx] = dram_slot(ready) + max(lat, xfer)
+            moved[i.op] += WORD_BYTES * n
         else:
-            cls = _fu_class(i.op, mac_unit)
-            lat_op = "mmul" if i.op == "mac" else i.op
-            lat = hw.lat(lat_op, n)
+            cls = mac_unit if i.op == "mac" else FU_CLASS[i.op]
             pool = pools[cls]
             u = min(range(len(pool)), key=lambda k: pool[k])
             start = max(ready, pool[u])
@@ -192,8 +142,8 @@ def simulate(p: Program, hw: HardwareDescription,
             for a in i.srcs:
                 if isinstance(a, Addr):
                     s0 = dram_slot(ready)
-                    stream_b += _WORD_BYTES * n
-                    start = max(start, s0 + _DRAM_BASE)
+                    stream_b += WORD_BYTES * n
+                    start = max(start, s0 + DRAM_BASE)
             # SRAM bank conflicts serialize same-cycle accesses to
             # distinct slots that share a bank
             slots_used = {int(str(o)[1:])
@@ -210,8 +160,8 @@ def simulate(p: Program, hw: HardwareDescription,
             for d in i.dests:
                 if isinstance(d, Addr):
                     s0 = dram_slot(start)
-                    stream_b += _WORD_BYTES * n
-                    complete[idx] = max(end, s0 + _DRAM_BASE + xfer)
+                    stream_b += WORD_BYTES * n
+                    complete[idx] = max(end, s0 + DRAM_BASE + xfer)
             for d in i.dests:
                 if isinstance(d, Vreg) and str(d).startswith("f"):
                     fifo_events.append((complete[idx], 1))
@@ -228,13 +178,17 @@ def simulate(p: Program, hw: HardwareDescription,
     for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):
         occ += delta
         fifo_peak = max(fifo_peak, occ)
-    cp = critical_path(p, hw)
-    fu_count = {cls: hw.fu_count(cls) for cls in pools}
-    fu_count["dram"] = 1
-    rep = SimReport(cycles, busy, fu_count, load_b, store_b, stream_b,
-                    conflicts_total, fifo_peak, cp, len(p.instrs), trace)
-    assert rep.cycles >= rep.critical_path
-    assert rep.cycles * hw.dram_bw >= rep.dram_bytes
+    cp = _longest_path(p, hw, preds)
+    fu_count = {cls: hw.fu_count(cls) for cls in busy}
+    rep = SimReport(cycles, busy, fu_count, moved["load"], moved["store"],
+                    stream_b, conflicts_total, fifo_peak, cp, len(p.instrs),
+                    trace)
+    if rep.cycles < rep.critical_path:
+        raise RuntimeError(f"simulated {rep.cycles} cycles, below the "
+                           f"critical path {rep.critical_path}")
+    if rep.cycles * hw.dram_bw < rep.dram_bytes:
+        raise RuntimeError(f"{rep.dram_bytes} DRAM bytes do not fit in "
+                           f"{rep.cycles} cycles at {hw.dram_bw} B/cycle")
     return rep
 
 

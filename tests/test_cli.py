@@ -108,8 +108,22 @@ def test_hw_file_and_env(src, tmp_path, monkeypatch, capsys):
     assert main(["sim", str(src), "--json", str(out2)]) == 0
     assert json.loads(out1.read_text()) == json.loads(out2.read_text())
     bad = tmp_path / "bad.hw"
-    bad.write_text("slots=zero\n")
-    assert main(["sim", str(src), "--hw", str(bad)]) == 1
+    for line in ("slots=zero", "fu.bogus = 3", "fu.dram = 4",
+                 "lat.bogus = 5", "lat.mmul = -50", "lat.ntt = 0"):
+        bad.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["sim", str(src), "--hw", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error[hw]:")
+
+
+def test_sim_rejects_source_level_easm(tmp_path, capsys):
+    easm = tmp_path / "loop.easm"
+    easm.write_text(".n 16\n.mod q0 97\n.dram x 4\n.dram y 4\n"
+                    "$i = loop 0, 2\nr0 = load @x[$i]\nstore r0, @y[$i]\n"
+                    "endloop\n")
+    assert main(["sim", str(easm)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[sim]:") and "not machine-level" in err
 
 
 def test_sweep_csv_monotone(tmp_path, capsys):

@@ -125,6 +125,17 @@ def test_hw_validation_and_parsing():
     assert not hw.streaming
     with pytest.raises(ValueError):
         parse_hw("bogus = 3\n")
+    # unknown unit classes (DRAM is one fixed channel), non-machine opcodes
+    # and latencies below one cycle
+    for line in ("fu.bogus = 3", "fu.dram = 4", "lat.bogus = 5",
+                 "lat.copy = 2", "lat.mmul = -50", "lat.ntt = 0"):
+        with pytest.raises(ValueError):
+            parse_hw(line + "\n")
+    with pytest.raises(ValueError):
+        HardwareDescription(fu=HardwareDescription.fu + (("dram", 4),))
+    with pytest.raises(ValueError):
+        HardwareDescription(lat_override=(("load", 0),))
+    assert parse_hw("lat.mac = 9\nlat.store = 1\n").lat("mac", N) == 9
 
 
 def test_hw_latency_defaults():
@@ -350,6 +361,14 @@ def test_schedule_overlaps_independent_work():
     assert two[1] < two[0] + 10       # windows overlap on two units
     one = intt_cycles(1)
     assert one[1] >= one[0] + 10      # strictly serialized on one unit
+
+
+def test_schedule_invariant_is_an_explicit_error(monkeypatch):
+    import effact.compiler as compiler
+    p = propagate(unroll(random_program(random.Random(8))))
+    monkeypatch.setattr(compiler, "critical_path", lambda p, hw: 10 ** 12)
+    with pytest.raises(RuntimeError, match="critical path"):
+        schedule(p, HW)
 
 
 def test_critical_path_chain():

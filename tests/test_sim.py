@@ -29,6 +29,58 @@ def test_single_ntt_latency():
     assert rep.cycles == rep.critical_path
 
 
+def test_latency_overrides_reach_the_simulator():
+    hw = HardwareDescription(slots=8, lat_override=(("mac", 1000),
+                                                    ("load", 5000),
+                                                    ("store", 5000)))
+    text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
+                       "%c = mac %a, %b, %b, q0\nstore %c, @y[0]\n")
+    mc = compile_program(parse_ir(text), hw, streaming=False)
+    rep = simulate(mc, hw, want_trace=True)
+    done = {ev["op"]: [] for ev in rep.trace}
+    for ev in rep.trace:
+        done[ev["op"]].append(ev["complete"])
+    xfer = hw.xfer(N)
+    # the second load queues behind the first on the one DRAM channel
+    assert done["load"] == [5000, xfer + 5000]
+    assert done["mac"] == [xfer + 5000 + 1000]
+    assert done["store"] == [xfer + 5000 + 1000 + 5000]
+    assert rep.critical_path == 5000 + 1000 + 5000
+    assert rep.cycles >= rep.critical_path
+
+
+def test_transfers_never_outrun_the_channel():
+    # a load or store latency below the channel time is raised to it, so
+    # every byte moved fits in the simulated cycles
+    hw = HardwareDescription(slots=8, lat_override=(("load", 1),
+                                                    ("store", 1)))
+    text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
+                       "store %a, @y[0]\nstore %b, @y[1]\n")
+    mc = compile_program(parse_ir(text), hw, streaming=False)
+    rep = simulate(mc, hw)
+    assert hw.xfer(N) > 1
+    assert rep.cycles == 4 * hw.xfer(N)
+    assert rep.cycles * hw.dram_bw >= rep.dram_bytes
+
+
+def test_register_reuse_is_on_the_critical_path():
+    # machine code whose only chain runs through the reuse of r0: the
+    # second load must wait for the first store to read r0
+    text = header() + ("r0 = load @x[0]\nstore r0, @y[0]\n"
+                       "r0 = load @x[1]\nstore r0, @y[1]\n")
+    rep = simulate(parse_ir(text), HW)
+    assert rep.cycles == 2 * (HW.lat("load", N) + HW.lat("store", N))
+    assert rep.critical_path == rep.cycles
+
+
+def test_simulate_invariant_is_an_explicit_error(monkeypatch):
+    import effact.sim as sim
+    p = machine(header() + "%a = load @x[0]\nstore %a, @y[0]\n")
+    monkeypatch.setattr(sim, "_longest_path", lambda p, hw, preds: 10 ** 12)
+    with pytest.raises(RuntimeError, match="critical path"):
+        simulate(p, HW)
+
+
 def test_serial_ntts_on_one_unit():
     hw = HardwareDescription(slots=8, fu=(("ntt", 1), ("mmul", 1),
                                           ("madd", 1), ("auto", 1)),
