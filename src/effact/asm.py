@@ -24,6 +24,7 @@ from .ir import (
     MemoryImage,
     Program,
     Vreg,
+    check_address,
     parse_ir,
     print_program,
 )
@@ -51,9 +52,11 @@ def check_machine_form(prog: Program):
             if isinstance(o, Vreg) and str(o).startswith("%"):
                 raise IrError(f"virtual register {o} survives in machine "
                               "code", i.line)
-            if isinstance(o, Addr) and not o.concrete:
-                raise IrError(f"non-constant address {o} in machine code",
-                              i.line)
+            if isinstance(o, Addr):
+                if not o.concrete:
+                    raise IrError(f"non-constant address {o} in machine "
+                                  "code", i.line)
+                check_address(prog, o, i.line)
 
 
 def assemble_text(prog: Program) -> str:
@@ -150,8 +153,14 @@ def assemble_binary(prog: Program) -> bytes:
 def disassemble_binary(blob: bytes) -> Program:
     if blob[:8] != _EXE_MAGIC:
         raise IrError("bad executable magic")
+    if len(blob) < 32:
+        raise IrError(f"executable truncated to {len(blob)} bytes")
     n, nmods, nconsts, nsyms, ninstrs, _ = struct.unpack("<IIIIII",
                                                          blob[8:32])
+    size = 32 + 32 * (nmods + nconsts) + 24 * nsyms + 16 * ninstrs
+    if len(blob) != size:
+        raise IrError(f"executable is {len(blob)} bytes, its header "
+                      f"declares {size}")
     off = 32
     prog = Program(n=n, form="machine")
     mods = []

@@ -9,7 +9,9 @@ be compared bit for bit.
 Key-switching is hybrid: the modulus chain is split into dnum digit groups,
 each digit is raised to the full extended basis with the merged
 iNTT-scaling base conversion, multiplied by its evaluation-key digit, and
-the sum is divided by P with round-to-nearest.
+the sum is divided by P with round-to-nearest.  Rescale is the same
+divide-and-round with the dropped base cut down to the one prime q_l, so
+both run through one function (``_divide_round``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import numpy as np
 
 from .poly import (
     BITREV,
-    COEF,
-    NATURAL,
-    NM,
     NTT,
     SM,
     BconvTables,
@@ -55,8 +54,32 @@ ERR_SIGMA = 3.2
 # ---------------------------------------------------------------------------
 # parameters
 
+def _digit_size(levels: int, dnum: int) -> int:
+    """alpha: primes per key-switch digit when L+1 primes form dnum digits."""
+    return -(-(levels + 1) // dnum)
+
+
+class _DigitLayout:
+    """Hybrid key-switch digit layout over the fields levels and dnum;
+    shared by CkksParams and the generators' WorkloadParams."""
+
+    @property
+    def alpha(self) -> int:
+        return _digit_size(self.levels, self.dnum)
+
+    def digit_indices(self, d: int, level: int) -> list[int]:
+        lo = d * self.alpha
+        hi = min((d + 1) * self.alpha, level + 1)
+        return list(range(lo, hi)) if hi > lo else []
+
+    def key_limb(self, k: int, level: int) -> int:
+        """Limb of a full-level evaluation key that multiplies limb k of the
+        extended basis at `level` (C_level then P)."""
+        return k if k <= level else self.levels + 1 + (k - level - 1)
+
+
 @dataclass(frozen=True)
-class CkksParams:
+class CkksParams(_DigitLayout):
     n: int
     levels: int            # L: fresh ciphertexts carry L+1 limbs
     dnum: int
@@ -71,10 +94,6 @@ class CkksParams:
             raise ValueError("chain length must be levels + 1")
 
     @property
-    def alpha(self) -> int:
-        return -(-(self.levels + 1) // self.dnum)
-
-    @property
     def p_product(self) -> int:
         p = 1
         for m in self.pchain:
@@ -83,11 +102,6 @@ class CkksParams:
 
     def basis(self, level: int) -> RnsBasis:
         return RnsBasis(self.chain[:level + 1], role="C")
-
-    def digit_indices(self, d: int, level: int) -> list[int]:
-        lo = d * self.alpha
-        hi = min((d + 1) * self.alpha, level + 1)
-        return list(range(lo, hi)) if hi > lo else []
 
     def q_product(self, level: int) -> int:
         p = 1
@@ -102,7 +116,7 @@ def make_params(n: int = 1024, levels: int = 4, dnum: int = 2,
     chain primes, and an extension base larger than any digit product."""
     anchor = make_modulus_chain(n, 1, 55)
     scale = make_modulus_chain(n, levels, 40)
-    alpha = -(-(levels + 1) // dnum)
+    alpha = _digit_size(levels, dnum)
     # P must dominate the largest digit product (anchor + alpha-1 scale primes)
     digit_bits = 55 + (alpha - 1) * 40
     pcount = 3
@@ -113,15 +127,17 @@ def make_params(n: int = 1024, levels: int = 4, dnum: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# precomputed tables (cached per params value)
+# precomputed tables (cached per source and destination moduli)
 
 _tables_cache: dict = {}
 
 
-def _cache(params: CkksParams):
-    if params not in _tables_cache:
-        _tables_cache[params] = {}
-    return _tables_cache[params]
+def _bconv_tables(src: tuple[Modulus, ...],
+                  dst: tuple[Modulus, ...]) -> BconvTables:
+    key = (src, dst)
+    if key not in _tables_cache:
+        _tables_cache[key] = make_bconv_tables(RnsBasis(src), RnsBasis(dst))
+    return _tables_cache[key]
 
 
 def ext_moduli(params: CkksParams, level: int) -> list[Modulus]:
@@ -131,35 +147,11 @@ def ext_moduli(params: CkksParams, level: int) -> list[Modulus]:
 
 def modup_tables(params: CkksParams, level: int, d: int) -> BconvTables:
     """Digit d source primes -> all other current primes plus P."""
-    cache = _cache(params)
-    key = ("modup", level, d)
-    if key not in cache:
-        digit = params.digit_indices(d, level)
-        src = RnsBasis(tuple(params.chain[i] for i in digit))
-        dst = RnsBasis(tuple(params.chain[i] for i in range(level + 1)
-                             if i not in digit) + params.pchain)
-        cache[key] = make_bconv_tables(src, dst)
-    return cache[key]
-
-
-def moddown_tables(params: CkksParams, level: int) -> BconvTables:
-    cache = _cache(params)
-    key = ("moddown", level)
-    if key not in cache:
-        cache[key] = make_bconv_tables(
-            RnsBasis(params.pchain, role="B"),
-            RnsBasis(params.chain[:level + 1], role="C"))
-    return cache[key]
-
-
-def rescale_tables(params: CkksParams, level: int) -> BconvTables:
-    cache = _cache(params)
-    key = ("rescale", level)
-    if key not in cache:
-        cache[key] = make_bconv_tables(
-            RnsBasis((params.chain[level],)),
-            RnsBasis(params.chain[:level]))
-    return cache[key]
+    digit = params.digit_indices(d, level)
+    return _bconv_tables(
+        tuple(params.chain[i] for i in digit),
+        tuple(m for i, m in enumerate(params.chain[:level + 1])
+              if i not in digit) + params.pchain)
 
 
 def digit_weight(params: CkksParams, d: int) -> int:
@@ -220,27 +212,18 @@ def _uniform_limb(m: Modulus, rng) -> ResiduePoly:
     return make_poly(m, words, domain=NTT, order=BITREV, repr=SM)
 
 
-def _noise_ntt(m: Modulus, coeffs, rng=None) -> ResiduePoly:
-    if coeffs is None:
-        coeffs = [round(rng.gauss(0, ERR_SIGMA)) for _ in range(m.n)]
-    return ntt_fwd(to_sm(make_poly(m, [c % m.q for c in coeffs])))
-
-
-def _encrypt_under(params, sk, msg_scalar_per_mod, moduli, rng,
-                   s_poly=None) -> tuple[RnsPoly, RnsPoly]:
-    """(b, a) with b + a*s = msg + e over the given moduli; msg is given as a
-    per-modulus scalar multiplier applied to s_poly (default s^2)."""
-    e = [round(rng.gauss(0, ERR_SIGMA)) for _ in range(params.n)]
+def _rlwe_sample(sk: SecretKey, basis: RnsBasis, msg: list[ResiduePoly],
+                 rng) -> tuple[RnsPoly, RnsPoly]:
+    """(b, a) with b = -a*s + msg + e over basis, a uniform; msg holds one
+    NTT-domain limb per modulus.  Draws the noise, then one a per modulus."""
+    e = _coeffs_to_device(
+        [round(rng.gauss(0, ERR_SIGMA)) for _ in range(basis.n)], basis)
     b_limbs, a_limbs = [], []
-    for m in moduli:
+    for m, mlimb, elimb in zip(basis, msg, e.limbs):
         a = _uniform_limb(m, rng)
-        spoly = s_poly(m) if s_poly else sk.ntt_limb(m, 2)
-        msg = vec_mmul(spoly, Word(sm_encode(msg_scalar_per_mod(m), m), SM))
-        b = vec_madd(vec_madd(vec_neg(vec_mmul(a, sk.ntt_limb(m))), msg),
-                     _noise_ntt(m, e))
-        b_limbs.append(b)
+        b_limbs.append(vec_madd(vec_madd(vec_neg(vec_mmul(a, sk.ntt_limb(m))),
+                                         mlimb), elimb))
         a_limbs.append(a)
-    basis = RnsBasis(tuple(moduli))
     return RnsPoly(basis, tuple(b_limbs)), RnsPoly(basis, tuple(a_limbs))
 
 
@@ -254,19 +237,19 @@ def keygen_small(params: CkksParams, seed: int = 0,
     rng = random.Random(seed)
     sk = SecretKey(params, tuple(rng.choice((-1, 0, 1))
                                  for _ in range(params.n)))
-    ext = ext_moduli(params, params.levels)
-    p_prod = params.p_product
+    ext = RnsBasis(tuple(ext_moduli(params, params.levels)))
 
     def evk_for(s_poly):
+        # digit d encrypts P * W_d * s_poly
         digits = []
         for d in range(params.dnum):
-            w = digit_weight(params, d)
-            digits.append(_encrypt_under(
-                params, sk, lambda m, w=w: (p_prod * w) % m.q, ext, rng,
-                s_poly=s_poly))
+            w = params.p_product * digit_weight(params, d)
+            msg = [vec_mmul(s_poly(m), Word(sm_encode(w % m.q, m), SM))
+                   for m in ext]
+            digits.append(_rlwe_sample(sk, ext, msg, rng))
         return EvalKey(tuple(digits))
 
-    evk = evk_for(None)
+    evk = evk_for(lambda m: sk.ntt_limb(m, 2))
     rot_keys = {}
     for s in rot_steps:
         def rotated(m, s=s):
@@ -286,7 +269,6 @@ def _embedding(n: int) -> np.ndarray:
     """Rows j: powers of zeta^(5^j), zeta the primitive 2n-th root."""
     if n not in _embed_cache:
         slots = n // 2
-        exps = np.empty((slots, n), dtype=np.float64)
         e = 1
         rows = []
         for _ in range(slots):
@@ -329,17 +311,8 @@ def encrypt(values, params: CkksParams, sk: SecretKey, seed: int = 1,
     scale = params.delta if scale is None else scale
     basis = params.basis(level)
     msg = encode(values, params, scale)
-    mdev = _coeffs_to_device(msg, basis)
-    e = [round(rng.gauss(0, ERR_SIGMA)) for _ in range(params.n)]
-    c0_limbs, c1_limbs = [], []
-    for i, m in enumerate(basis):
-        a = _uniform_limb(m, rng)
-        c0 = vec_madd(vec_madd(vec_neg(vec_mmul(a, sk.ntt_limb(m))),
-                               mdev.limbs[i]), _noise_ntt(m, e))
-        c0_limbs.append(c0)
-        c1_limbs.append(a)
-    return Ciphertext(RnsPoly(basis, tuple(c0_limbs)),
-                      RnsPoly(basis, tuple(c1_limbs)), level, scale)
+    c0, c1 = _rlwe_sample(sk, basis, _coeffs_to_device(msg, basis).limbs, rng)
+    return Ciphertext(c0, c1, level, scale)
 
 
 def _device_to_coeffs(p: RnsPoly) -> list[list[int]]:
@@ -440,58 +413,44 @@ def key_switch(d2: RnsPoly, evk: EvalKey, params: CkksParams,
                 raised.append(next(it))
         evk_b, evk_a = evk.digits[d]
         for k in range(len(ext)):
-            src_idx = k if k <= level else params.levels + 1 + (k - level - 1)
-            t0 = vec_mmul(raised[k], evk_b.limbs[src_idx])
-            t1 = vec_mmul(raised[k], evk_a.limbs[src_idx])
+            s = params.key_limb(k, level)
+            t0 = vec_mmul(raised[k], evk_b.limbs[s])
+            t1 = vec_mmul(raised[k], evk_a.limbs[s])
             acc0[k] = t0 if acc0[k] is None else vec_madd(acc0[k], t0)
             acc1[k] = t1 if acc1[k] is None else vec_madd(acc1[k], t1)
-    return (_mod_down(acc0, params, level), _mod_down(acc1, params, level))
+    keep = params.chain[:level + 1]
+    return (_divide_round(acc0, keep, params.pchain),
+            _divide_round(acc1, keep, params.pchain))
 
 
-def _mod_down(ext_limbs: list[ResiduePoly], params: CkksParams,
-              level: int) -> RnsPoly:
-    """Divide an extended-basis component by P, rounding to nearest."""
-    ext = ext_moduli(params, level)
-    p_prod = params.p_product
-    half = p_prod // 2
-    biased = [vec_madd(limb, Word(sm_encode(half % m.q, m), SM))
-              for limb, m in zip(ext_limbs, ext)]
-    tables = moddown_tables(params, level)
-    bpart = RnsPoly(RnsBasis(params.pchain, role="B"), tuple(
-        ntt_inv(limb, defer_scale=True) for limb in biased[level + 1:]))
-    conv = bconv_merged(bpart, tables)
+def _divide_round(limbs, keep: tuple[Modulus, ...],
+                  drop: tuple[Modulus, ...]) -> RnsPoly:
+    """Map NTT-domain limbs over keep + drop to limbs over keep, divided by
+    D = prod(drop) with round-to-nearest: bias by D//2, convert the drop
+    limbs to keep (merged iNTT scaling), subtract, multiply by D^-1.
+
+    Key-switch mod-down drops P; rescale drops the one prime q_l.
+    """
+    d_prod = math.prod(m.q for m in drop)
+    biased = [vec_madd(limb, Word(sm_encode(d_prod // 2 % m.q, m), SM))
+              for limb, m in zip(limbs, keep + drop)]
+    high = RnsPoly(RnsBasis(drop), tuple(
+        ntt_inv(limb, defer_scale=True) for limb in biased[len(keep):]))
+    conv = bconv_merged(high, _bconv_tables(drop, keep))
     out = []
-    for k, m in enumerate(params.chain[:level + 1]):
-        rem = ntt_fwd(conv.limbs[k])
-        diff = vec_msub(biased[k], rem)
-        pinv = Word(sm_encode(pow(p_prod, -1, m.q), m), SM)
-        out.append(vec_mmul(diff, pinv))
-    return RnsPoly(params.basis(level), tuple(out))
+    for x, rem, m in zip(biased, conv.limbs, keep):
+        dinv = Word(sm_encode(pow(d_prod, -1, m.q), m), SM)
+        out.append(vec_mmul(vec_msub(x, ntt_fwd(rem)), dinv))
+    return RnsPoly(RnsBasis(keep, role="C"), tuple(out))
 
 
 def rescale(ct: Ciphertext, params: CkksParams) -> Ciphertext:
-    """Drop the top limb and divide by its prime, rounding to nearest."""
+    """Drop the top limb: divide by its prime q_l, rounding to nearest."""
     if ct.level < 1:
         raise ValueError("level exhausted")
-    level = ct.level
-    ql = params.chain[level].q
-    half = ql // 2
-    tables = rescale_tables(params, level)
-    comps = []
-    for comp in (ct.c0, ct.c1):
-        biased = [vec_madd(limb, Word(sm_encode(half % m.q, m), SM))
-                  for limb, m in zip(comp.limbs, params.chain[:level + 1])]
-        last = RnsPoly(RnsBasis((params.chain[level],)),
-                       (ntt_inv(biased[level], defer_scale=True),))
-        conv = bconv_merged(last, tables)
-        out = []
-        for k, m in enumerate(params.chain[:level]):
-            rem = ntt_fwd(conv.limbs[k])
-            diff = vec_msub(biased[k], rem)
-            qinv = Word(sm_encode(pow(ql, -1, m.q), m), SM)
-            out.append(vec_mmul(diff, qinv))
-        comps.append(RnsPoly(params.basis(level - 1), tuple(out)))
-    return Ciphertext(comps[0], comps[1], level - 1, ct.scale / ql)
+    keep, drop = params.chain[:ct.level], params.chain[ct.level:ct.level + 1]
+    c0, c1 = (_divide_round(c.limbs, keep, drop) for c in (ct.c0, ct.c1))
+    return Ciphertext(c0, c1, ct.level - 1, ct.scale / drop[0].q)
 
 
 def hmult(a: Ciphertext, b: Ciphertext, evk: EvalKey,

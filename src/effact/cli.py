@@ -14,6 +14,7 @@ from .asm import (
     MACHINE_OPS,
     assemble_binary,
     assemble_text,
+    check_machine_form,
     disassemble_binary,
     load_image,
     save_image,
@@ -111,6 +112,11 @@ def _cmd_compile(args) -> int:
 
 def _cmd_exec(args) -> int:
     prog = _load_program(args.input)
+    if args.input.endswith((".easm", ".ebin")):
+        try:
+            check_machine_form(prog)
+        except IrError as e:
+            raise CliError("exec", str(e))
     if args.image:
         try:
             with open(args.image, "rb") as f:

@@ -26,6 +26,7 @@ from .ir import (
     Program,
     SRef,
     Vreg,
+    check_address,
     parse_ir,
 )
 from .poly import make_bconv_tables
@@ -128,8 +129,9 @@ def parse_hw(text: str) -> HardwareDescription:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _resolve_addr(a: Addr, scalars) -> Addr:
-    return a if a.concrete else Addr(a.sym, a.resolve(scalars))
+def _resolve_addr(p: Program, a: Addr, scalars, line) -> Addr:
+    return check_address(
+        p, a if a.concrete else Addr(a.sym, a.resolve(scalars)), line)
 
 
 def _use_counts(p: Program) -> dict[str, int]:
@@ -200,7 +202,7 @@ def unroll(p: Program) -> Program:
             if isinstance(s, Vreg):
                 srcs.append(Vreg(renames.get(str(s), str(s))))
             elif isinstance(s, Addr):
-                srcs.append(_resolve_addr(s, scalars))
+                srcs.append(_resolve_addr(p, s, scalars, i.line))
             else:
                 srcs.append(s)
         dests = []
@@ -211,7 +213,7 @@ def unroll(p: Program) -> Program:
                 renames[str(d)] = fresh
                 dests.append(Vreg(fresh))
             elif isinstance(d, Addr):
-                dests.append(_resolve_addr(d, scalars))
+                dests.append(_resolve_addr(p, d, scalars, i.line))
             else:
                 dests.append(d)
         out.instrs.append(i.with_(srcs=tuple(srcs), dests=tuple(dests)))

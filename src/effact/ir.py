@@ -173,6 +173,16 @@ class Program:
 # ---------------------------------------------------------------------------
 # parser
 
+def check_address(prog: Program, a: Addr, line=None) -> Addr:
+    """A concrete address, checked against the slot count of its symbol."""
+    if a.sym not in prog.dram:
+        raise IrError(f"unknown symbol '@{a.sym}'", line)
+    if not 0 <= a.base < prog.dram[a.sym]:
+        raise IrError(f"address {a} out of range (size {prog.dram[a.sym]})",
+                      line)
+    return a
+
+
 def _parse_affine(text: str, line: int) -> tuple[int, tuple]:
     base, terms = 0, []
     for part in text.replace("-", "+-").split("+"):
@@ -255,14 +265,37 @@ def parse_ir(text: str) -> Program:
                 raise IrError(f"use of undefined register {s}", lineno)
             if isinstance(s, SRef) and str(s) not in defined:
                 raise IrError(f"use of undefined scalar {s}", lineno)
+        for a in instr.srcs + instr.dests:
+            for name, _ in a.terms if isinstance(a, Addr) else ():
+                if name not in defined:
+                    raise IrError(f"use of undefined scalar {name}", lineno)
         prog.instrs.append(instr)
     if loop_stack:
         raise IrError("unterminated loop", loop_stack[-1])
     return prog
 
 
+# operand count range of each directive
+_DIRECTIVE_ARITY = {".n": (1, 1), ".mod": (2, 3), ".basis": (1, None),
+                    ".dram": (2, 2), ".const": (4, 5)}
+
+
 def _parse_directive(prog: Program, line: str, lineno: int):
     parts = line.split()
+    if parts[0] not in _DIRECTIVE_ARITY:
+        raise IrError(f"unknown directive {parts[0]}", lineno)
+    lo, hi = _DIRECTIVE_ARITY[parts[0]]
+    if len(parts) - 1 < lo or hi is not None and len(parts) - 1 > hi:
+        raise IrError(f"wrong operand count in '{line}'", lineno)
+    try:
+        _apply_directive(prog, parts, lineno)
+    except IrError:
+        raise
+    except ValueError as e:   # non-integer operand or rejected modulus
+        raise IrError(f"{parts[0]}: {e}", lineno)
+
+
+def _apply_directive(prog: Program, parts: list[str], lineno: int):
     if parts[0] == ".n":
         prog.n = int(parts[1])
     elif parts[0] == ".mod":
@@ -275,7 +308,7 @@ def _parse_directive(prog: Program, line: str, lineno: int):
         prog.bases[parts[1]] = tuple(parts[2:])
     elif parts[0] == ".dram":
         prog.dram[parts[1]] = int(parts[2])
-    elif parts[0] == ".const":
+    else:
         # .const name mod value repr [absorb]
         name, mod, value, rep = parts[1], parts[2], int(parts[3]), parts[4]
         if mod not in prog.moduli:
@@ -285,8 +318,6 @@ def _parse_directive(prog: Program, line: str, lineno: int):
         absorb = len(parts) > 5 and parts[5] == "absorb"
         prog.consts[name] = ConstDef(name, mod, value, REPR_BY_NAME[rep],
                                      absorb)
-    else:
-        raise IrError(f"unknown directive {parts[0]}", lineno)
 
 
 def _require_mod(prog, name, lineno):
@@ -458,8 +489,7 @@ def _fit_modulus(poly: ResiduePoly, m: Modulus, op: str) -> ResiduePoly:
     raise ExecError(f"{op}: operand modulus {poly.modulus.q} != {m.q}")
 
 
-def execute_program(prog: Program, img: MemoryImage,
-                    trace: list | None = None) -> MemoryImage:
+def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
     """Run a program against a copy of the image and return the result."""
     img = img.clone()
     for sym, count in prog.dram.items():
@@ -490,8 +520,6 @@ def execute_program(prog: Program, img: MemoryImage,
         pc = lo
         while pc < hi:
             i = instrs[pc]
-            if trace is not None:
-                trace.append(i)
             if i.op == "loop":
                 var = str(i.dests[0])
                 count = sval(i.srcs[1]) if len(i.srcs) > 1 else sval(i.srcs[0])

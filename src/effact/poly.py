@@ -454,14 +454,18 @@ def make_bconv_tables(src: RnsBasis, dst: RnsBasis) -> BconvTables:
         merged = (qhat_inv * mj.n_inv) % mj.q
         plain = sm_encode(qhat_inv, mj)
         # sanity: constants round-trip through their representations
-        assert sm_decode(plain, mj) == qhat_inv
-        assert (merged * mj.n) % mj.q == qhat_inv
+        if sm_decode(plain, mj) != qhat_inv or \
+                (merged * mj.n) % mj.q != qhat_inv:
+            raise RuntimeError(f"bconv stage-1 constant for q={mj.q} "
+                               "does not round-trip")
         s1m.append(merged)
         s1p.append(plain)
         row = []
         for mi in dst:
             c = dm_encode(qhat % mi.q, mi)
-            assert mont_mul(mont_mul(1, c, mi), 1, mi) == qhat % mi.q
+            if mont_mul(mont_mul(1, c, mi), 1, mi) != qhat % mi.q:
+                raise RuntimeError(f"bconv stage-2 constant for q={mi.q} "
+                                   "does not round-trip")
             row.append(c)
         s2.append(tuple(row))
     return BconvTables(src, dst, tuple(s1m), tuple(s1p), tuple(s2))

@@ -124,7 +124,8 @@ def _find_omega(q: int, n: int) -> int:
     # omega = c^((q-1)/2n) has order exactly 2n iff omega^n == -1, because
     # 2n is a power of two dividing q-1.
     two_n = 2 * n
-    assert (q - 1) % two_n == 0
+    if (q - 1) % two_n:
+        raise ValueError(f"{q} is not 1 mod 2n = {two_n}")
     for c in range(2, q):
         w = pow(c, (q - 1) // two_n, q)
         if pow(w, n, q) == q - 1:

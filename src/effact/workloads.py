@@ -7,10 +7,15 @@ a bootstrapping skeleton.  The skeleton is count-faithful: its phase
 structure (CtS, EvalMod, StC), dependence shape, and instruction mix
 follow published full-scale proportions, but its numerics are only
 guaranteed to execute cleanly at desk scale, not to bootstrap.
+
+One emitter (``_emit_divide``) writes the divide-and-round of both the
+key-switch mod-down, which drops the extension base P, and the rescale,
+which drops the one prime q_l; it mirrors ``ckks._divide_round``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -26,12 +31,11 @@ _NTT_SHARE = 0.065
 
 
 @dataclass(frozen=True)
-class WorkloadParams:
+class WorkloadParams(ckks._DigitLayout):
     n: int = 1024
     levels: int = 4
     dnum: int = 2
     level: int | None = None        # working level; defaults to levels
-    pcount: int | None = None       # extension-base size; defaults per scale
     l_cts: int = 0
     l_evalmod: int = 0
     l_stc: int = 0
@@ -55,17 +59,8 @@ class WorkloadParams:
         return self.l_cts + self.l_evalmod + self.l_stc
 
     @property
-    def alpha(self) -> int:
-        return -(-(self.levels + 1) // self.dnum)
-
-    @property
     def desk_scale(self) -> bool:
         return self.n <= 4096 and self.levels <= 8 and self.dnum in (2, 4)
-
-    def digit_indices(self, d: int, level: int) -> list[int]:
-        lo = d * self.alpha
-        hi = min((d + 1) * self.alpha, level + 1)
-        return list(range(lo, hi)) if hi > lo else []
 
 
 def fullscale_params() -> WorkloadParams:
@@ -95,13 +90,13 @@ def _moduli_for(wp: WorkloadParams) -> tuple[tuple[Modulus, ...],
     if wp.desk_scale:
         ck = ckks_params(wp)
         return ck.chain, ck.pchain
-    pcount = wp.pcount or wp.alpha
-    key = (wp.n, wp.levels, pcount)
+    key = (wp.n, wp.levels, wp.alpha)
     if key not in _big_chain_cache:
-        # analysis-only chain: distinct primes, no NTT-readiness required
+        # analysis-only chain: distinct primes, no NTT-readiness required;
+        # the extension base is alpha primes
         primes = []
         q = 2 ** 54
-        while len(primes) < wp.levels + 1 + pcount:
+        while len(primes) < wp.levels + 1 + wp.alpha:
             q = prev_prime(q)
             primes.append(q)
         chain = tuple(make_modulus(q, wp.n) for q in primes[:wp.levels + 1])
@@ -221,10 +216,6 @@ class _Builder:
 # ---------------------------------------------------------------------------
 # key-switch and mod-down emitters (instruction-exact vs the he-op layer)
 
-def _src_idx(wp: WorkloadParams, k: int, l: int) -> int:
-    return k if k <= l else wp.levels + 1 + (k - l - 1)
-
-
 def _load_evk(b: _Builder, wp: WorkloadParams, prefix_b: str,
               prefix_a: str) -> tuple[dict, dict]:
     """Load all digit-key limbs once (hoisted across key switches)."""
@@ -262,32 +253,28 @@ def _emit_raise(b: _Builder, wp: WorkloadParams, d2regs: list[str],
     return raised
 
 
-def _emit_moddown(b: _Builder, wp: WorkloadParams, acc: list[str],
-                  l: int) -> list[str]:
-    """Divide an extended-basis component by P with round-to-nearest."""
-    ext = b.ext_names(l)
-    p_prod = 1
-    for m in b.pchain:
-        p_prod *= m.q
-    half = p_prod // 2
+def _emit_divide(b: _Builder, comp: list[str], keep: list[str],
+                 drop: list[str]) -> list[str]:
+    """Divide limbs over keep + drop by the product of the drop primes with
+    round-to-nearest, leaving limbs over keep; mirrors ckks._divide_round
+    instruction for instruction (mod-down drops P, rescale drops q_l)."""
+    d_prod = math.prod(b.modulus(name).q for name in drop)
     biased = []
-    for k, name in enumerate(ext):
+    for x, name in zip(comp, keep + drop):
         m = b.modulus(name)
-        hb = b.const(name, sm_encode(half % m.q, m))
-        biased.append(b.mmad(acc[k], hb, name))
-    defer = [b.intt_defer(biased[l + 1 + j], f"p{j}")
-             for j in range(len(b.pchain))]
-    conv = b.bconv(defer, [f"p{j}" for j in range(len(b.pchain))],
-                   [f"q{k}" for k in range(l + 1)])
+        hb = b.const(name, sm_encode(d_prod // 2 % m.q, m))
+        biased.append(b.mmad(x, hb, name))
+    defer = [b.intt_defer(x, name)
+             for x, name in zip(biased[len(keep):], drop)]
+    conv = b.bconv(defer, drop, keep)
     outs = []
-    for k in range(l + 1):
-        name = f"q{k}"
+    for x, c, name in zip(biased, conv, keep):
         m = b.modulus(name)
-        rem = b.ntt(conv[k], name)
+        rem = b.ntt(c, name)
         neg = b.mmul(rem, b.const(name, sm_encode(m.q - 1, m)), name)
-        diff = b.mmad(biased[k], neg, name)
-        pinv = b.const(name, sm_encode(pow(p_prod, -1, m.q), m))
-        outs.append(b.mmul(diff, pinv, name))
+        diff = b.mmad(x, neg, name)
+        dinv = b.const(name, sm_encode(pow(d_prod, -1, m.q), m))
+        outs.append(b.mmul(diff, dinv, name))
     return outs
 
 
@@ -309,7 +296,7 @@ def _emit_apply_key(b: _Builder, wp: WorkloadParams, raised: dict,
     acc1 = [None] * K
     for k in range(K):
         name = ext[k]
-        s = _src_idx(wp, k, l)
+        s = wp.key_limb(k, l)
         for d in sorted(raised):
             r = raised[d][k]
             if auto_step is not None:
@@ -318,32 +305,16 @@ def _emit_apply_key(b: _Builder, wp: WorkloadParams, raised: dict,
             t1 = b.mmul(r, eka[(d, s)], name)
             acc0[k] = t0 if acc0[k] is None else b.mmad(acc0[k], t0, name)
             acc1[k] = t1 if acc1[k] is None else b.mmad(acc1[k], t1, name)
-    return (_emit_moddown(b, wp, acc0, l), _emit_moddown(b, wp, acc1, l))
+    keep, drop = ext[:l + 1], ext[l + 1:]
+    return (_emit_divide(b, acc0, keep, drop),
+            _emit_divide(b, acc1, keep, drop))
 
 
-def _emit_rescale(b: _Builder, wp: WorkloadParams, comp: list[str],
-                  l: int) -> list[str]:
-    """Drop limb l and divide by its prime, mirroring the he-op layer."""
-    ql = b.modulus(f"q{l}").q
-    half = ql // 2
-    biased = []
-    for k in range(l + 1):
-        name = f"q{k}"
-        m = b.modulus(name)
-        hb = b.const(name, sm_encode(half % m.q, m))
-        biased.append(b.mmad(comp[k], hb, name))
-    defer = b.intt_defer(biased[l], f"q{l}")
-    conv = b.bconv([defer], [f"q{l}"], [f"q{k}" for k in range(l)])
-    outs = []
-    for k in range(l):
-        name = f"q{k}"
-        m = b.modulus(name)
-        rem = b.ntt(conv[k], name)
-        neg = b.mmul(rem, b.const(name, sm_encode(m.q - 1, m)), name)
-        diff = b.mmad(biased[k], neg, name)
-        qinv = b.const(name, sm_encode(pow(ql, -1, m.q), m))
-        outs.append(b.mmul(diff, qinv, name))
-    return outs
+def _emit_rescale(b: _Builder, c0: list[str], c1: list[str],
+                  l: int) -> tuple[list[str], list[str]]:
+    """Rescale both components: drop limb l, divide by its prime."""
+    keep, drop = [f"q{k}" for k in range(l)], [f"q{l}"]
+    return _emit_divide(b, c0, keep, drop), _emit_divide(b, c1, keep, drop)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +439,7 @@ def gen_bootstrap_skeleton(wp: WorkloadParams) -> str:
                 name = f"q{k}"
                 n0[k] = b.mmad(n0[k], b.mmul(r0[k], pts[k], name), name)
                 n1[k] = b.mmad(n1[k], b.mmul(r1[k], pts[k], name), name)
-        c0 = _emit_rescale(b, wp, n0, lvl)
-        c1 = _emit_rescale(b, wp, n1, lvl)
+        c0, c1 = _emit_rescale(b, n0, n1, lvl)
         lvl -= 1
 
     def evalmod_phase():
@@ -485,8 +455,7 @@ def gen_bootstrap_skeleton(wp: WorkloadParams) -> str:
                         b.mmul(c1[k], c0[k], name), name)
             n0.append(b.mmad(d0, ks0[k], name))
             n1.append(b.mmad(d1, ks1[k], name))
-        c0 = _emit_rescale(b, wp, n0, lvl)
-        c1 = _emit_rescale(b, wp, n1, lvl)
+        c0, c1 = _emit_rescale(b, n0, n1, lvl)
         lvl -= 1
 
     for _ in range(wp.l_cts):

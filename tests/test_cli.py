@@ -49,6 +49,14 @@ def test_compile_error_exit_code(tmp_path, capsys):
     bad.write_text(".n 16\n%a = frobnicate %b\n")
     assert main(["compile", str(bad)]) == 1
     assert "error[" in capsys.readouterr().err
+    for text in (".n\n", ".n 16\n.mod q0 abc\n", ".n 16\n.mod q0 15\n",
+                 ".n 16\n.dram x\n", ".n 16\n.mod q0 97\n.dram x 2 3\n",
+                 ".n 16\n.mod q0 97\n.dram x 2\n%a = load @x[$j]\n",
+                 ".n 16\n.mod q0 97\n.dram x 2\n%a = load @x[5]\n"
+                 "store %a, @x[0]\n"):
+        bad.write_text(text)
+        assert main(["compile", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error[compile]: line ")
 
 
 def test_missing_file_exit_code(capsys):
@@ -124,6 +132,22 @@ def test_sim_rejects_source_level_easm(tmp_path, capsys):
     assert main(["sim", str(easm)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[sim]:") and "not machine-level" in err
+    easm.write_text(".n 16\n.mod q0 97\n.dram x 2\n"
+                    "r0 = load @x[5]\nstore r0, @x[0]\n")
+    for cmd in ("sim", "exec"):
+        assert main([cmd, str(easm)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{cmd}]: line 4:") and "range" in err
+
+
+def test_sim_rejects_truncated_binary(src, tmp_path, capsys):
+    ebin = tmp_path / "p.ebin"
+    assert main(["compile", str(src), "-o", str(ebin)]) == 0
+    blob = ebin.read_bytes()
+    for cut in (len(blob) - 1, 40, 20, 8):
+        ebin.write_bytes(blob[:cut])
+        assert main(["sim", str(ebin)]) == 1
+        assert capsys.readouterr().err.startswith("error[parse]:")
 
 
 def test_sweep_csv_monotone(tmp_path, capsys):

@@ -159,6 +159,25 @@ def test_unroll_loop_and_scalars():
     assert all(i.srcs[0].concrete for i in loads)
 
 
+def test_out_of_range_addresses_are_rejected_when_compiling():
+    for body in ("%v = load @x[5]\nstore %v, @y[0]\n",
+                 "%v = load @x[0]\nstore %v, @y[2]\n",
+                 "$i = loop 0, 3\n%v = load @x[$i]\nstore %v, @y[$i]\n"
+                 "endloop\n"):
+        p = parse_ir(header(nx=2, ny=2) + body)
+        with pytest.raises(IrError, match="out of range"):
+            unroll(p)
+        with pytest.raises(IrError, match="out of range"):
+            compile_program(header(nx=2, ny=2) + body, HW)
+    # machine code read back from .easm is checked too
+    machine = parse_ir(header(nx=2, ny=2) + "r0 = load @x[5]\n"
+                       "store r0, @y[0]\n")
+    with pytest.raises(IrError, match="line 6: address @x\\[5\\]"):
+        check_machine_form(machine)
+    check_machine_form(parse_ir(header(nx=2, ny=2) + "r0 = load @x[1]\n"
+                                "store r0, @y[1]\n"))
+
+
 def test_unroll_skipz_and_semantics():
     rng = random.Random(0)
     text = header() + ("$i = loop 0, 4\n%v = load @x[$i]\n"

@@ -281,6 +281,16 @@ def test_bconv_rejects_overlap_and_bad_input():
         bconv(a, b)
 
 
+def test_bconv_table_invariants_are_explicit_errors(monkeypatch):
+    import effact.poly as poly_mod
+    c, b = small_bases()
+    for name in ("sm_encode", "dm_encode"):
+        with monkeypatch.context() as mp:
+            mp.setattr(poly_mod, name, lambda x, m: (x + 1) % m.q)
+            with pytest.raises(RuntimeError):
+                make_bconv_tables(c, b)
+
+
 def ntt_ready_bases():
     # n=2 needs primes congruent to 1 mod 4
     c = RnsBasis((mod(5, 2, r_bits=3), mod(13, 2, r_bits=4)), role="C")

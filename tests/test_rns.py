@@ -143,6 +143,14 @@ def test_make_modulus_rejections():
         make_modulus((1 << 60) + 33, 8)
 
 
+def test_find_omega_rejects_q_not_1_mod_2n():
+    from effact.rns import _find_omega
+    assert pow(_find_omega(17, 8), 8, 17) == 16
+    for q, n in ((19, 8), (17, 16), (97, 64)):
+        with pytest.raises(ValueError):
+            _find_omega(q, n)
+
+
 def test_make_modulus_rejects_inexact_radix():
     # q*2^32 >= 2^63: the one-word REDC at R=2^32 would overflow
     q = 4294966769

@@ -25,6 +25,8 @@ from effact.workloads import (
     mix_fractions,
     plaintexts_into,
     fullscale_params,
+    _Builder,
+    _emit_divide,
     _fill_keys,
 )
 
@@ -66,6 +68,29 @@ def test_keyswitch_matches_he_ops():
         res = execute_program(prog, img.clone())
         assert limbs_of(res, "out0") == [l.to_ints() for l in ks0.limbs]
         assert limbs_of(res, "out1") == [l.to_ints() for l in ks1.limbs]
+
+
+def test_rescale_matches_he_ops():
+    params, sk, _, _ = keys()
+    for l in (WP.levels, 1):
+        ct = ckks.encrypt([0.25, -0.5, 0.125], params, sk, seed=15, level=l)
+        want = ckks.rescale(ct, params)
+        b = _Builder(WP)
+        for sym in ("ct0", "ct1"):
+            b.dram(sym, l + 1)
+            b.dram("out" + sym[-1], l)
+        keep, drop = [f"q{k}" for k in range(l)], [f"q{l}"]
+        for sym, out in (("ct0", "out0"), ("ct1", "out1")):
+            comp = [b.load(sym, k) for k in range(l + 1)]
+            for k, reg in enumerate(_emit_divide(b, comp, keep, drop)):
+                b.store(reg, out, k)
+        text = b.text()
+        src = parse_ir(text)
+        img = ciphertext_into(blank_image(src), ct)
+        for prog in (src, compile_program(text)):
+            res = execute_program(prog, img.clone())
+            assert limbs_of(res, "out0") == [x.to_ints() for x in want.c0.limbs]
+            assert limbs_of(res, "out1") == [x.to_ints() for x in want.c1.limbs]
 
 
 def test_keyswitch_structure():
