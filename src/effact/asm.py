@@ -25,6 +25,7 @@ from .ir import (
     Program,
     Vreg,
     check_address,
+    check_operands,
     parse_ir,
     print_program,
 )
@@ -48,6 +49,12 @@ def check_machine_form(prog: Program):
     for i in prog.instrs:
         if i.op not in MACHINE_OPS:
             raise IrError(f"opcode '{i.op}' is not machine-level", i.line)
+        check_operands(i)
+        if (i.mod is None) != (i.op in ("load", "store")):
+            raise IrError(f"{i.op} needs a modulus" if i.mod is None
+                          else f"{i.op} takes no modulus", i.line)
+        if i.flags and i.op != "intt":
+            raise IrError(f"{i.op} takes no flags", i.line)
         for o in list(i.dests) + list(i.srcs):
             if isinstance(o, Vreg) and str(o).startswith("%"):
                 raise IrError(f"virtual register {o} survives in machine "
@@ -96,6 +103,14 @@ def _encode_operand(o, symidx, constidx) -> int:
     raise IrError(f"operand {o} not encodable")
 
 
+def _entry(table: list, k: int, what: str):
+    """table[k] for an index read from a binary, else IrError."""
+    if not 0 <= k < len(table):
+        raise IrError(f"{what} index {k} out of range ({len(table)} "
+                      "defined)")
+    return table[k]
+
+
 def _decode_operand(word: int, consts, syms):
     tag, payload = word >> 21, word & ((1 << 21) - 1)
     if tag == _T_NONE:
@@ -105,9 +120,10 @@ def _decode_operand(word: int, consts, syms):
     if tag == _T_FIFO:
         return Vreg(f"f{payload}")
     if tag == _T_ADDR:
-        return Addr(syms[payload >> 15], payload & ((1 << 15) - 1))
+        return Addr(_entry(syms, payload >> 15, "symbol"),
+                    payload & ((1 << 15) - 1))
     if tag == _T_CONST:
-        return CRef(consts[payload])
+        return CRef(_entry(consts, payload, "constant"))
     if tag == _T_IMM:
         return Imm(payload)
     raise IrError(f"bad operand tag {tag}")
@@ -175,8 +191,10 @@ def disassemble_binary(blob: bytes) -> Program:
         name = _unpack_name(blob[off:off + 16])
         mi, rep, absorb, value = struct.unpack("<IBB2xQ",
                                                blob[off + 16:off + 32])
-        prog.consts[name] = ConstDef(name, mods[mi], value, rep,
-                                     bool(absorb))
+        if rep not in REPR_NAMES:
+            raise IrError(f"constant {name}: unknown representation {rep}")
+        prog.consts[name] = ConstDef(name, _entry(mods, mi, "modulus"),
+                                     value, rep, bool(absorb))
         consts.append(name)
         off += 32
     syms = []
@@ -196,12 +214,13 @@ def disassemble_binary(blob: bytes) -> Program:
         dest = _decode_operand(fields[0], consts, syms)
         srcs = tuple(o for o in (_decode_operand(f, consts, syms)
                                  for f in fields[1:]) if o is not None)
-        op = _OPNAMES[opc]
+        if opc not in _OPNAMES:
+            raise IrError(f"unknown opcode {opc}")
         prog.instrs.append(Instr(
-            op,
+            _OPNAMES[opc],
             (dest,) if dest is not None else (),
             srcs,
-            mods[mod - 1] if mod else None,
+            _entry(mods, mod - 1, "modulus") if mod else None,
             frozenset(["defer"]) if flags & 1 else frozenset()))
     return prog
 

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 
 from .asm import (
     MACHINE_OPS,
@@ -60,6 +61,18 @@ def _load_hw(args) -> HardwareDescription:
         raise CliError("hw", str(e))
 
 
+def _machine_hw(args) -> HardwareDescription:
+    """The hardware both compile and sim use: --slots and --no-streaming
+    set fields of the loaded description."""
+    kw = {"slots": args.slots} if args.slots is not None else {}
+    if args.no_streaming:
+        kw["streaming"] = False
+    try:
+        return replace(_load_hw(args), **kw)
+    except ValueError as e:
+        raise CliError("flags", str(e))
+
+
 def _load_program(path: str, stage: str = "parse"):
     if path.endswith(".ebin"):
         try:
@@ -74,15 +87,13 @@ def _load_program(path: str, stage: str = "parse"):
 
 
 def _compile(args, text: str):
-    hw = _load_hw(args)
+    hw = _machine_hw(args)
     try:
         return compile_program(
             text, hw,
             do_propagate=not args.no_propagate,
             do_pre=not args.no_pre,
-            do_merge=not args.no_merge,
-            streaming=False if args.no_streaming else None,
-            slots=args.slots), hw
+            do_merge=not args.no_merge), hw
     except IrError as e:
         raise CliError("compile", str(e))
 
@@ -93,9 +104,11 @@ def _add_pass_flags(sp):
     sp.add_argument("--no-propagate", action="store_true")
     sp.add_argument("--no-pre", action="store_true")
     sp.add_argument("--no-merge", action="store_true")
-    sp.add_argument("--no-streaming", action="store_true")
+    sp.add_argument("--no-streaming", action="store_true",
+                    help="set streaming = false in the hardware description")
     sp.add_argument("--slots", type=int, default=None,
-                    help="override SRAM slot count")
+                    help="set the SRAM slot count of the hardware "
+                         "description")
 
 
 def _cmd_compile(args) -> int:
@@ -139,9 +152,8 @@ def _cmd_exec(args) -> int:
 def _sim_input(args):
     path = args.input
     if path.endswith(".easm") or path.endswith(".ebin"):
-        return _load_program(path), _load_hw(args)
-    machine, hw = _compile(args, _read_text(path, "read"))
-    return machine, hw
+        return _load_program(path), _machine_hw(args)
+    return _compile(args, _read_text(path, "read"))
 
 
 def _cmd_sim(args) -> int:

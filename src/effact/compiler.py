@@ -14,6 +14,7 @@ because the machine instruction set has no register-move opcode.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .ir import (
@@ -134,22 +135,21 @@ def _resolve_addr(p: Program, a: Addr, scalars, line) -> Addr:
         p, a if a.concrete else Addr(a.sym, a.resolve(scalars)), line)
 
 
-def _use_counts(p: Program) -> dict[str, int]:
-    uses: dict[str, int] = {}
-    for i in p.instrs:
+def def_use(instrs: list[Instr]) -> tuple[dict[str, int],
+                                          dict[str, list[int]]]:
+    """Def-use index of straight-line SSA code: the defining index of each
+    register, and the ascending indices that read it, one per source
+    operand (so `mmul %a, %a` reads %a twice)."""
+    defs: dict[str, int] = {}
+    uses: dict[str, list[int]] = {}
+    for idx, i in enumerate(instrs):
         for s in i.srcs:
             if isinstance(s, Vreg):
-                uses[str(s)] = uses.get(str(s), 0) + 1
-    return uses
-
-
-def _def_index(p: Program) -> dict[str, int]:
-    defs = {}
-    for idx, i in enumerate(p.instrs):
+                uses.setdefault(str(s), []).append(idx)
         for d in i.dests:
             if isinstance(d, Vreg):
                 defs[str(d)] = idx
-    return defs
+    return defs, uses
 
 
 def _sub_srcs(i: Instr, table: dict) -> Instr:
@@ -274,12 +274,12 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
         if i.op == "copy":
             if isinstance(i.srcs[0], Vreg) and str(i.srcs[0]) in deferred:
                 deferred.add(str(i.dests[0]))
-            out.instrs.append(i.with_())
+            out.instrs.append(i)
             continue
         if i.op == "intt":
             if "defer" in i.flags:
                 deferred.add(str(i.dests[0]))
-                out.instrs.append(i.with_())
+                out.instrs.append(i)
                 continue
             # split into a deferred transform plus one constant multiply so
             # the 1/N factor becomes visible to the merge peephole
@@ -336,7 +336,7 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
                                                 line=i.line))
                         acc = nxt
             continue
-        out.instrs.append(i.with_())
+        out.instrs.append(i)
     return out
 
 
@@ -400,22 +400,12 @@ def pre(p: Program) -> Program:
         seen[key] = dest
         vn[dest] = dest
         instrs.append(i)
-    # dead-code elimination over pure ops
-    live = set()
-    for i in instrs:
-        for s in i.srcs:
-            if isinstance(s, Vreg):
-                live.add(str(s))
-    kept = []
-    for i in reversed(instrs):
-        if (i.op in PURE_OPS and i.dests and isinstance(i.dests[0], Vreg)
-                and str(i.dests[0]) not in live):
-            continue
-        kept.append(i)
-        for s in i.srcs:
-            if isinstance(s, Vreg):
-                live.add(str(s))
-    out.instrs = list(reversed(kept))
+    # dead-code elimination over pure ops whose result is never read
+    _, uses = def_use(instrs)
+    out.instrs = [i for i in instrs
+                  if not (i.op in PURE_OPS and i.dests
+                          and isinstance(i.dests[0], Vreg)
+                          and str(i.dests[0]) not in uses)]
     return out
 
 
@@ -448,12 +438,7 @@ def peephole_merge(p: Program) -> Program:
     changed = True
     while changed:
         changed = False
-        uses = _use_counts(out)
-        defs = {}
-        for idx, i in enumerate(out.instrs):
-            for d in i.dests:
-                if isinstance(d, Vreg):
-                    defs[str(d)] = idx
+        defs, uses = def_use(out.instrs)
         kill = set()
         instrs = out.instrs
         for idx, i in enumerate(instrs):
@@ -462,7 +447,7 @@ def peephole_merge(p: Program) -> Program:
             # fold chained constant multiplies
             if (i.op == "mmul" and isinstance(i.srcs[1], CRef)
                     and isinstance(i.srcs[0], Vreg)
-                    and uses.get(str(i.srcs[0])) == 1):
+                    and len(uses[str(i.srcs[0])]) == 1):
                 j = defs.get(str(i.srcs[0]))
                 prod = instrs[j] if j is not None else None
                 if (prod is not None and j not in kill and prod.op == "mmul"
@@ -478,7 +463,7 @@ def peephole_merge(p: Program) -> Program:
             if i.op == "mmad":
                 for pos in (1, 0):
                     s = i.srcs[pos]
-                    if not (isinstance(s, Vreg) and uses.get(str(s)) == 1):
+                    if not (isinstance(s, Vreg) and len(uses[str(s)]) == 1):
                         continue
                     j = defs.get(str(s))
                     prod = instrs[j] if j is not None else None
@@ -658,13 +643,7 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
 def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
     out = p.clone()
     instrs = out.instrs
-    uses = _use_counts(out)
-    defs = _def_index(out)
-    consumers: dict[str, list[int]] = {}
-    for idx, i in enumerate(instrs):
-        for s in i.srcs:
-            if isinstance(s, Vreg):
-                consumers.setdefault(str(s), []).append(idx)
+    defs, uses = def_use(instrs)
 
     def cell_written_between(key, lo, hi):
         for k in range(lo + 1, hi):
@@ -689,7 +668,7 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
             continue
         v = str(i.srcs[0])
         j = defs.get(v)
-        if (j is None or uses.get(v) != 1 or instrs[j].op not in FU_OPS
+        if (j is None or len(uses[v]) != 1 or instrs[j].op not in FU_OPS
                 or j in kill or not isinstance(i.srcs[1], Addr)):
             continue
         key = _addr_key(i.srcs[1])
@@ -702,9 +681,9 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
         if i.op != "load" or idx in kill:
             continue
         v = str(i.dests[0]) if isinstance(i.dests[0], Vreg) else None
-        if v is None or uses.get(v) != 1:
+        if v is None or len(uses.get(v, ())) != 1:
             continue
-        (cidx,) = consumers[v]
+        (cidx,) = uses[v]
         c = instrs[cidx]
         if c.op not in FU_OPS or cidx in kill:
             continue
@@ -726,9 +705,9 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
                 or not isinstance(i.dests[0], Vreg):
             continue
         v = str(i.dests[0])
-        if uses.get(v) != 1 or not v.startswith("%"):
+        if len(uses.get(v, ())) != 1 or not v.startswith("%"):
             continue
-        (cidx,) = consumers[v]
+        (cidx,) = uses[v]
         c = instrs[cidx]
         if c.op not in FU_OPS or cidx in kill or not free_fifo:
             continue
@@ -752,20 +731,17 @@ def max_liveness(p: Program) -> int:
     Mirrors the allocator: sources dying at an instruction release their
     slots before the destination is placed.
     """
-    uses_at: dict[str, int] = {}
-    for idx, i in enumerate(p.instrs):
-        for s in i.srcs:
-            if isinstance(s, Vreg) and str(s).startswith("%"):
-                uses_at[str(s)] = idx
+    _, uses = def_use(p.instrs)
     live, peak = set(), 0
     for idx, i in enumerate(p.instrs):
         peak = max(peak, len(live))
-        live -= {v for v, last in uses_at.items() if last == idx}
+        live -= {str(s) for s in i.srcs
+                 if isinstance(s, Vreg) and uses[str(s)][-1] == idx}
         dests = {str(d) for d in i.dests
                  if isinstance(d, Vreg) and str(d).startswith("%")}
         live |= dests
         peak = max(peak, len(live))
-        live -= {d for d in dests if d not in uses_at}
+        live -= {d for d in dests if d not in uses}
     return peak
 
 
@@ -776,12 +752,8 @@ def alloc_sram(p: Program, hw: HardwareDescription,
         raise IrError("need at least 2 SRAM slots")
     out = p.clone()
     instrs = out.instrs
-    # future use positions per virtual register, in scheduled order
-    use_pos: dict[str, list[int]] = {}
-    for idx, i in enumerate(instrs):
-        for s in i.srcs:
-            if isinstance(s, Vreg) and str(s).startswith("%"):
-                use_pos.setdefault(str(s), []).append(idx)
+    # use positions per virtual register, in scheduled order
+    _, use_pos = def_use(instrs)
 
     reg_of: dict[str, int] = {}      # live vreg -> slot
     holder: dict[int, str] = {}      # slot -> vreg
@@ -792,10 +764,9 @@ def alloc_sram(p: Program, hw: HardwareDescription,
     emitted: list[Instr] = []
 
     def next_use(v, after):
-        for u in use_pos.get(v, ()):
-            if u >= after:
-                return u
-        return None
+        pos = use_pos.get(v, ())
+        k = bisect_left(pos, after)
+        return pos[k] if k < len(pos) else None
 
     def take_slot(idx, pinned):
         if free:
@@ -954,10 +925,8 @@ def merge_spill_traffic(p: Program) -> Program:
 
 def compile_program(src, hw: HardwareDescription | None = None, *,
                     do_propagate: bool = True, do_pre: bool = True,
-                    do_merge: bool = True, streaming: bool | None = None,
-                    slots: int | None = None) -> Program:
+                    do_merge: bool = True) -> Program:
     hw = hw or HardwareDescription()
-    stream = hw.streaming if streaming is None else streaming
     p = parse_ir(src) if isinstance(src, str) else src
     p = unroll(p)
     p = lower(p, hw)
@@ -970,11 +939,11 @@ def compile_program(src, hw: HardwareDescription | None = None, *,
     # machine code has no register move, so copies always die here
     p = propagate(p)
     p = schedule(p, hw)
-    if stream:
+    if hw.streaming:
         p = merge_streaming(p, hw)
-    p = alloc_sram(p, hw, slots)
-    if stream:
+    p = alloc_sram(p, hw)
+    if hw.streaming:
         p = merge_spill_traffic(p)
-    p.notes["streaming"] = stream
+    p.notes["streaming"] = hw.streaming
     p.form = "machine"
     return p

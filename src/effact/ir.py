@@ -122,10 +122,19 @@ VECTOR_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "load", "store",
 SCALAR_OPS = {"sli", "sadd", "smul", "loop", "endloop", "skipz"}
 # pure vector ops are PRE/peephole candidates; loads/stores are not
 PURE_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "copy"}
+# (destinations, sources) of every opcode but bconv
+OPERAND_COUNTS = {"mmul": (1, 2), "mmad": (1, 2), "mac": (1, 3),
+                  "ntt": (1, 1), "intt": (1, 1), "auto": (1, 2),
+                  "load": (1, 1), "store": (0, 2), "copy": (1, 1),
+                  "sli": (1, 1), "sadd": (1, 2), "smul": (1, 2),
+                  "loop": (1, 2), "endloop": (0, 0), "skipz": (0, 2)}
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Instr:
+    """One instruction.  Instructions are immutable, so passes share the
+    ones they leave unchanged; `meta` is never mutated in place either."""
+
     op: str
     dests: tuple = ()
     srcs: tuple = ()
@@ -135,10 +144,11 @@ class Instr:
     line: int = 0
 
     def with_(self, **kw) -> "Instr":
-        new = replace(self, **kw)
-        new.meta = dict(self.meta)
-        new.meta.update(kw.get("meta", {}))
-        return new
+        """A copy with fields replaced; a `meta=` argument is merged into
+        the current meta, which is otherwise shared."""
+        if "meta" in kw:
+            kw["meta"] = {**self.meta, **kw["meta"]}
+        return replace(self, **kw)
 
     def __str__(self):
         return print_instr(self)
@@ -157,17 +167,31 @@ class Program:
     notes: dict = field(default_factory=dict)
 
     def clone(self) -> "Program":
-        p = Program(self.n, dict(self.moduli), dict(self.consts),
-                    dict(self.dram), dict(self.bases),
-                    [i.with_() for i in self.instrs], self.form,
-                    set(self.fifo_regs), dict(self.notes))
-        return p
+        """A copy whose tables and instruction list the caller may change;
+        the instructions themselves are shared."""
+        return Program(self.n, dict(self.moduli), dict(self.consts),
+                       dict(self.dram), dict(self.bases), list(self.instrs),
+                       self.form, set(self.fifo_regs), dict(self.notes))
 
     def opcount(self) -> dict[str, int]:
         out = {}
         for i in self.instrs:
             out[i.op] = out.get(i.op, 0) + 1
         return out
+
+
+def check_operands(i: Instr):
+    """The operand counts and kinds that the passes, the executor and the
+    simulator rely on (bconv is checked against its bases when parsed)."""
+    ndests, nsrcs = OPERAND_COUNTS[i.op]
+    if len(i.srcs) != nsrcs or len(i.dests) != ndests:
+        raise IrError(f"{i.op} expects {nsrcs} operands", i.line)
+    if i.op == "auto" and not isinstance(i.srcs[1], Imm):
+        raise IrError("auto step must be an immediate", i.line)
+    if i.op == "load" and not isinstance(i.srcs[0], Addr):
+        raise IrError("load source must be an address", i.line)
+    if i.op == "store" and not isinstance(i.srcs[1], Addr):
+        raise IrError("store target must be an address", i.line)
 
 
 # ---------------------------------------------------------------------------
@@ -364,30 +388,18 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
             raise IrError(f"{op} needs a modulus", lineno)
         mod = _require_mod(prog, toks2[-1], lineno)
         toks2 = toks2[:-1]
-    ops = [_parse_operand(t, lineno) for t in toks2]
-    arity = {"mmul": 2, "mmad": 2, "mac": 3, "ntt": 1, "intt": 1, "auto": 2,
-             "load": 1, "store": 2, "copy": 1, "sli": 1, "sadd": 2,
-             "smul": 2, "loop": 2, "endloop": 0, "skipz": 2}[op]
-    ndests = {"store": 0, "endloop": 0, "skipz": 0, "loop": 1}.get(op, 1)
-    if len(ops) != arity or len(dests) != ndests:
-        raise IrError(f"{op} expects {arity} operands", lineno)
-    if op == "auto" and not isinstance(ops[1], Imm):
-        raise IrError("auto step must be an immediate", lineno)
-    if op == "load" and not isinstance(ops[0], Addr):
-        raise IrError("load source must be an address", lineno)
-    if op == "store" and not isinstance(ops[1], Addr):
-        raise IrError("store target must be an address", lineno)
+    ops = tuple(_parse_operand(t, lineno) for t in toks2)
+    instr = Instr(op, dests, ops, mod, flags, {}, lineno)
+    check_operands(instr)
     for o in ops:
         if isinstance(o, Addr) and o.sym not in prog.dram:
             raise IrError(f"unknown symbol '@{o.sym}'", lineno)
         if isinstance(o, CRef) and o.name not in prog.consts:
             raise IrError(f"unknown constant '!{o.name}'", lineno)
-    if op == "loop":
-        # loop $i, count: the induction variable is the destination
-        dests = dests or ()
-        if len(dests) != 1 or not isinstance(dests[0], SRef):
-            raise IrError("loop needs a scalar induction variable", lineno)
-    return Instr(op, dests, tuple(ops), mod, flags, {}, lineno)
+    # loop $i, count: the induction variable is the destination
+    if op == "loop" and not isinstance(dests[0], SRef):
+        raise IrError("loop needs a scalar induction variable", lineno)
+    return instr
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,9 @@ def sweep_sram(src, hw: HardwareDescription, slot_counts,
 def compare_streaming(src, hw: HardwareDescription,
                       mac_unit: str = "mmul") -> dict:
     """Simulate the same IR compiled with and without streaming merges."""
-    on = simulate(compile_program(src, hw, streaming=True), hw, mac_unit)
-    off = simulate(compile_program(src, hw, streaming=False), hw, mac_unit)
+    on, off = (simulate(compile_program(src, shw), shw, mac_unit)
+               for shw in (replace(hw, streaming=True),
+                           replace(hw, streaming=False)))
     return {
         "streaming": on,
         "baseline": off,

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from effact.asm import save_image
+from effact.asm import assemble_binary, save_image
 from effact.cli import main
+from effact.compiler import compile_program
 from effact.ir import blank_image, parse_ir
+from effact.workloads import WorkloadParams, gen_keyswitch
 
 SMALL = """\
 .n 16
@@ -148,6 +153,48 @@ def test_sim_rejects_truncated_binary(src, tmp_path, capsys):
         ebin.write_bytes(blob[:cut])
         assert main(["sim", str(ebin)]) == 1
         assert capsys.readouterr().err.startswith("error[parse]:")
+
+
+@pytest.fixture(scope="module")
+def desk_ebin(tmp_path_factory):
+    wp = WorkloadParams(n=1024, levels=4, dnum=2)
+    path = tmp_path_factory.mktemp("fuzz") / "ks.ebin"
+    return assemble_binary(compile_program(gen_keyswitch(wp))), path
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sim_survives_one_corrupt_byte(desk_ebin, data):
+    blob, path = desk_ebin
+    at = data.draw(st.integers(32, len(blob) - 1), label="offset")
+    bad = bytearray(blob)
+    bad[at] = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(bytes(bad))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sim", str(path)])
+    assert code == 0 or (code == 1 and "error[" in err.getvalue())
+
+
+def test_slots_and_streaming_flags_set_the_hardware(tmp_path, capsys):
+    eir, easm = tmp_path / "k.eir", tmp_path / "k256.easm"
+    assert main(["gen", "keyswitch", "--N", "1024", "--L", "24",
+                 "--dnum", "4", "-o", str(eir)]) == 0
+    assert main(["sim", str(eir), "--slots", "256"]) == 0
+    assert main(["compile", str(eir), "--slots", "256", "--no-streaming",
+                 "-o", str(easm)]) == 0
+    capsys.readouterr()
+    # compile and sim use one description, for source and machine input
+    reports = []
+    for path in (eir, easm):
+        assert main(["sim", str(path), "--slots", "256", "--no-streaming",
+                     "--json", "-"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    for path in (eir, easm):
+        assert main(["sim", str(path), "--slots", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error[flags]:")
 
 
 def test_sweep_csv_monotone(tmp_path, capsys):

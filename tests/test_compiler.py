@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -22,6 +23,12 @@ from effact.compiler import (
 from effact.ir import Addr, IrError, Vreg, blank_image, execute_program, parse_ir
 from effact.poly import SM, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
+from effact.workloads import (
+    WorkloadParams,
+    gen_helr_iteration,
+    gen_hoisted_rotations,
+    gen_keyswitch,
+)
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -438,6 +445,39 @@ def test_alloc_spills_under_pressure():
             assert len(regs) <= slots
 
 
+def max_liveness_oracle(p):
+    """The O(n * V) formula max_liveness replaced: at each instruction every
+    register whose last use is there dies before the destinations land."""
+    uses_at = {}
+    for idx, i in enumerate(p.instrs):
+        for s in i.srcs:
+            if isinstance(s, Vreg) and str(s).startswith("%"):
+                uses_at[str(s)] = idx
+    live, peak = set(), 0
+    for idx, i in enumerate(p.instrs):
+        peak = max(peak, len(live))
+        live -= {v for v, last in uses_at.items() if last == idx}
+        dests = {str(d) for d in i.dests
+                 if isinstance(d, Vreg) and str(d).startswith("%")}
+        live |= dests
+        peak = max(peak, len(live))
+        live -= {d for d in dests if d not in uses_at}
+    return peak
+
+
+def test_max_liveness_matches_quadratic_oracle():
+    rng = random.Random(21)
+    sources = [random_program(rng, size=40) for _ in range(10)]
+    wp = WorkloadParams(n=1024, levels=4, dnum=2)
+    sources += [parse_ir(gen(wp)) for gen in (
+        gen_keyswitch, gen_hoisted_rotations, gen_helr_iteration)]
+    for p in sources:
+        u = propagate(peephole_merge(pre(propagate(lower(unroll(p))))))
+        s = schedule(u, HW)
+        for q in (u, s, merge_streaming(s, HW)):
+            assert max_liveness(q) == max_liveness_oracle(q)
+
+
 def test_alloc_disjoint_lifetimes_share_slot():
     text = header() + ("%a = load @x[0]\nstore %a, @y[0]\n"
                        "%b = load @x[1]\nstore %b, @y[1]\n")
@@ -451,6 +491,34 @@ def test_alloc_rejects_tiny_sram():
     p = parse_ir(header() + "%a = load @x[0]\nstore %a, @y[0]\n")
     with pytest.raises(IrError):
         alloc_sram(p, HW, 1)
+
+
+# ---------------------------------------------------------------------------
+# immutable instructions
+
+def test_instructions_are_frozen_and_shared():
+    p = random_program(random.Random(22))
+    i = p.instrs[0]
+    with pytest.raises(FrozenInstanceError):
+        i.op = "copy"
+    assert i.with_(line=7).meta is i.meta
+    tagged = i.with_(meta={"cycle": 3})
+    assert tagged.meta == {**i.meta, "cycle": 3} and "cycle" not in i.meta
+    c = p.clone()
+    assert c.instrs is not p.instrs
+    assert all(a is b for a, b in zip(c.instrs, p.instrs))
+    # a pass hands on the very instruction objects it leaves unchanged
+    p = unroll(p)
+    for name, run in (("lower", lower), ("propagate", propagate),
+                      ("pre", pre), ("peephole_merge", peephole_merge),
+                      ("schedule", lambda q: schedule(q, HW)),
+                      ("merge_streaming", lambda q: merge_streaming(q, HW))):
+        out = run(p)
+        same = [k for k in out.instrs if k in p.instrs]
+        # schedule tags every instruction with its cycle
+        assert same or name == "schedule", name
+        assert all(any(k is j for j in p.instrs) for k in same), name
+        p = out
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +608,8 @@ def test_compile_toggles_preserve_semantics():
         for kw in ({"do_pre": False}, {"do_propagate": False},
                    {"do_merge": False}, {"streaming": False},
                    {"do_pre": False, "do_merge": False, "streaming": False}):
-            mc = compile_program(p, HW, **kw)
+            hw = replace(HW, streaming=kw.pop("streaming", True))
+            mc = compile_program(p, hw, **kw)
             check_machine_form(mc)
             assert outputs(mc, img) == want
 
@@ -560,8 +629,8 @@ def test_compile_streaming_fewer_spills_under_pressure():
     u = schedule(propagate(peephole_merge(pre(propagate(
         lower(unroll(p)))))), HW)
     slots = max(2, max_liveness(u) // 2)
-    plain = compile_program(p, HW, streaming=False, slots=slots)
-    stream = compile_program(p, HW, streaming=True, slots=slots)
+    plain = compile_program(p, replace(HW, streaming=False, slots=slots))
+    stream = compile_program(p, replace(HW, streaming=True, slots=slots))
     assert stream.notes["spills"] < plain.notes["spills"]
     img = random_image(p, rng)
     assert outputs(plain, img) == outputs(stream, img)

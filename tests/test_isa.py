@@ -251,6 +251,35 @@ def test_assemble_round_trip():
     assert back.consts.keys() == p.consts.keys()
 
 
+def test_binary_input_is_checked():
+    p = parse_ir(HEADER + ".const c q0 5 sm\nr0 = load @x[0]\n"
+                 "r1 = mmul r0, !c, q0\nstore r1, @y[0]\n")
+    blob = assemble_binary(p)
+    # 32-byte header, three 32-byte module/constant entries, two 24-byte
+    # symbols, then 16-byte instructions: opcode, flags, modulus, pad and
+    # four 24-bit operands (third source first)
+    const, load, mmul, store = 96, 176, 192, 208
+
+    def operand(tag, payload):
+        return ((tag << 21) | payload).to_bytes(3, "little")
+
+    for at, data, what in ((mmul, b"\x63", "opcode"),
+                           (mmul + 2, b"\x09", "modulus index"),
+                           (const + 16, b"\x09", "modulus index"),
+                           (const + 20, b"\x09", "representation"),
+                           (mmul + 7, operand(3, 5), "constant index"),
+                           (load + 10, operand(2, 6 << 15), "symbol index"),
+                           (load + 10, operand(4, 0), "load source"),
+                           (store + 7, operand(0, 0), "store expects 2"),
+                           (mmul + 2, b"\x00", "mmul needs a modulus"),
+                           (load + 2, b"\x01", "load takes no modulus"),
+                           (mmul + 1, b"\x01", "mmul takes no flags")):
+        bad = bytearray(blob)
+        bad[at:at + len(data)] = data
+        with pytest.raises(IrError, match=what):
+            check_machine_form(disassemble_binary(bytes(bad)))
+
+
 def test_assemble_rejects_virtual_regs():
     p = parse_ir(HEADER + "%a = load @x[0]\nstore %a, @y[0]\n")
     with pytest.raises(IrError, match="virtual"):

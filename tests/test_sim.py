@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ def header(nx=8, ny=8):
 
 
 def machine(text, **kw):
-    return compile_program(parse_ir(text), HW, **kw)
+    return compile_program(parse_ir(text), replace(HW, **kw))
 
 
 def test_single_ntt_latency():
@@ -35,7 +36,7 @@ def test_latency_overrides_reach_the_simulator():
                                                     ("store", 5000)))
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "%c = mac %a, %b, %b, q0\nstore %c, @y[0]\n")
-    mc = compile_program(parse_ir(text), hw, streaming=False)
+    mc = compile_program(parse_ir(text), replace(hw, streaming=False))
     rep = simulate(mc, hw, want_trace=True)
     done = {ev["op"]: [] for ev in rep.trace}
     for ev in rep.trace:
@@ -56,7 +57,7 @@ def test_transfers_never_outrun_the_channel():
                                                     ("store", 1)))
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "store %a, @y[0]\nstore %b, @y[1]\n")
-    mc = compile_program(parse_ir(text), hw, streaming=False)
+    mc = compile_program(parse_ir(text), replace(hw, streaming=False))
     rep = simulate(mc, hw)
     assert hw.xfer(N) > 1
     assert rep.cycles == 4 * hw.xfer(N)
@@ -89,12 +90,13 @@ def test_serial_ntts_on_one_unit():
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "%u = ntt %a, q0\n%v = ntt %b, q0\n"
                        "store %u, @y[0]\nstore %v, @y[1]\n")
-    one = simulate(compile_program(parse_ir(text), hw, streaming=False), hw)
+    one = simulate(compile_program(parse_ir(text),
+                                   replace(hw, streaming=False)), hw)
     hw2 = HardwareDescription(slots=8, fu=(("ntt", 2), ("mmul", 1),
                                            ("madd", 1), ("auto", 1)),
                               lat_override=hw.lat_override)
-    two = simulate(compile_program(parse_ir(text), hw2, streaming=False),
-                   hw2)
+    two = simulate(compile_program(parse_ir(text),
+                                   replace(hw2, streaming=False)), hw2)
     assert one.fu_busy["ntt"] == two.fu_busy["ntt"] == 100
     # the second transform serializes on one unit and overlaps on two,
     # up to the skew from staggered DRAM arrivals
@@ -149,7 +151,7 @@ def test_mac_routing_changes_unit_not_results():
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "%c = mac %a, %b, %b, q0\nstore %c, @y[0]\n")
     prog = parse_ir(text)
-    mc = compile_program(prog, HW, streaming=False)
+    mc = compile_program(prog, replace(HW, streaming=False))
     on_mmul = simulate(mc, HW, mac_unit="mmul")
     on_ntt = simulate(mc, HW, mac_unit="ntt")
     assert on_mmul.fu_busy["mmul"] > 0 and on_mmul.fu_busy["ntt"] == 0
@@ -180,7 +182,7 @@ def test_bank_conflicts_counted():
     hw = HardwareDescription(slots=8, banks=1)
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "%c = mmul %a, %b, q0\nstore %c, @y[0]\n")
-    mc = compile_program(parse_ir(text), hw, streaming=False)
+    mc = compile_program(parse_ir(text), replace(hw, streaming=False))
     rep = simulate(mc, hw)
     assert rep.bank_conflicts > 0
     wide = simulate(mc, HW)
@@ -192,7 +194,7 @@ def test_fifo_peak_tracked():
     text = header() + ("%a = load @x[0]\n"
                        "%u = mmul %a, %a, q0\n%v = mmad %u, %a, q0\n"
                        "store %v, @y[0]\n")
-    mc = compile_program(parse_ir(text), HW, streaming=True)
+    mc = compile_program(parse_ir(text), replace(HW, streaming=True))
     if mc.fifo_regs:
         rep = simulate(mc, HW)
         assert rep.fifo_peak >= 1
@@ -217,8 +219,8 @@ def test_compare_streaming():
     pair = compare_streaming(p, HW)
     assert pair["cycles_saved"] >= 0
     img = random_image(p, rng)
-    on = compile_program(p, HW, streaming=True)
-    off = compile_program(p, HW, streaming=False)
+    on = compile_program(p, replace(HW, streaming=True))
+    off = compile_program(p, replace(HW, streaming=False))
     a = execute_program(on, img).dram["y"]
     b = execute_program(off, img).dram["y"]
     assert [x if x is None else x.to_ints() for x in a] == \
