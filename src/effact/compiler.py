@@ -1,10 +1,10 @@
 """IR-to-machine compiler: lowering, optimization passes, scheduling,
 SRAM allocation, and streaming-merge.
 
-Pipeline (see compile()):
+Pipeline (see compile_program()):
 
     parse -> unroll -> lower -> propagate -> pre -> peephole_merge
-          -> schedule -> merge_streaming -> alloc_sram -> spill re-merge
+          -> schedule -> merge_streaming -> alloc_sram -> merge_spill_traffic
 
 Every pass consumes and produces a Program and is semantics-preserving
 under the golden executor; copy removal before allocation is mandatory
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 
 from .ir import (
     Addr,
@@ -602,12 +603,13 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
 
     remaining = [len(ps) for ps in preds]
     ready_at = [0] * n_instr        # max finish time of predecessors
-    ready = [idx for idx in range(n_instr) if remaining[idx] == 0]
+    ready = [(-prio[idx], idx) for idx in range(n_instr)
+             if remaining[idx] == 0]
+    heapify(ready)
     fu_free: dict[str, list[int]] = {}
     order, cycles = [], {}
     while ready:
-        ready.sort(key=lambda k: (-prio[k], k))
-        idx = ready.pop(0)
+        _, idx = heappop(ready)
         i = out.instrs[idx]
         cls = FU_CLASS[i.op]
         pool = fu_free.setdefault(cls, [0] * hw.fu_count(cls))
@@ -620,7 +622,7 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
             ready_at[s] = max(ready_at[s], start + lat[idx])
             remaining[s] -= 1
             if remaining[s] == 0:
-                ready.append(s)
+                heappush(ready, (-prio[s], s))
     if len(order) != n_instr:
         raise IrError("cyclic dependence in program")
     order.sort(key=lambda k: (cycles[k], k))
@@ -693,14 +695,13 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
         instrs[cidx] = _sub_srcs(c, {v: i.srcs[0]})
         kill.add(idx)
     # FU-to-FU forwarding through a bounded set of fifo channels
-    free_fifo = list(range(hw.fifo_depth))
+    free_fifo = list(range(hw.fifo_depth))      # heaps, lowest first
     release: list[tuple[int, int]] = []   # (consumer index, fifo id)
     for idx, i in enumerate(instrs):
         if idx in kill:
             continue
         while release and release[0][0] <= idx:
-            free_fifo.append(release.pop(0)[1])
-            free_fifo.sort()
+            heappush(free_fifo, heappop(release)[1])
         if i.op not in FU_OPS or not i.dests \
                 or not isinstance(i.dests[0], Vreg):
             continue
@@ -711,13 +712,12 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
         c = instrs[cidx]
         if c.op not in FU_OPS or cidx in kill or not free_fifo:
             continue
-        fid = free_fifo.pop(0)
+        fid = heappop(free_fifo)
         reg = Vreg(f"f{fid}")
         instrs[idx] = instrs[idx].with_(dests=(reg,))
         instrs[cidx] = _sub_srcs(instrs[cidx], {v: reg})
         out.fifo_regs.add(str(reg))
-        release.append((cidx, fid))
-        release.sort()
+        heappush(release, (cidx, fid))
     out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
     return out
 
@@ -745,23 +745,20 @@ def max_liveness(p: Program) -> int:
     return peak
 
 
-def alloc_sram(p: Program, hw: HardwareDescription,
-               slots: int | None = None) -> Program:
-    slots = hw.slots if slots is None else slots
-    if slots < 2:
-        raise IrError("need at least 2 SRAM slots")
+def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     out = p.clone()
-    instrs = out.instrs
     # use positions per virtual register, in scheduled order
-    _, use_pos = def_use(instrs)
+    _, use_pos = def_use(out.instrs)
 
     reg_of: dict[str, int] = {}      # live vreg -> slot
-    holder: dict[int, str] = {}      # slot -> vreg
-    free = list(range(slots))
-    spill_slot: dict[str, int] = {}
-    in_spill = set()
-    spills = [0]
+    free: list[int] = []             # released slots, a heap; all < fresh
+    fresh = 0                        # slots fresh.. have never been taken
+    spill_slot: dict[str, int] = {}  # vreg -> its __spill cell, once stored
+    spills = 0
     emitted: list[Instr] = []
+
+    def virtual(o) -> bool:
+        return isinstance(o, Vreg) and str(o).startswith("%")
 
     def next_use(v, after):
         pos = use_pos.get(v, ())
@@ -769,153 +766,109 @@ def alloc_sram(p: Program, hw: HardwareDescription,
         return pos[k] if k < len(pos) else None
 
     def take_slot(idx, pinned):
+        nonlocal fresh, spills
         if free:
-            return free.pop(0)
-        victims = [v for v in reg_of if v not in pinned
-                   and next_use(v, idx) is not None]
+            return heappop(free)
+        if fresh < hw.slots:
+            fresh += 1
+            return fresh - 1
+        # every live value is read again (see expire), so evict the one
+        # read farthest ahead (Belady)
+        victims = [v for v in reg_of if v not in pinned]
         if not victims:
-            # values with no later use: drop silently
-            dead = [v for v in reg_of if v not in pinned]
-            if not dead:
-                raise IrError(f"register pressure exceeds {slots} SRAM "
-                              "slots at one instruction")
-            victim = dead[0]
-        else:
-            victim = max(victims, key=lambda v: (next_use(v, idx), v))
+            raise IrError(f"register pressure exceeds {hw.slots} SRAM "
+                          "slots at one instruction")
+        victim = max(victims, key=lambda v: (next_use(v, idx), v))
         slot = reg_of.pop(victim)
-        del holder[slot]
-        if victim not in in_spill and next_use(victim, idx) is not None:
-            if victim not in spill_slot:
-                spill_slot[victim] = len(spill_slot)
+        if victim not in spill_slot:
+            spill_slot[victim] = len(spill_slot)
             emitted.append(Instr("store", (), (Vreg(f"r{slot}"),
                                  Addr("__spill", spill_slot[victim]))))
-            in_spill.add(victim)
-            spills[0] += 1
+            spills += 1
         return slot
 
-    def phys(v):
-        return Vreg(f"r{reg_of[v]}")
+    def expire(operands, idx):
+        # a value leaves its slot at its last read, an unread result at once
+        for o in operands:
+            if (virtual(o) and str(o) in reg_of
+                    and next_use(str(o), idx + 1) is None):
+                heappush(free, reg_of.pop(str(o)))
 
-    for idx, i in enumerate(instrs):
+    for idx, i in enumerate(out.instrs):
         pinned = set()
         # reload spilled sources
-        for s in i.srcs:
-            if not (isinstance(s, Vreg) and str(s).startswith("%")):
-                continue
+        for s in filter(virtual, i.srcs):
             v = str(s)
             if v not in reg_of:
-                if v not in in_spill:
+                if v not in spill_slot:
                     raise IrError(f"register {v} used before definition")
-                slot = take_slot(idx, pinned)
-                reg_of[v] = slot
-                holder[slot] = v
-                emitted.append(Instr("load", (Vreg(f"r{slot}"),),
+                reg_of[v] = take_slot(idx, pinned)
+                emitted.append(Instr("load", (Vreg(f"r{reg_of[v]}"),),
                                      (Addr("__spill", spill_slot[v]),)))
-                spills[0] += 1
+                spills += 1
             pinned.add(v)
-        new_srcs = tuple(phys(str(s))
-                         if isinstance(s, Vreg) and str(s).startswith("%")
-                         else s for s in i.srcs)
-        # expire sources whose last use is here
-        for s in i.srcs:
-            if isinstance(s, Vreg) and str(s).startswith("%"):
-                v = str(s)
-                if next_use(v, idx + 1) is None and v in reg_of:
-                    free.append(reg_of[v])
-                    free.sort()
-                    del holder[reg_of[v]]
-                    del reg_of[v]
-        new_dests = []
+        srcs = tuple(Vreg(f"r{reg_of[str(s)]}") if virtual(s) else s
+                     for s in i.srcs)
+        expire(i.srcs, idx)
+        dests = []
         for d in i.dests:
-            if isinstance(d, Vreg) and str(d).startswith("%"):
-                v = str(d)
-                slot = take_slot(idx, pinned)
-                reg_of[v] = slot
-                holder[slot] = v
-                new_dests.append(Vreg(f"r{slot}"))
-            else:
-                new_dests.append(d)
-        emitted.append(i.with_(srcs=new_srcs, dests=tuple(new_dests)))
-        # a result with no consumers frees its slot immediately
-        for d in i.dests:
-            if isinstance(d, Vreg) and str(d).startswith("%"):
-                v = str(d)
-                if next_use(v, idx + 1) is None:
-                    free.append(reg_of[v])
-                    free.sort()
-                    del holder[reg_of[v]]
-                    del reg_of[v]
+            if virtual(d):
+                reg_of[str(d)] = take_slot(idx, pinned)
+                d = Vreg(f"r{reg_of[str(d)]}")
+            dests.append(d)
+        emitted.append(i.with_(srcs=srcs, dests=tuple(dests)))
+        expire(i.dests, idx)
     out.instrs = emitted
     if spill_slot:
         out.dram["__spill"] = len(spill_slot)
-    out.notes["spills"] = spills[0]
+    out.notes["spills"] = spills
     out.notes["max_live"] = max_liveness(p)
     out.form = "allocated"
     return out
 
 
 # ---------------------------------------------------------------------------
-# post-allocation spill re-merge (streaming the spill traffic)
+# post-allocation spill merge (streaming the spill traffic)
 
 def merge_spill_traffic(p: Program) -> Program:
+    """Stream spill traffic: a spill load read by one FU instruction becomes
+    that instruction's memory operand, and an FU result whose only read is
+    a spill store is written straight to the spill cell.
+
+    One forward scan keeps, per physical register, its last writer and the
+    instructions that have read it since; that group is merged or not when
+    the register is next written or the code ends."""
     out = p.clone()
     instrs = out.instrs
-
-    def reads_reg(i, r):
-        return any(isinstance(s, Vreg) and str(s) == r for s in i.srcs)
-
-    def writes_reg(i, r):
-        return any(isinstance(d, Vreg) and str(d) == r for d in i.dests)
-
     kill = set()
-    for idx, i in enumerate(instrs):
-        if i.op == "load" and isinstance(i.dests[0], Vreg) \
-                and i.srcs[0].sym == "__spill":
-            r = str(i.dests[0])
-            consumer = None
-            ok = True
-            for k in range(idx + 1, len(instrs)):
-                if reads_reg(instrs[k], r):
-                    if consumer is not None:
-                        ok = False
-                        break
-                    consumer = k
-                if writes_reg(instrs[k], r):
-                    break
-            if ok and consumer is not None and consumer not in kill \
-                    and instrs[consumer].op in FU_OPS:
-                instrs[consumer] = _sub_srcs(instrs[consumer],
-                                             {r: i.srcs[0]})
-                kill.add(idx)
-        elif i.op == "store" and isinstance(i.srcs[0], Vreg) \
-                and i.srcs[1].sym == "__spill":
-            r = str(i.srcs[0])
-            producer = None
-            for k in range(idx - 1, -1, -1):
-                if writes_reg(instrs[k], r):
-                    producer = k
-                    break
-                if reads_reg(instrs[k], r):
-                    producer = None
-                    break
-            if producer is None or producer in kill \
-                    or instrs[producer].op not in FU_OPS:
-                continue
-            # the register must not be read again before its next write
-            used_later = False
-            for k in range(idx + 1, len(instrs)):
-                if reads_reg(instrs[k], r):
-                    used_later = True
-                    break
-                if writes_reg(instrs[k], r):
-                    break
-            if used_later:
-                continue
-            # no other read of the register between producer and store
-            if any(reads_reg(instrs[k], r) for k in range(producer + 1, idx)):
-                continue
-            instrs[producer] = instrs[producer].with_(dests=(i.srcs[1],))
-            kill.add(idx)
+    groups: dict[str, list[int]] = {}    # register -> [writer, *readers]
+
+    def settle(group):
+        if len(group) != 2:
+            return
+        w, k = group
+        wi, ki = instrs[w], instrs[k]
+        if wi.op == "load" and wi.srcs[0].sym == "__spill" \
+                and ki.op in FU_OPS:
+            instrs[k] = _sub_srcs(ki, {str(wi.dests[0]): wi.srcs[0]})
+            kill.add(w)
+        elif ki.op == "store" and ki.srcs[1].sym == "__spill" \
+                and wi.op in FU_OPS:
+            instrs[w] = wi.with_(dests=(ki.srcs[1],))
+            kill.add(k)
+
+    for idx, i in enumerate(p.instrs):
+        for r in dict.fromkeys(str(s) for s in i.srcs
+                               if isinstance(s, Vreg)):
+            if r in groups:
+                groups[r].append(idx)
+        for d in i.dests:
+            if isinstance(d, Vreg):
+                if str(d) in groups:
+                    settle(groups[str(d)])
+                groups[str(d)] = [idx]
+    for group in groups.values():
+        settle(group)
     out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
     return out
 

@@ -14,3 +14,17 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_pop_front():
+    # list.pop(0) shifts the whole list: queues are heaps or deques
+    root = Path(effact.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "pop" and len(node.args) == 1
+             and isinstance(node.args[0], ast.Constant)
+             and node.args[0].value == 0]
+    assert found == []
