@@ -1,10 +1,18 @@
 """IR-to-machine compiler: lowering, optimization passes, scheduling,
 SRAM allocation, and streaming-merge.
 
-Pipeline (see compile_program()):
+Pipeline (compile_program() is back_end(front_end(src))):
 
-    parse -> unroll -> lower -> propagate -> pre -> peephole_merge
-          -> schedule -> merge_streaming -> alloc_sram -> merge_spill_traffic
+    front_end: parse -> unroll -> lower -> propagate -> pre
+               -> peephole_merge -> propagate
+    back_end:  schedule -> merge_streaming -> alloc_sram
+               -> merge_spill_traffic
+
+The front end does not read the hardware description, so an SRAM sweep
+runs it once and the back end once per configuration.  `schedule` orders
+for latency, and when that order needs more SRAM slots than the hardware
+has, orders again so as to keep the live values within them (integrated
+prepass scheduling), so `alloc_sram` spills less.
 
 Every pass consumes and produces a Program and is semantics-preserving
 under the golden executor; copy removal before allocation is mandatory
@@ -14,7 +22,7 @@ because the machine instruction set has no register-move opcode.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
@@ -146,10 +154,10 @@ def def_use(instrs: list[Instr]) -> tuple[dict[str, int],
     for idx, i in enumerate(instrs):
         for s in i.srcs:
             if isinstance(s, Vreg):
-                uses.setdefault(str(s), []).append(idx)
+                uses.setdefault(s.name, []).append(idx)
         for d in i.dests:
             if isinstance(d, Vreg):
-                defs[str(d)] = idx
+                defs[d.name] = idx
     return defs, uses
 
 
@@ -571,10 +579,6 @@ def build_deps(p: Program) -> list[set[int]]:
     return preds
 
 
-def critical_path(p: Program, hw: HardwareDescription) -> int:
-    return _longest_path(p, hw, build_deps(p))
-
-
 def _longest_path(p: Program, hw: HardwareDescription,
                   preds: list[set[int]]) -> int:
     finish = [0] * len(p.instrs)
@@ -584,7 +588,115 @@ def _longest_path(p: Program, hw: HardwareDescription,
     return max(finish, default=0)
 
 
+def _priorities(lat: list[int], succs: list[list[int]]) -> list[int]:
+    """Longest latency-weighted path from each instruction to any exit;
+    the largest is the critical path."""
+    prio = [0] * len(lat)
+    for idx in range(len(lat) - 1, -1, -1):
+        prio[idx] = lat[idx] + max((prio[s] for s in succs[idx]), default=0)
+    return prio
+
+
+def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
+                   succs: list[list[int]], npreds: list[int], lat: list[int],
+                   prio: list[int], budget: int | None):
+    """Issue order and issue cycles of one list-scheduling pass.
+
+    Each step issues a ready instruction at the earliest cycle its operands
+    and a unit of its class allow.  Without a budget the step takes the one
+    with the longest path to an exit.  With one, it also counts the live
+    virtual registers in issue order, and while that count is above the
+    budget, where an allocator with `budget` slots must spill, it takes the
+    one with the lowest delta = results read later - sources read for the
+    last time, ties by path length (integrated prepass scheduling, Goodman
+    & Hsu, ICS 1988).  A delta only falls as other reads issue, so each
+    fall pushes a fresh heap entry, and stale entries are skipped when
+    popped.
+    """
+    n_instr = len(instrs)
+    remaining = list(npreds)
+    ready_at = [0] * n_instr        # max finish time of predecessors
+    issued = [False] * n_instr
+    by_prio = [(-prio[k], k) for k in range(n_instr) if remaining[k] == 0]
+    heapify(by_prio)
+    by_delta: list[tuple[int, int, int]] = []
+    live = 0
+    if budget is not None:
+        reads: list[dict[str, int]] = []   # register -> operands reading it
+        left: dict[str, int] = {}          # register -> reads not issued
+        readers: dict[str, list[int]] = {}
+        for k, i in enumerate(instrs):
+            r: dict[str, int] = {}
+            for o in i.srcs:
+                if isinstance(o, Vreg):
+                    r[o.name] = r.get(o.name, 0) + 1
+            for v, c in r.items():
+                left[v] = left.get(v, 0) + c
+                readers.setdefault(v, []).append(k)
+            reads.append(r)
+        pending = {v: len(ks) for v, ks in readers.items()}  # not issued
+        made = [sum(1 for d in i.dests if isinstance(d, Vreg)
+                    and d.name in left) for i in instrs]
+
+        def delta(k):
+            return made[k] - sum(1 for v, c in reads[k].items()
+                                 if left[v] == c)
+
+        by_delta = [(delta(k), -prio[k], k) for _, k in by_prio]
+        heapify(by_delta)
+    pools = {cls: [0] * hw.fu_count(cls) for cls in set(FU_CLASS.values())}
+    order, cycles = [], [0] * n_instr
+    while True:
+        heap = by_delta if budget is not None and live > budget \
+            else by_prio
+        if not heap:
+            break
+        entry = heappop(heap)
+        idx = entry[-1]
+        if issued[idx] or (heap is by_delta and entry[0] != delta(idx)):
+            continue
+        issued[idx] = True
+        pool = pools[FU_CLASS[instrs[idx].op]]
+        u = min(range(len(pool)), key=pool.__getitem__)
+        start = max(ready_at[idx], pool[u])
+        pool[u] = start + lat[idx]
+        cycles[idx] = start
+        order.append(idx)
+        if budget is not None:
+            live += made[idx]
+            for v, c in reads[idx].items():
+                left[v] -= c
+                if left[v] == 0:
+                    live -= 1
+                pending[v] -= 1
+                if pending[v] == 1:
+                    # v's one reader still to issue now reads it last
+                    r = next(k for k in readers[v] if not issued[k])
+                    if remaining[r] == 0:
+                        heappush(by_delta, (delta(r), -prio[r], r))
+        for s in succs[idx]:
+            ready_at[s] = max(ready_at[s], start + lat[idx])
+            remaining[s] -= 1
+            if remaining[s] == 0:
+                heappush(by_prio, (-prio[s], s))
+                if budget is not None:
+                    heappush(by_delta, (delta(s), -prio[s], s))
+    return order, cycles
+
+
 def schedule(p: Program, hw: HardwareDescription) -> Program:
+    """List-schedule for latency, and again for SRAM pressure when the
+    latency schedule does not fit.
+
+    The latency schedule fits when the slots its values need
+    (`max_liveness`, after `merge_streaming` on streaming hardware) are at
+    most `hw.slots`; it is then emitted in issue-cycle order.  Otherwise
+    the same dependence graph is scheduled again with `hw.slots` as the
+    live-register budget (see `_list_schedule`), and emitted in issue
+    order, the order whose live count the budget held.  Each instruction
+    is tagged with its issue cycle; `notes` get the makespan and the
+    critical path.
+    """
     from .ir import SCALAR_OPS
     if any(i.op in SCALAR_OPS for i in p.instrs):
         raise IrError("cannot schedule programs with scalar control flow")
@@ -595,40 +707,26 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
     for idx, ps in enumerate(preds):
         for j in ps:
             succs[j].append(idx)
+    npreds = [len(ps) for ps in preds]
     lat = [hw.lat(i.op, out.n) for i in out.instrs]
-    # priority: longest latency-weighted path to any exit
-    prio = [0] * n_instr
-    for idx in range(n_instr - 1, -1, -1):
-        prio[idx] = lat[idx] + max((prio[s] for s in succs[idx]), default=0)
+    prio = _priorities(lat, succs)
 
-    remaining = [len(ps) for ps in preds]
-    ready_at = [0] * n_instr        # max finish time of predecessors
-    ready = [(-prio[idx], idx) for idx in range(n_instr)
-             if remaining[idx] == 0]
-    heapify(ready)
-    fu_free: dict[str, list[int]] = {}
-    order, cycles = [], {}
-    while ready:
-        _, idx = heappop(ready)
-        i = out.instrs[idx]
-        cls = FU_CLASS[i.op]
-        pool = fu_free.setdefault(cls, [0] * hw.fu_count(cls))
-        u = min(range(len(pool)), key=lambda k: pool[k])
-        start = max(ready_at[idx], pool[u])
-        pool[u] = start + lat[idx]
-        cycles[idx] = start
-        order.append(idx)
-        for s in succs[idx]:
-            ready_at[s] = max(ready_at[s], start + lat[idx])
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                heappush(ready, (-prio[s], s))
-    if len(order) != n_instr:
-        raise IrError("cyclic dependence in program")
+    def run(budget):
+        order, cycles = _list_schedule(p.instrs, hw, succs, npreds, lat,
+                                       prio, budget)
+        if len(order) != n_instr:
+            raise IrError("cyclic dependence in program")
+        return order, cycles
+
+    order, cycles = run(None)
     order.sort(key=lambda k: (cycles[k], k))
-    out.instrs = [out.instrs[k].with_(meta={"cycle": cycles[k]})
+    out.instrs = [p.instrs[k] for k in order]
+    if max_liveness(merge_streaming(out, hw) if hw.streaming
+                    else out) > hw.slots:
+        order, cycles = run(hw.slots)
+    out.instrs = [p.instrs[k].with_(meta={"cycle": cycles[k]})
                   for k in order]
-    cp = critical_path(out, hw)
+    cp = max(prio, default=0)
     makespan = max((cycles[k] + lat[k] for k in range(n_instr)), default=0)
     if makespan < cp:
         raise RuntimeError(f"schedule makespan {makespan} is below the "
@@ -647,21 +745,33 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
     instrs = out.instrs
     defs, uses = def_use(instrs)
 
-    def cell_written_between(key, lo, hi):
-        for k in range(lo + 1, hi):
-            _, writes = _mem_accesses(instrs[k])
-            for a in writes:
-                if _addr_key(a) in (key, None):
+    # ascending indices of the instructions that read / write each DRAM
+    # cell, kept current as the sink merge moves writes (the source merge
+    # moves only reads, which no later check asks about); the key None
+    # collects accesses at non-constant addresses, which may touch any cell
+    at: tuple[dict, dict] = ({}, {})
+
+    def note(k, accesses, kind):
+        for a in accesses:
+            insort(at[kind].setdefault(_addr_key(a), []), k)
+
+    for k, i in enumerate(instrs):
+        for kind, accesses in enumerate(_mem_accesses(i)):
+            note(k, accesses, kind)
+
+    def between(key, lo, hi, kinds):
+        for kind in kinds:
+            for ks in (at[kind].get(key, ()), at[kind].get(None, ())):
+                j = bisect_right(ks, lo)
+                if j < len(ks) and ks[j] < hi:
                     return True
         return False
 
+    def cell_written_between(key, lo, hi):
+        return between(key, lo, hi, (1,))
+
     def cell_touched_between(key, lo, hi):
-        for k in range(lo + 1, hi):
-            reads, writes = _mem_accesses(instrs[k])
-            for a in reads + writes:
-                if _addr_key(a) in (key, None):
-                    return True
-        return False
+        return between(key, lo, hi, (0, 1))
 
     kill = set()
     # sink merge: single-use FU result stored once goes straight to DRAM
@@ -677,6 +787,7 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
         if key is None or cell_touched_between(key, j, idx):
             continue
         instrs[j] = instrs[j].with_(dests=(i.srcs[1],))
+        note(j, (i.srcs[1],), 1)
         kill.add(idx)
     # source merge: single-consumer loads feed their FU directly
     for idx, i in enumerate(instrs):
@@ -732,16 +843,19 @@ def max_liveness(p: Program) -> int:
     slots before the destination is placed.
     """
     _, uses = def_use(p.instrs)
-    live, peak = set(), 0
+    last = {v: ks[-1] for v, ks in uses.items()}
+    live: set[str] = set()
+    peak = 0
     for idx, i in enumerate(p.instrs):
-        peak = max(peak, len(live))
-        live -= {str(s) for s in i.srcs
-                 if isinstance(s, Vreg) and uses[str(s)][-1] == idx}
-        dests = {str(d) for d in i.dests
-                 if isinstance(d, Vreg) and str(d).startswith("%")}
-        live |= dests
-        peak = max(peak, len(live))
-        live -= {d for d in dests if d not in uses}
+        for s in i.srcs:
+            if isinstance(s, Vreg) and last[s.name] == idx:
+                live.discard(s.name)
+        dests = [d.name for d in i.dests
+                 if isinstance(d, Vreg) and d.name.startswith("%")]
+        if dests:
+            live.update(dests)
+            peak = max(peak, len(live))
+            live.difference_update(d for d in dests if d not in last)
     return peak
 
 
@@ -756,14 +870,24 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     spill_slot: dict[str, int] = {}  # vreg -> its __spill cell, once stored
     spills = 0
     emitted: list[Instr] = []
+    # live vregs by next read, farthest first, ties by the higher name;
+    # lazy: an entry whose next read has passed is skipped when popped
+    rank = {v: k for k, v in enumerate(sorted(use_pos))}
+    by_next: list[tuple[int, int, str]] = []
+    last = {v: pos[-1] for v, pos in use_pos.items()}
 
     def virtual(o) -> bool:
-        return isinstance(o, Vreg) and str(o).startswith("%")
+        return isinstance(o, Vreg) and o.name.startswith("%")
 
     def next_use(v, after):
         pos = use_pos.get(v, ())
         k = bisect_left(pos, after)
         return pos[k] if k < len(pos) else None
+
+    def file(v, after):
+        nxt = next_use(v, after)
+        if nxt is not None:
+            heappush(by_next, (-nxt, -rank[v], v))
 
     def take_slot(idx, pinned):
         nonlocal fresh, spills
@@ -774,11 +898,19 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             return fresh - 1
         # every live value is read again (see expire), so evict the one
         # read farthest ahead (Belady)
-        victims = [v for v in reg_of if v not in pinned]
-        if not victims:
+        held = []
+        while by_next:
+            entry = heappop(by_next)
+            victim = entry[2]
+            if victim in reg_of and next_use(victim, idx) == -entry[0]:
+                if victim not in pinned:
+                    break
+                held.append(entry)
+        else:
             raise IrError(f"register pressure exceeds {hw.slots} SRAM "
                           "slots at one instruction")
-        victim = max(victims, key=lambda v: (next_use(v, idx), v))
+        for entry in held:
+            heappush(by_next, entry)
         slot = reg_of.pop(victim)
         if victim not in spill_slot:
             spill_slot[victim] = len(spill_slot)
@@ -787,18 +919,17 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             spills += 1
         return slot
 
-    def expire(operands, idx):
+    def expire(names, idx):
         # a value leaves its slot at its last read, an unread result at once
-        for o in operands:
-            if (virtual(o) and str(o) in reg_of
-                    and next_use(str(o), idx + 1) is None):
-                heappush(free, reg_of.pop(str(o)))
+        for v in names:
+            if v in reg_of and last.get(v, -1) <= idx:
+                heappush(free, reg_of.pop(v))
 
     for idx, i in enumerate(out.instrs):
+        reads = [s.name for s in i.srcs if virtual(s)]
         pinned = set()
         # reload spilled sources
-        for s in filter(virtual, i.srcs):
-            v = str(s)
+        for v in reads:
             if v not in reg_of:
                 if v not in spill_slot:
                     raise IrError(f"register {v} used before definition")
@@ -807,17 +938,20 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
                                      (Addr("__spill", spill_slot[v]),)))
                 spills += 1
             pinned.add(v)
-        srcs = tuple(Vreg(f"r{reg_of[str(s)]}") if virtual(s) else s
+        srcs = tuple(Vreg(f"r{reg_of[s.name]}") if virtual(s) else s
                      for s in i.srcs)
-        expire(i.srcs, idx)
+        expire(reads, idx)
         dests = []
         for d in i.dests:
             if virtual(d):
-                reg_of[str(d)] = take_slot(idx, pinned)
-                d = Vreg(f"r{reg_of[str(d)]}")
+                reg_of[d.name] = take_slot(idx, pinned)
+                file(d.name, idx)
+                d = Vreg(f"r{reg_of[d.name]}")
             dests.append(d)
         emitted.append(i.with_(srcs=srcs, dests=tuple(dests)))
-        expire(i.dests, idx)
+        expire([d.name for d in i.dests if virtual(d)], idx)
+        for v in pinned & reg_of.keys():
+            file(v, idx + 1)
     out.instrs = emitted
     if spill_slot:
         out.dram["__spill"] = len(spill_slot)
@@ -876,13 +1010,13 @@ def merge_spill_traffic(p: Program) -> Program:
 # ---------------------------------------------------------------------------
 # driver
 
-def compile_program(src, hw: HardwareDescription | None = None, *,
-                    do_propagate: bool = True, do_pre: bool = True,
-                    do_merge: bool = True) -> Program:
-    hw = hw or HardwareDescription()
+def front_end(src, *, do_propagate: bool = True, do_pre: bool = True,
+              do_merge: bool = True) -> Program:
+    """parse -> unroll -> lower -> propagate -> pre -> peephole_merge ->
+    propagate: the passes that do not depend on the hardware."""
     p = parse_ir(src) if isinstance(src, str) else src
     p = unroll(p)
-    p = lower(p, hw)
+    p = lower(p)
     if do_propagate:
         p = propagate(p)
     if do_pre:
@@ -890,7 +1024,13 @@ def compile_program(src, hw: HardwareDescription | None = None, *,
     if do_merge:
         p = peephole_merge(p)
     # machine code has no register move, so copies always die here
-    p = propagate(p)
+    return propagate(p)
+
+
+def back_end(p: Program, hw: HardwareDescription) -> Program:
+    """schedule -> merge_streaming -> alloc_sram -> merge_spill_traffic
+    (the merges on streaming hardware only), on a front-end program, which
+    is left as it was."""
     p = schedule(p, hw)
     if hw.streaming:
         p = merge_streaming(p, hw)
@@ -900,3 +1040,10 @@ def compile_program(src, hw: HardwareDescription | None = None, *,
     p.notes["streaming"] = hw.streaming
     p.form = "machine"
     return p
+
+
+def compile_program(src, hw: HardwareDescription | None = None,
+                    **flags) -> Program:
+    """The back end applied to the front end; `flags` are front_end's
+    do_propagate, do_pre and do_merge."""
+    return back_end(front_end(src, **flags), hw or HardwareDescription())

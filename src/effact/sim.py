@@ -23,8 +23,9 @@ from .compiler import (
     WORD_BYTES,
     HardwareDescription,
     _longest_path,
+    back_end,
     build_deps,
-    compile_program,
+    front_end,
 )
 from .ir import Addr, Program, Vreg
 
@@ -197,19 +198,21 @@ def simulate(p: Program, hw: HardwareDescription,
 
 def sweep_sram(src, hw: HardwareDescription, slot_counts,
                mac_unit: str = "mmul") -> list[SimReport]:
-    """Recompile and simulate the same IR across SRAM sizes."""
+    """Compile the same IR for each SRAM size (the front end once) and
+    simulate it."""
+    front = front_end(src)
     reports = []
     for slots in slot_counts:
         shw = replace(hw, slots=slots)
-        mc = compile_program(src, shw)
-        reports.append(simulate(mc, shw, mac_unit))
+        reports.append(simulate(back_end(front, shw), shw, mac_unit))
     return reports
 
 
 def compare_streaming(src, hw: HardwareDescription,
                       mac_unit: str = "mmul") -> dict:
     """Simulate the same IR compiled with and without streaming merges."""
-    on, off = (simulate(compile_program(src, shw), shw, mac_unit)
+    front = front_end(src)
+    on, off = (simulate(back_end(front, shw), shw, mac_unit)
                for shw in (replace(hw, streaming=True),
                            replace(hw, streaming=False)))
     return {

@@ -1,18 +1,24 @@
 import random
 from dataclasses import FrozenInstanceError, replace
+from heapq import heappop, heappush
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from effact.asm import assemble_text, check_machine_form
 from effact.cli import main
 from effact.compiler import (
     FU_OPS,
     HardwareDescription,
+    _addr_key,
+    _mem_accesses,
     _sub_srcs,
     alloc_sram,
+    back_end,
     build_deps,
     compile_program,
-    critical_path,
+    def_use,
+    front_end,
     lower,
     max_liveness,
     merge_spill_traffic,
@@ -396,9 +402,62 @@ def test_schedule_overlaps_independent_work():
 def test_schedule_invariant_is_an_explicit_error(monkeypatch):
     import effact.compiler as compiler
     p = propagate(unroll(random_program(random.Random(8))))
-    monkeypatch.setattr(compiler, "critical_path", lambda p, hw: 10 ** 12)
+    # schedule takes the critical path from its longest-path priorities
+    monkeypatch.setattr(compiler, "_priorities",
+                        lambda lat, succs: [10 ** 12] * len(lat))
     with pytest.raises(RuntimeError, match="critical path"):
         schedule(p, HW)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), slots=st.integers(2, 8))
+def test_pressure_schedule_keeps_semantics_and_dependences(seed, slots):
+    rng = random.Random(seed)
+    p = random_program(rng, size=40)
+    u = front_end(p)
+    hw = replace(HW, slots=slots)
+    vast = replace(HW, slots=2 ** 20)
+    # only programs whose latency schedule does not fit are rescheduled
+    assume(max_liveness(merge_streaming(schedule(u, vast), vast)) > slots)
+    s = schedule(u, hw)
+    img = random_image(p, rng)
+    assert outputs(u, img) == outputs(s, img)
+    # every dependence of the source order holds in the emitted order and
+    # in the issue cycles
+    def key(i):
+        return i.op, i.dests, i.srcs
+
+    pos = {key(i): k for k, i in enumerate(s.instrs)}
+    assert sorted(pos.values()) == list(range(len(u.instrs)))
+    for idx, ps in enumerate(build_deps(u)):
+        b = pos[key(u.instrs[idx])]
+        for a in (pos[key(u.instrs[j])] for j in ps):
+            assert a < b
+            assert s.instrs[a].meta["cycle"] + HW.lat(s.instrs[a].op, p.n) \
+                <= s.instrs[b].meta["cycle"]
+    assert s.notes["makespan"] >= s.notes["critical_path"]
+    try:
+        machine = back_end(u, hw)
+    except IrError:
+        return            # register pressure beyond the slot count
+    assert outputs(u, img) == outputs(machine, img)
+
+
+def test_schedule_keeps_the_latency_schedule_when_it_fits():
+    wp = WorkloadParams(n=1024, levels=4, dnum=2)
+    rng = random.Random(24)
+    sources = [gen(wp) for gen in (gen_keyswitch, gen_hoisted_rotations,
+                                   gen_helr_iteration)]
+    sources += [random_program(rng, size=40) for _ in range(4)]
+    vast = replace(HW, slots=2 ** 20)
+    for src in sources:
+        front = front_end(src)
+        want = assemble_text(back_end(front, vast))
+        need = max(2, max_liveness(merge_streaming(schedule(front, vast),
+                                                   vast)))
+        for slots in (need, need + 1, 2 * need):
+            got = back_end(front, replace(HW, slots=slots))
+            assert assemble_text(got) == want
 
 
 def test_critical_path_chain():
@@ -406,7 +465,7 @@ def test_critical_path_chain():
                        "%c = mmul %b, %b, q0\nstore %c, @y[0]\n")
     p = parse_ir(text)
     lat = HW.lat("load", N) + 2 * HW.lat("mmul", N) + HW.lat("store", N)
-    assert critical_path(p, HW) == lat
+    assert schedule(p, HW).notes["critical_path"] == lat
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +575,9 @@ def test_alloc_reports_register_pressure(tmp_path, capsys):
 
 def test_alloc_does_not_depend_on_a_sufficient_slot_count():
     src = gen_keyswitch(WorkloadParams(n=1024, levels=4, dnum=2))
-    front = merge_streaming(schedule(propagate(peephole_merge(pre(propagate(
-        lower(unroll(parse_ir(src))))))), HW), HW)
+    # the latency schedule, which schedule keeps at `need` slots and more
+    front = merge_streaming(
+        schedule(front_end(src), replace(HW, slots=2 ** 20)), HW)
     need = max_liveness(front)
     tight, vast = (compile_program(src, replace(HW, slots=s))
                    for s in (need, 2 ** 20))
@@ -679,6 +739,109 @@ def test_streaming_respects_intervening_store():
     rng = random.Random(12)
     img = seeded_image(p, rng, count=2, ntt=False)
     assert outputs(p, img) == outputs(out, img)
+
+
+def merge_streaming_oracle(p, hw):
+    """merge_streaming as it was before its interval checks used per-cell
+    index lists: each check rescans the instructions in between."""
+    out = p.clone()
+    instrs = out.instrs
+    defs, uses = def_use(instrs)
+
+    def cell_between(key, lo, hi, with_reads):
+        for k in range(lo + 1, hi):
+            reads, writes = _mem_accesses(instrs[k])
+            if any(_addr_key(a) in (key, None)
+                   for a in (reads + writes if with_reads else writes)):
+                return True
+        return False
+
+    kill = set()
+    for idx, i in enumerate(instrs):
+        if i.op != "store" or not isinstance(i.srcs[0], Vreg):
+            continue
+        v = str(i.srcs[0])
+        j = defs.get(v)
+        if (j is None or len(uses[v]) != 1 or instrs[j].op not in FU_OPS
+                or j in kill or not isinstance(i.srcs[1], Addr)):
+            continue
+        key = _addr_key(i.srcs[1])
+        if key is None or cell_between(key, j, idx, True):
+            continue
+        instrs[j] = instrs[j].with_(dests=(i.srcs[1],))
+        kill.add(idx)
+    for idx, i in enumerate(instrs):
+        if i.op != "load" or idx in kill:
+            continue
+        v = str(i.dests[0]) if isinstance(i.dests[0], Vreg) else None
+        if v is None or len(uses.get(v, ())) != 1:
+            continue
+        (cidx,) = uses[v]
+        c = instrs[cidx]
+        if c.op not in FU_OPS or cidx in kill:
+            continue
+        key = _addr_key(i.srcs[0])
+        if key is None or cell_between(key, idx, cidx, False):
+            continue
+        instrs[cidx] = _sub_srcs(c, {v: i.srcs[0]})
+        kill.add(idx)
+    free_fifo = list(range(hw.fifo_depth))
+    release = []
+    for idx, i in enumerate(instrs):
+        if idx in kill:
+            continue
+        while release and release[0][0] <= idx:
+            heappush(free_fifo, heappop(release)[1])
+        if i.op not in FU_OPS or not i.dests \
+                or not isinstance(i.dests[0], Vreg):
+            continue
+        v = str(i.dests[0])
+        if len(uses.get(v, ())) != 1 or not v.startswith("%"):
+            continue
+        (cidx,) = uses[v]
+        c = instrs[cidx]
+        if c.op not in FU_OPS or cidx in kill or not free_fifo:
+            continue
+        fid = heappop(free_fifo)
+        reg = Vreg(f"f{fid}")
+        instrs[idx] = instrs[idx].with_(dests=(reg,))
+        instrs[cidx] = _sub_srcs(instrs[cidx], {v: reg})
+        out.fifo_regs.add(str(reg))
+        heappush(release, (cidx, fid))
+    out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
+    return out
+
+
+def memory_program(rng, size=30):
+    """Loads, stores and multiplies over four cells each of @x and @y, so
+    that stores fall between the ends of merge candidates."""
+    lines, regs = [], []
+    for k in range(size):
+        r = rng.random()
+        cell = f"@{rng.choice('xy')}[{rng.randrange(4)}]"
+        if r < 0.35 or len(regs) < 2:
+            lines.append(f"%v{k} = load {cell}\n")
+            regs.append(f"%v{k}")
+        elif r < 0.6:
+            lines.append(f"store {rng.choice(regs)}, {cell}\n")
+        else:
+            lines.append(f"%v{k} = mmul {rng.choice(regs)}, "
+                         f"{rng.choice(regs)}, q0\n")
+            regs.append(f"%v{k}")
+    return parse_ir(header(nx=4, ny=4) + "".join(lines))
+
+
+def test_merge_streaming_matches_rescanning_oracle():
+    rng = random.Random(25)
+    merged = 0
+    for _ in range(60):
+        u = front_end(memory_program(rng))
+        for hw in (replace(HW, slots=4, fifo_depth=1), HW):
+            for q in (u, schedule(u, hw)):
+                got = merge_streaming(q, hw)
+                assert got.instrs == merge_streaming_oracle(q, hw).instrs
+                merged += len(q.instrs) - len(got.instrs)
+    assert merged > 0
 
 
 def test_streaming_fifo_forwarding():

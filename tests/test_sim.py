@@ -3,11 +3,21 @@ from dataclasses import replace
 
 import pytest
 
-from effact.compiler import HardwareDescription, compile_program
+from effact.compiler import (
+    HardwareDescription,
+    alloc_sram,
+    back_end,
+    compile_program,
+    front_end,
+    merge_spill_traffic,
+    merge_streaming,
+    schedule,
+)
 from effact.ir import blank_image, execute_program, parse_ir
 from effact.poly import SM, make_poly, ntt_fwd
 from effact.rns import make_modulus
 from effact.sim import SimReport, compare_streaming, simulate, sweep_sram
+from effact.workloads import WorkloadParams, gen_keyswitch
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -210,6 +220,19 @@ def test_sweep_monotone():
     utils = [r.fu_utilization for r in reports]
     assert all(b >= a - 1e-12 for a, b in zip(utils, utils[1:]))
     assert len(sweep_sram(p, HW, [16])) == 1
+
+
+def test_pressure_schedule_beats_the_latency_schedule_when_it_spills():
+    front = front_end(gen_keyswitch(WorkloadParams(n=256, levels=3, dnum=2)))
+    for slots in (8, 12):
+        hw = HardwareDescription(slots=slots)
+        # the latency schedule, which schedule returns wherever it fits
+        latency = schedule(front, replace(hw, slots=2 ** 20))
+        old = merge_spill_traffic(alloc_sram(merge_streaming(latency, hw),
+                                             hw))
+        new = back_end(front, hw)
+        assert new.notes["spills"] < old.notes["spills"]
+        assert simulate(new, hw).cycles < simulate(old, hw).cycles
 
 
 def test_compare_streaming():
