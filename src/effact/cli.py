@@ -35,7 +35,7 @@ def _read_text(path: str, stage: str) -> str:
     try:
         with open(path) as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(stage, str(e))
 
 
@@ -140,7 +140,7 @@ def _cmd_exec(args) -> int:
         img = blank_image(prog)
     try:
         res = execute_program(prog, img)
-    except ExecError as e:
+    except (ExecError, IrError) as e:
         raise CliError("exec", str(e))
     if args.output:
         _write(args.output, save_image(res, prog.n), binary=True)

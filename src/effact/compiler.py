@@ -34,10 +34,10 @@ from .ir import (
     Instr,
     IrError,
     Program,
-    SRef,
     Vreg,
-    check_address,
+    check_straight_line,
     parse_ir,
+    walk,
 )
 from .poly import make_bconv_tables
 from .rns import DM, NM, SM, ReprError, RnsBasis, compose_repr, mont_mul, sm_encode
@@ -139,11 +139,6 @@ def parse_hw(text: str) -> HardwareDescription:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _resolve_addr(p: Program, a: Addr, scalars, line) -> Addr:
-    return check_address(
-        p, a if a.concrete else Addr(a.sym, a.resolve(scalars)), line)
-
-
 def def_use(instrs: list[Instr]) -> tuple[dict[str, int],
                                           dict[str, list[int]]]:
     """Def-use index of straight-line SSA code: the defining index of each
@@ -182,81 +177,26 @@ def _intern_const(p: Program, hint: str, mod: str, value: int, rep: int,
 
 
 # ---------------------------------------------------------------------------
-# unrolling: resolve loops, scalar arithmetic, and address expressions
+# unrolling: straight-line code in execution order (see ir.walk)
 
 def unroll(p: Program) -> Program:
+    """The vector instructions `walk` yields, each register write renamed
+    `%name.N`, where N counts the writes of the whole program, so that the
+    result is SSA."""
     out = p.clone()
     out.instrs = []
-    scalars: dict[str, int] = {}
-    renames: dict[str, str] = {}
-    counter = [0]
-    instrs = p.instrs
-    ends, stack = {}, []
-    for idx, i in enumerate(instrs):
-        if i.op == "loop":
-            stack.append(idx)
-        elif i.op == "endloop":
-            ends[stack.pop()] = idx
-
-    def sval(o):
-        if isinstance(o, Imm):
-            return o.val
-        if isinstance(o, SRef) and str(o) in scalars:
-            return scalars[str(o)]
-        raise IrError(f"scalar {o} is not statically known", getattr(o, "line", 0))
-
-    def emit(i: Instr):
-        srcs = []
-        for s in i.srcs:
-            if isinstance(s, Vreg):
-                srcs.append(Vreg(renames.get(str(s), str(s))))
-            elif isinstance(s, Addr):
-                srcs.append(_resolve_addr(p, s, scalars, i.line))
-            else:
-                srcs.append(s)
+    renames: dict[str, Vreg] = {}
+    writes = 0
+    for i in walk(p):
+        srcs = tuple(renames.get(s.name, s) if isinstance(s, Vreg) else s
+                     for s in i.srcs)
         dests = []
         for d in i.dests:
             if isinstance(d, Vreg):
-                counter[0] += 1
-                fresh = f"{d}.{counter[0]}"
-                renames[str(d)] = fresh
-                dests.append(Vreg(fresh))
-            elif isinstance(d, Addr):
-                dests.append(_resolve_addr(p, d, scalars, i.line))
-            else:
-                dests.append(d)
-        out.instrs.append(i.with_(srcs=tuple(srcs), dests=tuple(dests)))
-
-    def run(lo, hi):
-        pc = lo
-        while pc < hi:
-            i = instrs[pc]
-            if i.op == "loop":
-                var = str(i.dests[0])
-                count = sval(i.srcs[1]) if len(i.srcs) > 1 else sval(i.srcs[0])
-                start = sval(i.srcs[0]) if len(i.srcs) > 1 else 0
-                for it in range(count):
-                    scalars[var] = start + it
-                    run(pc + 1, ends[pc])
-                pc = ends[pc] + 1
-                continue
-            if i.op == "endloop":
-                pc += 1
-                continue
-            if i.op == "skipz":
-                pc += 1 + (sval(i.srcs[1]) if sval(i.srcs[0]) == 0 else 0)
-                continue
-            if i.op == "sli":
-                scalars[str(i.dests[0])] = sval(i.srcs[0])
-            elif i.op == "sadd":
-                scalars[str(i.dests[0])] = sval(i.srcs[0]) + sval(i.srcs[1])
-            elif i.op == "smul":
-                scalars[str(i.dests[0])] = sval(i.srcs[0]) * sval(i.srcs[1])
-            else:
-                emit(i)
-            pc += 1
-
-    run(0, len(instrs))
+                writes += 1
+                renames[d.name] = d = Vreg(f"{d.name}.{writes}")
+            dests.append(d)
+        out.instrs.append(i.with_(srcs=srcs, dests=tuple(dests)))
     return out
 
 
@@ -264,6 +204,7 @@ def unroll(p: Program) -> Program:
 # lowering to the machine opcode set
 
 def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
+    check_straight_line(p)
     out = p.clone()
     out.instrs = []
     interned: dict = {}
@@ -277,9 +218,6 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
         return Vreg(f"%{tag}~{tmp[0]}")
 
     for i in p.instrs:
-        if i.op in ("sli", "sadd", "smul", "loop", "endloop", "skipz"):
-            raise IrError("scalar control flow must be unrolled before "
-                          "lowering", i.line)
         if i.op == "copy":
             if isinstance(i.srcs[0], Vreg) and str(i.srcs[0]) in deferred:
                 deferred.add(str(i.dests[0]))
@@ -382,9 +320,8 @@ def _operand_key(o, vn):
 
 
 def pre(p: Program) -> Program:
-    from .ir import PURE_OPS, SCALAR_OPS
-    if any(i.op in SCALAR_OPS for i in p.instrs):
-        return p.clone()    # only straight-line code is analyzed
+    from .ir import PURE_OPS
+    check_straight_line(p)
     out = p.clone()
     seen: dict = {}
     vn: dict[str, str] = {}
@@ -697,9 +634,7 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
     is tagged with its issue cycle; `notes` get the makespan and the
     critical path.
     """
-    from .ir import SCALAR_OPS
-    if any(i.op in SCALAR_OPS for i in p.instrs):
-        raise IrError("cannot schedule programs with scalar control flow")
+    check_straight_line(p)
     out = p.clone()
     n_instr = len(out.instrs)
     preds = build_deps(out)

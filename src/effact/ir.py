@@ -9,9 +9,11 @@ Vector opcodes: mmul, mmad, mac, ntt, intt (.defer), auto, load, store,
 copy, and the high-level bconv (compiled away by lowering).  The scalar
 subset is sli / sadd / smul, counted loops (loop/endloop), and skipz.
 
-The golden executor runs programs of any form (virtual or physical
-registers) against a memory image of residue polynomials, delegating every
-vector opcode to the kernels so metadata contracts are enforced for free.
+`walk` is the one interpreter of the scalar subset: the compiler unrolls
+what it yields, and the golden executor runs it.  The executor takes
+programs of any form (virtual or physical registers) and a memory image of
+residue polynomials, delegating every vector opcode to the kernels so
+metadata contracts are enforced for free.
 """
 
 from __future__ import annotations
@@ -94,14 +96,6 @@ class Addr:
         for name, coeff in self.terms:
             parts.append(name if coeff == 1 else f"{coeff}*{name}")
         return f"@{self.sym}[{'+'.join(parts)}]"
-
-    def resolve(self, scalars) -> int:
-        idx = self.base
-        for name, coeff in self.terms:
-            if name not in scalars:
-                raise ExecError(f"undefined scalar {name} in address")
-            idx += coeff * scalars[name]
-        return idx
 
     @property
     def concrete(self) -> bool:
@@ -202,6 +196,10 @@ def check_operands(i: Instr):
         raise IrError("load source must be an address", i.line)
     if i.op == "store" and not isinstance(i.srcs[1], Addr):
         raise IrError("store target must be an address", i.line)
+    if i.op in SCALAR_OPS and not (
+            all(isinstance(s, (SRef, Imm)) for s in i.srcs)
+            and all(isinstance(d, SRef) for d in i.dests)):
+        raise IrError(f"{i.op} takes scalar operands only", i.line)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +285,7 @@ def parse_ir(text: str) -> Program:
             if not loop_stack:
                 raise IrError("endloop without loop", lineno)
             loop_stack.pop()
-        for d in instr.dests:
-            name = str(d)
-            if name.startswith("%") or name.startswith("$"):
-                if name.startswith("%") and name in defined:
-                    raise IrError(f"redefinition of {name}", lineno)
-                defined.add(name)
+        # sources first, so that an instruction cannot read its own result
         for s in instr.srcs:
             if isinstance(s, Vreg) and str(s).startswith("%") \
                     and str(s) not in defined:
@@ -303,6 +296,12 @@ def parse_ir(text: str) -> Program:
             for name, _ in a.terms if isinstance(a, Addr) else ():
                 if name not in defined:
                     raise IrError(f"use of undefined scalar {name}", lineno)
+        for d in instr.dests:
+            name = str(d)
+            if name.startswith("%") or name.startswith("$"):
+                if name.startswith("%") and name in defined:
+                    raise IrError(f"redefinition of {name}", lineno)
+                defined.add(name)
         prog.instrs.append(instr)
     if loop_stack:
         raise IrError("unterminated loop", loop_stack[-1])
@@ -367,6 +366,8 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
         lhs, body = (t.strip() for t in line.split("=", 1))
         dests = tuple(_parse_operand(t, lineno) for t in lhs.split())
     toks = body.split(None, 1)
+    if not toks:
+        raise IrError("missing opcode", lineno)
     opname = toks[0]
     rest = toks[1] if len(toks) > 1 else ""
     op, _, flag = opname.partition(".")
@@ -406,9 +407,6 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
             raise IrError(f"unknown symbol '@{o.sym}'", lineno)
         if isinstance(o, CRef) and o.name not in prog.consts:
             raise IrError(f"unknown constant '!{o.name}'", lineno)
-    # loop $i, count: the induction variable is the destination
-    if op == "loop" and not isinstance(dests[0], SRef):
-        raise IrError("loop needs a scalar induction variable", lineno)
     return instr
 
 
@@ -445,6 +443,96 @@ def print_program(p: Program) -> str:
                      f"{REPR_NAMES[c.repr]}{suffix}")
     lines += [print_instr(i) for i in p.instrs]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# scalar control flow: the one interpreter of sli/sadd/smul, loop and skipz
+
+_SCALAR_ARITH = {"sli": lambda a: a, "sadd": lambda a, b: a + b,
+                 "smul": lambda a, b: a * b}
+
+
+def check_straight_line(prog: Program):
+    """Reject a program that still has scalar control flow."""
+    for i in prog.instrs:
+        if i.op in SCALAR_OPS:
+            raise IrError("scalar control flow must be unrolled first",
+                          i.line)
+
+
+def walk(prog: Program):
+    """Run the scalar instructions of a program and yield its vector
+    instructions in execution order, every address made concrete and
+    checked against the slot count of its symbol.
+
+    `$i = loop start, count` runs its body for $i = start, ...,
+    start + count - 1; `skipz $s, k` (k >= 0) skips the next k instructions
+    when $s is 0, and a skip past the end of a loop body ends that
+    iteration.  Reading a scalar that no executed instruction has defined,
+    or a negative skip, raises IrError."""
+    instrs = prog.instrs
+    ends, opened = {}, []
+    for idx, i in enumerate(instrs):
+        if i.op == "loop":
+            opened.append(idx)
+        elif i.op == "endloop":
+            ends[opened.pop()] = idx
+    scalars: dict[str, int] = {}
+
+    def scalar(name, line):
+        if name not in scalars:
+            raise IrError(f"scalar {name} is not defined on the executed "
+                          "path", line)
+        return scalars[name]
+
+    def sval(o, line):
+        return o.val if isinstance(o, Imm) else scalar(o.name, line)
+
+    def cell(a, line):
+        if a.terms:
+            a = Addr(a.sym, a.base + sum(c * scalar(name, line)
+                                         for name, c in a.terms))
+        return check_address(prog, a, line)
+
+    def cells(ops, line):
+        """`ops` with each address concrete and in range (`ops` itself if
+        every address already was concrete)."""
+        for o in ops:
+            if isinstance(o, Addr):
+                if o.terms:
+                    return tuple(cell(o, line) if isinstance(o, Addr) else o
+                                 for o in ops)
+                check_address(prog, o, line)
+        return ops
+
+    def run(lo, hi):
+        pc = lo
+        while pc < hi:
+            i = instrs[pc]
+            if i.op not in SCALAR_OPS:
+                srcs, dests = cells(i.srcs, i.line), cells(i.dests, i.line)
+                if srcs is not i.srcs or dests is not i.dests:
+                    i = i.with_(srcs=srcs, dests=dests)
+                yield i
+            elif i.op == "loop":
+                start, count = (sval(s, i.line) for s in i.srcs)
+                for k in range(count):
+                    scalars[i.dests[0].name] = start + k
+                    yield from run(pc + 1, ends[pc])
+                pc = ends[pc]
+            elif i.op == "skipz":
+                skip = sval(i.srcs[1], i.line)
+                if skip < 0:
+                    raise IrError(f"skipz cannot skip {skip} instructions",
+                                  i.line)
+                if sval(i.srcs[0], i.line) == 0:
+                    pc += skip
+            elif i.op in _SCALAR_ARITH:
+                scalars[i.dests[0].name] = _SCALAR_ARITH[i.op](
+                    *(sval(s, i.line) for s in i.srcs))
+            pc += 1
+
+    yield from run(0, len(instrs))
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +580,13 @@ def _const_word(prog: Program, ref: CRef) -> tuple[Word, bool, str]:
     return Word(c.value, c.repr), c.absorb, c.mod
 
 
-def _operand_value(prog, env, scalars, img, o):
+def _operand_value(env, img, o):
     if isinstance(o, Vreg):
         if str(o) not in env:
             raise ExecError(f"register {o} read before write")
         return env[str(o)]
     if isinstance(o, Addr):
-        return img.fetch(o.sym, o.resolve(scalars))
+        return img.fetch(o.sym, o.base)
     raise ExecError(f"cannot evaluate operand {o}")
 
 
@@ -518,87 +606,30 @@ def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
         if sym not in img.dram:
             img.dram[sym] = [None] * count
     env: dict = {}
-    scalars: dict[str, int] = {}
-    instrs = prog.instrs
-    # match loop bounds
-    ends = {}
-    stack = []
-    for idx, i in enumerate(instrs):
-        if i.op == "loop":
-            stack.append(idx)
-        elif i.op == "endloop":
-            ends[stack.pop()] = idx
-
-    def sval(o):
-        if isinstance(o, Imm):
-            return o.val
-        if isinstance(o, SRef):
-            if str(o) not in scalars:
-                raise ExecError(f"scalar {o} read before write")
-            return scalars[str(o)]
-        raise ExecError(f"expected scalar operand, got {o}")
-
-    def run(lo: int, hi: int):
-        pc = lo
-        while pc < hi:
-            i = instrs[pc]
-            if i.op == "loop":
-                var = str(i.dests[0])
-                count = sval(i.srcs[1]) if len(i.srcs) > 1 else sval(i.srcs[0])
-                start = sval(i.srcs[0]) if len(i.srcs) > 1 else 0
-                for it in range(count):
-                    scalars[var] = start + it
-                    run(pc + 1, ends[pc])
-                pc = ends[pc] + 1
-                continue
-            if i.op == "endloop":
-                pc += 1
-                continue
-            if i.op == "skipz":
-                if sval(i.srcs[0]) == 0:
-                    pc += 1 + sval(i.srcs[1])
-                else:
-                    pc += 1
-                continue
-            _step(prog, i, env, scalars, img)
-            pc += 1
-
-    run(0, len(instrs))
+    for i in walk(prog):
+        _step(prog, i, env, img)
     return img
 
 
-def _step(prog: Program, i: Instr, env, scalars, img: MemoryImage):
+def _step(prog: Program, i: Instr, env, img: MemoryImage):
+    """Execute one vector instruction whose addresses are concrete."""
     def val(o):
-        return _operand_value(prog, env, scalars, img, o)
+        return _operand_value(env, img, o)
 
     def setd(v):
         d = i.dests[0]
         if isinstance(d, Addr):
             # streaming sink: result flows straight to DRAM
-            img.put(d.sym, d.resolve(scalars), v)
+            img.put(d.sym, d.base, v)
         else:
             env[str(d)] = v
 
     op = i.op
-    if op in ("sli", "sadd", "smul"):
-        def s(o):
-            return o.val if isinstance(o, Imm) else scalars[str(o)]
-        if op == "sli":
-            scalars[str(i.dests[0])] = s(i.srcs[0])
-        elif op == "sadd":
-            scalars[str(i.dests[0])] = s(i.srcs[0]) + s(i.srcs[1])
-        else:
-            scalars[str(i.dests[0])] = s(i.srcs[0]) * s(i.srcs[1])
-        return
-    if op == "load":
-        a = i.srcs[0]
-        setd(img.fetch(a.sym, a.resolve(scalars)))
-        return
     if op == "store":
         a = i.srcs[1]
-        img.put(a.sym, a.resolve(scalars), val(i.srcs[0]))
+        img.put(a.sym, a.base, val(i.srcs[0]))
         return
-    if op == "copy":
+    if op in ("load", "copy"):
         setd(val(i.srcs[0]))
         return
     m = prog.moduli[i.mod] if i.mod else None
@@ -633,12 +664,12 @@ def _step(prog: Program, i: Instr, env, scalars, img: MemoryImage):
             setd(mac_fused(acc, x, b))
         return
     if op == "bconv":
-        _exec_bconv(prog, i, env, scalars, img)
+        _exec_bconv(prog, i, env, img)
         return
     raise ExecError(f"opcode {op} has no executor semantics")
 
 
-def _exec_bconv(prog, i, env, scalars, img):
+def _exec_bconv(prog, i, env, img):
     # reference semantics for the high-level op (pre-lowering programs):
     # identical to the lowered micro-op sequence by Montgomery associativity
     from .poly import (RnsPoly, _bconv_stage2, bconv_merged,
@@ -646,7 +677,7 @@ def _exec_bconv(prog, i, env, scalars, img):
     from .rns import NM, SM, RnsBasis
     src = RnsBasis(tuple(prog.moduli[m] for m in i.meta["src_mods"]))
     dst = RnsBasis(tuple(prog.moduli[m] for m in i.meta["dst_mods"]))
-    limbs = tuple(_operand_value(prog, env, scalars, img, s) for s in i.srcs)
+    limbs = tuple(_operand_value(env, img, s) for s in i.srcs)
     tables = make_bconv_tables(src, dst)
     if any(p.repr != SM for p in limbs):
         raise ExecError("bconv expects single-Montgomery source limbs")

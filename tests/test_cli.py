@@ -1,9 +1,10 @@
 import contextlib
 import io
 import json
+import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effact.asm import assemble_binary, save_image
 from effact.cli import main
@@ -175,6 +176,87 @@ def test_sim_survives_one_corrupt_byte(desk_ebin, data):
             contextlib.redirect_stdout(io.StringIO()):
         code = main(["sim", str(path)])
     assert code == 0 or (code == 1 and "error[" in err.getvalue())
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+SKIPPED_B = ".n 16\n.mod q0 97\n.dram x 4\n.dram y 4\n" \
+            "$a = sli 0\nskipz $a, 1\n$b = sli 1\n"
+BAD_SCALAR_FLOW = {
+    "skipped definition read by sadd": (
+        SKIPPED_B + "$c = sadd $b, 1\n", "line 8: scalar $b is not defined"),
+    "skipped definition read by an address": (
+        SKIPPED_B + "%v = load @x[$b]\nstore %v, @y[0]\n",
+        "line 8: scalar $b is not defined"),
+    "negative skip": (
+        ".n 16\n.mod q0 97\n.dram x 4\n$a = sli 0\nskipz $a, -1\n",
+        "line 5: skipz cannot skip -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALAR_FLOW))
+def test_bad_scalar_flow_is_a_tagged_error(case, tmp_path, capsys):
+    text, msg = BAD_SCALAR_FLOW[case]
+    path = tmp_path / "bad.eir"
+    path.write_text(text)
+    for cmd, stage in (("exec", "exec"), ("compile", "compile"),
+                       ("sim", "compile"), ("sweep", "sweep"),
+                       ("analyze", "analyze")):
+        with time_limit(20):    # a negative skip once looped forever
+            assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error[{stage}]: {msg}")
+
+
+LOOP_PROGRAM = """\
+.n 16
+.mod q0 97
+.dram x 4
+.dram y 8
+$b = sli 1
+$i = loop 0, 3
+$k = smul $i, 2
+$a = sadd $k, $b
+%v = load @x[$i]
+%w = mmul %v, %v, q0
+skipz $i, 1
+store %w, @y[$a]
+endloop
+"""
+
+
+@pytest.fixture(scope="module")
+def eir_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "loop.eir"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(at=st.integers(0, len(LOOP_PROGRAM) - 1), byte=st.integers(9, 126))
+# the substitutions that crashed or hung before the scalar subset had one
+# interpreter: a self-referencing sadd, a negative skip, and a non-UTF-8 byte
+@example(at=LOOP_PROGRAM.index("$k, $b"), byte=ord("a"))
+@example(at=LOOP_PROGRAM.index(" 1\nstore"), byte=ord("-"))
+@example(at=LOOP_PROGRAM.index("97"), byte=0xFF)
+def test_compile_and_exec_survive_one_substituted_byte(eir_path, at, byte):
+    bad = bytearray(LOOP_PROGRAM.encode())
+    bad[at] = byte
+    eir_path.write_bytes(bytes(bad))
+    for cmd in ("compile", "exec"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), time_limit(20):
+            code = main([cmd, str(eir_path)])
+        assert code == 0 or (code == 1 and err.getvalue().startswith("error["))
 
 
 def test_slots_and_streaming_flags_set_the_hardware(tmp_path, capsys):

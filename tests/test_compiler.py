@@ -281,6 +281,14 @@ def test_lower_rejects_scalar_flow():
         lower(p)
 
 
+def test_straight_line_passes_reject_scalar_flow():
+    p = parse_ir(header() + "$i = loop 0, 2\nendloop\n")
+    for run in (lower, pre, lambda q: schedule(q, HW)):
+        with pytest.raises(IrError, match="line 6: scalar control flow must "
+                                          "be unrolled"):
+            run(p)
+
+
 # ---------------------------------------------------------------------------
 # propagate / pre / peephole
 

@@ -20,6 +20,7 @@ from effact.ir import (
     execute_program,
     parse_ir,
     print_program,
+    walk,
 )
 from effact.poly import (
     SM,
@@ -209,6 +210,36 @@ def test_executor_scalars_and_skipz():
     out = execute_program(prog, image_for(prog, x_0=a))
     assert out.dram["y"][0] is None
     assert out.dram["y"][1].to_ints() == a.to_ints()
+
+
+def test_parse_checks_sources_before_destinations():
+    for body in ("$a = sadd $a, 1\n",
+                 "%a = load @x[0]\n%v = mmul %v, %v, q0\n"):
+        with pytest.raises(IrError, match="use of undefined"):
+            parse_ir(HEADER + body)
+    # a loop-carried scalar defined before the loop stays legal
+    parse_ir(HEADER + "$a = sli 0\n$i = loop 0, 2\n$a = sadd $a, 1\n"
+             "endloop\n")
+    for body in ("%a = load @x[0]\n$b = sadd %a, 1\n",
+                 "%i = loop 0, 2\nendloop\n"):
+        with pytest.raises(IrError, match="scalar operands"):
+            parse_ir(HEADER + body)
+
+
+def test_walk_skip_past_a_body_end_ends_the_iteration():
+    prog = parse_ir(HEADER + "$i = loop 0, 3\n$p = sadd $i, -1\n"
+                    "skipz $p, 9\n%a = load @x[$i]\nstore %a, @y[$i]\n"
+                    "endloop\n%b = load @x[0]\nstore %b, @y[7]\n")
+    assert [i.srcs[1].base for i in walk(prog) if i.op == "store"] == [0, 2, 7]
+
+
+def test_walk_rejects_undefined_scalars_and_negative_skips():
+    skipped = "$a = sli 0\nskipz $a, 1\n$b = sli 1\n"
+    for body, msg in ((skipped + "$c = sadd $b, 1\n", "line 9: scalar \\$b"),
+                      (skipped + "%v = load @x[$b]\n", "line 9: scalar \\$b"),
+                      ("$a = sli 1\nskipz $a, -1\n", "line 7: skipz")):
+        with pytest.raises(IrError, match=msg):
+            list(walk(parse_ir(HEADER + body)))
 
 
 def test_executor_error_paths():

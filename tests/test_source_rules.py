@@ -28,3 +28,15 @@ def test_no_pop_front():
              and isinstance(node.args[0], ast.Constant)
              and node.args[0].value == 0]
     assert found == []
+
+
+def test_one_interpreter_of_scalar_control_flow():
+    # ir.walk is the only code that gives loop/endloop/skipz a meaning; the
+    # compiler and the executor consume what it yields
+    root = Path(effact.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py")) if path.name != "ir.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant)
+             and node.value in ("loop", "endloop", "skipz")]
+    assert found == []
