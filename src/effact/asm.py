@@ -29,8 +29,8 @@ from .ir import (
     parse_ir,
     print_program,
 )
-from .poly import ResiduePoly, make_poly
-from .rns import REPR_NAMES, make_modulus
+from .poly import BITREV, COEF, NATURAL, NTT, make_poly
+from .rns import REPR_BY_NAME, REPR_NAMES, make_modulus
 
 MACHINE_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "load", "store"}
 
@@ -228,54 +228,78 @@ def disassemble_binary(blob: bytes) -> Program:
 # ---------------------------------------------------------------------------
 # memory image files
 
+def _slot_meta(s) -> dict | None:
+    """The manifest entry of an image slot (keys in _SLOT_FIELDS order)."""
+    return None if s is None else {
+        "q": s.modulus.q, "r_bits": s.modulus.r_bits, "domain": s.domain,
+        "order": s.order, "repr": REPR_NAMES[s.repr],
+        "deferred": bool(s.scale_deferred)}
+
+
 def save_image(img: MemoryImage, prog_n: int) -> bytes:
-    symbols = []
-    words = bytearray()
-    for sym, slots in img.dram.items():
-        meta = []
-        for slot in slots:
-            if slot is None:
-                meta.append(None)
-            else:
-                meta.append({
-                    "q": slot.modulus.q,
-                    "r_bits": slot.modulus.r_bits,
-                    "domain": slot.domain,
-                    "order": slot.order,
-                    "repr": REPR_NAMES[slot.repr],
-                    "deferred": bool(slot.scale_deferred),
-                })
-                words += slot.coeffs.astype("<u8").tobytes()
-        symbols.append({"name": sym, "count": len(slots), "slots": meta})
+    symbols = [{"name": sym, "count": len(slots),
+                "slots": [_slot_meta(s) for s in slots]}
+               for sym, slots in img.dram.items()]
+    words = b"".join(s.coeffs.astype("<u8").tobytes()
+                     for slots in img.dram.values() for s in slots
+                     if s is not None)
     manifest = json.dumps({"n": prog_n, "symbols": symbols}).encode()
-    return (_MEM_MAGIC + struct.pack("<I", len(manifest)) + manifest +
-            bytes(words))
+    return _MEM_MAGIC + struct.pack("<I", len(manifest)) + manifest + words
+
+
+_SLOT_FIELDS = (("q", int), ("r_bits", int), ("domain", (COEF, NTT)),
+                ("order", (NATURAL, BITREV)), ("repr", tuple(REPR_BY_NAME)),
+                ("deferred", bool))
+
+
+def _field(obj, key: str, kind, where: str):
+    """obj[key] of a manifest object: of the type kind, or one of the names
+    in the tuple kind."""
+    v = obj.get(key) if isinstance(obj, dict) else None
+    if not (v in kind if isinstance(kind, tuple) else isinstance(v, kind)
+            and (kind is bool) == isinstance(v, bool)):
+        raise IrError(f"image manifest: {where}.{key} is missing or not "
+                      f"{kind if isinstance(kind, tuple) else kind.__name__}")
+    return v
 
 
 def load_image(blob: bytes) -> MemoryImage:
-    if blob[:8] != _MEM_MAGIC:
+    """Parse an .emem image; raises IrError on a missing or mistyped
+    manifest field, a slot count or length that does not match, or a word
+    that is not below its slot's modulus."""
+    if blob[:8] != _MEM_MAGIC or len(blob) < 12:
         raise IrError("bad memory-image magic")
     (mlen,) = struct.unpack("<I", blob[8:12])
-    manifest = json.loads(blob[12:12 + mlen])
-    n = manifest["n"]
-    off = 12 + mlen
-    dram = {}
-    mod_cache = {}
-    from .rns import REPR_BY_NAME
-    for sym in manifest["symbols"]:
-        slots = []
-        for meta in sym["slots"]:
+    try:
+        manifest = json.loads(blob[12:12 + mlen])
+    except ValueError as e:
+        raise IrError(f"image manifest is not JSON: {e}")
+    n = _field(manifest, "n", int, "image")
+    off, dram, mods = 12 + mlen, {}, {}
+    for sym in _field(manifest, "symbols", list, "image"):
+        name = _field(sym, "name", str, "symbol")
+        metas = _field(sym, "slots", list, name)
+        if _field(sym, "count", int, name) != len(metas):
+            raise IrError(f"image manifest: {name}.count is not its number "
+                          "of slots")
+        slots = dram[name] = []
+        for k, meta in enumerate(metas):
             if meta is None:
                 slots.append(None)
                 continue
-            key = (meta["q"], meta["r_bits"])
-            if key not in mod_cache:
-                mod_cache[key] = make_modulus(meta["q"], n, meta["r_bits"])
-            coeffs = np.frombuffer(blob[off:off + 8 * n], dtype="<u8")
+            q, r_bits, domain, order, rep, deferred = (
+                _field(meta, key, kind, f"{name}[{k}]")
+                for key, kind in _SLOT_FIELDS)
+            try:
+                if (q, r_bits) not in mods:
+                    mods[q, r_bits] = make_modulus(q, n, r_bits)
+                slots.append(make_poly(
+                    mods[q, r_bits], np.frombuffer(blob, "<u8", n, off),
+                    domain, order, REPR_BY_NAME[rep], deferred))
+            except ValueError as e:
+                raise IrError(f"image {name}[{k}]: {e}")
             off += 8 * n
-            slots.append(make_poly(
-                mod_cache[key], coeffs, meta["domain"], meta["order"],
-                REPR_BY_NAME[meta["repr"]],
-                scale_deferred=meta["deferred"]))
-        dram[sym["name"]] = slots
+    if off != len(blob):
+        raise IrError(f"memory image is {len(blob)} bytes, its manifest "
+                      f"declares {off}")
     return MemoryImage(dram)

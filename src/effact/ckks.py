@@ -6,6 +6,10 @@ order, single-Montgomery words) and every maintenance operation is written
 as the exact kernel sequence the compiled programs replay, so outputs can
 be compared bit for bit.
 
+Each ciphertext component is one RnsPoly: every operation calls each
+kernel once per polynomial, a per-limb constant is one column operand, and
+limbs move between bases only through `gather`.
+
 Key-switching is hybrid: the modulus chain is split into dnum digit groups,
 each digit is raised to the full extended basis with the merged
 iNTT-scaling base conversion, multiplied by its evaluation-key digit, and
@@ -16,6 +20,7 @@ both run through one function (``_divide_round``).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import struct
@@ -28,7 +33,6 @@ from .poly import (
     NTT,
     SM,
     BconvTables,
-    ResiduePoly,
     RnsPoly,
     Word,
     automorphism_apply,
@@ -36,6 +40,7 @@ from .poly import (
     bconv,
     bconv_merged,
     from_sm,
+    gather,
     make_bconv_tables,
     make_poly,
     ntt_fwd,
@@ -95,19 +100,13 @@ class CkksParams(_DigitLayout):
 
     @property
     def p_product(self) -> int:
-        p = 1
-        for m in self.pchain:
-            p *= m.q
-        return p
+        return math.prod(m.q for m in self.pchain)
 
     def basis(self, level: int) -> RnsBasis:
         return RnsBasis(self.chain[:level + 1], role="C")
 
     def q_product(self, level: int) -> int:
-        p = 1
-        for m in self.chain[:level + 1]:
-            p *= m.q
-        return p
+        return math.prod(m.q for m in self.chain[:level + 1])
 
 
 def make_params(n: int = 1024, levels: int = 4, dnum: int = 2,
@@ -157,16 +156,24 @@ def modup_tables(params: CkksParams, level: int, d: int) -> BconvTables:
 def digit_weight(params: CkksParams, d: int) -> int:
     """CRT recombination weight W_d over the full chain: 1 on digit-d primes,
     0 on all others."""
-    full = params.digit_indices(d, params.levels)
-    qd = 1
-    for i in full:
-        qd *= params.chain[i].q
+    qd = math.prod(params.chain[i].q
+                   for i in params.digit_indices(d, params.levels))
     qhat = params.q_product(params.levels) // qd
     return qhat * pow(qhat, -1, qd)
 
 
 # ---------------------------------------------------------------------------
 # keys and ciphertexts
+
+def _sm_word(x: int, basis: RnsBasis) -> Word:
+    """The integer x in single-Montgomery form on every limb of basis."""
+    return Word(tuple(sm_encode(x % m.q, m) for m in basis), SM)
+
+
+def _reduce(coeffs, basis: RnsBasis) -> RnsPoly:
+    """Integer coefficients as an NM coefficient-domain polynomial."""
+    return make_poly(basis, [[c % m.q for c in coeffs] for m in basis])
+
 
 @dataclass(frozen=True)
 class SecretKey:
@@ -175,15 +182,13 @@ class SecretKey:
     _ntt: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
-    def ntt_limb(self, m: Modulus, power: int = 1) -> ResiduePoly:
-        """s^power under m: NTT domain, bit-reversed, SM; cached on the key."""
-        key = (m, power)
+    def ntt_poly(self, basis: RnsBasis, power: int = 1) -> RnsPoly:
+        """s^power over basis: NTT domain, bit-reversed, SM; cached on the
+        key by the moduli and the power."""
+        key = (basis.moduli, power)
         if key not in self._ntt:
-            base = to_sm(make_poly(m, [c % m.q for c in self.coeffs]))
-            limb = ntt_fwd(base)
-            for _ in range(power - 1):
-                limb = vec_mmul(limb, ntt_fwd(base))
-            self._ntt[key] = limb
+            s = _coeffs_to_device(self.coeffs, basis)
+            self._ntt[key] = functools.reduce(vec_mmul, [s] * power)
         return self._ntt[key]
 
 
@@ -202,29 +207,26 @@ class Ciphertext:
     scale: float
 
     def __post_init__(self):
-        if len(self.c0.limbs) != self.level + 1 or \
-                len(self.c1.limbs) != self.level + 1:
+        if len(self.c0.basis) != self.level + 1 or \
+                len(self.c1.basis) != self.level + 1:
             raise ValueError("limb count does not match level")
 
 
-def _uniform_limb(m: Modulus, rng) -> ResiduePoly:
-    words = [rng.randrange(m.q) for _ in range(m.n)]
-    return make_poly(m, words, domain=NTT, order=BITREV, repr=SM)
+def _uniform_poly(basis: RnsBasis, rng) -> RnsPoly:
+    """Uniform NTT-domain words, drawn limb by limb in basis order."""
+    words = [[rng.randrange(m.q) for _ in range(m.n)] for m in basis]
+    return make_poly(basis, words, domain=NTT, order=BITREV, repr=SM)
 
 
-def _rlwe_sample(sk: SecretKey, basis: RnsBasis, msg: list[ResiduePoly],
+def _rlwe_sample(sk: SecretKey, basis: RnsBasis, msg: RnsPoly,
                  rng) -> tuple[RnsPoly, RnsPoly]:
-    """(b, a) with b = -a*s + msg + e over basis, a uniform; msg holds one
-    NTT-domain limb per modulus.  Draws the noise, then one a per modulus."""
+    """(b, a) with b = -a*s + msg + e over basis, a uniform; msg is in the
+    NTT domain.  Draws the noise, then a."""
     e = _coeffs_to_device(
         [round(rng.gauss(0, ERR_SIGMA)) for _ in range(basis.n)], basis)
-    b_limbs, a_limbs = [], []
-    for m, mlimb, elimb in zip(basis, msg, e.limbs):
-        a = _uniform_limb(m, rng)
-        b_limbs.append(vec_madd(vec_madd(vec_neg(vec_mmul(a, sk.ntt_limb(m))),
-                                         mlimb), elimb))
-        a_limbs.append(a)
-    return RnsPoly(basis, tuple(b_limbs)), RnsPoly(basis, tuple(a_limbs))
+    a = _uniform_poly(basis, rng)
+    b = vec_madd(vec_madd(vec_neg(vec_mmul(a, sk.ntt_poly(basis))), msg), e)
+    return b, a
 
 
 def keygen_small(params: CkksParams, seed: int = 0,
@@ -241,21 +243,14 @@ def keygen_small(params: CkksParams, seed: int = 0,
 
     def evk_for(s_poly):
         # digit d encrypts P * W_d * s_poly
-        digits = []
-        for d in range(params.dnum):
-            w = params.p_product * digit_weight(params, d)
-            msg = [vec_mmul(s_poly(m), Word(sm_encode(w % m.q, m), SM))
-                   for m in ext]
-            digits.append(_rlwe_sample(sk, ext, msg, rng))
-        return EvalKey(tuple(digits))
+        return EvalKey(tuple(
+            _rlwe_sample(sk, ext, vec_mmul(s_poly, _sm_word(
+                params.p_product * digit_weight(params, d), ext)), rng)
+            for d in range(params.dnum)))
 
-    evk = evk_for(lambda m: sk.ntt_limb(m, 2))
-    rot_keys = {}
-    for s in rot_steps:
-        def rotated(m, s=s):
-            coeff = make_poly(m, [c % m.q for c in sk.coeffs])
-            return ntt_fwd(to_sm(automorphism_apply(coeff, s)))
-        rot_keys[s] = evk_for(rotated)
+    evk = evk_for(sk.ntt_poly(ext, 2))
+    rot_keys = {s: evk_for(ntt_fwd(to_sm(automorphism_apply(
+        _reduce(sk.coeffs, ext), s)))) for s in rot_steps}
     return sk, evk, rot_keys
 
 
@@ -299,9 +294,7 @@ def decode(coeffs: list[int], params: CkksParams, scale: float) -> np.ndarray:
 # encrypt / decrypt
 
 def _coeffs_to_device(coeffs, basis: RnsBasis) -> RnsPoly:
-    limbs = tuple(ntt_fwd(to_sm(make_poly(m, [c % m.q for c in coeffs])))
-                  for m in basis)
-    return RnsPoly(basis, limbs)
+    return ntt_fwd(to_sm(_reduce(coeffs, basis)))
 
 
 def encrypt(values, params: CkksParams, sk: SecretKey, seed: int = 1,
@@ -311,34 +304,26 @@ def encrypt(values, params: CkksParams, sk: SecretKey, seed: int = 1,
     scale = params.delta if scale is None else scale
     basis = params.basis(level)
     msg = encode(values, params, scale)
-    c0, c1 = _rlwe_sample(sk, basis, _coeffs_to_device(msg, basis).limbs, rng)
+    c0, c1 = _rlwe_sample(sk, basis, _coeffs_to_device(msg, basis), rng)
     return Ciphertext(c0, c1, level, scale)
 
 
-def _device_to_coeffs(p: RnsPoly) -> list[list[int]]:
-    return [from_sm(ntt_inv(limb)).to_ints() for limb in p.limbs]
-
-
-def _crt_center(limbs: list[list[int]], moduli) -> list[int]:
-    qprod = 1
-    for m in moduli:
-        qprod *= m.q
-    acc = np.zeros(len(limbs[0]), dtype=object)
-    for row, m in zip(limbs, moduli):
-        w = (qprod // m.q) * pow(qprod // m.q, -1, m.q)
-        acc = (acc + np.array(row, dtype=object) * w) % qprod
+def _device_to_coeffs(p: RnsPoly) -> list[int]:
+    """Centered integer coefficients of an NTT-domain SM polynomial, by CRT
+    over its basis."""
+    words = from_sm(ntt_inv(p)).words
+    qprod = p.basis.product
+    weights = np.array([(qprod // m.q) * pow(qprod // m.q, -1, m.q)
+                        for m in p.basis], dtype=object)
+    acc = (words.astype(object) * weights[:, None]).sum(axis=0) % qprod
     half = qprod // 2
     return [int(v - qprod) if v > half else int(v) for v in acc]
 
 
 def decrypt_raw(ct: Ciphertext, sk: SecretKey) -> list[int]:
     """Centered integer coefficients of c0 + c1*s."""
-    basis = ct.c0.basis
-    limbs = [vec_madd(ct.c0.limbs[i], vec_mmul(ct.c1.limbs[i],
-                                               sk.ntt_limb(m)))
-             for i, m in enumerate(basis)]
-    rows = _device_to_coeffs(RnsPoly(basis, tuple(limbs)))
-    return _crt_center(rows, basis)
+    s = sk.ntt_poly(ct.c0.basis)
+    return _device_to_coeffs(vec_madd(ct.c0, vec_mmul(ct.c1, s)))
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey, params: CkksParams) -> np.ndarray:
@@ -348,14 +333,9 @@ def decrypt(ct: Ciphertext, sk: SecretKey, params: CkksParams) -> np.ndarray:
 def decrypt_triple(d0: RnsPoly, d1: RnsPoly, d2: RnsPoly, sk: SecretKey,
                    params: CkksParams, scale: float) -> np.ndarray:
     """Reference decryption of an unrelinearized product under (1, s, s^2)."""
-    basis = d0.basis
-    limbs = []
-    for i, m in enumerate(basis):
-        v = vec_madd(d0.limbs[i], vec_mmul(d1.limbs[i], sk.ntt_limb(m)))
-        v = vec_madd(v, vec_mmul(d2.limbs[i], sk.ntt_limb(m, 2)))
-        limbs.append(v)
-    rows = _device_to_coeffs(RnsPoly(basis, tuple(limbs)))
-    return decode(_crt_center(rows, basis), params, scale)
+    v = vec_madd(d0, vec_mmul(d1, sk.ntt_poly(d0.basis)))
+    v = vec_madd(v, vec_mmul(d2, sk.ntt_poly(d0.basis, 2)))
+    return decode(_device_to_coeffs(v), params, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +346,8 @@ def hadd(a: Ciphertext, b: Ciphertext) -> Ciphertext:
         raise ValueError("level mismatch")
     if a.scale != b.scale:
         raise ValueError("scale mismatch")
-    c0 = RnsPoly(a.c0.basis, tuple(vec_madd(x, y) for x, y
-                                   in zip(a.c0.limbs, b.c0.limbs)))
-    c1 = RnsPoly(a.c1.basis, tuple(vec_madd(x, y) for x, y
-                                   in zip(a.c1.limbs, b.c1.limbs)))
-    return Ciphertext(c0, c1, a.level, a.scale)
+    return Ciphertext(vec_madd(a.c0, b.c0), vec_madd(a.c1, b.c1), a.level,
+                      a.scale)
 
 
 def key_switch(d2: RnsPoly, evk: EvalKey, params: CkksParams,
@@ -385,63 +362,45 @@ def key_switch(d2: RnsPoly, evk: EvalKey, params: CkksParams,
     """
     if [m.q for m in d2.basis] != [m.q for m in params.chain[:level + 1]]:
         raise ValueError("component basis does not match the level chain")
-    ext = ext_moduli(params, level)
-    acc0 = [None] * len(ext)
-    acc1 = [None] * len(ext)
+    ext = RnsBasis(tuple(ext_moduli(params, level)))
+    acc0 = acc1 = None
     for d in range(params.dnum):
-        digit = params.digit_indices(d, level)
-        if not digit:
+        if not params.digit_indices(d, level):
             continue
         tables = modup_tables(params, level, d)
-        src = RnsBasis(tuple(params.chain[i] for i in digit))
+        digit = gather(tables.src, d2)
         if merged:
-            deferred = RnsPoly(src, tuple(
-                ntt_inv(d2.limbs[i], defer_scale=True) for i in digit))
-            conv = bconv_merged(deferred, tables)
+            conv = bconv_merged(ntt_inv(digit, defer_scale=True), tables)
         else:
-            finished = RnsPoly(src, tuple(
-                from_sm(ntt_inv(d2.limbs[i])) for i in digit))
-            conv = bconv(finished, tables.dst, tables).map(to_sm)
-        conv_ntt = [ntt_fwd(p) for p in conv.limbs]
-        # assemble the raised digit in extended-basis order
-        raised = []
-        it = iter(conv_ntt)
-        for k, m in enumerate(ext):
-            if k <= level and k in digit:
-                raised.append(d2.limbs[k])
-            else:
-                raised.append(next(it))
+            conv = to_sm(bconv(from_sm(ntt_inv(digit)), tables.dst, tables))
+        # the raised digit in extended-basis order
+        raised = gather(ext, digit, ntt_fwd(conv))
         evk_b, evk_a = evk.digits[d]
-        for k in range(len(ext)):
-            s = params.key_limb(k, level)
-            t0 = vec_mmul(raised[k], evk_b.limbs[s])
-            t1 = vec_mmul(raised[k], evk_a.limbs[s])
-            acc0[k] = t0 if acc0[k] is None else vec_madd(acc0[k], t0)
-            acc1[k] = t1 if acc1[k] is None else vec_madd(acc1[k], t1)
+        t0 = vec_mmul(raised, gather(ext, evk_b))
+        t1 = vec_mmul(raised, gather(ext, evk_a))
+        acc0 = t0 if acc0 is None else vec_madd(acc0, t0)
+        acc1 = t1 if acc1 is None else vec_madd(acc1, t1)
     keep = params.chain[:level + 1]
     return (_divide_round(acc0, keep, params.pchain),
             _divide_round(acc1, keep, params.pchain))
 
 
-def _divide_round(limbs, keep: tuple[Modulus, ...],
+def _divide_round(x: RnsPoly, keep: tuple[Modulus, ...],
                   drop: tuple[Modulus, ...]) -> RnsPoly:
-    """Map NTT-domain limbs over keep + drop to limbs over keep, divided by
-    D = prod(drop) with round-to-nearest: bias by D//2, convert the drop
-    limbs to keep (merged iNTT scaling), subtract, multiply by D^-1.
+    """Map an NTT-domain polynomial over keep + drop to one over keep,
+    divided by D = prod(drop) with round-to-nearest: bias by D//2, convert
+    the drop limbs to keep (merged iNTT scaling), subtract, multiply by
+    D^-1.
 
     Key-switch mod-down drops P; rescale drops the one prime q_l.
     """
     d_prod = math.prod(m.q for m in drop)
-    biased = [vec_madd(limb, Word(sm_encode(d_prod // 2 % m.q, m), SM))
-              for limb, m in zip(limbs, keep + drop)]
-    high = RnsPoly(RnsBasis(drop), tuple(
-        ntt_inv(limb, defer_scale=True) for limb in biased[len(keep):]))
-    conv = bconv_merged(high, _bconv_tables(drop, keep))
-    out = []
-    for x, rem, m in zip(biased, conv.limbs, keep):
-        dinv = Word(sm_encode(pow(d_prod, -1, m.q), m), SM)
-        out.append(vec_mmul(vec_msub(x, ntt_fwd(rem)), dinv))
-    return RnsPoly(RnsBasis(keep, role="C"), tuple(out))
+    biased = vec_madd(x, _sm_word(d_prod // 2, x.basis))
+    high = ntt_inv(gather(RnsBasis(drop), biased), defer_scale=True)
+    rem = ntt_fwd(bconv_merged(high, _bconv_tables(drop, keep)))
+    dinv = Word(tuple(sm_encode(pow(d_prod, -1, m.q), m) for m in keep), SM)
+    low = gather(RnsBasis(keep, role="C"), biased)
+    return vec_mmul(vec_msub(low, rem), dinv)
 
 
 def rescale(ct: Ciphertext, params: CkksParams) -> Ciphertext:
@@ -449,7 +408,7 @@ def rescale(ct: Ciphertext, params: CkksParams) -> Ciphertext:
     if ct.level < 1:
         raise ValueError("level exhausted")
     keep, drop = params.chain[:ct.level], params.chain[ct.level:ct.level + 1]
-    c0, c1 = (_divide_round(c.limbs, keep, drop) for c in (ct.c0, ct.c1))
+    c0, c1 = (_divide_round(c, keep, drop) for c in (ct.c0, ct.c1))
     return Ciphertext(c0, c1, ct.level - 1, ct.scale / drop[0].q)
 
 
@@ -459,21 +418,11 @@ def hmult(a: Ciphertext, b: Ciphertext, evk: EvalKey,
         raise ValueError("level mismatch")
     if a.level < 1:
         raise ValueError("level exhausted")
-    basis = a.c0.basis
-    d0 = RnsPoly(basis, tuple(vec_mmul(x, y) for x, y
-                              in zip(a.c0.limbs, b.c0.limbs)))
-    d1 = RnsPoly(basis, tuple(
-        vec_madd(vec_mmul(a.c0.limbs[i], b.c1.limbs[i]),
-                 vec_mmul(a.c1.limbs[i], b.c0.limbs[i]))
-        for i in range(len(basis))))
-    d2 = RnsPoly(basis, tuple(vec_mmul(x, y) for x, y
-                              in zip(a.c1.limbs, b.c1.limbs)))
-    ks0, ks1 = key_switch(d2, evk, params, a.level)
-    c0 = RnsPoly(basis, tuple(vec_madd(x, y) for x, y
-                              in zip(d0.limbs, ks0.limbs)))
-    c1 = RnsPoly(basis, tuple(vec_madd(x, y) for x, y
-                              in zip(d1.limbs, ks1.limbs)))
-    return rescale(Ciphertext(c0, c1, a.level, a.scale * b.scale), params)
+    d0 = vec_mmul(a.c0, b.c0)
+    d1 = vec_madd(vec_mmul(a.c0, b.c1), vec_mmul(a.c1, b.c0))
+    ks0, ks1 = key_switch(vec_mmul(a.c1, b.c1), evk, params, a.level)
+    return rescale(Ciphertext(vec_madd(d0, ks0), vec_madd(d1, ks1), a.level,
+                              a.scale * b.scale), params)
 
 
 def hrot(ct: Ciphertext, s: int, rot_keys: dict, params: CkksParams) -> Ciphertext:
@@ -481,12 +430,10 @@ def hrot(ct: Ciphertext, s: int, rot_keys: dict, params: CkksParams) -> Cipherte
         return ct
     if s not in rot_keys:
         raise KeyError(f"no rotation key for step {s}")
-    rc0 = ct.c0.map(lambda p: automorphism_ntt(p, s))
-    rc1 = ct.c1.map(lambda p: automorphism_ntt(p, s))
-    ks0, ks1 = key_switch(rc1, rot_keys[s], params, ct.level)
-    c0 = RnsPoly(rc0.basis, tuple(vec_madd(x, y) for x, y
-                                  in zip(rc0.limbs, ks0.limbs)))
-    return Ciphertext(c0, ks1, ct.level, ct.scale)
+    ks0, ks1 = key_switch(automorphism_ntt(ct.c1, s), rot_keys[s], params,
+                          ct.level)
+    return Ciphertext(vec_madd(automorphism_ntt(ct.c0, s), ks0), ks1,
+                      ct.level, ct.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -497,37 +444,31 @@ _MAGIC = b"EFCTct01"
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    n = ct.c0.basis.n
-    nlimbs = len(ct.c0.limbs)
-    head = _MAGIC + struct.pack("<IIHH4xd", n, ct.level, nlimbs, 2, ct.scale)
-    body = bytearray()
-    for m in ct.c0.basis:
-        body += struct.pack("<Q", m.q)
-    for comp in (ct.c0, ct.c1):
-        for limb in comp.limbs:
-            body += limb.coeffs.astype("<u8").tobytes()
-    return head + bytes(body)
+    basis = ct.c0.basis
+    head = _MAGIC + struct.pack("<IIHH4xd", basis.n, ct.level, len(basis), 2,
+                                ct.scale)
+    qs = struct.pack(f"<{len(basis)}Q", *(m.q for m in basis))
+    words = np.stack((ct.c0.words, ct.c1.words)).astype("<u8")
+    return head + qs + words.tobytes()
 
 
 def deserialize_ciphertext(blob: bytes, params: CkksParams) -> Ciphertext:
     if blob[:8] != _MAGIC:
         raise ValueError("bad magic")
+    if len(blob) < 32:
+        raise ValueError(f"ciphertext truncated to {len(blob)} bytes")
     n, level, nlimbs, ncomps, scale = struct.unpack("<IIHH4xd", blob[8:32])
     if n != params.n or ncomps != 2 or nlimbs != level + 1:
         raise ValueError("header inconsistent with parameters")
-    off = 32
-    qs = struct.unpack(f"<{nlimbs}Q", blob[off:off + 8 * nlimbs])
+    size = 32 + 8 * nlimbs * (1 + 2 * n)
+    if len(blob) != size:
+        raise ValueError(f"ciphertext is {len(blob)} bytes, its header "
+                         f"declares {size}")
+    qs = struct.unpack(f"<{nlimbs}Q", blob[32:32 + 8 * nlimbs])
     basis = params.basis(level)
     if list(qs) != [m.q for m in basis]:
         raise ValueError("modulus chain mismatch")
-    off += 8 * nlimbs
-    comps = []
-    for _ in range(2):
-        limbs = []
-        for m in basis:
-            words = np.frombuffer(blob[off:off + 8 * n], dtype="<u8")
-            off += 8 * n
-            limbs.append(make_poly(m, words, domain=NTT, order=BITREV,
-                                   repr=SM))
-        comps.append(RnsPoly(basis, tuple(limbs)))
-    return Ciphertext(comps[0], comps[1], level, scale)
+    words = np.frombuffer(blob, dtype="<u8", offset=32 + 8 * nlimbs)
+    c0, c1 = (make_poly(basis, w, domain=NTT, order=BITREV, repr=SM)
+              for w in words.reshape(2, nlimbs, n))
+    return Ciphertext(c0, c1, level, scale)

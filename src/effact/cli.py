@@ -140,7 +140,7 @@ def _cmd_exec(args) -> int:
         img = blank_image(prog)
     try:
         res = execute_program(prog, img)
-    except (ExecError, IrError) as e:
+    except (ExecError, ValueError) as e:   # IrError, kernel contracts
         raise CliError("exec", str(e))
     if args.output:
         _write(args.output, save_image(res, prog.n), binary=True)

@@ -417,10 +417,11 @@ def peephole_merge(p: Program) -> Program:
                             or prod.mod != i.mod
                             or not isinstance(prod.srcs[0], (Vreg, Addr))):
                         continue
-                    b = prod.srcs[1]
-                    if isinstance(b, CRef) and out.consts[b.name].absorb:
+                    b, acc = prod.srcs[1], i.srcs[1 - pos]
+                    # a MAC accumulates into a vector, never a constant
+                    if isinstance(acc, CRef) or (
+                            isinstance(b, CRef) and out.consts[b.name].absorb):
                         continue
-                    acc = i.srcs[1 - pos]
                     meta = {"bc": True} if (prod.meta.get("bc")
                                             or i.meta.get("bc")) else {}
                     instrs[idx] = i.with_(op="mac", meta=meta,

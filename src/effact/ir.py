@@ -21,17 +21,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import (
-    ResiduePoly,
+    ContractError,
+    RnsPoly,
     Word,
     automorphism_ntt,
+    bconv,
+    bconv_merged,
+    from_sm,
     mac_fused,
+    make_bconv_tables,
+    make_poly,
     ntt_fwd,
     ntt_inv,
+    to_sm,
     vec_madd,
     vec_mmul,
-    _reinterpret_nm,
 )
-from .rns import REPR_BY_NAME, REPR_NAMES, Modulus, make_modulus
+from .rns import (NM, REPR_BY_NAME, REPR_NAMES, Modulus, RnsBasis,
+                  make_modulus)
 
 
 class IrError(ValueError):
@@ -540,14 +547,14 @@ def walk(prog: Program):
 
 @dataclass
 class MemoryImage:
-    """DRAM symbol space of residue polynomials; slots hold one limb each."""
+    """DRAM symbol space; each slot holds a one-row residue polynomial."""
 
     dram: dict[str, list]
 
     def clone(self) -> "MemoryImage":
         return MemoryImage({k: list(v) for k, v in self.dram.items()})
 
-    def fetch(self, sym: str, idx: int) -> ResiduePoly:
+    def fetch(self, sym: str, idx: int) -> RnsPoly:
         if sym not in self.dram:
             raise ExecError(f"unknown symbol @{sym}")
         space = self.dram[sym]
@@ -558,7 +565,7 @@ class MemoryImage:
             raise ExecError(f"@{sym}[{idx}] read before write")
         return v
 
-    def put(self, sym: str, idx: int, value: ResiduePoly):
+    def put(self, sym: str, idx: int, value: RnsPoly):
         if sym not in self.dram:
             raise ExecError(f"unknown symbol @{sym}")
         space = self.dram[sym]
@@ -590,13 +597,15 @@ def _operand_value(env, img, o):
     raise ExecError(f"cannot evaluate operand {o}")
 
 
-def _fit_modulus(poly: ResiduePoly, m: Modulus, op: str) -> ResiduePoly:
+def _fit_modulus(poly: RnsPoly, m: Modulus, op: str) -> RnsPoly:
     if poly.modulus.q == m.q:
         return poly
-    if op == "mmul" or op == "mac":
-        # canonical integers move freely between moduli
-        return _reinterpret_nm(poly, m)
-    raise ExecError(f"{op}: operand modulus {poly.modulus.q} != {m.q}")
+    if op not in ("mmul", "mac"):
+        raise ExecError(f"{op}: operand modulus {poly.modulus.q} != {m.q}")
+    # canonical integers move freely between moduli
+    if poly.repr != NM:
+        raise ContractError("only NM words are modulus-independent")
+    return make_poly(m, poly.coeffs % m.q, poly.domain, poly.order, NM)
 
 
 def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
@@ -651,7 +660,7 @@ def _step(prog: Program, i: Instr, env, img: MemoryImage):
                                 f"{cmod}, not {i.mod}")
         else:
             b, absorb = val(bsrc), False
-            if isinstance(b, ResiduePoly):
+            if isinstance(b, RnsPoly):
                 b = _fit_modulus(b, m, op)
         if op == "mmul":
             a = _fit_modulus(val(i.srcs[0]), m, op)
@@ -672,23 +681,12 @@ def _step(prog: Program, i: Instr, env, img: MemoryImage):
 def _exec_bconv(prog, i, env, img):
     # reference semantics for the high-level op (pre-lowering programs):
     # identical to the lowered micro-op sequence by Montgomery associativity
-    from .poly import (RnsPoly, _bconv_stage2, bconv_merged,
-                       make_bconv_tables, vec_mmul)
-    from .rns import NM, SM, RnsBasis
     src = RnsBasis(tuple(prog.moduli[m] for m in i.meta["src_mods"]))
     dst = RnsBasis(tuple(prog.moduli[m] for m in i.meta["dst_mods"]))
-    limbs = tuple(_operand_value(env, img, s) for s in i.srcs)
+    x = RnsPoly(src, [_operand_value(env, img, s) for s in i.srcs])
     tables = make_bconv_tables(src, dst)
-    if any(p.repr != SM for p in limbs):
-        raise ExecError("bconv expects single-Montgomery source limbs")
-    if limbs[0].scale_deferred:
-        out = bconv_merged(RnsPoly(src, limbs), tables).limbs
-    else:
-        # finished-iNTT inputs: plain qhat-inverse constants instead of the
-        # merged (qhat_inv / N) ones
-        tj = [vec_mmul(limbs[j],
-                       Word((tables.stage1_merged[j] * m.n) % m.q, NM))
-              for j, m in enumerate(src)]
-        out = _bconv_stage2(tj, tables)
-    for d, limb in zip(i.dests, out):
+    # SM sources; finished-iNTT ones convert as canonical integers
+    out = bconv_merged(x, tables) if x.scale_deferred else \
+        to_sm(bconv(from_sm(x), dst, tables))
+    for d, limb in zip(i.dests, out.limbs):
         env[str(d)] = limb

@@ -1,14 +1,17 @@
 """Residue-polynomial kernels.
 
-Everything here is exact modular arithmetic over fixed-size coefficient
-vectors: elementwise multiply/add, the negacyclic NTT, fast base conversion
-(plain and merged with the deferred iNTT scaling), Galois automorphisms in
-both domains, the lane-matrix transpose, and a fused multiply-accumulate.
+A polynomial in RNS form (RnsPoly) is one (limbs, n) uint64 array, row i
+modulo the i-th prime of its basis, with its layout metadata stored once;
+a value modulo one prime is the one-row case.  Everything here is exact
+modular arithmetic on those arrays: elementwise multiply/add, the
+negacyclic NTT, fast base conversion (plain and merged with the deferred
+iNTT scaling), Galois automorphisms in both domains, the lane-matrix
+transpose, and a fused multiply-accumulate.
 
-Coefficient vectors are numpy uint64 arrays, and every kernel runs
-vectorized on them.  Montgomery multiplication has one exact reduction per
-radix class: one-word REDC for R <= 2^32 and a split-word REDC for R = 2^64
-(see _Kern).
+Each kernel runs once per polynomial over all of its rows; every per-prime
+constant is a column that broadcasts along the rows.  Montgomery
+multiplication has one exact reduction per radix class: one-word REDC for
+R <= 2^32 and a split-word REDC for R = 2^64 (see _Kern).
 
 Layout conventions: forward NTT consumes natural coefficient order and
 produces bit-reversed evaluation order; the inverse accepts bit-reversed and
@@ -18,7 +21,7 @@ form so the data path never permutes anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +48,10 @@ class ContractError(ValueError):
 
 
 class Word(NamedTuple):
-    """A scalar constant with an explicit Montgomery representation tag."""
+    """A scalar constant with an explicit Montgomery representation tag:
+    one integer for every row, or a tuple of one integer per row."""
 
-    value: int
+    value: int | tuple[int, ...]
     repr: int
 
 
@@ -77,9 +81,9 @@ def bitrev_perm(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-modulus kernel context (twiddle tables, vector primitives)
+# per-basis kernel context (constant columns, twiddle tables, primitives)
 
-_kern_cache: dict[tuple[int, int, int], "_Kern"] = {}
+_kern_cache: dict[tuple[tuple[int, int, int], ...], "_Kern"] = {}
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
@@ -97,206 +101,248 @@ def _mulhi(x, y0, y1):
     return x1 * y1 + (p10 >> _SH32) + (mid >> _SH32)
 
 
-class _Kern:
-    """Vector primitives and twiddle tables for one modulus.
+def _column(values, ndim: int = 2) -> np.ndarray:
+    """One uint64 per row, shaped to broadcast against an ndim-array."""
+    return np.array(values, dtype=np.uint64).reshape((-1,) + (1,) * (ndim - 1))
 
-    mmul is Montgomery's REDC on uint64 arrays, exact for every radix that
-    make_modulus accepts.  For R <= 2^32 the double word x*y + m*q stays
-    below 2*q*R <= 2^64, so it is formed directly.  For R = 2^64 the
-    double word is split into 64-bit halves: x*y + m*q is a multiple of
-    2^64, so its low halves cancel and carry exactly when lo(x*y) != 0, and
-    the quotient is hi(x*y) + hi(m*q) + carry (Montgomery, Math. Comp. 1985;
-    the 64-bit word split follows Harvey, J. Symb. Comp. 2014).
+
+def _redc(x, y, wide: bool, c):
+    """Montgomery product x*y/R mod q of words below q, rows of one radix
+    class; c holds that class's constant columns."""
+    if wide:
+        q, qinv, q0, q1 = c
+        lo = x * y                          # wraps mod 2^64
+        hi = _mulhi(x, y & _MASK32, y >> _SH32)
+        mm = lo * qinv
+        u = hi + _mulhi(mm, q0, q1) + (lo != 0)
+    else:
+        q, qinv, rmask, rbits = c
+        t = x * y
+        mm = ((t & rmask) * qinv) & rmask
+        u = (t + mm * q) >> rbits
+    # u < 2q: u - q wraps above u exactly when u < q
+    return np.minimum(u, u - q)
+
+
+class _Kern:
+    """Vector primitives and twiddle tables for one basis.
+
+    Operands are 2-D or 3-D uint64 arrays whose row i (first axis) is
+    reduced modulo the i-th prime; constants are columns of their rank.
+
+    mmul is Montgomery's REDC, exact for every radix that make_modulus
+    accepts.  For R <= 2^32 the double word x*y + m*q stays below
+    2*q*R <= 2^64, so it is formed directly.  For R = 2^64 the double word
+    is split into 64-bit halves: x*y + m*q is a multiple of 2^64, so its
+    low halves cancel and carry exactly when lo(x*y) != 0, and the
+    quotient is hi(x*y) + hi(m*q) + carry (Montgomery, Math. Comp. 1985;
+    the 64-bit word split follows Harvey, J. Symb. Comp. 2014).  A basis
+    that mixes the classes reduces each class's rows with its formula.
     """
 
-    def __init__(self, m: Modulus):
-        self.m = m
-        self._q = np.uint64(m.q)
-        self._qinv = np.uint64(m.q_inv_neg)
-        self._wide = m.r_bits == 64
-        if self._wide:
-            self._q0 = self._q & _MASK32
-            self._q1 = self._q >> _SH32
-        else:
-            self._rmask = np.uint64(m.r - 1)
-            self._rbits = np.uint64(m.r_bits)
-        if m.ntt_ready:
-            br = bitrev_perm(m.n)
-            self.psis = self._powers_sm(m.omega)[br]
-            self.ipsis = self._powers_sm(m.omega_inv)[br]
-            self.ninv_sm = sm_encode(m.n_inv, m)
+    def __init__(self, moduli: tuple[Modulus, ...]):
+        self.moduli = moduli
+        self.q = {d: _column([m.q for m in moduli], d) for d in (2, 3)}
+        self.classes = []   # (rows, wide, REDC columns by rank) per class
+        for wide in (True, False):
+            rows = [i for i, m in enumerate(moduli)
+                    if (m.r_bits == 64) == wide]
+            if not rows:
+                continue
+            consts = [(m.q, m.q_inv_neg, m.q & 0xFFFFFFFF, m.q >> 32) if wide
+                      else (m.q, m.q_inv_neg, m.r - 1, m.r_bits)
+                      for m in (moduli[i] for i in rows)]
+            self.classes.append((
+                slice(None) if len(rows) == len(moduli) else rows, wide,
+                {d: tuple(_column(v, d) for v in zip(*consts))
+                 for d in (2, 3)}))
+        self.psis = self.ipsis = None
+        if all(m.ntt_ready for m in moduli):
+            br = bitrev_perm(moduli[0].n)
+            self.psis = self._powers_sm([m.omega for m in moduli])[:, br]
+            self.ipsis = self._powers_sm([m.omega_inv for m in moduli])[:, br]
+            self.ninv_sm = _column([sm_encode(m.n_inv, m) for m in moduli])
 
-    def _powers_sm(self, w: int) -> np.ndarray:
-        """[w^0, ..., w^(n-1)] in single-Montgomery form, by doubling."""
-        m = self.m
-        pw = np.array([m.r % m.q], dtype=np.uint64)
-        step = np.array([sm_encode(w, m)], dtype=np.uint64)  # w^len(pw)
-        while pw.size < m.n:
-            pw = np.concatenate((pw, self.mmul(pw, step)))
+    def column(self, value) -> np.ndarray:
+        """A Word value as a (rows, 1) column, reduced modulo each prime."""
+        values = value if isinstance(value, tuple) else \
+            (value,) * len(self.moduli)
+        return _column([int(v) % m.q
+                        for v, m in zip(values, self.moduli, strict=True)])
+
+    def _powers_sm(self, ws) -> np.ndarray:
+        """Row i: [w_i^0, ..., w_i^(n-1)] in single-Montgomery form, by
+        doubling."""
+        pw = _column([m.r % m.q for m in self.moduli])
+        step = _column([sm_encode(w, m) for w, m in zip(ws, self.moduli)])
+        while pw.shape[1] < self.moduli[0].n:
+            pw = np.concatenate((pw, self.mmul(pw, step)), axis=1)
             step = self.mmul(step, step)
         return pw
 
     # elementwise Montgomery product x*y/R mod q of an array x and an array
-    # or scalar y, every word below q
+    # or column y, every word below its row's q
     def mmul(self, x, y):
-        x = np.asarray(x, dtype=np.uint64)
-        y = np.asarray(y, dtype=np.uint64)
-        q = self._q
-        if self._wide:
-            lo = x * y                          # wraps mod 2^64
-            hi = _mulhi(x, y & _MASK32, y >> _SH32)
-            mm = lo * self._qinv
-            u = hi + _mulhi(mm, self._q0, self._q1) + (lo != 0)
-        else:
-            t = x * y
-            mm = ((t & self._rmask) * self._qinv) & self._rmask
-            u = (t + mm * q) >> self._rbits
-        # u < 2q: u - q wraps above u exactly when u < q
-        return np.minimum(u, u - q)
+        if len(self.classes) == 1:
+            _, wide, c = self.classes[0]
+            return _redc(x, y, wide, c[x.ndim])
+        x, y = np.broadcast_arrays(x, y)
+        out = np.empty(x.shape, dtype=np.uint64)
+        for rows, wide, c in self.classes:
+            out[rows] = _redc(x[rows], y[rows], wide, c[x.ndim])
+        return out
 
     def madd(self, x, y):
-        q = self._q
-        x = np.asarray(x, dtype=np.uint64)
-        y = np.asarray(y, dtype=np.uint64)
         s = x + y
-        return np.minimum(s, s - q)
+        return np.minimum(s, s - self.q[s.ndim])
 
     def msub(self, x, y):
-        q = self._q
-        x = np.asarray(x, dtype=np.uint64)
-        y = np.asarray(y, dtype=np.uint64)
         d = x - y                               # wraps when x < y
-        return np.minimum(d, d + q)
+        return np.minimum(d, d + self.q[d.ndim])
 
     def ntt(self, a: np.ndarray) -> np.ndarray:
-        if not self.m.ntt_ready:
-            raise ContractError(f"modulus {self.m.q} has no 2n-th root of unity")
-        n = a.size
+        if self.psis is None:
+            raise ContractError("a basis modulus has no 2n-th root of unity")
+        rows, n = a.shape
         a = a.copy()
         t, groups = n, 1
         while groups < n:
             t >>= 1
-            view = a.reshape(groups, 2 * t)
-            s = self.psis[groups:2 * groups].reshape(groups, 1)
-            u = view[:, :t].copy()
-            v = self.mmul(view[:, t:], s)
-            view[:, :t] = self.madd(u, v)
-            view[:, t:] = self.msub(u, v)
+            view = a.reshape(rows, groups, 2 * t)
+            u = view[:, :, :t].copy()
+            v = self.mmul(view[:, :, t:],
+                          self.psis[:, groups:2 * groups, None])
+            view[:, :, :t] = self.madd(u, v)
+            view[:, :, t:] = self.msub(u, v)
             groups <<= 1
         return a
 
     def intt(self, a: np.ndarray, defer_scale: bool) -> np.ndarray:
-        if not self.m.ntt_ready:
-            raise ContractError(f"modulus {self.m.q} has no 2n-th root of unity")
-        n = a.size
+        if self.psis is None:
+            raise ContractError("a basis modulus has no 2n-th root of unity")
+        rows, n = a.shape
         a = a.copy()
         t, groups = 1, n
         while groups > 1:
             h = groups >> 1
-            view = a.reshape(h, 2 * t)
-            s = self.ipsis[h:2 * h].reshape(h, 1)
-            u = view[:, :t].copy()
-            v = view[:, t:].copy()
-            view[:, :t] = self.madd(u, v)
-            view[:, t:] = self.mmul(self.msub(u, v), s)
+            view = a.reshape(rows, h, 2 * t)
+            u = view[:, :, :t].copy()
+            v = view[:, :, t:].copy()
+            view[:, :, :t] = self.madd(u, v)
+            view[:, :, t:] = self.mmul(self.msub(u, v),
+                                       self.ipsis[:, h:2 * h, None])
             t <<= 1
             groups = h
         if not defer_scale:
-            a = self.mmul(a, np.uint64(self.ninv_sm))
+            a = self.mmul(a, self.ninv_sm)
         return a
 
 
-def _kern(m: Modulus) -> _Kern:
-    key = (m.q, m.n, m.r_bits)
+def _kern(moduli) -> _Kern:
+    """The kernel context of a basis (any sequence of moduli)."""
+    key = tuple((m.q, m.n, m.r_bits) for m in moduli)
     if key not in _kern_cache:
-        _kern_cache[key] = _Kern(m)
+        _kern_cache[key] = _Kern(tuple(moduli))
     return _kern_cache[key]
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# the polynomial type
 
-@dataclass(eq=False)
-class ResiduePoly:
-    """One limb: n coefficients modulo a single prime, plus layout metadata."""
+def _poly(basis: RnsBasis, words: np.ndarray, domain: str, order: str,
+          repr: int, scale_deferred: bool = False) -> "RnsPoly":
+    """An RnsPoly around kernel output: no copy and no range check."""
+    p = object.__new__(RnsPoly)
+    p.basis, p.words = basis, words
+    p.domain, p.order, p.repr = domain, order, repr
+    p.scale_deferred = scale_deferred
+    return p
 
-    modulus: Modulus
-    coeffs: np.ndarray
-    domain: str = COEF
-    order: str = NATURAL
-    repr: int = NM
-    scale_deferred: bool = False
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.uint64)
-        if self.coeffs.size != self.modulus.n:
-            raise ValueError(
-                f"expected {self.modulus.n} coefficients, got {self.coeffs.size}")
-        if self.coeffs.size and int(self.coeffs.max()) >= self.modulus.q:
-            raise ValueError("coefficient out of range for modulus")
+class RnsPoly:
+    """words[i] holds the n coefficients modulo basis[i]; domain, order,
+    repr and scale_deferred hold for every row.  RnsPoly(basis, limbs)
+    stacks one one-row polynomial per basis modulus, in basis order."""
 
-    def like(self, coeffs, **changes) -> "ResiduePoly":
-        return replace(self, coeffs=np.asarray(coeffs, dtype=np.uint64),
-                       **changes)
+    __slots__ = ("basis", "words", "domain", "order", "repr",
+                 "scale_deferred")
+
+    def __init__(self, basis: RnsBasis, limbs):
+        limbs = tuple(limbs)
+        if [p.modulus.q for p in limbs] != [m.q for m in basis]:
+            raise ValueError("limb moduli do not match the basis")
+        self.basis = basis
+        self.words = np.concatenate([p.words for p in limbs])
+        self.domain, self.order, self.repr, self.scale_deferred = \
+            _shared_meta(limbs)
+
+    @property
+    def limbs(self) -> tuple["RnsPoly", ...]:
+        """One one-row polynomial per basis modulus, each a view of its row."""
+        return tuple(_poly(RnsBasis((m,)), self.words[i:i + 1], self.domain,
+                           self.order, self.repr, self.scale_deferred)
+                     for i, m in enumerate(self.basis))
+
+    @property
+    def modulus(self) -> Modulus:
+        """The prime of a one-row polynomial (ValueError for more rows)."""
+        (m,) = self.basis
+        return m
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The n words of a one-row polynomial, a view of its row."""
+        (row,) = self.words
+        return row
 
     def to_ints(self) -> list[int]:
-        return [int(c) for c in self.coeffs]
+        return self.coeffs.tolist()
 
 
-@dataclass(eq=False)
-class RnsPoly:
-    """A polynomial in RNS form: one limb per basis modulus, same metadata."""
-
-    basis: RnsBasis
-    limbs: tuple[ResiduePoly, ...]
-
-    def __post_init__(self):
-        if len(self.limbs) != len(self.basis):
-            raise ValueError("limb count does not match basis size")
-        for limb, m in zip(self.limbs, self.basis):
-            if limb.modulus.q != m.q:
-                raise ValueError("limb modulus does not match basis order")
-        metas = {(p.domain, p.order, p.repr, p.scale_deferred)
-                 for p in self.limbs}
-        if len(metas) > 1:
-            raise ValueError("limbs have inconsistent metadata")
-
-    @property
-    def domain(self):
-        return self.limbs[0].domain
-
-    @property
-    def order(self):
-        return self.limbs[0].order
-
-    @property
-    def repr(self):
-        return self.limbs[0].repr
-
-    @property
-    def scale_deferred(self):
-        return self.limbs[0].scale_deferred
-
-    def map(self, fn) -> "RnsPoly":
-        return RnsPoly(self.basis, tuple(fn(p) for p in self.limbs))
+def make_poly(m: Modulus | RnsBasis, coeffs, domain=COEF, order=NATURAL,
+              repr=NM, scale_deferred=False) -> RnsPoly:
+    """A polynomial from outside words, modulo one prime m (n words) or over
+    a basis m (len(m) rows of n words); every word must lie below its
+    row's prime."""
+    basis = m if isinstance(m, RnsBasis) else RnsBasis((m,))
+    words = np.asarray(coeffs, dtype=np.uint64).reshape(len(basis), -1)
+    if words.shape[1] != basis.n:
+        raise ValueError(f"expected {basis.n} coefficients per limb")
+    if (words >= _column([b.q for b in basis])).any():
+        raise ValueError("coefficient out of range for modulus")
+    return _poly(basis, words, domain, order, repr, scale_deferred)
 
 
-def make_poly(m: Modulus, coeffs, domain=COEF, order=NATURAL, repr=NM,
-              scale_deferred=False) -> ResiduePoly:
-    return ResiduePoly(m, np.asarray(coeffs, dtype=np.uint64), domain, order,
-                       repr, scale_deferred)
-
-
-def zero_poly(m: Modulus, domain=COEF, order=NATURAL, repr=NM) -> ResiduePoly:
+def zero_poly(m: Modulus, domain=COEF, order=NATURAL, repr=NM) -> RnsPoly:
     return make_poly(m, np.zeros(m.n, dtype=np.uint64), domain, order, repr)
+
+
+def _shared_meta(parts) -> tuple:
+    metas = {(p.domain, p.order, p.repr, p.scale_deferred) for p in parts}
+    if len(metas) != 1:
+        raise ValueError("limbs have inconsistent metadata")
+    return metas.pop()
+
+
+def gather(basis: RnsBasis, *parts: RnsPoly) -> RnsPoly:
+    """The polynomial over basis that takes each modulus's row from the
+    parts (the last one holding it); the parts share their metadata.
+    Selects limbs (one part) or assembles them (several)."""
+    pos = {m.q: k for k, m in enumerate(m for p in parts for m in p.basis)}
+    missing = [m.q for m in basis if m.q not in pos]
+    if missing:
+        raise ValueError(f"no part holds modulus {missing[0]}")
+    words = np.concatenate([p.words for p in parts])
+    return _poly(basis, words[[pos[m.q] for m in basis]],
+                 *_shared_meta(parts))
 
 
 # ---------------------------------------------------------------------------
 # elementwise vector ops
 
-def _check_pair(a: ResiduePoly, b) -> None:
-    if isinstance(b, ResiduePoly):
-        if a.modulus.q != b.modulus.q or a.modulus.n != b.modulus.n:
+def _check_pair(a: RnsPoly, b) -> None:
+    if isinstance(b, RnsPoly):
+        if [(m.q, m.n) for m in a.basis] != [(m.q, m.n) for m in b.basis]:
             raise ValueError("operand moduli differ")
         if (a.domain, a.order) != (b.domain, b.order):
             raise ContractError("operand domain/order differ")
@@ -304,14 +350,22 @@ def _check_pair(a: ResiduePoly, b) -> None:
 
 def _check_deferred(*polys, absorb=False):
     for p in polys:
-        if isinstance(p, ResiduePoly) and p.scale_deferred and not absorb:
+        if isinstance(p, RnsPoly) and p.scale_deferred and not absorb:
             raise ContractError(
                 "scale-deferred polynomial consumed outside merged base "
                 "conversion")
 
 
-def vec_mmul(a: ResiduePoly, b, *, absorb_deferred=False) -> ResiduePoly:
-    """Elementwise Montgomery product of a limb with a limb or tagged scalar.
+def _operand(k: _Kern, b) -> np.ndarray:
+    """A polynomial's words, or a Word or int as a column."""
+    if isinstance(b, RnsPoly):
+        return b.words
+    return k.column(b.value if isinstance(b, Word) else b)
+
+
+def vec_mmul(a: RnsPoly, b, *, absorb_deferred=False) -> RnsPoly:
+    """Elementwise Montgomery product of a polynomial with a polynomial or
+    tagged scalar.
 
     The result tag follows the representation-composition rule.  Setting
     absorb_deferred marks this multiply as the one allowed consumer of a
@@ -320,66 +374,55 @@ def vec_mmul(a: ResiduePoly, b, *, absorb_deferred=False) -> ResiduePoly:
     """
     _check_pair(a, b)
     _check_deferred(a, b, absorb=absorb_deferred)
-    k = _kern(a.modulus)
-    if isinstance(b, ResiduePoly):
-        tag = compose_repr(a.repr, b.repr)
-        out = k.mmul(a.coeffs, b.coeffs)
-    else:
-        if not isinstance(b, Word):
-            b = Word(int(b), NM)
-        tag = compose_repr(a.repr, b.repr)
-        out = k.mmul(a.coeffs, np.uint64(b.value % a.modulus.q))
-    return a.like(out, repr=tag, scale_deferred=False)
+    k = _kern(a.basis)
+    tag = compose_repr(a.repr, getattr(b, "repr", NM))   # an int is NM
+    return _poly(a.basis, k.mmul(a.words, _operand(k, b)), a.domain, a.order,
+                 tag)
 
 
-def vec_madd(a: ResiduePoly, b) -> ResiduePoly:
-    """Elementwise modular sum; operands must share one representation tag."""
+def vec_madd(a: RnsPoly, b) -> RnsPoly:
+    """Elementwise modular sum; operands must share one representation tag
+    (an int takes the tag of a)."""
     _check_pair(a, b)
     _check_deferred(a, b)
-    k = _kern(a.modulus)
-    if isinstance(b, ResiduePoly):
-        if a.repr != b.repr:
-            raise ContractError("cannot add values in different representations")
-        out = k.madd(a.coeffs, b.coeffs)
-    else:
-        if isinstance(b, Word):
-            if b.repr != a.repr:
-                raise ContractError(
-                    "cannot add values in different representations")
-            b = b.value
-        out = k.madd(a.coeffs, np.uint64(int(b) % a.modulus.q))
-    return a.like(out)
+    if getattr(b, "repr", a.repr) != a.repr:
+        raise ContractError("cannot add values in different representations")
+    k = _kern(a.basis)
+    return _poly(a.basis, k.madd(a.words, _operand(k, b)), a.domain, a.order,
+                 a.repr)
 
 
-def vec_msub(a: ResiduePoly, b: ResiduePoly) -> ResiduePoly:
+def vec_msub(a: RnsPoly, b: RnsPoly) -> RnsPoly:
     if a.repr != b.repr:
         raise ContractError("cannot subtract values in different representations")
     _check_pair(a, b)
     _check_deferred(a, b)
-    return a.like(_kern(a.modulus).msub(a.coeffs, b.coeffs))
+    return _poly(a.basis, _kern(a.basis).msub(a.words, b.words), a.domain,
+                 a.order, a.repr)
 
 
-def vec_neg(a: ResiduePoly) -> ResiduePoly:
+def vec_neg(a: RnsPoly) -> RnsPoly:
     _check_deferred(a)
-    q = np.uint64(a.modulus.q)
-    return a.like(np.where(a.coeffs == 0, a.coeffs, q - a.coeffs))
+    w = a.words
+    out = np.where(w == 0, w, _kern(a.basis).q[2] - w)
+    return _poly(a.basis, out, a.domain, a.order, a.repr)
 
 
-def to_sm(a: ResiduePoly) -> ResiduePoly:
-    """Lift an NM limb into single-Montgomery form (multiply by R^2)."""
+def to_sm(a: RnsPoly) -> RnsPoly:
+    """Lift an NM polynomial into single-Montgomery form (multiply by R^2)."""
     if a.repr != NM:
         raise ContractError("to_sm expects an NM operand")
-    return vec_mmul(a, Word(a.modulus.r2, DM))
+    return vec_mmul(a, Word(tuple(m.r2 for m in a.basis), DM))
 
 
-def from_sm(a: ResiduePoly) -> ResiduePoly:
-    """Drop an SM limb back to canonical integers (multiply by 1)."""
+def from_sm(a: RnsPoly) -> RnsPoly:
+    """Drop an SM polynomial back to canonical integers (multiply by 1)."""
     if a.repr != SM:
         raise ContractError("from_sm expects an SM operand")
     return vec_mmul(a, Word(1, NM))
 
 
-def mac_fused(acc: ResiduePoly, a: ResiduePoly, b) -> ResiduePoly:
+def mac_fused(acc: RnsPoly, a: RnsPoly, b) -> RnsPoly:
     """acc + a*b, bit-exactly the two-op composition."""
     return vec_madd(acc, vec_mmul(a, b))
 
@@ -387,16 +430,15 @@ def mac_fused(acc: ResiduePoly, a: ResiduePoly, b) -> ResiduePoly:
 # ---------------------------------------------------------------------------
 # NTT
 
-def ntt_fwd(a: ResiduePoly) -> ResiduePoly:
+def ntt_fwd(a: RnsPoly) -> RnsPoly:
     """Negacyclic NTT: evaluations at psi^(2j+1), emitted bit-reversed."""
     if a.domain != COEF or a.order != NATURAL:
         raise ContractError("forward NTT expects natural coefficient order")
     _check_deferred(a)
-    out = _kern(a.modulus).ntt(a.coeffs)
-    return a.like(out, domain=NTT, order=BITREV)
+    return _poly(a.basis, _kern(a.basis).ntt(a.words), NTT, BITREV, a.repr)
 
 
-def ntt_inv(a: ResiduePoly, defer_scale: bool = False) -> ResiduePoly:
+def ntt_inv(a: RnsPoly, defer_scale: bool = False) -> RnsPoly:
     """Inverse NTT back to natural coefficient order.
 
     With defer_scale the final 1/N multiply is skipped: the output equals N
@@ -406,12 +448,11 @@ def ntt_inv(a: ResiduePoly, defer_scale: bool = False) -> ResiduePoly:
     if a.domain != NTT or a.order != BITREV:
         raise ContractError("inverse NTT expects bit-reversed ntt order")
     _check_deferred(a)
-    out = _kern(a.modulus).intt(a.coeffs, defer_scale)
-    return a.like(out, domain=COEF, order=NATURAL,
-                  scale_deferred=defer_scale)
+    out = _kern(a.basis).intt(a.words, defer_scale)
+    return _poly(a.basis, out, COEF, NATURAL, a.repr, defer_scale)
 
 
-def negacyclic_mul(a: ResiduePoly, b: ResiduePoly) -> ResiduePoly:
+def negacyclic_mul(a: RnsPoly, b: RnsPoly) -> RnsPoly:
     """a*b mod (X^n + 1), via NTT -> elementwise product -> inverse NTT."""
     _check_pair(a, b)
     if a.domain != COEF:
@@ -446,6 +487,9 @@ class BconvTables:
 def make_bconv_tables(src: RnsBasis, dst: RnsBasis) -> BconvTables:
     if {m.q for m in src} & {m.q for m in dst}:
         raise ValueError("source and destination bases overlap")
+    if len(src) > 32:
+        raise ValueError("base conversion sums at most 32 source limbs in "
+                         "one word")
     qprod = src.product
     s1m, s1p, s2 = [], [], []
     for mj in src:
@@ -471,28 +515,19 @@ def make_bconv_tables(src: RnsBasis, dst: RnsBasis) -> BconvTables:
     return BconvTables(src, dst, tuple(s1m), tuple(s1p), tuple(s2))
 
 
-def _reinterpret_nm(p: ResiduePoly, m: Modulus) -> ResiduePoly:
-    """Move canonical-integer (NM) words under a different modulus."""
-    if p.repr != NM:
-        raise ContractError("only NM words are modulus-independent")
-    words = p.coeffs % np.uint64(m.q) if m.q <= int(p.modulus.q) else p.coeffs
-    return make_poly(m, words, p.domain, p.order, NM)
-
-
-def _bconv_stage2(tj: list[ResiduePoly], tables: BconvTables) -> list[ResiduePoly]:
-    out = []
-    for i, mi in enumerate(tables.dst):
-        acc = None
-        for j in range(len(tables.src)):
-            term = vec_mmul(_reinterpret_nm(tj[j], mi),
-                            Word(tables.stage2[j][i], DM))
-            acc = term if acc is None else vec_madd(acc, term)
-        out.append(acc)
-    return out
+def _bconv_stage2(tj: RnsPoly, tables: BconvTables) -> RnsPoly:
+    """Row i of the output: the sum over j of (t_j mod p_i) * (qhat_j mod
+    p_i), NM words times DM constants, so the sums land in SM."""
+    k = _kern(tables.dst)
+    # (dst, src, n) terms; each is below its p_i < 2^59, so a sum of at
+    # most 32 of them fits one word
+    terms = k.mmul(tj.words[None] % k.q[3],
+                   np.array(tables.stage2, dtype=np.uint64).T[:, :, None])
+    return _poly(tables.dst, terms.sum(axis=1) % k.q[2], COEF, NATURAL, SM)
 
 
 def bconv(a: RnsPoly, dst: RnsBasis, tables: BconvTables | None = None) -> RnsPoly:
-    """Fast base conversion of NM coefficient-domain limbs.
+    """Fast base conversion of an NM coefficient-domain polynomial.
 
     Output residues may exceed the exact CRT value by e * prod(q_j) with
     0 <= e < |src|; callers that need exactness must correct downstream.
@@ -501,10 +536,8 @@ def bconv(a: RnsPoly, dst: RnsBasis, tables: BconvTables | None = None) -> RnsPo
         raise ContractError("bconv expects NM limbs in coefficient domain")
     if tables is None:
         tables = make_bconv_tables(a.basis, dst)
-    tj = [vec_mmul(a.limbs[j], Word(tables.stage1_plain[j], SM))
-          for j in range(len(a.basis))]
-    out = [from_sm(p) for p in _bconv_stage2(tj, tables)]
-    return RnsPoly(dst, tuple(out))
+    tj = vec_mmul(a, Word(tables.stage1_plain, SM))
+    return from_sm(_bconv_stage2(tj, tables))
 
 
 def bconv_merged(a: RnsPoly, tables: BconvTables) -> RnsPoly:
@@ -520,10 +553,8 @@ def bconv_merged(a: RnsPoly, tables: BconvTables) -> RnsPoly:
         raise ContractError("merged bconv expects a scale-deferred input")
     if a.domain != COEF:
         raise ContractError("merged bconv expects coefficient domain")
-    tj = [vec_mmul(a.limbs[j], Word(tables.stage1_merged[j], NM),
-                   absorb_deferred=True)
-          for j in range(len(a.basis))]
-    return RnsPoly(tables.dst, tuple(_bconv_stage2(tj, tables)))
+    tj = vec_mmul(a, Word(tables.stage1_merged, NM), absorb_deferred=True)
+    return _bconv_stage2(tj, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +568,21 @@ def automorphism_map(i: int, s: int, n: int) -> tuple[int, int]:
     return t % n, (-1 if t >= n else 1)
 
 
-def automorphism_apply(a: ResiduePoly, s: int) -> ResiduePoly:
+def automorphism_apply(a: RnsPoly, s: int) -> RnsPoly:
     """Apply the rotation automorphism in the coefficient domain."""
     if a.domain != COEF or a.order != NATURAL:
         raise ContractError("coefficient automorphism expects natural order")
     _check_deferred(a)
-    n, q = a.modulus.n, a.modulus.q
-    out = np.zeros(n, dtype=np.uint64)
+    n = a.basis.n
+    dest = np.empty(n, dtype=np.int64)
+    neg = np.empty(n, dtype=bool)
     for i in range(n):
-        j, sign = automorphism_map(i, s, n)
-        c = int(a.coeffs[i])
-        out[j] = c if (sign > 0 or c == 0) else q - c
-    return a.like(out)
+        dest[i], sign = automorphism_map(i, s, n)
+        neg[i] = sign < 0
+    w = a.words
+    out = np.empty_like(w)
+    out[:, dest] = np.where(neg & (w != 0), _kern(a.basis).q[2] - w, w)
+    return _poly(a.basis, out, a.domain, a.order, a.repr)
 
 
 _auto_perm_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -576,13 +610,13 @@ def automorphism_ntt_perm(n: int, s: int) -> np.ndarray:
     return _auto_perm_cache[key]
 
 
-def automorphism_ntt(a: ResiduePoly, s: int) -> ResiduePoly:
+def automorphism_ntt(a: RnsPoly, s: int) -> RnsPoly:
     """Rotation automorphism applied directly to bit-reversed NTT data."""
     if a.domain != NTT or a.order != BITREV:
         raise ContractError("ntt automorphism expects bit-reversed ntt order")
     _check_deferred(a)
-    perm = automorphism_ntt_perm(a.modulus.n, s)
-    return a.like(a.coeffs[perm])
+    perm = automorphism_ntt_perm(a.basis.n, s)
+    return _poly(a.basis, a.words[:, perm], a.domain, a.order, a.repr)
 
 
 def automorphism_row_map(n: int, s: int, lanes: int) -> list[int]:

@@ -142,6 +142,8 @@ def make_modulus(q: int, n: int, r_bits: int | None = None) -> Modulus:
         raise ValueError(f"{q} is not prime")
     if r_bits is None:
         r_bits = 32 if q < (1 << 31) else 64
+    if not 0 < r_bits <= 64:
+        raise ValueError(f"Montgomery radix 2^{r_bits} out of range")
     r = 1 << r_bits
     if r <= q:
         raise ValueError(f"Montgomery radix 2^{r_bits} must exceed q={q}")
@@ -270,7 +272,4 @@ class RnsBasis:
 
     @property
     def product(self) -> int:
-        p = 1
-        for m in self.moduli:
-            p *= m.q
-        return p
+        return math.prod(m.q for m in self.moduli)

@@ -120,10 +120,8 @@ def test_bconv_merged_equals_unmerged_corpus():
         limbs = tuple(ntt_fwd(make_poly(m, rng.integers(0, m.q, 256).tolist(),
                                         repr=SM)) for m in c)
         a = RnsPoly(c, limbs)
-        merged = bconv_merged(a.map(lambda p: ntt_inv(p, defer_scale=True)),
-                              tables)
-        finished = a.map(lambda p: from_sm(ntt_inv(p)))
-        ref = bconv(finished, tables.dst, tables).map(to_sm)
+        merged = bconv_merged(ntt_inv(a, defer_scale=True), tables)
+        ref = to_sm(bconv(from_sm(ntt_inv(a)), tables.dst, tables))
         for g, r in zip(merged.limbs, ref.limbs):
             assert g.to_ints() == r.to_ints()
     assert time.time() - t0 < 10

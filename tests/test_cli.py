@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import signal
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from effact.asm import assemble_binary, save_image
 from effact.cli import main
 from effact.compiler import compile_program
 from effact.ir import blank_image, parse_ir
+from effact.rns import SM
 from effact.workloads import WorkloadParams, gen_keyswitch
 
 SMALL = """\
@@ -175,6 +177,90 @@ def test_sim_survives_one_corrupt_byte(desk_ebin, data):
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = main(["sim", str(path)])
+    assert code == 0 or (code == 1 and "error[" in err.getvalue())
+
+
+TINY = ".n 8\n.mod q0 17\n.dram x 2\n.dram y 1\n"
+
+
+def tiny_image(**layout):
+    from effact.poly import make_poly
+    from effact.rns import make_modulus
+    img = blank_image(parse_ir(TINY))
+    m = make_modulus(17, 8)
+    img.dram["x"] = [make_poly(m, [k + 1] * 8, **layout) for k in range(2)]
+    return save_image(img, 8)
+
+
+@pytest.mark.parametrize("body,layout,what", [
+    ("%b = mmul %a, %a, q0", {}, "cannot MontMult nm by nm"),
+    ("%b = ntt %a, q0", {"domain": "ntt", "order": "bit-reversed"},
+     "forward NTT expects natural coefficient order"),
+])
+def test_exec_kernel_contract_is_tagged(tmp_path, capsys, body, layout,
+                                        what):
+    prog, mem = tmp_path / "p.eir", tmp_path / "in.emem"
+    prog.write_text(TINY + f"%a = load @x[0]\n{body}\nstore %b, @y[0]\n")
+    mem.write_bytes(tiny_image(**layout))
+    assert main(["exec", str(prog), "--image", str(mem)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[exec]:") and what in err
+
+
+def edit_manifest(blob: bytes, edit) -> bytes:
+    (mlen,) = struct.unpack("<I", blob[8:12])
+    manifest = json.loads(blob[12:12 + mlen])
+    edit(manifest)
+    text = json.dumps(manifest).encode()
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + mlen:]
+
+
+def test_exec_rejects_bad_image_manifest(tmp_path, capsys):
+    prog, mem = tmp_path / "p.eir", tmp_path / "in.emem"
+    prog.write_text(TINY + "%a = load @x[0]\nstore %a, @y[0]\n")
+    good = tiny_image(repr=SM)
+    mem.write_bytes(good)
+    assert main(["exec", str(prog), "--image", str(mem)]) == 0
+
+    def slot(**kw):
+        return lambda m: m["symbols"][0]["slots"][0].update(kw)
+    edits = [slot(domain="weird"), slot(order="sideways"), slot(repr="xm"),
+             slot(q="17"), slot(deferred=0), slot(r_bits=True),
+             lambda m: m["symbols"][0]["slots"][0].pop("r_bits"),
+             lambda m: m["symbols"][0].update(count=3),
+             lambda m: m.update(symbols={}), lambda m: m.pop("n")]
+    bad = [edit_manifest(good, e) for e in edits]
+    bad += [good[:-1], good + b"\0", good[:10],
+            edit_manifest(good, slot(q=16)),
+            edit_manifest(good, lambda m: m.update(n=0))]
+    for blob in bad:
+        mem.write_bytes(blob)
+        assert main(["exec", str(prog), "--image", str(mem)]) == 1
+        assert capsys.readouterr().err.startswith("error[image]:")
+
+
+@pytest.fixture(scope="module")
+def tiny_exec(tmp_path_factory):
+    d = tmp_path_factory.mktemp("image_fuzz")
+    prog, mem = d / "p.eir", d / "in.emem"
+    prog.write_text(TINY + "%a = load @x[0]\n%b = load @x[1]\n"
+                    "%m = mmul %a, %b, q0\nstore %m, @y[0]\n")
+    return str(prog), mem, tiny_image(repr=SM)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exec_survives_one_corrupt_image_byte(tiny_exec, data):
+    prog, path, blob = tiny_exec
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    bad = bytearray(blob)
+    bad[at] = data.draw(st.sampled_from((0x00, 0x7b, 0xff))
+                        | st.integers(0, 255), label="byte")
+    path.write_bytes(bytes(bad))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["exec", prog, "--image", str(path)])
     assert code == 0 or (code == 1 and "error[" in err.getvalue())
 
 

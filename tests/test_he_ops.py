@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+
+from effact.asm import load_image, save_image
 
 from effact.ckks import (
     Ciphertext,
@@ -19,7 +23,8 @@ from effact.ckks import (
     rescale,
     serialize_ciphertext,
 )
-from effact.poly import RnsPoly, vec_madd, vec_mmul, zero_poly
+from effact.ir import IrError, MemoryImage
+from effact.poly import RnsPoly, make_poly, vec_madd, vec_mmul, zero_poly
 from effact.rns import SM
 
 
@@ -223,6 +228,36 @@ def test_serialization_round_trip(setup):
         assert x.to_ints() == y.to_ints()
     with pytest.raises(ValueError):
         deserialize_ciphertext(b"XXXXXXXX" + blob[8:], params)
+
+
+def test_deserialize_checks_length(setup):
+    params, sk, _, _ = setup
+    blob = serialize_ciphertext(encrypt([0.5], params, sk, seed=29))
+    for bad in (blob[:20], blob[:-1], blob + b"\0"):
+        with pytest.raises(ValueError):
+            deserialize_ciphertext(bad, params)
+
+
+def test_outside_words_are_range_checked(setup):
+    # the constructors of outside data reject a word >= q
+    params, sk, _, _ = setup
+    m = params.chain[1]
+    make_poly(m, [m.q - 1] * m.n)
+    with pytest.raises(ValueError, match="out of range"):
+        make_poly(m, [0] * (m.n - 1) + [m.q])
+    img = MemoryImage({"x": [make_poly(m, [m.q - 1] * m.n)]})
+    blob = save_image(img, m.n)
+    load_image(blob)
+    with pytest.raises(IrError, match="out of range"):
+        load_image(blob[:-8] + struct.pack("<Q", m.q))
+    ct = encrypt([0.5], params, sk, seed=30)
+    blob = serialize_ciphertext(ct)
+    # the last word of c0's last limb, modulo the top prime
+    at = 32 + 8 * len(ct.c0.basis) * (1 + params.n) - 8
+    q = ct.c0.basis[-1].q
+    with pytest.raises(ValueError, match="out of range"):
+        deserialize_ciphertext(
+            blob[:at] + struct.pack("<Q", q) + blob[at + 8:], params)
 
 
 def test_secret_key_limbs_are_per_key(setup):

@@ -12,7 +12,6 @@ from effact.poly import (
     NTT,
     SM,
     ContractError,
-    ResiduePoly,
     RnsPoly,
     Word,
     automorphism_apply,
@@ -105,7 +104,7 @@ def test_vec_madd():
     assert vec_madd(a, vec_neg(a)).to_ints() == [0] * 8
     assert vec_msub(a, a).to_ints() == [0] * 8
     with pytest.raises(ContractError):
-        vec_madd(a, a.like(a.coeffs, repr=SM))
+        vec_madd(a, make_poly(m, a.coeffs, repr=SM))
 
 
 def test_mont_tag_tracking():
@@ -300,10 +299,8 @@ def ntt_ready_bases():
 
 def merged_oracle(a_ntt, tables):
     """Unmerged pipeline: exact iNTT, decode, convert, re-encode."""
-    finished = a_ntt.map(lambda p: ntt_inv(p))
-    nm = finished.map(from_sm)
-    out = bconv(nm, tables.dst, tables)
-    return out.map(to_sm)
+    out = bconv(from_sm(ntt_inv(a_ntt)), tables.dst, tables)
+    return to_sm(out)
 
 
 def test_bconv_merged_small():
@@ -313,7 +310,7 @@ def test_bconv_merged_small():
     for _ in range(30):
         limbs = tuple(ntt_fwd(rand_poly(m, rng, repr=SM)) for m in c)
         a = RnsPoly(c, limbs)
-        deferred = a.map(lambda p: ntt_inv(p, defer_scale=True))
+        deferred = ntt_inv(a, defer_scale=True)
         got = bconv_merged(deferred, tables)
         ref = merged_oracle(a, tables)
         for g, r in zip(got.limbs, ref.limbs):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effact.poly import _kern, bitrev_perm
+from effact.poly import _kern, bconv, bitrev_perm, make_poly
 from effact.rns import (
+    RnsBasis,
     is_prime,
     make_modulus,
     make_modulus_chain,
@@ -53,10 +54,10 @@ def test_mmul_array_by_array(data):
     m = data.draw(ntt_moduli())
     size = data.draw(st.integers(1, 64))
     xs, ys = data.draw(words(m, size)), data.draw(words(m, size))
-    got = _kern(m).mmul(np.array(xs, dtype=np.uint64),
-                        np.array(ys, dtype=np.uint64))
+    got = _kern((m,)).mmul(np.array([xs], dtype=np.uint64),
+                           np.array([ys], dtype=np.uint64))
     assert got.dtype == np.uint64
-    assert [int(v) for v in got] == expect(xs, ys, m)
+    assert [int(v) for v in got[0]] == expect(xs, ys, m)
 
 
 @settings(deadline=None)
@@ -65,8 +66,8 @@ def test_mmul_array_by_scalar(data):
     m = data.draw(ntt_moduli())
     xs = data.draw(words(m, data.draw(st.integers(1, 64))))
     y = data.draw(st.integers(0, m.q - 1))
-    got = _kern(m).mmul(np.array(xs, dtype=np.uint64), np.uint64(y))
-    assert [int(v) for v in got] == expect(xs, [y] * len(xs), m)
+    got = _kern((m,)).mmul(np.array([xs], dtype=np.uint64), np.uint64(y))
+    assert [int(v) for v in got[0]] == expect(xs, [y] * len(xs), m)
 
 
 @settings(deadline=None)
@@ -75,9 +76,9 @@ def test_mmul_edge_words(m):
     edge = sorted({0, 1, m.q - 2, m.q - 1})
     xs = [x for x in edge for _ in edge]
     ys = edge * len(edge)
-    got = _kern(m).mmul(np.array(xs, dtype=np.uint64),
-                        np.array(ys, dtype=np.uint64))
-    assert [int(v) for v in got] == expect(xs, ys, m)
+    got = _kern((m,)).mmul(np.array([xs], dtype=np.uint64),
+                           np.array([ys], dtype=np.uint64))
+    assert [int(v) for v in got[0]] == expect(xs, ys, m)
 
 
 @pytest.mark.parametrize("n,bits,r_bits", [
@@ -86,9 +87,41 @@ def test_mmul_edge_words(m):
 ])
 def test_twiddle_tables_match_pow(n, bits, r_bits):
     m = make_modulus_chain(n, 1, bits, r_bits=r_bits)[0]
-    k = _kern(m)
+    k = _kern((m,))
     br = bitrev_perm(n)
-    assert [int(v) for v in k.psis] == \
+    assert [int(v) for v in k.psis[0]] == \
         [sm_encode(pow(m.omega, int(br[i]), m.q), m) for i in range(n)]
-    assert [int(v) for v in k.ipsis] == \
+    assert [int(v) for v in k.ipsis[0]] == \
         [sm_encode(pow(m.omega_inv, int(br[i]), m.q), m) for i in range(n)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_mixed_radix_basis_matches_mont_mul(data):
+    # one basis, rows of both radix classes: a 30-bit prime (R = 2^32) and
+    # a 45-bit prime (R = 2^64), in either order
+    n = 64
+    r32, r64 = make_modulus_chain(n, 2, 30), make_modulus_chain(n, 2, 45)
+    basis = data.draw(st.permutations((r32[0], r64[0])))
+    assert sorted(m.r_bits for m in basis) == [32, 64]
+    xs = [data.draw(words(m, n)) for m in basis]
+    ys = [data.draw(words(m, n)) for m in basis]
+    k = _kern(basis)
+    got = k.mmul(np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64))
+    assert got.tolist() == [expect(x, y, m) for x, y, m in zip(xs, ys, basis)]
+    # the transforms of the stacked rows equal each row's own transform
+    a = np.array(xs, dtype=np.uint64)
+    rows = [_kern((m,)) for m in basis]
+    assert k.ntt(a).tolist() == [r.ntt(a[i:i + 1])[0].tolist()
+                                 for i, r in enumerate(rows)]
+    assert k.intt(a, False).tolist() == [
+        r.intt(a[i:i + 1], False)[0].tolist() for i, r in enumerate(rows)]
+    # fast base conversion into another mixed basis, against its formula
+    # sum_j [x_j * qhat_j^-1 mod q_j] * qhat_j mod p_i
+    src, dst = RnsBasis(tuple(basis)), RnsBasis((r64[1], r32[1]))
+    qprod = src.product
+    want = [[sum(x[c] * pow(qprod // m.q, -1, m.q) % m.q * (qprod // m.q)
+                  for x, m in zip(xs, src)) % p.q for c in range(n)]
+            for p in dst]
+    got = bconv(make_poly(src, xs), dst)
+    assert got.words.tolist() == want

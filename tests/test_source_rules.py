@@ -40,3 +40,15 @@ def test_one_interpreter_of_scalar_control_flow():
              if isinstance(node, ast.Constant)
              and node.value in ("loop", "endloop", "skipz")]
     assert found == []
+
+
+def test_no_per_limb_loops_in_ckks():
+    # ckks calls each kernel once per polynomial: no loop or comprehension
+    # walks the limbs of one
+    path = Path(effact.__file__).parent / "ckks.py"
+    iters = [node.iter for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.For, ast.comprehension))]
+    found = [f"ckks.py:{it.lineno}" for it in iters
+             for node in ast.walk(it)
+             if isinstance(node, ast.Attribute) and node.attr == "limbs"]
+    assert found == []

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effact import ckks
 from effact.compiler import (
@@ -70,27 +73,104 @@ def test_keyswitch_matches_he_ops():
         assert limbs_of(res, "out1") == [l.to_ints() for l in ks1.limbs]
 
 
+def rescale_text(wp: WorkloadParams, l: int) -> str:
+    """ct0/ct1 at level l, rescaled into out0/out1 by _emit_divide."""
+    b = _Builder(wp)
+    for sym in ("ct0", "ct1"):
+        b.dram(sym, l + 1)
+        b.dram("out" + sym[-1], l)
+    keep, drop = [f"q{k}" for k in range(l)], [f"q{l}"]
+    for sym, out in (("ct0", "out0"), ("ct1", "out1")):
+        comp = [b.load(sym, k) for k in range(l + 1)]
+        for k, reg in enumerate(_emit_divide(b, comp, keep, drop)):
+            b.store(reg, out, k)
+    return b.text()
+
+
 def test_rescale_matches_he_ops():
     params, sk, _, _ = keys()
     for l in (WP.levels, 1):
         ct = ckks.encrypt([0.25, -0.5, 0.125], params, sk, seed=15, level=l)
         want = ckks.rescale(ct, params)
-        b = _Builder(WP)
-        for sym in ("ct0", "ct1"):
-            b.dram(sym, l + 1)
-            b.dram("out" + sym[-1], l)
-        keep, drop = [f"q{k}" for k in range(l)], [f"q{l}"]
-        for sym, out in (("ct0", "out0"), ("ct1", "out1")):
-            comp = [b.load(sym, k) for k in range(l + 1)]
-            for k, reg in enumerate(_emit_divide(b, comp, keep, drop)):
-                b.store(reg, out, k)
-        text = b.text()
+        text = rescale_text(WP, l)
         src = parse_ir(text)
         img = ciphertext_into(blank_image(src), ct)
         for prog in (src, compile_program(text)):
             res = execute_program(prog, img.clone())
             assert limbs_of(res, "out0") == [x.to_ints() for x in want.c0.limbs]
             assert limbs_of(res, "out1") == [x.to_ints() for x in want.c1.limbs]
+
+
+# differential tests: source and compiled programs against ckks at drawn
+# desk points (n = 256)
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=12, deadline=None)
+
+
+@st.composite
+def desk_points(draw, min_level=0):
+    levels = draw(st.integers(2, 5), label="levels")
+    dnum = draw(st.sampled_from((2, 4)), label="dnum")
+    level = draw(st.integers(min_level, levels), label="level")
+    return WorkloadParams(n=256, levels=levels, dnum=dnum, level=level)
+
+
+@functools.lru_cache(maxsize=None)
+def keys_at(levels: int, dnum: int, step: int | None = None):
+    params = ckks_params(WorkloadParams(n=256, levels=levels, dnum=dnum))
+    steps = () if step is None else (step,)
+    return params, *ckks.keygen_small(params, seed=3, rot_steps=steps)
+
+
+def encrypted(wp, sk, params, seed):
+    return ckks.encrypt([0.25, -0.5, 0.125], params, sk, seed=seed,
+                        level=wp.l)
+
+
+@DIFFERENTIAL
+@given(desk_points())
+def test_keyswitch_programs_match_he_ops_at_drawn_points(wp):
+    params, sk, evk, _ = keys_at(wp.levels, wp.dnum)
+    d2 = encrypted(wp, sk, params, 16).c1
+    ks0, ks1 = ckks.key_switch(d2, evk, params, wp.l)
+    text = gen_keyswitch(wp)
+    img = keyswitch_image(parse_ir(text), wp, d2, evk)
+    for prog in (parse_ir(text), compile_program(text)):
+        res = execute_program(prog, img)
+        assert limbs_of(res, "out0") == [l.to_ints() for l in ks0.limbs]
+        assert limbs_of(res, "out1") == [l.to_ints() for l in ks1.limbs]
+
+
+@DIFFERENTIAL
+@given(desk_points(min_level=1))
+def test_rescale_programs_match_he_ops_at_drawn_points(wp):
+    params, sk, _, _ = keys_at(wp.levels, wp.dnum)
+    ct = encrypted(wp, sk, params, 17)
+    want = ckks.rescale(ct, params)
+    text = rescale_text(wp, wp.l)
+    img = ciphertext_into(blank_image(parse_ir(text)), ct)
+    for prog in (parse_ir(text), compile_program(text)):
+        res = execute_program(prog, img)
+        assert limbs_of(res, "out0") == [x.to_ints() for x in want.c0.limbs]
+        assert limbs_of(res, "out1") == [x.to_ints() for x in want.c1.limbs]
+
+
+@DIFFERENTIAL
+@given(desk_points(), st.integers(1, 127))
+def test_hoisted_rotation_decrypts_like_hrot_at_drawn_points(wp, s):
+    params, sk, _, rot_keys = keys_at(wp.levels, wp.dnum, s)
+    ct = encrypted(wp, sk, params, 18)
+    want = ckks.decrypt(ckks.hrot(ct, s, rot_keys, params), sk, params)
+    text = gen_hoisted_rotations(wp, steps=(s,))
+    img = ciphertext_into(blank_image(parse_ir(text)), ct)
+    _fill_keys(img, wp, rot_keys[s], f"rkb{s}_", f"rka{s}_")
+    for prog in (parse_ir(text), compile_program(text)):
+        res = execute_program(prog, img)
+        got = ckks.Ciphertext(
+            ckks.RnsPoly(ct.c0.basis, tuple(res.dram[f"rot{s}c0"])),
+            ckks.RnsPoly(ct.c0.basis, tuple(res.dram[f"rot{s}c1"])),
+            wp.l, ct.scale)
+        assert np.allclose(ckks.decrypt(got, sk, params), want, atol=1e-4)
 
 
 def test_keyswitch_structure():
