@@ -22,6 +22,8 @@ from .asm import (
 )
 from .compiler import HardwareDescription, compile_program, lower, parse_hw, unroll
 from .ir import ExecError, IrError, blank_image, execute_program, parse_ir
+from .poly import ContractError
+from .rns import ReprError
 from .sim import compare_streaming, simulate, sweep_sram
 from . import workloads
 
@@ -140,7 +142,7 @@ def _cmd_exec(args) -> int:
         img = blank_image(prog)
     try:
         res = execute_program(prog, img)
-    except (ExecError, ValueError) as e:   # IrError, kernel contracts
+    except (ExecError, IrError, ReprError, ContractError) as e:
         raise CliError("exec", str(e))
     if args.output:
         _write(args.output, save_image(res, prog.n), binary=True)

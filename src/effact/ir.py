@@ -28,6 +28,7 @@ from .poly import (
     bconv,
     bconv_merged,
     from_sm,
+    gather,
     mac_fused,
     make_bconv_tables,
     make_poly,
@@ -392,6 +393,9 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
         srcs = tuple(_parse_operand(t, lineno) for t in args.split())
         for m in srcm + dstm:
             _require_mod(prog, m, lineno)
+        qs = [prog.moduli[m].q for m in srcm + dstm]
+        if len(set(qs)) != len(qs):
+            raise IrError("bconv moduli must be pairwise distinct", lineno)
         if len(srcs) != len(srcm) or len(dests) != len(dstm):
             raise IrError("bconv operand/basis arity mismatch", lineno)
         return Instr(op, dests, srcs, None, flags,
@@ -597,10 +601,13 @@ def _operand_value(env, img, o):
     raise ExecError(f"cannot evaluate operand {o}")
 
 
-def _fit_modulus(poly: RnsPoly, m: Modulus, op: str) -> RnsPoly:
+def _fit_modulus(poly: RnsPoly, m: Modulus, op: str,
+                 movable: bool = False) -> RnsPoly:
+    """poly as an operand modulo m; only a movable multiplicand may come
+    from another modulus."""
     if poly.modulus.q == m.q:
         return poly
-    if op not in ("mmul", "mac"):
+    if not movable:
         raise ExecError(f"{op}: operand modulus {poly.modulus.q} != {m.q}")
     # canonical integers move freely between moduli
     if poly.repr != NM:
@@ -622,8 +629,10 @@ def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
 
 def _step(prog: Program, i: Instr, env, img: MemoryImage):
     """Execute one vector instruction whose addresses are concrete."""
-    def val(o):
-        return _operand_value(env, img, o)
+    m = prog.moduli[i.mod] if i.mod else None
+
+    def val(o, movable=False):
+        return _fit_modulus(_operand_value(env, img, o), m, op, movable)
 
     def setd(v):
         d = i.dests[0]
@@ -636,12 +645,11 @@ def _step(prog: Program, i: Instr, env, img: MemoryImage):
     op = i.op
     if op == "store":
         a = i.srcs[1]
-        img.put(a.sym, a.base, val(i.srcs[0]))
+        img.put(a.sym, a.base, _operand_value(env, img, i.srcs[0]))
         return
     if op in ("load", "copy"):
-        setd(val(i.srcs[0]))
+        setd(_operand_value(env, img, i.srcs[0]))
         return
-    m = prog.moduli[i.mod] if i.mod else None
     if op == "ntt":
         setd(ntt_fwd(val(i.srcs[0])))
         return
@@ -659,18 +667,13 @@ def _step(prog: Program, i: Instr, env, img: MemoryImage):
                 raise ExecError(f"constant !{bsrc.name} is for modulus "
                                 f"{cmod}, not {i.mod}")
         else:
-            b, absorb = val(bsrc), False
-            if isinstance(b, RnsPoly):
-                b = _fit_modulus(b, m, op)
+            b, absorb = val(bsrc, movable=op != "mmad"), False
         if op == "mmul":
-            a = _fit_modulus(val(i.srcs[0]), m, op)
-            setd(vec_mmul(a, b, absorb_deferred=absorb))
+            setd(vec_mmul(val(i.srcs[0], True), b, absorb_deferred=absorb))
         elif op == "mmad":
             setd(vec_madd(val(i.srcs[0]), b))
         else:
-            acc = val(i.srcs[0])
-            x = _fit_modulus(val(i.srcs[1]), m, op)
-            setd(mac_fused(acc, x, b))
+            setd(mac_fused(val(i.srcs[0]), val(i.srcs[1], True), b))
         return
     if op == "bconv":
         _exec_bconv(prog, i, env, img)
@@ -683,7 +686,8 @@ def _exec_bconv(prog, i, env, img):
     # identical to the lowered micro-op sequence by Montgomery associativity
     src = RnsBasis(tuple(prog.moduli[m] for m in i.meta["src_mods"]))
     dst = RnsBasis(tuple(prog.moduli[m] for m in i.meta["dst_mods"]))
-    x = RnsPoly(src, [_operand_value(env, img, s) for s in i.srcs])
+    x = gather(src, *(_fit_modulus(_operand_value(env, img, s), m, "bconv")
+                      for s, m in zip(i.srcs, src)))
     tables = make_bconv_tables(src, dst)
     # SM sources; finished-iNTT ones convert as canonical integers
     out = bconv_merged(x, tables) if x.scale_deferred else \

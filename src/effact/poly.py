@@ -21,6 +21,7 @@ form so the data path never permutes anything.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -269,12 +270,11 @@ class RnsPoly:
 
     def __init__(self, basis: RnsBasis, limbs):
         limbs = tuple(limbs)
-        if [p.modulus.q for p in limbs] != [m.q for m in basis]:
+        if [m.q for p in limbs for m in p.basis] != [m.q for m in basis]:
             raise ValueError("limb moduli do not match the basis")
-        self.basis = basis
-        self.words = np.concatenate([p.words for p in limbs])
-        self.domain, self.order, self.repr, self.scale_deferred = \
-            _shared_meta(limbs)
+        p = gather(basis, *limbs)
+        for name in self.__slots__:
+            setattr(self, name, getattr(p, name))
 
     @property
     def limbs(self) -> tuple["RnsPoly", ...]:
@@ -317,13 +317,6 @@ def zero_poly(m: Modulus, domain=COEF, order=NATURAL, repr=NM) -> RnsPoly:
     return make_poly(m, np.zeros(m.n, dtype=np.uint64), domain, order, repr)
 
 
-def _shared_meta(parts) -> tuple:
-    metas = {(p.domain, p.order, p.repr, p.scale_deferred) for p in parts}
-    if len(metas) != 1:
-        raise ValueError("limbs have inconsistent metadata")
-    return metas.pop()
-
-
 def gather(basis: RnsBasis, *parts: RnsPoly) -> RnsPoly:
     """The polynomial over basis that takes each modulus's row from the
     parts (the last one holding it); the parts share their metadata.
@@ -332,9 +325,11 @@ def gather(basis: RnsBasis, *parts: RnsPoly) -> RnsPoly:
     missing = [m.q for m in basis if m.q not in pos]
     if missing:
         raise ValueError(f"no part holds modulus {missing[0]}")
+    metas = {(p.domain, p.order, p.repr, p.scale_deferred) for p in parts}
+    if len(metas) != 1:
+        raise ContractError("limbs have inconsistent metadata")
     words = np.concatenate([p.words for p in parts])
-    return _poly(basis, words[[pos[m.q] for m in basis]],
-                 *_shared_meta(parts))
+    return _poly(basis, words[[pos[m.q] for m in basis]], *metas.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +482,6 @@ class BconvTables:
 def make_bconv_tables(src: RnsBasis, dst: RnsBasis) -> BconvTables:
     if {m.q for m in src} & {m.q for m in dst}:
         raise ValueError("source and destination bases overlap")
-    if len(src) > 32:
-        raise ValueError("base conversion sums at most 32 source limbs in "
-                         "one word")
     qprod = src.product
     s1m, s1p, s2 = [], [], []
     for mj in src:
@@ -519,11 +511,14 @@ def _bconv_stage2(tj: RnsPoly, tables: BconvTables) -> RnsPoly:
     """Row i of the output: the sum over j of (t_j mod p_i) * (qhat_j mod
     p_i), NM words times DM constants, so the sums land in SM."""
     k = _kern(tables.dst)
-    # (dst, src, n) terms; each is below its p_i < 2^59, so a sum of at
-    # most 32 of them fits one word
+    # (dst, src, n) terms; each is below its p_i < 2^59, so a block of 32
+    # of them sums in one word, and the reduced block sums add modularly
     terms = k.mmul(tj.words[None] % k.q[3],
                    np.array(tables.stage2, dtype=np.uint64).T[:, :, None])
-    return _poly(tables.dst, terms.sum(axis=1) % k.q[2], COEF, NATURAL, SM)
+    sums = [terms[:, j:j + 32].sum(axis=1) % k.q[2]
+            for j in range(0, terms.shape[1], 32)]
+    return _poly(tables.dst, functools.reduce(k.madd, sums), COEF, NATURAL,
+                 SM)
 
 
 def bconv(a: RnsPoly, dst: RnsBasis, tables: BconvTables | None = None) -> RnsPoly:

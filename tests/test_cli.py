@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from effact.asm import assemble_binary, save_image
+from effact.asm import assemble_binary, load_image, save_image
 from effact.cli import main
 from effact.compiler import compile_program
 from effact.ir import blank_image, parse_ir
@@ -237,6 +237,44 @@ def test_exec_rejects_bad_image_manifest(tmp_path, capsys):
         mem.write_bytes(blob)
         assert main(["exec", str(prog), "--image", str(mem)]) == 1
         assert capsys.readouterr().err.startswith("error[image]:")
+
+
+def test_bconv_of_many_sources_compiles_and_executes(tmp_path):
+    from effact.poly import (RnsPoly, bconv_merged, make_bconv_tables,
+                             make_poly, ntt_inv)
+    from effact.rns import RnsBasis, make_modulus_chain
+    n, src_count = 8, 34
+    src = RnsBasis(tuple(make_modulus_chain(n, src_count, 58)))
+    dst = RnsBasis(tuple(make_modulus_chain(n, 2, 59)))
+    text = [f".n {n}"]
+    text += [f".mod s{j} {m.q}" for j, m in enumerate(src)]
+    text += [f".mod p{k} {m.q}" for k, m in enumerate(dst)]
+    text += [f".dram x {src_count}", ".dram y 2"]
+    for j in range(src_count):
+        text += [f"%x{j} = load @x[{j}]", f"%d{j} = intt.defer %x{j}, s{j}"]
+    regs = " ".join(f"%d{j}" for j in range(src_count))
+    mods = " ".join(f"s{j}" for j in range(src_count))
+    text.append(f"%y0 %y1 = bconv {regs} : {mods} -> p0 p1")
+    text += ["store %y0, @y[0]", "store %y1, @y[1]"]
+    prog = tmp_path / "bc.eir"
+    prog.write_text("\n".join(text) + "\n")
+    img = blank_image(parse_ir(prog.read_text()))
+    img.dram["x"] = [make_poly(m, [(7 * j + i) % m.q for i in range(n)],
+                               domain="ntt", order="bit-reversed", repr=SM)
+                     for j, m in enumerate(src)]
+    mem = tmp_path / "in.emem"
+    mem.write_bytes(save_image(img, n))
+    want = bconv_merged(ntt_inv(RnsPoly(src, img.dram["x"]), True),
+                        make_bconv_tables(src, dst))
+    easm = tmp_path / "bc.easm"
+    assert main(["compile", str(prog), "-o", str(easm)]) == 0
+    for form in (prog, easm):
+        out = tmp_path / f"{form.suffix[1:]}.emem"
+        assert main(["exec", str(form), "--image", str(mem),
+                     "-o", str(out)]) == 0
+        got = load_image(out.read_bytes()).dram["y"]
+        assert [p.to_ints() for p in got] == \
+            [p.to_ints() for p in want.limbs]
 
 
 @pytest.fixture(scope="module")

@@ -71,6 +71,9 @@ def test_parse_empty_and_errors():
         parse_ir(HEADER + "%a = frobnicate @x[0]\n")
     with pytest.raises(IrError, match="symbol"):
         parse_ir(HEADER + "%a = load @z[0]\n")
+    with pytest.raises(IrError, match="pairwise distinct"):
+        parse_ir(HEADER + ".mod q2 97\n%a = load @x[0]\n"
+                 "%b = bconv %a : q0 -> q2\n")
 
 
 def test_print_parse_round_trip():
@@ -253,6 +256,15 @@ def test_executor_error_paths():
     img = image_for(prog2, x_0=a)
     with pytest.raises(ExecError, match="modulus"):
         execute_program(prog2, img)
+    # every operand but a multiplicand must already lie modulo the
+    # instruction's prime
+    c = rand_limb(make_modulus(113, N), rng, repr=SM)
+    for body in ("%b = ntt %a, q1\n", "%b = intt.defer %a, q1\n",
+                 "%b = auto %a, 1, q1\n", "%b = mmad %a, %c, q1\n",
+                 "%b = mac %a, %c, %c, q1\n", "%b = bconv %a : q1 -> q0\n"):
+        p = parse_ir(HEADER + "%a = load @x[0]\n%c = load @x[1]\n" + body)
+        with pytest.raises(ExecError, match="operand modulus 97 != 113"):
+            execute_program(p, image_for(p, x_0=a, x_1=c))
 
 
 def machine_prog():

@@ -270,6 +270,24 @@ def test_bconv_overshoot_bound():
                 assert 0 <= e <= len(c) - 1
 
 
+def test_bconv_sums_many_source_limbs_exactly():
+    # 80 sources into 59-bit primes: a row's 80 stage-2 terms, each below
+    # its prime, overflow one word
+    rng = random.Random(11)
+    n = 8
+    c = RnsBasis(tuple(make_modulus_chain(n, 80, 50)), role="C")
+    b = RnsBasis(tuple(make_modulus_chain(n, 2, 59)), role="B")
+    a = RnsPoly(c, tuple(rand_poly(m, rng) for m in c))
+    out = bconv(a, b)
+    qhat = [c.product // m.q for m in c]
+    t = [[x * pow(h, -1, m.q) % m.q for x in limb.to_ints()]
+         for limb, h, m in zip(a.limbs, qhat, c)]
+    for limb, p in zip(out.limbs, b):
+        assert limb.to_ints() == [
+            sum(tj[pos] * h for tj, h in zip(t, qhat)) % p.q
+            for pos in range(n)]
+
+
 def test_bconv_rejects_overlap_and_bad_input():
     c, b = small_bases()
     with pytest.raises(ValueError):
