@@ -178,7 +178,7 @@ def disassemble_binary(blob: bytes) -> Program:
         raise IrError(f"executable is {len(blob)} bytes, its header "
                       f"declares {size}")
     off = 32
-    prog = Program(n=n, form="machine")
+    prog = Program(n=n)
     mods = []
     for _ in range(nmods):
         name = _unpack_name(blob[off:off + 16])

@@ -14,6 +14,10 @@ for latency, and when that order needs more SRAM slots than the hardware
 has, orders again so as to keep the live values within them (integrated
 prepass scheduling), so `alloc_sram` spills less.
 
+`def_use` is the one source of def/use facts.  `merge_streaming` makes
+the sink and source merges (`_merge_memory`) over every DRAM cell, and
+`merge_spill_traffic` is the same merges over the `__spill` cells.
+
 Every pass consumes and produces a Program and is semantics-preserving
 under the golden executor; copy removal before allocation is mandatory
 because the machine instruction set has no register-move opcode.
@@ -109,6 +113,10 @@ class HardwareDescription:
         return max(1, -(-WORD_BYTES * n // self.dram_bw))
 
 
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
+
+
 def parse_hw(text: str) -> HardwareDescription:
     """key = value description; fu.<class> and lat.<op> set table entries."""
     kw: dict = {}
@@ -122,7 +130,10 @@ def parse_hw(text: str) -> HardwareDescription:
             raise ValueError(f"hw line {lineno}: expected key = value")
         key, val = (t.strip() for t in line.split("=", 1))
         if key == "streaming":
-            kw[key] = val.lower() in ("1", "true", "yes", "on")
+            if val.lower() not in _SWITCH:
+                raise ValueError(f"hw line {lineno}: streaming must be one "
+                                 f"of {'/'.join(_SWITCH)}, not '{val}'")
+            kw[key] = _SWITCH[val.lower()]
         elif key.startswith("fu."):
             fu[key[3:]] = int(val)
         elif key.startswith("lat."):
@@ -139,21 +150,35 @@ def parse_hw(text: str) -> HardwareDescription:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def def_use(instrs: list[Instr]) -> tuple[dict[str, int],
-                                          dict[str, list[int]]]:
-    """Def-use index of straight-line SSA code: the defining index of each
-    register, and the ascending indices that read it, one per source
-    operand (so `mmul %a, %a` reads %a twice)."""
-    defs: dict[str, int] = {}
-    uses: dict[str, list[int]] = {}
+def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
+    """The values of straight-line code, SSA or allocated.
+
+    A value is the list [writer, reader, ...]: the index of the instruction
+    that writes a register, then one ascending index per source operand
+    that reads it (so `mmul %a, %a` reads it twice), until the register is
+    next written.  wrote[k] is the value instruction k writes, None if it
+    writes no register (the results of a `bconv`, which `lower` expands,
+    share one).  read[s][k] is the writer of the value that source operand
+    s of instruction k reads, None if it is no register or one not written
+    before.  It is one list per operand position: a tuple per instruction
+    would give the garbage collector an object per instruction to count."""
+    n = len(instrs)
+    last: dict[str, int] = {}
+    wrote: list = [None] * n
+    read = [[None] * n for _ in range(max((len(i.srcs) for i in instrs),
+                                          default=0))]
     for idx, i in enumerate(instrs):
-        for s in i.srcs:
-            if isinstance(s, Vreg):
-                uses.setdefault(s.name, []).append(idx)
+        for s, src in enumerate(i.srcs):
+            if isinstance(src, Vreg):
+                j = last.get(src.name)
+                if j is not None:
+                    wrote[j].append(idx)
+                    read[s][idx] = j
         for d in i.dests:
             if isinstance(d, Vreg):
-                defs[d.name] = idx
-    return defs, uses
+                last[d.name] = idx
+                wrote[idx] = [idx]
+    return wrote, read
 
 
 def _sub_srcs(i: Instr, table: dict) -> Instr:
@@ -347,11 +372,9 @@ def pre(p: Program) -> Program:
         vn[dest] = dest
         instrs.append(i)
     # dead-code elimination over pure ops whose result is never read
-    _, uses = def_use(instrs)
-    out.instrs = [i for i in instrs
-                  if not (i.op in PURE_OPS and i.dests
-                          and isinstance(i.dests[0], Vreg)
-                          and str(i.dests[0]) not in uses)]
+    wrote = def_use(instrs)[0]
+    out.instrs = [i for i, w in zip(instrs, wrote)
+                  if not (i.op in PURE_OPS and w and len(w) == 1)]
     return out
 
 
@@ -384,19 +407,18 @@ def peephole_merge(p: Program) -> Program:
     changed = True
     while changed:
         changed = False
-        defs, uses = def_use(out.instrs)
+        wrote, read = def_use(out.instrs)
         kill = set()
         instrs = out.instrs
         for idx, i in enumerate(instrs):
             if idx in kill:
                 continue
             # fold chained constant multiplies
+            j = read[0][idx]
             if (i.op == "mmul" and isinstance(i.srcs[1], CRef)
-                    and isinstance(i.srcs[0], Vreg)
-                    and len(uses[str(i.srcs[0])]) == 1):
-                j = defs.get(str(i.srcs[0]))
-                prod = instrs[j] if j is not None else None
-                if (prod is not None and j not in kill and prod.op == "mmul"
+                    and j is not None and len(wrote[j]) == 2):
+                prod = instrs[j]
+                if (j not in kill and prod.op == "mmul"
                         and isinstance(prod.srcs[1], CRef)
                         and isinstance(prod.srcs[0], (Vreg, Addr))):
                     folded = _try_fold_consts(out, prod, i, interned)
@@ -408,12 +430,11 @@ def peephole_merge(p: Program) -> Program:
             # fuse a single-use multiply feeding an accumulate into a MAC
             if i.op == "mmad":
                 for pos in (1, 0):
-                    s = i.srcs[pos]
-                    if not (isinstance(s, Vreg) and len(uses[str(s)]) == 1):
+                    j = read[pos][idx]
+                    if j is None or len(wrote[j]) != 2:
                         continue
-                    j = defs.get(str(s))
-                    prod = instrs[j] if j is not None else None
-                    if (prod is None or j in kill or prod.op != "mmul"
+                    prod = instrs[j]
+                    if (j in kill or prod.op != "mmul"
                             or prod.mod != i.mod
                             or not isinstance(prod.srcs[0], (Vreg, Addr))):
                         continue
@@ -669,19 +690,27 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
                            f"critical path {cp}")
     out.notes["critical_path"] = cp
     out.notes["makespan"] = makespan
-    out.form = "scheduled"
     return out
 
 
 # ---------------------------------------------------------------------------
-# streaming merges (pre-allocation, SSA level)
+# streaming merges
 
-def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
-    out = p.clone()
-    instrs = out.instrs
-    defs, uses = def_use(instrs)
+def _merge_memory(instrs: list[Instr], wrote: list, read: list,
+                  sym: str | None = None) -> set[int]:
+    """Sink and source merges over the cells of DRAM symbol `sym` (of every
+    concrete cell if None), in place; returns the indices of the loads and
+    stores merged away.  `wrote`, `read` = `def_use(instrs)`.
 
-    # ascending indices of the instructions that read / write each DRAM
+    Sink: an FU result whose one read is a store writes the cell itself,
+    unless the cell is touched in between.  Source: a load that one FU
+    operand reads becomes that operand, unless the cell is written in
+    between.  Every sink merge, in store order, precedes every source
+    merge."""
+    def streamed(key):
+        return key is not None and (sym is None or key[0] == sym)
+
+    # ascending indices of the instructions that read / write each streamed
     # cell, kept current as the sink merge moves writes (the source merge
     # moves only reads, which no later check asks about); the key None
     # collects accesses at non-constant addresses, which may touch any cell
@@ -689,11 +718,14 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
 
     def note(k, accesses, kind):
         for a in accesses:
-            insort(at[kind].setdefault(_addr_key(a), []), k)
+            key = _addr_key(a)
+            if key is None or streamed(key):
+                insort(at[kind].setdefault(key, []), k)
 
     for k, i in enumerate(instrs):
         for kind, accesses in enumerate(_mem_accesses(i)):
-            note(k, accesses, kind)
+            if accesses:
+                note(k, accesses, kind)
 
     def between(key, lo, hi, kinds):
         for kind in kinds:
@@ -703,68 +735,60 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
                     return True
         return False
 
-    def cell_written_between(key, lo, hi):
-        return between(key, lo, hi, (1,))
-
-    def cell_touched_between(key, lo, hi):
-        return between(key, lo, hi, (0, 1))
-
     kill = set()
-    # sink merge: single-use FU result stored once goes straight to DRAM
     for idx, i in enumerate(instrs):
         if i.op != "store" or not isinstance(i.srcs[0], Vreg):
             continue
-        v = str(i.srcs[0])
-        j = defs.get(v)
-        if (j is None or len(uses[v]) != 1 or instrs[j].op not in FU_OPS
-                or j in kill or not isinstance(i.srcs[1], Addr)):
-            continue
-        key = _addr_key(i.srcs[1])
-        if key is None or cell_touched_between(key, j, idx):
+        j, key = read[0][idx], _addr_key(i.srcs[1])
+        if (j is None or len(wrote[j]) != 2 or instrs[j].op not in FU_OPS
+                or not streamed(key) or between(key, j, idx, (0, 1))):
             continue
         instrs[j] = instrs[j].with_(dests=(i.srcs[1],))
         note(j, (i.srcs[1],), 1)
         kill.add(idx)
-    # source merge: single-consumer loads feed their FU directly
     for idx, i in enumerate(instrs):
-        if i.op != "load" or idx in kill:
+        if i.op != "load" or not isinstance(i.dests[0], Vreg):
             continue
-        v = str(i.dests[0]) if isinstance(i.dests[0], Vreg) else None
-        if v is None or len(uses.get(v, ())) != 1:
+        v, key = wrote[idx], _addr_key(i.srcs[0])
+        if (len(v) != 2 or instrs[v[1]].op not in FU_OPS
+                or not streamed(key) or between(key, idx, v[1], (1,))):
             continue
-        (cidx,) = uses[v]
-        c = instrs[cidx]
-        if c.op not in FU_OPS or cidx in kill:
-            continue
-        key = _addr_key(i.srcs[0])
-        if key is None or cell_written_between(key, idx, cidx):
-            continue
-        instrs[cidx] = _sub_srcs(c, {v: i.srcs[0]})
+        instrs[v[1]] = _sub_srcs(instrs[v[1]], {str(i.dests[0]): i.srcs[0]})
         kill.add(idx)
-    # FU-to-FU forwarding through a bounded set of fifo channels
-    free_fifo = list(range(hw.fifo_depth))      # heaps, lowest first
+    return kill
+
+
+def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
+    """Stream the SSA values: the sink and source merges over every DRAM
+    cell (`_merge_memory`), then FU-to-FU forwarding of each FU result
+    that one FU operand reads through one of `hw.fifo_depth` channels
+    `f<k>`, the lowest free one, held until that read."""
+    out = p.clone()
+    instrs = out.instrs
+    wrote, read = def_use(instrs)
+    kill = _merge_memory(instrs, wrote, read)
+    free: list[int] = []               # released ids, a heap; all < fresh
+    fresh = 0                          # ids fresh.. have never been taken
     release: list[tuple[int, int]] = []   # (consumer index, fifo id)
     for idx, i in enumerate(instrs):
-        if idx in kill:
-            continue
         while release and release[0][0] <= idx:
-            heappush(free_fifo, heappop(release)[1])
-        if i.op not in FU_OPS or not i.dests \
-                or not isinstance(i.dests[0], Vreg):
+            heappush(free, heappop(release)[1])
+        if i.op not in FU_OPS or not isinstance(i.dests[0], Vreg) \
+                or not i.dests[0].name.startswith("%"):
             continue
-        v = str(i.dests[0])
-        if len(uses.get(v, ())) != 1 or not v.startswith("%"):
+        v = wrote[idx]
+        if len(v) != 2 or instrs[v[1]].op not in FU_OPS:
             continue
-        (cidx,) = uses[v]
-        c = instrs[cidx]
-        if c.op not in FU_OPS or cidx in kill or not free_fifo:
+        if free:
+            fid = heappop(free)
+        elif fresh < hw.fifo_depth:
+            fid, fresh = fresh, fresh + 1
+        else:
             continue
-        fid = heappop(free_fifo)
         reg = Vreg(f"f{fid}")
-        instrs[idx] = instrs[idx].with_(dests=(reg,))
-        instrs[cidx] = _sub_srcs(instrs[cidx], {v: reg})
-        out.fifo_regs.add(str(reg))
-        heappush(release, (cidx, fid))
+        instrs[idx] = i.with_(dests=(reg,))
+        instrs[v[1]] = _sub_srcs(instrs[v[1]], {i.dests[0].name: reg})
+        heappush(release, (v[1], fid))
     out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
     return out
 
@@ -778,28 +802,28 @@ def max_liveness(p: Program) -> int:
     Mirrors the allocator: sources dying at an instruction release their
     slots before the destination is placed.
     """
-    _, uses = def_use(p.instrs)
-    last = {v: ks[-1] for v, ks in uses.items()}
-    live: set[str] = set()
-    peak = 0
-    for idx, i in enumerate(p.instrs):
-        for s in i.srcs:
-            if isinstance(s, Vreg) and last[s.name] == idx:
-                live.discard(s.name)
-        dests = [d.name for d in i.dests
-                 if isinstance(d, Vreg) and d.name.startswith("%")]
-        if dests:
-            live.update(dests)
-            peak = max(peak, len(live))
-            live.difference_update(d for d in dests if d not in last)
+    return _max_live(p.instrs, def_use(p.instrs)[0])
+
+
+def _max_live(instrs: list[Instr], wrote: list) -> int:
+    change = [0] * (len(instrs) + 1)    # live values gained at each index
+    live = peak = 0
+    for idx, (i, v) in enumerate(zip(instrs, wrote)):
+        live += change[idx]
+        if v and i.dests[0].name.startswith("%"):
+            peak = max(peak, live + 1)
+            if len(v) > 1:      # live after its writer, up to its last read
+                change[idx + 1] += 1
+                change[v[-1]] -= 1
     return peak
 
 
 def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     out = p.clone()
-    # use positions per virtual register, in scheduled order
-    _, use_pos = def_use(out.instrs)
-
+    # each virtual register's value: [writer, reads in scheduled order]
+    wrote = def_use(out.instrs)[0]
+    value = {i.dests[0].name: v for i, v in zip(out.instrs, wrote)
+             if v and i.dests[0].name.startswith("%")}
     reg_of: dict[str, int] = {}      # live vreg -> slot
     free: list[int] = []             # released slots, a heap; all < fresh
     fresh = 0                        # slots fresh.. have never been taken
@@ -808,17 +832,16 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     emitted: list[Instr] = []
     # live vregs by next read, farthest first, ties by the higher name;
     # lazy: an entry whose next read has passed is skipped when popped
-    rank = {v: k for k, v in enumerate(sorted(use_pos))}
+    rank = {v: k for k, v in enumerate(sorted(value))}
     by_next: list[tuple[int, int, str]] = []
-    last = {v: pos[-1] for v, pos in use_pos.items()}
 
     def virtual(o) -> bool:
         return isinstance(o, Vreg) and o.name.startswith("%")
 
     def next_use(v, after):
-        pos = use_pos.get(v, ())
-        k = bisect_left(pos, after)
-        return pos[k] if k < len(pos) else None
+        reads = value[v]
+        k = bisect_left(reads, after, 1)
+        return reads[k] if k < len(reads) else None
 
     def file(v, after):
         nxt = next_use(v, after)
@@ -858,7 +881,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     def expire(names, idx):
         # a value leaves its slot at its last read, an unread result at once
         for v in names:
-            if v in reg_of and last.get(v, -1) <= idx:
+            if v in reg_of and value[v][-1] <= idx:
                 heappush(free, reg_of.pop(v))
 
     for idx, i in enumerate(out.instrs):
@@ -892,8 +915,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     if spill_slot:
         out.dram["__spill"] = len(spill_slot)
     out.notes["spills"] = spills
-    out.notes["max_live"] = max_liveness(p)
-    out.form = "allocated"
+    out.notes["max_live"] = _max_live(p.instrs, wrote)
     return out
 
 
@@ -901,45 +923,13 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
 # post-allocation spill merge (streaming the spill traffic)
 
 def merge_spill_traffic(p: Program) -> Program:
-    """Stream spill traffic: a spill load read by one FU instruction becomes
-    that instruction's memory operand, and an FU result whose only read is
-    a spill store is written straight to the spill cell.
-
-    One forward scan keeps, per physical register, its last writer and the
-    instructions that have read it since; that group is merged or not when
-    the register is next written or the code ends."""
+    """The sink and source merges of `merge_streaming`, over the `__spill`
+    cells of allocated code: an FU result whose one read is a spill store
+    is written straight to the spill cell, and a spill load that one FU
+    operand reads becomes that operand."""
     out = p.clone()
-    instrs = out.instrs
-    kill = set()
-    groups: dict[str, list[int]] = {}    # register -> [writer, *readers]
-
-    def settle(group):
-        if len(group) != 2:
-            return
-        w, k = group
-        wi, ki = instrs[w], instrs[k]
-        if wi.op == "load" and wi.srcs[0].sym == "__spill" \
-                and ki.op in FU_OPS:
-            instrs[k] = _sub_srcs(ki, {str(wi.dests[0]): wi.srcs[0]})
-            kill.add(w)
-        elif ki.op == "store" and ki.srcs[1].sym == "__spill" \
-                and wi.op in FU_OPS:
-            instrs[w] = wi.with_(dests=(ki.srcs[1],))
-            kill.add(k)
-
-    for idx, i in enumerate(p.instrs):
-        for r in dict.fromkeys(str(s) for s in i.srcs
-                               if isinstance(s, Vreg)):
-            if r in groups:
-                groups[r].append(idx)
-        for d in i.dests:
-            if isinstance(d, Vreg):
-                if str(d) in groups:
-                    settle(groups[str(d)])
-                groups[str(d)] = [idx]
-    for group in groups.values():
-        settle(group)
-    out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
+    kill = _merge_memory(out.instrs, *def_use(out.instrs), "__spill")
+    out.instrs = [ins for k, ins in enumerate(out.instrs) if k not in kill]
     return out
 
 
@@ -974,7 +964,6 @@ def back_end(p: Program, hw: HardwareDescription) -> Program:
     if hw.streaming:
         p = merge_spill_traffic(p)
     p.notes["streaming"] = hw.streaming
-    p.form = "machine"
     return p
 
 

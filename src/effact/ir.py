@@ -174,8 +174,6 @@ class Program:
     dram: dict[str, int] = field(default_factory=dict)
     bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     instrs: list[Instr] = field(default_factory=list)
-    form: str = "ssa-ir"
-    fifo_regs: set[str] = field(default_factory=set)
     notes: dict = field(default_factory=dict)
 
     def clone(self) -> "Program":
@@ -183,7 +181,7 @@ class Program:
         the instructions themselves are shared."""
         return Program(self.n, dict(self.moduli), dict(self.consts),
                        dict(self.dram), dict(self.bases), list(self.instrs),
-                       self.form, set(self.fifo_regs), dict(self.notes))
+                       dict(self.notes))
 
     def opcount(self) -> dict[str, int]:
         out = {}

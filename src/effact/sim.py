@@ -196,23 +196,22 @@ def simulate(p: Program, hw: HardwareDescription,
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def sweep_sram(src, hw: HardwareDescription, slot_counts,
-               mac_unit: str = "mmul") -> list[SimReport]:
+def sweep_sram(src, hw: HardwareDescription,
+               slot_counts) -> list[SimReport]:
     """Compile the same IR for each SRAM size (the front end once) and
     simulate it."""
     front = front_end(src)
     reports = []
     for slots in slot_counts:
         shw = replace(hw, slots=slots)
-        reports.append(simulate(back_end(front, shw), shw, mac_unit))
+        reports.append(simulate(back_end(front, shw), shw))
     return reports
 
 
-def compare_streaming(src, hw: HardwareDescription,
-                      mac_unit: str = "mmul") -> dict:
+def compare_streaming(src, hw: HardwareDescription) -> dict:
     """Simulate the same IR compiled with and without streaming merges."""
     front = front_end(src)
-    on, off = (simulate(back_end(front, shw), shw, mac_unit)
+    on, off = (simulate(back_end(front, shw), shw)
                for shw in (replace(hw, streaming=True),
                            replace(hw, streaming=False)))
     return {

@@ -125,7 +125,8 @@ def test_hw_file_and_env(src, tmp_path, monkeypatch, capsys):
     assert json.loads(out1.read_text()) == json.loads(out2.read_text())
     bad = tmp_path / "bad.hw"
     for line in ("slots=zero", "fu.bogus = 3", "fu.dram = 4",
-                 "lat.bogus = 5", "lat.mmul = -50", "lat.ntt = 0"):
+                 "lat.bogus = 5", "lat.mmul = -50", "lat.ntt = 0",
+                 "streaming = treu"):
         bad.write_text(line + "\n")
         capsys.readouterr()
         assert main(["sim", str(src), "--hw", str(bad)]) == 1

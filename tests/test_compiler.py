@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from effact.asm import assemble_text, check_machine_form
-from effact.cli import main
+from effact.cli import _gen_random, main
 from effact.compiler import (
     FU_OPS,
     HardwareDescription,
@@ -35,6 +35,7 @@ from effact.poly import SM, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
 from effact.workloads import (
     WorkloadParams,
+    gen_bootstrap_skeleton,
     gen_helr_iteration,
     gen_hoisted_rotations,
     gen_keyswitch,
@@ -142,10 +143,11 @@ def test_hw_validation_and_parsing():
     assert not hw.streaming
     with pytest.raises(ValueError):
         parse_hw("bogus = 3\n")
-    # unknown unit classes (DRAM is one fixed channel), non-machine opcodes
-    # and latencies below one cycle
+    # unknown unit classes (DRAM is one fixed channel), non-machine opcodes,
+    # latencies below one cycle and a streaming value that is no switch word
     for line in ("fu.bogus = 3", "fu.dram = 4", "lat.bogus = 5",
-                 "lat.copy = 2", "lat.mmul = -50", "lat.ntt = 0"):
+                 "lat.copy = 2", "lat.mmul = -50", "lat.ntt = 0",
+                 "streaming = treu"):
         with pytest.raises(ValueError):
             parse_hw(line + "\n")
     with pytest.raises(ValueError):
@@ -595,7 +597,8 @@ def test_alloc_does_not_depend_on_a_sufficient_slot_count():
 
 def merge_spill_traffic_oracle(p):
     """The nested-scan pass merge_spill_traffic replaced: a forward scan per
-    spill load, and a backward and two forward scans per spill store."""
+    spill load, and a backward and two forward scans per spill store.  A
+    load is merged only into a consumer that reads it in one operand."""
     out = p.clone()
     instrs = out.instrs
 
@@ -613,8 +616,10 @@ def merge_spill_traffic_oracle(p):
             consumer = None
             ok = True
             for k in range(idx + 1, len(instrs)):
-                if reads_reg(instrs[k], r):
-                    if consumer is not None:
+                reads = sum(isinstance(s, Vreg) and str(s) == r
+                            for s in instrs[k].srcs)
+                if reads:
+                    if consumer is not None or reads > 1:
                         ok = False
                         break
                     consumer = k
@@ -683,6 +688,50 @@ def test_merge_spill_traffic_matches_nested_scan_oracle():
     assert merged["load"] > 0 and merged["store"] > 0
 
 
+SPILLED = header() + (".dram __spill 2\n"
+                      "r0 = load @x[0]\nr1 = mmul r0, r0, q0\n"
+                      "store r1, @__spill[0]\nstore r0, @__spill[1]\n"
+                      "r0 = load @__spill[0]\nr1 = load @__spill[1]\n")
+
+
+def test_spill_reload_read_by_two_operands_stays_a_load():
+    once = merge_spill_traffic(parse_ir(
+        SPILLED + "r0 = mmul r0, r1, q0\nstore r0, @y[0]\n"))
+    assert [i.op for i in once.instrs] == ["load", "mmul", "store", "mmul",
+                                           "store"]
+    assert once.instrs[1].dests == (Addr("__spill", 0),)
+    assert once.instrs[3].srcs[:2] == (Addr("__spill", 0),
+                                       Addr("__spill", 1))
+    # one load feeds both operands of one instruction: streaming it would
+    # move the cell over the DRAM channel twice
+    text = SPILLED + "r0 = mmul r0, r0, q0\nr0 = mmad r0, r1, q0\n" \
+                     "store r0, @y[0]\n"
+    twice = merge_spill_traffic(parse_ir(text))
+    assert [i.op for i in twice.instrs] == ["load", "mmul", "store", "load",
+                                            "mmul", "mmad", "store"]
+    assert twice.instrs[3].srcs == (Addr("__spill", 0),)
+    assert twice.instrs[5].srcs[1] == Addr("__spill", 1)
+    img = random_image(parse_ir(text), random.Random(29))
+    assert outputs(twice, img) == outputs(parse_ir(text), img)
+
+
+def test_merge_spill_traffic_leaves_other_cells_alone():
+    # each load has one FU reader and each FU result one store, the shapes
+    # merge_streaming merges, but only the __spill cells are streamed here
+    text = header() + (".dram __spill 1\n"
+                       "r0 = load @x[0]\nr1 = ntt r0, q0\nstore r1, @y[0]\n"
+                       "r0 = load @x[1]\nr1 = ntt r0, q0\n"
+                       "store r1, @__spill[0]\nr1 = load @y[1]\n"
+                       "r0 = load @__spill[0]\nr1 = mmul r1, r0, q0\n"
+                       "store r1, @y[2]\n")
+    p = parse_ir(text)
+    got = merge_spill_traffic(p)
+    assert got.instrs[:4] == p.instrs[:4]
+    assert [str(i) for i in got.instrs[4:]] == [
+        "@__spill[0] = ntt r0, q0", "r1 = load @y[1]",
+        "r1 = mmul r1, @__spill[0], q0", "store r1, @y[2]"]
+
+
 # ---------------------------------------------------------------------------
 # immutable instructions
 
@@ -749,12 +798,27 @@ def test_streaming_respects_intervening_store():
     assert outputs(p, img) == outputs(out, img)
 
 
+def name_keyed_def_use(instrs):
+    """The def-use index of SSA code before def_use tracked values: the
+    defining index of each register, and the ascending indices that read
+    it, one per source operand."""
+    defs, uses = {}, {}
+    for idx, i in enumerate(instrs):
+        for s in i.srcs:
+            if isinstance(s, Vreg):
+                uses.setdefault(s.name, []).append(idx)
+        for d in i.dests:
+            if isinstance(d, Vreg):
+                defs[d.name] = idx
+    return defs, uses
+
+
 def merge_streaming_oracle(p, hw):
     """merge_streaming as it was before its interval checks used per-cell
     index lists: each check rescans the instructions in between."""
     out = p.clone()
     instrs = out.instrs
-    defs, uses = def_use(instrs)
+    defs, uses = name_keyed_def_use(instrs)
 
     def cell_between(key, lo, hi, with_reads):
         for k in range(lo + 1, hi):
@@ -814,7 +878,6 @@ def merge_streaming_oracle(p, hw):
         reg = Vreg(f"f{fid}")
         instrs[idx] = instrs[idx].with_(dests=(reg,))
         instrs[cidx] = _sub_srcs(instrs[cidx], {v: reg})
-        out.fifo_regs.add(str(reg))
         heappush(release, (cidx, fid))
     out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
     return out
@@ -852,6 +915,60 @@ def test_merge_streaming_matches_rescanning_oracle():
     assert merged > 0
 
 
+def test_def_use_gives_one_value_per_write_of_a_reused_register():
+    p = parse_ir(header() + ("r0 = load @x[0]\nr1 = mmul r0, r0, q0\n"
+                             "r0 = ntt r1, q0\nstore r0, @y[0]\n"
+                             "r0 = mmad r0, r2, q0\nstore r0, @y[1]\n"))
+    wrote, read = def_use(p.instrs)
+    assert wrote == [[0, 1, 1], [1, 2], [2, 3, 4], None, [4, 5], None]
+    assert read == [[None, 0, 1, 2, 2, 4], [None, 0, None, None, None, None]]
+    # on allocated code: each write of a register starts a value, which
+    # every read up to the register's next write reads
+    mc = compile_program(gen_keyswitch(WorkloadParams(n=256, levels=3,
+                                                      dnum=2)),
+                         replace(HW, slots=6, streaming=False))
+    wrote, read = def_use(mc.instrs)
+    writes = {}
+    for k, i in enumerate(mc.instrs):
+        for s, src in enumerate(i.srcs):
+            if isinstance(src, Vreg):
+                j = read[s][k]
+                assert j == writes[src.name] and k in wrote[j]
+        if i.dests and isinstance(i.dests[0], Vreg):
+            writes[i.dests[0].name] = k
+            assert wrote[k][0] == k
+    values = [v for v in wrote if v]
+    assert len({id(v) for v in values}) == len(values)
+    assert sum(len(v) - 1 for v in values) == sum(
+        isinstance(s, Vreg) for i in mc.instrs for s in i.srcs)
+    assert len(values) > len(writes) > 1       # registers are reused
+
+
+@pytest.mark.parametrize("gen", ["keyswitch", "bootstrap", "hoisted",
+                                 "helr", "random"])
+def test_def_use_agrees_with_the_name_keyed_scan(gen):
+    wp = WorkloadParams(n=1024, levels=4, dnum=2, l_cts=1, l_evalmod=1,
+                        l_stc=1)
+    text = {"keyswitch": lambda: gen_keyswitch(wp),
+            "bootstrap": lambda: gen_bootstrap_skeleton(wp),
+            "hoisted": lambda: gen_hoisted_rotations(wp),
+            "helr": lambda: gen_helr_iteration(wp),
+            "random": lambda: _gen_random(7)}[gen]()
+    lowered = lower(unroll(parse_ir(text)))
+    for p in (lowered, front_end(text)):
+        wrote, read = def_use(p.instrs)
+        defs, uses = {}, {}
+        for k, i in enumerate(p.instrs):
+            if wrote[k]:
+                defs[i.dests[0].name] = k
+                if len(wrote[k]) > 1:
+                    uses[i.dests[0].name] = wrote[k][1:]
+            for s, src in enumerate(i.srcs):
+                if isinstance(src, Vreg) and read[s][k] is None:
+                    uses.setdefault(src.name, []).append(k)
+        assert (defs, uses) == name_keyed_def_use(p.instrs)
+
+
 def test_streaming_fifo_forwarding():
     text = header() + ("%a = load @x[0]\n"
                        "%u = mmul %a, %a, q0\n%v = mmad %u, %a, q0\n"
@@ -861,10 +978,25 @@ def test_streaming_fifo_forwarding():
     # %u has a single consumer and is forwarded through a fifo channel
     assert any(str(o).startswith("f") for i in out.instrs
                for o in i.dests if isinstance(o, Vreg))
-    assert "f0" in out.fifo_regs
+    assert "f0" in {str(o) for i in out.instrs for o in i.dests + i.srcs}
     rng = random.Random(13)
     img = seeded_image(p, rng)
     assert outputs(p, img) == outputs(out, img)
+
+
+def test_fifo_ids_do_not_grow_with_the_fifo_depth():
+    p = parse_ir(header() + ("%a = load @x[0]\n"
+                             "%u = mmul %a, %a, q0\n%v = mmad %u, %a, q0\n"
+                             "store %v, @y[0]\n"))
+    # without the peephole the multiply stays apart from the accumulate
+    # and is forwarded through f0
+    for merge in (True, False):
+        want = assemble_text(compile_program(p, HardwareDescription(),
+                                             do_merge=merge))
+        assert ("f0" in want) is not merge
+        assert assemble_text(compile_program(
+            p, HardwareDescription(fifo_depth=2 ** 40),
+            do_merge=merge)) == want
 
 
 def test_streaming_reduces_pressure_and_spills():

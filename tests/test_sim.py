@@ -205,7 +205,7 @@ def test_fifo_peak_tracked():
                        "%u = mmul %a, %a, q0\n%v = mmad %u, %a, q0\n"
                        "store %v, @y[0]\n")
     mc = compile_program(parse_ir(text), replace(HW, streaming=True))
-    if mc.fifo_regs:
+    if any(str(o).startswith("f") for i in mc.instrs for o in i.dests):
         rep = simulate(mc, HW)
         assert rep.fifo_peak >= 1
 
