@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .ir import (
     Addr,
@@ -556,6 +556,30 @@ def _priorities(lat: list[int], succs: list[list[int]]) -> list[int]:
     return prio
 
 
+class UnitPool:
+    """The free cycles of the units of one class, for the scheduler and the
+    simulator.  Units in use sit in a heap; those never used are only
+    counted, free from cycle 0.  Memory grows with the units an
+    instruction has taken, not with the class's size, and the earliest
+    free unit is the one a list of every unit's free cycle would give."""
+
+    def __init__(self, count: int):
+        self.unused = count
+        self.free_at: list[int] = []
+
+    def earliest(self) -> int:
+        """The cycle the earliest free unit becomes free."""
+        return 0 if self.unused else self.free_at[0]
+
+    def take(self, until: int) -> None:
+        """Occupy the earliest free unit until the given cycle."""
+        if self.unused:
+            self.unused -= 1
+            heappush(self.free_at, until)
+        else:
+            heapreplace(self.free_at, until)
+
+
 def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
                    succs: list[list[int]], npreds: list[int], lat: list[int],
                    prio: list[int], budget: int | None):
@@ -603,7 +627,8 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
 
         by_delta = [(delta(k), -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
-    pools = {cls: [0] * hw.fu_count(cls) for cls in set(FU_CLASS.values())}
+    pools = {cls: UnitPool(hw.fu_count(cls))
+             for cls in set(FU_CLASS.values())}
     order, cycles = [], [0] * n_instr
     while True:
         heap = by_delta if budget is not None and live > budget \
@@ -616,9 +641,8 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
             continue
         issued[idx] = True
         pool = pools[FU_CLASS[instrs[idx].op]]
-        u = min(range(len(pool)), key=pool.__getitem__)
-        start = max(ready_at[idx], pool[u])
-        pool[u] = start + lat[idx]
+        start = max(ready_at[idx], pool.earliest())
+        pool.take(start + lat[idx])
         cycles[idx] = start
         order.append(idx)
         if budget is not None:

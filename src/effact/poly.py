@@ -11,12 +11,14 @@ transpose, and a fused multiply-accumulate.
 Each kernel runs once per polynomial over all of its rows; every per-prime
 constant is a column that broadcasts along the rows.  Montgomery
 multiplication has one exact reduction per radix class: one-word REDC for
-R <= 2^32 and a split-word REDC for R = 2^64 (see _Kern).
+R <= 2^32 and a split-word REDC for R = 2^64 (see _Kern).  The NTT uses no
+Montgomery form and has one path for every radix.
 
 Layout conventions: forward NTT consumes natural coefficient order and
 produces bit-reversed evaluation order; the inverse accepts bit-reversed and
-emits natural.  Twiddle tables are stored bit-reversed in single-Montgomery
-form so the data path never permutes anything.
+emits natural.  Twiddle tables are stored bit-reversed as plain residues w,
+each with its Shoup quotient floor(w*2^64/q), so the data path never
+permutes anything.
 """
 
 from __future__ import annotations
@@ -91,15 +93,30 @@ _SH32 = np.uint64(32)
 
 
 def _mulhi(x, y0, y1):
-    """High 64-bit word of x*y for y = y1*2^32 + y0 below 2^59.
+    """High 64-bit word of x*y for any 64-bit x and y = y1*2^32 + y0 below
+    2^62.
 
-    Schoolbook on 32-bit halves: with y1 < 2^27 the middle column sums to
-    less than 2^61, so no partial sum carries out of a 64-bit word.
+    Schoolbook on 32-bit halves.  With y1 < 2^30 the middle column is
+    x0*y1 < 2^62 plus two words below 2^32, so no partial sum carries out
+    of a 64-bit word.  Callers: REDC splits a word below q < 2^59, the
+    Shoup product a lazy NTT word below 4q < 2^61.
     """
     x0, x1 = x & _MASK32, x >> _SH32
     p10 = x1 * y0
     mid = ((x0 * y0) >> _SH32) + x0 * y1 + (p10 & _MASK32)
     return x1 * y1 + (p10 >> _SH32) + (mid >> _SH32)
+
+
+def _shoup(x, w, wq, q):
+    """x*w mod q in [0, 2q) for x below 2^62, w below q and the Shoup
+    quotient wq = floor(w*2^64/q).
+
+    With h = floor(x*wq/2^64), x*w - h*q lies in [0, 2q) (Shoup's NTL
+    MulModPrecon; Harvey, J. Symb. Comp. 2014), so the two low products
+    may wrap: their difference mod 2^64 is the exact value.
+    """
+    h = _mulhi(wq, x & _MASK32, x >> _SH32)
+    return x * w - h * q
 
 
 def _column(values, ndim: int = 2) -> np.ndarray:
@@ -139,11 +156,18 @@ class _Kern:
     quotient is hi(x*y) + hi(m*q) + carry (Montgomery, Math. Comp. 1985;
     the 64-bit word split follows Harvey, J. Symb. Comp. 2014).  A basis
     that mixes the classes reduces each class's rows with its formula.
+
+    The NTT has one path for every radix: each twiddle multiply is a Shoup
+    product (_shoup) by a plain twiddle, and the butterflies are Harvey's
+    lazy ones.  Since q < 2^59, forward words stay below 4q and inverse
+    words below 2q without reduction; only the last step brings them to
+    [0, q).
     """
 
     def __init__(self, moduli: tuple[Modulus, ...]):
         self.moduli = moduli
         self.q = {d: _column([m.q for m in moduli], d) for d in (2, 3)}
+        self.q2 = {d: q + q for d, q in self.q.items()}
         self.classes = []   # (rows, wide, REDC columns by rank) per class
         for wide in (True, False):
             rows = [i for i, m in enumerate(moduli)
@@ -157,12 +181,15 @@ class _Kern:
                 slice(None) if len(rows) == len(moduli) else rows, wide,
                 {d: tuple(_column(v, d) for v in zip(*consts))
                  for d in (2, 3)}))
-        self.psis = self.ipsis = None
+        self.psi = None
         if all(m.ntt_ready for m in moduli):
             br = bitrev_perm(moduli[0].n)
-            self.psis = self._powers_sm([m.omega for m in moduli])[:, br]
-            self.ipsis = self._powers_sm([m.omega_inv for m in moduli])[:, br]
-            self.ninv_sm = _column([sm_encode(m.n_inv, m) for m in moduli])
+            self.psi = self._powers([m.omega for m in moduli])[:, br]
+            self.ipsi = self._powers([m.omega_inv for m in moduli])[:, br]
+            self.ninv = _column([m.n_inv for m in moduli])
+            self.psi_shoup, self.ipsi_shoup, self.ninv_shoup = (
+                self._shoup_quotients(w)
+                for w in (self.psi, self.ipsi, self.ninv))
 
     def column(self, value) -> np.ndarray:
         """A Word value as a (rows, 1) column, reduced modulo each prime."""
@@ -171,15 +198,26 @@ class _Kern:
         return _column([int(v) % m.q
                         for v, m in zip(values, self.moduli, strict=True)])
 
-    def _powers_sm(self, ws) -> np.ndarray:
-        """Row i: [w_i^0, ..., w_i^(n-1)] in single-Montgomery form, by
-        doubling."""
-        pw = _column([m.r % m.q for m in self.moduli])
+    def _powers(self, ws) -> np.ndarray:
+        """Row i: [w_i^0, ..., w_i^(n-1)] mod q_i as plain residues, by
+        doubling: a plain power times a single-Montgomery step stays
+        plain."""
+        pw = _column([1] * len(self.moduli))
         step = _column([sm_encode(w, m) for w, m in zip(ws, self.moduli)])
         while pw.shape[1] < self.moduli[0].n:
             pw = np.concatenate((pw, self.mmul(pw, step)), axis=1)
             step = self.mmul(step, step)
         return pw
+
+    def _shoup_quotients(self, w) -> np.ndarray:
+        """floor(w*2^64/q) for plain words w.  One mmul by 2^64*R mod q
+        gives the remainder r = w*2^64 mod q; w*2^64 - r is a multiple of
+        the odd q, and the quotient is below 2^64, so it is r times
+        -q^-1 mod 2^64 as a wrapping product."""
+        two64 = 1 << 64
+        c = _column([sm_encode(two64 % m.q, m) for m in self.moduli])
+        qneg = _column([-pow(m.q, -1, two64) % two64 for m in self.moduli])
+        return self.mmul(w, c) * qneg
 
     # elementwise Montgomery product x*y/R mod q of an array x and an array
     # or column y, every word below its row's q
@@ -202,41 +240,54 @@ class _Kern:
         return np.minimum(d, d + self.q[d.ndim])
 
     def ntt(self, a: np.ndarray) -> np.ndarray:
-        if self.psis is None:
+        """Cooley-Tukey stages; each butterfly takes words below 4q to
+        words below 4q: u is brought below 2q, v*w below 2q by _shoup, and
+        the outputs are u + v*w and u - v*w + 2q."""
+        if self.psi is None:
             raise ContractError("a basis modulus has no 2n-th root of unity")
         rows, n = a.shape
+        q, q2 = self.q[3], self.q2[3]
         a = a.copy()
         t, groups = n, 1
         while groups < n:
             t >>= 1
             view = a.reshape(rows, groups, 2 * t)
-            u = view[:, :, :t].copy()
-            v = self.mmul(view[:, :, t:],
-                          self.psis[:, groups:2 * groups, None])
-            view[:, :, :t] = self.madd(u, v)
-            view[:, :, t:] = self.msub(u, v)
+            tw = slice(groups, 2 * groups)
+            u = view[:, :, :t]
+            u = np.minimum(u, u - q2)
+            v = _shoup(view[:, :, t:], self.psi[:, tw, None],
+                       self.psi_shoup[:, tw, None], q)
+            view[:, :, :t] = u + v
+            view[:, :, t:] = u - v + q2
             groups <<= 1
-        return a
+        a = np.minimum(a, a - self.q2[2])
+        return np.minimum(a, a - self.q[2])
 
     def intt(self, a: np.ndarray, defer_scale: bool) -> np.ndarray:
-        if self.psis is None:
+        """Gentleman-Sande stages; each butterfly takes words below 2q to
+        words below 2q: u + v reduced once, and (u - v + 2q)*w by
+        _shoup."""
+        if self.psi is None:
             raise ContractError("a basis modulus has no 2n-th root of unity")
         rows, n = a.shape
+        q, q2 = self.q[3], self.q2[3]
         a = a.copy()
         t, groups = 1, n
         while groups > 1:
             h = groups >> 1
             view = a.reshape(rows, h, 2 * t)
-            u = view[:, :, :t].copy()
-            v = view[:, :, t:].copy()
-            view[:, :, :t] = self.madd(u, v)
-            view[:, :, t:] = self.mmul(self.msub(u, v),
-                                       self.ipsis[:, h:2 * h, None])
+            tw = slice(h, 2 * h)
+            u, v = view[:, :, :t], view[:, :, t:]
+            s = u + v
+            d = u - v + q2
+            view[:, :, :t] = np.minimum(s, s - q2)
+            view[:, :, t:] = _shoup(d, self.ipsi[:, tw, None],
+                                    self.ipsi_shoup[:, tw, None], q)
             t <<= 1
             groups = h
         if not defer_scale:
-            a = self.mmul(a, self.ninv_sm)
-        return a
+            a = _shoup(a, self.ninv, self.ninv_shoup, self.q[2])
+        return np.minimum(a, a - self.q[2])
 
 
 def _kern(moduli) -> _Kern:

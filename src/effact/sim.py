@@ -22,6 +22,7 @@ from .compiler import (
     UNITS,
     WORD_BYTES,
     HardwareDescription,
+    UnitPool,
     _longest_path,
     back_end,
     build_deps,
@@ -110,7 +111,7 @@ def simulate(p: Program, hw: HardwareDescription,
     xfer = hw.xfer(n)
     preds = build_deps(p)
 
-    pools = {cls: [0] * hw.fu_count(cls) for cls in UNITS}
+    pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
     busy = dict.fromkeys((*UNITS, "dram"), 0)
     channel_free = 0
     complete = [0] * len(p.instrs)
@@ -137,8 +138,7 @@ def simulate(p: Program, hw: HardwareDescription,
         else:
             cls = mac_unit if i.op == "mac" else FU_CLASS[i.op]
             pool = pools[cls]
-            u = min(range(len(pool)), key=lambda k: pool[k])
-            start = max(ready, pool[u])
+            start = max(ready, pool.earliest())
             # streaming sources: the unit starts once first elements arrive
             for a in i.srcs:
                 if isinstance(a, Addr):
@@ -154,7 +154,7 @@ def simulate(p: Program, hw: HardwareDescription,
             conf = len(banks) - len(set(banks))
             conflicts_total += conf
             end = start + lat + conf
-            pool[u] = end
+            pool.take(end)
             busy[cls] += lat + conf
             complete[idx] = end
             # streaming sinks: results drain to DRAM as they are produced

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import signal
 import struct
 
@@ -376,12 +377,45 @@ def test_compile_and_exec_survive_one_substituted_byte(eir_path, at, byte):
     bad = bytearray(LOOP_PROGRAM.encode())
     bad[at] = byte
     eir_path.write_bytes(bytes(bad))
-    for cmd in ("compile", "exec"):
+    for cmd in ("compile", "exec", "sim", "sweep", "analyze"):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()), time_limit(20):
             code = main([cmd, str(eir_path)])
         assert code == 0 or (code == 1 and err.getvalue().startswith("error["))
+
+
+SMALL_HW = """\
+slots = 8
+banks = 4
+fifo_depth = 4
+fu.mmul = 2
+lat.ntt = 12
+streaming = on
+"""
+
+
+@pytest.fixture(scope="module")
+def hw_fuzz(tmp_path_factory):
+    d = tmp_path_factory.mktemp("hw_fuzz")
+    (d / "prog.eir").write_text(SMALL)
+    return str(d / "prog.eir"), d / "small.hw"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(at=st.integers(0, len(SMALL_HW) - 1), byte=st.integers(0, 255))
+def test_compile_and_sim_survive_one_substituted_hw_byte(hw_fuzz, at, byte):
+    prog, hw = hw_fuzz
+    bad = bytearray(SMALL_HW.encode())
+    bad[at] = byte
+    hw.write_bytes(bytes(bad))
+    for cmd in ("compile", "sim"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), time_limit(20):
+            code = main([cmd, prog, "--hw", str(hw)])
+        assert code == 0 or (code in (1, 2) and
+                             re.match(r"error\[\w+\]: ", err.getvalue()))
 
 
 def test_slots_and_streaming_flags_set_the_hardware(tmp_path, capsys):

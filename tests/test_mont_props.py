@@ -1,4 +1,5 @@
-"""Property tests: the uint64 Montgomery kernels against rns.mont_mul.
+"""Property tests: the uint64 Montgomery kernels against rns.mont_mul, and
+the NTT against its direct sums.
 
 Covers every radix class the kernels reduce: toy radices (r_bits 3-7),
 R = 2^32 and R = 2^64, on random NTT-friendly primes.
@@ -8,15 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effact.poly import _kern, bconv, bitrev_perm, make_poly
+from effact.poly import (
+    BITREV,
+    NTT,
+    _kern,
+    bconv,
+    bitrev_perm,
+    make_poly,
+    ntt_fwd,
+    ntt_inv,
+)
 from effact.rns import (
     RnsBasis,
     is_prime,
     make_modulus,
     make_modulus_chain,
     mont_mul,
-    sm_encode,
 )
+from kernel_oracles import intt_direct, ntt_direct
 
 # primes = 1 mod 4, each an NTT prime for n = 2
 TOY_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113)
@@ -89,10 +99,35 @@ def test_twiddle_tables_match_pow(n, bits, r_bits):
     m = make_modulus_chain(n, 1, bits, r_bits=r_bits)[0]
     k = _kern((m,))
     br = bitrev_perm(n)
-    assert [int(v) for v in k.psis[0]] == \
-        [sm_encode(pow(m.omega, int(br[i]), m.q), m) for i in range(n)]
-    assert [int(v) for v in k.ipsis[0]] == \
-        [sm_encode(pow(m.omega_inv, int(br[i]), m.q), m) for i in range(n)]
+    for w, plain, shoup in ((m.omega, k.psi, k.psi_shoup),
+                            (m.omega_inv, k.ipsi, k.ipsi_shoup)):
+        want = [pow(w, int(br[i]), m.q) for i in range(n)]
+        assert [int(v) for v in plain[0]] == want
+        assert [int(v) for v in shoup[0]] == [(v << 64) // m.q for v in want]
+    assert int(k.ninv[0, 0]) == m.n_inv
+    assert int(k.ninv_shoup[0, 0]) == (m.n_inv << 64) // m.q
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ntt_matches_direct_sums(data):
+    # the lazy butterflies at every radix class, on random words and on
+    # the words that drive them to their bounds: all q-1, and alternating
+    # 0 and q-1
+    m = data.draw(ntt_moduli().filter(lambda m: m.n <= 64))
+    top = m.q - 1
+    xs = data.draw(st.sampled_from(([top] * m.n,
+                                    [top * (i % 2) for i in range(m.n)]))
+                   | words(m, m.n))
+    br = [int(b) for b in bitrev_perm(m.n)]
+    fwd = ntt_direct(xs, m.q, m.omega)
+    assert ntt_fwd(make_poly(m, xs)).to_ints() == [fwd[b] for b in br]
+    # xs as bit-reversed evaluations: natural slot j sits at br[j]
+    inv = intt_direct([xs[b] for b in br], m.q, m.omega)
+    ev = make_poly(m, xs, domain=NTT, order=BITREV)
+    assert ntt_inv(ev).to_ints() == inv
+    assert ntt_inv(ev, defer_scale=True).to_ints() == \
+        [m.n * v % m.q for v in inv]
 
 
 @settings(deadline=None, max_examples=30)

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+from effact.asm import assemble_text
 from effact.compiler import (
+    UNITS,
     HardwareDescription,
     alloc_sram,
     back_end,
@@ -111,6 +113,22 @@ def test_serial_ntts_on_one_unit():
     # the second transform serializes on one unit and overlaps on two,
     # up to the skew from staggered DRAM arrivals
     assert one.cycles >= two.cycles + 40
+
+
+def test_unit_counts_size_nothing():
+    # 2^40 units of each class, as a list of free cycles, would take
+    # terabytes; the pools hold only the units in use, and schedule and
+    # simulate the desk key switch as one unit per instruction does
+    front = front_end(gen_keyswitch(WorkloadParams(n=1024, levels=4,
+                                                   dnum=2)))
+    runs = []
+    for count in (len(front.instrs), 2 ** 40):
+        hw = HardwareDescription(fu=tuple((cls, count) for cls in UNITS))
+        mc = back_end(front, hw)
+        rep = simulate(mc, hw).to_dict()
+        del rep["fu_count"], rep["fu_utilization"]
+        runs.append((assemble_text(mc), rep))
+    assert runs[0] == runs[1]
 
 
 def test_dram_byte_accounting():
