@@ -55,8 +55,8 @@ def check_machine_form(prog: Program):
                           else f"{i.op} takes no modulus", i.line)
         if i.flags and i.op != "intt":
             raise IrError(f"{i.op} takes no flags", i.line)
-        for o in list(i.dests) + list(i.srcs):
-            if isinstance(o, Vreg) and str(o).startswith("%"):
+        for o in i.dests + i.srcs:
+            if isinstance(o, Vreg) and o.name[:1] == "%":
                 raise IrError(f"virtual register {o} survives in machine "
                               "code", i.line)
             if isinstance(o, Addr):

@@ -9,10 +9,13 @@ Pipeline (compile_program() is back_end(front_end(src))):
                -> merge_spill_traffic
 
 The front end does not read the hardware description, so an SRAM sweep
-runs it once and the back end once per configuration.  `schedule` orders
-for latency, and when that order needs more SRAM slots than the hardware
-has, orders again so as to keep the live values within them (integrated
-prepass scheduling), so `alloc_sram` spills less.
+runs it once.  `schedule` orders for latency, and when that order needs
+more SRAM slots than the hardware has, orders again so as to keep the live
+values within them (integrated prepass scheduling), so `alloc_sram` spills
+less.  The latency order and the slots it needs do not depend on the slot
+count, so a sweep (`back_ends`) schedules each front end for latency once
+and, per configuration, reschedules only where that order does not fit,
+then merges, allocates and merges the spill traffic.
 
 `def_use` is the one source of def/use facts.  `merge_streaming` makes
 the sink and source merges (`_merge_memory`) over every DRAM cell, and
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush, heapreplace
 
@@ -108,6 +112,11 @@ class HardwareDescription:
             return DRAM_BASE + self.xfer(n)
         return base
 
+    def lat_table(self, n: int) -> dict[str, int]:
+        """lat(op, n) of every machine opcode, for loops that ask it of
+        each instruction."""
+        return {op: self.lat(op, n) for op in FU_CLASS}
+
     def xfer(self, n: int) -> int:
         """Cycles one n-word residue polynomial occupies the DRAM channel."""
         return max(1, -(-WORD_BYTES * n // self.dram_bw))
@@ -182,7 +191,7 @@ def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
 
 
 def _sub_srcs(i: Instr, table: dict) -> Instr:
-    srcs = tuple(table.get(str(s), s) if isinstance(s, Vreg) else s
+    srcs = tuple(table.get(s.name, s) if isinstance(s, Vreg) else s
                  for s in i.srcs)
     return i.with_(srcs=srcs) if srcs != i.srcs else i
 
@@ -336,7 +345,7 @@ def propagate(p: Program) -> Program:
 
 def _operand_key(o, vn):
     if isinstance(o, Vreg):
-        return ("v", vn.get(str(o), str(o)))
+        return ("v", vn.get(o.name, o.name))
     if isinstance(o, CRef):
         return ("c", o.name)
     if isinstance(o, Imm):
@@ -496,7 +505,7 @@ def build_deps(p: Program) -> list[set[int]]:
     for idx, i in enumerate(p.instrs):
         for s in i.srcs:
             if isinstance(s, Vreg):
-                r = str(s)
+                r = s.name
                 if r in last_def:
                     preds[idx].add(last_def[r])
                 reg_readers.setdefault(r, []).append(idx)
@@ -529,7 +538,7 @@ def build_deps(p: Program) -> list[set[int]]:
                 last_write[key] = idx
         for d in i.dests:
             if isinstance(d, Vreg):
-                r = str(d)
+                r = d.name
                 if r in last_def:
                     preds[idx].add(last_def[r])
                 preds[idx].update(reg_readers.pop(r, ()))
@@ -540,10 +549,11 @@ def build_deps(p: Program) -> list[set[int]]:
 
 def _longest_path(p: Program, hw: HardwareDescription,
                   preds: list[set[int]]) -> int:
+    lat = hw.lat_table(p.n)
     finish = [0] * len(p.instrs)
     for idx, i in enumerate(p.instrs):
         start = max((finish[j] for j in preds[idx]), default=0)
-        finish[idx] = start + hw.lat(i.op, p.n)
+        finish[idx] = start + lat[i.op]
     return max(finish, default=0)
 
 
@@ -667,6 +677,58 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     return order, cycles
 
 
+def _latency_schedule(p: Program, hw: HardwareDescription):
+    """The dependence graph of `p` as (successors, predecessor counts,
+    latencies, priorities), and `p` list-scheduled for latency, emitted in
+    issue-cycle order (`_emit`).  This is the part of `schedule` that does
+    not depend on the slot count: it reads `hw.lanes`, `dram_bw`, `fu`,
+    `ntt_pipelines` and `lat_override` only."""
+    check_straight_line(p)
+    n_instr = len(p.instrs)
+    preds = build_deps(p)
+    succs: list[list[int]] = [[] for _ in range(n_instr)]
+    for idx, ps in enumerate(preds):
+        for j in ps:
+            succs[j].append(idx)
+    table = hw.lat_table(p.n)
+    lat = [table[i.op] for i in p.instrs]
+    graph = (succs, [len(ps) for ps in preds], lat, _priorities(lat, succs))
+    order, cycles = _run(p, hw, graph, None)
+    order.sort(key=lambda k: (cycles[k], k))
+    return graph, _emit(p, graph, order, cycles)
+
+
+def _run(p: Program, hw: HardwareDescription, graph, budget: int | None):
+    order, cycles = _list_schedule(p.instrs, hw, *graph, budget)
+    if len(order) != len(p.instrs):
+        raise IrError("cyclic dependence in program")
+    return order, cycles
+
+
+def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
+    """`p` in the given order, each instruction tagged with its issue
+    cycle; `notes` get the makespan and the critical path."""
+    _, _, lat, prio = graph
+    out = p.clone()
+    out.instrs = [p.instrs[k].with_(meta={"cycle": cycles[k]}) for k in order]
+    cp = max(prio, default=0)
+    makespan = max((c + l for c, l in zip(cycles, lat)), default=0)
+    if makespan < cp:
+        raise RuntimeError(f"schedule makespan {makespan} is below the "
+                           f"critical path {cp}")
+    out.notes["critical_path"] = cp
+    out.notes["makespan"] = makespan
+    return out
+
+
+def _fit_check(latency: Program, hw: HardwareDescription):
+    """The latency schedule as the back end streams it (`merge_streaming`
+    on streaming hardware), and the SRAM slots that needs; besides what
+    the schedule read, it reads `hw.streaming` and `fifo_depth`."""
+    merged = merge_streaming(latency, hw) if hw.streaming else latency
+    return merged, max_liveness(merged)
+
+
 def schedule(p: Program, hw: HardwareDescription) -> Program:
     """List-schedule for latency, and again for SRAM pressure when the
     latency schedule does not fit.
@@ -678,43 +740,13 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
     live-register budget (see `_list_schedule`), and emitted in issue
     order, the order whose live count the budget held.  Each instruction
     is tagged with its issue cycle; `notes` get the makespan and the
-    critical path.
+    critical path.  Neither the latency schedule nor its fit check reads
+    `hw.slots`, so `back_ends` computes them once for a whole SRAM sweep.
     """
-    check_straight_line(p)
-    out = p.clone()
-    n_instr = len(out.instrs)
-    preds = build_deps(out)
-    succs: list[list[int]] = [[] for _ in range(n_instr)]
-    for idx, ps in enumerate(preds):
-        for j in ps:
-            succs[j].append(idx)
-    npreds = [len(ps) for ps in preds]
-    lat = [hw.lat(i.op, out.n) for i in out.instrs]
-    prio = _priorities(lat, succs)
-
-    def run(budget):
-        order, cycles = _list_schedule(p.instrs, hw, succs, npreds, lat,
-                                       prio, budget)
-        if len(order) != n_instr:
-            raise IrError("cyclic dependence in program")
-        return order, cycles
-
-    order, cycles = run(None)
-    order.sort(key=lambda k: (cycles[k], k))
-    out.instrs = [p.instrs[k] for k in order]
-    if max_liveness(merge_streaming(out, hw) if hw.streaming
-                    else out) > hw.slots:
-        order, cycles = run(hw.slots)
-    out.instrs = [p.instrs[k].with_(meta={"cycle": cycles[k]})
-                  for k in order]
-    cp = max(prio, default=0)
-    makespan = max((cycles[k] + lat[k] for k in range(n_instr)), default=0)
-    if makespan < cp:
-        raise RuntimeError(f"schedule makespan {makespan} is below the "
-                           f"critical path {cp}")
-    out.notes["critical_path"] = cp
-    out.notes["makespan"] = makespan
-    return out
+    graph, latency = _latency_schedule(p, hw)
+    if _fit_check(latency, hw)[1] <= hw.slots:
+        return latency
+    return _emit(p, graph, *_run(p, hw, graph, hw.slots))
 
 
 # ---------------------------------------------------------------------------
@@ -977,18 +1009,48 @@ def front_end(src, *, do_propagate: bool = True, do_pre: bool = True,
     return propagate(p)
 
 
+def back_ends(p: Program, hws) -> Iterator[Program]:
+    """back_end(p, hw) for each of `hws` in turn, on a front-end program,
+    which is left as it was.
+
+    The latency schedule and its fit check are computed once per distinct
+    value of the hardware fields they read (see `_latency_schedule` and
+    `_fit_check`), never `slots` or `banks`, so an SRAM sweep schedules its
+    front end for latency once."""
+    schedules: dict = {}
+    fits: dict = {}
+    for hw in hws:
+        key = (hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override)
+        if key not in schedules:
+            schedules[key] = _latency_schedule(p, hw)
+        graph, latency = schedules[key]
+        fit_key = (key, hw.streaming, hw.fifo_depth)
+        if fit_key not in fits:
+            fits[fit_key] = _fit_check(latency, hw)
+        yield _allocate(p, hw, graph, *fits[fit_key])
+
+
+def _allocate(p: Program, hw: HardwareDescription, graph, merged: Program,
+              need: int) -> Program:
+    """The rest of back_end, given the latency schedule's graph and fit
+    check: where the latency order fits, the fit check's merged program is
+    the one allocated; elsewhere `p` is scheduled for pressure and merged."""
+    if need > hw.slots:
+        merged = _emit(p, graph, *_run(p, hw, graph, hw.slots))
+        if hw.streaming:
+            merged = merge_streaming(merged, hw)
+    q = alloc_sram(merged, hw)
+    if hw.streaming:
+        q = merge_spill_traffic(q)
+    q.notes["streaming"] = hw.streaming
+    return q
+
+
 def back_end(p: Program, hw: HardwareDescription) -> Program:
     """schedule -> merge_streaming -> alloc_sram -> merge_spill_traffic
     (the merges on streaming hardware only), on a front-end program, which
     is left as it was."""
-    p = schedule(p, hw)
-    if hw.streaming:
-        p = merge_streaming(p, hw)
-    p = alloc_sram(p, hw)
-    if hw.streaming:
-        p = merge_spill_traffic(p)
-    p.notes["streaming"] = hw.streaming
-    return p
+    return next(back_ends(p, (hw,)))
 
 
 def compile_program(src, hw: HardwareDescription | None = None,

@@ -24,7 +24,7 @@ from .compiler import (
     HardwareDescription,
     UnitPool,
     _longest_path,
-    back_end,
+    back_ends,
     build_deps,
     front_end,
 )
@@ -90,13 +90,14 @@ class SimReport:
 
 def _check_resources(p: Program, hw: HardwareDescription):
     for i in p.instrs:
-        for o in list(i.srcs) + list(i.dests):
+        for o in i.srcs + i.dests:
             if isinstance(o, Vreg):
-                name = str(o)
-                if name.startswith("r") and int(name[1:]) >= hw.slots:
+                name = o.name
+                kind = name[:1]
+                if kind == "r" and int(name[1:]) >= hw.slots:
                     raise ValueError(f"register {name} exceeds the "
                                      f"{hw.slots}-slot SRAM")
-                if name.startswith("f") and int(name[1:]) >= hw.fifo_depth:
+                if kind == "f" and int(name[1:]) >= hw.fifo_depth:
                     raise ValueError(f"fifo channel {name} exceeds depth "
                                      f"{hw.fifo_depth}")
 
@@ -109,6 +110,7 @@ def simulate(p: Program, hw: HardwareDescription,
     _check_resources(p, hw)
     n = p.n
     xfer = hw.xfer(n)
+    lat_of = hw.lat_table(n)
     preds = build_deps(p)
 
     pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
@@ -130,7 +132,7 @@ def simulate(p: Program, hw: HardwareDescription,
 
     for idx, i in enumerate(p.instrs):
         ready = max((complete[j] for j in preds[idx]), default=0)
-        lat = hw.lat(i.op, n)
+        lat = lat_of[i.op]
         if i.op in ("load", "store"):
             # a transfer ends no earlier than its last word leaves the channel
             complete[idx] = dram_slot(ready) + max(lat, xfer)
@@ -147,9 +149,8 @@ def simulate(p: Program, hw: HardwareDescription,
                     start = max(start, s0 + DRAM_BASE)
             # SRAM bank conflicts serialize same-cycle accesses to
             # distinct slots that share a bank
-            slots_used = {int(str(o)[1:])
-                          for o in list(i.srcs) + list(i.dests)
-                          if isinstance(o, Vreg) and str(o).startswith("r")}
+            slots_used = {int(o.name[1:]) for o in i.srcs + i.dests
+                          if isinstance(o, Vreg) and o.name[:1] == "r"}
             banks = [s % hw.banks for s in slots_used]
             conf = len(banks) - len(set(banks))
             conflicts_total += conf
@@ -164,10 +165,10 @@ def simulate(p: Program, hw: HardwareDescription,
                     stream_b += WORD_BYTES * n
                     complete[idx] = max(end, s0 + DRAM_BASE + xfer)
             for d in i.dests:
-                if isinstance(d, Vreg) and str(d).startswith("f"):
+                if isinstance(d, Vreg) and d.name[:1] == "f":
                     fifo_events.append((complete[idx], 1))
             for s_ in i.srcs:
-                if isinstance(s_, Vreg) and str(s_).startswith("f"):
+                if isinstance(s_, Vreg) and s_.name[:1] == "f":
                     fifo_events.append((start, -1))
         if want_trace:
             trace.append({"index": idx, "op": i.op,
@@ -198,22 +199,19 @@ def simulate(p: Program, hw: HardwareDescription,
 
 def sweep_sram(src, hw: HardwareDescription,
                slot_counts) -> list[SimReport]:
-    """Compile the same IR for each SRAM size (the front end once) and
-    simulate it."""
-    front = front_end(src)
-    reports = []
-    for slots in slot_counts:
-        shw = replace(hw, slots=slots)
-        reports.append(simulate(back_end(front, shw), shw))
-    return reports
+    """Compile the same IR for each SRAM size (the front end and its
+    latency schedule once, see `back_ends`) and simulate it."""
+    hws = [replace(hw, slots=slots) for slots in slot_counts]
+    machines = back_ends(front_end(src), hws)
+    # next() inside the call: no name keeps a program past its simulation
+    return [simulate(next(machines), shw) for shw in hws]
 
 
 def compare_streaming(src, hw: HardwareDescription) -> dict:
     """Simulate the same IR compiled with and without streaming merges."""
-    front = front_end(src)
-    on, off = (simulate(back_end(front, shw), shw)
-               for shw in (replace(hw, streaming=True),
-                           replace(hw, streaming=False)))
+    hws = (replace(hw, streaming=True), replace(hw, streaming=False))
+    machines = back_ends(front_end(src), hws)
+    on, off = (simulate(next(machines), shw) for shw in hws)
     return {
         "streaming": on,
         "baseline": off,

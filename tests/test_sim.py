@@ -2,24 +2,28 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from effact import compiler
 from effact.asm import assemble_text
 from effact.compiler import (
     UNITS,
     HardwareDescription,
     alloc_sram,
     back_end,
+    back_ends,
     compile_program,
     front_end,
     merge_spill_traffic,
     merge_streaming,
     schedule,
 )
-from effact.ir import blank_image, execute_program, parse_ir
+from effact.ir import IrError, blank_image, execute_program, parse_ir
 from effact.poly import SM, make_poly, ntt_fwd
 from effact.rns import make_modulus
 from effact.sim import SimReport, compare_streaming, simulate, sweep_sram
 from effact.workloads import WorkloadParams, gen_keyswitch
+from test_compiler import random_program
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -251,6 +255,104 @@ def test_pressure_schedule_beats_the_latency_schedule_when_it_spills():
         new = back_end(front, hw)
         assert new.notes["spills"] < old.notes["spills"]
         assert simulate(new, hw).cycles < simulate(old, hw).cycles
+
+
+def pass_list_back_end(front, hw):
+    """The back end as the pass list it stands for: `schedule`, then
+    `merge_streaming` of its output, however the fit check ended."""
+    p = schedule(front, hw)
+    if hw.streaming:
+        p = merge_streaming(p, hw)
+    p = alloc_sram(p, hw)
+    if hw.streaming:
+        p = merge_spill_traffic(p)
+    p.notes["streaming"] = hw.streaming
+    return p
+
+
+def compiled(machines, hws):
+    """(.easm, simulated report) of each machine program on its hardware,
+    up to the first register-pressure error, whose message ends the list."""
+    out = []
+    try:
+        for mc, hw in zip(machines, hws):
+            out.append((assemble_text(mc), simulate(mc, hw).to_dict()))
+    except IrError as e:
+        out.append(str(e))
+    return out
+
+
+def each(compile_one, front, hws):
+    return (compile_one(front, hw) for hw in hws)
+
+
+def outcome(run):
+    """The reports run() returns, or the register-pressure error it
+    raises."""
+    try:
+        return [r.to_dict() for r in run()]
+    except IrError as e:
+        return str(e)
+
+
+DESK_KS = gen_keyswitch(WorkloadParams(n=1024, levels=4, dnum=2))
+ONE_EACH = tuple((cls, 1) for cls in UNITS)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.one_of(st.just(None), st.integers(0, 2 ** 32 - 1)),
+       hws=st.lists(st.builds(
+           HardwareDescription,
+           slots=st.integers(2, 64), lanes=st.sampled_from((4, 128)),
+           fu=st.sampled_from((HardwareDescription.fu, ONE_EACH)),
+           fifo_depth=st.sampled_from((1, 8)), streaming=st.booleans()),
+           min_size=1, max_size=6))
+def test_shared_latency_schedule_changes_no_compile(seed, hws):
+    # back_ends shares the latency schedule and its fit check between
+    # hardware descriptions; every compile, sweep and comparison equals
+    # back_end and the pass list, whether the latency order fits or not
+    src = DESK_KS if seed is None else \
+        random_program(random.Random(seed), size=40)
+    front = front_end(src)
+    want = compiled(each(pass_list_back_end, front, hws), hws)
+    assert compiled(each(back_end, front, hws), hws) == want
+    assert compiled(back_ends(front, hws), hws) == want
+
+    hw = hws[0]
+    slots = [h.slots for h in hws]
+    sweep = [replace(hw, slots=s) for s in slots]
+    assert outcome(lambda: sweep_sram(src, hw, slots)) == outcome(
+        lambda: [simulate(pass_list_back_end(front, h), h) for h in sweep])
+
+    def streaming_pair():
+        pair = compare_streaming(src, hw)
+        return pair["streaming"], pair["baseline"]
+
+    on_off = [replace(hw, streaming=on) for on in (True, False)]
+    assert outcome(streaming_pair) == outcome(
+        lambda: [simulate(pass_list_back_end(front, h), h) for h in on_off])
+
+
+def test_a_sweep_schedules_for_latency_once(monkeypatch):
+    # counted through the compiler module; the simulator's own dependence
+    # graphs are not.  Only 256 slots fit the latency order of the L24 key
+    # switch, so the other four are rescheduled and merged again.
+    calls = dict.fromkeys(("build_deps", "_list_schedule", "merge_streaming",
+                           "max_liveness"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(compiler, name,
+                            counted(name, getattr(compiler, name)))
+    text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
+    sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
+    assert calls == {"build_deps": 1, "_list_schedule": 5,
+                     "merge_streaming": 5, "max_liveness": 1}
 
 
 def test_compare_streaming():
