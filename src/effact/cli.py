@@ -91,11 +91,8 @@ def _load_program(path: str, stage: str = "parse"):
 def _compile(args, text: str):
     hw = _machine_hw(args)
     try:
-        return compile_program(
-            text, hw,
-            do_propagate=not args.no_propagate,
-            do_pre=not args.no_pre,
-            do_merge=not args.no_merge), hw
+        return compile_program(text, hw, do_pre=not args.no_pre,
+                               do_merge=not args.no_merge), hw
     except IrError as e:
         raise CliError("compile", str(e))
 
@@ -103,7 +100,6 @@ def _compile(args, text: str):
 def _add_pass_flags(sp):
     sp.add_argument("--hw", help="hardware description file "
                                  "(default: $EFFACT_HW or built-in)")
-    sp.add_argument("--no-propagate", action="store_true")
     sp.add_argument("--no-pre", action="store_true")
     sp.add_argument("--no-merge", action="store_true")
     sp.add_argument("--no-streaming", action="store_true",

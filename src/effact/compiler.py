@@ -3,27 +3,31 @@ SRAM allocation, and streaming-merge.
 
 Pipeline (compile_program() is back_end(front_end(src))):
 
-    front_end: parse -> unroll -> lower -> propagate -> pre
-               -> peephole_merge -> propagate
+    front_end: parse -> unroll -> propagate -> lower -> pre
+               -> peephole_merge
     back_end:  schedule -> merge_streaming -> alloc_sram
                -> merge_spill_traffic
 
+The compiler takes `%` registers only; `unroll` rejects machine registers.
 The front end does not read the hardware description, so an SRAM sweep
 runs it once.  `schedule` orders for latency, and when that order needs
 more SRAM slots than the hardware has, orders again so as to keep the live
 values within them (integrated prepass scheduling), so `alloc_sram` spills
-less.  The latency order and the slots it needs do not depend on the slot
-count, so a sweep (`back_ends`) schedules each front end for latency once
-and, per configuration, reschedules only where that order does not fit,
-then merges, allocates and merges the spill traffic.
+less.  `_schedules` makes that fit-or-reschedule decision for each of a
+list of configurations; since the latency order and the slots it needs do
+not depend on the slot count, an SRAM sweep (`back_ends`) schedules for
+latency once.  `back_ends` then merges the orders rescheduled for
+pressure, allocates and merges the spill traffic.
 
-`def_use` is the one source of def/use facts.  `merge_streaming` makes
-the sink and source merges (`_merge_memory`) over every DRAM cell, and
-`merge_spill_traffic` is the same merges over the `__spill` cells.
+`def_use` is the one source of def/use facts, the pressure scheduler's
+included.  `merge_streaming` makes the sink and source merges
+(`_merge_memory`) over every DRAM cell, and `merge_spill_traffic` is the
+same merges over the `__spill` cells.
 
 Every pass consumes and produces a Program and is semantics-preserving
 under the golden executor; copy removal before allocation is mandatory
-because the machine instruction set has no register-move opcode.
+because the machine instruction set has no register-move opcode (`lower`
+also takes programs with copies, for pass lists that propagate later).
 """
 
 from __future__ import annotations
@@ -216,7 +220,12 @@ def _intern_const(p: Program, hint: str, mod: str, value: int, rep: int,
 def unroll(p: Program) -> Program:
     """The vector instructions `walk` yields, each register write renamed
     `%name.N`, where N counts the writes of the whole program, so that the
-    result is SSA."""
+    result is SSA.  Machine registers (`rN`, `fN`) are rejected."""
+    for i in p.instrs:
+        for o in i.srcs + i.dests:
+            if isinstance(o, Vreg) and not o.name.startswith("%"):
+                raise IrError(f"machine register {o.name} in compiler "
+                              "input (it takes %registers only)", i.line)
     out = p.clone()
     out.instrs = []
     renames: dict[str, Vreg] = {}
@@ -598,10 +607,10 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     Each step issues a ready instruction at the earliest cycle its operands
     and a unit of its class allow.  Without a budget the step takes the one
     with the longest path to an exit.  With one, it also counts the live
-    virtual registers in issue order, and while that count is above the
+    values (`def_use`) in issue order, and while that count is above the
     budget, where an allocator with `budget` slots must spill, it takes the
-    one with the lowest delta = results read later - sources read for the
-    last time, ties by path length (integrated prepass scheduling, Goodman
+    one with the lowest delta = results read later - values it is the last
+    reader of, ties by path length (integrated prepass scheduling, Goodman
     & Hsu, ICS 1988).  A delta only falls as other reads issue, so each
     fall pushes a fresh heap entry, and stale entries are skipped when
     popped.
@@ -615,25 +624,17 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     by_delta: list[tuple[int, int, int]] = []
     live = 0
     if budget is not None:
-        reads: list[dict[str, int]] = []   # register -> operands reading it
-        left: dict[str, int] = {}          # register -> reads not issued
-        readers: dict[str, list[int]] = {}
-        for k, i in enumerate(instrs):
-            r: dict[str, int] = {}
-            for o in i.srcs:
-                if isinstance(o, Vreg):
-                    r[o.name] = r.get(o.name, 0) + 1
-            for v, c in r.items():
-                left[v] = left.get(v, 0) + c
-                readers.setdefault(v, []).append(k)
-            reads.append(r)
-        pending = {v: len(ks) for v, ks in readers.items()}  # not issued
-        made = [sum(1 for d in i.dests if isinstance(d, Vreg)
-                    and d.name in left) for i in instrs]
+        wrote, read = def_use(instrs)
+        # by writer: whether its value is read, and the instructions that
+        # read it and have not issued
+        made = [v is not None and len(v) > 1 for v in wrote]
+        pending = [len(set(v)) - 1 if v else 0 for v in wrote]
+
+        def values(k):
+            return {r[k] for r in read if r[k] is not None}
 
         def delta(k):
-            return made[k] - sum(1 for v, c in reads[k].items()
-                                 if left[v] == c)
+            return made[k] - sum(1 for j in values(k) if pending[j] == 1)
 
         by_delta = [(delta(k), -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
@@ -657,14 +658,13 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
         order.append(idx)
         if budget is not None:
             live += made[idx]
-            for v, c in reads[idx].items():
-                left[v] -= c
-                if left[v] == 0:
+            for j in values(idx):
+                pending[j] -= 1
+                if pending[j] == 0:
                     live -= 1
-                pending[v] -= 1
-                if pending[v] == 1:
-                    # v's one reader still to issue now reads it last
-                    r = next(k for k in readers[v] if not issued[k])
+                elif pending[j] == 1:
+                    # the one reader still to issue now reads it last
+                    r = next(k for k in wrote[j][1:] if not issued[k])
                     if remaining[r] == 0:
                         heappush(by_delta, (delta(r), -prio[r], r))
         for s in succs[idx]:
@@ -674,6 +674,8 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
                 heappush(by_prio, (-prio[s], s))
                 if budget is not None:
                     heappush(by_delta, (delta(s), -prio[s], s))
+    if len(order) != n_instr:
+        raise IrError("cyclic dependence in program")
     return order, cycles
 
 
@@ -693,16 +695,9 @@ def _latency_schedule(p: Program, hw: HardwareDescription):
     table = hw.lat_table(p.n)
     lat = [table[i.op] for i in p.instrs]
     graph = (succs, [len(ps) for ps in preds], lat, _priorities(lat, succs))
-    order, cycles = _run(p, hw, graph, None)
+    order, cycles = _list_schedule(p.instrs, hw, *graph, None)
     order.sort(key=lambda k: (cycles[k], k))
     return graph, _emit(p, graph, order, cycles)
-
-
-def _run(p: Program, hw: HardwareDescription, graph, budget: int | None):
-    order, cycles = _list_schedule(p.instrs, hw, *graph, budget)
-    if len(order) != len(p.instrs):
-        raise IrError("cyclic dependence in program")
-    return order, cycles
 
 
 def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
@@ -721,32 +716,43 @@ def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
     return out
 
 
-def _fit_check(latency: Program, hw: HardwareDescription):
-    """The latency schedule as the back end streams it (`merge_streaming`
-    on streaming hardware), and the SRAM slots that needs; besides what
-    the schedule read, it reads `hw.streaming` and `fifo_depth`."""
-    merged = merge_streaming(latency, hw) if hw.streaming else latency
-    return merged, max_liveness(merged)
+def _schedules(p: Program, hws) -> Iterator[tuple]:
+    """(hw, schedule(p, hw), fit) for each of `hws` in turn.
+
+    The latency schedule fits when the slots its values need
+    (`max_liveness`, after `merge_streaming` on streaming hardware) are at
+    most `hw.slots`; it is then the schedule, and `fit` is it as merged
+    for that check.  Otherwise the same dependence graph is scheduled again
+    with `hw.slots` as the live-value budget (see `_list_schedule`),
+    emitted in issue order, the order whose live count the budget held,
+    and `fit` is None.  Neither the latency schedule nor its fit check
+    reads `slots` or `banks`, so each is computed once per distinct value
+    of the fields it reads: an SRAM sweep schedules for latency once."""
+    latencies: dict = {}
+    fits: dict = {}
+    for hw in hws:
+        key = (hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override)
+        if key not in latencies:
+            latencies[key] = _latency_schedule(p, hw)
+        graph, latency = latencies[key]
+        fit_key = (key, hw.streaming, hw.fifo_depth)
+        if fit_key not in fits:
+            merged = merge_streaming(latency, hw) if hw.streaming else latency
+            fits[fit_key] = merged, max_liveness(merged)
+        merged, need = fits[fit_key]
+        if need <= hw.slots:
+            yield hw, latency, merged
+        else:
+            yield hw, _emit(p, graph, *_list_schedule(
+                p.instrs, hw, *graph, hw.slots)), None
 
 
 def schedule(p: Program, hw: HardwareDescription) -> Program:
     """List-schedule for latency, and again for SRAM pressure when the
-    latency schedule does not fit.
-
-    The latency schedule fits when the slots its values need
-    (`max_liveness`, after `merge_streaming` on streaming hardware) are at
-    most `hw.slots`; it is then emitted in issue-cycle order.  Otherwise
-    the same dependence graph is scheduled again with `hw.slots` as the
-    live-register budget (see `_list_schedule`), and emitted in issue
-    order, the order whose live count the budget held.  Each instruction
-    is tagged with its issue cycle; `notes` get the makespan and the
-    critical path.  Neither the latency schedule nor its fit check reads
-    `hw.slots`, so `back_ends` computes them once for a whole SRAM sweep.
-    """
-    graph, latency = _latency_schedule(p, hw)
-    if _fit_check(latency, hw)[1] <= hw.slots:
-        return latency
-    return _emit(p, graph, *_run(p, hw, graph, hw.slots))
+    latency schedule does not fit (see `_schedules`).  Each instruction is
+    tagged with its issue cycle; `notes` get the makespan and the critical
+    path."""
+    return next(_schedules(p, (hw,)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -992,58 +998,35 @@ def merge_spill_traffic(p: Program) -> Program:
 # ---------------------------------------------------------------------------
 # driver
 
-def front_end(src, *, do_propagate: bool = True, do_pre: bool = True,
-              do_merge: bool = True) -> Program:
-    """parse -> unroll -> lower -> propagate -> pre -> peephole_merge ->
-    propagate: the passes that do not depend on the hardware."""
-    p = parse_ir(src) if isinstance(src, str) else src
-    p = unroll(p)
+def front_end(src, *, do_pre: bool = True, do_merge: bool = True) -> Program:
+    """parse -> unroll -> propagate -> lower -> pre -> peephole_merge: the
+    passes that do not depend on the hardware.  Copies die once, before
+    lowering: machine code has no register move, and no later pass makes
+    one."""
+    p = propagate(unroll(parse_ir(src) if isinstance(src, str) else src))
     p = lower(p)
-    if do_propagate:
-        p = propagate(p)
     if do_pre:
         p = pre(p)
     if do_merge:
         p = peephole_merge(p)
-    # machine code has no register move, so copies always die here
-    return propagate(p)
+    return p
 
 
 def back_ends(p: Program, hws) -> Iterator[Program]:
     """back_end(p, hw) for each of `hws` in turn, on a front-end program,
-    which is left as it was.
-
-    The latency schedule and its fit check are computed once per distinct
-    value of the hardware fields they read (see `_latency_schedule` and
-    `_fit_check`), never `slots` or `banks`, so an SRAM sweep schedules its
-    front end for latency once."""
-    schedules: dict = {}
-    fits: dict = {}
-    for hw in hws:
-        key = (hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override)
-        if key not in schedules:
-            schedules[key] = _latency_schedule(p, hw)
-        graph, latency = schedules[key]
-        fit_key = (key, hw.streaming, hw.fifo_depth)
-        if fit_key not in fits:
-            fits[fit_key] = _fit_check(latency, hw)
-        yield _allocate(p, hw, graph, *fits[fit_key])
-
-
-def _allocate(p: Program, hw: HardwareDescription, graph, merged: Program,
-              need: int) -> Program:
-    """The rest of back_end, given the latency schedule's graph and fit
-    check: where the latency order fits, the fit check's merged program is
-    the one allocated; elsewhere `p` is scheduled for pressure and merged."""
-    if need > hw.slots:
-        merged = _emit(p, graph, *_run(p, hw, graph, hw.slots))
+    which is left as it was; each latency schedule and fit check is
+    computed once (see `_schedules`)."""
+    for hw, q, fit in _schedules(p, hws):
+        if fit is not None:
+            q = fit
+        elif hw.streaming:          # scheduled for pressure
+            q = merge_streaming(q, hw)
+        q = alloc_sram(q, hw)
         if hw.streaming:
-            merged = merge_streaming(merged, hw)
-    q = alloc_sram(merged, hw)
-    if hw.streaming:
-        q = merge_spill_traffic(q)
-    q.notes["streaming"] = hw.streaming
-    return q
+            q = merge_spill_traffic(q)
+        q.notes["streaming"] = hw.streaming
+        yield q
+        del q       # no name keeps a program while the next one compiles
 
 
 def back_end(p: Program, hw: HardwareDescription) -> Program:
@@ -1056,5 +1039,5 @@ def back_end(p: Program, hw: HardwareDescription) -> Program:
 def compile_program(src, hw: HardwareDescription | None = None,
                     **flags) -> Program:
     """The back end applied to the front end; `flags` are front_end's
-    do_propagate, do_pre and do_merge."""
+    do_pre and do_merge."""
     return back_end(front_end(src, **flags), hw or HardwareDescription())

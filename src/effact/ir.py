@@ -172,7 +172,6 @@ class Program:
     moduli: dict[str, Modulus] = field(default_factory=dict)
     consts: dict[str, ConstDef] = field(default_factory=dict)
     dram: dict[str, int] = field(default_factory=dict)
-    bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     instrs: list[Instr] = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
@@ -180,8 +179,7 @@ class Program:
         """A copy whose tables and instruction list the caller may change;
         the instructions themselves are shared."""
         return Program(self.n, dict(self.moduli), dict(self.consts),
-                       dict(self.dram), dict(self.bases), list(self.instrs),
-                       dict(self.notes))
+                       dict(self.dram), list(self.instrs), dict(self.notes))
 
     def opcount(self) -> dict[str, int]:
         out = {}
@@ -315,8 +313,8 @@ def parse_ir(text: str) -> Program:
 
 
 # operand count range of each directive
-_DIRECTIVE_ARITY = {".n": (1, 1), ".mod": (2, 3), ".basis": (1, None),
-                    ".dram": (2, 2), ".const": (4, 5)}
+_DIRECTIVE_ARITY = {".n": (1, 1), ".mod": (2, 3), ".dram": (2, 2),
+                    ".const": (4, 5)}
 
 
 def _parse_directive(prog: Program, line: str, lineno: int):
@@ -324,7 +322,7 @@ def _parse_directive(prog: Program, line: str, lineno: int):
     if parts[0] not in _DIRECTIVE_ARITY:
         raise IrError(f"unknown directive {parts[0]}", lineno)
     lo, hi = _DIRECTIVE_ARITY[parts[0]]
-    if len(parts) - 1 < lo or hi is not None and len(parts) - 1 > hi:
+    if not lo <= len(parts) - 1 <= hi:
         raise IrError(f"wrong operand count in '{line}'", lineno)
     try:
         _apply_directive(prog, parts, lineno)
@@ -343,8 +341,6 @@ def _apply_directive(prog: Program, parts: list[str], lineno: int):
         name, q = parts[1], int(parts[2])
         r_bits = int(parts[3]) if len(parts) > 3 else None
         prog.moduli[name] = make_modulus(q, prog.n, r_bits)
-    elif parts[0] == ".basis":
-        prog.bases[parts[1]] = tuple(parts[2:])
     elif parts[0] == ".dram":
         prog.dram[parts[1]] = int(parts[2])
     else:
@@ -442,8 +438,6 @@ def print_program(p: Program) -> str:
     lines = [f".n {p.n}"]
     for name, m in p.moduli.items():
         lines.append(f".mod {name} {m.q} {m.r_bits}")
-    for name, mods in p.bases.items():
-        lines.append(f".basis {name} {' '.join(mods)}")
     for sym, count in p.dram.items():
         lines.append(f".dram {sym} {count}")
     for c in p.consts.values():
@@ -541,7 +535,12 @@ def walk(prog: Program):
                     *(sval(s, i.line) for s in i.srcs))
             pc += 1
 
-    yield from run(0, len(instrs))
+    try:
+        yield from run(0, len(instrs))
+    finally:
+        # `run` is in its own closure; without this the cycle keeps `prog`
+        # alive until the cyclic collector next runs
+        del run
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Deterministic performance model of the accelerator.
 
 Scoreboard-style simulation over machine programs: per-class function
-units (with MAC routable to either the multiplier array or the NTT
-datapath), a bandwidth-limited DRAM channel with a fixed base latency,
-SRAM bank-conflict serialization, and element-granularity streaming where
+units (MAC on the multiplier array, as `schedule` books it), a
+bandwidth-limited DRAM channel with a fixed base latency, SRAM
+bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
 SRAM.  Reports cycles, busy counts, utilizations, and DRAM traffic.
 Dependences, unit classes and latencies come from the compiler's one
@@ -103,9 +103,7 @@ def _check_resources(p: Program, hw: HardwareDescription):
 
 
 def simulate(p: Program, hw: HardwareDescription,
-             mac_unit: str = "mmul", want_trace: bool = False) -> SimReport:
-    if mac_unit not in ("mmul", "ntt"):
-        raise ValueError("mac_unit must be 'mmul' or 'ntt'")
+             want_trace: bool = False) -> SimReport:
     check_machine_form(p)
     _check_resources(p, hw)
     n = p.n
@@ -138,7 +136,7 @@ def simulate(p: Program, hw: HardwareDescription,
             complete[idx] = dram_slot(ready) + max(lat, xfer)
             moved[i.op] += WORD_BYTES * n
         else:
-            cls = mac_unit if i.op == "mac" else FU_CLASS[i.op]
+            cls = FU_CLASS[i.op]
             pool = pools[cls]
             start = max(ready, pool.earliest())
             # streaming sources: the unit starts once first elements arrive

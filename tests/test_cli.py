@@ -68,6 +68,44 @@ def test_compile_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error[compile]: line ")
 
 
+MACHINE_REGS = """\
+.n 16
+.mod q0 97
+.dram x 2
+r0 = load @x[0]
+r1 = mmul r0, r0, q0
+store r1, @x[1]
+"""
+
+
+def test_machine_registers_in_compiler_input_are_tagged_errors(tmp_path,
+                                                               capsys):
+    ks, easm, m, f = (tmp_path / n for n in ("ks.eir", "ks.easm", "m.eir",
+                                             "f.eir"))
+    assert main(["gen", "keyswitch", "-o", str(ks)]) == 0
+    assert main(["compile", str(ks), "-o", str(easm)]) == 0
+    m.write_text(MACHINE_REGS)
+    # a FIFO channel read as a source, on line 5
+    f.write_text(MACHINE_REGS.replace("r0 = load", "%a = load")
+                 .replace("r0, r0", "%a, f1"))
+    for argv, want in (
+            (["compile", str(easm), "-o", str(tmp_path / "re.easm")],
+             "error[compile]: line "),
+            (["compile", str(m), "-o", str(tmp_path / "m.ebin")],
+             "error[compile]: line 4: machine register r0"),
+            (["compile", str(f)],
+             "error[compile]: line 5: machine register f1"),
+            (["sweep", str(easm)], "error[sweep]: line "),
+            (["analyze", str(easm), "--streaming"], "error[analyze]: line ")):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(want) and "machine register" in err and \
+            "Traceback" not in err
+    assert not (tmp_path / "re.easm").exists()
+    assert not (tmp_path / "m.ebin").exists()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/nonexistent.eir"]) == 1
 

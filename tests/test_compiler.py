@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import FrozenInstanceError, replace
 from heapq import heappop, heappush
@@ -1030,13 +1031,37 @@ def test_compile_toggles_preserve_semantics():
         p = random_program(rng)
         img = random_image(p, rng)
         want = outputs(p, img)
-        for kw in ({"do_pre": False}, {"do_propagate": False},
+        for kw in ({"do_pre": False},
                    {"do_merge": False}, {"streaming": False},
                    {"do_pre": False, "do_merge": False, "streaming": False}):
             hw = replace(HW, streaming=kw.pop("streaming", True))
             mc = compile_program(p, hw, **kw)
             check_machine_form(mc)
             assert outputs(mc, img) == want
+
+
+# sha256 prefixes of assemble_text of each program compiled for the default
+# hardware; any change to the compiler's output changes one of them
+GOLDEN = (
+    (gen_keyswitch, WorkloadParams(n=1024, levels=4, dnum=2), "eb9e8795"),
+    (gen_hoisted_rotations, WorkloadParams(n=1024, levels=4, dnum=2),
+     "58d3db5c"),
+    (gen_helr_iteration, WorkloadParams(n=1024, levels=4, dnum=2),
+     "73fce63d"),
+    (gen_bootstrap_skeleton, WorkloadParams(n=2 ** 16, levels=12, dnum=4,
+                                            l_cts=2, l_evalmod=4, l_stc=2),
+     "1d54840c"),
+    (gen_keyswitch, WorkloadParams(n=2 ** 16, levels=24, dnum=4),
+     "26d5a6dc"),
+)
+
+
+@pytest.mark.parametrize("gen,wp,prefix", GOLDEN,
+                         ids=["desk_ks", "hoisted", "helr", "l12_boot",
+                              "l24_ks"])
+def test_compiled_workloads_are_byte_identical(gen, wp, prefix):
+    text = assemble_text(compile_program(gen(wp), HardwareDescription()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:8] == prefix
 
 
 def test_compile_deterministic():

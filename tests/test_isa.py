@@ -74,6 +74,8 @@ def test_parse_empty_and_errors():
     with pytest.raises(IrError, match="pairwise distinct"):
         parse_ir(HEADER + ".mod q2 97\n%a = load @x[0]\n"
                  "%b = bconv %a : q0 -> q2\n")
+    with pytest.raises(IrError, match="line 6: unknown directive .basis"):
+        parse_ir(HEADER + ".basis C q0\n")
 
 
 def test_print_parse_round_trip():

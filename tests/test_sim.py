@@ -179,19 +179,6 @@ def test_determinism():
     assert a.trace == b.trace
 
 
-def test_mac_routing_changes_unit_not_results():
-    text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
-                       "%c = mac %a, %b, %b, q0\nstore %c, @y[0]\n")
-    prog = parse_ir(text)
-    mc = compile_program(prog, replace(HW, streaming=False))
-    on_mmul = simulate(mc, HW, mac_unit="mmul")
-    on_ntt = simulate(mc, HW, mac_unit="ntt")
-    assert on_mmul.fu_busy["mmul"] > 0 and on_mmul.fu_busy["ntt"] == 0
-    assert on_ntt.fu_busy["ntt"] > 0 and on_ntt.fu_busy["mmul"] == 0
-    with pytest.raises(ValueError):
-        simulate(mc, HW, mac_unit="auto")
-
-
 def test_resource_check():
     text = header() + "%a = load @x[0]\nstore %a, @y[0]\n"
     mc = compile_program(parse_ir(text), HW)
