@@ -96,11 +96,10 @@ def _encode_operand(o, symidx, constidx) -> int:
         return (_T_ADDR << 21) | (symidx[o.sym] << 15) | o.base
     if isinstance(o, CRef):
         return (_T_CONST << 21) | constidx[o.name]
-    if isinstance(o, Imm):
-        if not 0 <= o.val < (1 << 21):
-            raise IrError(f"immediate {o.val} out of encodable range")
-        return (_T_IMM << 21) | o.val
-    raise IrError(f"operand {o} not encodable")
+    # an immediate, the one kind left (ir.OPERANDS)
+    if not 0 <= o.val < (1 << 21):
+        raise IrError(f"immediate {o.val} out of encodable range")
+    return (_T_IMM << 21) | o.val
 
 
 def _entry(table: list, k: int, what: str):

@@ -111,10 +111,12 @@ def _add_pass_flags(sp):
 
 def _cmd_compile(args) -> int:
     machine, _ = _compile(args, _read_text(args.input, "read"))
-    if args.output and args.output.endswith(".ebin"):
-        _write(args.output, assemble_binary(machine), binary=True)
-    else:
-        _write(args.output, assemble_text(machine))
+    binary = (args.output or "").endswith(".ebin")
+    try:
+        out = assemble_binary(machine) if binary else assemble_text(machine)
+    except IrError as e:    # a name or an address the binary cannot encode
+        raise CliError("assemble", str(e))
+    _write(args.output, out, binary=binary)
     if args.json:
         notes = {"instructions": len(machine.instrs), **machine.notes}
         _write(args.json, json.dumps(notes, indent=2, sort_keys=True) + "\n")

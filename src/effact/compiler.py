@@ -9,6 +9,10 @@ Pipeline (compile_program() is back_end(front_end(src))):
                -> merge_spill_traffic
 
 The compiler takes `%` registers only; `unroll` rejects machine registers.
+It relies on the operand kinds of `ir.OPERANDS`, which `parse_ir` checks,
+and on every address being concrete after `unroll` (`ir.walk` resolves
+them): `_addr_key`, which keys memory order and the streaming merges by
+DRAM cell, raises on any other.
 The front end does not read the hardware description, so an SRAM sweep
 runs it once.  `schedule` orders for latency, and when that order needs
 more SRAM slots than the hardware has, orders again so as to keep the live
@@ -42,7 +46,6 @@ from .ir import (
     Addr,
     CRef,
     ConstDef,
-    Imm,
     Instr,
     IrError,
     Program,
@@ -262,8 +265,8 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
 
     for i in p.instrs:
         if i.op == "copy":
-            if isinstance(i.srcs[0], Vreg) and str(i.srcs[0]) in deferred:
-                deferred.add(str(i.dests[0]))
+            if i.srcs[0].name in deferred:
+                deferred.add(i.dests[0].name)
             out.instrs.append(i)
             continue
         if i.op == "intt":
@@ -289,8 +292,7 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
             src = RnsBasis(tuple(p.moduli[m] for m in src_mods))
             dst = RnsBasis(tuple(p.moduli[m] for m in dst_mods))
             tables = make_bconv_tables(src, dst)
-            is_def = all(isinstance(s, Vreg) and str(s) in deferred
-                         for s in i.srcs)
+            is_def = all(s.name in deferred for s in i.srcs)
             tj = []
             for j, (s, mname) in enumerate(zip(i.srcs, src_mods)):
                 m = src[j]
@@ -339,10 +341,8 @@ def propagate(p: Program) -> Program:
     instrs = []
     for i in out.instrs:
         i = _sub_srcs(i, table)
-        if i.op == "copy" and i.dests and isinstance(i.dests[0], Vreg):
-            src = i.srcs[0]
-            table[str(i.dests[0])] = table.get(str(src), src) \
-                if isinstance(src, Vreg) else src
+        if i.op == "copy":
+            table[i.dests[0].name] = i.srcs[0]
             continue
         instrs.append(i)
     out.instrs = instrs
@@ -353,13 +353,13 @@ def propagate(p: Program) -> Program:
 # partial redundancy elimination (value numbering + pure-op DCE)
 
 def _operand_key(o, vn):
+    """A source of a pure op as `pre` compares it: a register by its value
+    number, then a constant or an immediate."""
     if isinstance(o, Vreg):
         return ("v", vn.get(o.name, o.name))
     if isinstance(o, CRef):
         return ("c", o.name)
-    if isinstance(o, Imm):
-        return ("i", o.val)
-    return ("x", str(o))
+    return ("i", o.val)
 
 
 def pre(p: Program) -> Program:
@@ -372,8 +372,7 @@ def pre(p: Program) -> Program:
     instrs = []
     for i in out.instrs:
         i = _sub_srcs(i, repl)
-        pure = (i.op in PURE_OPS and len(i.dests) == 1
-                and isinstance(i.dests[0], Vreg)
+        pure = (i.op in PURE_OPS and isinstance(i.dests[0], Vreg)
                 and not any(isinstance(s, Addr) for s in i.srcs))
         if not pure:
             instrs.append(i)
@@ -437,8 +436,7 @@ def peephole_merge(p: Program) -> Program:
                     and j is not None and len(wrote[j]) == 2):
                 prod = instrs[j]
                 if (j not in kill and prod.op == "mmul"
-                        and isinstance(prod.srcs[1], CRef)
-                        and isinstance(prod.srcs[0], (Vreg, Addr))):
+                        and isinstance(prod.srcs[1], CRef)):
                     folded = _try_fold_consts(out, prod, i, interned)
                     if folded is not None:
                         instrs[idx] = folded
@@ -452,9 +450,7 @@ def peephole_merge(p: Program) -> Program:
                     if j is None or len(wrote[j]) != 2:
                         continue
                     prod = instrs[j]
-                    if (j in kill or prod.op != "mmul"
-                            or prod.mod != i.mod
-                            or not isinstance(prod.srcs[0], (Vreg, Addr))):
+                    if j in kill or prod.op != "mmul" or prod.mod != i.mod:
                         continue
                     b, acc = prod.srcs[1], i.srcs[1 - pos]
                     # a MAC accumulates into a vector, never a constant
@@ -478,17 +474,13 @@ def peephole_merge(p: Program) -> Program:
 # dependence graph + list scheduling
 
 def _mem_accesses(i: Instr):
+    """(cells read, cells written) by one instruction."""
+    if i.op == "store":
+        return [], [i.srcs[1]]
     reads, writes = [], []
-    if i.op == "load":
-        reads.append(i.srcs[0])
-    elif i.op == "store":
-        writes.append(i.srcs[1])
-        if isinstance(i.srcs[0], Addr):
-            reads.append(i.srcs[0])
-    else:
-        for s in i.srcs:
-            if isinstance(s, Addr):
-                reads.append(s)
+    for s in i.srcs:
+        if isinstance(s, Addr):
+            reads.append(s)
     for d in i.dests:
         if isinstance(d, Addr):
             writes.append(d)
@@ -496,8 +488,11 @@ def _mem_accesses(i: Instr):
 
 
 def _addr_key(a: Addr):
-    # unknown (non-constant) addresses conservatively alias everything
-    return (a.sym, a.base) if a.concrete else None
+    """The DRAM cell of an address; every address is concrete once
+    `unroll` has run (`ir.walk` resolves them)."""
+    if a.terms:
+        raise IrError(f"non-constant address {a}: unroll the program first")
+    return a.sym, a.base
 
 
 def build_deps(p: Program) -> list[set[int]]:
@@ -509,8 +504,6 @@ def build_deps(p: Program) -> list[set[int]]:
     reg_readers: dict[str, list[int]] = {}
     last_write: dict = {}
     readers: dict = {}
-    wild_writes: list[int] = []
-    wild_reads: list[int] = []
     for idx, i in enumerate(p.instrs):
         for s in i.srcs:
             if isinstance(s, Vreg):
@@ -521,30 +514,15 @@ def build_deps(p: Program) -> list[set[int]]:
         reads, writes = _mem_accesses(i)
         for a in reads:
             key = _addr_key(a)
-            if key is None:
-                preds[idx].update(wild_writes)
-                preds[idx].update(last_write.values())
-                wild_reads.append(idx)
-            else:
-                if key in last_write:
-                    preds[idx].add(last_write[key])
-                preds[idx].update(wild_writes)
-                readers.setdefault(key, []).append(idx)
+            if key in last_write:
+                preds[idx].add(last_write[key])
+            readers.setdefault(key, []).append(idx)
         for a in writes:
             key = _addr_key(a)
-            if key is None:
-                for vals in readers.values():
-                    preds[idx].update(vals)
-                preds[idx].update(last_write.values())
-                preds[idx].update(wild_reads)
-                wild_writes.append(idx)
-            else:
-                if key in last_write:
-                    preds[idx].add(last_write[key])
-                for r in readers.pop(key, []):
-                    preds[idx].add(r)
-                preds[idx].update(wild_reads)
-                last_write[key] = idx
+            if key in last_write:
+                preds[idx].add(last_write[key])
+            preds[idx].update(readers.pop(key, ()))
+            last_write[key] = idx
         for d in i.dests:
             if isinstance(d, Vreg):
                 r = d.name
@@ -761,7 +739,7 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
 def _merge_memory(instrs: list[Instr], wrote: list, read: list,
                   sym: str | None = None) -> set[int]:
     """Sink and source merges over the cells of DRAM symbol `sym` (of every
-    concrete cell if None), in place; returns the indices of the loads and
+    cell if None), in place; returns the indices of the loads and
     stores merged away.  `wrote`, `read` = `def_use(instrs)`.
 
     Sink: an FU result whose one read is a store writes the cell itself,
@@ -770,18 +748,17 @@ def _merge_memory(instrs: list[Instr], wrote: list, read: list,
     between.  Every sink merge, in store order, precedes every source
     merge."""
     def streamed(key):
-        return key is not None and (sym is None or key[0] == sym)
+        return sym is None or key[0] == sym
 
     # ascending indices of the instructions that read / write each streamed
     # cell, kept current as the sink merge moves writes (the source merge
-    # moves only reads, which no later check asks about); the key None
-    # collects accesses at non-constant addresses, which may touch any cell
+    # moves only reads, which no later check asks about)
     at: tuple[dict, dict] = ({}, {})
 
     def note(k, accesses, kind):
         for a in accesses:
             key = _addr_key(a)
-            if key is None or streamed(key):
+            if streamed(key):
                 insort(at[kind].setdefault(key, []), k)
 
     for k, i in enumerate(instrs):
@@ -791,15 +768,15 @@ def _merge_memory(instrs: list[Instr], wrote: list, read: list,
 
     def between(key, lo, hi, kinds):
         for kind in kinds:
-            for ks in (at[kind].get(key, ()), at[kind].get(None, ())):
-                j = bisect_right(ks, lo)
-                if j < len(ks) and ks[j] < hi:
-                    return True
+            ks = at[kind].get(key, ())
+            j = bisect_right(ks, lo)
+            if j < len(ks) and ks[j] < hi:
+                return True
         return False
 
     kill = set()
     for idx, i in enumerate(instrs):
-        if i.op != "store" or not isinstance(i.srcs[0], Vreg):
+        if i.op != "store":
             continue
         j, key = read[0][idx], _addr_key(i.srcs[1])
         if (j is None or len(wrote[j]) != 2 or instrs[j].op not in FU_OPS
@@ -809,13 +786,13 @@ def _merge_memory(instrs: list[Instr], wrote: list, read: list,
         note(j, (i.srcs[1],), 1)
         kill.add(idx)
     for idx, i in enumerate(instrs):
-        if i.op != "load" or not isinstance(i.dests[0], Vreg):
+        if i.op != "load":
             continue
         v, key = wrote[idx], _addr_key(i.srcs[0])
         if (len(v) != 2 or instrs[v[1]].op not in FU_OPS
                 or not streamed(key) or between(key, idx, v[1], (1,))):
             continue
-        instrs[v[1]] = _sub_srcs(instrs[v[1]], {str(i.dests[0]): i.srcs[0]})
+        instrs[v[1]] = _sub_srcs(instrs[v[1]], {i.dests[0].name: i.srcs[0]})
         kill.add(idx)
     return kill
 

@@ -8,6 +8,9 @@ registers (%name), scalar registers ($name), constant-pool references
 Vector opcodes: mmul, mmad, mac, ntt, intt (.defer), auto, load, store,
 copy, and the high-level bconv (compiled away by lowering).  The scalar
 subset is sli / sadd / smul, counted loops (loop/endloop), and skipz.
+`OPERANDS` gives the operand kinds of each opcode by position (a bconv takes
+registers only); `parse_ir` and `asm.check_machine_form` enforce it
+(`check_operands`), so no pass checks operand kinds again.
 
 `walk` is the one interpreter of the scalar subset: the compiler unrolls
 what it yields, and the golden executor runs it.  The executor takes
@@ -119,17 +122,39 @@ class ConstDef:
     absorb: bool = False
 
 
-VECTOR_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "load", "store",
-              "copy", "bconv"}
 SCALAR_OPS = {"sli", "sadd", "smul", "loop", "endloop", "skipz"}
 # pure vector ops are PRE/peephole candidates; loads/stores are not
 PURE_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "copy"}
-# (destinations, sources) of every opcode but bconv
-OPERAND_COUNTS = {"mmul": (1, 2), "mmad": (1, 2), "mac": (1, 3),
-                  "ntt": (1, 1), "intt": (1, 1), "auto": (1, 2),
-                  "load": (1, 1), "store": (0, 2), "copy": (1, 1),
-                  "sli": (1, 1), "sadd": (1, 2), "smul": (1, 2),
-                  "loop": (1, 2), "endloop": (0, 0), "skipz": (0, 2)}
+
+# An operand position: the kinds it takes, and the complaint when it gets
+# another.  A data operand is a register or an address.
+_DATA = (Vreg, Addr)
+_RESULT = (_DATA, "result must be a register or an address")
+_SOURCE = (_DATA, "source must be a register or an address")
+_LAST = (_DATA + (CRef,),
+         "last source must be a register, an address or a constant")
+_REG_RESULT = ((Vreg,), "result must be a register")
+_REG_SOURCE = ((Vreg,), "source must be a register")
+_SCALAR_RESULT = ((SRef,), "takes scalar operands only")
+_SCALAR = ((SRef, Imm), "takes scalar operands only")
+# (destination positions, source positions) of each opcode but bconv
+OPERANDS = {
+    "mmul": ((_RESULT,), (_SOURCE, _LAST)),
+    "mmad": ((_RESULT,), (_SOURCE, _LAST)),
+    "mac": ((_RESULT,), (_SOURCE, _SOURCE, _LAST)),
+    "ntt": ((_RESULT,), (_SOURCE,)),
+    "intt": ((_RESULT,), (_SOURCE,)),
+    "auto": ((_RESULT,), (_SOURCE, ((Imm,), "step must be an immediate"))),
+    "load": ((_REG_RESULT,), (((Addr,), "source must be an address"),)),
+    "store": ((), (_REG_SOURCE, ((Addr,), "target must be an address"))),
+    "copy": ((_REG_RESULT,), (_REG_SOURCE,)),
+    "sli": ((_SCALAR_RESULT,), (_SCALAR,)),
+    "sadd": ((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
+    "smul": ((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
+    "loop": ((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
+    "endloop": ((), ()),
+    "skipz": ((), (_SCALAR, _SCALAR)),
+}
 
 
 _SAME = object()      # an Instr.with_ field left as it is
@@ -189,21 +214,13 @@ class Program:
 
 
 def check_operands(i: Instr):
-    """The operand counts and kinds that the passes, the executor and the
-    simulator rely on (bconv is checked against its bases when parsed)."""
-    ndests, nsrcs = OPERAND_COUNTS[i.op]
-    if len(i.srcs) != nsrcs or len(i.dests) != ndests:
-        raise IrError(f"{i.op} expects {nsrcs} operands", i.line)
-    if i.op == "auto" and not isinstance(i.srcs[1], Imm):
-        raise IrError("auto step must be an immediate", i.line)
-    if i.op == "load" and not isinstance(i.srcs[0], Addr):
-        raise IrError("load source must be an address", i.line)
-    if i.op == "store" and not isinstance(i.srcs[1], Addr):
-        raise IrError("store target must be an address", i.line)
-    if i.op in SCALAR_OPS and not (
-            all(isinstance(s, (SRef, Imm)) for s in i.srcs)
-            and all(isinstance(d, SRef) for d in i.dests)):
-        raise IrError(f"{i.op} takes scalar operands only", i.line)
+    """Check the operand counts and kinds of `OPERANDS`."""
+    dests, srcs = OPERANDS[i.op]
+    if len(i.srcs) != len(srcs) or len(i.dests) != len(dests):
+        raise IrError(f"{i.op} expects {len(srcs)} operands", i.line)
+    for o, (ok, complaint) in zip(i.dests + i.srcs, dests + srcs):
+        if not isinstance(o, ok):
+            raise IrError(f"{i.op} {complaint}", i.line)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +391,7 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
     rest = toks[1] if len(toks) > 1 else ""
     op, _, flag = opname.partition(".")
     flags = frozenset([flag]) if flag else frozenset()
-    if op not in VECTOR_OPS | SCALAR_OPS:
+    if op not in OPERANDS and op != "bconv":
         raise IrError(f"unknown opcode '{opname}'", lineno)
     if flag and (op, flag) != ("intt", "defer"):
         raise IrError(f"unknown opcode suffix '.{flag}'", lineno)
@@ -392,6 +409,8 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
             raise IrError("bconv moduli must be pairwise distinct", lineno)
         if len(srcs) != len(srcm) or len(dests) != len(dstm):
             raise IrError("bconv operand/basis arity mismatch", lineno)
+        if not all(isinstance(o, Vreg) for o in dests + srcs):
+            raise IrError("bconv takes registers only", lineno)
         return Instr(op, dests, srcs, None, flags,
                      {"src_mods": tuple(srcm), "dst_mods": tuple(dstm)},
                      lineno)
@@ -589,13 +608,12 @@ def _const_word(prog: Program, ref: CRef) -> tuple[Word, bool, str]:
 
 
 def _operand_value(env, img, o):
-    if isinstance(o, Vreg):
-        if str(o) not in env:
-            raise ExecError(f"register {o} read before write")
-        return env[str(o)]
+    """The value of a data operand: a register or an address."""
     if isinstance(o, Addr):
         return img.fetch(o.sym, o.base)
-    raise ExecError(f"cannot evaluate operand {o}")
+    if o.name not in env:
+        raise ExecError(f"register {o} read before write")
+    return env[o.name]
 
 
 def _fit_modulus(poly: RnsPoly, m: Modulus, op: str,

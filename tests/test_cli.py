@@ -516,3 +516,64 @@ def test_gen_invalid_params(capsys):
     assert main(["gen", "bootstrap", "--N", "256", "--L", "3",
                  "--dnum", "2"]) == 1   # no level budget
     assert "error[gen]" in capsys.readouterr().err
+
+
+# forms the operand table rejects at parse; each once compiled to code
+# that meant something else, or crashed the compiler or the assembler
+HEAD = ".n 16\n.mod q0 97\n.dram x 2\n.dram y 2\n"
+BAD_OPERANDS = {
+    # a copy of x[0] forwarded past the store that overwrites x[0]
+    "copy from an address": (
+        "%a = copy @x[0]\n%b = load @x[1]\nstore %b, @x[0]\n"
+        "store %a, @y[0]\n", "line 5: copy source must be a register"),
+    "copy to an address": (
+        "%a = load @x[0]\n@y[0] = copy %a\n",
+        "line 6: copy result must be a register"),
+    "load into a scalar": (
+        "$s = load @x[0]\nstore $s, @y[0]\n",
+        "line 5: load result must be a register"),
+    "immediate multiplicand": (
+        "%a = load @x[0]\n%b = mmul %a, 5, q0\nstore %b, @y[0]\n",
+        "line 6: mmul last source must be"),
+    "constant as the first multiplicand": (
+        ".const c q0 5 sm\n%a = load @x[0]\n%b = mmul !c, %a, q0\n"
+        "store %b, @y[0]\n", "line 7: mmul source must be"),
+    "bconv into an address": (
+        ".mod q1 193\n%a = load @x[0]\n@y[0] = bconv %a : q0 -> q1\n",
+        "line 7: bconv takes registers only"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPERANDS))
+def test_bad_operand_kinds_are_tagged_errors(case, tmp_path, capsys):
+    body, msg = BAD_OPERANDS[case]
+    path = tmp_path / "bad.eir"
+    path.write_text(HEAD + body)
+    for argv, stage in ((["compile", str(path)], "compile"),
+                        (["compile", str(path), "-o",
+                          str(tmp_path / "bad.easm")], "compile"),
+                        (["compile", str(path), "-o",
+                          str(tmp_path / "bad.ebin")], "compile"),
+                        (["sim", str(path)], "compile"),
+                        (["exec", str(path)], "parse")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error[{stage}]: {msg}")
+    assert not (tmp_path / "bad.easm").exists()
+    assert not (tmp_path / "bad.ebin").exists()
+
+
+@pytest.mark.parametrize("text,msg", [
+    (".n 16\n.mod q0 97\n.dram sixteen_bytes_xx 2\n"
+     "%a = load @sixteen_bytes_xx[0]\nstore %a, @sixteen_bytes_xx[1]\n",
+     "name 'sixteen_bytes_xx' too long for binary encoding"),
+    (".n 16\n.mod q0 97\n.dram x 2\n.dram y 40000\n%a = load @x[0]\n"
+     "store %a, @y[39999]\n", "address @y[39999] not encodable")],
+    ids=["long symbol", "far address"])
+def test_unencodable_binary_is_a_tagged_error(text, msg, tmp_path, capsys):
+    path = tmp_path / "prog.eir"
+    path.write_text(text)
+    # the text form holds it; the 128-bit binary word does not
+    assert main(["compile", str(path), "-o", str(tmp_path / "a.easm")]) == 0
+    assert main(["compile", str(path), "-o", str(tmp_path / "a.ebin")]) == 1
+    assert capsys.readouterr().err.startswith(f"error[assemble]: {msg}")
+    assert not (tmp_path / "a.ebin").exists()

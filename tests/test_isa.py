@@ -11,6 +11,7 @@ from effact.asm import (
     load_image,
     save_image,
 )
+from effact.compiler import compile_program
 from effact.ir import (
     Addr,
     IrError,
@@ -24,6 +25,7 @@ from effact.ir import (
 )
 from effact.poly import (
     SM,
+    ContractError,
     RnsPoly,
     automorphism_ntt,
     bconv_merged,
@@ -35,7 +37,8 @@ from effact.poly import (
     vec_madd,
     vec_mmul,
 )
-from effact.rns import NM, RnsBasis, make_modulus, make_modulus_chain, sm_encode
+from effact.rns import (NM, ReprError, RnsBasis, make_modulus,
+                        make_modulus_chain, sm_encode)
 
 N = 16
 HEADER = f".n {N}\n.mod q0 97\n.mod q1 113\n.dram x 8\n.dram y 8\n"
@@ -349,3 +352,109 @@ def test_memory_image_round_trip():
         assert got.to_ints() == orig.to_ints()
         assert (got.domain, got.order, got.repr) == \
             (orig.domain, orig.order, orig.repr)
+
+
+# ---------------------------------------------------------------------------
+# operand kinds: the parser, the executor and the compiler agree
+
+KIND_HEADER = (f".n {N}\n.mod q0 97\n.mod q1 193\n.dram x 2\n.dram y 8\n"
+               f".const c q0 {sm_encode(5, make_modulus(97, N))} sm\n")
+# (destinations, opcode, sources, modulus) of every opcode; x holds two
+# NTT-domain SM words of q0
+KIND_BODY = (
+    (["$s"], "sli", ["1"], None),
+    (["$t"], "sadd", ["$s", "1"], None),
+    (["$u"], "smul", ["$t", "$s"], None),
+    (["%a"], "load", ["@x[0]"], None),
+    (["%b"], "load", ["@x[1]"], None),
+    (["%m"], "mmul", ["%a", "!c"], "q0"),
+    (["%d"], "mmad", ["%m", "%b"], "q0"),
+    (["%e"], "mac", ["%d", "%a", "%b"], "q0"),
+    (["%f"], "auto", ["%e", "1"], "q0"),
+    (["%g"], "intt", ["%f"], "q0"),
+    (["%h"], "ntt", ["%g"], "q0"),
+    (["%k"], "copy", ["%h"], None),
+    ([], "store", ["%b", "@x[0]"], None),
+    (["$i"], "loop", ["0", "1"], None),
+    ([], "skipz", ["$u", "0"], None),
+    (["%r"], "bconv", ["%g"], None),
+    ([], "store", ["%r", "@y[$i]"], None),
+    ([], "endloop", [], None),
+    ([], "store", ["%k", "@y[2]"], None),
+    ([], "store", ["%e", "@y[3]"], None),
+    ([], "store", ["%d", "@y[4]"], None),
+)
+# a register, an address, a constant, an immediate and a scalar; the
+# register is one the instruction already reads, so that only its kind, not
+# its value's domain or modulus, differs from the valid program
+KINDS = ("%", "@x[0]", "!c", "2", "$s")
+
+
+def kind_program(body) -> str:
+    lines = []
+    for dests, op, srcs, mod in body:
+        if op == "bconv":
+            rhs = f"bconv {' '.join(srcs)} : q0 -> q1"
+        else:
+            rhs = " ".join([op, ", ".join(srcs + ([mod] if mod else []))])
+        lines.append(f"{' '.join(dests)} = {rhs}" if dests else rhs.strip())
+    return KIND_HEADER + "\n".join(lines) + "\n"
+
+
+def kind_variants():
+    """Each program that puts one operand kind at one operand position."""
+    for k, (dests, op, srcs, mod) in enumerate(KIND_BODY):
+        for side in ("dests", "srcs"):
+            ops = dests if side == "dests" else srcs
+            for pos in range(len(ops)):
+                for kind in KINDS:
+                    if kind == "%":
+                        kind = next((s for s in srcs if s[0] == "%"), "%a")
+                    if kind == ops[pos]:
+                        continue
+                    swapped = list(ops)
+                    swapped[pos] = kind
+                    line = (swapped, op, srcs, mod) if side == "dests" \
+                        else (dests, op, swapped, mod)
+                    body = KIND_BODY[:k] + (line,) + KIND_BODY[k + 1:]
+                    yield k + KIND_HEADER.count("\n") + 1, \
+                        kind_program(body)
+
+
+def dram_words(prog, img):
+    """Every DRAM word after running prog, or the error it raised."""
+    try:
+        out = execute_program(prog, img)
+    except (ExecError, IrError, ContractError, ReprError) as e:
+        return type(e)
+    return {sym: [None if v is None else v.to_ints() for v in vals]
+            for sym, vals in out.dram.items() if sym != "__spill"}
+
+
+def test_operand_kinds_parse_errors_or_compile_faithfully():
+    rng = random.Random(31)
+    m = make_modulus(97, N)
+    words = [ntt_fwd(rand_limb(m, rng, repr=SM)) for _ in range(2)]
+    base = parse_ir(kind_program(KIND_BODY))
+    img = image_for(base, x_0=words[0], x_1=words[1])
+    assert isinstance(dram_words(base, img), dict)
+    tried = rejected = 0
+    for lineno, text in kind_variants():
+        tried += 1
+        try:
+            prog = parse_ir(text)
+        except IrError as e:
+            # the line itself, or a later read of a result it no longer
+            # writes
+            assert e.line == lineno or "undefined" in str(e), (text, e)
+            rejected += 1
+            continue
+        want = dram_words(prog, img)
+        try:
+            got = dram_words(compile_program(prog), img)
+        except IrError:
+            got = "compile error"
+        # both sides raising is agreement too
+        assert got == want or (not isinstance(want, dict)
+                               and not isinstance(got, dict)), text
+    assert tried > 200 and 0 < rejected < tried
