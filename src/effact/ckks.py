@@ -171,8 +171,15 @@ def _sm_word(x: int, basis: RnsBasis) -> Word:
 
 
 def _reduce(coeffs, basis: RnsBasis) -> RnsPoly:
-    """Integer coefficients as an NM coefficient-domain polynomial."""
-    return make_poly(basis, [[c % m.q for c in coeffs] for m in basis])
+    """Integer coefficients as an NM coefficient-domain polynomial: one
+    modulo over the basis, in int64 when every coefficient fits and on
+    Python ints otherwise."""
+    try:
+        c = np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        c = np.array(coeffs, dtype=object)
+    q = np.array([m.q for m in basis], dtype=c.dtype)[:, None]
+    return make_poly(basis, (c % q).astype(np.uint64))
 
 
 @dataclass(frozen=True)
@@ -280,9 +287,11 @@ def encode(values, params: CkksParams, scale: float | None = None) -> list[int]:
     slots = params.n // 2
     z = np.zeros(slots, dtype=np.complex128)
     z[:len(values)] = values
-    u = _embedding(params.n)
-    m = (2.0 / params.n) * np.real(np.conj(u).T @ z)
-    return [int(round(v)) for v in (m * scale)]
+    # conj(z) @ u is the conjugate of conj(u).T @ z with the same real
+    # part, and needs no conjugated copy of the embedding
+    m = (2.0 / params.n) * np.real(np.conj(z) @ _embedding(params.n))
+    # rint rounds half to even, as round does
+    return [int(v) for v in np.rint(m * scale).tolist()]
 
 
 def decode(coeffs: list[int], params: CkksParams, scale: float) -> np.ndarray:
@@ -354,25 +363,28 @@ def key_switch(d2: RnsPoly, evk: EvalKey, params: CkksParams,
                level: int, merged: bool = True) -> tuple[RnsPoly, RnsPoly]:
     """Switch a component decryptable under the key baked into evk back to s.
 
-    Digit by digit: raise the digit to the full current basis (merged
-    iNTT-scale + base conversion + forward NTT), multiply by the key digit,
-    accumulate, and divide the sum by P.  With merged=False the digit raise
-    runs the unmerged pipeline (finish the iNTT, convert representations
-    explicitly); the result is bit-identical.
+    One iNTT of the whole component (scale deferred), then digit by digit:
+    raise the digit's rows to the full current basis (merged iNTT-scale +
+    base conversion + forward NTT), multiply by the key digit, accumulate,
+    and divide the sum by P.  With merged=False the iNTT is finished and
+    the digit raise converts representations explicitly; the result is
+    bit-identical.
     """
     if [m.q for m in d2.basis] != [m.q for m in params.chain[:level + 1]]:
         raise ValueError("component basis does not match the level chain")
     ext = RnsBasis(tuple(ext_moduli(params, level)))
+    # the digits partition the primes, so one iNTT serves them all
+    coef = ntt_inv(d2, defer_scale=merged)
     acc0 = acc1 = None
     for d in range(params.dnum):
         if not params.digit_indices(d, level):
             continue
         tables = modup_tables(params, level, d)
-        digit = gather(tables.src, d2)
+        digit, part = gather(tables.src, d2), gather(tables.src, coef)
         if merged:
-            conv = bconv_merged(ntt_inv(digit, defer_scale=True), tables)
+            conv = bconv_merged(part, tables)
         else:
-            conv = to_sm(bconv(from_sm(ntt_inv(digit)), tables.dst, tables))
+            conv = to_sm(bconv(from_sm(part), tables.dst, tables))
         # the raised digit in extended-basis order
         raised = gather(ext, digit, ntt_fwd(conv))
         evk_b, evk_a = evk.digits[d]

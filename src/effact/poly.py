@@ -16,9 +16,9 @@ Montgomery form and has one path for every radix.
 
 Layout conventions: forward NTT consumes natural coefficient order and
 produces bit-reversed evaluation order; the inverse accepts bit-reversed and
-emits natural.  Twiddle tables are stored bit-reversed as plain residues w,
-each with its Shoup quotient floor(w*2^64/q), so the data path never
-permutes anything.
+emits natural.  Twiddles are plain residues w, each with its Shoup quotient
+floor(w*2^64/q), laid out per stage in the order the butterflies read them,
+so the data path never permutes anything.
 """
 
 from __future__ import annotations
@@ -162,6 +162,20 @@ class _Kern:
     lazy ones.  Since q < 2^59, forward words stay below 4q and inverse
     words below 2q without reduction; only the last step brings them to
     [0, q).
+
+    The stages have constant geometry (Pease, J. ACM 1968): every forward
+    stage pairs word i with word i + n/2 and writes the pair's outputs to
+    words 2i and 2i + 1 of a second buffer; every inverse stage reads
+    words 2i and 2i + 1 and writes i and i + n/2.  Each stage is then a
+    handful of numpy ops over (rows, n/2) operands, whatever its butterfly
+    span, where an in-place stage's inner loop shrinks with the span to
+    2 and 1 words.  Pair i = j*groups + g of a stage with `groups` groups
+    is butterfly j of group g of the in-place Cooley-Tukey stage, so every
+    intermediate word and the bit-reversed output order are those of the
+    in-place transform.  Its twiddle is psi[groups + g], so a stage's
+    table is psi[groups:2*groups] tiled n/(2*groups) times; the tables of
+    each direction are built on that direction's first transform, and a
+    kernel used only for elementwise ops builds none.
     """
 
     def __init__(self, moduli: tuple[Modulus, ...]):
@@ -181,15 +195,9 @@ class _Kern:
                 slice(None) if len(rows) == len(moduli) else rows, wide,
                 {d: tuple(_column(v, d) for v in zip(*consts))
                  for d in (2, 3)}))
-        self.psi = None
-        if all(m.ntt_ready for m in moduli):
-            br = bitrev_perm(moduli[0].n)
-            self.psi = self._powers([m.omega for m in moduli])[:, br]
-            self.ipsi = self._powers([m.omega_inv for m in moduli])[:, br]
-            self.ninv = _column([m.n_inv for m in moduli])
-            self.psi_shoup, self.ipsi_shoup, self.ninv_shoup = (
-                self._shoup_quotients(w)
-                for w in (self.psi, self.ipsi, self.ninv))
+        self.ntt_ready = all(m.ntt_ready for m in moduli)
+        self.ninv = _column([m.n_inv for m in moduli])
+        self.ninv_shoup = _column([(m.n_inv << 64) // m.q for m in moduli])
 
     def column(self, value) -> np.ndarray:
         """A Word value as a (rows, 1) column, reduced modulo each prime."""
@@ -239,55 +247,67 @@ class _Kern:
         d = x - y                               # wraps when x < y
         return np.minimum(d, d + self.q[d.ndim])
 
-    def ntt(self, a: np.ndarray) -> np.ndarray:
-        """Cooley-Tukey stages; each butterfly takes words below 4q to
-        words below 4q: u is brought below 2q, v*w below 2q by _shoup, and
-        the outputs are u + v*w and u - v*w + 2q."""
-        if self.psi is None:
+    @functools.cached_property
+    def fwd_stages(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return self._stages("omega", inverse=False)
+
+    @functools.cached_property
+    def inv_stages(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return self._stages("omega_inv", inverse=True)
+
+    def _stages(self, root: str, inverse: bool):
+        """One (twiddles, Shoup quotients) pair of (rows, n/2) tables per
+        stage, in the order the stages run: the forward ones have 1, 2,
+        ..., n/2 groups, the inverse ones n/2, ..., 1, and pair i of a
+        stage with g groups takes the power of the root at bit-reversed
+        position g + i % g."""
+        if not self.ntt_ready:
             raise ContractError("a basis modulus has no 2n-th root of unity")
+        n = self.moduli[0].n
+        groups = [1 << s for s in range(n.bit_length() - 1)]
+        w = self._powers([getattr(m, root) for m in self.moduli])
+        w = w[:, bitrev_perm(n)]
+        wq = self._shoup_quotients(w)
+        return tuple((np.tile(w[:, g:2 * g], n // (2 * g)),
+                      np.tile(wq[:, g:2 * g], n // (2 * g)))
+                     for g in (groups[::-1] if inverse else groups))
+
+    def ntt(self, a: np.ndarray) -> np.ndarray:
+        """Constant-geometry Cooley-Tukey stages; each butterfly takes
+        words below 4q to words below 4q: u is brought below 2q, v*w below
+        2q by _shoup, and the outputs are u + v*w and u - v*w + 2q."""
         rows, n = a.shape
-        q, q2 = self.q[3], self.q2[3]
-        a = a.copy()
-        t, groups = n, 1
-        while groups < n:
-            t >>= 1
-            view = a.reshape(rows, groups, 2 * t)
-            tw = slice(groups, 2 * groups)
-            u = view[:, :, :t]
+        half = n // 2
+        q, q2 = self.q[2], self.q2[2]
+        bufs = np.empty((2, rows, n), dtype=np.uint64)
+        for s, (w, wq) in enumerate(self.fwd_stages):
+            u = a[:, :half]
             u = np.minimum(u, u - q2)
-            v = _shoup(view[:, :, t:], self.psi[:, tw, None],
-                       self.psi_shoup[:, tw, None], q)
-            view[:, :, :t] = u + v
-            view[:, :, t:] = u - v + q2
-            groups <<= 1
-        a = np.minimum(a, a - self.q2[2])
-        return np.minimum(a, a - self.q[2])
+            v = _shoup(a[:, half:], w, wq, q)
+            a = bufs[s & 1]
+            pairs = a.reshape(rows, half, 2)
+            np.add(u, v, out=pairs[:, :, 0])
+            np.add(u - v, q2, out=pairs[:, :, 1])
+        a = np.minimum(a, a - q2)
+        return np.minimum(a, a - q)
 
     def intt(self, a: np.ndarray, defer_scale: bool) -> np.ndarray:
-        """Gentleman-Sande stages; each butterfly takes words below 2q to
-        words below 2q: u + v reduced once, and (u - v + 2q)*w by
-        _shoup."""
-        if self.psi is None:
-            raise ContractError("a basis modulus has no 2n-th root of unity")
+        """Constant-geometry Gentleman-Sande stages, the forward ones run
+        backwards; each butterfly takes words below 2q to words below 2q:
+        u + v reduced once, and (u - v + 2q)*w by _shoup."""
         rows, n = a.shape
-        q, q2 = self.q[3], self.q2[3]
-        a = a.copy()
-        t, groups = 1, n
-        while groups > 1:
-            h = groups >> 1
-            view = a.reshape(rows, h, 2 * t)
-            tw = slice(h, 2 * h)
-            u, v = view[:, :, :t], view[:, :, t:]
-            s = u + v
-            d = u - v + q2
-            view[:, :, :t] = np.minimum(s, s - q2)
-            view[:, :, t:] = _shoup(d, self.ipsi[:, tw, None],
-                                    self.ipsi_shoup[:, tw, None], q)
-            t <<= 1
-            groups = h
+        half = n // 2
+        q, q2 = self.q[2], self.q2[2]
+        bufs = np.empty((2, rows, n), dtype=np.uint64)
+        for s, (w, wq) in enumerate(self.inv_stages):
+            u, v = a[:, 0::2], a[:, 1::2]
+            a = bufs[s & 1]
+            t = u + v
+            np.minimum(t, t - q2, out=a[:, :half])
+            a[:, half:] = _shoup(u - v + q2, w, wq, q)
         if not defer_scale:
-            a = _shoup(a, self.ninv, self.ninv_shoup, self.q[2])
-        return np.minimum(a, a - self.q[2])
+            a = _shoup(a, self.ninv, self.ninv_shoup, q)
+        return np.minimum(a, a - q)
 
 
 def _kern(moduli) -> _Kern:

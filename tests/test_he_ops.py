@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -277,3 +278,61 @@ def test_tables_cached_per_params_value(setup):
     again = make_params()
     assert again is not params and again == params
     assert ckks.modup_tables(again, 2, 0) is ckks.modup_tables(params, 2, 0)
+
+
+def golden_digests(seed: int) -> dict[str, str]:
+    """sha256 prefixes of the residue words of encrypt, hmult, hrot and
+    key_switch, and of the decrypt_raw coefficients, at desk params."""
+    params = make_params()
+    sk, evk, rot = keygen_small(params, seed=seed, rot_steps=(1,))
+    rng = np.random.default_rng(seed)
+    a = encrypt(rand_msg(rng, 512), params, sk, seed=seed + 10)
+    b = encrypt(rand_msg(rng, 512), params, sk, seed=seed + 20)
+    prod = hmult(a, b, evk, params)
+    rotated = hrot(prod, 1, rot, params)
+    ks = key_switch(vec_mmul(a.c1, b.c1), evk, params, a.level)
+
+    def digest(*polys):
+        h = hashlib.sha256()
+        for p in polys:
+            h.update(p.words.astype("<u8").tobytes())
+        return h.hexdigest()[:16]
+
+    return {
+        "encrypt": digest(a.c0, a.c1, b.c0, b.c1),
+        "hmult": digest(prod.c0, prod.c1),
+        "hrot": digest(rotated.c0, rotated.c1),
+        "key_switch": digest(*ks),
+        "decrypt_raw": hashlib.sha256(
+            repr(decrypt_raw(rotated, sk)).encode()).hexdigest()[:16],
+    }
+
+
+# recorded before the constant-geometry NTT, the single key-switch iNTT
+# and the vectorized encode and _reduce; those changes keep every word
+GOLDEN_WORDS = {
+    1: {"encrypt": "5ecc15f94b8d88ab", "hmult": "7f0ffa67f0992f11",
+        "hrot": "aa7b20f910bb6a52", "key_switch": "e5533d49a896009e",
+        "decrypt_raw": "b27bc48004bb8980"},
+    2: {"encrypt": "881e856a09df3c2a", "hmult": "8b8a00a414acd331",
+        "hrot": "1bdcaa2f4a4e3334", "key_switch": "1fb4973fd3648a5b",
+        "decrypt_raw": "0d066f0bf8761e70"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_WORDS))
+def test_golden_words(seed):
+    assert golden_digests(seed) == GOLDEN_WORDS[seed]
+
+
+def test_reduce_is_exact_for_any_int(setup):
+    from effact import ckks
+    params = setup[0]
+    basis = params.basis(params.levels)
+    edge = [2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2 ** 200 + 7,
+            -3 ** 90]
+    for coeffs in (edge[:2] + [(-1) ** i * i for i in range(params.n - 2)],
+                   edge + list(range(params.n - len(edge)))):
+        got = ckks._reduce(coeffs, basis)
+        assert got.words.tolist() == [[c % m.q for c in coeffs]
+                                      for m in basis]

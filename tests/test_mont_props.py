@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from effact.poly import (
     BITREV,
     NTT,
+    ContractError,
+    _Kern,
     _kern,
     bconv,
     bitrev_perm,
@@ -96,16 +98,44 @@ def test_mmul_edge_words(m):
     (1024, 40, None), (16, 50, 64), (1024, 59, None), (256, 20, 64),
 ])
 def test_twiddle_tables_match_pow(n, bits, r_bits):
+    # pair i of the stage with g groups reads the power at bit-reversed
+    # position g + i % g; the forward stages run g = 1 .. n/2, the
+    # inverse ones g = n/2 .. 1
     m = make_modulus_chain(n, 1, bits, r_bits=r_bits)[0]
     k = _kern((m,))
     br = bitrev_perm(n)
-    for w, plain, shoup in ((m.omega, k.psi, k.psi_shoup),
-                            (m.omega_inv, k.ipsi, k.ipsi_shoup)):
-        want = [pow(w, int(br[i]), m.q) for i in range(n)]
-        assert [int(v) for v in plain[0]] == want
-        assert [int(v) for v in shoup[0]] == [(v << 64) // m.q for v in want]
+    groups = [1 << s for s in range(n.bit_length() - 1)]
+    for w, gs, stages in ((m.omega, groups, k.fwd_stages),
+                          (m.omega_inv, groups[::-1], k.inv_stages)):
+        assert len(stages) == len(gs)
+        for g, (plain, shoup) in zip(gs, stages):
+            assert plain.shape == shoup.shape == (1, n // 2)
+            want = [pow(w, int(br[g + i % g]), m.q) for i in range(n // 2)]
+            assert [int(v) for v in plain[0]] == want
+            assert [int(v) for v in shoup[0]] == \
+                [(v << 64) // m.q for v in want]
     assert int(k.ninv[0, 0]) == m.n_inv
     assert int(k.ninv_shoup[0, 0]) == (m.n_inv << 64) // m.q
+
+
+def test_stage_tables_are_built_on_first_transform():
+    # a kernel used only for elementwise products builds no stage table,
+    # and each direction builds its own on its first transform
+    basis = tuple(make_modulus_chain(64, 2, 30) + make_modulus_chain(64, 1, 45))
+    k = _Kern(basis)
+    a = np.array([[m.q - 1] * 64 for m in basis], dtype=np.uint64)
+    k.madd(k.mmul(a, a), k.msub(a, a))
+    assert not {"fwd_stages", "inv_stages"} & set(vars(k))
+    k.ntt(a)
+    assert "fwd_stages" in vars(k) and "inv_stages" not in vars(k)
+    k.intt(a, True)
+    assert "inv_stages" in vars(k)
+    # a prime without a 2n-th root multiplies, but has no transform
+    bare = _Kern((make_modulus(19, 8),))
+    bare.mmul(np.ones((1, 8), dtype=np.uint64), np.uint64(3))
+    for transform in (bare.ntt, lambda x: bare.intt(x, False)):
+        with pytest.raises(ContractError, match="root of unity"):
+            transform(np.ones((1, 8), dtype=np.uint64))
 
 
 @settings(deadline=None)
@@ -160,3 +190,26 @@ def test_mixed_radix_basis_matches_mont_mul(data):
             for p in dst]
     got = bconv(make_poly(src, xs), dst)
     assert got.words.tolist() == want
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_mixed_radix_transforms_match_direct_sums(data):
+    # several rows of both radix classes in one basis, in any order: two
+    # 30-bit primes (R = 2^32) and two 45-bit primes (R = 2^64)
+    n = 64
+    primes = make_modulus_chain(n, 2, 30) + make_modulus_chain(n, 2, 45)
+    basis = data.draw(st.permutations(primes))
+    top = [[m.q - 1] * n for m in basis]
+    xs = data.draw(st.just(top) | st.tuples(*(words(m, n) for m in basis)))
+    a = np.array(xs, dtype=np.uint64)
+    k = _kern(basis)
+    br = [int(b) for b in bitrev_perm(n)]
+    fwd = [ntt_direct(x, m.q, m.omega) for x, m in zip(xs, basis)]
+    assert k.ntt(a).tolist() == [[f[b] for b in br] for f in fwd]
+    # the rows as bit-reversed evaluations: natural slot j sits at br[j]
+    inv = [intt_direct([x[b] for b in br], m.q, m.omega)
+           for x, m in zip(xs, basis)]
+    assert k.intt(a, False).tolist() == inv
+    assert k.intt(a, True).tolist() == [[m.n * v % m.q for v in row]
+                                         for row, m in zip(inv, basis)]
