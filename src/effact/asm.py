@@ -5,6 +5,12 @@ grammar; binary (.ebin) packs each instruction into one 128-bit word and
 round-trips losslessly.  Memory images (.emem) are a JSON manifest plus raw
 little-endian 64-bit coefficient words.  Exact layouts are documented in
 docs/formats.md.
+
+`check_machine_form` remembers a passing check in `Program.machine_form`,
+keyed by copies of everything its scan reads: the instruction list and the
+DRAM symbol sizes.  A program changed in either is scanned again, so a
+compile -> assemble -> disassemble -> simulate round trip scans each of its
+two programs once.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import struct
 import numpy as np
 
 from .ir import (
+    DEFER,
+    NO_FLAGS,
     Addr,
     ConstDef,
     CRef,
@@ -26,6 +34,7 @@ from .ir import (
     Vreg,
     check_address,
     check_operands,
+    machine_regs,
     parse_ir,
     print_program,
 )
@@ -46,6 +55,18 @@ _MEM_MAGIC = b"EMEM0001"
 
 
 def check_machine_form(prog: Program):
+    """Raise IrError unless `prog` is machine code: machine opcodes, the
+    operand kinds of `ir.OPERANDS`, no virtual register, every address
+    concrete and in range.  A pass is remembered (see the module
+    docstring)."""
+    memo = prog.machine_form
+    if memo is not None and memo[0] == prog.instrs and memo[1] == prog.dram:
+        return
+    _scan_machine_form(prog)
+    prog.machine_form = (list(prog.instrs), dict(prog.dram))
+
+
+def _scan_machine_form(prog: Program):
     for i in prog.instrs:
         if i.op not in MACHINE_OPS:
             raise IrError(f"opcode '{i.op}' is not machine-level", i.line)
@@ -114,10 +135,11 @@ def _decode_operand(word: int, consts, syms):
     tag, payload = word >> 21, word & ((1 << 21) - 1)
     if tag == _T_NONE:
         return None
-    if tag == _T_REG:
-        return Vreg(f"r{payload}")
-    if tag == _T_FIFO:
-        return Vreg(f"f{payload}")
+    if tag in (_T_REG, _T_FIFO):
+        kind = "r" if tag == _T_REG else "f"
+        regs = machine_regs(kind)       # past the shared ones: a fresh one
+        return regs[payload] if payload < len(regs) else \
+            Vreg(f"{kind}{payload}")
     if tag == _T_ADDR:
         return Addr(_entry(syms, payload >> 15, "symbol"),
                     payload & ((1 << 15) - 1))
@@ -178,6 +200,7 @@ def disassemble_binary(blob: bytes) -> Program:
                       f"declares {size}")
     off = 32
     prog = Program(n=n)
+    seen: dict = {}       # operand field -> its operand, decoded once
     mods = []
     for _ in range(nmods):
         name = _unpack_name(blob[off:off + 16])
@@ -207,12 +230,14 @@ def disassemble_binary(blob: bytes) -> Program:
         opc, flags, mod, _pad = struct.unpack("<BBBB", blob[off:off + 4])
         packed = int.from_bytes(blob[off + 4:off + 16], "little")
         off += 16
-        fields = []
+        ops = []
         for k in range(4):
-            fields.append((packed >> (24 * (3 - k))) & ((1 << 24) - 1))
-        dest = _decode_operand(fields[0], consts, syms)
-        srcs = tuple(o for o in (_decode_operand(f, consts, syms)
-                                 for f in fields[1:]) if o is not None)
+            f = (packed >> (24 * (3 - k))) & ((1 << 24) - 1)
+            if f not in seen:
+                seen[f] = _decode_operand(f, consts, syms)
+            ops.append(seen[f])
+        dest = ops[0]
+        srcs = tuple(o for o in ops[1:] if o is not None)
         if opc not in _OPNAMES:
             raise IrError(f"unknown opcode {opc}")
         prog.instrs.append(Instr(
@@ -220,7 +245,7 @@ def disassemble_binary(blob: bytes) -> Program:
             (dest,) if dest is not None else (),
             srcs,
             _entry(mods, mod - 1, "modulus") if mod else None,
-            frozenset(["defer"]) if flags & 1 else frozenset()))
+            DEFER if flags & 1 else NO_FLAGS))
     return prog
 
 

@@ -28,6 +28,14 @@ included.  `merge_streaming` makes the sink and source merges
 (`_merge_memory`) over every DRAM cell, and `merge_spill_traffic` is the
 same merges over the `__spill` cells.
 
+`front_end`, and each program of `back_ends` up to its `yield` (never
+across it), run under `_collector_scope`, which raises the cyclic
+collector's generation-0 threshold to at least 10,000 and then restores
+the thresholds.  A compile keeps its instructions and operands by the
+hundred thousand, and at the default threshold the collector took about a
+fifth of compile time walking them again.  Machine registers are the
+shared objects of `ir.machine_regs`, not one per operand.
+
 Every pass consumes and produces a Program and is semantics-preserving
 under the golden executor; copy removal before allocation is mandatory
 because the machine instruction set has no register-move opcode (`lower`
@@ -36,13 +44,16 @@ also takes programs with copies, for pass lists that propagate later).
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 
 from .ir import (
+    DEFER,
     Addr,
     CRef,
     ConstDef,
@@ -51,6 +62,7 @@ from .ir import (
     Program,
     Vreg,
     check_straight_line,
+    machine_regs,
     parse_ir,
     walk,
 )
@@ -280,8 +292,7 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
             ninv = _intern_const(out, f"__ninv_{i.mod}", i.mod,
                                  sm_encode(m.n_inv, m), SM, True, interned)
             t = fresh("it")
-            out.instrs.append(i.with_(dests=(t,),
-                                      flags=frozenset(["defer"])))
+            out.instrs.append(i.with_(dests=(t,), flags=DEFER))
             out.instrs.append(Instr("mmul", i.dests, (t, ninv), i.mod,
                                     line=i.line))
             continue
@@ -806,6 +817,7 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
     instrs = out.instrs
     wrote, read = def_use(instrs)
     kill = _merge_memory(instrs, wrote, read)
+    fifos = machine_regs("f")
     free: list[int] = []               # released ids, a heap; all < fresh
     fresh = 0                          # ids fresh.. have never been taken
     release: list[tuple[int, int]] = []   # (consumer index, fifo id)
@@ -822,9 +834,10 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
             fid = heappop(free)
         elif fresh < hw.fifo_depth:
             fid, fresh = fresh, fresh + 1
+            machine_regs("f", fresh)
         else:
             continue
-        reg = Vreg(f"f{fid}")
+        reg = fifos[fid]
         instrs[idx] = i.with_(dests=(reg,))
         instrs[v[1]] = _sub_srcs(instrs[v[1]], {i.dests[0].name: reg})
         heappush(release, (v[1], fid))
@@ -863,19 +876,17 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     wrote = def_use(out.instrs)[0]
     value = {i.dests[0].name: v for i, v in zip(out.instrs, wrote)
              if v and i.dests[0].name.startswith("%")}
+    regs = machine_regs("r")         # grown as slots are first taken
     reg_of: dict[str, int] = {}      # live vreg -> slot
     free: list[int] = []             # released slots, a heap; all < fresh
     fresh = 0                        # slots fresh.. have never been taken
-    spill_slot: dict[str, int] = {}  # vreg -> its __spill cell, once stored
+    spill_at: dict[str, Addr] = {}   # vreg -> its __spill cell, once stored
     spills = 0
     emitted: list[Instr] = []
     # live vregs by next read, farthest first, ties by the higher name;
     # lazy: an entry whose next read has passed is skipped when popped
     rank = {v: k for k, v in enumerate(sorted(value))}
     by_next: list[tuple[int, int, str]] = []
-
-    def virtual(o) -> bool:
-        return isinstance(o, Vreg) and o.name.startswith("%")
 
     def next_use(v, after):
         reads = value[v]
@@ -893,6 +904,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             return heappop(free)
         if fresh < hw.slots:
             fresh += 1
+            machine_regs("r", fresh)
             return fresh - 1
         # every live value is read again (see expire), so evict the one
         # read farthest ahead (Belady)
@@ -910,10 +922,9 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
         for entry in held:
             heappush(by_next, entry)
         slot = reg_of.pop(victim)
-        if victim not in spill_slot:
-            spill_slot[victim] = len(spill_slot)
-            emitted.append(Instr("store", (), (Vreg(f"r{slot}"),
-                                 Addr("__spill", spill_slot[victim]))))
+        if victim not in spill_at:
+            spill_at[victim] = Addr("__spill", len(spill_at))
+            emitted.append(Instr("store", (), (regs[slot], spill_at[victim])))
             spills += 1
         return slot
 
@@ -924,35 +935,38 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
                 heappush(free, reg_of.pop(v))
 
     for idx, i in enumerate(out.instrs):
-        reads = [s.name for s in i.srcs if virtual(s)]
+        # each source classified once: a virtual register is reloaded if
+        # spilled, pinned to its slot for this instruction and renamed
         pinned = set()
-        # reload spilled sources
-        for v in reads:
-            if v not in reg_of:
-                if v not in spill_slot:
-                    raise IrError(f"register {v} used before definition")
-                reg_of[v] = take_slot(idx, pinned)
-                emitted.append(Instr("load", (Vreg(f"r{reg_of[v]}"),),
-                                     (Addr("__spill", spill_slot[v]),)))
-                spills += 1
-            pinned.add(v)
-        srcs = tuple(Vreg(f"r{reg_of[s.name]}") if virtual(s) else s
-                     for s in i.srcs)
-        expire(reads, idx)
-        dests = []
-        for d in i.dests:
-            if virtual(d):
-                reg_of[d.name] = take_slot(idx, pinned)
-                file(d.name, idx)
-                d = Vreg(f"r{reg_of[d.name]}")
-            dests.append(d)
-        emitted.append(i.with_(srcs=srcs, dests=tuple(dests)))
-        expire([d.name for d in i.dests if virtual(d)], idx)
+        srcs = []
+        for s in i.srcs:
+            if s.__class__ is Vreg and s.name[0] == "%":
+                v = s.name
+                if v not in reg_of:
+                    if v not in spill_at:
+                        raise IrError(f"register {v} used before definition")
+                    reg_of[v] = take_slot(idx, pinned)
+                    emitted.append(Instr("load", (regs[reg_of[v]],),
+                                         (spill_at[v],)))
+                    spills += 1
+                pinned.add(v)
+                s = regs[reg_of[v]]
+            srcs.append(s)
+        expire(pinned, idx)
+        dests = i.dests
+        d = dests[0] if dests else None
+        if d.__class__ is Vreg and d.name[0] == "%":
+            v = d.name
+            reg_of[v] = take_slot(idx, pinned)
+            file(v, idx)
+            dests = (regs[reg_of[v]],)
+            expire((v,), idx)
+        emitted.append(i.with_(srcs=tuple(srcs), dests=dests))
         for v in pinned & reg_of.keys():
             file(v, idx + 1)
     out.instrs = emitted
-    if spill_slot:
-        out.dram["__spill"] = len(spill_slot)
+    if spill_at:
+        out.dram["__spill"] = len(spill_at)
     out.notes["spills"] = spills
     out.notes["max_live"] = _max_live(p.instrs, wrote)
     return out
@@ -975,33 +989,63 @@ def merge_spill_traffic(p: Program) -> Program:
 # ---------------------------------------------------------------------------
 # driver
 
+_GC_GEN0 = 10_000       # the collector's generation-0 threshold in a compile
+
+
+@contextmanager
+def _collector_scope():
+    """One compile step with the collector's generation-0 threshold at
+    least _GC_GEN0 (see the module docstring), the thresholds restored
+    after it, on an exception too.  A disabled collector is left alone.  No
+    caller wraps a `yield` in it, so an abandoned generator cannot leave
+    the thresholds raised.  They are process-wide, so compiles on
+    concurrent threads could restore each other's; the package starts no
+    thread."""
+    if not gc.isenabled():
+        yield
+        return
+    prior = gc.get_threshold()
+    gc.set_threshold(max(prior[0], _GC_GEN0), *prior[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*prior)
+
+
 def front_end(src, *, do_pre: bool = True, do_merge: bool = True) -> Program:
     """parse -> unroll -> propagate -> lower -> pre -> peephole_merge: the
     passes that do not depend on the hardware.  Copies die once, before
     lowering: machine code has no register move, and no later pass makes
     one."""
-    p = propagate(unroll(parse_ir(src) if isinstance(src, str) else src))
-    p = lower(p)
-    if do_pre:
-        p = pre(p)
-    if do_merge:
-        p = peephole_merge(p)
-    return p
+    with _collector_scope():
+        p = propagate(unroll(parse_ir(src) if isinstance(src, str) else src))
+        p = lower(p)
+        if do_pre:
+            p = pre(p)
+        if do_merge:
+            p = peephole_merge(p)
+        return p
 
 
 def back_ends(p: Program, hws) -> Iterator[Program]:
     """back_end(p, hw) for each of `hws` in turn, on a front-end program,
     which is left as it was; each latency schedule and fit check is
     computed once (see `_schedules`)."""
-    for hw, q, fit in _schedules(p, hws):
-        if fit is not None:
-            q = fit
-        elif hw.streaming:          # scheduled for pressure
-            q = merge_streaming(q, hw)
-        q = alloc_sram(q, hw)
-        if hw.streaming:
-            q = merge_spill_traffic(q)
-        q.notes["streaming"] = hw.streaming
+    steps = _schedules(p, hws)
+    while True:
+        with _collector_scope():
+            try:
+                hw, q, fit = next(steps)
+            except StopIteration:
+                return
+            if fit is not None:
+                q = fit
+            elif hw.streaming:          # scheduled for pressure
+                q = merge_streaming(q, hw)
+            q = alloc_sram(q, hw)
+            if hw.streaming:
+                q = merge_spill_traffic(q)
+            q.notes["streaming"] = hw.streaming
         yield q
         del q       # no name keeps a program while the next one compiles
 

@@ -68,6 +68,21 @@ class Vreg:
         return self.name
 
 
+# The machine registers of all machine code, by file: "r" the SRAM slots,
+# "f" the FIFO channels.  Each is one object that every operand naming it
+# shares, not one per occurrence.
+_MACHINE_REGS: dict[str, list[Vreg]] = {"r": [], "f": []}
+
+
+def machine_regs(kind: str, count: int = 0) -> list[Vreg]:
+    """The shared registers kind0, kind1, ... of one register file ("r" or
+    "f"), the list grown to at least `count` of them first."""
+    table = _MACHINE_REGS[kind]
+    while len(table) < count:
+        table.append(Vreg(f"{kind}{len(table)}"))
+    return table
+
+
 @dataclass(frozen=True)
 class SRef:
     name: str
@@ -158,6 +173,9 @@ OPERANDS = {
 
 
 _SAME = object()      # an Instr.with_ field left as it is
+# the two flag sets an instruction can have, shared by every instruction
+NO_FLAGS: frozenset = frozenset()
+DEFER = frozenset(["defer"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +187,7 @@ class Instr:
     dests: tuple = ()
     srcs: tuple = ()
     mod: str | None = None
-    flags: frozenset = frozenset()
+    flags: frozenset = NO_FLAGS
     meta: dict = field(default_factory=dict)
     line: int = 0
 
@@ -199,10 +217,13 @@ class Program:
     dram: dict[str, int] = field(default_factory=dict)
     instrs: list[Instr] = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    # (instrs, dram) as `asm.check_machine_form` last passed them
+    machine_form: tuple | None = field(default=None, init=False,
+                                       compare=False, repr=False)
 
     def clone(self) -> "Program":
         """A copy whose tables and instruction list the caller may change;
-        the instructions themselves are shared."""
+        the instructions themselves are shared, `machine_form` is not."""
         return Program(self.n, dict(self.moduli), dict(self.consts),
                        dict(self.dram), list(self.instrs), dict(self.notes))
 
@@ -281,6 +302,16 @@ def _parse_operand(tok: str, line: int):
     raise IrError(f"unrecognized operand '{tok}'", line)
 
 
+def _operand(tok: str, line: int, seen: dict):
+    """`_parse_operand` of a stripped token, built once per parse: `seen`
+    maps each token parsed so far to its operand, which every instruction
+    naming it shares."""
+    o = seen.get(tok)
+    if o is None:
+        o = seen[tok] = _parse_operand(tok, line)
+    return o
+
+
 def _split_ops(rest: str) -> list[str]:
     return [t.strip() for t in rest.split(",") if t.strip()]
 
@@ -289,6 +320,7 @@ def parse_ir(text: str) -> Program:
     prog = Program(n=0)
     defined: set[str] = set()
     loop_stack: list[int] = []
+    seen: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -298,7 +330,7 @@ def parse_ir(text: str) -> Program:
             continue
         if prog.n == 0:
             raise IrError("instructions before .n directive", lineno)
-        instr = _parse_instr(prog, line, lineno)
+        instr = _parse_instr(prog, line, lineno, seen)
         # SSA and scoping checks
         if instr.op == "loop":
             loop_stack.append(lineno)
@@ -378,30 +410,31 @@ def _require_mod(prog, name, lineno):
     return name
 
 
-def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
+def _parse_instr(prog: Program, line: str, lineno: int,
+                 seen: dict) -> Instr:
     dests: tuple = ()
     body = line
     if "=" in line:
         lhs, body = (t.strip() for t in line.split("=", 1))
-        dests = tuple(_parse_operand(t, lineno) for t in lhs.split())
+        dests = tuple(_operand(t, lineno, seen) for t in lhs.split())
     toks = body.split(None, 1)
     if not toks:
         raise IrError("missing opcode", lineno)
     opname = toks[0]
     rest = toks[1] if len(toks) > 1 else ""
     op, _, flag = opname.partition(".")
-    flags = frozenset([flag]) if flag else frozenset()
     if op not in OPERANDS and op != "bconv":
         raise IrError(f"unknown opcode '{opname}'", lineno)
     if flag and (op, flag) != ("intt", "defer"):
         raise IrError(f"unknown opcode suffix '.{flag}'", lineno)
+    flags = DEFER if flag else NO_FLAGS
 
     if op == "bconv":
         if "->" not in rest or ":" not in rest:
             raise IrError("bconv needs ': src-mods -> dst-mods'", lineno)
         args, basis = rest.split(":", 1)
         srcm, dstm = (t.split() for t in basis.split("->", 1))
-        srcs = tuple(_parse_operand(t, lineno) for t in args.split())
+        srcs = tuple(_operand(t, lineno, seen) for t in args.split())
         for m in srcm + dstm:
             _require_mod(prog, m, lineno)
         qs = [prog.moduli[m].q for m in srcm + dstm]
@@ -423,7 +456,7 @@ def _parse_instr(prog: Program, line: str, lineno: int) -> Instr:
             raise IrError(f"{op} needs a modulus", lineno)
         mod = _require_mod(prog, toks2[-1], lineno)
         toks2 = toks2[:-1]
-    ops = tuple(_parse_operand(t, lineno) for t in toks2)
+    ops = tuple(_operand(t, lineno, seen) for t in toks2)
     instr = Instr(op, dests, ops, mod, flags, {}, lineno)
     check_operands(instr)
     for o in ops:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -6,6 +7,7 @@ from heapq import heappop, heappush
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from effact import compiler
 from effact.asm import assemble_text, check_machine_form
 from effact.cli import _gen_random, main
 from effact.compiler import (
@@ -16,6 +18,7 @@ from effact.compiler import (
     _sub_srcs,
     alloc_sram,
     back_end,
+    back_ends,
     build_deps,
     compile_program,
     def_use,
@@ -32,8 +35,9 @@ from effact.compiler import (
     unroll,
 )
 from effact.ir import Addr, IrError, Vreg, blank_image, execute_program, parse_ir
-from effact.poly import SM, make_poly, ntt_fwd
+from effact.poly import SM, ContractError, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
+from effact.sim import sweep_sram
 from effact.workloads import (
     WorkloadParams,
     gen_bootstrap_skeleton,
@@ -276,6 +280,18 @@ def test_lower_bconv_plain_inputs():
     assert merged.opcount()["mmul"] == low.opcount()["mmul"] - 3
     assert merged.opcount()["mac"] == 1
     assert outputs(merged, img) == outputs(low, img)
+
+
+def test_compiled_code_does_not_recheck_kernel_contracts():
+    # docs/formats.md: the domain of a value is a property of the image, and
+    # the executor on the source program is the contract oracle
+    p = parse_ir(header() + "%a = load @x[0]\n%r = bconv %a : q0 -> q1\n"
+                 "store %r, @y[0]\n")
+    img = seeded_image(p, random.Random(5), count=1, ntt=True)
+    with pytest.raises(ContractError, match="coefficient domain"):
+        execute_program(p, img)
+    assert execute_program(compile_program(p, HW), img).dram["y"][0] \
+        is not None
 
 
 def test_lower_rejects_scalar_flow():
@@ -1084,3 +1100,53 @@ def test_compile_streaming_fewer_spills_under_pressure():
     assert stream.notes["spills"] < plain.notes["spills"]
     img = random_image(p, rng)
     assert outputs(plain, img) == outputs(stream, img)
+
+
+# ---------------------------------------------------------------------------
+# the collector scope of a compile
+
+@pytest.fixture
+def collector():
+    """The collector's thresholds and switch, restored after the test."""
+    thresholds, enabled = gc.get_threshold(), gc.isenabled()
+    yield
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_compiles_restore_the_collector_thresholds(collector):
+    gc.set_threshold(700, 10, 10)
+    compile_program(PRESSURE, HW)
+    assert gc.get_threshold() == (700, 10, 10)
+    sweep_sram(PRESSURE, HW, (4, 8))
+    assert gc.get_threshold() == (700, 10, 10)
+    # a sweep suspended, then closed, after its first program
+    machines = back_ends(front_end(PRESSURE), [replace(HW, slots=s)
+                                               for s in (4, 8)])
+    next(machines)
+    assert gc.get_threshold() == (700, 10, 10)
+    machines.close()
+    assert gc.get_threshold() == (700, 10, 10)
+    with pytest.raises(IrError, match="register pressure exceeds 2"):
+        compile_program(PRESSURE, replace(HW, slots=2, streaming=False))
+    assert gc.get_threshold() == (700, 10, 10)
+
+
+def test_a_compile_raises_the_threshold_and_never_lowers_it(collector,
+                                                            monkeypatch):
+    seen = []
+
+    def alloc(p, hw):
+        seen.append(gc.get_threshold())
+        return alloc_sram(p, hw)
+
+    monkeypatch.setattr(compiler, "alloc_sram", alloc)
+    for gen0, during in ((700, 10_000), (50_000, 50_000)):
+        gc.set_threshold(gen0, 10, 10)
+        compile_program(PRESSURE, HW)
+        assert seen.pop() == (during, 10, 10)
+        assert gc.get_threshold() == (gen0, 10, 10)
+    # a disabled collector is left as it is
+    gc.disable()
+    compile_program(PRESSURE, HW)
+    assert seen.pop() == (50_000, 10, 10) and not gc.isenabled()

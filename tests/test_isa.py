@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from effact import asm
 from effact.asm import (
     assemble_binary,
     assemble_text,
@@ -11,7 +12,7 @@ from effact.asm import (
     load_image,
     save_image,
 )
-from effact.compiler import compile_program
+from effact.compiler import HardwareDescription, compile_program
 from effact.ir import (
     Addr,
     IrError,
@@ -39,6 +40,8 @@ from effact.poly import (
 )
 from effact.rns import (NM, ReprError, RnsBasis, make_modulus,
                         make_modulus_chain, sm_encode)
+from effact.sim import simulate
+from effact.workloads import WorkloadParams, gen_bootstrap_skeleton
 
 N = 16
 HEADER = f".n {N}\n.mod q0 97\n.mod q1 113\n.dram x 8\n.dram y 8\n"
@@ -458,3 +461,44 @@ def test_operand_kinds_parse_errors_or_compile_faithfully():
         assert got == want or (not isinstance(want, dict)
                                and not isinstance(got, dict)), text
     assert tried > 200 and 0 < rejected < tried
+
+
+def test_the_machine_form_memo_cannot_go_stale():
+    text = HEADER + "r0 = load @x[5]\nr1 = mmul r0, r0, q0\nstore r1, @y[0]\n"
+    virtual = parse_ir(HEADER + "%a = load @x[0]\n"
+                       "%b = mmul %a, %a, q0\n").instrs[1]
+
+    def swap(p):            # for one that reads a % register
+        p.instrs[1] = virtual
+
+    def shrink(p):          # below the used address @x[5]
+        p.dram["x"] = 5
+
+    def failure(p):
+        with pytest.raises(IrError) as e:
+            check_machine_form(p)
+        return str(e.value)
+
+    for change in (swap, shrink):
+        p, fresh = parse_ir(text), parse_ir(text)
+        check_machine_form(p)
+        change(p)
+        change(fresh)
+        assert failure(p) == failure(fresh)
+
+
+def test_a_round_trip_scans_each_program_once(monkeypatch):
+    # the compile_boot round trip: five form checks, one scan of each of
+    # its two programs
+    boot = gen_bootstrap_skeleton(WorkloadParams(
+        n=2 ** 16, levels=12, dnum=4, l_cts=2, l_evalmod=4, l_stc=2))
+    hw = HardwareDescription()
+    machine = compile_program(boot, hw)
+    scans = []
+    scan = asm._scan_machine_form
+    monkeypatch.setattr(asm, "_scan_machine_form",
+                        lambda p: scans.append(p) or scan(p))
+    back = disassemble_binary(assemble_binary(machine))
+    assert assemble_text(back) == assemble_text(machine)
+    simulate(back, hw)
+    assert [p is machine for p in scans] == [True, False]

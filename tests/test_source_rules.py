@@ -52,3 +52,26 @@ def test_no_per_limb_loops_in_ckks():
              for node in ast.walk(it)
              if isinstance(node, ast.Attribute) and node.attr == "limbs"]
     assert found == []
+
+
+def test_one_helper_touches_the_collector():
+    # the collector's state is process-wide: only compiler._collector_scope
+    # changes it, for one compile step at a time
+    root = Path(effact.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("compiler.py",
+                                                "_collector_scope")
+                   for node in ast.walk(fn)}
+        found += [f"{path.relative_to(root)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                  or isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "gc"
+                  and id(node) not in allowed]
+    assert found == []
