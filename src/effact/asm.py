@@ -47,7 +47,8 @@ _OPCODES = {"mmul": 1, "mmad": 2, "mac": 3, "ntt": 4, "intt": 5, "auto": 6,
             "load": 7, "store": 8}
 _OPNAMES = {v: k for k, v in _OPCODES.items()}
 
-# operand field: 24 bits = 3-bit tag + 21-bit payload
+# operand field: 24 bits = 3-bit tag + 21-bit payload; an address payload
+# is a 6-bit symbol index and a 15-bit base
 _T_NONE, _T_REG, _T_ADDR, _T_CONST, _T_IMM, _T_FIFO = 0, 1, 2, 3, 4, 5
 
 _EXE_MAGIC = b"EEXE0001"
@@ -106,21 +107,19 @@ def _unpack_name(b: bytes) -> str:
 def _encode_operand(o, symidx, constidx) -> int:
     if o is None:
         return _T_NONE << 21
-    if isinstance(o, Vreg):
-        name = str(o)
-        if name.startswith("f"):
-            return (_T_FIFO << 21) | int(name[1:])
-        return (_T_REG << 21) | int(name[1:])
     if isinstance(o, Addr):
-        if o.sym not in symidx or not 0 <= o.base < (1 << 15):
+        if symidx.get(o.sym, 64) >= 64 or not 0 <= o.base < (1 << 15):
             raise IrError(f"address {o} not encodable")
         return (_T_ADDR << 21) | (symidx[o.sym] << 15) | o.base
-    if isinstance(o, CRef):
-        return (_T_CONST << 21) | constidx[o.name]
-    # an immediate, the one kind left (ir.OPERANDS)
-    if not 0 <= o.val < (1 << 21):
-        raise IrError(f"immediate {o.val} out of encodable range")
-    return (_T_IMM << 21) | o.val
+    if isinstance(o, Vreg):
+        tag, k = _T_FIFO if o.name[0] == "f" else _T_REG, int(o.name[1:])
+    elif isinstance(o, CRef):
+        tag, k = _T_CONST, constidx[o.name]
+    else:               # an immediate, the one kind left (ir.OPERANDS)
+        tag, k = _T_IMM, o.val
+    if not 0 <= k < (1 << 21):
+        raise IrError(f"operand {o} not encodable")
+    return (tag << 21) | k
 
 
 def _entry(table: list, k: int, what: str):
@@ -155,6 +154,8 @@ def assemble_binary(prog: Program) -> bytes:
     mods = list(prog.moduli)
     consts = list(prog.consts)
     syms = list(prog.dram)
+    if len(mods) > 255:     # an instruction's modulus byte: index + 1
+        raise IrError(f"{len(mods)} moduli not encodable (at most 255)")
     modidx = {name: k for k, name in enumerate(mods)}
     symidx = {name: k for k, name in enumerate(syms)}
     constidx = {name: k for k, name in enumerate(consts)}

@@ -103,7 +103,7 @@ class CkksParams(_DigitLayout):
         return math.prod(m.q for m in self.pchain)
 
     def basis(self, level: int) -> RnsBasis:
-        return RnsBasis(self.chain[:level + 1], role="C")
+        return RnsBasis(self.chain[:level + 1])
 
     def q_product(self, level: int) -> int:
         return math.prod(m.q for m in self.chain[:level + 1])
@@ -126,18 +126,7 @@ def make_params(n: int = 1024, levels: int = 4, dnum: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# precomputed tables (cached per source and destination moduli)
-
-_tables_cache: dict = {}
-
-
-def _bconv_tables(src: tuple[Modulus, ...],
-                  dst: tuple[Modulus, ...]) -> BconvTables:
-    key = (src, dst)
-    if key not in _tables_cache:
-        _tables_cache[key] = make_bconv_tables(RnsBasis(src), RnsBasis(dst))
-    return _tables_cache[key]
-
+# precomputed tables (make_bconv_tables caches them per pair of bases)
 
 def ext_moduli(params: CkksParams, level: int) -> list[Modulus]:
     """Extended-basis modulus order used everywhere: C_level then P."""
@@ -147,10 +136,10 @@ def ext_moduli(params: CkksParams, level: int) -> list[Modulus]:
 def modup_tables(params: CkksParams, level: int, d: int) -> BconvTables:
     """Digit d source primes -> all other current primes plus P."""
     digit = params.digit_indices(d, level)
-    return _bconv_tables(
-        tuple(params.chain[i] for i in digit),
-        tuple(m for i, m in enumerate(params.chain[:level + 1])
-              if i not in digit) + params.pchain)
+    return make_bconv_tables(
+        RnsBasis(tuple(params.chain[i] for i in digit)),
+        RnsBasis(tuple(m for i, m in enumerate(params.chain[:level + 1])
+                       if i not in digit) + params.pchain))
 
 
 def digit_weight(params: CkksParams, d: int) -> int:
@@ -409,9 +398,10 @@ def _divide_round(x: RnsPoly, keep: tuple[Modulus, ...],
     d_prod = math.prod(m.q for m in drop)
     biased = vec_madd(x, _sm_word(d_prod // 2, x.basis))
     high = ntt_inv(gather(RnsBasis(drop), biased), defer_scale=True)
-    rem = ntt_fwd(bconv_merged(high, _bconv_tables(drop, keep)))
+    tables = make_bconv_tables(RnsBasis(drop), RnsBasis(keep))
+    rem = ntt_fwd(bconv_merged(high, tables))
     dinv = Word(tuple(sm_encode(pow(d_prod, -1, m.q), m) for m in keep), SM)
-    low = gather(RnsBasis(keep, role="C"), biased)
+    low = gather(RnsBasis(keep), biased)
     return vec_mmul(vec_msub(low, rem), dinv)
 
 

@@ -159,7 +159,7 @@ def _sim_input(args):
 def _cmd_sim(args) -> int:
     machine, hw = _sim_input(args)
     try:
-        rep = simulate(machine, hw, want_trace=args.trace)
+        rep = simulate(machine, hw)
     except ValueError as e:
         raise CliError("sim", str(e))
     if args.json is not None:
@@ -174,8 +174,8 @@ def _cmd_sim(args) -> int:
         print(f"fu utilization    {rep.fu_utilization:.3f}")
         print(f"dram utilization  {rep.dram_utilization:.3f}")
         if args.trace:
-            for ev in rep.trace:
-                print(ev)
+            for k, (i, done) in enumerate(zip(machine.instrs, rep.complete)):
+                print(f"{k} {i.op} {done}")
     return 0
 
 
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sim", help="cycle simulation")
     s.add_argument("input", help=".eir (compiled first), .easm, or .ebin")
-    s.add_argument("--trace", action="store_true")
+    s.add_argument("--trace", action="store_true",
+                   help="print each instruction's completion cycle")
     s.add_argument("--json", nargs="?", const="-",
                    help="write report as JSON (path or stdout)")
     _add_pass_flags(s)

@@ -162,15 +162,21 @@ def parse_hw(text: str) -> HardwareDescription:
                 raise ValueError(f"hw line {lineno}: streaming must be one "
                                  f"of {'/'.join(_SWITCH)}, not '{val}'")
             kw[key] = _SWITCH[val.lower()]
-        elif key.startswith("fu."):
-            fu[key[3:]] = int(val)
+            continue
+        if key.startswith("fu."):
+            table, name = fu, key[3:]
         elif key.startswith("lat."):
-            lat[key[4:]] = int(val)
+            table, name = lat, key[4:]
         elif key in ("lanes", "slots", "banks", "dram_bw", "ntt_pipelines",
                      "fifo_depth"):
-            kw[key] = int(val)
+            table, name = kw, key
         else:
             raise ValueError(f"hw line {lineno}: unknown key '{key}'")
+        try:
+            table[name] = int(val)
+        except ValueError:
+            raise ValueError(f"hw line {lineno}: {key} must be an integer, "
+                             f"not '{val}'") from None
     return HardwareDescription(fu=tuple(fu.items()),
                                lat_override=tuple(lat.items()), **kw)
 

@@ -550,7 +550,11 @@ class BconvTables:
     stage2: tuple[tuple[int, ...], ...]
 
 
+@functools.cache
 def make_bconv_tables(src: RnsBasis, dst: RnsBasis) -> BconvTables:
+    """The tables of one pair of bases, built once per process: they depend
+    on the two moduli tuples only, and an RnsBasis compares and hashes as
+    its moduli."""
     if {m.q for m in src} & {m.q for m in dst}:
         raise ValueError("source and destination bases overlap")
     qprod = src.product

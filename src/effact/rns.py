@@ -174,7 +174,6 @@ def make_modulus_chain(
     n: int,
     count: int,
     bits: int,
-    exclude: tuple[int, ...] = (),
     r_bits: int | None = None,
 ) -> list[Modulus]:
     """Find `count` distinct primes ≡ 1 (mod 2n) in (2^(bits-1), 2^bits].
@@ -196,7 +195,7 @@ def make_modulus_chain(
     if p > hi:
         p -= two_n
     while len(found) < count and p > lo:
-        if p not in exclude and is_prime(p):
+        if is_prime(p):
             found.append(p)
         p -= two_n
     if len(found) < count:
@@ -240,14 +239,9 @@ def dm_encode(x: int, m: Modulus) -> int:
 
 @dataclass(frozen=True)
 class RnsBasis:
-    """An ordered set of moduli sharing one ring degree.
-
-    role is a free-form marker, conventionally "C" for the ciphertext base
-    and "B" for the extension base.
-    """
+    """An ordered set of moduli sharing one ring degree."""
 
     moduli: tuple[Modulus, ...]
-    role: str = ""
 
     def __post_init__(self):
         qs = [m.q for m in self.moduli]

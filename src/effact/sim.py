@@ -5,9 +5,14 @@ units (MAC on the multiplier array, as `schedule` books it), a
 bandwidth-limited DRAM channel with a fixed base latency, SRAM
 bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
-SRAM.  Reports cycles, busy counts, utilizations, and DRAM traffic.
-Dependences, unit classes and latencies come from the compiler's one
-machine model: build_deps, FU_CLASS and HardwareDescription.lat/xfer.
+SRAM.  Dependences, unit classes and latencies come from the compiler's
+one machine model: build_deps, FU_CLASS and HardwareDescription.lat/xfer.
+
+`simulate` is one pass over the program.  It classifies each operand once,
+as an SRAM slot, a FIFO channel (each checked against the hardware there)
+or a streamed address, and records the cycle each instruction completes:
+`SimReport.complete`, the per-instruction record.  The critical path is
+computed apart from the pass, so `cycles >= critical_path` checks it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ class SimReport:
     fifo_peak: int
     critical_path: int
     instructions: int
-    trace: list = field(default_factory=list)
+    # complete[k]: the cycle instruction k completes; not in to_dict()
+    complete: list[int] = field(repr=False)
 
     @property
     def dram_bytes(self) -> int:
@@ -88,24 +94,23 @@ class SimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _check_resources(p: Program, hw: HardwareDescription):
-    for i in p.instrs:
-        for o in i.srcs + i.dests:
-            if isinstance(o, Vreg):
-                name = o.name
-                kind = name[:1]
-                if kind == "r" and int(name[1:]) >= hw.slots:
-                    raise ValueError(f"register {name} exceeds the "
-                                     f"{hw.slots}-slot SRAM")
-                if kind == "f" and int(name[1:]) >= hw.fifo_depth:
-                    raise ValueError(f"fifo channel {name} exceeds depth "
-                                     f"{hw.fifo_depth}")
+def _slot(reg: Vreg, hw: HardwareDescription) -> int | None:
+    """The SRAM slot of register rK, None for FIFO channel fK; ValueError
+    if the hardware has no such slot or channel."""
+    k = int(reg.name[1:])
+    if reg.name[0] == "r":
+        if k >= hw.slots:
+            raise ValueError(f"register {reg} exceeds the "
+                             f"{hw.slots}-slot SRAM")
+        return k
+    if k >= hw.fifo_depth:
+        raise ValueError(f"fifo channel {reg} exceeds depth "
+                         f"{hw.fifo_depth}")
+    return None
 
 
-def simulate(p: Program, hw: HardwareDescription,
-             want_trace: bool = False) -> SimReport:
+def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     check_machine_form(p)
-    _check_resources(p, hw)
     n = p.n
     xfer = hw.xfer(n)
     lat_of = hw.lat_table(n)
@@ -119,7 +124,6 @@ def simulate(p: Program, hw: HardwareDescription,
     stream_b = 0
     conflicts_total = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)
-    trace = []
 
     def dram_slot(req: int) -> int:
         nonlocal channel_free
@@ -130,59 +134,52 @@ def simulate(p: Program, hw: HardwareDescription,
 
     for idx, i in enumerate(p.instrs):
         ready = max((complete[j] for j in preds[idx]), default=0)
-        lat = lat_of[i.op]
-        if i.op in ("load", "store"):
+        cls = FU_CLASS[i.op]
+        fu = cls != "dram"        # a load or store is its own transfer
+        start = max(ready, pools[cls].earliest()) if fu else ready
+        regs = []                 # SRAM slot of each register, None: FIFO
+        drained = 0
+        for o in i.srcs:
+            if isinstance(o, Vreg):
+                regs.append(_slot(o, hw))
+            elif fu and isinstance(o, Addr):
+                # streamed: the unit starts once the first elements arrive
+                start = max(start, dram_slot(ready) + DRAM_BASE)
+                stream_b += WORD_BYTES * n
+        reads = regs.count(None)
+        for o in i.dests:
+            if isinstance(o, Vreg):
+                regs.append(_slot(o, hw))
+            elif fu:
+                # a streamed result drains to DRAM as it is produced
+                drained = dram_slot(start) + DRAM_BASE + xfer
+                stream_b += WORD_BYTES * n
+        if not fu:
             # a transfer ends no earlier than its last word leaves the channel
-            complete[idx] = dram_slot(ready) + max(lat, xfer)
+            complete[idx] = dram_slot(ready) + max(lat_of[i.op], xfer)
             moved[i.op] += WORD_BYTES * n
-        else:
-            cls = FU_CLASS[i.op]
-            pool = pools[cls]
-            start = max(ready, pool.earliest())
-            # streaming sources: the unit starts once first elements arrive
-            for a in i.srcs:
-                if isinstance(a, Addr):
-                    s0 = dram_slot(ready)
-                    stream_b += WORD_BYTES * n
-                    start = max(start, s0 + DRAM_BASE)
-            # SRAM bank conflicts serialize same-cycle accesses to
-            # distinct slots that share a bank
-            slots_used = {int(o.name[1:]) for o in i.srcs + i.dests
-                          if isinstance(o, Vreg) and o.name[:1] == "r"}
-            banks = [s % hw.banks for s in slots_used]
-            conf = len(banks) - len(set(banks))
-            conflicts_total += conf
-            end = start + lat + conf
-            pool.take(end)
-            busy[cls] += lat + conf
-            complete[idx] = end
-            # streaming sinks: results drain to DRAM as they are produced
-            for d in i.dests:
-                if isinstance(d, Addr):
-                    s0 = dram_slot(start)
-                    stream_b += WORD_BYTES * n
-                    complete[idx] = max(end, s0 + DRAM_BASE + xfer)
-            for d in i.dests:
-                if isinstance(d, Vreg) and d.name[:1] == "f":
-                    fifo_events.append((complete[idx], 1))
-            for s_ in i.srcs:
-                if isinstance(s_, Vreg) and s_.name[:1] == "f":
-                    fifo_events.append((start, -1))
-        if want_trace:
-            trace.append({"index": idx, "op": i.op,
-                          "complete": complete[idx]})
+            continue
+        # SRAM bank conflicts serialize same-cycle accesses to distinct
+        # slots that share a bank
+        slots = set(regs) - {None}
+        conf = len(slots) - len({k % hw.banks for k in slots})
+        conflicts_total += conf
+        end = start + lat_of[i.op] + conf
+        pools[cls].take(end)
+        busy[cls] += end - start
+        complete[idx] = max(end, drained)
+        fifo_events += ([(complete[idx], 1)] * (regs.count(None) - reads)
+                        + [(start, -1)] * reads)
 
-    cycles = max(complete, default=0)
-    fifo_peak = 0
-    occ = 0
+    fifo_peak = occ = 0
     for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):
         occ += delta
         fifo_peak = max(fifo_peak, occ)
     cp = _longest_path(p, hw, preds)
     fu_count = {cls: hw.fu_count(cls) for cls in busy}
-    rep = SimReport(cycles, busy, fu_count, moved["load"], moved["store"],
-                    stream_b, conflicts_total, fifo_peak, cp, len(p.instrs),
-                    trace)
+    rep = SimReport(max(complete, default=0), busy, fu_count, moved["load"],
+                    moved["store"], stream_b, conflicts_total, fifo_peak, cp,
+                    len(p.instrs), complete)
     if rep.cycles < rep.critical_path:
         raise RuntimeError(f"simulated {rep.cycles} cycles, below the "
                            f"critical path {rep.critical_path}")

@@ -112,8 +112,8 @@ def test_bconv_merged_equals_unmerged_corpus():
     from effact.rns import RnsBasis
     t0 = time.time()
     mods = make_modulus_chain(256, 6, 30)
-    c = RnsBasis(tuple(mods[:4]), role="C")
-    b = RnsBasis(tuple(mods[4:]), role="B")
+    c = RnsBasis(tuple(mods[:4]))
+    b = RnsBasis(tuple(mods[4:]))
     tables = make_bconv_tables(c, b)
     rng = np.random.default_rng(7)
     for _ in range(1000):

@@ -8,11 +8,13 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from effact.asm import assemble_binary, load_image, save_image
+from effact.asm import (assemble_binary, assemble_text, disassemble_binary,
+                        load_image, save_image)
 from effact.cli import main
-from effact.compiler import compile_program
-from effact.ir import blank_image, parse_ir
-from effact.rns import SM
+from effact.compiler import HardwareDescription, compile_program
+from effact.ir import IrError, blank_image, parse_ir
+from effact.rns import SM, make_modulus_chain
+from effact.sim import simulate
 from effact.workloads import WorkloadParams, gen_keyswitch
 
 SMALL = """\
@@ -146,6 +148,34 @@ def test_sim_human_and_json(src, tmp_path, capsys):
     assert "cycles" in capsys.readouterr().out
 
 
+def test_sim_json_is_the_report_dict(src, tmp_path, monkeypatch):
+    monkeypatch.delenv("EFFACT_HW", raising=False)
+    easm, out = tmp_path / "p.easm", tmp_path / "rep.json"
+    assert main(["compile", str(src), "-o", str(easm)]) == 0
+    assert main(["sim", str(easm), "--json", str(out)]) == 0
+    got = json.loads(out.read_text())
+    rep = simulate(parse_ir(easm.read_text()), HardwareDescription())
+    assert got == rep.to_dict()
+    # the per-instruction record stays out of the report
+    assert not any(isinstance(v, list) for v in got.values())
+
+
+def test_sim_trace_prints_each_completion_cycle(src, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.delenv("EFFACT_HW", raising=False)
+    easm = tmp_path / "p.easm"
+    assert main(["compile", str(src), "-o", str(easm)]) == 0
+    machine = parse_ir(easm.read_text())
+    capsys.readouterr()
+    assert main(["sim", str(easm), "--trace"]) == 0
+    out = capsys.readouterr().out
+    cycles = int(re.search(r"^cycles +(\d+)$", out, re.M).group(1))
+    lines = re.findall(r"^(\d+) (\w+) (\d+)$", out, re.M)
+    assert [(int(k), op) for k, op, _ in lines] == \
+        [(k, i.op) for k, i in enumerate(machine.instrs)]
+    assert max(int(done) for _, _, done in lines) == cycles
+
+
 def test_sim_accepts_compiled_artifact(src, tmp_path):
     easm = tmp_path / "p.easm"
     assert main(["compile", str(src), "-o", str(easm)]) == 0
@@ -170,6 +200,18 @@ def test_hw_file_and_env(src, tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["sim", str(src), "--hw", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error[hw]:")
+
+
+@pytest.mark.parametrize("line", ["fu.ntt = two", "lat.mmul = 1.5",
+                                  "slots = 64k"])
+def test_hw_value_that_is_not_an_integer_names_its_line(src, tmp_path, capsys,
+                                                        line):
+    bad = tmp_path / "bad.hw"
+    bad.write_text(f"# comment\nbanks = 8\n{line}\n")
+    assert main(["sim", str(src), "--hw", str(bad)]) == 1
+    key, val = (t.strip() for t in line.split("="))
+    assert capsys.readouterr().err == (
+        f"error[hw]: hw line 3: {key} must be an integer, not '{val}'\n")
 
 
 def test_sim_rejects_source_level_easm(tmp_path, capsys):
@@ -562,13 +604,30 @@ def test_bad_operand_kinds_are_tagged_errors(case, tmp_path, capsys):
     assert not (tmp_path / "bad.ebin").exists()
 
 
+def many_symbols(count: int) -> str:
+    """A program over `count` DRAM symbols that reads the last one."""
+    return (".n 16\n.mod q0 97\n"
+            + "".join(f".dram s{k} 1\n" for k in range(count))
+            + f"%a = load @s{count - 1}[0]\nstore %a, @s0[0]\n")
+
+
+def many_moduli(count: int) -> str:
+    """A program over `count` moduli that multiplies by the last one."""
+    return (".n 16\n" + "".join(f".mod q{k} {m.q}\n" for k, m in
+                                enumerate(make_modulus_chain(16, count, 30)))
+            + ".dram x 1\n.dram y 1\n%a = load @x[0]\n"
+            f"%b = mmul %a, %a, q{count - 1}\nstore %b, @y[0]\n")
+
+
 @pytest.mark.parametrize("text,msg", [
     (".n 16\n.mod q0 97\n.dram sixteen_bytes_xx 2\n"
      "%a = load @sixteen_bytes_xx[0]\nstore %a, @sixteen_bytes_xx[1]\n",
      "name 'sixteen_bytes_xx' too long for binary encoding"),
     (".n 16\n.mod q0 97\n.dram x 2\n.dram y 40000\n%a = load @x[0]\n"
-     "store %a, @y[39999]\n", "address @y[39999] not encodable")],
-    ids=["long symbol", "far address"])
+     "store %a, @y[39999]\n", "address @y[39999] not encodable"),
+    (many_symbols(65), "address @s64[0] not encodable"),
+    (many_moduli(256), "256 moduli not encodable (at most 255)")],
+    ids=["long symbol", "far address", "65 symbols", "256 moduli"])
 def test_unencodable_binary_is_a_tagged_error(text, msg, tmp_path, capsys):
     path = tmp_path / "prog.eir"
     path.write_text(text)
@@ -577,3 +636,23 @@ def test_unencodable_binary_is_a_tagged_error(text, msg, tmp_path, capsys):
     assert main(["compile", str(path), "-o", str(tmp_path / "a.ebin")]) == 1
     assert capsys.readouterr().err.startswith(f"error[assemble]: {msg}")
     assert not (tmp_path / "a.ebin").exists()
+
+
+@pytest.mark.parametrize("text", [many_symbols(64), many_moduli(255)],
+                         ids=["64 symbols", "255 moduli"])
+def test_binary_limits_are_inclusive(text):
+    machine = compile_program(text, HardwareDescription())
+    again = disassemble_binary(assemble_binary(machine))
+    assert assemble_text(again) == assemble_text(machine)
+
+
+def test_register_index_beyond_21_bits_is_not_encodable():
+    text = (".n 16\n.mod q0 97\n.dram x 1\n.dram y 1\n"
+            "{r} = load @x[0]\nstore {r}, @y[0]\n")
+    top = parse_ir(text.format(r="r2097151"))
+    again = disassemble_binary(assemble_binary(top))
+    assert assemble_text(again) == assemble_text(top)
+    for r in ("r2097152", "f2097152", "r3000000"):
+        with pytest.raises(IrError,
+                           match=f"operand {r} not encodable"):
+            assemble_binary(parse_ir(text.format(r=r)))

@@ -234,8 +234,8 @@ def test_negacyclic_small_and_identities():
 # base conversion
 
 def small_bases():
-    c = RnsBasis((mod(5, 2, r_bits=3), mod(7, 2, r_bits=3)), role="C")
-    b = RnsBasis((mod(11, 2, r_bits=4),), role="B")
+    c = RnsBasis((mod(5, 2, r_bits=3), mod(7, 2, r_bits=3)))
+    b = RnsBasis((mod(11, 2, r_bits=4),))
     return c, b
 
 
@@ -254,8 +254,8 @@ def test_bconv_small_examples():
 def test_bconv_overshoot_bound():
     rng = random.Random(9)
     n = 16
-    c = RnsBasis(tuple(make_modulus_chain(n, 3, 20)), role="C")
-    b = RnsBasis(tuple(make_modulus_chain(n, 2, 21)), role="B")
+    c = RnsBasis(tuple(make_modulus_chain(n, 3, 20)))
+    b = RnsBasis(tuple(make_modulus_chain(n, 2, 21)))
     qprod = c.product
     for _ in range(50):
         limbs = tuple(rand_poly(m, rng) for m in c)
@@ -275,8 +275,8 @@ def test_bconv_sums_many_source_limbs_exactly():
     # its prime, overflow one word
     rng = random.Random(11)
     n = 8
-    c = RnsBasis(tuple(make_modulus_chain(n, 80, 50)), role="C")
-    b = RnsBasis(tuple(make_modulus_chain(n, 2, 59)), role="B")
+    c = RnsBasis(tuple(make_modulus_chain(n, 80, 50)))
+    b = RnsBasis(tuple(make_modulus_chain(n, 2, 59)))
     a = RnsPoly(c, tuple(rand_poly(m, rng) for m in c))
     out = bconv(a, b)
     qhat = [c.product // m.q for m in c]
@@ -304,14 +304,15 @@ def test_bconv_table_invariants_are_explicit_errors(monkeypatch):
     for name in ("sm_encode", "dm_encode"):
         with monkeypatch.context() as mp:
             mp.setattr(poly_mod, name, lambda x, m: (x + 1) % m.q)
+            make_bconv_tables.cache_clear()     # build, do not look up
             with pytest.raises(RuntimeError):
                 make_bconv_tables(c, b)
 
 
 def ntt_ready_bases():
     # n=2 needs primes congruent to 1 mod 4
-    c = RnsBasis((mod(5, 2, r_bits=3), mod(13, 2, r_bits=4)), role="C")
-    b = RnsBasis((mod(17, 2, r_bits=5),), role="B")
+    c = RnsBasis((mod(5, 2, r_bits=3), mod(13, 2, r_bits=4)))
+    b = RnsBasis((mod(17, 2, r_bits=5),))
     return c, b
 
 

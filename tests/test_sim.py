@@ -53,10 +53,10 @@ def test_latency_overrides_reach_the_simulator():
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "%c = mac %a, %b, %b, q0\nstore %c, @y[0]\n")
     mc = compile_program(parse_ir(text), replace(hw, streaming=False))
-    rep = simulate(mc, hw, want_trace=True)
-    done = {ev["op"]: [] for ev in rep.trace}
-    for ev in rep.trace:
-        done[ev["op"]].append(ev["complete"])
+    rep = simulate(mc, hw)
+    done = {i.op: [] for i in mc.instrs}
+    for i, cycle in zip(mc.instrs, rep.complete, strict=True):
+        done[i.op].append(cycle)
     xfer = hw.xfer(N)
     # the second load queues behind the first on the one DRAM channel
     assert done["load"] == [5000, xfer + 5000]
@@ -173,10 +173,10 @@ def test_determinism():
     rng = random.Random(1)
     p = random_program(rng)
     mc = compile_program(p, HW)
-    a = simulate(mc, HW, want_trace=True)
-    b = simulate(mc, HW, want_trace=True)
+    a = simulate(mc, HW)
+    b = simulate(mc, HW)
     assert a.to_json() == b.to_json()
-    assert a.trace == b.trace
+    assert a.complete == b.complete
 
 
 def test_resource_check():
