@@ -8,7 +8,10 @@ be compared bit for bit.
 
 Each ciphertext component is one RnsPoly: every operation calls each
 kernel once per polynomial, a per-limb constant is one column operand, and
-limbs move between bases only through `gather`.
+limbs move between bases only through `gather`.  Key switching and rescale
+carry both components as one `stack`, so they call each kernel once for
+the pair.  Randomness is drawn in bulk (`replay`), word for word as
+random.Random's own calls would draw it.
 
 Key-switching is hybrid: the modulus chain is split into dnum digit groups,
 each digit is raised to the full extended basis with the merged
@@ -45,7 +48,9 @@ from .poly import (
     make_poly,
     ntt_fwd,
     ntt_inv,
+    stack,
     to_sm,
+    unstack,
     vec_madd,
     vec_mmul,
     vec_msub,
@@ -208,21 +213,104 @@ class Ciphertext:
             raise ValueError("limb count does not match level")
 
 
-def _uniform_poly(basis: RnsBasis, rng) -> RnsPoly:
+# ---------------------------------------------------------------------------
+# bulk draws: the words of random.Random's own calls, drawn in numpy
+
+_TWOPI = 2.0 * math.pi         # random.TWOPI
+
+
+@functools.cache
+def _replay_mt() -> np.random.MT19937:
+    """The generator that each replay sets the state of; like random.Random
+    itself it is not for concurrent calls.  Made on first use, since
+    importing numpy.random takes about 6 MB and 10 ms."""
+    return np.random.MT19937(0)
+
+
+def replay(rng: random.Random, draw):
+    """draw(raw, gauss_next) -> (values, gauss_next) run on the Mersenne
+    Twister state of rng, raw(k) giving its next k 32-bit outputs (numpy's
+    MT19937 is the same generator); rng then holds the state after exactly
+    the words that draw took, and the gauss_next it returned."""
+    version, internal, gauss_next = rng.getstate()
+    mt = _replay_mt()
+    mt.state = {"bit_generator": "MT19937",
+                "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                          "pos": internal[-1]}}
+    values, gauss_next = draw(mt.random_raw, gauss_next)
+    state = mt.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])),
+                  gauss_next))
+    return values
+
+
+def draw_below(raw, q: int, count: int) -> np.ndarray:
+    """count values of random.Random._randbelow(q), as randrange(q) and
+    choice draw them: getrandbits(k), k = q.bit_length(), redrawn while
+    >= q.  getrandbits takes 32-bit words low word first and keeps the top
+    k % 32 bits of the last one.  Each round draws one candidate per value
+    still missing, so no word is drawn past the last one used."""
+    if not 0 < q < 2 ** 64:
+        raise ValueError(f"bound {q} is not a positive 64-bit integer")
+    k = q.bit_length()
+    words, shift = -(-k // 32), np.uint64(-k % 32)
+    out = np.empty(count, dtype=np.uint64)
+    got = 0
+    while got < count:
+        w = raw((count - got) * words).reshape(-1, words)
+        c = w[:, -1] >> shift
+        if words == 2:
+            c = (c << np.uint64(32)) | w[:, 0]
+        c = c[c < np.uint64(q)]
+        out[got:got + c.size] = c
+        got += c.size
+    return out
+
+
+def draw_gauss(raw, gauss_next: float | None,
+               count: int) -> tuple[np.ndarray, float | None]:
+    """count values of random.Random.gauss(0, 1) and the gauss_next they
+    leave: the cached value first, then Box-Muller pairs, each from two
+    random() = ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two words a, b.
+    Only IEEE-exact operations run vectorized; log, cos and sin are the
+    math module's, one per element, as gauss calls them."""
+    if count == 0:
+        return np.empty(0), gauss_next
+    head = [] if gauss_next is None else [gauss_next]
+    pairs = (count - len(head) + 1) // 2
+    w = raw(4 * pairs).reshape(pairs, 2, 2)
+    hi, lo = w[:, :, 0] >> np.uint64(5), w[:, :, 1] >> np.uint64(6)
+    u = (hi * 67108864.0 + lo) * (1.0 / 9007199254740992.0)
+    x2pi = (u[:, 0] * _TWOPI).tolist()
+    g2rad = np.sqrt(-2.0 * np.array(list(map(math.log,
+                                              (1.0 - u[:, 1]).tolist()))))
+    z = np.empty((pairs, 2))
+    z[:, 0] = np.array(list(map(math.cos, x2pi))) * g2rad
+    z[:, 1] = np.array(list(map(math.sin, x2pi))) * g2rad
+    values = np.concatenate((head, z.ravel()))
+    return values[:count], (float(values[count]) if values.size > count
+                            else None)
+
+
+def _uniform(raw, basis: RnsBasis) -> RnsPoly:
     """Uniform NTT-domain words, drawn limb by limb in basis order."""
-    words = [[rng.randrange(m.q) for _ in range(m.n)] for m in basis]
-    return make_poly(basis, words, domain=NTT, order=BITREV, repr=SM)
+    return make_poly(basis, np.concatenate([draw_below(raw, m.q, m.n)
+                                            for m in basis]),
+                     domain=NTT, order=BITREV, repr=SM)
 
 
-def _rlwe_sample(sk: SecretKey, basis: RnsBasis, msg: RnsPoly,
-                 rng) -> tuple[RnsPoly, RnsPoly]:
-    """(b, a) with b = -a*s + msg + e over basis, a uniform; msg is in the
-    NTT domain.  Draws the noise, then a."""
-    e = _coeffs_to_device(
-        [round(rng.gauss(0, ERR_SIGMA)) for _ in range(basis.n)], basis)
-    a = _uniform_poly(basis, rng)
-    b = vec_madd(vec_madd(vec_neg(vec_mmul(a, sk.ntt_poly(basis))), msg), e)
-    return b, a
+def _rlwe_sample(sk: SecretKey, basis: RnsBasis,
+                 rng) -> tuple[RnsPoly, RnsPoly, list[int]]:
+    """(-a*s, a, e) over basis: a uniform, and e the noise, rounded to
+    nearest even, as integer coefficients for the caller to add with its
+    message.  Draws the noise, then a."""
+    def draw(raw, gauss_next):
+        g, gauss_next = draw_gauss(raw, gauss_next, basis.n)
+        return (np.rint(g * ERR_SIGMA).astype(np.int64).tolist(),
+                _uniform(raw, basis)), gauss_next
+
+    e, a = replay(rng, draw)
+    return vec_neg(vec_mmul(a, sk.ntt_poly(basis))), a, e
 
 
 def keygen_small(params: CkksParams, seed: int = 0,
@@ -233,15 +321,20 @@ def keygen_small(params: CkksParams, seed: int = 0,
     level; lower-level switching restricts to the live limbs.
     """
     rng = random.Random(seed)
-    sk = SecretKey(params, tuple(rng.choice((-1, 0, 1))
-                                 for _ in range(params.n)))
+    # choice((-1, 0, 1)) draws its index with _randbelow(3)
+    ternary = replay(rng, lambda raw, g: (draw_below(raw, 3, params.n), g))
+    sk = SecretKey(params, tuple((ternary.astype(np.int64) - 1).tolist()))
     ext = RnsBasis(tuple(ext_moduli(params, params.levels)))
+
+    def evk_digit(msg):
+        b, a, e = _rlwe_sample(sk, ext, rng)
+        return vec_madd(vec_madd(b, msg), _coeffs_to_device(e, ext)), a
 
     def evk_for(s_poly):
         # digit d encrypts P * W_d * s_poly
         return EvalKey(tuple(
-            _rlwe_sample(sk, ext, vec_mmul(s_poly, _sm_word(
-                params.p_product * digit_weight(params, d), ext)), rng)
+            evk_digit(vec_mmul(s_poly, _sm_word(
+                params.p_product * digit_weight(params, d), ext)))
             for d in range(params.dnum)))
 
     evk = evk_for(sk.ntt_poly(ext, 2))
@@ -301,9 +394,12 @@ def encrypt(values, params: CkksParams, sk: SecretKey, seed: int = 1,
     level = params.levels if level is None else level
     scale = params.delta if scale is None else scale
     basis = params.basis(level)
+    b, a, e = _rlwe_sample(sk, basis, rng)
+    # the message joins the noise before their one NTT
     msg = encode(values, params, scale)
-    c0, c1 = _rlwe_sample(sk, basis, _coeffs_to_device(msg, basis), rng)
-    return Ciphertext(c0, c1, level, scale)
+    c0 = vec_madd(b, _coeffs_to_device([m + x for m, x in zip(msg, e)],
+                                       basis))
+    return Ciphertext(c0, a, level, scale)
 
 
 def _device_to_coeffs(p: RnsPoly) -> list[int]:
@@ -364,7 +460,7 @@ def key_switch(d2: RnsPoly, evk: EvalKey, params: CkksParams,
     ext = RnsBasis(tuple(ext_moduli(params, level)))
     # the digits partition the primes, so one iNTT serves them all
     coef = ntt_inv(d2, defer_scale=merged)
-    acc0 = acc1 = None
+    acc = None      # the (b, a) sums as one stack
     for d in range(params.dnum):
         if not params.digit_indices(d, level):
             continue
@@ -376,22 +472,18 @@ def key_switch(d2: RnsPoly, evk: EvalKey, params: CkksParams,
             conv = to_sm(bconv(from_sm(part), tables.dst, tables))
         # the raised digit in extended-basis order
         raised = gather(ext, digit, ntt_fwd(conv))
-        evk_b, evk_a = evk.digits[d]
-        t0 = vec_mmul(raised, gather(ext, evk_b))
-        t1 = vec_mmul(raised, gather(ext, evk_a))
-        acc0 = t0 if acc0 is None else vec_madd(acc0, t0)
-        acc1 = t1 if acc1 is None else vec_madd(acc1, t1)
-    keep = params.chain[:level + 1]
-    return (_divide_round(acc0, keep, params.pchain),
-            _divide_round(acc1, keep, params.pchain))
+        t = vec_mmul(raised, gather(ext, stack(evk.digits[d])))
+        acc = t if acc is None else vec_madd(acc, t)
+    return unstack(_divide_round(acc, params.chain[:level + 1],
+                                 params.pchain))
 
 
 def _divide_round(x: RnsPoly, keep: tuple[Modulus, ...],
                   drop: tuple[Modulus, ...]) -> RnsPoly:
-    """Map an NTT-domain polynomial over keep + drop to one over keep,
-    divided by D = prod(drop) with round-to-nearest: bias by D//2, convert
-    the drop limbs to keep (merged iNTT scaling), subtract, multiply by
-    D^-1.
+    """Map an NTT-domain polynomial (or a stack of them) over keep + drop
+    to one over keep, divided by D = prod(drop) with round-to-nearest: bias
+    by D//2, convert the drop limbs to keep (merged iNTT scaling),
+    subtract, multiply by D^-1.
 
     Key-switch mod-down drops P; rescale drops the one prime q_l.
     """
@@ -410,7 +502,7 @@ def rescale(ct: Ciphertext, params: CkksParams) -> Ciphertext:
     if ct.level < 1:
         raise ValueError("level exhausted")
     keep, drop = params.chain[:ct.level], params.chain[ct.level:ct.level + 1]
-    c0, c1 = (_divide_round(c, keep, drop) for c in (ct.c0, ct.c1))
+    c0, c1 = unstack(_divide_round(stack((ct.c0, ct.c1)), keep, drop))
     return Ciphertext(c0, c1, ct.level - 1, ct.scale / drop[0].q)
 
 

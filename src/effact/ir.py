@@ -37,6 +37,7 @@ from .poly import (
     make_poly,
     ntt_fwd,
     ntt_inv,
+    stack_rows,
     to_sm,
     vec_madd,
     vec_mmul,
@@ -257,6 +258,13 @@ def check_address(prog: Program, a: Addr, line=None) -> Addr:
     return a
 
 
+def _digits(text: str) -> bool:
+    """text is a nonempty run of ASCII digits: the one test of register
+    indices, address terms and immediates (str.isdigit also accepts
+    digits such as '²' that int() rejects)."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_affine(text: str, line: int) -> tuple[int, tuple]:
     base, terms = 0, []
     for part in text.replace("-", "+-").split("+"):
@@ -271,13 +279,13 @@ def _parse_affine(text: str, line: int) -> tuple[int, tuple]:
             lhs, rhs = (t.strip() for t in part.split("*", 1))
             if lhs.startswith("$"):
                 lhs, rhs = rhs, lhs
-            if not rhs.startswith("$") or not lhs.lstrip("-").isdigit():
+            if not rhs.startswith("$") or not _digits(lhs.removeprefix("-")):
                 raise IrError(f"bad address term '{part}'", line)
             terms.append((rhs, sign * int(lhs)))
         elif part.startswith("$"):
             terms.append((part, sign))
         else:
-            if not part.isdigit():
+            if not _digits(part):
                 raise IrError(f"bad address term '{part}'", line)
             base += sign * int(part)
     return base, tuple(terms)
@@ -285,7 +293,7 @@ def _parse_affine(text: str, line: int) -> tuple[int, tuple]:
 
 def _parse_operand(tok: str, line: int):
     tok = tok.strip()
-    if tok.startswith("%") or (tok[:1] in ("r", "f") and tok[1:].isdigit()):
+    if tok.startswith("%") or (tok[:1] in ("r", "f") and _digits(tok[1:])):
         return Vreg(tok)
     if tok.startswith("$"):
         return SRef(tok)
@@ -297,7 +305,7 @@ def _parse_operand(tok: str, line: int):
         sym, expr = tok[1:-1].split("[", 1)
         base, terms = _parse_affine(expr, line)
         return Addr(sym, base, terms)
-    if tok.lstrip("-").isdigit():
+    if _digits(tok.removeprefix("-")):
         return Imm(int(tok))
     raise IrError(f"unrecognized operand '{tok}'", line)
 
@@ -663,70 +671,202 @@ def _fit_modulus(poly: RnsPoly, m: Modulus, op: str,
     return make_poly(m, poly.coeffs % m.q, poly.domain, poly.order, NM)
 
 
-def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
-    """Run a program against a copy of the image and return the result."""
+# the opcodes that run one kernel: transforms and multiplies
+_KERNEL_OPS = frozenset(("ntt", "intt", "auto", "mmul", "mmad", "mac"))
+
+
+def _image_for(prog: Program, img: MemoryImage) -> MemoryImage:
+    """A copy of img with an empty space for each symbol it lacks."""
     img = img.clone()
     for sym, count in prog.dram.items():
         if sym not in img.dram:
             img.dram[sym] = [None] * count
-    env: dict = {}
-    for i in walk(prog):
-        _step(prog, i, env, img)
     return img
+
+
+def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
+    """Run a program against a copy of the image and return the result.
+
+    The vector instructions run in dependence waves, the transforms and
+    multiplies of one shape in a wave as one kernel call (`_run_waves`).
+    That cannot be seen from outside: if anything raises, the program is
+    replayed in order, one `_step` per instruction, from the input image,
+    so results and errors are those of in-order execution."""
+    try:
+        return _run_waves(prog, _image_for(prog, img))
+    except Exception:     # of any type: the replay raises the first one
+        pass
+    out, env = _image_for(prog, img), {}
+    for i in walk(prog):
+        _step(prog, i, env, out)
+    return out
 
 
 def _step(prog: Program, i: Instr, env, img: MemoryImage):
     """Execute one vector instruction whose addresses are concrete."""
-    m = prog.moduli[i.mod] if i.mod else None
-
-    def val(o, movable=False):
-        return _fit_modulus(_operand_value(env, img, o), m, op, movable)
-
-    def setd(v):
-        d = i.dests[0]
-        if isinstance(d, Addr):
-            # streaming sink: result flows straight to DRAM
-            img.put(d.sym, d.base, v)
-        else:
-            env[str(d)] = v
-
     op = i.op
     if op == "store":
         a = i.srcs[1]
         img.put(a.sym, a.base, _operand_value(env, img, i.srcs[0]))
-        return
-    if op in ("load", "copy"):
-        setd(_operand_value(env, img, i.srcs[0]))
-        return
-    if op == "ntt":
-        setd(ntt_fwd(val(i.srcs[0])))
-        return
-    if op == "intt":
-        setd(ntt_inv(val(i.srcs[0]), defer_scale="defer" in i.flags))
-        return
-    if op == "auto":
-        setd(automorphism_ntt(val(i.srcs[0]), i.srcs[1].val))
-        return
-    if op in ("mmul", "mmad", "mac"):
-        bsrc = i.srcs[-1]
-        if isinstance(bsrc, CRef):
-            b, absorb, cmod = _const_word(prog, bsrc)
-            if cmod != i.mod:
-                raise ExecError(f"constant !{bsrc.name} is for modulus "
-                                f"{cmod}, not {i.mod}")
-        else:
-            b, absorb = val(bsrc, movable=op != "mmad"), False
-        if op == "mmul":
-            setd(vec_mmul(val(i.srcs[0], True), b, absorb_deferred=absorb))
-        elif op == "mmad":
-            setd(vec_madd(val(i.srcs[0]), b))
-        else:
-            setd(mac_fused(val(i.srcs[0]), val(i.srcs[1], True), b))
-        return
-    if op == "bconv":
+    elif op in ("load", "copy"):
+        _put(env, img, i.dests[0], _operand_value(env, img, i.srcs[0]))
+    elif op == "bconv":
         _exec_bconv(prog, i, env, img)
-        return
-    raise ExecError(f"opcode {op} has no executor semantics")
+    elif op in _KERNEL_OPS:
+        _put(env, img, i.dests[0], _kernel(i, *_args(prog, i, env, img)))
+    else:
+        raise ExecError(f"opcode {op} has no executor semantics")
+
+
+def _put(env, img: MemoryImage, d, value: RnsPoly):
+    if isinstance(d, Addr):
+        # streaming sink: result flows straight to DRAM
+        img.put(d.sym, d.base, value)
+    else:
+        env[d.name] = value
+
+
+def _args(prog: Program, i: Instr, env, img: MemoryImage):
+    """The kernel operands of a transform or multiply, each fitted to the
+    instruction's modulus (a constant multiplicand read first), and
+    whether a constant multiplicand absorbs a deferred scale."""
+    m, op = prog.moduli[i.mod], i.op
+
+    def val(o, movable=False):
+        return _fit_modulus(_operand_value(env, img, o), m, op, movable)
+
+    if op in ("ntt", "intt", "auto"):
+        return (val(i.srcs[0]),), False
+    bsrc = i.srcs[-1]
+    if isinstance(bsrc, CRef):
+        b, absorb, cmod = _const_word(prog, bsrc)
+        if cmod != i.mod:
+            raise ExecError(f"constant !{bsrc.name} is for modulus "
+                            f"{cmod}, not {i.mod}")
+    else:
+        b, absorb = val(bsrc, movable=op != "mmad"), False
+    if op == "mmul":
+        return (val(i.srcs[0], True), b), absorb
+    if op == "mmad":
+        return (val(i.srcs[0]), b), absorb
+    return (val(i.srcs[0]), val(i.srcs[1], True), b), absorb
+
+
+def _kernel(i: Instr, args: tuple, absorb: bool) -> RnsPoly:
+    """The kernel of a transform or multiply on its operands."""
+    op = i.op
+    if op == "ntt":
+        return ntt_fwd(*args)
+    if op == "intt":
+        return ntt_inv(*args, defer_scale="defer" in i.flags)
+    if op == "auto":
+        return automorphism_ntt(*args, i.srcs[1].val)
+    if op == "mmul":
+        return vec_mmul(*args, absorb_deferred=absorb)
+    if op == "mmad":
+        return vec_madd(*args)
+    return mac_fused(*args)
+
+
+def _waves(instrs) -> list[list[Instr]]:
+    """The instructions in dependence waves, each in program order, with
+    their registers renamed: each write of a register after its first
+    makes a new version (`rK#n` for the n-th instruction; no parsed name
+    holds a '#'), which only the reads of that version wait for, so
+    machine code's reuse of its registers orders nothing.  An address
+    cell is read in a later wave than its last write before, and written
+    in a later wave than its last write and in no earlier one than its
+    last read: a wave reads all its operands before it writes."""
+    done: dict = {}     # register (its last version) or cell -> write wave
+    read: dict = {}     # address cell -> last wave that reads it
+    renamed: dict[str, Vreg] = {}   # register -> its last version
+    waves: list[list[Instr]] = []
+    for n, i in enumerate(instrs):
+        reads, targets = (i.srcs[:1], i.srcs[1:]) if i.op == "store" \
+            else (i.srcs, i.dests)
+        w = 0
+        for o in reads:
+            if type(o) is Vreg:
+                if o.name not in done:
+                    # in order, this read or an earlier failure raises
+                    raise ExecError(f"register {o} read before write")
+                w = max(w, done[o.name] + 1)
+            elif type(o) is Addr:
+                w = max(w, done.get((o.sym, o.base), -1) + 1)
+        for o in targets:
+            if type(o) is Addr:
+                c = (o.sym, o.base)
+                w = max(w, done.get(c, -1) + 1, read.get(c, 0))
+        srcs, dests = i.srcs, i.dests
+        if renamed:
+            srcs = tuple(renamed.get(o.name, o) if type(o) is Vreg else o
+                         for o in srcs)
+        for o in reads:
+            if type(o) is Addr:
+                c = (o.sym, o.base)
+                read[c] = max(read.get(c, 0), w)
+        for o in targets:
+            if type(o) is Addr:
+                done[(o.sym, o.base)] = w
+                continue
+            if o.name in done:
+                renamed[o.name] = Vreg(f"{o.name}#{n}")
+            done[o.name] = w
+        if renamed:
+            dests = tuple(renamed.get(o.name, o) if type(o) is Vreg else o
+                          for o in dests)
+        if srcs != i.srcs or dests != i.dests:
+            i = i.with_(srcs=srcs, dests=dests)
+        if w == len(waves):
+            waves.append([])
+        waves[w].append(i)
+    return waves
+
+
+def _layout_key(a) -> tuple | int:
+    """What a kernel checks of one operand: a polynomial's layout, or a
+    constant's representation."""
+    if isinstance(a, Word):
+        return a.repr
+    return (a.domain, a.order, a.repr, a.scale_deferred)
+
+
+def _run_waves(prog: Program, img: MemoryImage) -> MemoryImage:
+    """execute_program without the replay.  In each wave, in program
+    order, loads, stores, copies and bconvs run (`_step`) and the other
+    instructions read their operands; then the instructions of one opcode,
+    flags, step and operand layout run as one kernel call on the rows of
+    their operands stacked (`stack_rows`), and each takes its row back."""
+    env: dict = {}
+    for wave in _waves(walk(prog)):
+        groups: dict = {}
+        for i in wave:
+            if i.op not in _KERNEL_OPS:
+                _step(prog, i, env, img)
+                continue
+            args, absorb = _args(prog, i, env, img)
+            key = (i.op, i.flags, i.srcs[-1].val if i.op == "auto" else 0,
+                   absorb, tuple(map(_layout_key, args)))
+            groups.setdefault(key, []).append((i, args))
+        for (*_, absorb, _), members in groups.items():
+            first, args = members[0]
+            if len(members) == 1:
+                rows = (_kernel(first, args, absorb),)
+            else:
+                cols = zip(*(a for _, a in members))
+                rows = _kernel(first, tuple(map(_stacked, cols)),
+                               absorb).limbs
+            for (i, _), row in zip(members, rows):
+                _put(env, img, i.dests[0], row)
+    return img
+
+
+def _stacked(operands) -> RnsPoly | Word:
+    """One operand position of a group: the rows of its polynomials, or
+    its constants as one Word of one value per row."""
+    if isinstance(operands[0], Word):
+        return Word(tuple(w.value for w in operands), operands[0].repr)
+    return stack_rows(operands)
 
 
 def _exec_bconv(prog, i, env, img):

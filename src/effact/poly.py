@@ -8,8 +8,9 @@ negacyclic NTT, fast base conversion (plain and merged with the deferred
 iNTT scaling), Galois automorphisms in both domains, the lane-matrix
 transpose, and a fused multiply-accumulate.
 
-Each kernel runs once per polynomial over all of its rows; every per-prime
-constant is a column that broadcasts along the rows.  Montgomery
+Each kernel runs once per polynomial over all of its rows, or once over a
+stack of polynomials; every per-prime constant is a column that
+broadcasts along the rows.  Montgomery
 multiplication has one exact reduction per radix class: one-word REDC for
 R <= 2^32 and a split-word REDC for R = 2^64 (see _Kern).  The NTT uses no
 Montgomery form and has one path for every radix.
@@ -119,9 +120,10 @@ def _shoup(x, w, wq, q):
     return x * w - h * q
 
 
-def _column(values, ndim: int = 2) -> np.ndarray:
-    """One uint64 per row, shaped to broadcast against an ndim-array."""
-    return np.array(values, dtype=np.uint64).reshape((-1,) + (1,) * (ndim - 1))
+def _column(values) -> np.ndarray:
+    """One uint64 per row, shaped (rows, 1) to broadcast against an array
+    whose second-to-last axis is the rows."""
+    return np.array(values, dtype=np.uint64).reshape(-1, 1)
 
 
 def _redc(x, y, wide: bool, c):
@@ -145,8 +147,10 @@ def _redc(x, y, wide: bool, c):
 class _Kern:
     """Vector primitives and twiddle tables for one basis.
 
-    Operands are 2-D or 3-D uint64 arrays whose row i (first axis) is
-    reduced modulo the i-th prime; constants are columns of their rank.
+    Operands are uint64 arrays whose row i (second-to-last axis) is
+    reduced modulo the i-th prime; any leading axes stack polynomials of
+    the basis, and constants are (rows, 1) columns that broadcast over
+    them.
 
     mmul is Montgomery's REDC, exact for every radix that make_modulus
     accepts.  For R <= 2^32 the double word x*y + m*q stays below
@@ -180,9 +184,9 @@ class _Kern:
 
     def __init__(self, moduli: tuple[Modulus, ...]):
         self.moduli = moduli
-        self.q = {d: _column([m.q for m in moduli], d) for d in (2, 3)}
-        self.q2 = {d: q + q for d, q in self.q.items()}
-        self.classes = []   # (rows, wide, REDC columns by rank) per class
+        self.q = _column([m.q for m in moduli])
+        self.q2 = self.q + self.q
+        self.classes = []   # (rows, wide, REDC columns) per class
         for wide in (True, False):
             rows = [i for i, m in enumerate(moduli)
                     if (m.r_bits == 64) == wide]
@@ -193,8 +197,7 @@ class _Kern:
                       for m in (moduli[i] for i in rows)]
             self.classes.append((
                 slice(None) if len(rows) == len(moduli) else rows, wide,
-                {d: tuple(_column(v, d) for v in zip(*consts))
-                 for d in (2, 3)}))
+                tuple(_column(v) for v in zip(*consts))))
         self.ntt_ready = all(m.ntt_ready for m in moduli)
         self.ninv = _column([m.n_inv for m in moduli])
         self.ninv_shoup = _column([(m.n_inv << 64) // m.q for m in moduli])
@@ -232,20 +235,21 @@ class _Kern:
     def mmul(self, x, y):
         if len(self.classes) == 1:
             _, wide, c = self.classes[0]
-            return _redc(x, y, wide, c[x.ndim])
+            return _redc(x, y, wide, c)
         x, y = np.broadcast_arrays(x, y)
         out = np.empty(x.shape, dtype=np.uint64)
         for rows, wide, c in self.classes:
-            out[rows] = _redc(x[rows], y[rows], wide, c[x.ndim])
+            out[..., rows, :] = _redc(x[..., rows, :], y[..., rows, :], wide,
+                                      c)
         return out
 
     def madd(self, x, y):
         s = x + y
-        return np.minimum(s, s - self.q[s.ndim])
+        return np.minimum(s, s - self.q)
 
     def msub(self, x, y):
         d = x - y                               # wraps when x < y
-        return np.minimum(d, d + self.q[d.ndim])
+        return np.minimum(d, d + self.q)
 
     @functools.cached_property
     def fwd_stages(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -276,18 +280,17 @@ class _Kern:
         """Constant-geometry Cooley-Tukey stages; each butterfly takes
         words below 4q to words below 4q: u is brought below 2q, v*w below
         2q by _shoup, and the outputs are u + v*w and u - v*w + 2q."""
-        rows, n = a.shape
-        half = n // 2
-        q, q2 = self.q[2], self.q2[2]
-        bufs = np.empty((2, rows, n), dtype=np.uint64)
+        half = a.shape[-1] // 2
+        q, q2 = self.q, self.q2
+        bufs = np.empty((2,) + a.shape, dtype=np.uint64)
         for s, (w, wq) in enumerate(self.fwd_stages):
-            u = a[:, :half]
+            u = a[..., :half]
             u = np.minimum(u, u - q2)
-            v = _shoup(a[:, half:], w, wq, q)
+            v = _shoup(a[..., half:], w, wq, q)
             a = bufs[s & 1]
-            pairs = a.reshape(rows, half, 2)
-            np.add(u, v, out=pairs[:, :, 0])
-            np.add(u - v, q2, out=pairs[:, :, 1])
+            pairs = a.reshape(a.shape[:-1] + (half, 2))
+            np.add(u, v, out=pairs[..., 0])
+            np.add(u - v, q2, out=pairs[..., 1])
         a = np.minimum(a, a - q2)
         return np.minimum(a, a - q)
 
@@ -295,16 +298,15 @@ class _Kern:
         """Constant-geometry Gentleman-Sande stages, the forward ones run
         backwards; each butterfly takes words below 2q to words below 2q:
         u + v reduced once, and (u - v + 2q)*w by _shoup."""
-        rows, n = a.shape
-        half = n // 2
-        q, q2 = self.q[2], self.q2[2]
-        bufs = np.empty((2, rows, n), dtype=np.uint64)
+        half = a.shape[-1] // 2
+        q, q2 = self.q, self.q2
+        bufs = np.empty((2,) + a.shape, dtype=np.uint64)
         for s, (w, wq) in enumerate(self.inv_stages):
-            u, v = a[:, 0::2], a[:, 1::2]
+            u, v = a[..., 0::2], a[..., 1::2]
             a = bufs[s & 1]
             t = u + v
-            np.minimum(t, t - q2, out=a[:, :half])
-            a[:, half:] = _shoup(u - v + q2, w, wq, q)
+            np.minimum(t, t - q2, out=a[..., :half])
+            a[..., half:] = _shoup(u - v + q2, w, wq, q)
         if not defer_scale:
             a = _shoup(a, self.ninv, self.ninv_shoup, q)
         return np.minimum(a, a - q)
@@ -334,7 +336,11 @@ def _poly(basis: RnsBasis, words: np.ndarray, domain: str, order: str,
 class RnsPoly:
     """words[i] holds the n coefficients modulo basis[i]; domain, order,
     repr and scale_deferred hold for every row.  RnsPoly(basis, limbs)
-    stacks one one-row polynomial per basis modulus, in basis order."""
+    stacks one one-row polynomial per basis modulus, in basis order.
+
+    Every kernel also takes a `stack` of polynomials of one basis, words
+    (count, rows, n), and a `stack_rows` of polynomials over moduli that
+    may repeat; `limbs`, `modulus` and `coeffs` take 2-D words only."""
 
     __slots__ = ("basis", "words", "domain", "order", "repr",
                  "scale_deferred")
@@ -396,11 +402,41 @@ def gather(basis: RnsBasis, *parts: RnsPoly) -> RnsPoly:
     missing = [m.q for m in basis if m.q not in pos]
     if missing:
         raise ValueError(f"no part holds modulus {missing[0]}")
+    words = np.concatenate([p.words for p in parts], axis=-2)
+    return _poly(basis, words[..., [pos[m.q] for m in basis], :],
+                 *_layout(parts))
+
+
+def _layout(parts) -> tuple:
+    """The one (domain, order, repr, scale_deferred) of some polynomials."""
     metas = {(p.domain, p.order, p.repr, p.scale_deferred) for p in parts}
     if len(metas) != 1:
         raise ContractError("limbs have inconsistent metadata")
-    words = np.concatenate([p.words for p in parts])
-    return _poly(basis, words[[pos[m.q] for m in basis]], *metas.pop())
+    return metas.pop()
+
+
+def stack(polys) -> RnsPoly:
+    """Polynomials of one basis and layout as one, words (count, rows, n),
+    so that each kernel runs once for all of them; `unstack` splits it."""
+    if len({tuple(m.q for m in p.basis) for p in polys}) != 1:
+        raise ValueError("stacked polynomials have different bases")
+    return _poly(polys[0].basis, np.stack([p.words for p in polys]),
+                 *_layout(polys))
+
+
+def unstack(p: RnsPoly) -> tuple[RnsPoly, ...]:
+    """The polynomials of a `stack`, each a view of its words."""
+    return tuple(_poly(p.basis, w, p.domain, p.order, p.repr,
+                       p.scale_deferred) for w in p.words)
+
+
+def stack_rows(parts) -> RnsPoly:
+    """The rows of polynomials of one layout as one polynomial, for one
+    kernel call over all of them.  Its basis is the tuple of the rows'
+    moduli, which may repeat, so it is no RnsBasis: elementwise ops,
+    transforms and automorphisms take it, and `limbs` splits it back."""
+    return _poly(tuple(m for p in parts for m in p.basis),
+                 np.concatenate([p.words for p in parts]), *_layout(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +506,7 @@ def vec_msub(a: RnsPoly, b: RnsPoly) -> RnsPoly:
 def vec_neg(a: RnsPoly) -> RnsPoly:
     _check_deferred(a)
     w = a.words
-    out = np.where(w == 0, w, _kern(a.basis).q[2] - w)
+    out = np.where(w == 0, w, _kern(a.basis).q - w)
     return _poly(a.basis, out, a.domain, a.order, a.repr)
 
 
@@ -586,12 +622,13 @@ def _bconv_stage2(tj: RnsPoly, tables: BconvTables) -> RnsPoly:
     """Row i of the output: the sum over j of (t_j mod p_i) * (qhat_j mod
     p_i), NM words times DM constants, so the sums land in SM."""
     k = _kern(tables.dst)
-    # (dst, src, n) terms; each is below its p_i < 2^59, so a block of 32
-    # of them sums in one word, and the reduced block sums add modularly
-    terms = k.mmul(tj.words[None] % k.q[3],
-                   np.array(tables.stage2, dtype=np.uint64).T[:, :, None])
-    sums = [terms[:, j:j + 32].sum(axis=1) % k.q[2]
-            for j in range(0, terms.shape[1], 32)]
+    # (..., src, dst, n) terms; each is below its p_i < 2^59, so a block
+    # of 32 of them sums in one word, and the reduced block sums add
+    # modularly
+    terms = k.mmul(tj.words[..., None, :] % k.q,
+                   np.array(tables.stage2, dtype=np.uint64)[:, :, None])
+    sums = [terms[..., j:j + 32, :, :].sum(axis=-3) % k.q
+            for j in range(0, terms.shape[-3], 32)]
     return _poly(tables.dst, functools.reduce(k.madd, sums), COEF, NATURAL,
                  SM)
 
@@ -651,7 +688,7 @@ def automorphism_apply(a: RnsPoly, s: int) -> RnsPoly:
         neg[i] = sign < 0
     w = a.words
     out = np.empty_like(w)
-    out[:, dest] = np.where(neg & (w != 0), _kern(a.basis).q[2] - w, w)
+    out[..., dest] = np.where(neg & (w != 0), _kern(a.basis).q - w, w)
     return _poly(a.basis, out, a.domain, a.order, a.repr)
 
 
@@ -685,8 +722,8 @@ def automorphism_ntt(a: RnsPoly, s: int) -> RnsPoly:
     if a.domain != NTT or a.order != BITREV:
         raise ContractError("ntt automorphism expects bit-reversed ntt order")
     _check_deferred(a)
-    perm = automorphism_ntt_perm(a.basis.n, s)
-    return _poly(a.basis, a.words[:, perm], a.domain, a.order, a.repr)
+    perm = automorphism_ntt_perm(a.words.shape[-1], s)
+    return _poly(a.basis, a.words[..., perm], a.domain, a.order, a.repr)
 
 
 def automorphism_row_map(n: int, s: int, lanes: int) -> list[int]:

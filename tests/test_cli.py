@@ -604,6 +604,33 @@ def test_bad_operand_kinds_are_tagged_errors(case, tmp_path, capsys):
     assert not (tmp_path / "bad.ebin").exists()
 
 
+# digits that str.isdigit accepts but int() does not: each once ended in
+# an untagged int() message or a traceback
+NON_ASCII_DIGITS = {
+    "register index": ("r\u00b2 = load @x[1]\nstore r\u00b2, @y[0]\n",
+                       "line 5: unrecognized operand 'r\u00b2'"),
+    "address term": ("r0 = load @x[\u00b2]\nstore r0, @y[0]\n",
+                     "line 5: bad address term '\u00b2'"),
+    "immediate": ("r0 = load @x[0]\nr1 = auto r0, \u00b2, q0\n"
+                  "store r1, @y[0]\n",
+                  "line 6: unrecognized operand '\u00b2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_ASCII_DIGITS))
+def test_non_ascii_digits_are_tagged_errors(case, tmp_path, capsys):
+    body, msg = NON_ASCII_DIGITS[case]
+    path = tmp_path / "bad.easm"
+    path.write_text(HEAD + body)
+    for argv, stage in ((["sim", str(path)], "parse"),
+                        (["exec", str(path)], "parse"),
+                        (["compile", str(path)], "compile")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{stage}]: {msg}") and \
+            "Traceback" not in err
+
+
 def many_symbols(count: int) -> str:
     """A program over `count` DRAM symbols that reads the last one."""
     return (".n 16\n.mod q0 97\n"

@@ -1,18 +1,23 @@
 import hashlib
+import random
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from effact.asm import load_image, save_image
 
 from effact.ckks import (
+    ERR_SIGMA,
     Ciphertext,
     decode,
     decrypt,
     decrypt_raw,
     decrypt_triple,
     deserialize_ciphertext,
+    draw_below,
+    draw_gauss,
     encode,
     encrypt,
     hadd,
@@ -21,6 +26,7 @@ from effact.ckks import (
     key_switch,
     keygen_small,
     make_params,
+    replay,
     rescale,
     serialize_ciphertext,
 )
@@ -336,3 +342,54 @@ def test_reduce_is_exact_for_any_int(setup):
         got = ckks._reduce(coeffs, basis)
         assert got.words.tolist() == [[c % m.q for c in coeffs]
                                       for m in basis]
+
+
+# ---------------------------------------------------------------------------
+# bulk draws replay random.Random word for word
+
+
+@st.composite
+def bounds(draw):
+    """A bound of 2 to 62 bits; 2^(k-1) + 1 rejects about half the
+    candidates of getrandbits(k)."""
+    k = draw(st.integers(2, 62), label="bits")
+    return draw(st.sampled_from((2 ** (k - 1) + 1, 2 ** k - 1))
+                | st.integers(2 ** (k - 1), 2 ** k - 1))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(bounds(), st.integers(1, 2048), st.integers(0, 2 ** 32),
+       st.booleans())
+@example(2 ** 31 + 1, 2048, 1, False)     # k = 32: one word per candidate
+@example(2 ** 32 + 1, 2048, 2, True)      # k = 33: two, the high one 1 bit
+@example(2 ** 61 + 1, 1, 3, True)
+def test_bulk_draws_replay_random(q, count, seed, cached):
+    want, got = random.Random(seed), random.Random(seed)
+    if cached:       # leaves gauss_next set on both
+        want.gauss()
+        got.gauss()
+    values = [want.randrange(q) for _ in range(count)]
+    assert replay(got, lambda raw, g: (draw_below(raw, q, count), g)) \
+        .tolist() == values
+    assert got.getstate() == want.getstate()
+    values = [want.choice((-1, 0, 1)) for _ in range(count)]
+    assert (replay(got, lambda raw, g: (draw_below(raw, 3, count), g))
+            .astype(np.int64) - 1).tolist() == values
+    assert got.getstate() == want.getstate()
+    values = [want.gauss(0, ERR_SIGMA) for _ in range(count)]
+    normals = replay(got, lambda raw, g: draw_gauss(raw, g, count))
+    assert (normals * ERR_SIGMA).tolist() == values
+    assert got.getstate() == want.getstate()
+    assert (got.random(), got.gauss()) == (want.random(), want.gauss())
+
+
+def test_bulk_gauss_is_bit_exact_over_a_million_draws():
+    # the replay computes sqrt, products and the 53-bit uniforms in numpy
+    # and log, cos and sin with math; any rounding apart from
+    # random.gauss's would show here
+    count = 10 ** 6
+    want, got = random.Random(2024), random.Random(2024)
+    values = [want.gauss() for _ in range(count)]
+    assert replay(got, lambda raw, g: draw_gauss(raw, g, count)).tolist() \
+        == values
+    assert got.getstate() == want.getstate()

@@ -54,6 +54,22 @@ def test_no_per_limb_loops_in_ckks():
     assert found == []
 
 
+def test_no_per_word_draws_in_ckks():
+    # ckks draws its randomness in bulk (`replay`): no randrange, gauss or
+    # choice call runs once per word inside a loop or comprehension
+    path = Path(effact.__file__).parent / "ckks.py"
+    loops = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.For, ast.While, ast.ListComp,
+                                  ast.SetComp, ast.DictComp,
+                                  ast.GeneratorExp))]
+    found = sorted({f"ckks.py:{node.lineno}" for loop in loops
+                    for node in ast.walk(loop)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("randrange", "gauss", "choice")})
+    assert found == []
+
+
 def test_one_helper_touches_the_collector():
     # the collector's state is process-wide: only compiler._collector_scope
     # changes it, for one compile step at a time

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from effact.compiler import (
     schedule,
     unroll,
 )
+from effact import ir
 from effact.ir import blank_image, execute_program, parse_ir
 from effact.workloads import (
     WorkloadParams,
@@ -290,3 +292,147 @@ def test_generator_argument_errors():
         gen_hoisted_rotations(WP, steps=())
     with pytest.raises(ValueError):
         gen_bootstrap_skeleton(WP)   # no level budget
+
+
+# ---------------------------------------------------------------------------
+# the batched executor against in-order execution
+
+def in_order(prog, img):
+    """execute_program without its waves: one `_step` per walked
+    instruction, in program order."""
+    out, env = ir._image_for(prog, img), {}
+    for i in ir.walk(prog):
+        ir._step(prog, i, env, out)
+    return out
+
+
+def image_words(img):
+    return {sym: [None if v is None else
+                  ([m.q for m in v.basis], v.words.tolist(), v.domain,
+                   v.order, v.repr, v.scale_deferred) for v in space]
+            for sym, space in img.dram.items()}
+
+
+def assert_batched_is_in_order(prog, img):
+    want = image_words(in_order(prog, img))
+    # the waves themselves, which execute_program would replay on an error
+    assert image_words(ir._run_waves(prog, ir._image_for(prog, img))) == want
+    assert image_words(execute_program(prog, img)) == want
+
+
+def golden_cases():
+    """The generators of the golden programs at desk scale, each with an
+    image that it runs on."""
+    params, sk, evk, rot_keys = keys()
+    ct = ckks.encrypt([0.3, -0.1], params, sk, seed=14)
+
+    def ct_image(text, keys=()):
+        img = ciphertext_into(blank_image(parse_ir(text)), ct)
+        for key, b, a in keys:
+            _fill_keys(img, WP, key, b, a)
+        return img
+
+    ks = gen_keyswitch(WP)
+    yield ks, keyswitch_image(parse_ir(ks), WP, ct.c1, evk)
+    hoisted = gen_hoisted_rotations(WP, steps=(1, 2))
+    yield hoisted, ct_image(hoisted, [(rot_keys[s], f"rkb{s}_", f"rka{s}_")
+                                      for s in (1, 2)])
+    helr = gen_helr_iteration(WP, batch=3)
+    img = ct_image(helr, [(rot_keys[1], "rkb1_", "rka1_")])
+    plaintexts_into(img, WP, rows=3)
+    yield helr, img
+    boot_wp = WorkloadParams(n=256, levels=3, dnum=2,
+                             l_cts=1, l_evalmod=1, l_stc=1)
+    boot = gen_bootstrap_skeleton(boot_wp)
+    img = ct_image(boot, [(evk, "ekb", "eka")])
+    plaintexts_into(img, boot_wp)
+    yield boot, img
+    wp4 = WorkloadParams(n=256, levels=3, dnum=4)
+    params4, sk4, evk4, _ = keys_at(3, 4)
+    d2 = ckks.encrypt([0.5], params4, sk4, seed=15).c1
+    ks4 = gen_keyswitch(wp4)
+    yield ks4, keyswitch_image(parse_ir(ks4), wp4, d2, evk4)
+
+
+def test_batched_execution_is_in_order_execution_on_golden_programs():
+    for text, img in golden_cases():
+        for prog in (parse_ir(text), compile_program(text)):
+            assert_batched_is_in_order(prog, img)
+
+
+def test_batched_execution_is_in_order_execution_on_random_programs():
+    from test_compiler import HW, random_image, random_program
+    for seed in range(60):
+        rng = random.Random(seed)
+        prog = random_program(rng)
+        img = random_image(prog, rng)
+        for p in (prog, compile_program(prog, HW)):
+            assert_batched_is_in_order(p, img)
+
+
+# reads and writes of the same cells, by loads, stores and the streamed
+# operands and results of kernels, whose order the waves must keep
+ADDRESS_ORDER = """\
+r0 = load @x[0]
+r1 = load @x[1]
+@y[0] = mmul r0, r1, q0
+r2 = mmad @y[0], r0, q0
+r3 = mmul @x[2], r2, q0
+@x[2] = mmad r0, r1, q0
+@y[1] = mmul r2, r2, q0
+@y[1] = mmad r0, r1, q0
+store r3, @y[2]
+r4 = load @x[2]
+store r4, @x[0]
+r5 = mac r4, @x[0], r1, q0
+@y[3] = mmul r5, r5, q0
+"""
+
+
+def test_batched_execution_keeps_the_order_of_each_address():
+    from test_compiler import header, random_image
+    prog = parse_ir(header() + ADDRESS_ORDER)
+    for seed in range(3):
+        assert_batched_is_in_order(prog, random_image(prog,
+                                                      random.Random(seed)))
+
+
+# each program fails twice: (its body, the failure first in program order,
+# the failure that the dependence waves reach first: an instruction of an
+# earlier wave, an operand read before the kernel calls of its wave, or a
+# register read before any write)
+FAILING = {
+    "read before write": (
+        "%c = mmul %a, @y[1], q0\n%e = ntt @x[5], q1\n",
+        "@y[1] read before write",
+        "forward NTT expects natural coefficient order"),
+    "register written after its read": (
+        "%c = mmad %a, %a, q0\nr1 = mmul r0, %c, q0\nr0 = load @x[1]\n",
+        "register r0 read before write", "register r0 read before write"),
+    "modulus mismatch": (
+        "%c = mmad %a, %b, q0\n%e = ntt @x[5], q1\n",
+        "mmad: operand modulus 193 != 97",
+        "forward NTT expects natural coefficient order"),
+    "ntt of ntt-domain words": (
+        "%c = ntt %a, q0\nr1 = mmul r0, r0, q0\n",
+        "forward NTT expects natural coefficient order",
+        "register r0 read before write"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_batched_execution_fails_as_in_order_execution(case):
+    from test_compiler import header, random_image
+    body, msg, first = FAILING[case]
+    prog = parse_ir(header() + "%a = load @x[0]\n%b = load @x[4]\n" + body
+                    + "store %c, @y[0]\n")
+    img = random_image(prog, random.Random(0))
+    errors = []
+    for run in (in_order, execute_program):
+        with pytest.raises(Exception) as e:
+            run(prog, img)
+        errors.append((type(e.value), str(e.value),
+                       getattr(e.value, "line", None)))
+    assert errors[0] == errors[1] and msg in errors[0][1]
+    with pytest.raises(Exception, match=first):
+        ir._run_waves(prog, ir._image_for(prog, img))
