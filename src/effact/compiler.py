@@ -21,7 +21,10 @@ less.  `_schedules` makes that fit-or-reschedule decision for each of a
 list of configurations; since the latency order and the slots it needs do
 not depend on the slot count, an SRAM sweep (`back_ends`) schedules for
 latency once.  `back_ends` then merges the orders rescheduled for
-pressure, allocates and merges the spill traffic.
+pressure, allocates and merges the spill traffic.  A schedule reorders
+the instructions it is given and copies none: their issue cycles are one
+list in `notes["issue_cycles"]`, aligned with the scheduled order, which
+`back_ends` drops, since later passes change that order.
 
 `def_use` is the one source of def/use facts, the pressure scheduler's
 included.  `merge_streaming` makes the sink and source merges
@@ -203,13 +206,13 @@ def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
                                           default=0))]
     for idx, i in enumerate(instrs):
         for s, src in enumerate(i.srcs):
-            if isinstance(src, Vreg):
+            if src.__class__ is Vreg:
                 j = last.get(src.name)
                 if j is not None:
                     wrote[j].append(idx)
                     read[s][idx] = j
         for d in i.dests:
-            if isinstance(d, Vreg):
+            if d.__class__ is Vreg:
                 last[d.name] = idx
                 wrote[idx] = [idx]
     return wrote, read
@@ -516,38 +519,47 @@ def build_deps(p: Program) -> list[set[int]]:
     """preds[k] = indices that must complete before instruction k: register
     RAW/WAR/WAW plus memory order (WAR/WAW arise only once registers are
     reused, i.e. in machine code)."""
-    preds: list[set[int]] = [set() for _ in p.instrs]
+    preds: list[set[int]] = []
     last_def: dict[str, int] = {}
     reg_readers: dict[str, list[int]] = {}
     last_write: dict = {}
     readers: dict = {}
+
+    def write(key):
+        if key in last_write:
+            ps.add(last_write[key])
+        ps.update(readers.pop(key, ()))
+        last_write[key] = idx
+
     for idx, i in enumerate(p.instrs):
+        ps: set[int] = set()
+        preds.append(ps)
+        store = i.op == "store"         # its address is the cell it writes
         for s in i.srcs:
-            if isinstance(s, Vreg):
+            kind = s.__class__
+            if kind is Vreg:
                 r = s.name
                 if r in last_def:
-                    preds[idx].add(last_def[r])
+                    ps.add(last_def[r])
                 reg_readers.setdefault(r, []).append(idx)
-        reads, writes = _mem_accesses(i)
-        for a in reads:
-            key = _addr_key(a)
-            if key in last_write:
-                preds[idx].add(last_write[key])
-            readers.setdefault(key, []).append(idx)
-        for a in writes:
-            key = _addr_key(a)
-            if key in last_write:
-                preds[idx].add(last_write[key])
-            preds[idx].update(readers.pop(key, ()))
-            last_write[key] = idx
+            elif kind is Addr and not store:
+                key = _addr_key(s)
+                if key in last_write:
+                    ps.add(last_write[key])
+                readers.setdefault(key, []).append(idx)
+        if store:
+            write(_addr_key(i.srcs[1]))
         for d in i.dests:
-            if isinstance(d, Vreg):
+            kind = d.__class__
+            if kind is Vreg:
                 r = d.name
                 if r in last_def:
-                    preds[idx].add(last_def[r])
-                preds[idx].update(reg_readers.pop(r, ()))
+                    ps.add(last_def[r])
+                ps.update(reg_readers.pop(r, ()))
                 last_def[r] = idx
-        preds[idx].discard(idx)
+            elif kind is Addr:
+                write(_addr_key(d))
+        ps.discard(idx)
     return preds
 
 
@@ -556,7 +568,7 @@ def _longest_path(p: Program, hw: HardwareDescription,
     lat = hw.lat_table(p.n)
     finish = [0] * len(p.instrs)
     for idx, i in enumerate(p.instrs):
-        start = max((finish[j] for j in preds[idx]), default=0)
+        start = max(map(finish.__getitem__, preds[idx]), default=0)
         finish[idx] = start + lat[i.op]
     return max(finish, default=0)
 
@@ -594,21 +606,31 @@ class UnitPool:
             heapreplace(self.free_at, until)
 
 
+def _uses(instrs: list[Instr]) -> tuple[list, list[tuple]]:
+    """`def_use(instrs)[0]`, and for each instruction the distinct writers
+    of the values it reads: what the pressure scheduler counts, computed
+    once for every budget it schedules one program with."""
+    wrote, read = def_use(instrs)
+    return wrote, [tuple({r[k] for r in read if r[k] is not None})
+                   for k in range(len(instrs))]
+
+
 def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
                    succs: list[list[int]], npreds: list[int], lat: list[int],
-                   prio: list[int], budget: int | None):
+                   prio: list[int], budget: int | None = None,
+                   uses: tuple | None = None):
     """Issue order and issue cycles of one list-scheduling pass.
 
     Each step issues a ready instruction at the earliest cycle its operands
     and a unit of its class allow.  Without a budget the step takes the one
     with the longest path to an exit.  With one, it also counts the live
-    values (`def_use`) in issue order, and while that count is above the
-    budget, where an allocator with `budget` slots must spill, it takes the
-    one with the lowest delta = results read later - values it is the last
-    reader of, ties by path length (integrated prepass scheduling, Goodman
-    & Hsu, ICS 1988).  A delta only falls as other reads issue, so each
-    fall pushes a fresh heap entry, and stale entries are skipped when
-    popped.
+    values (`uses` = `_uses(instrs)`) in issue order, and while that count
+    is above the budget, where an allocator with `budget` slots must spill,
+    it takes the one with the lowest delta = results read later - values it
+    is the last reader of, ties by path length (integrated prepass
+    scheduling, Goodman & Hsu, ICS 1988).  A delta only falls as other
+    reads issue, so each fall pushes a fresh heap entry, and stale entries
+    are skipped when popped.
     """
     n_instr = len(instrs)
     remaining = list(npreds)
@@ -619,17 +641,14 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     by_delta: list[tuple[int, int, int]] = []
     live = 0
     if budget is not None:
-        wrote, read = def_use(instrs)
+        wrote, values = uses
         # by writer: whether its value is read, and the instructions that
         # read it and have not issued
         made = [v is not None and len(v) > 1 for v in wrote]
         pending = [len(set(v)) - 1 if v else 0 for v in wrote]
 
-        def values(k):
-            return {r[k] for r in read if r[k] is not None}
-
         def delta(k):
-            return made[k] - sum(1 for j in values(k) if pending[j] == 1)
+            return made[k] - sum(1 for j in values[k] if pending[j] == 1)
 
         by_delta = [(delta(k), -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
@@ -653,7 +672,7 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
         order.append(idx)
         if budget is not None:
             live += made[idx]
-            for j in values(idx):
+            for j in values[idx]:
                 pending[j] -= 1
                 if pending[j] == 0:
                     live -= 1
@@ -690,17 +709,19 @@ def _latency_schedule(p: Program, hw: HardwareDescription):
     table = hw.lat_table(p.n)
     lat = [table[i.op] for i in p.instrs]
     graph = (succs, [len(ps) for ps in preds], lat, _priorities(lat, succs))
-    order, cycles = _list_schedule(p.instrs, hw, *graph, None)
+    order, cycles = _list_schedule(p.instrs, hw, *graph)
     order.sort(key=lambda k: (cycles[k], k))
     return graph, _emit(p, graph, order, cycles)
 
 
 def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
-    """`p` in the given order, each instruction tagged with its issue
-    cycle; `notes` get the makespan and the critical path."""
+    """`p` in the given order, the very instruction objects reordered;
+    `notes` get the issue cycles in that order (`issue_cycles`), the
+    makespan and the critical path."""
     _, _, lat, prio = graph
     out = p.clone()
-    out.instrs = [p.instrs[k].with_(meta={"cycle": cycles[k]}) for k in order]
+    out.instrs = [p.instrs[k] for k in order]
+    out.notes["issue_cycles"] = [cycles[k] for k in order]
     cp = max(prio, default=0)
     makespan = max((c + l for c, l in zip(cycles, lat)), default=0)
     if makespan < cp:
@@ -722,9 +743,12 @@ def _schedules(p: Program, hws) -> Iterator[tuple]:
     emitted in issue order, the order whose live count the budget held,
     and `fit` is None.  Neither the latency schedule nor its fit check
     reads `slots` or `banks`, so each is computed once per distinct value
-    of the fields it reads: an SRAM sweep schedules for latency once."""
+    of the fields it reads: an SRAM sweep schedules for latency once.
+    The values each instruction reads (`_uses`) are counted once, at the
+    first configuration that is scheduled for pressure."""
     latencies: dict = {}
     fits: dict = {}
+    uses = None
     for hw in hws:
         key = (hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override)
         if key not in latencies:
@@ -738,14 +762,16 @@ def _schedules(p: Program, hws) -> Iterator[tuple]:
         if need <= hw.slots:
             yield hw, latency, merged
         else:
+            uses = uses or _uses(p.instrs)
             yield hw, _emit(p, graph, *_list_schedule(
-                p.instrs, hw, *graph, hw.slots)), None
+                p.instrs, hw, *graph, hw.slots, uses)), None
 
 
 def schedule(p: Program, hw: HardwareDescription) -> Program:
     """List-schedule for latency, and again for SRAM pressure when the
-    latency schedule does not fit (see `_schedules`).  Each instruction is
-    tagged with its issue cycle; `notes` get the makespan and the critical
+    latency schedule does not fit (see `_schedules`).  The instructions
+    are `p`'s own, reordered; `notes` get the issue cycle of each
+    (`issue_cycles`, in the new order), the makespan and the critical
     path."""
     return next(_schedules(p, (hw,)))[1]
 
@@ -1051,6 +1077,7 @@ def back_ends(p: Program, hws) -> Iterator[Program]:
             q = alloc_sram(q, hw)
             if hw.streaming:
                 q = merge_spill_traffic(q)
+            del q.notes["issue_cycles"]     # the schedule's, not q's order
             q.notes["streaming"] = hw.streaming
         yield q
         del q       # no name keeps a program while the next one compiles

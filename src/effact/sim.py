@@ -8,11 +8,13 @@ merged operands flow between DRAM and function units without parking in
 SRAM.  Dependences, unit classes and latencies come from the compiler's
 one machine model: build_deps, FU_CLASS and HardwareDescription.lat/xfer.
 
-`simulate` is one pass over the program.  It classifies each operand once,
-as an SRAM slot, a FIFO channel (each checked against the hardware there)
-or a streamed address, and records the cycle each instruction completes:
-`SimReport.complete`, the per-instruction record.  The critical path is
-computed apart from the pass, so `cycles >= critical_path` checks it.
+`simulate` is one pass over the program.  Each register is classified
+once per call, at its first use in program order, as an SRAM slot or a
+FIFO channel and checked against the hardware (`_slot`); an address
+operand of a unit is streamed.  The pass records the cycle each
+instruction completes: `SimReport.complete`, the per-instruction record.
+The critical path is computed apart from the pass, so `cycles >=
+critical_path` checks it.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ class SimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _slot(reg: Vreg, hw: HardwareDescription) -> int | None:
-    """The SRAM slot of register rK, None for FIFO channel fK; ValueError
+def _slot(reg: str, hw: HardwareDescription) -> int:
+    """The SRAM slot of register rK, -1 for FIFO channel fK; ValueError
     if the hardware has no such slot or channel."""
-    k = int(reg.name[1:])
-    if reg.name[0] == "r":
+    k = int(reg[1:])
+    if reg[0] == "r":
         if k >= hw.slots:
             raise ValueError(f"register {reg} exceeds the "
                              f"{hw.slots}-slot SRAM")
@@ -106,7 +108,20 @@ def _slot(reg: Vreg, hw: HardwareDescription) -> int | None:
     if k >= hw.fifo_depth:
         raise ValueError(f"fifo channel {reg} exceeds depth "
                          f"{hw.fifo_depth}")
-    return None
+    return -1
+
+
+class _Slots(dict):
+    """Register name -> its `_slot` on one hardware description, each
+    register classified, and checked, at its first lookup."""
+
+    def __init__(self, hw: HardwareDescription):
+        super().__init__()
+        self.hw = hw
+
+    def __missing__(self, reg: str) -> int:
+        k = self[reg] = _slot(reg, self.hw)
+        return k
 
 
 def simulate(p: Program, hw: HardwareDescription) -> SimReport:
@@ -115,6 +130,7 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     xfer = hw.xfer(n)
     lat_of = hw.lat_table(n)
     preds = build_deps(p)
+    poly_bytes = WORD_BYTES * n
 
     pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
     busy = dict.fromkeys((*UNITS, "dram"), 0)
@@ -124,6 +140,7 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     stream_b = 0
     conflicts_total = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)
+    slot = _Slots(hw)
 
     def dram_slot(req: int) -> int:
         nonlocal channel_free
@@ -133,43 +150,55 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
         return start
 
     for idx, i in enumerate(p.instrs):
-        ready = max((complete[j] for j in preds[idx]), default=0)
+        ready = max(map(complete.__getitem__, preds[idx]), default=0)
         cls = FU_CLASS[i.op]
-        fu = cls != "dram"        # a load or store is its own transfer
-        start = max(ready, pools[cls].earliest()) if fu else ready
-        regs = []                 # SRAM slot of each register, None: FIFO
+        if cls == "dram":
+            # a load or store is its own transfer: it ends no earlier than
+            # its last word leaves the channel
+            for o in i.srcs + i.dests:
+                if o.__class__ is Vreg:
+                    slot[o.name]        # checked, though no unit reads it
+            complete[idx] = dram_slot(ready) + max(lat_of[i.op], xfer)
+            moved[i.op] += poly_bytes
+            continue
+        pool = pools[cls]
+        start = max(ready, pool.earliest())
+        sram = set()                # the SRAM slots the unit accesses
+        reads = writes = 0          # FIFO channels read and written
         drained = 0
         for o in i.srcs:
-            if isinstance(o, Vreg):
-                regs.append(_slot(o, hw))
-            elif fu and isinstance(o, Addr):
+            kind = o.__class__
+            if kind is Vreg:
+                k = slot[o.name]
+                if k < 0:
+                    reads += 1
+                else:
+                    sram.add(k)
+            elif kind is Addr:
                 # streamed: the unit starts once the first elements arrive
                 start = max(start, dram_slot(ready) + DRAM_BASE)
-                stream_b += WORD_BYTES * n
-        reads = regs.count(None)
+                stream_b += poly_bytes
         for o in i.dests:
-            if isinstance(o, Vreg):
-                regs.append(_slot(o, hw))
-            elif fu:
+            if o.__class__ is Vreg:
+                k = slot[o.name]
+                if k < 0:
+                    writes += 1
+                else:
+                    sram.add(k)
+            else:
                 # a streamed result drains to DRAM as it is produced
                 drained = dram_slot(start) + DRAM_BASE + xfer
-                stream_b += WORD_BYTES * n
-        if not fu:
-            # a transfer ends no earlier than its last word leaves the channel
-            complete[idx] = dram_slot(ready) + max(lat_of[i.op], xfer)
-            moved[i.op] += WORD_BYTES * n
-            continue
+                stream_b += poly_bytes
         # SRAM bank conflicts serialize same-cycle accesses to distinct
         # slots that share a bank
-        slots = set(regs) - {None}
-        conf = len(slots) - len({k % hw.banks for k in slots})
+        conf = len(sram) - len({k % hw.banks for k in sram})
         conflicts_total += conf
         end = start + lat_of[i.op] + conf
-        pools[cls].take(end)
+        pool.take(end)
         busy[cls] += end - start
-        complete[idx] = max(end, drained)
-        fifo_events += ([(complete[idx], 1)] * (regs.count(None) - reads)
-                        + [(start, -1)] * reads)
+        complete[idx] = done = max(end, drained)
+        if reads or writes:
+            fifo_events += [(done, 1)] * writes + [(start, -1)] * reads
 
     fifo_peak = occ = 0
     for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):

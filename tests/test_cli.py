@@ -55,6 +55,20 @@ def test_compile_binary_and_flags(src, tmp_path):
     assert out.read_bytes()[:4] != b""
 
 
+def test_compile_json_keys(tmp_path):
+    # the schedule's issue cycles stay out of the compile notes, whether the
+    # latency order fits the slots (64) or is rescheduled for them (12)
+    src = tmp_path / "ks.eir"
+    src.write_text(gen_keyswitch(WorkloadParams(n=256, levels=3, dnum=2)))
+    out = tmp_path / "notes.json"
+    for flags in ([], ["--slots", "12"], ["--no-streaming", "--slots", "12"]):
+        assert main(["compile", str(src), "-o", str(tmp_path / "p.easm"),
+                     "--json", str(out), *flags]) == 0
+        assert sorted(json.loads(out.read_text())) == sorted((
+            "instructions", "critical_path", "makespan", "spills",
+            "max_live", "streaming"))
+
+
 def test_compile_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.eir"
     bad.write_text(".n 16\n%a = frobnicate %b\n")

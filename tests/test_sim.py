@@ -5,24 +5,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effact import compiler
-from effact.asm import assemble_text
+from effact.asm import assemble_text, check_machine_form
 from effact.compiler import (
+    DRAM_BASE,
+    FU_CLASS,
     UNITS,
+    WORD_BYTES,
     HardwareDescription,
+    UnitPool,
+    _addr_key,
+    _longest_path,
+    _mem_accesses,
     alloc_sram,
     back_end,
     back_ends,
+    build_deps,
     compile_program,
     front_end,
     merge_spill_traffic,
     merge_streaming,
     schedule,
 )
-from effact.ir import IrError, blank_image, execute_program, parse_ir
+from effact.ir import Addr, IrError, Vreg, blank_image, execute_program, parse_ir
 from effact.poly import SM, make_poly, ntt_fwd
 from effact.rns import make_modulus
 from effact.sim import SimReport, compare_streaming, simulate, sweep_sram
-from effact.workloads import WorkloadParams, gen_keyswitch
+from effact.workloads import (
+    WorkloadParams,
+    gen_bootstrap_skeleton,
+    gen_helr_iteration,
+    gen_hoisted_rotations,
+    gen_keyswitch,
+)
 from test_compiler import random_program
 
 N = 16
@@ -323,9 +337,12 @@ def test_shared_latency_schedule_changes_no_compile(seed, hws):
 def test_a_sweep_schedules_for_latency_once(monkeypatch):
     # counted through the compiler module; the simulator's own dependence
     # graphs are not.  Only 256 slots fit the latency order of the L24 key
-    # switch, so the other four are rescheduled and merged again.
+    # switch, so the other four are rescheduled and merged again.  def_use:
+    # 3 in the front end, 1 for the four pressure schedules, and 1 each in
+    # the fit check and in every configuration's streaming merge,
+    # allocation and spill merge.
     calls = dict.fromkeys(("build_deps", "_list_schedule", "merge_streaming",
-                           "max_liveness"), 0)
+                           "max_liveness", "def_use"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -339,7 +356,7 @@ def test_a_sweep_schedules_for_latency_once(monkeypatch):
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
     assert calls == {"build_deps": 1, "_list_schedule": 5,
-                     "merge_streaming": 5, "max_liveness": 1}
+                     "merge_streaming": 5, "max_liveness": 1, "def_use": 20}
 
 
 def test_compare_streaming():
@@ -366,3 +383,217 @@ def test_compare_streaming_no_candidates():
     pair = compare_streaming(parse_ir(text), HW)
     assert pair["dram_bytes_saved"] == 0
     assert pair["streaming"].to_dict() == pair["baseline"].to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the simulator's loop and dependence builder against their earlier forms
+
+def build_deps_oracle(p):
+    """build_deps as it was: `isinstance` tests and `_mem_accesses` lists."""
+    preds = [set() for _ in p.instrs]
+    last_def, reg_readers, last_write, readers = {}, {}, {}, {}
+    for idx, i in enumerate(p.instrs):
+        for s in i.srcs:
+            if isinstance(s, Vreg):
+                r = s.name
+                if r in last_def:
+                    preds[idx].add(last_def[r])
+                reg_readers.setdefault(r, []).append(idx)
+        reads, writes = _mem_accesses(i)
+        for a in reads:
+            key = _addr_key(a)
+            if key in last_write:
+                preds[idx].add(last_write[key])
+            readers.setdefault(key, []).append(idx)
+        for a in writes:
+            key = _addr_key(a)
+            if key in last_write:
+                preds[idx].add(last_write[key])
+            preds[idx].update(readers.pop(key, ()))
+            last_write[key] = idx
+        for d in i.dests:
+            if isinstance(d, Vreg):
+                r = d.name
+                if r in last_def:
+                    preds[idx].add(last_def[r])
+                preds[idx].update(reg_readers.pop(r, ()))
+                last_def[r] = idx
+        preds[idx].discard(idx)
+    return preds
+
+
+def slot_oracle(reg, hw):
+    k = int(reg.name[1:])
+    if reg.name[0] == "r":
+        if k >= hw.slots:
+            raise ValueError(f"register {reg} exceeds the "
+                             f"{hw.slots}-slot SRAM")
+        return k
+    if k >= hw.fifo_depth:
+        raise ValueError(f"fifo channel {reg} exceeds depth "
+                         f"{hw.fifo_depth}")
+    return None
+
+
+def simulate_oracle(p, hw):
+    """simulate as it was: every operand classified at every use, a list
+    of each instruction's register slots and a generator for `ready`."""
+    check_machine_form(p)
+    n = p.n
+    xfer = hw.xfer(n)
+    lat_of = hw.lat_table(n)
+    preds = build_deps_oracle(p)
+    pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
+    busy = dict.fromkeys((*UNITS, "dram"), 0)
+    channel_free = 0
+    complete = [0] * len(p.instrs)
+    moved = {"load": 0, "store": 0}
+    stream_b = 0
+    conflicts_total = 0
+    fifo_events = []
+
+    def dram_slot(req):
+        nonlocal channel_free
+        start = max(req, channel_free)
+        channel_free = start + xfer
+        busy["dram"] += xfer
+        return start
+
+    for idx, i in enumerate(p.instrs):
+        ready = max((complete[j] for j in preds[idx]), default=0)
+        cls = FU_CLASS[i.op]
+        fu = cls != "dram"
+        start = max(ready, pools[cls].earliest()) if fu else ready
+        regs = []
+        drained = 0
+        for o in i.srcs:
+            if isinstance(o, Vreg):
+                regs.append(slot_oracle(o, hw))
+            elif fu and isinstance(o, Addr):
+                start = max(start, dram_slot(ready) + DRAM_BASE)
+                stream_b += WORD_BYTES * n
+        reads = regs.count(None)
+        for o in i.dests:
+            if isinstance(o, Vreg):
+                regs.append(slot_oracle(o, hw))
+            elif fu:
+                drained = dram_slot(start) + DRAM_BASE + xfer
+                stream_b += WORD_BYTES * n
+        if not fu:
+            complete[idx] = dram_slot(ready) + max(lat_of[i.op], xfer)
+            moved[i.op] += WORD_BYTES * n
+            continue
+        slots = set(regs) - {None}
+        conf = len(slots) - len({k % hw.banks for k in slots})
+        conflicts_total += conf
+        end = start + lat_of[i.op] + conf
+        pools[cls].take(end)
+        busy[cls] += end - start
+        complete[idx] = max(end, drained)
+        fifo_events += ([(complete[idx], 1)] * (regs.count(None) - reads)
+                        + [(start, -1)] * reads)
+
+    fifo_peak = occ = 0
+    for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):
+        occ += delta
+        fifo_peak = max(fifo_peak, occ)
+    cp = _longest_path(p, hw, preds)
+    fu_count = {cls: hw.fu_count(cls) for cls in busy}
+    return SimReport(max(complete, default=0), busy, fu_count, moved["load"],
+                     moved["store"], stream_b, conflicts_total, fifo_peak, cp,
+                     len(p.instrs), complete)
+
+
+def same_as_oracles(p, hw):
+    """Check simulate and build_deps against the oracles; the text of the
+    ValueError both raise, None if neither does."""
+    assert build_deps(p) == build_deps_oracle(p)
+    try:
+        want = simulate_oracle(p, hw)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            simulate(p, hw)
+        assert str(got.value) == str(e)
+        return str(e)
+    got = simulate(p, hw)
+    assert got.to_dict() == want.to_dict()
+    assert got.complete == want.complete
+    return None
+
+
+GOLDEN_SIM = (
+    (gen_keyswitch, WorkloadParams(n=1024, levels=4, dnum=2), (64,)),
+    (gen_hoisted_rotations, WorkloadParams(n=1024, levels=4, dnum=2), (64,)),
+    (gen_helr_iteration, WorkloadParams(n=1024, levels=4, dnum=2), (64,)),
+    (gen_keyswitch, WorkloadParams(n=2 ** 16, levels=24, dnum=4),
+     (16, 32, 64, 128, 256)),
+    (gen_bootstrap_skeleton, WorkloadParams(n=2 ** 16, levels=12, dnum=4,
+                                            l_cts=2, l_evalmod=4, l_stc=2),
+     (64,)),
+)
+
+
+@pytest.mark.parametrize("gen,wp,slots", GOLDEN_SIM,
+                         ids=["desk_ks", "hoisted", "helr", "l24_ks",
+                              "l12_boot"])
+def test_simulate_matches_its_oracle_on_golden_programs(gen, wp, slots):
+    front = front_end(gen(wp))
+    assert build_deps(front) == build_deps_oracle(front)
+    hws = [HardwareDescription(slots=s, streaming=on)
+           for s in slots for on in (True, False)]
+    for mc, hw in zip(back_ends(front, hws), hws):
+        assert same_as_oracles(mc, hw) is None
+
+
+def test_simulate_matches_its_oracle_on_random_programs():
+    errors = []
+    for seed in range(30):
+        src = random_program(random.Random(seed))
+        front = front_end(src)
+        assert build_deps(front) == build_deps_oracle(front)
+        for slots in range(2, 9):
+            for on in (True, False):
+                hw = replace(HW, slots=slots, streaming=on)
+                try:
+                    mc = back_end(front, hw)
+                except IrError:
+                    continue        # register pressure beyond the slots
+                assert same_as_oracles(mc, hw) is None
+                # the hardware cut below the highest register and channel
+                # index: the first operand in program order that does not
+                # fit names the error
+                top = {"r": -1, "f": -1}
+                for i in mc.instrs:
+                    for o in i.srcs + i.dests:
+                        if isinstance(o, Vreg):
+                            k = int(o.name[1:])
+                            top[o.name[0]] = max(top[o.name[0]], k)
+                cuts = []
+                if top["r"] >= 2:
+                    cuts.append({"slots": top["r"]})
+                if top["f"] >= 1:
+                    cuts.append({"fifo_depth": top["f"]})
+                if len(cuts) == 2:
+                    cuts.append({**cuts[0], **cuts[1]})
+                for cut in cuts:
+                    errors.append(same_as_oracles(mc, replace(hw, **cut)))
+    assert None not in errors
+    assert any("SRAM" in e for e in errors)
+    assert any("fifo" in e for e in errors)
+
+
+def test_simulate_classifies_each_register_once(monkeypatch):
+    import effact.sim as sim
+    mc = compile_program(DESK_KS, HardwareDescription(slots=16))
+    names = [o.name for i in mc.instrs for o in i.srcs + i.dests
+             if isinstance(o, Vreg)]
+    calls = []
+
+    def counted(reg, hw):
+        calls.append(reg)
+        return slot_oracle(Vreg(reg), hw) if reg[0] == "r" else -1
+
+    monkeypatch.setattr(sim, "_slot", counted)
+    simulate(mc, HardwareDescription(slots=16))
+    assert len(names) > len(set(names)) > 16
+    assert calls == list(dict.fromkeys(names))
