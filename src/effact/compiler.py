@@ -3,16 +3,16 @@ SRAM allocation, and streaming-merge.
 
 Pipeline (compile_program() is back_end(front_end(src))):
 
-    front_end: parse -> unroll -> propagate -> lower -> pre
-               -> peephole_merge
+    front_end: parse -> unroll -> lower -> pre -> peephole_merge
     back_end:  schedule -> merge_streaming -> alloc_sram
                -> merge_spill_traffic
 
-The compiler takes `%` registers only; `unroll` rejects machine registers.
-It relies on the operand kinds of `ir.OPERANDS`, which `parse_ir` checks,
-and on every address being concrete after `unroll` (`ir.walk` resolves
-them): `_addr_key`, which keys memory order and the streaming merges by
-DRAM cell, raises on any other.
+The compiler takes `%` registers only; `unroll` rejects machine registers
+and is otherwise `ir.ssa`.  It relies on the operand kinds of
+`ir.OPERANDS`, which `parse_ir` checks, and on every address being
+concrete after `unroll` (`ir.walk` resolves them): `ir._addr_key`, which
+keys memory order and the streaming merges by DRAM cell, raises on any
+other.
 The front end does not read the hardware description, so an SRAM sweep
 runs it once.  `schedule` orders for latency, and when that order needs
 more SRAM slots than the hardware has, orders again so as to keep the live
@@ -40,9 +40,8 @@ fifth of compile time walking them again.  Machine registers are the
 shared objects of `ir.machine_regs`, not one per operand.
 
 Every pass consumes and produces a Program and is semantics-preserving
-under the golden executor; copy removal before allocation is mandatory
-because the machine instruction set has no register-move opcode (`lower`
-also takes programs with copies, for pass lists that propagate later).
+under the golden executor.  The machine instruction set has no
+register-move opcode; copies die in `unroll`, and `lower` rejects one.
 """
 
 from __future__ import annotations
@@ -64,10 +63,12 @@ from .ir import (
     IrError,
     Program,
     Vreg,
+    _addr_key,
+    build_deps,
     check_straight_line,
     machine_regs,
     parse_ir,
-    walk,
+    ssa,
 )
 from .poly import make_bconv_tables
 from .rns import DM, NM, SM, ReprError, RnsBasis, compose_repr, mont_mul, sm_encode
@@ -239,32 +240,17 @@ def _intern_const(p: Program, hint: str, mod: str, value: int, rep: int,
 
 
 # ---------------------------------------------------------------------------
-# unrolling: straight-line code in execution order (see ir.walk)
+# unrolling: straight-line SSA code in execution order (see ir.ssa)
 
 def unroll(p: Program) -> Program:
-    """The vector instructions `walk` yields, each register write renamed
-    `%name.N`, where N counts the writes of the whole program, so that the
-    result is SSA.  Machine registers (`rN`, `fN`) are rejected."""
+    """`ir.ssa(p)`: straight-line SSA code without copies.  Machine
+    registers (`rN`, `fN`) are rejected."""
     for i in p.instrs:
         for o in i.srcs + i.dests:
             if isinstance(o, Vreg) and not o.name.startswith("%"):
                 raise IrError(f"machine register {o.name} in compiler "
                               "input (it takes %registers only)", i.line)
-    out = p.clone()
-    out.instrs = []
-    renames: dict[str, Vreg] = {}
-    writes = 0
-    for i in walk(p):
-        srcs = tuple(renames.get(s.name, s) if isinstance(s, Vreg) else s
-                     for s in i.srcs)
-        dests = []
-        for d in i.dests:
-            if isinstance(d, Vreg):
-                writes += 1
-                renames[d.name] = d = Vreg(f"{d.name}.{writes}")
-            dests.append(d)
-        out.instrs.append(i.with_(srcs=srcs, dests=tuple(dests)))
-    return out
+    return ssa(p)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +261,7 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
     out = p.clone()
     out.instrs = []
     interned: dict = {}
-    # registers carrying a scale-deferred inverse-NTT result (through copies)
+    # registers carrying a scale-deferred inverse-NTT result
     deferred: set[str] = set()
     bconv_site = 0
     tmp = [0]
@@ -286,10 +272,8 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
 
     for i in p.instrs:
         if i.op == "copy":
-            if i.srcs[0].name in deferred:
-                deferred.add(i.dests[0].name)
-            out.instrs.append(i)
-            continue
+            raise IrError("copy in lowering input: unroll the program first",
+                          i.line)
         if i.op == "intt":
             if "defer" in i.flags:
                 deferred.add(str(i.dests[0]))
@@ -353,9 +337,11 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# copy and constant propagation
+# copy propagation
 
 def propagate(p: Program) -> Program:
+    """Each copy's readers read its source, and the copy is dropped; the
+    front end needs no such pass, since `unroll` folds copies."""
     out = p.clone()
     table: dict[str, object] = {}
     instrs = []
@@ -491,7 +477,7 @@ def peephole_merge(p: Program) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# dependence graph + list scheduling
+# list scheduling (the dependence graph is `ir.build_deps`)
 
 def _mem_accesses(i: Instr):
     """(cells read, cells written) by one instruction."""
@@ -505,62 +491,6 @@ def _mem_accesses(i: Instr):
         if isinstance(d, Addr):
             writes.append(d)
     return reads, writes
-
-
-def _addr_key(a: Addr):
-    """The DRAM cell of an address; every address is concrete once
-    `unroll` has run (`ir.walk` resolves them)."""
-    if a.terms:
-        raise IrError(f"non-constant address {a}: unroll the program first")
-    return a.sym, a.base
-
-
-def build_deps(p: Program) -> list[set[int]]:
-    """preds[k] = indices that must complete before instruction k: register
-    RAW/WAR/WAW plus memory order (WAR/WAW arise only once registers are
-    reused, i.e. in machine code)."""
-    preds: list[set[int]] = []
-    last_def: dict[str, int] = {}
-    reg_readers: dict[str, list[int]] = {}
-    last_write: dict = {}
-    readers: dict = {}
-
-    def write(key):
-        if key in last_write:
-            ps.add(last_write[key])
-        ps.update(readers.pop(key, ()))
-        last_write[key] = idx
-
-    for idx, i in enumerate(p.instrs):
-        ps: set[int] = set()
-        preds.append(ps)
-        store = i.op == "store"         # its address is the cell it writes
-        for s in i.srcs:
-            kind = s.__class__
-            if kind is Vreg:
-                r = s.name
-                if r in last_def:
-                    ps.add(last_def[r])
-                reg_readers.setdefault(r, []).append(idx)
-            elif kind is Addr and not store:
-                key = _addr_key(s)
-                if key in last_write:
-                    ps.add(last_write[key])
-                readers.setdefault(key, []).append(idx)
-        if store:
-            write(_addr_key(i.srcs[1]))
-        for d in i.dests:
-            kind = d.__class__
-            if kind is Vreg:
-                r = d.name
-                if r in last_def:
-                    ps.add(last_def[r])
-                ps.update(reg_readers.pop(r, ()))
-                last_def[r] = idx
-            elif kind is Addr:
-                write(_addr_key(d))
-        ps.discard(idx)
-    return preds
 
 
 def _longest_path(p: Program, hw: HardwareDescription,
@@ -1045,13 +975,11 @@ def _collector_scope():
 
 
 def front_end(src, *, do_pre: bool = True, do_merge: bool = True) -> Program:
-    """parse -> unroll -> propagate -> lower -> pre -> peephole_merge: the
-    passes that do not depend on the hardware.  Copies die once, before
-    lowering: machine code has no register move, and no later pass makes
-    one."""
+    """parse -> unroll -> lower -> pre -> peephole_merge: the passes that
+    do not depend on the hardware.  Copies die once, in `unroll`: machine
+    code has no register move, and no later pass makes one."""
     with _collector_scope():
-        p = propagate(unroll(parse_ir(src) if isinstance(src, str) else src))
-        p = lower(p)
+        p = lower(unroll(parse_ir(src) if isinstance(src, str) else src))
         if do_pre:
             p = pre(p)
         if do_merge:

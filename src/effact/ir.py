@@ -12,11 +12,14 @@ subset is sli / sadd / smul, counted loops (loop/endloop), and skipz.
 registers only); `parse_ir` and `asm.check_machine_form` enforce it
 (`check_operands`), so no pass checks operand kinds again.
 
-`walk` is the one interpreter of the scalar subset: the compiler unrolls
-what it yields, and the golden executor runs it.  The executor takes
-programs of any form (virtual or physical registers) and a memory image of
-residue polynomials, delegating every vector opcode to the kernels so
-metadata contracts are enforced for free.
+`walk` is the one interpreter of the scalar subset, `ssa` the one renamer
+of what it yields, and `build_deps` the one dependence builder: the
+compiler unrolls to `ssa`, the scheduler and the simulator order by
+`build_deps`, and the golden executor runs the levels of
+`build_deps(ssa(prog))` as its waves.  The executor takes programs of any
+form (virtual or physical registers) and a memory image of residue
+polynomials, delegating every vector opcode to the kernels so metadata
+contracts are enforced for free.
 """
 
 from __future__ import annotations
@@ -604,6 +607,96 @@ def walk(prog: Program):
 
 
 # ---------------------------------------------------------------------------
+# SSA and dependences, for the compiler, the simulator and the executor
+
+def ssa(prog: Program) -> Program:
+    """The vector instructions `walk` yields, in SSA form: each register
+    write is renamed `name.N`, where N counts the register writes of the
+    whole walk, copies included; each `copy` is folded into the name of its
+    source and dropped.  Reading a register that no executed instruction
+    has written raises IrError."""
+    out = prog.clone()
+    out.instrs = instrs = []
+    names: dict[str, Vreg] = {}
+    writes = 0
+    for i in walk(prog):
+        try:
+            srcs = tuple(names[s.name] if s.__class__ is Vreg else s
+                         for s in i.srcs)
+        except KeyError as e:
+            raise IrError(f"register {e.args[0]} read before write",
+                          i.line) from None
+        if i.op == "copy":
+            writes += 1
+            names[i.dests[0].name] = srcs[0]
+            continue
+        dests = []
+        for d in i.dests:
+            if d.__class__ is Vreg:
+                writes += 1
+                names[d.name] = d = Vreg(f"{d.name}.{writes}")
+            dests.append(d)
+        instrs.append(i.with_(srcs=srcs, dests=tuple(dests)))
+    return out
+
+
+def _addr_key(a: Addr):
+    """The DRAM cell of an address; every address is concrete once `walk`
+    has resolved it."""
+    if a.terms:
+        raise IrError(f"non-constant address {a}: unroll the program first")
+    return a.sym, a.base
+
+
+def build_deps(p: Program) -> list[set[int]]:
+    """preds[k] = indices that must complete before instruction k: register
+    RAW/WAR/WAW plus memory order (WAR/WAW arise only once registers are
+    reused, i.e. in machine code)."""
+    preds: list[set[int]] = []
+    last_def: dict[str, int] = {}
+    reg_readers: dict[str, list[int]] = {}
+    last_write: dict = {}
+    readers: dict = {}
+
+    def write(key):
+        if key in last_write:
+            ps.add(last_write[key])
+        ps.update(readers.pop(key, ()))
+        last_write[key] = idx
+
+    for idx, i in enumerate(p.instrs):
+        ps: set[int] = set()
+        preds.append(ps)
+        store = i.op == "store"         # its address is the cell it writes
+        for s in i.srcs:
+            kind = s.__class__
+            if kind is Vreg:
+                r = s.name
+                if r in last_def:
+                    ps.add(last_def[r])
+                reg_readers.setdefault(r, []).append(idx)
+            elif kind is Addr and not store:
+                key = _addr_key(s)
+                if key in last_write:
+                    ps.add(last_write[key])
+                readers.setdefault(key, []).append(idx)
+        if store:
+            write(_addr_key(i.srcs[1]))
+        for d in i.dests:
+            kind = d.__class__
+            if kind is Vreg:
+                r = d.name
+                if r in last_def:
+                    ps.add(last_def[r])
+                ps.update(reg_readers.pop(r, ()))
+                last_def[r] = idx
+            elif kind is Addr:
+                write(_addr_key(d))
+        ps.discard(idx)
+    return preds
+
+
+# ---------------------------------------------------------------------------
 # memory image
 
 @dataclass
@@ -768,55 +861,18 @@ def _kernel(i: Instr, args: tuple, absorb: bool) -> RnsPoly:
     return mac_fused(*args)
 
 
-def _waves(instrs) -> list[list[Instr]]:
-    """The instructions in dependence waves, each in program order, with
-    their registers renamed: each write of a register after its first
-    makes a new version (`rK#n` for the n-th instruction; no parsed name
-    holds a '#'), which only the reads of that version wait for, so
-    machine code's reuse of its registers orders nothing.  An address
-    cell is read in a later wave than its last write before, and written
-    in a later wave than its last write and in no earlier one than its
-    last read: a wave reads all its operands before it writes."""
-    done: dict = {}     # register (its last version) or cell -> write wave
-    read: dict = {}     # address cell -> last wave that reads it
-    renamed: dict[str, Vreg] = {}   # register -> its last version
+def _waves(prog: Program) -> list[list[Instr]]:
+    """The instructions of `ssa(prog)` in dependence waves, each in program
+    order: an instruction's wave is one more than the latest wave of its
+    predecessors in `build_deps`.  In SSA form each register write is a
+    new value, so machine code's reuse of its registers orders nothing;
+    an address cell keeps its order of reads and writes."""
+    p = ssa(prog)
+    level: list[int] = []
     waves: list[list[Instr]] = []
-    for n, i in enumerate(instrs):
-        reads, targets = (i.srcs[:1], i.srcs[1:]) if i.op == "store" \
-            else (i.srcs, i.dests)
-        w = 0
-        for o in reads:
-            if type(o) is Vreg:
-                if o.name not in done:
-                    # in order, this read or an earlier failure raises
-                    raise ExecError(f"register {o} read before write")
-                w = max(w, done[o.name] + 1)
-            elif type(o) is Addr:
-                w = max(w, done.get((o.sym, o.base), -1) + 1)
-        for o in targets:
-            if type(o) is Addr:
-                c = (o.sym, o.base)
-                w = max(w, done.get(c, -1) + 1, read.get(c, 0))
-        srcs, dests = i.srcs, i.dests
-        if renamed:
-            srcs = tuple(renamed.get(o.name, o) if type(o) is Vreg else o
-                         for o in srcs)
-        for o in reads:
-            if type(o) is Addr:
-                c = (o.sym, o.base)
-                read[c] = max(read.get(c, 0), w)
-        for o in targets:
-            if type(o) is Addr:
-                done[(o.sym, o.base)] = w
-                continue
-            if o.name in done:
-                renamed[o.name] = Vreg(f"{o.name}#{n}")
-            done[o.name] = w
-        if renamed:
-            dests = tuple(renamed.get(o.name, o) if type(o) is Vreg else o
-                          for o in dests)
-        if srcs != i.srcs or dests != i.dests:
-            i = i.with_(srcs=srcs, dests=dests)
+    for i, ps in zip(p.instrs, build_deps(p)):
+        w = max(map(level.__getitem__, ps), default=-1) + 1
+        level.append(w)
         if w == len(waves):
             waves.append([])
         waves[w].append(i)
@@ -833,12 +889,13 @@ def _layout_key(a) -> tuple | int:
 
 def _run_waves(prog: Program, img: MemoryImage) -> MemoryImage:
     """execute_program without the replay.  In each wave, in program
-    order, loads, stores, copies and bconvs run (`_step`) and the other
-    instructions read their operands; then the instructions of one opcode,
-    flags, step and operand layout run as one kernel call on the rows of
-    their operands stacked (`stack_rows`), and each takes its row back."""
+    order, loads, stores and bconvs run (`_step`; `ssa` folded the
+    copies) and the other instructions read their operands; then the
+    instructions of one opcode, flags, step and operand layout run as one
+    kernel call on the rows of their operands stacked (`stack_rows`), and
+    each takes its row back."""
     env: dict = {}
-    for wave in _waves(walk(prog)):
+    for wave in _waves(prog):
         groups: dict = {}
         for i in wave:
             if i.op not in _KERNEL_OPS:

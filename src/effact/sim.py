@@ -5,8 +5,8 @@ units (MAC on the multiplier array, as `schedule` books it), a
 bandwidth-limited DRAM channel with a fixed base latency, SRAM
 bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
-SRAM.  Dependences, unit classes and latencies come from the compiler's
-one machine model: build_deps, FU_CLASS and HardwareDescription.lat/xfer.
+SRAM.  Dependences, unit classes and latencies come from one machine model:
+`ir.build_deps`, FU_CLASS and HardwareDescription.lat/xfer.
 
 `simulate` is one pass over the program.  Each register is classified
 once per call, at its first use in program order, as an SRAM slot or a
@@ -32,10 +32,9 @@ from .compiler import (
     UnitPool,
     _longest_path,
     back_ends,
-    build_deps,
     front_end,
 )
-from .ir import Addr, Program, Vreg
+from .ir import Addr, Program, Vreg, build_deps
 
 
 @dataclass

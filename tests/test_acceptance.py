@@ -196,15 +196,13 @@ def test_automorphism_and_transpose_oracles():
 
 
 def _pipeline(prog, hw, flags):
-    """Run an explicit pass pipeline; any subset of passes may be off."""
+    """Run an explicit pass pipeline; any subset of passes may be off.
+    `unroll` folds the copies, so no pass has any to propagate."""
     p = lower(unroll(prog))
-    if flags["propagate"]:
-        p = propagate(p)
     if flags["pre"]:
         p = pre(p)
     if flags["peephole"]:
         p = peephole_merge(p)
-    p = propagate(p)        # move elimination is mandatory before allocation
     if flags["schedule"]:
         p = schedule(p, hw)
     if flags["streaming"]:
@@ -217,13 +215,13 @@ def _pipeline(prog, hw, flags):
 def test_pass_subsets_preserve_semantics():
     t0 = time.time()
     hw = HardwareDescription(slots=24, fifo_depth=4)
-    names = ("propagate", "pre", "peephole", "schedule", "streaming", "alloc")
+    names = ("pre", "peephole", "schedule", "streaming", "alloc")
     rng = random.Random(99)
     for case in range(200):
         prog = random_program(rng, size=14)
         img = random_image(prog, rng)
         ref = None
-        for bits in itertools.product((False, True), repeat=6):
+        for bits in itertools.product((False, True), repeat=5):
             flags = dict(zip(names, bits))
             p = _pipeline(prog, hw, flags)
             res = execute_program(p, img.clone())

@@ -438,6 +438,32 @@ def test_bad_scalar_flow_is_a_tagged_error(case, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error[{stage}]: {msg}")
 
 
+SKIPPED_REGISTER = ".n 16\n.mod q0 97\n.dram x 2\n.dram y 1\n$s = sli 0\n" \
+    "%x = load @x[0]\nskipz $s, 1\n%x.1 = load @x[1]\n" \
+    "%y = mmul %x.1, %x.1, q0\nstore %y, @y[0]\n"
+
+
+def test_register_read_after_a_skipped_definition_is_a_tagged_error(
+        tmp_path, capsys):
+    # the compiler once took the skipped `%x.1` for the renamed `%x`
+    from effact.poly import make_poly, ntt_fwd
+    from effact.rns import make_modulus
+    path, mem = tmp_path / "skip.eir", tmp_path / "in.emem"
+    path.write_text(SKIPPED_REGISTER)
+    img = blank_image(parse_ir(SKIPPED_REGISTER))
+    m = make_modulus(97, 16)
+    img.dram["x"] = [ntt_fwd(make_poly(m, [k + 1] * 16, repr=SM))
+                     for k in range(2)]
+    mem.write_bytes(save_image(img, 16))
+    assert main(["compile", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[compile]: line 9: register %x.1 read before write")
+    assert main(["exec", str(path), "--image", str(mem)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[exec]") and \
+        "register %x.1 read before write" in err
+
+
 LOOP_PROGRAM = """\
 .n 16
 .mod q0 97

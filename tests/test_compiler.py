@@ -34,7 +34,8 @@ from effact.compiler import (
     schedule,
     unroll,
 )
-from effact.ir import Addr, IrError, Vreg, blank_image, execute_program, parse_ir
+from effact.ir import (Addr, ExecError, IrError, Vreg, blank_image,
+                       execute_program, parse_ir)
 from effact.poly import SM, ContractError, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
 from effact.sim import sweep_sram
@@ -215,12 +216,98 @@ def test_unroll_skipz_and_semantics():
     assert outputs(u, img)[2] is None
 
 
+# `%x.1` is defined only after a taken skip; the compiler once took it for
+# the renamed `%x` and compiled the program
+SKIPPED_DEFINITION = ("$s = sli 0\n%x = load @x[0]\nskipz $s, 1\n"
+                      "%x.1 = load @x[1]\n%y = mmul %x.1, %x.1, q0\n"
+                      "store %y, @y[0]\n")
+
+
+def test_a_register_skipped_before_its_read_is_a_compile_error():
+    text = header() + SKIPPED_DEFINITION
+    with pytest.raises(IrError, match=r"^line 10: register %x\.1 read "
+                                      "before write$"):
+        compile_program(text, HW)
+    p = parse_ir(text)
+    with pytest.raises(ExecError, match=r"register %x\.1 read before write"):
+        execute_program(p, seeded_image(p, random.Random(0)))
+
+
+@st.composite
+def skipping_programs(draw):
+    """Source text of one to three blocks over q0, each straight-line or a
+    loop, whose skips may jump over the definition of a register that a
+    later line reads.  A skip stays inside its block, and registers are
+    named `%v`, `%v.1`, `%v.2`, ... like the names that renaming makes."""
+    lines, regs = ["$z = sli 0", "$o = sli 1"], []
+    for b in range(draw(st.integers(1, 3))):
+        scalars = ["$z", "$o"]
+        if draw(st.booleans()):
+            lines.append(f"$i{b} = loop 0, {draw(st.integers(1, 3))}")
+            scalars.append(f"$i{b}")
+        size = draw(st.integers(1, 6))
+        for k in range(size):
+            kind = draw(st.sampled_from(("load", "mmul", "copy", "skipz",
+                                         "store")))
+            if kind == "skipz":
+                lines.append(f"skipz {draw(st.sampled_from(scalars))}, "
+                             f"{draw(st.integers(0, size - 1 - k))}")
+                continue
+            if kind == "store" and regs:
+                lines.append(f"store {draw(st.sampled_from(regs))}, "
+                             f"@y[{draw(st.integers(0, 3))}]")
+                continue
+            d = f"%v.{len(regs)}" if regs else "%v"
+            if kind == "load" or not regs:
+                cell = draw(st.sampled_from(scalars[2:] + ["0", "3"]))
+                lines.append(f"{d} = load @x[{cell}]")
+            elif kind == "copy":
+                lines.append(f"{d} = copy {draw(st.sampled_from(regs))}")
+            else:
+                a, c = (draw(st.sampled_from(regs)) for _ in range(2))
+                lines.append(f"{d} = mmul {a}, {c}, q0")
+            regs.append(d)
+        if len(scalars) == 3:
+            lines.append("endloop")
+    if regs:
+        lines.append(f"store {regs[-1]}, @y[0]")
+    return header(1) + "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=skipping_programs())
+def test_the_compiler_rejects_what_the_executor_rejects(text):
+    p = parse_ir(text)
+    img = seeded_image(p, random.Random(0))
+    try:
+        want, exec_error = outputs(p, img), None
+    except ExecError as e:
+        exec_error = str(e)
+    try:
+        machine, compile_error = compile_program(p, HW), None
+    except IrError as e:
+        compile_error = str(e)
+    if exec_error is None:
+        assert compile_error is None
+        assert outputs(machine, img) == want
+    else:
+        assert "read before write" in exec_error
+        assert compile_error is not None and \
+            compile_error.endswith(exec_error)
+
+
 # ---------------------------------------------------------------------------
 # lowering
 
 def test_lower_identity_and_ntt():
     p = parse_ir(header() + "%a = load @x[0]\nstore %a, @y[0]\n")
     assert lower(p).opcount() == p.opcount()
+    # copies die in unroll; one that reaches lowering is an error
+    p1 = parse_ir(header() + "%a = load @x[0]\n%b = copy %a\n"
+                  "store %b, @y[0]\n")
+    with pytest.raises(IrError, match="line 7: copy in lowering input"):
+        lower(p1)
+    assert "copy" not in lower(unroll(p1)).opcount()
     p2 = parse_ir(header() + "%a = load @x[0]\n%b = intt %a, q0\n"
                   "%c = ntt %b, q0\nstore %c, @y[0]\n")
     low = lower(p2)

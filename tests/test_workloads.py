@@ -360,6 +360,36 @@ def test_batched_execution_is_in_order_execution_on_golden_programs():
             assert_batched_is_in_order(prog, img)
 
 
+# the most kernel calls that the source form of each golden program may
+# make, in the order of `golden_cases`
+SOURCE_KERNEL_CALLS = (11, 16, 17, 873, 13)
+
+
+def test_batched_execution_makes_no_more_kernel_calls(monkeypatch):
+    calls = []
+    kernel = ir._kernel
+    monkeypatch.setattr(ir, "_kernel",
+                        lambda *args: calls.append(1) or kernel(*args))
+
+    def count(prog, img):
+        calls.clear()
+        ir._run_waves(prog, ir._image_for(prog, img))
+        return len(calls)
+
+    for (text, img), most in zip(golden_cases(), SOURCE_KERNEL_CALLS,
+                                 strict=True):
+        assert count(parse_ir(text), img) <= most
+    # the compiled desk key switch, as the benchmark's he_desk runs it
+    desk = WorkloadParams(n=1024, levels=4, dnum=2)
+    params = ckks_params(desk)
+    sk, evk, _ = ckks.keygen_small(params, seed=3)
+    d2 = ckks.encrypt([0.5], params, sk, seed=15).c1
+    text = gen_keyswitch(desk)
+    prog = compile_program(text)
+    assert len(ir._waves(prog)) == 18
+    assert count(prog, keyswitch_image(parse_ir(text), desk, d2, evk)) == 21
+
+
 def test_batched_execution_is_in_order_execution_on_random_programs():
     from test_compiler import HW, random_image, random_program
     for seed in range(60):
