@@ -6,11 +6,11 @@ round-trips losslessly.  Memory images (.emem) are a JSON manifest plus raw
 little-endian 64-bit coefficient words.  Exact layouts are documented in
 docs/formats.md.
 
-`check_machine_form` remembers a passing check in `Program.machine_form`,
-keyed by copies of everything its scan reads: the instruction list and the
-DRAM symbol sizes.  A program changed in either is scanned again, so a
-compile -> assemble -> disassemble -> simulate round trip scans each of its
-two programs once.
+`check_machine_form` scans a program once and keeps the passing check on
+it (`Program.once`; a program cannot change), so a compile -> assemble ->
+disassemble -> simulate round trip scans each of its two programs once.
+Every program is scanned before it is assembled or simulated: nothing marks
+a program as machine code without the scan.
 """
 
 from __future__ import annotations
@@ -58,13 +58,9 @@ _MEM_MAGIC = b"EMEM0001"
 def check_machine_form(prog: Program):
     """Raise IrError unless `prog` is machine code: machine opcodes, the
     operand kinds of `ir.OPERANDS`, no virtual register, every address
-    concrete and in range.  A pass is remembered (see the module
+    concrete and in range.  A pass is kept on the program (see the module
     docstring)."""
-    memo = prog.machine_form
-    if memo is not None and memo[0] == prog.instrs and memo[1] == prog.dram:
-        return
-    _scan_machine_form(prog)
-    prog.machine_form = (list(prog.instrs), dict(prog.dram))
+    prog.once(_scan_machine_form)
 
 
 def _scan_machine_form(prog: Program):
@@ -200,13 +196,13 @@ def disassemble_binary(blob: bytes) -> Program:
         raise IrError(f"executable is {len(blob)} bytes, its header "
                       f"declares {size}")
     off = 32
-    prog = Program(n=n)
+    moduli, table, dram, instrs = {}, {}, {}, []
     seen: dict = {}       # operand field -> its operand, decoded once
     mods = []
     for _ in range(nmods):
         name = _unpack_name(blob[off:off + 16])
         q, r_bits, _pad = struct.unpack("<QII", blob[off + 16:off + 32])
-        prog.moduli[name] = make_modulus(q, n, r_bits)
+        moduli[name] = make_modulus(q, n, r_bits)
         mods.append(name)
         off += 32
     consts = []
@@ -216,15 +212,15 @@ def disassemble_binary(blob: bytes) -> Program:
                                                blob[off + 16:off + 32])
         if rep not in REPR_NAMES:
             raise IrError(f"constant {name}: unknown representation {rep}")
-        prog.consts[name] = ConstDef(name, _entry(mods, mi, "modulus"),
-                                     value, rep, bool(absorb))
+        table[name] = ConstDef(name, _entry(mods, mi, "modulus"), value,
+                               rep, bool(absorb))
         consts.append(name)
         off += 32
     syms = []
     for _ in range(nsyms):
         name = _unpack_name(blob[off:off + 16])
         count, _pad = struct.unpack("<II", blob[off + 16:off + 24])
-        prog.dram[name] = count
+        dram[name] = count
         syms.append(name)
         off += 24
     for _ in range(ninstrs):
@@ -241,13 +237,13 @@ def disassemble_binary(blob: bytes) -> Program:
         srcs = tuple(o for o in ops[1:] if o is not None)
         if opc not in _OPNAMES:
             raise IrError(f"unknown opcode {opc}")
-        prog.instrs.append(Instr(
+        instrs.append(Instr(
             _OPNAMES[opc],
             (dest,) if dest is not None else (),
             srcs,
             _entry(mods, mod - 1, "modulus") if mod else None,
             DEFER if flags & 1 else NO_FLAGS))
-    return prog
+    return Program(n, moduli, table, dram, instrs)
 
 
 # ---------------------------------------------------------------------------

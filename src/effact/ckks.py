@@ -10,7 +10,8 @@ Each ciphertext component is one RnsPoly: every operation calls each
 kernel once per polynomial, a per-limb constant is one column operand, and
 limbs move between bases only through `gather`.  Key switching and rescale
 carry both components as one `stack`, so they call each kernel once for
-the pair.  Randomness is drawn in bulk (`replay`), word for word as
+the pair, and `hmult` forms its tensor product in one stacked multiply.
+Randomness is drawn in bulk (`replay`), word for word as
 random.Random's own calls would draw it.
 
 Key-switching is hybrid: the modulus chain is split into dnum digit groups,
@@ -512,9 +513,11 @@ def hmult(a: Ciphertext, b: Ciphertext, evk: EvalKey,
         raise ValueError("level mismatch")
     if a.level < 1:
         raise ValueError("level exhausted")
-    d0 = vec_mmul(a.c0, b.c0)
-    d1 = vec_madd(vec_mmul(a.c0, b.c1), vec_mmul(a.c1, b.c0))
-    ks0, ks1 = key_switch(vec_mmul(a.c1, b.c1), evk, params, a.level)
+    # the tensor product's four multiplies as one stacked call
+    d0, d01, d10, d2 = unstack(vec_mmul(stack((a.c0, a.c0, a.c1, a.c1)),
+                                        stack((b.c0, b.c1, b.c0, b.c1))))
+    d1 = vec_madd(d01, d10)
+    ks0, ks1 = key_switch(d2, evk, params, a.level)
     return rescale(Ciphertext(vec_madd(d0, ks0), vec_madd(d1, ks1), a.level,
                               a.scale * b.scale), params)
 

@@ -39,9 +39,13 @@ hundred thousand, and at the default threshold the collector took about a
 fifth of compile time walking them again.  Machine registers are the
 shared objects of `ir.machine_regs`, not one per operand.
 
-Every pass consumes and produces a Program and is semantics-preserving
-under the golden executor.  The machine instruction set has no
-register-move opcode; copies die in `unroll`, and `lower` rejects one.
+Every pass builds a new Program and leaves its input as it was (a program
+cannot change, see `ir.Program`), and is semantics-preserving under the
+golden executor.  A program's `def_use` is scanned once and kept on it
+(`p.once(_def_use)`): `peephole_merge` reads the one `pre` made, the
+pressure schedules the front end's, and `alloc_sram` the fit check's.  The
+machine instruction set has no register-move opcode; copies die in
+`unroll`, and `lower` rejects one.
 """
 
 from __future__ import annotations
@@ -219,22 +223,28 @@ def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
     return wrote, read
 
 
+def _def_use(p: Program) -> tuple[list, list[list]]:
+    """`def_use(p.instrs)`, which passes ask for as `p.once(_def_use)`, so
+    that each program is scanned once."""
+    return def_use(p.instrs)
+
+
 def _sub_srcs(i: Instr, table: dict) -> Instr:
     srcs = tuple(table.get(s.name, s) if isinstance(s, Vreg) else s
                  for s in i.srcs)
     return i.with_(srcs=srcs) if srcs != i.srcs else i
 
 
-def _intern_const(p: Program, hint: str, mod: str, value: int, rep: int,
+def _intern_const(consts: dict, hint: str, mod: str, value: int, rep: int,
                   absorb: bool, interned: dict) -> CRef:
     key = (mod, value, rep, absorb)
     if key in interned:
         return CRef(interned[key])
     name, k = hint, 0
-    while name in p.consts:
+    while name in consts:
         k += 1
         name = f"{hint}{k}"
-    p.consts[name] = ConstDef(name, mod, value, rep, absorb)
+    consts[name] = ConstDef(name, mod, value, rep, absorb)
     interned[key] = name
     return CRef(name)
 
@@ -258,8 +268,7 @@ def unroll(p: Program) -> Program:
 
 def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
     check_straight_line(p)
-    out = p.clone()
-    out.instrs = []
+    consts, instrs = dict(p.consts), []
     interned: dict = {}
     # registers carrying a scale-deferred inverse-NTT result
     deferred: set[str] = set()
@@ -277,17 +286,17 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
         if i.op == "intt":
             if "defer" in i.flags:
                 deferred.add(str(i.dests[0]))
-                out.instrs.append(i)
+                instrs.append(i)
                 continue
             # split into a deferred transform plus one constant multiply so
             # the 1/N factor becomes visible to the merge peephole
             m = p.moduli[i.mod]
-            ninv = _intern_const(out, f"__ninv_{i.mod}", i.mod,
+            ninv = _intern_const(consts, f"__ninv_{i.mod}", i.mod,
                                  sm_encode(m.n_inv, m), SM, True, interned)
             t = fresh("it")
-            out.instrs.append(i.with_(dests=(t,), flags=DEFER))
-            out.instrs.append(Instr("mmul", i.dests, (t, ninv), i.mod,
-                                    line=i.line))
+            instrs.append(i.with_(dests=(t,), flags=DEFER))
+            instrs.append(Instr("mmul", i.dests, (t, ninv), i.mod,
+                                line=i.line))
             continue
         if i.op == "bconv":
             bconv_site += 1
@@ -301,39 +310,38 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
             for j, (s, mname) in enumerate(zip(i.srcs, src_mods)):
                 m = src[j]
                 if is_def:
-                    c = _intern_const(out, f"__bc{bconv_site}s1_{j}", mname,
-                                      tables.stage1_merged[j], NM, True,
-                                      interned)
+                    c = _intern_const(consts, f"__bc{bconv_site}s1_{j}",
+                                      mname, tables.stage1_merged[j], NM,
+                                      True, interned)
                 else:
                     plain = (tables.stage1_merged[j] * m.n) % m.q
-                    c = _intern_const(out, f"__bc{bconv_site}s1_{j}", mname,
-                                      plain, NM, False, interned)
+                    c = _intern_const(consts, f"__bc{bconv_site}s1_{j}",
+                                      mname, plain, NM, False, interned)
                 t = fresh("t")
-                out.instrs.append(Instr("mmul", (t,), (s, c), mname,
-                                        meta={"bc": True}, line=i.line))
+                instrs.append(Instr("mmul", (t,), (s, c), mname,
+                                    meta={"bc": True}, line=i.line))
                 tj.append(t)
             for k, (d, mname) in enumerate(zip(i.dests, dst_mods)):
                 acc = None
                 for j in range(len(src)):
-                    c = _intern_const(out, f"__bc{bconv_site}s2_{j}_{k}",
+                    c = _intern_const(consts, f"__bc{bconv_site}s2_{j}_{k}",
                                       mname, tables.stage2[j][k], DM, False,
                                       interned)
                     last = j == len(src) - 1
                     term = d if last and acc is None else fresh("bt")
-                    out.instrs.append(Instr("mmul", (term,), (tj[j], c),
-                                            mname, meta={"bc": True},
-                                            line=i.line))
+                    instrs.append(Instr("mmul", (term,), (tj[j], c), mname,
+                                        meta={"bc": True}, line=i.line))
                     if acc is None:
                         acc = term
                     else:
                         nxt = d if last else fresh("ba")
-                        out.instrs.append(Instr("mmad", (nxt,), (acc, term),
-                                                mname, meta={"bc": True},
-                                                line=i.line))
+                        instrs.append(Instr("mmad", (nxt,), (acc, term),
+                                            mname, meta={"bc": True},
+                                            line=i.line))
                         acc = nxt
             continue
-        out.instrs.append(i)
-    return out
+        instrs.append(i)
+    return p.with_(instrs, consts=consts)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +350,15 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
 def propagate(p: Program) -> Program:
     """Each copy's readers read its source, and the copy is dropped; the
     front end needs no such pass, since `unroll` folds copies."""
-    out = p.clone()
     table: dict[str, object] = {}
     instrs = []
-    for i in out.instrs:
+    for i in p.instrs:
         i = _sub_srcs(i, table)
         if i.op == "copy":
             table[i.dests[0].name] = i.srcs[0]
             continue
         instrs.append(i)
-    out.instrs = instrs
-    return out
+    return p.with_(instrs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +377,11 @@ def _operand_key(o, vn):
 def pre(p: Program) -> Program:
     from .ir import PURE_OPS
     check_straight_line(p)
-    out = p.clone()
     seen: dict = {}
     vn: dict[str, str] = {}
     repl: dict[str, Vreg] = {}
     instrs = []
-    for i in out.instrs:
+    for i in p.instrs:
         i = _sub_srcs(i, repl)
         pure = (i.op in PURE_OPS and isinstance(i.dests[0], Vreg)
                 and not any(isinstance(s, Addr) for s in i.srcs))
@@ -394,45 +399,49 @@ def pre(p: Program) -> Program:
         seen[key] = dest
         vn[dest] = dest
         instrs.append(i)
-    # dead-code elimination over pure ops whose result is never read
-    wrote = def_use(instrs)[0]
-    out.instrs = [i for i, w in zip(instrs, wrote)
-                  if not (i.op in PURE_OPS and w and len(w) == 1)]
-    return out
+    # dead-code elimination over pure ops whose result is never read; with
+    # none, the program whose def-use was scanned is the output
+    out = p.with_(instrs)
+    live = [i for i, w in zip(instrs, out.once(_def_use)[0])
+            if not (i.op in PURE_OPS and w and len(w) == 1)]
+    return out if len(live) == len(instrs) else p.with_(live)
 
 
 # ---------------------------------------------------------------------------
 # computation-merge peephole
 
-def _try_fold_consts(p: Program, prod: Instr, cons: Instr, interned) \
-        -> Instr | None:
-    """mmul(mmul(x, !c1), !c2), same modulus -> mmul(x, !c1*c2*R^-1)."""
+def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
+                     interned) -> Instr | None:
+    """mmul(mmul(x, !c1), !c2), same modulus -> mmul(x, !c1*c2*R^-1); the
+    folded constant is interned into `consts`."""
     if prod.mod != cons.mod:
         return None
-    c1 = p.consts[prod.srcs[1].name]
-    c2 = p.consts[cons.srcs[1].name]
+    c1 = consts[prod.srcs[1].name]
+    c2 = consts[cons.srcs[1].name]
     try:
         rep = compose_repr(c1.repr, c2.repr)
     except ReprError:
         return None
     m = p.moduli[prod.mod]
     folded = mont_mul(c1.value, c2.value, m)
-    c = _intern_const(p, f"__mrg_{prod.srcs[1].name}_{cons.srcs[1].name}",
+    c = _intern_const(consts,
+                      f"__mrg_{prod.srcs[1].name}_{cons.srcs[1].name}",
                       prod.mod, folded, rep, c1.absorb or c2.absorb, interned)
     meta = {"bc": True} if prod.meta.get("bc") or cons.meta.get("bc") else {}
     return cons.with_(srcs=(prod.srcs[0], c), meta=meta)
 
 
 def peephole_merge(p: Program) -> Program:
-    out = p.clone()
+    """Rounds of constant folds and MAC fusions until one finds none; each
+    round makes a new program, and the first is `p` as it is."""
+    consts = dict(p.consts)
     interned = {(c.mod, c.value, c.repr, c.absorb): c.name
-                for c in out.consts.values()}
-    changed = True
-    while changed:
-        changed = False
-        wrote, read = def_use(out.instrs)
+                for c in consts.values()}
+    out = p.with_()
+    while True:
+        wrote, read = out.once(_def_use)
         kill = set()
-        instrs = out.instrs
+        instrs = list(out.instrs)
         for idx, i in enumerate(instrs):
             if idx in kill:
                 continue
@@ -443,11 +452,10 @@ def peephole_merge(p: Program) -> Program:
                 prod = instrs[j]
                 if (j not in kill and prod.op == "mmul"
                         and isinstance(prod.srcs[1], CRef)):
-                    folded = _try_fold_consts(out, prod, i, interned)
+                    folded = _try_fold_consts(out, consts, prod, i, interned)
                     if folded is not None:
                         instrs[idx] = folded
                         kill.add(j)
-                        changed = True
                         continue
             # fuse a single-use multiply feeding an accumulate into a MAC
             if i.op == "mmad":
@@ -461,19 +469,18 @@ def peephole_merge(p: Program) -> Program:
                     b, acc = prod.srcs[1], i.srcs[1 - pos]
                     # a MAC accumulates into a vector, never a constant
                     if isinstance(acc, CRef) or (
-                            isinstance(b, CRef) and out.consts[b.name].absorb):
+                            isinstance(b, CRef) and consts[b.name].absorb):
                         continue
                     meta = {"bc": True} if (prod.meta.get("bc")
                                             or i.meta.get("bc")) else {}
                     instrs[idx] = i.with_(op="mac", meta=meta,
                                           srcs=(acc, prod.srcs[0], b))
                     kill.add(j)
-                    changed = True
                     break
-        if kill:
-            out.instrs = [ins for k, ins in enumerate(instrs)
-                          if k not in kill]
-    return out
+        if not kill:
+            return out
+        out = out.with_([ins for k, ins in enumerate(instrs)
+                         if k not in kill], consts=consts)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +543,14 @@ class UnitPool:
             heapreplace(self.free_at, until)
 
 
-def _uses(instrs: list[Instr]) -> tuple[list, list[tuple]]:
-    """`def_use(instrs)[0]`, and for each instruction the distinct writers
-    of the values it reads: what the pressure scheduler counts, computed
-    once for every budget it schedules one program with."""
-    wrote, read = def_use(instrs)
+def _uses(p: Program) -> tuple[list, list[tuple]]:
+    """The values of `def_use(p.instrs)`, and for each instruction the
+    distinct writers of the values it reads: what the pressure scheduler
+    counts, kept on the program (`p.once(_uses)`) for every budget it
+    schedules it with."""
+    wrote, read = p.once(_def_use)
     return wrote, [tuple({r[k] for r in read if r[k] is not None})
-                   for k in range(len(instrs))]
+                   for k in range(len(p.instrs))]
 
 
 def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
@@ -623,22 +631,34 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     return order, cycles
 
 
+def _dependences(p: Program) -> tuple[list[list[int]], list[int]]:
+    """`build_deps(p)` as the scheduler reads it, successor lists and
+    predecessor counts; kept on the program (`p.once(_dependences)`) in
+    place of the predecessor sets, which take about twice the memory."""
+    preds = build_deps(p)
+    succs: list[list[int]] = [[] for _ in preds]
+    for idx, ps in enumerate(preds):
+        for j in ps:
+            succs[j].append(idx)
+    return succs, [len(ps) for ps in preds]
+
+
+def _latency_key(hw: HardwareDescription) -> tuple:
+    """The fields of `hw` that a latency schedule reads."""
+    return hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override
+
+
 def _latency_schedule(p: Program, hw: HardwareDescription):
     """The dependence graph of `p` as (successors, predecessor counts,
     latencies, priorities), and `p` list-scheduled for latency, emitted in
     issue-cycle order (`_emit`).  This is the part of `schedule` that does
-    not depend on the slot count: it reads `hw.lanes`, `dram_bw`, `fu`,
-    `ntt_pipelines` and `lat_override` only."""
+    not depend on the slot count: it reads the fields of `_latency_key`
+    only."""
     check_straight_line(p)
-    n_instr = len(p.instrs)
-    preds = build_deps(p)
-    succs: list[list[int]] = [[] for _ in range(n_instr)]
-    for idx, ps in enumerate(preds):
-        for j in ps:
-            succs[j].append(idx)
+    succs, npreds = p.once(_dependences)
     table = hw.lat_table(p.n)
     lat = [table[i.op] for i in p.instrs]
-    graph = (succs, [len(ps) for ps in preds], lat, _priorities(lat, succs))
+    graph = (succs, npreds, lat, _priorities(lat, succs))
     order, cycles = _list_schedule(p.instrs, hw, *graph)
     order.sort(key=lambda k: (cycles[k], k))
     return graph, _emit(p, graph, order, cycles)
@@ -649,8 +669,7 @@ def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
     `notes` get the issue cycles in that order (`issue_cycles`), the
     makespan and the critical path."""
     _, _, lat, prio = graph
-    out = p.clone()
-    out.instrs = [p.instrs[k] for k in order]
+    out = p.with_([p.instrs[k] for k in order])
     out.notes["issue_cycles"] = [cycles[k] for k in order]
     cp = max(prio, default=0)
     makespan = max((c + l for c, l in zip(cycles, lat)), default=0)
@@ -674,27 +693,39 @@ def _schedules(p: Program, hws) -> Iterator[tuple]:
     and `fit` is None.  Neither the latency schedule nor its fit check
     reads `slots` or `banks`, so each is computed once per distinct value
     of the fields it reads: an SRAM sweep schedules for latency once.
-    The values each instruction reads (`_uses`) are counted once, at the
-    first configuration that is scheduled for pressure."""
+    The values each instruction reads (`_uses`) are counted once and kept
+    on `p`, at the first configuration scheduled for pressure.  A latency
+    schedule and a fit, with the analyses kept on them, are dropped at the
+    last configuration that reads them, before it is yielded, so that its
+    back end runs without them."""
+    hws = list(hws)
     latencies: dict = {}
     fits: dict = {}
-    uses = None
-    for hw in hws:
-        key = (hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override)
+    last = {}           # key -> index of the last configuration reading it
+    for k, hw in enumerate(hws):
+        key = _latency_key(hw)
+        last[key] = last[key, hw.streaming, hw.fifo_depth] = k
+
+    def configure(k, hw):
+        key = _latency_key(hw)
+        fit_key = (key, hw.streaming, hw.fifo_depth)
         if key not in latencies:
             latencies[key] = _latency_schedule(p, hw)
         graph, latency = latencies[key]
-        fit_key = (key, hw.streaming, hw.fifo_depth)
         if fit_key not in fits:
             merged = merge_streaming(latency, hw) if hw.streaming else latency
             fits[fit_key] = merged, max_liveness(merged)
         merged, need = fits[fit_key]
+        for entry, table in ((key, latencies), (fit_key, fits)):
+            if last[entry] == k:
+                del table[entry]
         if need <= hw.slots:
-            yield hw, latency, merged
-        else:
-            uses = uses or _uses(p.instrs)
-            yield hw, _emit(p, graph, *_list_schedule(
-                p.instrs, hw, *graph, hw.slots, uses)), None
+            return hw, latency, merged
+        return hw, _emit(p, graph, *_list_schedule(
+            p.instrs, hw, *graph, hw.slots, p.once(_uses))), None
+
+    for k, hw in enumerate(hws):
+        yield configure(k, hw)
 
 
 def schedule(p: Program, hw: HardwareDescription) -> Program:
@@ -775,9 +806,8 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
     cell (`_merge_memory`), then FU-to-FU forwarding of each FU result
     that one FU operand reads through one of `hw.fifo_depth` channels
     `f<k>`, the lowest free one, held until that read."""
-    out = p.clone()
-    instrs = out.instrs
-    wrote, read = def_use(instrs)
+    instrs = list(p.instrs)
+    wrote, read = p.once(_def_use)
     kill = _merge_memory(instrs, wrote, read)
     fifos = machine_regs("f")
     free: list[int] = []               # released ids, a heap; all < fresh
@@ -803,8 +833,7 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
         instrs[idx] = i.with_(dests=(reg,))
         instrs[v[1]] = _sub_srcs(instrs[v[1]], {i.dests[0].name: reg})
         heappush(release, (v[1], fid))
-    out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
-    return out
+    return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +845,7 @@ def max_liveness(p: Program) -> int:
     Mirrors the allocator: sources dying at an instruction release their
     slots before the destination is placed.
     """
-    return _max_live(p.instrs, def_use(p.instrs)[0])
+    return _max_live(p.instrs, p.once(_def_use)[0])
 
 
 def _max_live(instrs: list[Instr], wrote: list) -> int:
@@ -833,10 +862,9 @@ def _max_live(instrs: list[Instr], wrote: list) -> int:
 
 
 def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
-    out = p.clone()
     # each virtual register's value: [writer, reads in scheduled order]
-    wrote = def_use(out.instrs)[0]
-    value = {i.dests[0].name: v for i, v in zip(out.instrs, wrote)
+    wrote = p.once(_def_use)[0]
+    value = {i.dests[0].name: v for i, v in zip(p.instrs, wrote)
              if v and i.dests[0].name.startswith("%")}
     regs = machine_regs("r")         # grown as slots are first taken
     reg_of: dict[str, int] = {}      # live vreg -> slot
@@ -896,7 +924,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             if v in reg_of and value[v][-1] <= idx:
                 heappush(free, reg_of.pop(v))
 
-    for idx, i in enumerate(out.instrs):
+    for idx, i in enumerate(p.instrs):
         # each source classified once: a virtual register is reloaded if
         # spilled, pinned to its slot for this instruction and renamed
         pinned = set()
@@ -926,9 +954,8 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
         emitted.append(i.with_(srcs=tuple(srcs), dests=dests))
         for v in pinned & reg_of.keys():
             file(v, idx + 1)
-    out.instrs = emitted
-    if spill_at:
-        out.dram["__spill"] = len(spill_at)
+    out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
+                  if spill_at else p.dram)
     out.notes["spills"] = spills
     out.notes["max_live"] = _max_live(p.instrs, wrote)
     return out
@@ -942,10 +969,9 @@ def merge_spill_traffic(p: Program) -> Program:
     cells of allocated code: an FU result whose one read is a spill store
     is written straight to the spill cell, and a spill load that one FU
     operand reads becomes that operand."""
-    out = p.clone()
-    kill = _merge_memory(out.instrs, *def_use(out.instrs), "__spill")
-    out.instrs = [ins for k, ins in enumerate(out.instrs) if k not in kill]
-    return out
+    instrs = list(p.instrs)
+    kill = _merge_memory(instrs, *p.once(_def_use), "__spill")
+    return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
 
 
 # ---------------------------------------------------------------------------

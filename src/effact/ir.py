@@ -20,11 +20,24 @@ compiler unrolls to `ssa`, the scheduler and the simulator order by
 form (virtual or physical registers) and a memory image of residue
 polynomials, delegating every vector opcode to the kernels so metadata
 contracts are enforced for free.
+
+The operands (`Vreg`, `SRef`, `CRef`, `Imm`, `Addr`) and `Instr` are
+frozen slotted dataclasses built by storing each field through its slot
+descriptor (`_value_class`), not through the generated frozen `__init__`,
+which calls `object.__setattr__` per field.  A `Program` cannot change once
+built: its instructions are a tuple and its tables read-only views, and
+each pass builds a new program (`Program.with_`).  So an analysis of a
+program runs at most once and is kept on it (`Program.once`): the
+compiler's `def_use` and dependence graph, `asm.check_machine_form`,
+the simulator's `build_deps` and the executor's wave plan (`_waves`).  A
+second `simulate` or `execute_program` of one program plans nothing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from types import MappingProxyType
 
 from .poly import (
     ContractError,
@@ -64,7 +77,38 @@ class ExecError(RuntimeError):
 # ---------------------------------------------------------------------------
 # operands
 
-@dataclass(frozen=True)
+_OMITTED = object()   # a default_factory field left out of a constructor call
+
+
+def _value_class(cls):
+    """`cls` as a frozen slotted dataclass whose `__init__` stores each
+    field through its slot descriptor.  The `__init__` that
+    `dataclass(frozen=True)` generates calls `object.__setattr__` once per
+    field: it built an `Instr` in 1.44 us against 0.84 us (raw, Python
+    3.11 on a 2-vCPU host).  Everything else is the dataclass's: `==`,
+    `hash`, `repr`, pickling and `FrozenInstanceError` on assignment."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    env, params, body = {"_OMITTED": _OMITTED}, [], []
+    for f in fields(cls):
+        name, value = f.name, f.name
+        env["set_" + name] = getattr(cls, name).__set__
+        if f.default is not MISSING:
+            env["default_" + name] = f.default
+            params.append(f"{name}=default_{name}")
+        elif f.default_factory is not MISSING:
+            env["factory_" + name] = f.default_factory
+            params.append(f"{name}=_OMITTED")
+            value = f"factory_{name}() if {name} is _OMITTED else {name}"
+        else:
+            params.append(name)
+        body.append(f"    set_{name}(self, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_value_class
 class Vreg:
     name: str
 
@@ -87,7 +131,7 @@ def machine_regs(kind: str, count: int = 0) -> list[Vreg]:
     return table
 
 
-@dataclass(frozen=True)
+@_value_class
 class SRef:
     name: str
 
@@ -95,7 +139,7 @@ class SRef:
         return self.name
 
 
-@dataclass(frozen=True)
+@_value_class
 class CRef:
     name: str
 
@@ -103,7 +147,7 @@ class CRef:
         return "!" + self.name
 
 
-@dataclass(frozen=True)
+@_value_class
 class Imm:
     val: int
 
@@ -111,7 +155,7 @@ class Imm:
         return str(self.val)
 
 
-@dataclass(frozen=True)
+@_value_class
 class Addr:
     """@sym[base + sum(coeff * scalar)]"""
 
@@ -176,13 +220,13 @@ OPERANDS = {
 }
 
 
-_SAME = object()      # an Instr.with_ field left as it is
+_SAME = object()      # a with_ field left as it is
 # the two flag sets an instruction can have, shared by every instruction
 NO_FLAGS: frozenset = frozenset()
 DEFER = frozenset(["defer"])
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class Instr:
     """One instruction.  Instructions are immutable, so passes share the
     ones they leave unchanged; `meta` is never mutated in place either."""
@@ -213,23 +257,81 @@ class Instr:
         return print_instr(self)
 
 
-@dataclass
+# what a Program cannot change once built
+_FIXED = frozenset(("n", "moduli", "consts", "dram", "instrs"))
+
+
+@dataclass(init=False)
 class Program:
+    """A program: its ring degree, tables and instructions, none of which
+    changes once it is built.  The tables are read-only views of copies of
+    the mappings given, the instructions a tuple, and assigning any of them
+    raises AttributeError; a pass builds a new program (`with_`).  `notes`
+    is a dict that passes and callers fill, and other attributes may be
+    set.
+
+    So an analysis of a program is computed at most once and kept on it
+    (`once`): the compiler's `def_use` and dependence graph, the
+    machine-form check, the simulator's `build_deps` and the executor's
+    wave plan."""
+
     n: int
-    moduli: dict[str, Modulus] = field(default_factory=dict)
-    consts: dict[str, ConstDef] = field(default_factory=dict)
-    dram: dict[str, int] = field(default_factory=dict)
-    instrs: list[Instr] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-    # (instrs, dram) as `asm.check_machine_form` last passed them
-    machine_form: tuple | None = field(default=None, init=False,
-                                       compare=False, repr=False)
+    moduli: Mapping[str, Modulus]
+    consts: Mapping[str, ConstDef]
+    dram: Mapping[str, int]
+    instrs: tuple[Instr, ...]
+    notes: dict
+
+    def __init__(self, n: int, moduli=(), consts=(), dram=(), instrs=(),
+                 notes=()):
+        fill = self.__dict__
+        fill["n"] = n
+        fill["moduli"] = MappingProxyType(dict(moduli))
+        fill["consts"] = MappingProxyType(dict(consts))
+        fill["dram"] = MappingProxyType(dict(dram))
+        fill["instrs"] = tuple(instrs)
+        fill["notes"] = dict(notes)
+        fill["_kept"] = {}
+
+    def __setattr__(self, name, value):
+        if name in _FIXED:
+            raise AttributeError(f"a program's {name} cannot change; "
+                                 "build a new program (Program.with_)")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # pickled and deep-copied as its fields (a read-only view is
+        # neither); the copy keeps none of the analyses
+        return Program, (self.n, dict(self.moduli), dict(self.consts),
+                         dict(self.dram), self.instrs, self.notes)
+
+    def with_(self, instrs=_SAME, *, consts=_SAME, dram=_SAME) -> "Program":
+        """A new program with the given instructions and tables in place of
+        this one's, and a copy of its notes.  When its instructions and
+        `dram` are this one's, so are its analyses: each reads only
+        those two."""
+        out = Program(self.n, self.moduli,
+                      self.consts if consts is _SAME else consts,
+                      self.dram if dram is _SAME else dram,
+                      self.instrs if instrs is _SAME else instrs, self.notes)
+        if instrs is _SAME and dram is _SAME:
+            out._kept = self._kept
+        return out
 
     def clone(self) -> "Program":
-        """A copy whose tables and instruction list the caller may change;
-        the instructions themselves are shared, `machine_form` is not."""
-        return Program(self.n, dict(self.moduli), dict(self.consts),
-                       dict(self.dram), list(self.instrs), dict(self.notes))
+        """A new program equal to this one, with a new tuple of the same
+        instructions and none of its analyses."""
+        return self.with_(list(self.instrs))
+
+    def once(self, analysis):
+        """analysis(self), computed at the first call for this program and
+        kept: an analysis reads only the program's instructions and
+        `dram`, which cannot change.  It must not change what it
+        returns, nor may its callers."""
+        kept = self._kept
+        if analysis not in kept:
+            kept[analysis] = analysis(self)
+        return kept[analysis]
 
     def opcount(self) -> dict[str, int]:
         out = {}
@@ -327,8 +429,19 @@ def _split_ops(rest: str) -> list[str]:
     return [t.strip() for t in rest.split(",") if t.strip()]
 
 
+@dataclass
+class _Header:
+    """The directives of the text `parse_ir` is reading so far."""
+
+    n: int = 0
+    moduli: dict[str, Modulus] = field(default_factory=dict)
+    consts: dict[str, ConstDef] = field(default_factory=dict)
+    dram: dict[str, int] = field(default_factory=dict)
+
+
 def parse_ir(text: str) -> Program:
-    prog = Program(n=0)
+    prog = _Header()
+    instrs: list[Instr] = []
     defined: set[str] = set()
     loop_stack: list[int] = []
     seen: dict = {}
@@ -366,10 +479,10 @@ def parse_ir(text: str) -> Program:
                 if name.startswith("%") and name in defined:
                     raise IrError(f"redefinition of {name}", lineno)
                 defined.add(name)
-        prog.instrs.append(instr)
+        instrs.append(instr)
     if loop_stack:
         raise IrError("unterminated loop", loop_stack[-1])
-    return prog
+    return Program(prog.n, prog.moduli, prog.consts, prog.dram, instrs)
 
 
 # operand count range of each directive
@@ -377,7 +490,7 @@ _DIRECTIVE_ARITY = {".n": (1, 1), ".mod": (2, 3), ".dram": (2, 2),
                     ".const": (4, 5)}
 
 
-def _parse_directive(prog: Program, line: str, lineno: int):
+def _parse_directive(prog: _Header, line: str, lineno: int):
     parts = line.split()
     if parts[0] not in _DIRECTIVE_ARITY:
         raise IrError(f"unknown directive {parts[0]}", lineno)
@@ -392,7 +505,7 @@ def _parse_directive(prog: Program, line: str, lineno: int):
         raise IrError(f"{parts[0]}: {e}", lineno)
 
 
-def _apply_directive(prog: Program, parts: list[str], lineno: int):
+def _apply_directive(prog: _Header, parts: list[str], lineno: int):
     if parts[0] == ".n":
         prog.n = int(parts[1])
     elif parts[0] == ".mod":
@@ -421,7 +534,7 @@ def _require_mod(prog, name, lineno):
     return name
 
 
-def _parse_instr(prog: Program, line: str, lineno: int,
+def _parse_instr(prog: _Header, line: str, lineno: int,
                  seen: dict) -> Instr:
     dests: tuple = ()
     body = line
@@ -615,8 +728,7 @@ def ssa(prog: Program) -> Program:
     whole walk, copies included; each `copy` is folded into the name of its
     source and dropped.  Reading a register that no executed instruction
     has written raises IrError."""
-    out = prog.clone()
-    out.instrs = instrs = []
+    instrs = []
     names: dict[str, Vreg] = {}
     writes = 0
     for i in walk(prog):
@@ -637,7 +749,7 @@ def ssa(prog: Program) -> Program:
                 names[d.name] = d = Vreg(f"{d.name}.{writes}")
             dests.append(d)
         instrs.append(i.with_(srcs=srcs, dests=tuple(dests)))
-    return out
+    return prog.with_(instrs)
 
 
 def _addr_key(a: Addr):
@@ -895,7 +1007,7 @@ def _run_waves(prog: Program, img: MemoryImage) -> MemoryImage:
     kernel call on the rows of their operands stacked (`stack_rows`), and
     each takes its row back."""
     env: dict = {}
-    for wave in _waves(prog):
+    for wave in prog.once(_waves):
         groups: dict = {}
         for i in wave:
             if i.op not in _KERNEL_OPS:

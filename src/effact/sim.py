@@ -6,7 +6,8 @@ bandwidth-limited DRAM channel with a fixed base latency, SRAM
 bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
 SRAM.  Dependences, unit classes and latencies come from one machine model:
-`ir.build_deps`, FU_CLASS and HardwareDescription.lat/xfer.
+`ir.build_deps` (built once per program and kept on it), FU_CLASS and
+HardwareDescription.lat/xfer.
 
 `simulate` is one pass over the program.  Each register is classified
 once per call, at its first use in program order, as an SRAM slot or a
@@ -128,7 +129,7 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     n = p.n
     xfer = hw.xfer(n)
     lat_of = hw.lat_table(n)
-    preds = build_deps(p)
+    preds = p.once(build_deps)
     poly_bytes = WORD_BYTES * n
 
     pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}

@@ -18,12 +18,12 @@ from effact.compiler import (
     HardwareDescription,
     alloc_sram,
     compile_program,
+    front_end,
     lower,
     max_liveness,
     merge_streaming,
     peephole_merge,
     pre,
-    propagate,
     schedule,
     unroll,
 )
@@ -258,7 +258,7 @@ def test_pre_removes_injected_duplicates():
     assert dups > 50
 
     def cleaned(t):
-        return propagate(pre(propagate(lower(unroll(parse_ir(t))))))
+        return pre(lower(unroll(parse_ir(t))))
 
     base = cleaned(text)
     got = cleaned(injected)
@@ -286,8 +286,7 @@ def test_streaming_saves_traffic_and_cycles():
     wp = WorkloadParams(n=256, levels=3, dnum=2)
     text = gen_keyswitch(wp)
     base_hw = HardwareDescription(fifo_depth=8)
-    opt = schedule(propagate(peephole_merge(pre(propagate(
-        lower(unroll(parse_ir(text))))))), base_hw)
+    opt = schedule(front_end(text), base_hw)
     slots = max(2, max_liveness(opt) // 2)
     hw = HardwareDescription(slots=slots, fifo_depth=8)
     cmp = compare_streaming(text, hw)

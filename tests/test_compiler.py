@@ -362,7 +362,7 @@ def test_lower_bconv_plain_inputs():
     assert outputs(p, img) == outputs(low, img)
     # merging the 1/N multiply into stage 1 saves one instruction per limb
     # (-2), and a stage-2 multiply-accumulate pair fuses into a MAC (-1)
-    merged = peephole_merge(pre(propagate(low)))
+    merged = peephole_merge(pre(low))
     assert sum(merged.opcount().values()) == sum(low.opcount().values()) - 3
     assert merged.opcount()["mmul"] == low.opcount()["mmul"] - 3
     assert merged.opcount()["mac"] == 1
@@ -477,7 +477,7 @@ def test_schedule_preserves_chains_and_bounds():
     rng = random.Random(8)
     for trial in range(10):
         p = random_program(rng)
-        u = propagate(unroll(p))
+        u = unroll(p)
         s = schedule(u, HW)
         img = random_image(p, rng)
         assert outputs(u, img) == outputs(s, img)
@@ -497,7 +497,7 @@ def test_schedule_overlaps_independent_work():
     text = header() + ("%a = load @x[0]\n%b = load @x[1]\n"
                        "%u = intt %a, q0\n%v = intt %b, q0\n"
                        "store %u, @y[0]\nstore %v, @y[1]\n")
-    p = propagate(lower(unroll(parse_ir(text))))
+    p = lower(unroll(parse_ir(text)))
     lat = (("load", 1), ("store", 1), ("intt", 10), ("mmul", 1))
 
     def intt_cycles(nunits):
@@ -516,7 +516,7 @@ def test_schedule_overlaps_independent_work():
 
 def test_schedule_invariant_is_an_explicit_error(monkeypatch):
     import effact.compiler as compiler
-    p = propagate(unroll(random_program(random.Random(8))))
+    p = unroll(random_program(random.Random(8)))
     # schedule takes the critical path from its longest-path priorities
     monkeypatch.setattr(compiler, "_priorities",
                         lambda lat, succs: [10 ** 12] * len(lat))
@@ -590,7 +590,7 @@ def test_critical_path_chain():
 def test_alloc_exact_fit_no_spills():
     rng = random.Random(9)
     p = random_program(rng)
-    u = schedule(propagate(unroll(p)), HW)
+    u = schedule(unroll(p), HW)
     need = max_liveness(u)
     a = alloc_sram(u, replace(HW, slots=need))
     assert a.notes["spills"] == 0
@@ -604,7 +604,7 @@ def test_alloc_spills_under_pressure():
     rng = random.Random(10)
     for trial in range(5):
         p = random_program(rng)
-        u = schedule(propagate(unroll(p)), HW)
+        u = schedule(unroll(p), HW)
         need = max_liveness(u)
         slots = max(4, need - 1)
         if slots >= need:
@@ -647,7 +647,7 @@ def test_max_liveness_matches_quadratic_oracle():
     sources += [parse_ir(gen(wp)) for gen in (
         gen_keyswitch, gen_hoisted_rotations, gen_helr_iteration)]
     for p in sources:
-        u = propagate(peephole_merge(pre(propagate(lower(unroll(p))))))
+        u = front_end(p)
         s = schedule(u, HW)
         for q in (u, s, merge_streaming(s, HW)):
             assert max_liveness(q) == max_liveness_oracle(q)
@@ -705,8 +705,7 @@ def merge_spill_traffic_oracle(p):
     """The nested-scan pass merge_spill_traffic replaced: a forward scan per
     spill load, and a backward and two forward scans per spill store.  A
     load is merged only into a consumer that reads it in one operand."""
-    out = p.clone()
-    instrs = out.instrs
+    instrs = list(p.instrs)
 
     def reads_reg(i, r):
         return any(isinstance(s, Vreg) and str(s) == r for s in i.srcs)
@@ -763,14 +762,12 @@ def merge_spill_traffic_oracle(p):
                 continue
             instrs[producer] = instrs[producer].with_(dests=(i.srcs[1],))
             kill.add(idx)
-    out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
-    return out
+    return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
 
 
 def test_merge_spill_traffic_matches_nested_scan_oracle():
     def allocated(p, hw):
-        front = schedule(propagate(peephole_merge(pre(propagate(
-            lower(unroll(p)))))), hw)
+        front = schedule(front_end(p), hw)
         return alloc_sram(merge_streaming(front, hw), hw)
 
     rng = random.Random(23)
@@ -921,8 +918,7 @@ def name_keyed_def_use(instrs):
 def merge_streaming_oracle(p, hw):
     """merge_streaming as it was before its interval checks used per-cell
     index lists: each check rescans the instructions in between."""
-    out = p.clone()
-    instrs = out.instrs
+    instrs = list(p.instrs)
     defs, uses = name_keyed_def_use(instrs)
 
     def cell_between(key, lo, hi, with_reads):
@@ -984,8 +980,7 @@ def merge_streaming_oracle(p, hw):
         instrs[idx] = instrs[idx].with_(dests=(reg,))
         instrs[cidx] = _sub_srcs(instrs[cidx], {v: reg})
         heappush(release, (cidx, fid))
-    out.instrs = [ins for k, ins in enumerate(instrs) if k not in kill]
-    return out
+    return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
 
 
 def memory_program(rng, size=30):
@@ -1108,7 +1103,7 @@ def test_streaming_reduces_pressure_and_spills():
     rng = random.Random(14)
     lowered = []
     for trial in range(8):
-        p = schedule(propagate(lower(unroll(random_program(rng)))), HW)
+        p = schedule(lower(unroll(random_program(rng))), HW)
         merged = merge_streaming(p, HW)
         assert max_liveness(merged) <= max_liveness(p)
         lowered.append(max_liveness(merged) < max_liveness(p))
@@ -1180,8 +1175,7 @@ def test_compile_deterministic():
 def test_compile_streaming_fewer_spills_under_pressure():
     rng = random.Random(18)
     p = random_program(rng, size=40)
-    u = schedule(propagate(peephole_merge(pre(propagate(
-        lower(unroll(p)))))), HW)
+    u = schedule(front_end(p), HW)
     slots = max(2, max_liveness(u) // 2)
     plain = compile_program(p, replace(HW, streaming=False, slots=slots))
     stream = compile_program(p, replace(HW, streaming=True, slots=slots))

@@ -121,6 +121,31 @@ def test_hmult_basic(setup):
     assert np.max(np.abs(absorbed)) < 2 ** -15
 
 
+def test_hmult_tensor_product_is_one_multiply(setup, monkeypatch):
+    # key switch and rescale stubbed: hmult's own multiplies are one
+    # stacked call, word for word the four separate ones
+    from effact import ckks
+    params, sk, evk, _ = setup
+    a = encrypt(np.full(512, 2.0), params, sk, seed=15)
+    b = encrypt(np.full(512, 3.0), params, sk, seed=16)
+    d0 = vec_mmul(a.c0, b.c0)
+    d1 = vec_madd(vec_mmul(a.c0, b.c1), vec_mmul(a.c1, b.c0))
+    d2 = vec_mmul(a.c1, b.c1)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return vec_mmul(*args, **kw)
+
+    monkeypatch.setattr(ckks, "vec_mmul", counted)
+    monkeypatch.setattr(ckks, "key_switch", lambda d, *_: (d, d))
+    monkeypatch.setattr(ckks, "rescale", lambda ct, _: ct)
+    got = hmult(a, b, evk, params)
+    assert len(calls) == 1
+    assert np.array_equal(got.c0.words, vec_madd(d0, d2).words)
+    assert np.array_equal(got.c1.words, vec_madd(d1, d2).words)
+
+
 def test_homomorphism_random_pairs(setup):
     params, sk, evk, _ = setup
     rng = np.random.default_rng(3)

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -14,8 +17,15 @@ from effact.asm import (
 )
 from effact.compiler import HardwareDescription, compile_program
 from effact.ir import (
+    DEFER,
+    NO_FLAGS,
     Addr,
+    CRef,
+    Imm,
+    Instr,
     IrError,
+    SRef,
+    Vreg,
     ExecError,
     MemoryImage,
     blank_image,
@@ -66,7 +76,7 @@ def test_parse_single_instruction():
 
 
 def test_parse_empty_and_errors():
-    assert parse_ir("").instrs == []
+    assert parse_ir("").instrs == ()
     with pytest.raises(IrError, match="line 7"):
         parse_ir(HEADER + "%a = load @x[0]\n%a = load @x[1]\n")
     with pytest.raises(IrError, match="undefined"):
@@ -463,28 +473,91 @@ def test_operand_kinds_parse_errors_or_compile_faithfully():
     assert tried > 200 and 0 < rejected < tried
 
 
-def test_the_machine_form_memo_cannot_go_stale():
+# each IR value class with (arguments, repr, str) of two values; the repr
+# and str are those of the classes before they stored through slots
+IR_VALUES = (
+    (Instr, (("mmul", (Vreg("r1"),), (Vreg("r0"), CRef("c0")), "q0",
+              NO_FLAGS, {"bc": True}, 7),
+             "Instr(op='mmul', dests=(Vreg(name='r1'),), srcs=(Vreg(name="
+             "'r0'), CRef(name='c0')), mod='q0', flags=frozenset(), "
+             "meta={'bc': True}, line=7)", "r1 = mmul r0, !c0, q0"),
+     (("intt", (Vreg("%t"),), (Addr("x", 1),), "q1", DEFER),
+      "Instr(op='intt', dests=(Vreg(name='%t'),), srcs=(Addr(sym='x', "
+      "base=1, terms=()),), mod='q1', flags=frozenset({'defer'}), meta={}, "
+      "line=0)", "%t = intt.defer @x[1], q1")),
+    (Vreg, (("r1",), "Vreg(name='r1')", "r1"),
+     (("%a.3",), "Vreg(name='%a.3')", "%a.3")),
+    (SRef, (("$i",), "SRef(name='$i')", "$i"), (("$j",), "SRef(name='$j')",
+                                                 "$j")),
+    (CRef, (("r1",), "CRef(name='r1')", "!r1"), (("c",), "CRef(name='c')",
+                                                 "!c")),
+    (Imm, ((-5,), "Imm(val=-5)", "-5"), ((3,), "Imm(val=3)", "3")),
+    (Addr, (("x", 2, (("$i", 3), ("$j", 1))),
+            "Addr(sym='x', base=2, terms=(('$i', 3), ('$j', 1)))",
+            "@x[2+3*$i+$j]"),
+     (("y",), "Addr(sym='y', base=0, terms=())", "@y[0]")),
+)
+
+
+@pytest.mark.parametrize("cls,first,second", IR_VALUES,
+                         ids=[c.__name__ for c, *_ in IR_VALUES])
+def test_ir_values_are_frozen_slotted_dataclasses(cls, first, second):
+    for args, text, shown in (first, second):
+        v = cls(*args)
+        assert repr(v) == text and str(v) == shown
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, next(iter(cls.__dataclass_fields__)), args[0])
+        same = cls(*args)
+        assert v == same and v is not same
+        if cls is not Instr:            # an Instr's meta is a dict
+            assert hash(v) == hash(same)
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert back == v and repr(back) == text
+    assert cls(*first[0]) != cls(*second[0])
+    # equality goes by class too: a register is no constant of that name
+    assert Vreg("r1") != CRef("r1") and SRef("$i") != Vreg("$i")
+    defaulted = Instr("ntt")
+    assert (defaulted.dests, defaulted.srcs, defaulted.mod, defaulted.flags,
+            defaulted.meta, defaulted.line) == ((), (), None, NO_FLAGS, {}, 0)
+    assert defaulted.meta is not Instr("ntt").meta
+    assert Addr(sym="x") == Addr("x", 0, ())
+
+
+def test_a_checked_program_cannot_change():
+    # the machine-form check is kept on a program, which cannot change; the
+    # two changes that once made a kept check stale now make new programs,
+    # each checked and rejected as before
     text = HEADER + "r0 = load @x[5]\nr1 = mmul r0, r0, q0\nstore r1, @y[0]\n"
     virtual = parse_ir(HEADER + "%a = load @x[0]\n"
                        "%b = mmul %a, %a, q0\n").instrs[1]
-
-    def swap(p):            # for one that reads a % register
+    p = parse_ir(text)
+    check_machine_form(p)
+    with pytest.raises(TypeError):
         p.instrs[1] = virtual
-
-    def shrink(p):          # below the used address @x[5]
+    with pytest.raises(TypeError):
         p.dram["x"] = 5
-
-    def failure(p):
-        with pytest.raises(IrError) as e:
-            check_machine_form(p)
-        return str(e.value)
-
-    for change in (swap, shrink):
-        p, fresh = parse_ir(text), parse_ir(text)
-        check_machine_form(p)
-        change(p)
-        change(fresh)
-        assert failure(p) == failure(fresh)
+    for name in ("n", "moduli", "consts", "dram", "instrs"):
+        with pytest.raises(AttributeError, match="cannot change"):
+            setattr(p, name, getattr(p, name))
+    p.notes["streaming"] = True         # notes and new attributes may be set
+    p.form = "machine"
+    check_machine_form(p)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert twin == p and twin.instrs == p.instrs
+        with pytest.raises(TypeError):
+            twin.dram["x"] = 5
+    assert print_program(p) == print_program(parse_ir(text))
+    swapped = p.with_(p.instrs[:1] + (virtual,) + p.instrs[2:])
+    shrunk = p.with_(dram={**p.dram, "x": 5})
+    for bad, want in ((swapped, "line 7: virtual register %b survives in "
+                                "machine code"),
+                      (shrunk, "line 6: address @x[5] out of range "
+                               "(size 5)")):
+        for _ in range(2):              # a failing check is not kept
+            with pytest.raises(IrError) as e:
+                check_machine_form(bad)
+            assert str(e.value) == want
 
 
 def test_a_round_trip_scans_each_program_once(monkeypatch):

@@ -337,10 +337,13 @@ def test_shared_latency_schedule_changes_no_compile(seed, hws):
 def test_a_sweep_schedules_for_latency_once(monkeypatch):
     # counted through the compiler module; the simulator's own dependence
     # graphs are not.  Only 256 slots fit the latency order of the L24 key
-    # switch, so the other four are rescheduled and merged again.  def_use:
-    # 3 in the front end, 1 for the four pressure schedules, and 1 each in
-    # the fit check and in every configuration's streaming merge,
-    # allocation and spill merge.
+    # switch, so the other four are rescheduled and merged again.  def_use
+    # scans each program once (`Program.once`): 2 in the front end (`pre`,
+    # then the second `peephole_merge` round; its first round and the
+    # pressure schedules reuse them), 1 each in the fit check's streaming
+    # merge and `max_liveness` (which the 256-slot allocation reuses), and 1
+    # in every other configuration's streaming merge, allocation and spill
+    # merge.
     calls = dict.fromkeys(("build_deps", "_list_schedule", "merge_streaming",
                            "max_liveness", "def_use"), 0)
 
@@ -355,8 +358,48 @@ def test_a_sweep_schedules_for_latency_once(monkeypatch):
                             counted(name, getattr(compiler, name)))
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
+    assert calls.pop("def_use") <= 17
     assert calls == {"build_deps": 1, "_list_schedule": 5,
-                     "merge_streaming": 5, "max_liveness": 1, "def_use": 20}
+                     "merge_streaming": 5, "max_liveness": 1}
+
+
+def test_a_program_is_analyzed_once(monkeypatch):
+    # a second simulate and a second execute_program of one program build
+    # no new dependence graph, machine-form scan or wave plan
+    from test_compiler import random_image, random_program
+    from effact import asm, ir, sim
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            key = f"{module.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((sim, "build_deps"), (asm, "_scan_machine_form"),
+                         (ir, "ssa"), (ir, "build_deps"), (ir, "_waves")):
+        count(module, name)
+    rng = random.Random(6)
+    src = random_program(rng, size=40)
+    machine = compile_program(src, HW)
+    img = random_image(src, rng)
+    first = simulate(machine, HW).to_dict()
+    assert calls == {"effact.sim.build_deps": 1,
+                     "effact.asm._scan_machine_form": 1}
+    assert simulate(machine, HW).to_dict() == first
+    out = execute_program(machine, img).dram["y"]
+    plan = {"effact.ir._waves": 1, "effact.ir.ssa": 1,
+            "effact.ir.build_deps": 1}
+    assert calls == {"effact.sim.build_deps": 1,
+                     "effact.asm._scan_machine_form": 1, **plan}
+    again = execute_program(machine, img).dram["y"]
+    assert [x if x is None else x.to_ints() for x in again] == \
+        [x if x is None else x.to_ints() for x in out]
+    assert calls == {"effact.sim.build_deps": 1,
+                     "effact.asm._scan_machine_form": 1, **plan}
 
 
 def test_compare_streaming():

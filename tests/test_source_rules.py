@@ -70,6 +70,39 @@ def test_no_per_word_draws_in_ckks():
     assert found == []
 
 
+def test_no_module_changes_the_instructions_of_a_program():
+    # programs are immutable, so the analyses kept on one cannot go stale:
+    # no assignment to `.instrs` or to an item of it, and no call that
+    # would change it in place
+    mutators = {"append", "extend", "insert", "pop", "remove", "sort",
+                "reverse", "clear"}
+
+    def instrs(node):
+        return isinstance(node, ast.Attribute) and node.attr == "instrs"
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    root = Path(effact.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            written = [t for target in targets(node)
+                       for t in ast.walk(target)
+                       if instrs(t) or isinstance(t, ast.Subscript)
+                       and instrs(t.value)]
+            if written or (isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Attribute)
+                           and node.func.attr in mutators
+                           and instrs(node.func.value)):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
 def test_one_helper_touches_the_collector():
     # the collector's state is process-wide: only compiler._collector_scope
     # changes it, for one compile step at a time

@@ -11,7 +11,6 @@ from effact.compiler import (
     compile_program,
     lower,
     peephole_merge,
-    propagate,
     schedule,
     unroll,
 )
@@ -225,7 +224,7 @@ def test_helr_is_mac_dominated():
     text = gen_helr_iteration(WP, batch=6)
     low = lower(unroll(parse_ir(text)))
     plain_mults = instruction_mix(low)["MULT"]
-    fused = peephole_merge(propagate(low))
+    fused = peephole_merge(low)
     macs = sum(1 for i in fused.instrs if i.op == "mac")
     assert macs > 0.5 * plain_mults
 
