@@ -10,7 +10,8 @@ docs/formats.md.
 it (`Program.once`; a program cannot change), so a compile -> assemble ->
 disassemble -> simulate round trip scans each of its two programs once.
 Every program is scanned before it is assembled or simulated: nothing marks
-a program as machine code without the scan.
+a program as machine code without the scan.  Machine opcodes, their rules
+and their `.ebin` codes are those of `ir.OPCODES`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .ir import (
     DEFER,
     NO_FLAGS,
+    OPCODES,
     Addr,
     ConstDef,
     CRef,
@@ -41,11 +43,9 @@ from .ir import (
 from .poly import BITREV, COEF, NATURAL, NTT, make_poly
 from .rns import REPR_BY_NAME, REPR_NAMES, make_modulus
 
-MACHINE_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "load", "store"}
-
-_OPCODES = {"mmul": 1, "mmad": 2, "mac": 3, "ntt": 4, "intt": 5, "auto": 6,
-            "load": 7, "store": 8}
-_OPNAMES = {v: k for k, v in _OPCODES.items()}
+# the `.ebin` code of each machine opcode (`ir.OPCODES`), and back
+_CODES = {op: o.code for op, o in OPCODES.items() if o.code}
+_OPNAMES = {code: op for op, code in _CODES.items()}
 
 # operand field: 24 bits = 3-bit tag + 21-bit payload; an address payload
 # is a 6-bit symbol index and a 15-bit base
@@ -56,22 +56,23 @@ _MEM_MAGIC = b"EMEM0001"
 
 
 def check_machine_form(prog: Program):
-    """Raise IrError unless `prog` is machine code: machine opcodes, the
-    operand kinds of `ir.OPERANDS`, no virtual register, every address
-    concrete and in range.  A pass is kept on the program (see the module
-    docstring)."""
+    """Raise IrError unless `prog` is machine code: machine opcodes with
+    the operand kinds, modulus and flags of `ir.OPCODES`, no virtual
+    register, every address concrete and in range.  A pass is kept on the
+    program (see the module docstring)."""
     prog.once(_scan_machine_form)
 
 
 def _scan_machine_form(prog: Program):
     for i in prog.instrs:
-        if i.op not in MACHINE_OPS:
+        if i.op not in _CODES:
             raise IrError(f"opcode '{i.op}' is not machine-level", i.line)
         check_operands(i)
-        if (i.mod is None) != (i.op in ("load", "store")):
+        row = OPCODES[i.op]
+        if (i.mod is None) == row.mod:
             raise IrError(f"{i.op} needs a modulus" if i.mod is None
                           else f"{i.op} takes no modulus", i.line)
-        if i.flags and i.op != "intt":
+        if not i.flags <= row.flags:
             raise IrError(f"{i.op} takes no flags", i.line)
         for o in i.dests + i.srcs:
             if isinstance(o, Vreg) and o.name[:1] == "%":
@@ -111,7 +112,7 @@ def _encode_operand(o, symidx, constidx) -> int:
         tag, k = _T_FIFO if o.name[0] == "f" else _T_REG, int(o.name[1:])
     elif isinstance(o, CRef):
         tag, k = _T_CONST, constidx[o.name]
-    else:               # an immediate, the one kind left (ir.OPERANDS)
+    else:               # an immediate, the one kind left (ir.OPCODES)
         tag, k = _T_IMM, o.val
     if not 0 <= k < (1 << 21):
         raise IrError(f"operand {o} not encodable")
@@ -179,7 +180,7 @@ def assemble_binary(prog: Program) -> bytes:
         packed = 0
         for f in fields:
             packed = (packed << 24) | f
-        out += struct.pack("<BBBB", _OPCODES[i.op], flags, mod, 0)
+        out += struct.pack("<BBBB", _CODES[i.op], flags, mod, 0)
         out += packed.to_bytes(12, "little")
     return bytes(out)
 

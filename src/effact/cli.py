@@ -12,7 +12,6 @@ import sys
 from dataclasses import replace
 
 from .asm import (
-    MACHINE_OPS,
     assemble_binary,
     assemble_text,
     check_machine_form,
@@ -21,7 +20,8 @@ from .asm import (
     save_image,
 )
 from .compiler import HardwareDescription, compile_program, lower, parse_hw, unroll
-from .ir import ExecError, IrError, blank_image, execute_program, parse_ir
+from .ir import (FU_CLASS, ExecError, IrError, blank_image,
+                 execute_program, parse_ir)
 from .poly import ContractError
 from .rns import ReprError
 from .sim import compare_streaming, simulate, sweep_sram
@@ -203,7 +203,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_analyze(args) -> int:
     prog = _load_program(args.input)
     try:
-        if any(i.op not in MACHINE_OPS for i in prog.instrs):
+        if any(i.op not in FU_CLASS for i in prog.instrs):  # not machine code
             prog = lower(unroll(prog))
     except IrError as e:
         raise CliError("analyze", str(e))

@@ -9,7 +9,8 @@ Pipeline (compile_program() is back_end(front_end(src))):
 
 The compiler takes `%` registers only; `unroll` rejects machine registers
 and is otherwise `ir.ssa`.  It relies on the operand kinds of
-`ir.OPERANDS`, which `parse_ir` checks, and on every address being
+`ir.OPCODES`, which `parse_ir` checks (its unit classes, `FU_CLASS` and
+`UNITS`, are views of that table), and on every address being
 concrete after `unroll` (`ir.walk` resolves them): `ir._addr_key`, which
 keys memory order and the streaming merges by DRAM cell, raises on any
 other.
@@ -60,6 +61,10 @@ from heapq import heapify, heappop, heappush, heapreplace
 
 from .ir import (
     DEFER,
+    FU_CLASS,
+    FU_OPS,
+    PURE_OPS,
+    UNITS,
     Addr,
     CRef,
     ConstDef,
@@ -77,15 +82,10 @@ from .ir import (
 from .poly import make_bconv_tables
 from .rns import DM, NM, SM, ReprError, RnsBasis, compose_repr, mont_mul, sm_encode
 
-# machine opcode -> unit class, for the scheduler, the critical path and the
-# simulator.  DRAM is one channel; HardwareDescription.fu sizes the others.
-FU_CLASS = {"ntt": "ntt", "intt": "ntt", "mmul": "mmul", "mac": "mmul",
-            "mmad": "madd", "auto": "auto", "load": "dram", "store": "dram"}
-UNITS = ("ntt", "mmul", "madd", "auto")
-# ops executed on vector function units (streaming-merge candidates)
-FU_OPS = {op for op, cls in FU_CLASS.items() if cls != "dram"}
 DRAM_BASE = 100               # cycles before the first word of a transfer
 WORD_BYTES = 8
+# the meta of each instruction that lowering makes of a bconv
+_BC = {"bc": True}
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +107,7 @@ class HardwareDescription:
         counts = dict(self.fu)
         if self.slots < 2:
             raise ValueError("need at least 2 SRAM slots")
-        for name in ("lanes", "banks", "dram_bw", "ntt_pipelines",
-                     "fifo_depth"):
+        for name in _INT_KEYS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         unknown = [k for k in counts if k not in UNITS]
@@ -132,10 +131,10 @@ class HardwareDescription:
         if op in over:
             return over[op]
         base = max(1, -(-n // self.lanes))
-        if op in ("ntt", "intt"):
+        if FU_CLASS.get(op) == "ntt":
             stages = max(1, int(math.log2(n)))
             return max(1, base * stages // self.ntt_pipelines)
-        if op in ("load", "store"):
+        if FU_CLASS.get(op) == "dram":
             return DRAM_BASE + self.xfer(n)
         return base
 
@@ -149,6 +148,9 @@ class HardwareDescription:
         return max(1, -(-WORD_BYTES * n // self.dram_bw))
 
 
+# the .hw keys of the integer fields of HardwareDescription
+_INT_KEYS = ("lanes", "slots", "banks", "dram_bw", "ntt_pipelines",
+             "fifo_depth")
 _SWITCH = {"1": True, "true": True, "yes": True, "on": True,
            "0": False, "false": False, "no": False, "off": False}
 
@@ -175,8 +177,7 @@ def parse_hw(text: str) -> HardwareDescription:
             table, name = fu, key[3:]
         elif key.startswith("lat."):
             table, name = lat, key[4:]
-        elif key in ("lanes", "slots", "banks", "dram_bw", "ntt_pipelines",
-                     "fifo_depth"):
+        elif key in _INT_KEYS:
             table, name = kw, key
         else:
             raise ValueError(f"hw line {lineno}: unknown key '{key}'")
@@ -319,7 +320,7 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
                                       mname, plain, NM, False, interned)
                 t = fresh("t")
                 instrs.append(Instr("mmul", (t,), (s, c), mname,
-                                    meta={"bc": True}, line=i.line))
+                                    meta=_BC, line=i.line))
                 tj.append(t)
             for k, (d, mname) in enumerate(zip(i.dests, dst_mods)):
                 acc = None
@@ -330,13 +331,13 @@ def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
                     last = j == len(src) - 1
                     term = d if last and acc is None else fresh("bt")
                     instrs.append(Instr("mmul", (term,), (tj[j], c), mname,
-                                        meta={"bc": True}, line=i.line))
+                                        meta=_BC, line=i.line))
                     if acc is None:
                         acc = term
                     else:
                         nxt = d if last else fresh("ba")
                         instrs.append(Instr("mmad", (nxt,), (acc, term),
-                                            mname, meta={"bc": True},
+                                            mname, meta=_BC,
                                             line=i.line))
                         acc = nxt
             continue
@@ -375,7 +376,6 @@ def _operand_key(o, vn):
 
 
 def pre(p: Program) -> Program:
-    from .ir import PURE_OPS
     check_straight_line(p)
     seen: dict = {}
     vn: dict[str, str] = {}
@@ -427,8 +427,8 @@ def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
     c = _intern_const(consts,
                       f"__mrg_{prod.srcs[1].name}_{cons.srcs[1].name}",
                       prod.mod, folded, rep, c1.absorb or c2.absorb, interned)
-    meta = {"bc": True} if prod.meta.get("bc") or cons.meta.get("bc") else {}
-    return cons.with_(srcs=(prod.srcs[0], c), meta=meta)
+    return cons.with_(srcs=(prod.srcs[0], c),
+                      meta=_BC if prod.meta.get("bc") else None)
 
 
 def peephole_merge(p: Program) -> Program:
@@ -471,10 +471,9 @@ def peephole_merge(p: Program) -> Program:
                     if isinstance(acc, CRef) or (
                             isinstance(b, CRef) and consts[b.name].absorb):
                         continue
-                    meta = {"bc": True} if (prod.meta.get("bc")
-                                            or i.meta.get("bc")) else {}
-                    instrs[idx] = i.with_(op="mac", meta=meta,
-                                          srcs=(acc, prod.srcs[0], b))
+                    instrs[idx] = i.with_(
+                        op="mac", srcs=(acc, prod.srcs[0], b),
+                        meta=_BC if prod.meta.get("bc") else None)
                     kill.add(j)
                     break
         if not kill:

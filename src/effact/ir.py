@@ -8,9 +8,11 @@ registers (%name), scalar registers ($name), constant-pool references
 Vector opcodes: mmul, mmad, mac, ntt, intt (.defer), auto, load, store,
 copy, and the high-level bconv (compiled away by lowering).  The scalar
 subset is sli / sadd / smul, counted loops (loop/endloop), and skipz.
-`OPERANDS` gives the operand kinds of each opcode by position (a bconv takes
-registers only); `parse_ir` and `asm.check_machine_form` enforce it
-(`check_operands`), so no pass checks operand kinds again.
+`OPCODES` is the one table of what an opcode is (operand kinds by
+position, modulus, flags, unit class, `.ebin` code); every other module
+reads it or a view of it built at import (`FU_CLASS`, `UNITS`, ...).
+`parse_ir` and `asm.check_machine_form` enforce the operand kinds
+(`check_operands`), so no pass checks them again.
 
 `walk` is the one interpreter of the scalar subset, `ssa` the one renamer
 of what it yields, and `build_deps` the one dependence builder: the
@@ -35,6 +37,7 @@ second `simulate` or `execute_program` of one program plans nothing again.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
@@ -77,31 +80,28 @@ class ExecError(RuntimeError):
 # ---------------------------------------------------------------------------
 # operands
 
-_OMITTED = object()   # a default_factory field left out of a constructor call
-
-
 def _value_class(cls):
     """`cls` as a frozen slotted dataclass whose `__init__` stores each
     field through its slot descriptor.  The `__init__` that
     `dataclass(frozen=True)` generates calls `object.__setattr__` once per
     field: it built an `Instr` in 1.44 us against 0.84 us (raw, Python
     3.11 on a 2-vCPU host).  Everything else is the dataclass's: `==`,
-    `hash`, `repr`, pickling and `FrozenInstanceError` on assignment."""
+    `hash`, `repr`, pickling and `FrozenInstanceError` on assignment.  A
+    `default_factory` runs once, here, and every instance that omits its
+    field shares what it made (`Instr.meta`: `NO_META`)."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    env, params, body = {"_OMITTED": _OMITTED}, [], []
+    env, params, body = {}, [], []
     for f in fields(cls):
-        name, value = f.name, f.name
+        name = f.name
         env["set_" + name] = getattr(cls, name).__set__
-        if f.default is not MISSING:
-            env["default_" + name] = f.default
-            params.append(f"{name}=default_{name}")
-        elif f.default_factory is not MISSING:
-            env["factory_" + name] = f.default_factory
-            params.append(f"{name}=_OMITTED")
-            value = f"factory_{name}() if {name} is _OMITTED else {name}"
-        else:
+        default = f.default if f.default_factory is MISSING \
+            else f.default_factory()
+        if default is MISSING:
             params.append(name)
-        body.append(f"    set_{name}(self, {value})\n")
+        else:
+            env["default_" + name] = default
+            params.append(f"{name}=default_{name}")
+        body.append(f"    set_{name}(self, {name})\n")
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
     cls.__init__ = env["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -186,8 +186,9 @@ class ConstDef:
 
 
 SCALAR_OPS = {"sli", "sadd", "smul", "loop", "endloop", "skipz"}
-# pure vector ops are PRE/peephole candidates; loads/stores are not
-PURE_OPS = {"mmul", "mmad", "mac", "ntt", "intt", "auto", "copy"}
+# the two flag sets an instruction can have, shared by every instruction
+NO_FLAGS: frozenset = frozenset()
+DEFER = frozenset(["defer"])
 
 # An operand position: the kinds it takes, and the complaint when it gets
 # another.  A data operand is a register or an address.
@@ -200,57 +201,81 @@ _REG_RESULT = ((Vreg,), "result must be a register")
 _REG_SOURCE = ((Vreg,), "source must be a register")
 _SCALAR_RESULT = ((SRef,), "takes scalar operands only")
 _SCALAR = ((SRef, Imm), "takes scalar operands only")
-# (destination positions, source positions) of each opcode but bconv
-OPERANDS = {
-    "mmul": ((_RESULT,), (_SOURCE, _LAST)),
-    "mmad": ((_RESULT,), (_SOURCE, _LAST)),
-    "mac": ((_RESULT,), (_SOURCE, _SOURCE, _LAST)),
-    "ntt": ((_RESULT,), (_SOURCE,)),
-    "intt": ((_RESULT,), (_SOURCE,)),
-    "auto": ((_RESULT,), (_SOURCE, ((Imm,), "step must be an immediate"))),
-    "load": ((_REG_RESULT,), (((Addr,), "source must be an address"),)),
-    "store": ((), (_REG_SOURCE, ((Addr,), "target must be an address"))),
-    "copy": ((_REG_RESULT,), (_REG_SOURCE,)),
-    "sli": ((_SCALAR_RESULT,), (_SCALAR,)),
-    "sadd": ((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
-    "smul": ((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
-    "loop": ((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
-    "endloop": ((), ()),
-    "skipz": ((), (_SCALAR, _SCALAR)),
+_STEP = ((Imm,), "step must be an immediate")
+_ADDRESS = ((Addr,), "source must be an address")
+_TARGET = ((Addr,), "target must be an address")
+
+# The one table of opcodes.  A row: the destination and source positions
+# (None for a bconv, whose registers match its basis lists), whether the
+# last source names a modulus, the flags it may carry, the unit class that
+# runs it ("dram" the DRAM channel, None: no machine opcode) and its `.ebin`
+# code (0: none).  Units come first, in the order reports list them.
+Opcode = namedtuple("Opcode", "dests srcs mod flags unit code",
+                    defaults=(False, NO_FLAGS, None, 0))
+OPCODES = {
+    "ntt": Opcode((_RESULT,), (_SOURCE,), True, NO_FLAGS, "ntt", 4),
+    "intt": Opcode((_RESULT,), (_SOURCE,), True, DEFER, "ntt", 5),
+    "mmul": Opcode((_RESULT,), (_SOURCE, _LAST), True, NO_FLAGS, "mmul", 1),
+    "mac": Opcode((_RESULT,), (_SOURCE, _SOURCE, _LAST), True, NO_FLAGS,
+                  "mmul", 3),
+    "mmad": Opcode((_RESULT,), (_SOURCE, _LAST), True, NO_FLAGS, "madd", 2),
+    "auto": Opcode((_RESULT,), (_SOURCE, _STEP), True, NO_FLAGS, "auto", 6),
+    "load": Opcode((_REG_RESULT,), (_ADDRESS,), False, NO_FLAGS, "dram", 7),
+    "store": Opcode((), (_REG_SOURCE, _TARGET), False, NO_FLAGS, "dram", 8),
+    "copy": Opcode((_REG_RESULT,), (_REG_SOURCE,)),
+    "bconv": Opcode(None, None),
+    "sli": Opcode((_SCALAR_RESULT,), (_SCALAR,)),
+    "sadd": Opcode((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
+    "smul": Opcode((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
+    "loop": Opcode((_SCALAR_RESULT,), (_SCALAR, _SCALAR)),
+    "endloop": Opcode((), ()),
+    "skipz": Opcode((), (_SCALAR, _SCALAR)),
 }
+
+# Views of the table, built once for the loops that ask them of each
+# instruction.  FU_CLASS: the unit class of each machine opcode; UNITS: the
+# function units that `HardwareDescription.fu` sizes.
+FU_CLASS = {op: o.unit for op, o in OPCODES.items() if o.code}
+UNITS = tuple(dict.fromkeys(u for u in FU_CLASS.values() if u != "dram"))
+# the vector ops, which run one kernel each, and the PRE candidates
+FU_OPS = frozenset(op for op, u in FU_CLASS.items() if u != "dram")
+PURE_OPS = FU_OPS | {"copy"}
 
 
 _SAME = object()      # a with_ field left as it is
-# the two flag sets an instruction can have, shared by every instruction
-NO_FLAGS: frozenset = frozenset()
-DEFER = frozenset(["defer"])
+NO_META: dict = {}    # the meta of every instruction that has none
 
 
 @_value_class
 class Instr:
     """One instruction.  Instructions are immutable, so passes share the
-    ones they leave unchanged; `meta` is never mutated in place either."""
+    ones they leave unchanged; `meta` is never mutated in place either, and
+    every instruction without one shares `NO_META`."""
 
     op: str
     dests: tuple = ()
     srcs: tuple = ()
     mod: str | None = None
     flags: frozenset = NO_FLAGS
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=lambda: NO_META)
     line: int = 0
 
     def with_(self, *, op=_SAME, dests=_SAME, srcs=_SAME, mod=_SAME,
               flags=_SAME, meta=None, line=_SAME) -> "Instr":
         """A copy with the given fields replaced; `meta` is merged into the
-        current meta, which is otherwise shared.  Built directly rather
-        than through `dataclasses.replace`, which takes about 2.5x as long
+        current meta, which is shared if it holds the merge already, as is
+        `meta` if the current one is empty.  Built directly rather than
+        through `dataclasses.replace`, which takes about 2.5x as long
         (`Instr` has no `__post_init__` for it to run)."""
+        if meta is None or meta.items() <= self.meta.items():
+            meta = self.meta
+        elif self.meta:
+            meta = {**self.meta, **meta}
         return Instr(self.op if op is _SAME else op,
                      self.dests if dests is _SAME else dests,
                      self.srcs if srcs is _SAME else srcs,
                      self.mod if mod is _SAME else mod,
-                     self.flags if flags is _SAME else flags,
-                     self.meta if meta is None else {**self.meta, **meta},
+                     self.flags if flags is _SAME else flags, meta,
                      self.line if line is _SAME else line)
 
     def __str__(self):
@@ -341,8 +366,8 @@ class Program:
 
 
 def check_operands(i: Instr):
-    """Check the operand counts and kinds of `OPERANDS`."""
-    dests, srcs = OPERANDS[i.op]
+    """Check the operand counts and kinds of `OPCODES`."""
+    dests, srcs = OPCODES[i.op][:2]
     if len(i.srcs) != len(srcs) or len(i.dests) != len(dests):
         raise IrError(f"{i.op} expects {len(srcs)} operands", i.line)
     for o, (ok, complaint) in zip(i.dests + i.srcs, dests + srcs):
@@ -547,9 +572,9 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
     opname = toks[0]
     rest = toks[1] if len(toks) > 1 else ""
     op, _, flag = opname.partition(".")
-    if op not in OPERANDS and op != "bconv":
+    if op not in OPCODES:
         raise IrError(f"unknown opcode '{opname}'", lineno)
-    if flag and (op, flag) != ("intt", "defer"):
+    if flag and flag not in OPCODES[op].flags:
         raise IrError(f"unknown opcode suffix '.{flag}'", lineno)
     flags = DEFER if flag else NO_FLAGS
 
@@ -574,14 +599,14 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
 
     mod = None
     toks2 = _split_ops(rest)
-    if op in ("mmul", "mmad", "mac", "ntt", "intt", "auto"):
+    if OPCODES[op].mod:
         # the last comma-separated token is the modulus name
         if len(toks2) < 2:
             raise IrError(f"{op} needs a modulus", lineno)
         mod = _require_mod(prog, toks2[-1], lineno)
         toks2 = toks2[:-1]
     ops = tuple(_operand(t, lineno, seen) for t in toks2)
-    instr = Instr(op, dests, ops, mod, flags, {}, lineno)
+    instr = Instr(op, dests, ops, mod, flags, NO_META, lineno)
     check_operands(instr)
     for o in ops:
         if isinstance(o, Addr) and o.sym not in prog.dram:
@@ -876,10 +901,6 @@ def _fit_modulus(poly: RnsPoly, m: Modulus, op: str,
     return make_poly(m, poly.coeffs % m.q, poly.domain, poly.order, NM)
 
 
-# the opcodes that run one kernel: transforms and multiplies
-_KERNEL_OPS = frozenset(("ntt", "intt", "auto", "mmul", "mmad", "mac"))
-
-
 def _image_for(prog: Program, img: MemoryImage) -> MemoryImage:
     """A copy of img with an empty space for each symbol it lacks."""
     img = img.clone()
@@ -917,7 +938,7 @@ def _step(prog: Program, i: Instr, env, img: MemoryImage):
         _put(env, img, i.dests[0], _operand_value(env, img, i.srcs[0]))
     elif op == "bconv":
         _exec_bconv(prog, i, env, img)
-    elif op in _KERNEL_OPS:
+    elif op in FU_OPS:
         _put(env, img, i.dests[0], _kernel(i, *_args(prog, i, env, img)))
     else:
         raise ExecError(f"opcode {op} has no executor semantics")
@@ -1010,7 +1031,7 @@ def _run_waves(prog: Program, img: MemoryImage) -> MemoryImage:
     for wave in prog.once(_waves):
         groups: dict = {}
         for i in wave:
-            if i.op not in _KERNEL_OPS:
+            if i.op not in FU_OPS:
                 _step(prog, i, env, img)
                 continue
             args, absorb = _args(prog, i, env, img)

@@ -6,8 +6,8 @@ bandwidth-limited DRAM channel with a fixed base latency, SRAM
 bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
 SRAM.  Dependences, unit classes and latencies come from one machine model:
-`ir.build_deps` (built once per program and kept on it), FU_CLASS and
-HardwareDescription.lat/xfer.
+`ir.build_deps` (built once per program and kept on it), FU_CLASS (a view
+of the opcode table `ir.OPCODES`) and HardwareDescription.lat/xfer.
 
 `simulate` is one pass over the program.  Each register is classified
 once per call, at its first use in program order, as an SRAM slot or a
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field, replace
 from .asm import check_machine_form
 from .compiler import (
     DRAM_BASE,
-    FU_CLASS,
-    UNITS,
     WORD_BYTES,
     HardwareDescription,
     UnitPool,
@@ -35,7 +33,7 @@ from .compiler import (
     back_ends,
     front_end,
 )
-from .ir import Addr, Program, Vreg, build_deps
+from .ir import FU_CLASS, UNITS, Addr, Program, Vreg, build_deps
 
 
 @dataclass
@@ -136,7 +134,7 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     busy = dict.fromkeys((*UNITS, "dram"), 0)
     channel_free = 0
     complete = [0] * len(p.instrs)
-    moved = {"load": 0, "store": 0}
+    moved = dict.fromkeys(FU_CLASS, 0)     # DRAM bytes of loads and stores
     stream_b = 0
     conflicts_total = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)

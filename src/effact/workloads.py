@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import ckks
-from .ir import Program, blank_image
+from .ir import OPCODES, Program, blank_image
 from .rns import Modulus, make_modulus, prev_prime, sm_encode
 
 # full-scale bootstrapping mix targets used to calibrate the skeleton:
@@ -28,6 +28,14 @@ from .rns import Modulus, make_modulus, prev_prime, sm_encode
 # and the NTT share of all instructions
 _BC_MULT_SHARE = 0.527
 _NTT_SHARE = 0.065
+# the instruction-mix categories, in the order reports list them
+CATEGORIES = ("MULT", "ADD", "BC_MULT", "BC_ADD", "NTT", "AUTO",
+              "LOAD/STORE", "OTHERS")
+# the category of each unit class of `ir.OPCODES`, without and with `bc`
+_CATEGORY = {"mmul": ("MULT", "BC_MULT"), "madd": ("ADD", "BC_ADD"),
+             "ntt": ("NTT", "NTT"), "auto": ("AUTO", "AUTO"),
+             "dram": ("LOAD/STORE", "LOAD/STORE"), None: ("OTHERS", "OTHERS")}
+_MIX = {op: _CATEGORY[o.unit] for op, o in OPCODES.items()}
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ def _moduli_for(wp: WorkloadParams) -> tuple[tuple[Modulus, ...],
 
 
 # ---------------------------------------------------------------------------
-# IR text builder with analytic category counters
+# IR text builder with analytic category counters (`instruction_mix`'s)
 
 class _Builder:
     def __init__(self, wp: WorkloadParams):
@@ -118,8 +126,7 @@ class _Builder:
         for j, m in enumerate(self.pchain):
             self.header.append(f".mod p{j} {m.q} {m.r_bits}")
         self.body: list[str] = []
-        self.counts = {"MULT": 0, "ADD": 0, "BC_MULT": 0, "BC_ADD": 0,
-                       "NTT": 0, "AUTO": 0, "LOAD/STORE": 0, "OTHERS": 0}
+        self.counts = dict.fromkeys(CATEGORIES, 0)
         self._consts: dict = {}
         self._syms: dict[str, int] = {}
         self._reg = 0
@@ -153,45 +160,33 @@ class _Builder:
         return "!" + self._consts[key]
 
     # -- instruction emitters ----------------------------------------------
-    def load(self, sym: str, idx: int) -> str:
+    def _vec(self, op: str, operands: str, bc=False, suffix="") -> str:
         r = self.fresh()
-        self.body.append(f"{r} = load @{sym}[{idx}]")
-        self.counts["LOAD/STORE"] += 1
+        self.body.append(f"{r} = {op}{suffix} {operands}")
+        self.counts[_MIX[op][bc]] += 1
         return r
+
+    def load(self, sym: str, idx: int) -> str:
+        return self._vec("load", f"@{sym}[{idx}]")
 
     def store(self, reg: str, sym: str, idx: int):
         self.body.append(f"store {reg}, @{sym}[{idx}]")
-        self.counts["LOAD/STORE"] += 1
+        self.counts[_MIX["store"][0]] += 1
 
     def mmul(self, a: str, b: str, mod: str, bc: bool = False) -> str:
-        r = self.fresh()
-        self.body.append(f"{r} = mmul {a}, {b}, {mod}")
-        self.counts["BC_MULT" if bc else "MULT"] += 1
-        return r
+        return self._vec("mmul", f"{a}, {b}, {mod}", bc)
 
     def mmad(self, a: str, b: str, mod: str, bc: bool = False) -> str:
-        r = self.fresh()
-        self.body.append(f"{r} = mmad {a}, {b}, {mod}")
-        self.counts["BC_ADD" if bc else "ADD"] += 1
-        return r
+        return self._vec("mmad", f"{a}, {b}, {mod}", bc)
 
     def ntt(self, a: str, mod: str) -> str:
-        r = self.fresh()
-        self.body.append(f"{r} = ntt {a}, {mod}")
-        self.counts["NTT"] += 1
-        return r
+        return self._vec("ntt", f"{a}, {mod}")
 
     def intt_defer(self, a: str, mod: str) -> str:
-        r = self.fresh()
-        self.body.append(f"{r} = intt.defer {a}, {mod}")
-        self.counts["NTT"] += 1
-        return r
+        return self._vec("intt", f"{a}, {mod}", suffix=".defer")
 
     def auto(self, a: str, step: int, mod: str) -> str:
-        r = self.fresh()
-        self.body.append(f"{r} = auto {a}, {step}, {mod}")
-        self.counts["AUTO"] += 1
-        return r
+        return self._vec("auto", f"{a}, {step}, {mod}")
 
     def bconv(self, srcs: list[str], src_mods: list[str],
               dst_mods: list[str]) -> list[str]:
@@ -207,10 +202,6 @@ class _Builder:
     def text(self) -> str:
         syms = [f".dram {sym} {count}" for sym, count in self._syms.items()]
         return "\n".join(self.header + syms + self.body) + "\n"
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +471,7 @@ def _calibrate(b: _Builder, c0, c1, pts, lvl):
     want_mult = int(cnt["BC_MULT"] / _BC_MULT_SHARE) - mult_all
     pm = max(0, want_mult)
     want_total = int(cnt["NTT"] / _NTT_SHARE)
-    pa = max(0, want_total - b.total - pm)
+    pa = max(0, want_total - sum(cnt.values()) - pm)
     acc = {k: c0[k] for k in range(lvl + 1)}
     for j in range(pm):
         k = j % (lvl + 1)
@@ -501,22 +492,9 @@ def _calibrate(b: _Builder, c0, c1, pts, lvl):
 def instruction_mix(p: Program) -> dict[str, int]:
     """Category histogram; conversion-attributed ops rely on provenance
     tags placed by the lowering pass."""
-    counts = {"MULT": 0, "ADD": 0, "BC_MULT": 0, "BC_ADD": 0, "NTT": 0,
-              "AUTO": 0, "LOAD/STORE": 0, "OTHERS": 0}
+    counts = dict.fromkeys(CATEGORIES, 0)
     for i in p.instrs:
-        bc = bool(i.meta.get("bc"))
-        if i.op in ("mmul", "mac"):
-            counts["BC_MULT" if bc else "MULT"] += 1
-        elif i.op == "mmad":
-            counts["BC_ADD" if bc else "ADD"] += 1
-        elif i.op in ("ntt", "intt"):
-            counts["NTT"] += 1
-        elif i.op == "auto":
-            counts["AUTO"] += 1
-        elif i.op in ("load", "store"):
-            counts["LOAD/STORE"] += 1
-        else:
-            counts["OTHERS"] += 1
+        counts[_MIX.get(i.op, _CATEGORY[None])[bool(i.meta.get("bc"))]] += 1
     return counts
 
 

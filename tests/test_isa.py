@@ -18,7 +18,10 @@ from effact.asm import (
 from effact.compiler import HardwareDescription, compile_program
 from effact.ir import (
     DEFER,
+    FU_CLASS,
     NO_FLAGS,
+    NO_META,
+    OPCODES,
     Addr,
     CRef,
     Imm,
@@ -28,6 +31,7 @@ from effact.ir import (
     Vreg,
     ExecError,
     MemoryImage,
+    Program,
     blank_image,
     execute_program,
     parse_ir,
@@ -51,7 +55,8 @@ from effact.poly import (
 from effact.rns import (NM, ReprError, RnsBasis, make_modulus,
                         make_modulus_chain, sm_encode)
 from effact.sim import simulate
-from effact.workloads import WorkloadParams, gen_bootstrap_skeleton
+from effact.workloads import (WorkloadParams, gen_bootstrap_skeleton,
+                              instruction_mix)
 
 N = 16
 HEADER = f".n {N}\n.mod q0 97\n.mod q1 113\n.dram x 8\n.dram y 8\n"
@@ -520,8 +525,137 @@ def test_ir_values_are_frozen_slotted_dataclasses(cls, first, second):
     defaulted = Instr("ntt")
     assert (defaulted.dests, defaulted.srcs, defaulted.mod, defaulted.flags,
             defaulted.meta, defaulted.line) == ((), (), None, NO_FLAGS, {}, 0)
-    assert defaulted.meta is not Instr("ntt").meta
+    assert defaulted.meta is Instr("ntt").meta is NO_META
     assert Addr(sym="x") == Addr("x", 0, ())
+
+
+def test_instructions_share_their_meta():
+    # every instruction without meta shares one empty mapping, and the
+    # instructions that lowering makes of a bconv share one {"bc": True}
+    wp = WorkloadParams(n=2 ** 16, levels=12, dnum=4, l_cts=2, l_evalmod=4,
+                        l_stc=2)
+    src = parse_ir(gen_bootstrap_skeleton(wp))
+    compiled = compile_program(src, HardwareDescription())
+    back = disassemble_binary(assemble_binary(compiled))
+    bconvs = [i for i in src.instrs if i.op == "bconv"]
+    assert len({id(i.meta) for i in src.instrs}) == 1 + len(bconvs)
+    assert {id(i.meta) for i in src.instrs if i.op != "bconv"} == \
+        {id(NO_META)}
+    shared = {id(i.meta): i.meta for i in compiled.instrs}
+    assert sorted(shared.values(), key=len) == [{}, {"bc": True}]
+    assert id(NO_META) in shared and NO_META == {}
+    assert {id(i.meta) for i in back.instrs} == {id(NO_META)}
+
+
+# the .ebin code of each machine opcode, as the format has always numbered
+# them, whether it takes a modulus, and the flags it may carry
+MACHINE = {"mmul": (1, True, ()), "mmad": (2, True, ()),
+           "mac": (3, True, ()), "ntt": (4, True, ()),
+           "intt": (5, True, ("defer",)), "auto": (6, True, ()),
+           "load": (7, False, ()), "store": (8, False, ())}
+
+
+def mix_oracle(op: str, bc: bool) -> str:
+    """The instruction-mix category of one instruction, by the if-chain
+    `instruction_mix` was before it read the opcode table."""
+    if op in ("mmul", "mac"):
+        return "BC_MULT" if bc else "MULT"
+    if op == "mmad":
+        return "BC_ADD" if bc else "ADD"
+    if op in ("ntt", "intt"):
+        return "NTT"
+    if op == "auto":
+        return "AUTO"
+    if op in ("load", "store"):
+        return "LOAD/STORE"
+    return "OTHERS"
+
+
+TABLE_HEADER = ".n 16\n.mod q0 97\n.mod q1 193\n.dram x 4\n.const c q0 5 sm\n"
+# a sample of each operand kind: as a result and as a source in source
+# form, and in machine form (None: no sample there)
+KIND_SAMPLES = {Vreg: ("%d", "%a", "r2", "r1"),
+                Addr: ("@x[2]", "@x[1]", "@x[2]", "@x[1]"),
+                CRef: ("!c", "!c", "!c", "!c"), Imm: ("3", "3", "3", "3"),
+                SRef: ("$t", "$s", None, None)}
+
+
+def table_text(op: str, kinds: list, machine=False, flag="") -> str:
+    """A program of one `op` whose operands have the given kinds, after
+    the definitions that a source-form operand reads."""
+    ndests = len(OPCODES[op].dests)
+    column = 2 if machine else 0
+    names = [KIND_SAMPLES[k][column + (pos >= ndests)]
+             for pos, k in enumerate(kinds)]
+    rhs = ", ".join(names[ndests:] + ["q0"] * OPCODES[op].mod)
+    line = f"{op}{flag} {rhs}".rstrip()
+    if ndests:
+        line = f"{' '.join(names[:ndests])} = {line}"
+    before = "" if machine else "%a = load @x[0]\n$s = sli 1\n"
+    if op == "endloop":
+        before += "$i = loop 0, 1\n"
+    return TABLE_HEADER + before + line + ("\nendloop" if op == "loop"
+                                           else "") + "\n"
+
+
+@pytest.mark.parametrize("op", sorted(OPCODES))
+def test_every_opcode_by_the_table(op):
+    row = OPCODES[op]
+    if row.dests is None:               # bconv: registers and two bases
+        prog = parse_ir(TABLE_HEADER + "%a = load @x[0]\n"
+                        "%d = bconv %a : q0 -> q1\n")
+        assert prog.instrs[-1].meta == {"src_mods": ("q0",),
+                                        "dst_mods": ("q1",)}
+        with pytest.raises(IrError, match="registers only"):
+            parse_ir(TABLE_HEADER + "%d = bconv @x[0] : q0 -> q1\n")
+    else:
+        # parse_ir accepts each kind a position takes, with the first kind
+        # of every other position, and rejects any other kind
+        positions = row.dests + row.srcs
+        first = [kinds[0] for kinds, _ in positions]
+        for pos, (kinds, complaint) in enumerate(positions):
+            for kind in KIND_SAMPLES:
+                text = table_text(op, first[:pos] + [kind] + first[pos + 1:])
+                if kind in kinds:
+                    assert parse_ir(text).instrs[-1 - (op == "loop")].op == op
+                else:
+                    with pytest.raises(IrError, match=f"{op} {complaint}"):
+                        parse_ir(text)
+        # the one flag there is
+        text = table_text(op, first, flag=".defer")
+        if "defer" in row.flags:
+            assert parse_ir(text).instrs[-1].flags == DEFER
+        else:
+            with pytest.raises(IrError, match="unknown opcode suffix"):
+                parse_ir(text)
+    for bc in (False, True):
+        one = Instr(op, meta={"bc": True} if bc else NO_META)
+        assert instruction_mix(Program(16, instrs=[one])) == {
+            **instruction_mix(Program(16)), mix_oracle(op, bc): 1}
+    assert (op in FU_CLASS) == (op in MACHINE)
+    if op not in MACHINE:
+        with pytest.raises(IrError, match=f"'{op}' is not machine-level"):
+            check_machine_form(Program(16, instrs=[Instr(op)]))
+        return
+    code, takes_mod, flags = MACHINE[op]
+    prog = parse_ir(table_text(op, first, machine=True))
+    check_machine_form(prog)
+    i = prog.instrs[0]
+    with pytest.raises(IrError, match=f"{op} needs a modulus" if takes_mod
+                       else f"{op} takes no modulus"):
+        check_machine_form(prog.with_([i.with_(mod=None if takes_mod
+                                               else "q0")]))
+    flagged = prog.with_([i.with_(flags=DEFER)])
+    if flags:
+        check_machine_form(flagged)
+    else:
+        with pytest.raises(IrError, match=f"{op} takes no flags"):
+            check_machine_form(flagged)
+    # the .ebin code: the first byte of the instruction's record
+    for p in (prog, flagged) if flags else (prog,):
+        blob = assemble_binary(p)
+        assert blob[-16] == code
+        assert print_program(disassemble_binary(blob)) == print_program(p)
 
 
 def test_a_checked_program_cannot_change():

@@ -4,6 +4,16 @@ import ast
 from pathlib import Path
 
 import effact
+from effact.ir import OPCODES
+
+
+def assigned(node) -> list:
+    """The targets that a statement assigns, augments or deletes."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
 
 
 def test_no_assert_statements():
@@ -80,18 +90,11 @@ def test_no_module_changes_the_instructions_of_a_program():
     def instrs(node):
         return isinstance(node, ast.Attribute) and node.attr == "instrs"
 
-    def targets(node):
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            return node.targets
-        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return [node.target]
-        return []
-
     root = Path(effact.__file__).parent
     found = []
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            written = [t for target in targets(node)
+            written = [t for target in assigned(node)
                        for t in ast.walk(target)
                        if instrs(t) or isinstance(t, ast.Subscript)
                        and instrs(t.value)]
@@ -123,4 +126,74 @@ def test_one_helper_touches_the_collector():
                   and isinstance(node.func.value, ast.Name)
                   and node.func.value.id == "gc"
                   and id(node) not in allowed]
+    assert found == []
+
+
+def test_no_module_changes_a_meta_in_place():
+    # instructions share their meta mappings (every one without meta the
+    # one `ir.NO_META`): no assignment to or deletion of an item of a
+    # `.meta`, no augmented assignment of one, and no call that would
+    # change one in place
+    mutators = {"update", "setdefault", "pop", "popitem", "clear"}
+
+    def meta(node):
+        return isinstance(node, ast.Attribute) and node.attr == "meta"
+
+    def written(target, augmented):
+        """Whether a target writes into a `.meta`: an item of one, at any
+        depth, or, augmented, the mapping itself."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(written(t, augmented) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return written(target.value, augmented)
+        item = isinstance(target, ast.Subscript)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return meta(target) and (item or augmented)
+
+    root = Path(effact.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            augmented = isinstance(node, ast.AugAssign)
+            if any(written(t, augmented) for t in assigned(node)) or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators
+                    and meta(node.func.value)):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+def test_only_ir_lists_opcodes():
+    # what an opcode is lives in one table, `ir.OPCODES`, and the views of
+    # it built there: no other module spells a set, tuple, list or dict
+    # literal of two or more opcode names.  Three unit classes share their
+    # names with opcodes (ntt, mmul, auto), so a literal whose opcode names
+    # are all unit class names names units.  The one exception is the
+    # choice list of `cli._gen_random`, whose order fixes the output of
+    # `effact gen random`.
+    units = {row.unit for row in OPCODES.values()}
+    root = Path(effact.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "ir.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("cli.py", "_gen_random")
+                   for node in ast.walk(fn) if isinstance(node, ast.List)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+                items = node.elts
+            elif isinstance(node, ast.Dict):
+                items = [k for k in node.keys if k is not None] + node.values
+            else:
+                continue
+            names = [n.value for n in items if isinstance(n, ast.Constant)
+                     and isinstance(n.value, str) and n.value in OPCODES]
+            if len(names) >= 2 and not set(names) <= units \
+                    and id(node) not in allowed:
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
     assert found == []
