@@ -34,6 +34,7 @@ from .ir import (
     MemoryImage,
     Program,
     Vreg,
+    _collector_scope,
     check_address,
     check_operands,
     machine_regs,
@@ -185,6 +186,7 @@ def assemble_binary(prog: Program) -> bytes:
     return bytes(out)
 
 
+@_collector_scope()
 def disassemble_binary(blob: bytes) -> Program:
     if blob[:8] != _EXE_MAGIC:
         raise IrError("bad executable magic")

@@ -33,12 +33,11 @@ included.  `merge_streaming` makes the sink and source merges
 same merges over the `__spill` cells.
 
 `front_end`, and each program of `back_ends` up to its `yield` (never
-across it), run under `_collector_scope`, which raises the cyclic
+across it), run under `ir._collector_scope`, which raises the cyclic
 collector's generation-0 threshold to at least 10,000 and then restores
-the thresholds.  A compile keeps its instructions and operands by the
-hundred thousand, and at the default threshold the collector took about a
-fifth of compile time walking them again.  Machine registers are the
-shared objects of `ir.machine_regs`, not one per operand.
+the thresholds; `parse_ir`, `asm.disassemble_binary` and `sim.simulate`
+run under it too.  Machine registers are the shared objects of
+`ir.machine_regs`, not one per operand.
 
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
@@ -51,11 +50,9 @@ machine instruction set has no register-move opcode; copies die in
 
 from __future__ import annotations
 
-import gc
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 
@@ -73,6 +70,7 @@ from .ir import (
     Program,
     Vreg,
     _addr_key,
+    _collector_scope,
     build_deps,
     check_straight_line,
     machine_regs,
@@ -207,18 +205,24 @@ def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
     would give the garbage collector an object per instruction to count."""
     n = len(instrs)
     last: dict[str, int] = {}
+    writer = last.get
+    vreg = Vreg
     wrote: list = [None] * n
-    read = [[None] * n for _ in range(max((len(i.srcs) for i in instrs),
-                                          default=0))]
+    read: list[list] = []
     for idx, i in enumerate(instrs):
-        for s, src in enumerate(i.srcs):
-            if src.__class__ is Vreg:
-                j = last.get(src.name)
+        srcs = i.srcs
+        if len(srcs) > len(read):
+            read += [[None] * n for _ in range(len(srcs) - len(read))]
+        s = 0               # a counter: `enumerate` made this loop slower
+        for src in srcs:
+            if src.__class__ is vreg:
+                j = writer(src.name)
                 if j is not None:
                     wrote[j].append(idx)
                     read[s][idx] = j
+            s += 1
         for d in i.dests:
-            if d.__class__ is Vreg:
+            if d.__class__ is vreg:
                 last[d.name] = idx
                 wrote[idx] = [idx]
     return wrote, read
@@ -565,9 +569,13 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     is above the budget, where an allocator with `budget` slots must spill,
     it takes the one with the lowest delta = results read later - values it
     is the last reader of, ties by path length (integrated prepass
-    scheduling, Goodman & Hsu, ICS 1988).  A delta only falls as other
-    reads issue, so each fall pushes a fresh heap entry, and stale entries
-    are skipped when popped.
+    scheduling, Goodman & Hsu, ICS 1988).  The counts are kept, not summed
+    again: for each value, its readers not issued (`pending`) and the sum
+    of their indices, so that when one reader is left that sum names it;
+    for each instruction, its delta, one less each time a value it reads
+    falls to one pending reader.  A delta only falls as other reads issue,
+    so each fall pushes a fresh heap entry, and stale entries are skipped
+    when popped.
     """
     n_instr = len(instrs)
     remaining = list(npreds)
@@ -577,54 +585,68 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     heapify(by_prio)
     by_delta: list[tuple[int, int, int]] = []
     live = 0
-    if budget is not None:
+    pressure = budget is not None
+    if pressure:
         wrote, values = uses
-        # by writer: whether its value is read, and the instructions that
-        # read it and have not issued
-        made = [v is not None and len(v) > 1 for v in wrote]
-        pending = [len(set(v)) - 1 if v else 0 for v in wrote]
-
-        def delta(k):
-            return made[k] - sum(1 for j in values[k] if pending[j] == 1)
-
-        by_delta = [(delta(k), -prio[k], k) for _, k in by_prio]
+        # by writer: how many of the instructions that read its value have
+        # not issued, and the sum of their indices; by instruction, its
+        # delta
+        pending = [0] * n_instr
+        unread = [0] * n_instr
+        delta = [0] * n_instr
+        for j, v in enumerate(wrote):
+            if v and len(v) > 1:
+                readers = set(v[1:])
+                pending[j] = len(readers)
+                unread[j] = sum(readers)
+                delta[j] += 1
+                if len(readers) == 1:
+                    delta[unread[j]] -= 1
+        by_delta = [(delta[k], -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
     pools = {cls: UnitPool(hw.fu_count(cls))
              for cls in set(FU_CLASS.values())}
+    pool_of = [pools[FU_CLASS[i.op]] for i in instrs]
     order, cycles = [], [0] * n_instr
     while True:
-        heap = by_delta if budget is not None and live > budget \
-            else by_prio
+        heap = by_delta if pressure and live > budget else by_prio
         if not heap:
             break
         entry = heappop(heap)
         idx = entry[-1]
-        if issued[idx] or (heap is by_delta and entry[0] != delta(idx)):
+        if issued[idx] or (heap is by_delta and entry[0] != delta[idx]):
             continue
         issued[idx] = True
-        pool = pools[FU_CLASS[instrs[idx].op]]
-        start = max(ready_at[idx], pool.earliest())
-        pool.take(start + lat[idx])
+        pool = pool_of[idx]
+        start = pool.earliest()
+        if ready_at[idx] > start:
+            start = ready_at[idx]
+        finish = start + lat[idx]
+        pool.take(finish)
         cycles[idx] = start
         order.append(idx)
-        if budget is not None:
-            live += made[idx]
+        if pressure:
+            if pending[idx]:        # its readers depend on it: none issued
+                live += 1
             for j in values[idx]:
                 pending[j] -= 1
+                unread[j] -= idx
                 if pending[j] == 0:
                     live -= 1
                 elif pending[j] == 1:
                     # the one reader still to issue now reads it last
-                    r = next(k for k in wrote[j][1:] if not issued[k])
+                    r = unread[j]
+                    delta[r] -= 1
                     if remaining[r] == 0:
-                        heappush(by_delta, (delta(r), -prio[r], r))
+                        heappush(by_delta, (delta[r], -prio[r], r))
         for s in succs[idx]:
-            ready_at[s] = max(ready_at[s], start + lat[idx])
+            if ready_at[s] < finish:
+                ready_at[s] = finish
             remaining[s] -= 1
             if remaining[s] == 0:
                 heappush(by_prio, (-prio[s], s))
-                if budget is not None:
-                    heappush(by_delta, (delta(s), -prio[s], s))
+                if pressure:
+                    heappush(by_delta, (delta[s], -prio[s], s))
     if len(order) != n_instr:
         raise IrError("cyclic dependence in program")
     return order, cycles
@@ -861,12 +883,32 @@ def _max_live(instrs: list[Instr], wrote: list) -> int:
 
 
 def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
+    """Linear-scan allocation of the virtual registers to the `hw.slots`
+    SRAM slots `rK`, in program order.
+
+    A value takes the lowest released slot, or else the next slot never
+    taken, and leaves it at its last read; a result never read leaves it at
+    once.  When every slot is taken, the live value read farthest ahead is
+    evicted, ties to the higher name (Belady, IBM Systems Journal 1966), but
+    never a source of the instruction being allocated.  Each victim gets one
+    `__spill` cell and is stored there once, at its first eviction; it is
+    loaded again before each read that finds it evicted.
+    `notes["spills"]` counts those spill stores and loads, before
+    `merge_spill_traffic` streams any of them, and `notes["max_live"]` is
+    the input's `max_liveness`.
+
+    Each live value keeps a cursor to its next read in its `def_use` value,
+    moved past each instruction that reads it, so a heap entry is current
+    when it names that read.  IrError if a register is read before it is
+    written, or if one instruction's sources and result need more than
+    `hw.slots` slots."""
     # each virtual register's value: [writer, reads in scheduled order]
     wrote = p.once(_def_use)[0]
     value = {i.dests[0].name: v for i, v in zip(p.instrs, wrote)
              if v and i.dests[0].name.startswith("%")}
     regs = machine_regs("r")         # grown as slots are first taken
     reg_of: dict[str, int] = {}      # live vreg -> slot
+    at = [0] * len(p.instrs)         # writer -> index of its next read
     free: list[int] = []             # released slots, a heap; all < fresh
     fresh = 0                        # slots fresh.. have never been taken
     spill_at: dict[str, Addr] = {}   # vreg -> its __spill cell, once stored
@@ -877,17 +919,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     rank = {v: k for k, v in enumerate(sorted(value))}
     by_next: list[tuple[int, int, str]] = []
 
-    def next_use(v, after):
-        reads = value[v]
-        k = bisect_left(reads, after, 1)
-        return reads[k] if k < len(reads) else None
-
-    def file(v, after):
-        nxt = next_use(v, after)
-        if nxt is not None:
-            heappush(by_next, (-nxt, -rank[v], v))
-
-    def take_slot(idx, pinned):
+    def take_slot(pinned):
         nonlocal fresh, spills
         if free:
             return heappop(free)
@@ -895,13 +927,14 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             fresh += 1
             machine_regs("r", fresh)
             return fresh - 1
-        # every live value is read again (see expire), so evict the one
-        # read farthest ahead (Belady)
+        # every live value is read again (see the loop below), so evict the
+        # one read farthest ahead (Belady)
         held = []
         while by_next:
             entry = heappop(by_next)
             victim = entry[2]
-            if victim in reg_of and next_use(victim, idx) == -entry[0]:
+            reads = value[victim]
+            if victim in reg_of and reads[at[reads[0]]] == -entry[0]:
                 if victim not in pinned:
                     break
                 held.append(entry)
@@ -917,12 +950,6 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             spills += 1
         return slot
 
-    def expire(names, idx):
-        # a value leaves its slot at its last read, an unread result at once
-        for v in names:
-            if v in reg_of and value[v][-1] <= idx:
-                heappush(free, reg_of.pop(v))
-
     for idx, i in enumerate(p.instrs):
         # each source classified once: a virtual register is reloaded if
         # spilled, pinned to its slot for this instruction and renamed
@@ -934,25 +961,39 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
                 if v not in reg_of:
                     if v not in spill_at:
                         raise IrError(f"register {v} used before definition")
-                    reg_of[v] = take_slot(idx, pinned)
+                    reg_of[v] = take_slot(pinned)
                     emitted.append(Instr("load", (regs[reg_of[v]],),
                                          (spill_at[v],)))
                     spills += 1
                 pinned.add(v)
                 s = regs[reg_of[v]]
             srcs.append(s)
-        expire(pinned, idx)
+        # a source read here for the last time leaves its slot; the others
+        # move their cursor past this instruction and are filed again
+        for v in pinned:
+            reads = value[v]
+            if reads[-1] <= idx:
+                heappush(free, reg_of.pop(v))
+                continue
+            k = at[reads[0]] + 1
+            while reads[k] <= idx:
+                k += 1
+            at[reads[0]] = k
+            heappush(by_next, (-reads[k], -rank[v], v))
         dests = i.dests
         d = dests[0] if dests else None
         if d.__class__ is Vreg and d.name[0] == "%":
             v = d.name
-            reg_of[v] = take_slot(idx, pinned)
-            file(v, idx)
-            dests = (regs[reg_of[v]],)
-            expire((v,), idx)
+            slot = take_slot(pinned)
+            dests = (regs[slot],)
+            reads = value[v]
+            if len(reads) > 1:
+                reg_of[v] = slot
+                at[idx] = 1
+                heappush(by_next, (-reads[1], -rank[v], v))
+            else:
+                heappush(free, slot)
         emitted.append(i.with_(srcs=tuple(srcs), dests=dests))
-        for v in pinned & reg_of.keys():
-            file(v, idx + 1)
     out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
                   if spill_at else p.dram)
     out.notes["spills"] = spills
@@ -975,29 +1016,6 @@ def merge_spill_traffic(p: Program) -> Program:
 
 # ---------------------------------------------------------------------------
 # driver
-
-_GC_GEN0 = 10_000       # the collector's generation-0 threshold in a compile
-
-
-@contextmanager
-def _collector_scope():
-    """One compile step with the collector's generation-0 threshold at
-    least _GC_GEN0 (see the module docstring), the thresholds restored
-    after it, on an exception too.  A disabled collector is left alone.  No
-    caller wraps a `yield` in it, so an abandoned generator cannot leave
-    the thresholds raised.  They are process-wide, so compiles on
-    concurrent threads could restore each other's; the package starts no
-    thread."""
-    if not gc.isenabled():
-        yield
-        return
-    prior = gc.get_threshold()
-    gc.set_threshold(max(prior[0], _GC_GEN0), *prior[1:])
-    try:
-        yield
-    finally:
-        gc.set_threshold(*prior)
-
 
 def front_end(src, *, do_pre: bool = True, do_merge: bool = True) -> Program:
     """parse -> unroll -> lower -> pre -> peephole_merge: the passes that

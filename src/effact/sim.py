@@ -12,10 +12,13 @@ of the opcode table `ir.OPCODES`) and HardwareDescription.lat/xfer.
 `simulate` is one pass over the program.  Each register is classified
 once per call, at its first use in program order, as an SRAM slot or a
 FIFO channel and checked against the hardware (`_slot`); an address
-operand of a unit is streamed.  The pass records the cycle each
-instruction completes: `SimReport.complete`, the per-instruction record.
-The critical path is computed apart from the pass, so `cycles >=
-critical_path` checks it.
+operand of a unit is streamed.  The DRAM channel's next free cycle and the
+byte counters are locals of the pass, and an instruction builds a set of
+SRAM slots only when it accesses two distinct ones, the least that can
+meet a bank conflict.  The pass records the cycle each instruction
+completes: `SimReport.complete`, the per-instruction record.  The critical
+path is computed apart from the pass, so `cycles >= critical_path` checks
+it.  Like a compile step, a simulation runs under `ir._collector_scope`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .compiler import (
     back_ends,
     front_end,
 )
-from .ir import FU_CLASS, UNITS, Addr, Program, Vreg, build_deps
+from .ir import (FU_CLASS, UNITS, Addr, Program, Vreg, _collector_scope,
+                 build_deps)
 
 
 @dataclass
@@ -122,6 +126,7 @@ class _Slots(dict):
         return k
 
 
+@_collector_scope()
 def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     check_machine_form(p)
     n = p.n
@@ -129,39 +134,44 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     lat_of = hw.lat_table(n)
     preds = p.once(build_deps)
     poly_bytes = WORD_BYTES * n
+    banks = hw.banks
 
     pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
-    busy = dict.fromkeys((*UNITS, "dram"), 0)
-    channel_free = 0
+    busy = dict.fromkeys(UNITS, 0)
+    # each opcode's unit class, units (None for a transfer) and latency
+    unit = {op: (cls, pools.get(cls), lat_of[op])
+            for op, cls in FU_CLASS.items()}
+    channel_free = dram_busy = 0       # the DRAM channel
+    load_b = store_b = stream_b = 0    # its bytes, by kind of transfer
     complete = [0] * len(p.instrs)
-    moved = dict.fromkeys(FU_CLASS, 0)     # DRAM bytes of loads and stores
-    stream_b = 0
+    done_at = complete.__getitem__
     conflicts_total = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)
     slot = _Slots(hw)
 
-    def dram_slot(req: int) -> int:
-        nonlocal channel_free
-        start = max(req, channel_free)
-        channel_free = start + xfer
-        busy["dram"] += xfer
-        return start
-
     for idx, i in enumerate(p.instrs):
-        ready = max(map(complete.__getitem__, preds[idx]), default=0)
-        cls = FU_CLASS[i.op]
-        if cls == "dram":
+        ready = max(map(done_at, preds[idx]), default=0)
+        cls, pool, lat = unit[i.op]
+        if pool is None:
             # a load or store is its own transfer: it ends no earlier than
             # its last word leaves the channel
             for o in i.srcs + i.dests:
                 if o.__class__ is Vreg:
                     slot[o.name]        # checked, though no unit reads it
-            complete[idx] = dram_slot(ready) + max(lat_of[i.op], xfer)
-            moved[i.op] += poly_bytes
+            start = ready if ready > channel_free else channel_free
+            channel_free = start + xfer
+            dram_busy += xfer
+            complete[idx] = start + (lat if lat > xfer else xfer)
+            if i.op == "load":
+                load_b += poly_bytes
+            else:
+                store_b += poly_bytes
             continue
-        pool = pools[cls]
-        start = max(ready, pool.earliest())
-        sram = set()                # the SRAM slots the unit accesses
+        start = pool.earliest()
+        if ready > start:
+            start = ready
+        first = -1                  # the first SRAM slot the unit accesses
+        sram = None                 # all of them, once there are two
         reads = writes = 0          # FIFO channels read and written
         drained = 0
         for o in i.srcs:
@@ -170,31 +180,50 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
                 k = slot[o.name]
                 if k < 0:
                     reads += 1
-                else:
-                    sram.add(k)
+                elif first < 0:
+                    first = k
+                elif k != first:
+                    if sram is None:
+                        sram = {first, k}
+                    else:
+                        sram.add(k)
             elif kind is Addr:
                 # streamed: the unit starts once the first elements arrive
-                start = max(start, dram_slot(ready) + DRAM_BASE)
+                t = ready if ready > channel_free else channel_free
+                channel_free = t + xfer
+                dram_busy += xfer
+                if t + DRAM_BASE > start:
+                    start = t + DRAM_BASE
                 stream_b += poly_bytes
         for o in i.dests:
             if o.__class__ is Vreg:
                 k = slot[o.name]
                 if k < 0:
                     writes += 1
-                else:
-                    sram.add(k)
+                elif first < 0:
+                    first = k
+                elif k != first:
+                    if sram is None:
+                        sram = {first, k}
+                    else:
+                        sram.add(k)
             else:
                 # a streamed result drains to DRAM as it is produced
-                drained = dram_slot(start) + DRAM_BASE + xfer
+                t = start if start > channel_free else channel_free
+                channel_free = t + xfer
+                dram_busy += xfer
+                drained = t + DRAM_BASE + xfer
                 stream_b += poly_bytes
         # SRAM bank conflicts serialize same-cycle accesses to distinct
         # slots that share a bank
-        conf = len(sram) - len({k % hw.banks for k in sram})
-        conflicts_total += conf
-        end = start + lat_of[i.op] + conf
+        end = start + lat
+        if sram is not None:
+            conf = len(sram) - len({k % banks for k in sram})
+            conflicts_total += conf
+            end += conf
         pool.take(end)
         busy[cls] += end - start
-        complete[idx] = done = max(end, drained)
+        complete[idx] = done = end if end > drained else drained
         if reads or writes:
             fifo_events += [(done, 1)] * writes + [(start, -1)] * reads
 
@@ -203,9 +232,10 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
         occ += delta
         fifo_peak = max(fifo_peak, occ)
     cp = _longest_path(p, hw, preds)
+    busy["dram"] = dram_busy
     fu_count = {cls: hw.fu_count(cls) for cls in busy}
-    rep = SimReport(max(complete, default=0), busy, fu_count, moved["load"],
-                    moved["store"], stream_b, conflicts_total, fifo_peak, cp,
+    rep = SimReport(max(complete, default=0), busy, fu_count, load_b,
+                    store_b, stream_b, conflicts_total, fifo_peak, cp,
                     len(p.instrs), complete)
     if rep.cycles < rep.critical_path:
         raise RuntimeError(f"simulated {rep.cycles} cycles, below the "
