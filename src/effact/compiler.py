@@ -28,9 +28,12 @@ list in `notes["issue_cycles"]`, aligned with the scheduled order, which
 `back_ends` drops, since later passes change that order.
 
 `def_use` is the one source of def/use facts, the pressure scheduler's
-included.  `merge_streaming` makes the sink and source merges
-(`_merge_memory`) over every DRAM cell, and `merge_spill_traffic` is the
-same merges over the `__spill` cells.
+included.  `pre` keys each pure op by what it reads after its
+replacements: in SSA code a value's first name is its value number.
+`merge_streaming` makes the sink and source merges (`_merge_memory`) over
+every DRAM cell, and `merge_spill_traffic` over the `__spill` cells: one
+forward scan keeps each cell's last access, one backward scan its next
+write, and merged stores stay in the list, which makes both exact.
 
 `front_end`, and each program of `back_ends` up to its `yield` (never
 across it), run under `ir._collector_scope`, which raises the cyclic
@@ -41,17 +44,16 @@ run under it too.  Machine registers are the shared objects of
 
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
-golden executor.  A program's `def_use` is scanned once and kept on it
-(`p.once(_def_use)`): `peephole_merge` reads the one `pre` made, the
-pressure schedules the front end's, and `alloc_sram` the fit check's.  The
-machine instruction set has no register-move opcode; copies die in
-`unroll`, and `lower` rejects one.
+golden executor.  A program's `def_use` and `max_liveness` are scanned
+once and kept on it (`p.once`): `peephole_merge` reads the `def_use` `pre`
+made, the pressure schedules the front end's, and `alloc_sram` both of the
+fit check's.  The machine instruction set has no register-move opcode;
+copies die in `unroll`, and `lower` rejects one.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
@@ -369,20 +371,18 @@ def propagate(p: Program) -> Program:
 # ---------------------------------------------------------------------------
 # partial redundancy elimination (value numbering + pure-op DCE)
 
-def _operand_key(o, vn):
-    """A source of a pure op as `pre` compares it: a register by its value
-    number, then a constant or an immediate."""
-    if isinstance(o, Vreg):
-        return ("v", vn.get(o.name, o.name))
-    if isinstance(o, CRef):
-        return ("c", o.name)
-    return ("i", o.val)
-
-
 def pre(p: Program) -> Program:
+    """Drop each pure op on registers that repeats an earlier one, its
+    readers reading the earlier result, then each pure op whose result is
+    never read (one level: what only it read stays).
+
+    The key is `(op, flags, mod, srcs)` taken after the replacements: in
+    SSA code each value then has one name, its first, which is its value
+    number; operands compare by class and value (`Vreg("a") !=
+    CRef("a")`), and `flags` is a frozenset.  So equal keys are equal
+    opcodes, flags, moduli and value numbers, with no table of them."""
     check_straight_line(p)
     seen: dict = {}
-    vn: dict[str, str] = {}
     repl: dict[str, Vreg] = {}
     instrs = []
     for i in p.instrs:
@@ -392,16 +392,11 @@ def pre(p: Program) -> Program:
         if not pure:
             instrs.append(i)
             continue
-        key = (i.op, tuple(sorted(i.flags)), i.mod,
-               tuple(_operand_key(s, vn) for s in i.srcs))
-        dest = str(i.dests[0])
+        key = (i.op, i.flags, i.mod, i.srcs)
         if key in seen:
-            prior = seen[key]
-            vn[dest] = prior
-            repl[dest] = Vreg(prior)
+            repl[i.dests[0].name] = seen[key]
             continue
-        seen[key] = dest
-        vn[dest] = dest
+        seen[key] = i.dests[0]
         instrs.append(i)
     # dead-code elimination over pure ops whose result is never read; with
     # none, the program whose def-use was scanned is the output
@@ -488,20 +483,6 @@ def peephole_merge(p: Program) -> Program:
 
 # ---------------------------------------------------------------------------
 # list scheduling (the dependence graph is `ir.build_deps`)
-
-def _mem_accesses(i: Instr):
-    """(cells read, cells written) by one instruction."""
-    if i.op == "store":
-        return [], [i.srcs[1]]
-    reads, writes = [], []
-    for s in i.srcs:
-        if isinstance(s, Addr):
-            reads.append(s)
-    for d in i.dests:
-        if isinstance(d, Addr):
-            writes.append(d)
-    return reads, writes
-
 
 def _longest_path(p: Program, hw: HardwareDescription,
                   preds: list[set[int]]) -> int:
@@ -764,61 +745,45 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
 def _merge_memory(instrs: list[Instr], wrote: list, read: list,
                   sym: str | None = None) -> set[int]:
     """Sink and source merges over the cells of DRAM symbol `sym` (of every
-    cell if None), in place; returns the indices of the loads and
-    stores merged away.  `wrote`, `read` = `def_use(instrs)`.
+    cell if None), in place; returns the indices of the loads and stores
+    merged away, which stay in `instrs`.  `wrote`, `read` =
+    `def_use(instrs)`.
 
-    Sink: an FU result whose one read is a store writes the cell itself,
-    unless the cell is touched in between.  Source: a load that one FU
-    operand reads becomes that operand, unless the cell is written in
-    between.  Every sink merge, in store order, precedes every source
-    merge."""
-    def streamed(key):
-        return sym is None or key[0] == sym
-
-    # ascending indices of the instructions that read / write each streamed
-    # cell, kept current as the sink merge moves writes (the source merge
-    # moves only reads, which no later check asks about)
-    at: tuple[dict, dict] = ({}, {})
-
-    def note(k, accesses, kind):
-        for a in accesses:
-            key = _addr_key(a)
-            if streamed(key):
-                insort(at[kind].setdefault(key, []), k)
-
-    for k, i in enumerate(instrs):
-        for kind, accesses in enumerate(_mem_accesses(i)):
-            if accesses:
-                note(k, accesses, kind)
-
-    def between(key, lo, hi, kinds):
-        for kind in kinds:
-            ks = at[kind].get(key, ())
-            j = bisect_right(ks, lo)
-            if j < len(ks) and ks[j] < hi:
-                return True
-        return False
-
+    Sink, in one forward scan: an FU result read only by a store writes the
+    cell itself when the cell's last access before the store is at or
+    before the FU.  Source, in one backward scan of what the sinks left: a
+    load that one FU operand reads becomes that operand when the cell's
+    next write after it is at or after that read.  These are the merges a
+    rescan of each interval makes: a killed store still counts as an
+    access and a write; a write a sink merge moves up to its FU sits before
+    its own store, a later access, so only the backward scan sees it; and
+    a source merge moves only reads, which no source check asks about."""
+    last: dict = {}         # cell -> index of its last access so far
     kill = set()
     for idx, i in enumerate(instrs):
-        if i.op != "store":
-            continue
-        j, key = read[0][idx], _addr_key(i.srcs[1])
-        if (j is None or len(wrote[j]) != 2 or instrs[j].op not in FU_OPS
-                or not streamed(key) or between(key, j, idx, (0, 1))):
-            continue
-        instrs[j] = instrs[j].with_(dests=(i.srcs[1],))
-        note(j, (i.srcs[1],), 1)
-        kill.add(idx)
-    for idx, i in enumerate(instrs):
-        if i.op != "load":
-            continue
-        v, key = wrote[idx], _addr_key(i.srcs[0])
-        if (len(v) != 2 or instrs[v[1]].op not in FU_OPS
-                or not streamed(key) or between(key, idx, v[1], (1,))):
-            continue
-        instrs[v[1]] = _sub_srcs(instrs[v[1]], {i.dests[0].name: i.srcs[0]})
-        kill.add(idx)
+        if i.op == "store":
+            j, key = read[0][idx], _addr_key(i.srcs[1])
+            if (j is not None and len(wrote[j]) == 2 and sym in (None, key[0])
+                    and instrs[j].op in FU_OPS and last.get(key, -1) <= j):
+                instrs[j] = instrs[j].with_(dests=(i.srcs[1],))
+                kill.add(idx)
+        for a in i.srcs + i.dests:
+            if a.__class__ is Addr:
+                last[_addr_key(a)] = idx
+    written: dict = {}      # cell -> index of its next write
+    for idx in range(len(instrs) - 1, -1, -1):
+        i = instrs[idx]
+        if i.op == "load":
+            v, key = wrote[idx], _addr_key(i.srcs[0])
+            if (len(v) == 2 and sym in (None, key[0])
+                    and instrs[v[1]].op in FU_OPS
+                    and written.get(key, v[1]) >= v[1]):
+                instrs[v[1]] = _sub_srcs(instrs[v[1]],
+                                         {i.dests[0].name: i.srcs[0]})
+                kill.add(idx)
+        for a in i.srcs[1:] if i.op == "store" else i.dests:
+            if a.__class__ is Addr:
+                written[_addr_key(a)] = idx
     return kill
 
 
@@ -864,15 +829,18 @@ def max_liveness(p: Program) -> int:
     """Fewest SRAM slots that admit a spill-free allocation.
 
     Mirrors the allocator: sources dying at an instruction release their
-    slots before the destination is placed.
+    slots before the destination is placed.  Kept on the program
+    (`p.once(_max_live)`), so that `alloc_sram` of a schedule that passed
+    the fit check reads the count that check made.
     """
-    return _max_live(p.instrs, p.once(_def_use)[0])
+    return p.once(_max_live)
 
 
-def _max_live(instrs: list[Instr], wrote: list) -> int:
-    change = [0] * (len(instrs) + 1)    # live values gained at each index
+def _max_live(p: Program) -> int:
+    """The scan of `max_liveness`."""
+    change = [0] * (len(p.instrs) + 1)  # live values gained at each index
     live = peak = 0
-    for idx, (i, v) in enumerate(zip(instrs, wrote)):
+    for idx, (i, v) in enumerate(zip(p.instrs, p.once(_def_use)[0])):
         live += change[idx]
         if v and i.dests[0].name.startswith("%"):
             peak = max(peak, live + 1)
@@ -997,7 +965,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
                   if spill_at else p.dram)
     out.notes["spills"] = spills
-    out.notes["max_live"] = _max_live(p.instrs, wrote)
+    out.notes["max_live"] = p.once(_max_live)
     return out
 
 

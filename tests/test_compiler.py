@@ -14,7 +14,6 @@ from effact.compiler import (
     FU_OPS,
     HardwareDescription,
     _addr_key,
-    _mem_accesses,
     _sub_srcs,
     alloc_sram,
     back_end,
@@ -35,7 +34,7 @@ from effact.compiler import (
     unroll,
 )
 from effact.ir import (Addr, ExecError, IrError, Vreg, blank_image,
-                       execute_program, parse_ir)
+                       execute_program, parse_ir, print_program)
 from effact.poly import SM, ContractError, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
 from effact.sim import sweep_sram
@@ -900,6 +899,35 @@ def test_streaming_respects_intervening_store():
     assert outputs(p, img) == outputs(out, img)
 
 
+def mem_accesses(i):
+    """(cells read, cells written) by one instruction."""
+    if i.op == "store":
+        return [], [i.srcs[1]]
+    reads, writes = [], []
+    for s in i.srcs:
+        if isinstance(s, Addr):
+            reads.append(s)
+    for d in i.dests:
+        if isinstance(d, Addr):
+            writes.append(d)
+    return reads, writes
+
+
+def test_a_merged_store_still_blocks_a_later_store_to_its_cell():
+    # the first store merges into its ntt but stays an access of @y[0]
+    # between the second ntt and its store, so that store is not merged; a
+    # rule that kept only the cell's last write would merge both
+    text = header() + ("%a = load @x[0]\n%e = load @x[1]\n"
+                       "%b = ntt %a, q0\n%c = ntt %e, q0\n"
+                       "store %b, @y[0]\nstore %c, @y[0]\n")
+    p = parse_ir(text)
+    out = merge_streaming(p, HW)
+    assert [str(i) for i in out.instrs] == [
+        "@y[0] = ntt @x[0], q0", "%c = ntt @x[1], q0", "store %c, @y[0]"]
+    img = seeded_image(p, random.Random(13), count=2, ntt=False)
+    assert outputs(p, img) == outputs(out, img)
+
+
 def name_keyed_def_use(instrs):
     """The def-use index of SSA code before def_use tracked values: the
     defining index of each register, and the ascending indices that read
@@ -916,14 +944,16 @@ def name_keyed_def_use(instrs):
 
 
 def merge_streaming_oracle(p, hw):
-    """merge_streaming as it was before its interval checks used per-cell
-    index lists: each check rescans the instructions in between."""
+    """merge_streaming's rules checked directly: a sink or source merge is
+    made when no instruction strictly between its two ends accesses (for
+    a source, writes) the cell, each check rescanning them, merged stores
+    and writes moved by earlier sink merges included."""
     instrs = list(p.instrs)
     defs, uses = name_keyed_def_use(instrs)
 
     def cell_between(key, lo, hi, with_reads):
         for k in range(lo + 1, hi):
-            reads, writes = _mem_accesses(instrs[k])
+            reads, writes = mem_accesses(instrs[k])
             if any(_addr_key(a) in (key, None)
                    for a in (reads + writes if with_reads else writes)):
                 return True
@@ -1161,6 +1191,21 @@ GOLDEN = (
 def test_compiled_workloads_are_byte_identical(gen, wp, prefix):
     text = assemble_text(compile_program(gen(wp), HardwareDescription()))
     assert hashlib.sha256(text.encode()).hexdigest()[:8] == prefix
+
+
+def test_front_end_output_is_pinned():
+    # random programs, copies and constant multiplies among them, and the
+    # memory programs that test_merge_streaming_matches_rescanning_oracle
+    # draws: any change to what `pre` or `lower` emits changes the digest
+    h = hashlib.sha256()
+    for seed in range(40):
+        h.update(print_program(front_end(random_program(
+            random.Random(seed), size=40))).encode())
+    rng = random.Random(25)
+    for _ in range(60):
+        h.update(print_program(front_end(memory_program(rng))).encode())
+    assert h.hexdigest() == ("3936113861b803dcc3c3ac647a435d86"
+                             "387a88a06b963370f9711e8af6195d2a")
 
 
 def test_compile_deterministic():

@@ -18,8 +18,6 @@ from effact.compiler import (
     _addr_key,
     _list_schedule,
     _longest_path,
-    _max_live,
-    _mem_accesses,
     _priorities,
     _uses,
     alloc_sram,
@@ -29,6 +27,7 @@ from effact.compiler import (
     compile_program,
     def_use,
     front_end,
+    max_liveness,
     merge_spill_traffic,
     merge_streaming,
     schedule,
@@ -45,7 +44,7 @@ from effact.workloads import (
     gen_hoisted_rotations,
     gen_keyswitch,
 )
-from test_compiler import random_program
+from test_compiler import mem_accesses, random_program
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -440,7 +439,7 @@ def test_compare_streaming_no_candidates():
 # the simulator's loop and dependence builder against their earlier forms
 
 def build_deps_oracle(p):
-    """build_deps as it was: `isinstance` tests and `_mem_accesses` lists."""
+    """build_deps as it was: `isinstance` tests and `mem_accesses` lists."""
     preds = [set() for _ in p.instrs]
     last_def, reg_readers, last_write, readers = {}, {}, {}, {}
     for idx, i in enumerate(p.instrs):
@@ -450,7 +449,7 @@ def build_deps_oracle(p):
                 if r in last_def:
                     preds[idx].add(last_def[r])
                 reg_readers.setdefault(r, []).append(idx)
-        reads, writes = _mem_accesses(i)
+        reads, writes = mem_accesses(i)
         for a in reads:
             key = _addr_key(a)
             if key in last_write:
@@ -826,7 +825,7 @@ def alloc_sram_oracle(p, hw):
     out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
                   if spill_at else p.dram)
     out.notes["spills"] = spills
-    out.notes["max_live"] = _max_live(p.instrs, wrote)
+    out.notes["max_live"] = max_liveness(p)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import effact
@@ -200,23 +201,48 @@ def test_only_ir_lists_opcodes():
 
 
 def test_every_name_the_benchmark_imports_exists():
-    # bench/harness.py imports the passes it times by name: a pass renamed
-    # or deleted in the package fails here, not only in a benchmark run
+    # bench/harness.py imports the passes it times by name, and each of its
+    # calls to a name imported from effact, or to a function of a module
+    # imported from it (`ckks.X`, `cli.X`), binds to that function's
+    # signature: a pass renamed or deleted, or a parameter renamed or
+    # dropped, fails here, not only in a benchmark run
     path = Path(__file__).resolve().parents[1] / "bench" / "harness.py"
-    names, missing = [], []
-    for node in ast.walk(ast.parse(path.read_text())):
+    tree = ast.parse(path.read_text())
+    names, missing, imported = [], [], {}
+    for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom) or node.level \
                 or node.module.split(".")[0] != "effact":
             continue
         module = importlib.import_module(node.module)
         for alias in node.names:
             names.append(f"{node.module}.{alias.name}")
-            if hasattr(module, alias.name):
-                continue
             try:
-                importlib.import_module(names[-1])      # a submodule
+                imported[alias.asname or alias.name] = (
+                    getattr(module, alias.name)
+                    if hasattr(module, alias.name)
+                    else importlib.import_module(names[-1]))  # a submodule
             except ImportError:
                 missing.append(names[-1])
     assert missing == []
     assert {"effact.compiler.propagate", "effact.compiler.merge_spill_traffic",
             "effact.sim.simulate"} <= set(names)
+    calls, unbound = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in imported:
+            fn = imported[f.id]
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and inspect.ismodule(imported.get(f.value.id)):
+            fn = getattr(imported[f.value.id], f.attr)
+        else:
+            continue
+        calls += 1
+        try:
+            inspect.signature(fn).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as e:
+            unbound.append(f"harness.py:{node.lineno}: {e}")
+    assert unbound == []
+    assert calls >= 50
