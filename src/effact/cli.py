@@ -24,7 +24,7 @@ from .ir import (FU_CLASS, ExecError, IrError, blank_image,
                  execute_program, parse_ir)
 from .poly import ContractError
 from .rns import ReprError
-from .sim import compare_streaming, simulate, sweep_sram
+from .sim import compare_streaming, simulate, sweep
 from . import workloads
 
 
@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise CliError("flags", f"bad slot list: {args.slots}")
     try:
-        reports = sweep_sram(text, hw, slot_counts)
+        reports = sweep(text, [replace(hw, slots=s) for s in slot_counts])
     except (IrError, ValueError) as e:
         raise CliError("sweep", str(e))
     buf = io.StringIO()
@@ -201,7 +201,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    prog = _load_program(args.input)
+    prog = loaded = _load_program(args.input)
     try:
         if any(i.op not in FU_CLASS for i in prog.instrs):  # not machine code
             prog = lower(unroll(prog))
@@ -212,7 +212,7 @@ def _cmd_analyze(args) -> int:
     if args.streaming:
         hw = _load_hw(args)
         try:
-            cmp = compare_streaming(_read_text(args.input, "read"), hw)
+            cmp = compare_streaming(loaded, hw)
         except (IrError, ValueError) as e:
             raise CliError("analyze", str(e))
         summary = {k: v for k, v in cmp.items()

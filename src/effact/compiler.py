@@ -18,14 +18,13 @@ The front end does not read the hardware description, so an SRAM sweep
 runs it once.  `schedule` orders for latency, and when that order needs
 more SRAM slots than the hardware has, orders again so as to keep the live
 values within them (integrated prepass scheduling), so `alloc_sram` spills
-less.  `_schedules` makes that fit-or-reschedule decision for each of a
-list of configurations; since the latency order and the slots it needs do
-not depend on the slot count, an SRAM sweep (`back_ends`) schedules for
-latency once.  `back_ends` then merges the orders rescheduled for
-pressure, allocates and merges the spill traffic.  A schedule reorders
-the instructions it is given and copies none: their issue cycles are one
-list in `notes["issue_cycles"]`, aligned with the scheduled order, which
-`back_ends` drops, since later passes change that order.
+less.  `_fit` makes that fit-or-reschedule decision, and `back_ends` is
+one loop that passes one table, `made`, to the `_fit` of each
+configuration: the latency order and the slots it needs do not depend on
+the slot count, so an SRAM sweep schedules for latency once.  A schedule
+reorders the instructions it is given and copies none: their issue cycles
+are one list in `notes["issue_cycles"]`, aligned with the scheduled
+order, which `back_ends` drops, since later passes change that order.
 
 `def_use` is the one source of def/use facts, the pressure scheduler's
 included.  `pre` keys each pure op by what it reads after its
@@ -683,60 +682,38 @@ def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
     return out
 
 
-def _schedules(p: Program, hws) -> Iterator[tuple]:
-    """(hw, schedule(p, hw), fit) for each of `hws` in turn.
-
-    The latency schedule fits when the slots its values need
-    (`max_liveness`, after `merge_streaming` on streaming hardware) are at
-    most `hw.slots`; it is then the schedule, and `fit` is it as merged
-    for that check.  Otherwise the same dependence graph is scheduled again
-    with `hw.slots` as the live-value budget (see `_list_schedule`),
-    emitted in issue order, the order whose live count the budget held,
-    and `fit` is None.  Neither the latency schedule nor its fit check
-    reads `slots` or `banks`, so each is computed once per distinct value
-    of the fields it reads: an SRAM sweep schedules for latency once.
-    The values each instruction reads (`_uses`) are counted once and kept
-    on `p`, at the first configuration scheduled for pressure.  A latency
-    schedule and a fit, with the analyses kept on them, are dropped at the
-    last configuration that reads them, before it is yielded, so that its
-    back end runs without them."""
-    hws = list(hws)
-    latencies: dict = {}
-    fits: dict = {}
-    last = {}           # key -> index of the last configuration reading it
-    for k, hw in enumerate(hws):
-        key = _latency_key(hw)
-        last[key] = last[key, hw.streaming, hw.fifo_depth] = k
-
-    def configure(k, hw):
-        key = _latency_key(hw)
-        fit_key = (key, hw.streaming, hw.fifo_depth)
-        if key not in latencies:
-            latencies[key] = _latency_schedule(p, hw)
-        graph, latency = latencies[key]
-        if fit_key not in fits:
-            merged = merge_streaming(latency, hw) if hw.streaming else latency
-            fits[fit_key] = merged, max_liveness(merged)
-        merged, need = fits[fit_key]
-        for entry, table in ((key, latencies), (fit_key, fits)):
-            if last[entry] == k:
-                del table[entry]
-        if need <= hw.slots:
-            return hw, latency, merged
-        return hw, _emit(p, graph, *_list_schedule(
-            p.instrs, hw, *graph, hw.slots, p.once(_uses))), None
-
-    for k, hw in enumerate(hws):
-        yield configure(k, hw)
+def _fit(p: Program, hw: HardwareDescription, made: dict):
+    """(schedule(p, hw), fit).  The latency schedule fits when the slots
+    its values need (`max_liveness`, after `merge_streaming` on streaming
+    hardware) are at most `hw.slots`; it is then the schedule, and `fit`
+    is it as merged for that check.  Otherwise the same dependence graph
+    is scheduled again with `hw.slots` as the live-value budget (see
+    `_list_schedule`), emitted in issue order, and `fit` is None.  `made`
+    keeps what reads neither `slots` nor `banks`: the latency schedule and
+    its graph by `_latency_key(hw)`, the fit check's merged program and
+    its count by that key, `hw.streaming` and `hw.fifo_depth`."""
+    key = _latency_key(hw)
+    if key not in made:
+        made[key] = _latency_schedule(p, hw)
+    graph, latency = made[key]
+    fit_key = (key, hw.streaming, hw.fifo_depth)
+    if fit_key not in made:
+        merged = merge_streaming(latency, hw) if hw.streaming else latency
+        made[fit_key] = merged, max_liveness(merged)
+    merged, need = made[fit_key]
+    if need <= hw.slots:
+        return latency, merged
+    return _emit(p, graph, *_list_schedule(
+        p.instrs, hw, *graph, hw.slots, p.once(_uses))), None
 
 
 def schedule(p: Program, hw: HardwareDescription) -> Program:
     """List-schedule for latency, and again for SRAM pressure when the
-    latency schedule does not fit (see `_schedules`).  The instructions
-    are `p`'s own, reordered; `notes` get the issue cycle of each
+    latency schedule does not fit (see `_fit`).  The instructions are
+    `p`'s own, reordered; `notes` get the issue cycle of each
     (`issue_cycles`, in the new order), the makespan and the critical
     path."""
-    return next(_schedules(p, (hw,)))[1]
+    return _fit(p, hw, {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1000,15 +977,15 @@ def front_end(src, *, do_pre: bool = True, do_merge: bool = True) -> Program:
 
 def back_ends(p: Program, hws) -> Iterator[Program]:
     """back_end(p, hw) for each of `hws` in turn, on a front-end program,
-    which is left as it was; each latency schedule and fit check is
-    computed once (see `_schedules`)."""
-    steps = _schedules(p, hws)
-    while True:
+    which is left as it was.  Every `_fit` shares one `made`, emptied
+    right after the last, whose merges and allocation run without it."""
+    hws = list(hws)
+    made: dict = {}
+    for k, hw in enumerate(hws):
         with _collector_scope():
-            try:
-                hw, q, fit = next(steps)
-            except StopIteration:
-                return
+            q, fit = _fit(p, hw, made)
+            if k == len(hws) - 1:
+                made.clear()
             if fit is not None:
                 q = fit
             elif hw.streaming:          # scheduled for pressure
@@ -1019,7 +996,7 @@ def back_ends(p: Program, hws) -> Iterator[Program]:
             del q.notes["issue_cycles"]     # the schedule's, not q's order
             q.notes["streaming"] = hw.streaming
         yield q
-        del q       # no name keeps a program while the next one compiles
+        del q, fit  # no name keeps a program while the next one compiles
 
 
 def back_end(p: Program, hw: HardwareDescription) -> Program:

@@ -249,21 +249,26 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def sweep_sram(src, hw: HardwareDescription,
-               slot_counts) -> list[SimReport]:
-    """Compile the same IR for each SRAM size (the front end and its
-    latency schedule once, see `back_ends`) and simulate it."""
-    hws = [replace(hw, slots=slots) for slots in slot_counts]
+def sweep(src, hws) -> list[SimReport]:
+    """Compile the same IR for each hardware description (the front end
+    once, and each latency schedule once, see `back_ends`) and simulate
+    it there."""
+    hws = list(hws)
     machines = back_ends(front_end(src), hws)
     # next() inside the call: no name keeps a program past its simulation
-    return [simulate(next(machines), shw) for shw in hws]
+    return [simulate(next(machines), hw) for hw in hws]
+
+
+def sweep_sram(src, hw: HardwareDescription,
+               slot_counts) -> list[SimReport]:
+    """`sweep` over SRAM sizes."""
+    return sweep(src, [replace(hw, slots=slots) for slots in slot_counts])
 
 
 def compare_streaming(src, hw: HardwareDescription) -> dict:
     """Simulate the same IR compiled with and without streaming merges."""
-    hws = (replace(hw, streaming=True), replace(hw, streaming=False))
-    machines = back_ends(front_end(src), hws)
-    on, off = (simulate(next(machines), shw) for shw in hws)
+    on, off = sweep(src, (replace(hw, streaming=True),
+                          replace(hw, streaming=False)))
     return {
         "streaming": on,
         "baseline": off,

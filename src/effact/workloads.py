@@ -270,17 +270,17 @@ def _emit_divide(b: _Builder, comp: list[str], keep: list[str],
 
 
 def _emit_keyswitch(b: _Builder, wp: WorkloadParams, d2regs: list[str],
-                    l: int, ekb: dict, eka: dict,
-                    auto_step: int | None = None) -> tuple[list, list]:
-    """Hybrid key switch; with auto_step the raised digits are rotated
-    before the key multiply (hoisted-rotation form)."""
+                    l: int, ekb: dict, eka: dict) -> tuple[list, list]:
+    """Hybrid key switch: raise the digits, then apply the key."""
     raised = _emit_raise(b, wp, d2regs, l)
-    return _emit_apply_key(b, wp, raised, l, ekb, eka, auto_step)
+    return _emit_apply_key(b, wp, raised, l, ekb, eka)
 
 
 def _emit_apply_key(b: _Builder, wp: WorkloadParams, raised: dict,
                     l: int, ekb: dict, eka: dict,
                     auto_step: int | None = None) -> tuple[list, list]:
+    """Key multiply and divide of the raised digits; with auto_step they
+    are rotated first (hoisted-rotation form)."""
     K = l + 1 + len(b.pchain)
     ext = b.ext_names(l)
     acc0 = [None] * K

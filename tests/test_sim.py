@@ -1,4 +1,5 @@
 import random
+import weakref
 from bisect import bisect_left
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
@@ -6,7 +7,7 @@ from heapq import heapify, heappop, heappush
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effact import compiler
+from effact import compiler, sim
 from effact.asm import assemble_text, check_machine_form
 from effact.compiler import (
     DRAM_BASE,
@@ -325,6 +326,8 @@ def test_shared_latency_schedule_changes_no_compile(seed, hws):
     want = compiled(each(pass_list_back_end, front, hws), hws)
     assert compiled(each(back_end, front, hws), hws) == want
     assert compiled(back_ends(front, hws), hws) == want
+    assert outcome(lambda: sim.sweep(src, hws)) == outcome(
+        lambda: [simulate(pass_list_back_end(front, h), h) for h in hws])
 
     hw = hws[0]
     slots = [h.slots for h in hws]
@@ -368,6 +371,60 @@ def test_a_sweep_schedules_for_latency_once(monkeypatch):
     assert calls.pop("def_use") <= 17
     assert calls == {"build_deps": 1, "_list_schedule": 5,
                      "merge_streaming": 5, "max_liveness": 1}
+
+
+def test_compare_streaming_schedules_for_latency_once(monkeypatch):
+    # neither configuration fits the latency order of the L24 key switch:
+    # one latency schedule, then for each configuration a fit check
+    # (`max_liveness`, after a merge with streaming) and a pressure
+    # schedule, which is merged with streaming
+    calls = dict.fromkeys(("build_deps", "_list_schedule", "merge_streaming",
+                           "max_liveness", "def_use"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(compiler, name,
+                            counted(name, getattr(compiler, name)))
+    text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
+    compare_streaming(text, HardwareDescription())
+    assert calls == {"build_deps": 1, "_list_schedule": 3,
+                     "merge_streaming": 2, "max_liveness": 2, "def_use": 8}
+
+
+def test_the_last_configuration_allocates_without_the_shared_tables(
+        monkeypatch):
+    # back_ends empties its table of latency schedules and fit checks right
+    # after the last configuration's `_fit`: when that configuration
+    # allocates, every program the table held is dead but its own input.
+    # The first allocation runs while the latency schedule is alive.
+    made, alive = [], []
+
+    def recording(fn, program):
+        def wrapper(*args, **kw):
+            out = fn(*args, **kw)
+            made.append(weakref.ref(program(out)))
+            return out
+        return wrapper
+
+    def alloc_sram(p, hw):
+        alive.append(sum(r() is not None and r() is not p for r in made))
+        return real_alloc(p, hw)
+
+    real_alloc = compiler.alloc_sram
+    monkeypatch.setattr(compiler, "_latency_schedule", recording(
+        compiler._latency_schedule, lambda out: out[1]))
+    monkeypatch.setattr(compiler, "merge_streaming", recording(
+        compiler.merge_streaming, lambda out: out))
+    monkeypatch.setattr(compiler, "alloc_sram", alloc_sram)
+    hws = [HardwareDescription(slots=8, streaming=on) for on in (True, False)]
+    for _ in back_ends(front_end(DESK_KS), hws):
+        pass
+    assert len(alive) == 2 and alive[0] > 0 and alive[1] == 0
 
 
 def test_a_program_is_analyzed_once(monkeypatch):
