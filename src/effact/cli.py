@@ -43,14 +43,13 @@ def _read_text(path: str, stage: str) -> str:
 
 def _write(path: str | None, data, binary: bool = False):
     if path is None or path == "-":
-        if binary:
-            sys.stdout.buffer.write(data)
-        else:
-            sys.stdout.write(data)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
         return
-    mode = "wb" if binary else "w"
-    with open(path, mode) as f:
-        f.write(data)
+    try:
+        with open(path, "wb" if binary else "w") as f:
+            f.write(data)
+    except OSError as e:
+        raise CliError("write", str(e))
 
 
 def _load_hw(args) -> HardwareDescription:

@@ -27,12 +27,14 @@ are one list in `notes["issue_cycles"]`, aligned with the scheduled
 order, which `back_ends` drops, since later passes change that order.
 
 `def_use` is the one source of def/use facts, the pressure scheduler's
-included.  `pre` keys each pure op by what it reads after its
-replacements: in SSA code a value's first name is its value number.
-`merge_streaming` makes the sink and source merges (`_merge_memory`) over
-every DRAM cell, and `merge_spill_traffic` over the `__spill` cells: one
-forward scan keeps each cell's last access, one backward scan its next
-write, and merged stores stay in the list, which makes both exact.
+included, and `_priorities` the one longest-path routine, the
+simulator's included.  `pre` keys each pure op by what it reads after
+its replacements: in SSA code a value's first name is its value number.
+`merge_streaming` makes the sink and source merges (`_merge_memory`)
+over every DRAM cell, and `merge_spill_traffic` over the `__spill`
+cells: one forward scan keeps each cell's last access, one backward scan
+its next write, and merged stores stay in the list, which makes both
+exact.
 
 `front_end`, and each program of `back_ends` up to its `yield` (never
 across it), run under `ir._collector_scope`, which raises the cyclic
@@ -43,11 +45,11 @@ run under it too.  Machine registers are the shared objects of
 
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
-golden executor.  A program's `def_use` and `max_liveness` are scanned
-once and kept on it (`p.once`): `peephole_merge` reads the `def_use` `pre`
-made, the pressure schedules the front end's, and `alloc_sram` both of the
-fit check's.  The machine instruction set has no register-move opcode;
-copies die in `unroll`, and `lower` rejects one.
+golden executor.  A program's `def_use`, `build_deps` and `max_liveness`
+are scanned once and kept on it (`p.once`): `peephole_merge` reads the
+`def_use` `pre` made, the pressure schedules the front end's, and
+`alloc_sram` both of the fit check's.  The machine instruction set has
+no register-move opcode; copies die in `unroll`, and `lower` rejects one.
 """
 
 from __future__ import annotations
@@ -192,8 +194,8 @@ def parse_hw(text: str) -> HardwareDescription:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
-    """The values of straight-line code, SSA or allocated.
+def def_use(p: Program) -> tuple[list, list[list]]:
+    """The values of a straight-line program, SSA or allocated.
 
     A value is the list [writer, reader, ...]: the index of the instruction
     that writes a register, then one ascending index per source operand
@@ -204,6 +206,7 @@ def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
     s of instruction k reads, None if it is no register or one not written
     before.  It is one list per operand position: a tuple per instruction
     would give the garbage collector an object per instruction to count."""
+    instrs = p.instrs
     n = len(instrs)
     last: dict[str, int] = {}
     writer = last.get
@@ -227,12 +230,6 @@ def def_use(instrs: list[Instr]) -> tuple[list, list[list]]:
                 last[d.name] = idx
                 wrote[idx] = [idx]
     return wrote, read
-
-
-def _def_use(p: Program) -> tuple[list, list[list]]:
-    """`def_use(p.instrs)`, which passes ask for as `p.once(_def_use)`, so
-    that each program is scanned once."""
-    return def_use(p.instrs)
 
 
 def _sub_srcs(i: Instr, table: dict) -> Instr:
@@ -400,7 +397,7 @@ def pre(p: Program) -> Program:
     # dead-code elimination over pure ops whose result is never read; with
     # none, the program whose def-use was scanned is the output
     out = p.with_(instrs)
-    live = [i for i, w in zip(instrs, out.once(_def_use)[0])
+    live = [i for i, w in zip(instrs, out.once(def_use)[0])
             if not (i.op in PURE_OPS and w and len(w) == 1)]
     return out if len(live) == len(instrs) else p.with_(live)
 
@@ -437,7 +434,7 @@ def peephole_merge(p: Program) -> Program:
                 for c in consts.values()}
     out = p.with_()
     while True:
-        wrote, read = out.once(_def_use)
+        wrote, read = out.once(def_use)
         kill = set()
         instrs = list(out.instrs)
         for idx, i in enumerate(instrs):
@@ -483,22 +480,13 @@ def peephole_merge(p: Program) -> Program:
 # ---------------------------------------------------------------------------
 # list scheduling (the dependence graph is `ir.build_deps`)
 
-def _longest_path(p: Program, hw: HardwareDescription,
-                  preds: list[set[int]]) -> int:
-    lat = hw.lat_table(p.n)
-    finish = [0] * len(p.instrs)
-    for idx, i in enumerate(p.instrs):
-        start = max(map(finish.__getitem__, preds[idx]), default=0)
-        finish[idx] = start + lat[i.op]
-    return max(finish, default=0)
-
-
 def _priorities(lat: list[int], succs: list[list[int]]) -> list[int]:
     """Longest latency-weighted path from each instruction to any exit;
-    the largest is the critical path."""
+    the largest is the critical path, of a schedule and of a simulation."""
     prio = [0] * len(lat)
     for idx in range(len(lat) - 1, -1, -1):
-        prio[idx] = lat[idx] + max((prio[s] for s in succs[idx]), default=0)
+        prio[idx] = lat[idx] + max(map(prio.__getitem__, succs[idx]),
+                                   default=0)
     return prio
 
 
@@ -527,11 +515,11 @@ class UnitPool:
 
 
 def _uses(p: Program) -> tuple[list, list[tuple]]:
-    """The values of `def_use(p.instrs)`, and for each instruction the
+    """The values of `def_use(p)`, and for each instruction the
     distinct writers of the values it reads: what the pressure scheduler
     counts, kept on the program (`p.once(_uses)`) for every budget it
     schedules it with."""
-    wrote, read = p.once(_def_use)
+    wrote, read = p.once(def_use)
     return wrote, [tuple({r[k] for r in read if r[k] is not None})
                    for k in range(len(p.instrs))]
 
@@ -545,7 +533,7 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     Each step issues a ready instruction at the earliest cycle its operands
     and a unit of its class allow.  Without a budget the step takes the one
     with the longest path to an exit.  With one, it also counts the live
-    values (`uses` = `_uses(instrs)`) in issue order, and while that count
+    values (`uses` = `_uses(p)`) in issue order, and while that count
     is above the budget, where an allocator with `budget` slots must spill,
     it takes the one with the lowest delta = results read later - values it
     is the last reader of, ties by path length (integrated prepass
@@ -632,18 +620,6 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     return order, cycles
 
 
-def _dependences(p: Program) -> tuple[list[list[int]], list[int]]:
-    """`build_deps(p)` as the scheduler reads it, successor lists and
-    predecessor counts; kept on the program (`p.once(_dependences)`) in
-    place of the predecessor sets, which take about twice the memory."""
-    preds = build_deps(p)
-    succs: list[list[int]] = [[] for _ in preds]
-    for idx, ps in enumerate(preds):
-        for j in ps:
-            succs[j].append(idx)
-    return succs, [len(ps) for ps in preds]
-
-
 def _latency_key(hw: HardwareDescription) -> tuple:
     """The fields of `hw` that a latency schedule reads."""
     return hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override
@@ -656,7 +632,7 @@ def _latency_schedule(p: Program, hw: HardwareDescription):
     not depend on the slot count: it reads the fields of `_latency_key`
     only."""
     check_straight_line(p)
-    succs, npreds = p.once(_dependences)
+    succs, npreds = p.once(build_deps)
     table = hw.lat_table(p.n)
     lat = [table[i.op] for i in p.instrs]
     graph = (succs, npreds, lat, _priorities(lat, succs))
@@ -724,7 +700,7 @@ def _merge_memory(instrs: list[Instr], wrote: list, read: list,
     """Sink and source merges over the cells of DRAM symbol `sym` (of every
     cell if None), in place; returns the indices of the loads and stores
     merged away, which stay in `instrs`.  `wrote`, `read` =
-    `def_use(instrs)`.
+    `def_use(p)` of the program `instrs` lists.
 
     Sink, in one forward scan: an FU result read only by a store writes the
     cell itself when the cell's last access before the store is at or
@@ -770,7 +746,7 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
     that one FU operand reads through one of `hw.fifo_depth` channels
     `f<k>`, the lowest free one, held until that read."""
     instrs = list(p.instrs)
-    wrote, read = p.once(_def_use)
+    wrote, read = p.once(def_use)
     kill = _merge_memory(instrs, wrote, read)
     fifos = machine_regs("f")
     free: list[int] = []               # released ids, a heap; all < fresh
@@ -817,7 +793,7 @@ def _max_live(p: Program) -> int:
     """The scan of `max_liveness`."""
     change = [0] * (len(p.instrs) + 1)  # live values gained at each index
     live = peak = 0
-    for idx, (i, v) in enumerate(zip(p.instrs, p.once(_def_use)[0])):
+    for idx, (i, v) in enumerate(zip(p.instrs, p.once(def_use)[0])):
         live += change[idx]
         if v and i.dests[0].name.startswith("%"):
             peak = max(peak, live + 1)
@@ -848,7 +824,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     written, or if one instruction's sources and result need more than
     `hw.slots` slots."""
     # each virtual register's value: [writer, reads in scheduled order]
-    wrote = p.once(_def_use)[0]
+    wrote = p.once(def_use)[0]
     value = {i.dests[0].name: v for i, v in zip(p.instrs, wrote)
              if v and i.dests[0].name.startswith("%")}
     regs = machine_regs("r")         # grown as slots are first taken
@@ -955,7 +931,7 @@ def merge_spill_traffic(p: Program) -> Program:
     is written straight to the spill cell, and a spill load that one FU
     operand reads becomes that operand."""
     instrs = list(p.instrs)
-    kill = _merge_memory(instrs, *p.once(_def_use), "__spill")
+    kill = _merge_memory(instrs, *p.once(def_use), "__spill")
     return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
 
 

@@ -15,13 +15,13 @@ reads it or a view of it built at import (`FU_CLASS`, `UNITS`, ...).
 (`check_operands`), so no pass checks them again.
 
 `walk` is the one interpreter of the scalar subset, `ssa` the one renamer
-of what it yields, and `build_deps` the one dependence builder: the
-compiler unrolls to `ssa`, the scheduler and the simulator order by
-`build_deps`, and the golden executor runs the levels of
-`build_deps(ssa(prog))` as its waves.  The executor takes programs of any
-form (virtual or physical registers) and a memory image of residue
-polynomials, delegating every vector opcode to the kernels so metadata
-contracts are enforced for free.
+of what it yields, and `build_deps` the one dependence builder, of one
+graph form (successor lists): the compiler unrolls to `ssa`, the
+scheduler and the simulator order by `build_deps`, and the golden
+executor runs the levels of `build_deps(ssa(prog))` as its waves.  The
+executor takes programs of any form (virtual or physical registers) and
+a memory image of residue polynomials, delegating every vector opcode to
+the kernels so metadata contracts are enforced for free.
 
 The operands (`Vreg`, `SRef`, `CRef`, `Imm`, `Addr`) and `Instr` are
 frozen slotted dataclasses built by storing each field through its slot
@@ -30,9 +30,9 @@ which calls `object.__setattr__` per field.  A `Program` cannot change once
 built: its instructions are a tuple and its tables read-only views, and
 each pass builds a new program (`Program.with_`).  So an analysis of a
 program runs at most once and is kept on it (`Program.once`): the
-compiler's `def_use` and dependence graph, `asm.check_machine_form`,
-the simulator's `build_deps` and the executor's wave plan (`_waves`).  A
-second `simulate` or `execute_program` of one program plans nothing again.
+compiler's `def_use`, `build_deps`, `asm.check_machine_form` and the
+executor's wave plan (`_waves`).  A second `simulate` or
+`execute_program` of one program plans nothing again.
 """
 
 from __future__ import annotations
@@ -324,9 +324,9 @@ class Program:
     set.
 
     So an analysis of a program is computed at most once and kept on it
-    (`once`): the compiler's `def_use` and dependence graph, the
-    machine-form check, the simulator's `build_deps` and the executor's
-    wave plan."""
+    (`once`): the compiler's `def_use`, the `build_deps` that the
+    scheduler and the simulator read, the machine-form check and the
+    executor's wave plan."""
 
     n: int
     moduli: Mapping[str, Modulus]
@@ -814,11 +814,13 @@ def _addr_key(a: Addr):
     return a.sym, a.base
 
 
-def build_deps(p: Program) -> list[set[int]]:
-    """preds[k] = indices that must complete before instruction k: register
+def build_deps(p: Program) -> tuple[list[list[int]], list[int]]:
+    """(succs, npreds): succs[j] = ascending indices that wait for
+    instruction j to complete, npreds[k] = how many k waits for; register
     RAW/WAR/WAW plus memory order (WAR/WAW arise only once registers are
     reused, i.e. in machine code)."""
-    preds: list[set[int]] = []
+    succs: list[list[int]] = []
+    npreds: list[int] = []
     last_def: dict[str, int] = {}
     reg_readers: dict[str, list[int]] = {}
     last_write: dict = {}
@@ -832,7 +834,6 @@ def build_deps(p: Program) -> list[set[int]]:
 
     for idx, i in enumerate(p.instrs):
         ps: set[int] = set()
-        preds.append(ps)
         store = i.op == "store"         # its address is the cell it writes
         for s in i.srcs:
             kind = s.__class__
@@ -859,7 +860,11 @@ def build_deps(p: Program) -> list[set[int]]:
             elif kind is Addr:
                 write(_addr_key(d))
         ps.discard(idx)
-    return preds
+        succs.append([])
+        npreds.append(len(ps))
+        for j in ps:
+            succs[j].append(idx)
+    return succs, npreds
 
 
 # ---------------------------------------------------------------------------
@@ -1030,14 +1035,16 @@ def _waves(prog: Program) -> list[list[Instr]]:
     new value, so machine code's reuse of its registers orders nothing;
     an address cell keeps its order of reads and writes."""
     p = ssa(prog)
-    level: list[int] = []
+    succs = build_deps(p)[0]
+    level = [0] * len(p.instrs)
     waves: list[list[Instr]] = []
-    for i, ps in zip(p.instrs, build_deps(p)):
-        w = max(map(level.__getitem__, ps), default=-1) + 1
-        level.append(w)
+    for idx, i in enumerate(p.instrs):
+        w = level[idx]
         if w == len(waves):
             waves.append([])
         waves[w].append(i)
+        for s in succs[idx]:
+            level[s] = max(level[s], w + 1)
     return waves
 
 

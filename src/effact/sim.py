@@ -12,13 +12,14 @@ of the opcode table `ir.OPCODES`) and HardwareDescription.lat/xfer.
 `simulate` is one pass over the program.  Each register is classified
 once per call, at its first use in program order, as an SRAM slot or a
 FIFO channel and checked against the hardware (`_slot`); an address
-operand of a unit is streamed.  The DRAM channel's next free cycle and the
-byte counters are locals of the pass, and an instruction builds a set of
-SRAM slots only when it accesses two distinct ones, the least that can
-meet a bank conflict.  The pass records the cycle each instruction
-completes: `SimReport.complete`, the per-instruction record.  The critical
-path is computed apart from the pass, so `cycles >= critical_path` checks
-it.  Like a compile step, a simulation runs under `ir._collector_scope`.
+operand of a unit is streamed.  The DRAM channel's next free cycle and
+the byte counters are locals of the pass, and an instruction builds a
+set of SRAM slots only when it accesses two distinct ones, the least
+that can meet a bank conflict.  The pass records the cycle each
+instruction completes (`SimReport.complete`) and pushes it to its
+successors.  The critical path is computed apart from the pass
+(`compiler._priorities`), so `cycles >= critical_path` checks it.  Like
+a compile step, a simulation runs under `ir._collector_scope`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .compiler import (
     WORD_BYTES,
     HardwareDescription,
     UnitPool,
-    _longest_path,
+    _priorities,
     back_ends,
     front_end,
 )
@@ -132,7 +133,7 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     n = p.n
     xfer = hw.xfer(n)
     lat_of = hw.lat_table(n)
-    preds = p.once(build_deps)
+    succs = p.once(build_deps)[0]
     poly_bytes = WORD_BYTES * n
     banks = hw.banks
 
@@ -144,13 +145,13 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     channel_free = dram_busy = 0       # the DRAM channel
     load_b = store_b = stream_b = 0    # its bytes, by kind of transfer
     complete = [0] * len(p.instrs)
-    done_at = complete.__getitem__
+    ready_at = [0] * len(p.instrs)    # the latest completion of its preds
     conflicts_total = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)
     slot = _Slots(hw)
 
     for idx, i in enumerate(p.instrs):
-        ready = max(map(done_at, preds[idx]), default=0)
+        ready = ready_at[idx]
         cls, pool, lat = unit[i.op]
         if pool is None:
             # a load or store is its own transfer: it ends no earlier than
@@ -161,7 +162,10 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
             start = ready if ready > channel_free else channel_free
             channel_free = start + xfer
             dram_busy += xfer
-            complete[idx] = start + (lat if lat > xfer else xfer)
+            complete[idx] = done = start + (lat if lat > xfer else xfer)
+            for s in succs[idx]:
+                if ready_at[s] < done:
+                    ready_at[s] = done
             if i.op == "load":
                 load_b += poly_bytes
             else:
@@ -224,6 +228,9 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
         pool.take(end)
         busy[cls] += end - start
         complete[idx] = done = end if end > drained else drained
+        for s in succs[idx]:
+            if ready_at[s] < done:
+                ready_at[s] = done
         if reads or writes:
             fifo_events += [(done, 1)] * writes + [(start, -1)] * reads
 
@@ -231,7 +238,8 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):
         occ += delta
         fifo_peak = max(fifo_peak, occ)
-    cp = _longest_path(p, hw, preds)
+    cp = max(_priorities([lat_of[i.op] for i in p.instrs], succs),
+             default=0)
     busy["dram"] = dram_busy
     fu_count = {cls: hw.fu_count(cls) for cls in busy}
     rep = SimReport(max(complete, default=0), busy, fu_count, load_b,

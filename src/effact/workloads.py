@@ -359,6 +359,8 @@ def gen_hoisted_rotations(wp: WorkloadParams, steps=(1, 2)) -> str:
 def gen_helr_iteration(wp: WorkloadParams, batch: int = 8) -> str:
     """Gradient-step trace: MAC-dominated plaintext multiplies over a
     weight ciphertext, one rotation for the partial-sum reduction."""
+    if batch < 1:
+        raise ValueError(f"HELR batch must be at least 1, not {batch}")
     b = _Builder(wp)
     l = wp.l
     b.dram("ct0", l + 1)
@@ -490,11 +492,15 @@ def _calibrate(b: _Builder, c0, c1, pts, lvl):
 # instruction-mix analysis
 
 def instruction_mix(p: Program) -> dict[str, int]:
-    """Category histogram; conversion-attributed ops rely on provenance
-    tags placed by the lowering pass."""
+    """Category histogram of operations, a `mac` counting as a multiply and
+    an add; conversion-attributed ops rely on provenance tags placed by
+    the lowering pass."""
     counts = dict.fromkeys(CATEGORIES, 0)
     for i in p.instrs:
-        counts[_MIX.get(i.op, _CATEGORY[None])[bool(i.meta.get("bc"))]] += 1
+        bc = bool(i.meta.get("bc"))
+        counts[_MIX.get(i.op, _CATEGORY[None])[bc]] += 1
+        if i.op == "mac":
+            counts[_CATEGORY["madd"][bc]] += 1
     return counts
 
 

@@ -135,8 +135,9 @@ def test_bad_flags_exit_code(src):
     assert e.value.code == 2
 
 
-def test_exec_roundtrip(src, tmp_path, capsys):
-    # build an input image for the program
+@pytest.fixture
+def mem(tmp_path):
+    """An input image for SMALL."""
     from effact.poly import SM, make_poly, ntt_fwd
     from effact.rns import make_modulus
     prog = parse_ir(SMALL)
@@ -144,8 +145,12 @@ def test_exec_roundtrip(src, tmp_path, capsys):
     m = make_modulus(97, 16)
     for k in range(4):
         img.dram["x"][k] = ntt_fwd(make_poly(m, [k + 1] * 16, repr=SM))
-    mem = tmp_path / "in.emem"
-    mem.write_bytes(save_image(img, 16))
+    p = tmp_path / "in.emem"
+    p.write_bytes(save_image(img, 16))
+    return p
+
+
+def test_exec_roundtrip(src, mem, tmp_path, capsys):
     out = tmp_path / "out.emem"
     assert main(["exec", str(src), "--image", str(mem),
                  "-o", str(out)]) == 0
@@ -598,6 +603,35 @@ def test_gen_invalid_params(capsys):
     assert main(["gen", "bootstrap", "--N", "256", "--L", "3",
                  "--dnum", "2"]) == 1   # no level budget
     assert "error[gen]" in capsys.readouterr().err
+    # a HELR batch below one once wrote `intt.defer None`
+    for batch in ("0", "-1"):
+        assert main(["gen", "helr", "--batch", batch]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[gen]: HELR batch")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["compile", "{src}", "-o", "{out}.easm"],
+    ["compile", "{src}", "-o", "{out}.ebin"],
+    ["compile", "{src}", "--json", "{out}"],
+    ["exec", "{src}", "--image", "{mem}", "-o", "{out}"],
+    ["gen", "random", "-o", "{out}"],
+    ["sweep", "{src}", "--slots", "8", "-o", "{out}"],
+    ["sim", "{src}", "--json", "{out}"],
+    ["analyze", "{src}", "--json", "{out}"],
+], ids=lambda a: " ".join(x for x in a if not x.startswith("{")))
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_an_unwritable_output_is_a_tagged_error(args, where, src, mem,
+                                                tmp_path, capsys):
+    if where == "missing directory":
+        out = tmp_path / "missing" / "x"
+    else:
+        out = tmp_path / "d"
+        for suffix in ("", ".easm", ".ebin"):
+            (tmp_path / f"d{suffix}").mkdir()
+    assert main([a.format(src=src, mem=mem, out=out) for a in args]) == 1
+    assert capsys.readouterr().err.startswith("error[write]: ")
 
 
 # forms the operand table rejects at parse; each once compiled to code

@@ -71,6 +71,20 @@ def outputs(prog, img, sym="y"):
     return [None if v is None else v.to_ints() for v in res.dram[sym]]
 
 
+def pred_sets(graph):
+    """The predecessor sets of a `build_deps` graph (succs, npreds),
+    checking that each successor list ascends without repeats and that
+    npreds counts the predecessors."""
+    succs, npreds = graph
+    preds = [set() for _ in succs]
+    for j, ss in enumerate(succs):
+        assert ss == sorted(set(ss))
+        for k in ss:
+            preds[k].add(j)
+    assert npreds == [len(ps) for ps in preds]
+    return preds
+
+
 def random_program(rng, nmods=2, size=24):
     """Straight-line vector program over NTT-domain SM inputs."""
     qs = ["q0", "q1"][:nmods]
@@ -486,8 +500,7 @@ def test_schedule_preserves_chains_and_bounds():
         # issue cycles respect dependences
         cycle = s.notes["issue_cycles"]
         assert len(cycle) == len(s.instrs)
-        deps = build_deps(s)
-        for idx, ps in enumerate(deps):
+        for idx, ps in enumerate(pred_sets(build_deps(s))):
             for j in ps:
                 assert cycle[j] + HW.lat(s.instrs[j].op, p.n) <= cycle[idx]
 
@@ -545,7 +558,7 @@ def test_pressure_schedule_keeps_semantics_and_dependences(seed, slots):
     assert sorted(pos.values()) == list(range(len(u.instrs)))
     cycle = s.notes["issue_cycles"]
     assert len(cycle) == len(s.instrs)
-    for idx, ps in enumerate(build_deps(u)):
+    for idx, ps in enumerate(pred_sets(build_deps(u))):
         b = pos[key(u.instrs[idx])]
         for a in (pos[key(u.instrs[j])] for j in ps):
             assert a < b
@@ -1049,7 +1062,7 @@ def test_def_use_gives_one_value_per_write_of_a_reused_register():
     p = parse_ir(header() + ("r0 = load @x[0]\nr1 = mmul r0, r0, q0\n"
                              "r0 = ntt r1, q0\nstore r0, @y[0]\n"
                              "r0 = mmad r0, r2, q0\nstore r0, @y[1]\n"))
-    wrote, read = def_use(p.instrs)
+    wrote, read = def_use(p)
     assert wrote == [[0, 1, 1], [1, 2], [2, 3, 4], None, [4, 5], None]
     assert read == [[None, 0, 1, 2, 2, 4], [None, 0, None, None, None, None]]
     # on allocated code: each write of a register starts a value, which
@@ -1057,7 +1070,7 @@ def test_def_use_gives_one_value_per_write_of_a_reused_register():
     mc = compile_program(gen_keyswitch(WorkloadParams(n=256, levels=3,
                                                       dnum=2)),
                          replace(HW, slots=6, streaming=False))
-    wrote, read = def_use(mc.instrs)
+    wrote, read = def_use(mc)
     writes = {}
     for k, i in enumerate(mc.instrs):
         for s, src in enumerate(i.srcs):
@@ -1086,7 +1099,7 @@ def test_def_use_agrees_with_the_name_keyed_scan(gen):
             "random": lambda: _gen_random(7)}[gen]()
     lowered = lower(unroll(parse_ir(text)))
     for p in (lowered, front_end(text)):
-        wrote, read = def_use(p.instrs)
+        wrote, read = def_use(p)
         defs, uses = {}, {}
         for k, i in enumerate(p.instrs):
             if wrote[k]:

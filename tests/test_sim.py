@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import weakref
 from bisect import bisect_left
@@ -18,7 +20,6 @@ from effact.compiler import (
     UnitPool,
     _addr_key,
     _list_schedule,
-    _longest_path,
     _priorities,
     _uses,
     alloc_sram,
@@ -33,8 +34,9 @@ from effact.compiler import (
     merge_streaming,
     schedule,
 )
-from effact.ir import (Addr, Instr, IrError, Vreg, blank_image,
-                       execute_program, machine_regs, parse_ir)
+from effact.ir import (Addr, Instr, IrError, Vreg, _waves, blank_image,
+                       execute_program, machine_regs, parse_ir, print_program,
+                       ssa)
 from effact.poly import SM, make_poly, ntt_fwd
 from effact.rns import make_modulus
 from effact.sim import SimReport, compare_streaming, simulate, sweep_sram
@@ -45,7 +47,7 @@ from effact.workloads import (
     gen_hoisted_rotations,
     gen_keyswitch,
 )
-from test_compiler import mem_accesses, random_program
+from test_compiler import mem_accesses, pred_sets, random_program
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -115,7 +117,9 @@ def test_register_reuse_is_on_the_critical_path():
 def test_simulate_invariant_is_an_explicit_error(monkeypatch):
     import effact.sim as sim
     p = machine(header() + "%a = load @x[0]\nstore %a, @y[0]\n")
-    monkeypatch.setattr(sim, "_longest_path", lambda p, hw, preds: 10 ** 12)
+    # simulate takes the critical path from the longest-path priorities
+    monkeypatch.setattr(sim, "_priorities",
+                        lambda lat, succs: [10 ** 12] * len(lat))
     with pytest.raises(RuntimeError, match="critical path"):
         simulate(p, HW)
 
@@ -604,7 +608,13 @@ def simulate_oracle(p, hw):
     for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):
         occ += delta
         fifo_peak = max(fifo_peak, occ)
-    cp = _longest_path(p, hw, preds)
+    # the critical path forward over the predecessor sets, apart from the
+    # backward `_priorities` that simulate reads
+    finish = []
+    for idx, i in enumerate(p.instrs):
+        finish.append(max((finish[j] for j in preds[idx]), default=0)
+                      + lat_of[i.op])
+    cp = max(finish, default=0)
     fu_count = {cls: hw.fu_count(cls) for cls in busy}
     return SimReport(max(complete, default=0), busy, fu_count, moved["load"],
                      moved["store"], stream_b, conflicts_total, fifo_peak, cp,
@@ -614,7 +624,7 @@ def simulate_oracle(p, hw):
 def same_as_oracles(p, hw):
     """Check simulate and build_deps against the oracles; the text of the
     ValueError both raise, None if neither does."""
-    assert build_deps(p) == build_deps_oracle(p)
+    assert pred_sets(build_deps(p)) == build_deps_oracle(p)
     try:
         want = simulate_oracle(p, hw)
     except ValueError as e:
@@ -645,7 +655,7 @@ GOLDEN_SIM = (
                               "l12_boot"])
 def test_simulate_matches_its_oracle_on_golden_programs(gen, wp, slots):
     front = front_end(gen(wp))
-    assert build_deps(front) == build_deps_oracle(front)
+    assert pred_sets(build_deps(front)) == build_deps_oracle(front)
     hws = [HardwareDescription(slots=s, streaming=on)
            for s in slots for on in (True, False)]
     for mc, hw in zip(back_ends(front, hws), hws):
@@ -657,7 +667,7 @@ def test_simulate_matches_its_oracle_on_random_programs():
     for seed in range(30):
         src = random_program(random.Random(seed))
         front = front_end(src)
-        assert build_deps(front) == build_deps_oracle(front)
+        assert pred_sets(build_deps(front)) == build_deps_oracle(front)
         for slots in range(2, 9):
             for on in (True, False):
                 hw = replace(HW, slots=slots, streaming=on)
@@ -704,6 +714,62 @@ def test_simulate_classifies_each_register_once(monkeypatch):
     simulate(mc, HardwareDescription(slots=16))
     assert len(names) > len(set(names)) > 16
     assert calls == list(dict.fromkeys(names))
+
+
+def waves_oracle(prog):
+    """The executor's waves pulled from the predecessor sets: each
+    instruction of `ssa(prog)` one wave after its latest predecessor's."""
+    p = ssa(prog)
+    level, waves = [], []
+    for i, ps in zip(p.instrs, build_deps_oracle(p)):
+        w = max((level[j] for j in ps), default=-1) + 1
+        level.append(w)
+        if w == len(waves):
+            waves.append([])
+        waves[w].append(i)
+    return waves
+
+
+@pytest.mark.parametrize("gen,wp,slots", GOLDEN_SIM,
+                         ids=["desk_ks", "hoisted", "helr", "l24_ks",
+                              "l12_boot"])
+def test_waves_match_the_pulled_levels_on_golden_programs(gen, wp, slots):
+    # no executor result can see a changed wave grouping, so the waves are
+    # compared themselves, in source form and in machine form
+    src = parse_ir(gen(wp))
+    hws = [HardwareDescription(slots=slots[0], streaming=on)
+           for on in (True, False)]
+    for p in (src, *back_ends(front_end(src), hws)):
+        waves = _waves(p)
+        assert waves == waves_oracle(p)
+        assert len(waves) > 1
+
+
+def test_waves_match_the_pulled_levels_on_random_programs():
+    for seed in range(30):
+        src = random_program(random.Random(seed), size=40)
+        for p in (src, compile_program(src, HW)):
+            assert _waves(p) == waves_oracle(p)
+
+
+def test_back_ends_of_random_programs_are_unchanged():
+    # `random_program` seeds 0-19 through `back_ends` at 4, 8 and 64
+    # slots, streaming on and off, one and eight FIFO channels: each
+    # result's text, notes, report and completion cycles, hashed in that
+    # order; the digest was taken before the dependence graph became
+    # successor lists
+    h = hashlib.sha256()
+    hws = [HardwareDescription(slots=slots, streaming=on, fifo_depth=depth)
+           for slots in (4, 8, 64) for on in (True, False)
+           for depth in (1, 8)]
+    for seed in range(20):
+        front = front_end(random_program(random.Random(seed), size=40))
+        for hw, mc in zip(hws, back_ends(front, hws), strict=True):
+            rep = simulate(mc, hw)
+            h.update(print_program(mc).encode())
+            h.update(json.dumps(mc.notes, sort_keys=True).encode())
+            h.update(json.dumps([rep.to_dict(), rep.complete]).encode())
+    assert h.hexdigest()[:16] == "3ef904a2639772de"
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +956,7 @@ ORACLE_SLOTS = (4, 8, 16, 32, 64, 256)
 
 
 def same_def_use(p):
-    assert def_use(p.instrs) == def_use_oracle(p.instrs)
+    assert def_use(p) == def_use_oracle(p.instrs)
 
 
 def same_allocation(p, hw):
@@ -918,7 +984,8 @@ def same_back_end_loops(front, slot_counts=ORACLE_SLOTS):
     front-end program, at each slot count with streaming on and off; what
     each allocation gave (`same_allocation`), in that order."""
     same_def_use(front)
-    succs, npreds = compiler._dependences(front)
+    succs, npreds = build_deps(front)
+    assert pred_sets((succs, npreds)) == build_deps_oracle(front)
     table = HardwareDescription().lat_table(front.n)
     lat = [table[i.op] for i in front.instrs]
     graph = (succs, npreds, lat, _priorities(lat, succs))

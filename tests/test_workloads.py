@@ -9,8 +9,10 @@ from effact import ckks
 from effact.compiler import (
     HardwareDescription,
     compile_program,
+    front_end,
     lower,
     peephole_merge,
+    pre,
     schedule,
     unroll,
 )
@@ -258,6 +260,26 @@ def test_mix_partition_and_pass_invariance():
         assert mmix[cat] == mix[cat]
 
 
+@pytest.mark.parametrize("wp,gen", [
+    (WorkloadParams(n=2 ** 16, levels=12, dnum=4, l_cts=2, l_evalmod=4,
+                    l_stc=2), gen_bootstrap_skeleton),
+    (WorkloadParams(n=2 ** 16, levels=24, dnum=4), gen_keyswitch),
+    (WorkloadParams(n=1024, levels=4, dnum=2), gen_keyswitch),
+], ids=["l12_boot", "l24_ks", "desk_ks"])
+def test_a_mac_counts_as_a_multiply_and_an_add(wp, gen):
+    # peephole_merge fuses multiplies and adds into macs, and the mix of
+    # what it returns is the mix of what `pre` gave it
+    text = gen(wp)
+    front = front_end(text)
+    assert any(i.op == "mac" for i in front.instrs)
+    mix = instruction_mix(front)
+    assert mix == instruction_mix(pre(lower(unroll(parse_ir(text)))))
+    if gen is gen_bootstrap_skeleton:
+        assert mix == {"MULT": 1964, "ADD": 5475, "BC_MULT": 2020,
+                       "BC_ADD": 1236, "NTT": 784, "AUTO": 392,
+                       "LOAD/STORE": 185, "OTHERS": 0}
+
+
 def test_bootstrap_skeleton_desk_scale_executes():
     wp = WorkloadParams(n=256, levels=3, dnum=2,
                         l_cts=1, l_evalmod=1, l_stc=1)
@@ -291,6 +313,9 @@ def test_generator_argument_errors():
         gen_hoisted_rotations(WP, steps=())
     with pytest.raises(ValueError):
         gen_bootstrap_skeleton(WP)   # no level budget
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match="HELR batch"):
+            gen_helr_iteration(WP, batch=batch)
 
 
 # ---------------------------------------------------------------------------
