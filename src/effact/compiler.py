@@ -27,8 +27,9 @@ are one list in `notes["issue_cycles"]`, aligned with the scheduled
 order, which `back_ends` drops, since later passes change that order.
 
 `def_use` is the one source of def/use facts, the pressure scheduler's
-included, and `_priorities` the one longest-path routine, the
-simulator's included.  `pre` keys each pure op by what it reads after
+included, and `_priorities` the scheduler's one longest-path routine;
+the simulator takes its critical path from its own scoreboard pass,
+with no graph.  `pre` keys each pure op by what it reads after
 its replacements: in SSA code a value's first name is its value number.
 `merge_streaming` makes the sink and source merges (`_merge_memory`)
 over every DRAM cell, and `merge_spill_traffic` over the `__spill`
@@ -482,7 +483,7 @@ def peephole_merge(p: Program) -> Program:
 
 def _priorities(lat: list[int], succs: list[list[int]]) -> list[int]:
     """Longest latency-weighted path from each instruction to any exit;
-    the largest is the critical path, of a schedule and of a simulation."""
+    the largest is the critical path of a schedule."""
     prio = [0] * len(lat)
     for idx in range(len(lat) - 1, -1, -1):
         prio[idx] = lat[idx] + max(map(prio.__getitem__, succs[idx]),

@@ -17,8 +17,8 @@ reads it or a view of it built at import (`FU_CLASS`, `UNITS`, ...).
 `walk` is the one interpreter of the scalar subset, `ssa` the one renamer
 of what it yields, and `build_deps` the one dependence builder, of one
 graph form (successor lists): the compiler unrolls to `ssa`, the
-scheduler and the simulator order by `build_deps`, and the golden
-executor runs the levels of `build_deps(ssa(prog))` as its waves.  The
+scheduler orders by `build_deps` (the simulator's scoreboard keys the
+same accesses, with no graph), and the golden executor runs the levels of `build_deps(ssa(prog))` as its waves.  The
 executor takes programs of any form (virtual or physical registers) and
 a memory image of residue polynomials, delegating every vector opcode to
 the kernels so metadata contracts are enforced for free.
@@ -325,8 +325,8 @@ class Program:
 
     So an analysis of a program is computed at most once and kept on it
     (`once`): the compiler's `def_use`, the `build_deps` that the
-    scheduler and the simulator read, the machine-form check and the
-    executor's wave plan."""
+    scheduler reads, the machine-form check and the executor's wave
+    plan."""
 
     n: int
     moduli: Mapping[str, Modulus]
@@ -774,7 +774,7 @@ def walk(prog: Program):
 
 
 # ---------------------------------------------------------------------------
-# SSA and dependences, for the compiler, the simulator and the executor
+# SSA and dependences, for the compiler and the executor
 
 def ssa(prog: Program) -> Program:
     """The vector instructions `walk` yields, in SSA form: each register

@@ -5,20 +5,28 @@ units (MAC on the multiplier array, as `schedule` books it), a
 bandwidth-limited DRAM channel with a fixed base latency, SRAM
 bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
-SRAM.  Dependences, unit classes and latencies come from one machine model:
-`ir.build_deps` (built once per program and kept on it), FU_CLASS (a view
-of the opcode table `ir.OPCODES`) and HardwareDescription.lat/xfer.
+SRAM.  Unit classes and latencies come from one machine model: FU_CLASS
+(a view of the opcode table `ir.OPCODES`) and HardwareDescription.lat/xfer.
 
-`simulate` is one pass over the program.  Each register is classified
-once per call, at its first use in program order, as an SRAM slot or a
-FIFO channel and checked against the hardware (`_slot`); an address
-operand of a unit is streamed.  The DRAM channel's next free cycle and
-the byte counters are locals of the pass, and an instruction builds a
-set of SRAM slots only when it accesses two distinct ones, the least
-that can meet a bank conflict.  The pass records the cycle each
-instruction completes (`SimReport.complete`) and pushes it to its
-successors.  The critical path is computed apart from the pass
-(`compiler._priorities`), so `cycles >= critical_path` checks it.  Like
+`simulate` is one pass over the program, with no dependence graph.  Its
+scoreboard (`_Board`) keeps, for each register and each DRAM cell
+(`ir._addr_key`), the cycle its last writer completes and the latest cycle
+a reader completes.  An instruction is ready at the writer entry of each
+key it reads and both entries of each key it writes: the latest completion
+among its `ir.build_deps` predecessors (register RAW, WAR and WAW, and the
+order of the accesses to each cell).  The reader entry is a running max,
+never reset at a write: a reader before the last write completes no later
+than that writer, which waited for it.  The board keeps the same two
+entries as longest-path lengths with unbounded units, so the critical path
+comes from the same pass.
+
+Each register is classified once per call, at its first use in program
+order, as an SRAM slot or a FIFO channel and checked against the hardware
+(`_slot`); an address operand of a unit is streamed.  The DRAM channel's
+next free cycle and the byte counters are locals of the pass.  A bank
+conflict between two distinct SRAM slots is one comparison; only an
+instruction that accesses a third builds a set of their banks.  The pass
+records the cycle each instruction completes (`SimReport.complete`).  Like
 a compile step, a simulation runs under `ir._collector_scope`.
 """
 
@@ -33,12 +41,11 @@ from .compiler import (
     WORD_BYTES,
     HardwareDescription,
     UnitPool,
-    _priorities,
     back_ends,
     front_end,
 )
-from .ir import (FU_CLASS, UNITS, Addr, Program, Vreg, _collector_scope,
-                 build_deps)
+from .ir import (FU_CLASS, UNITS, Addr, Program, Vreg, _addr_key,
+                 _collector_scope)
 
 
 @dataclass
@@ -114,6 +121,16 @@ def _slot(reg: str, hw: HardwareDescription) -> int:
     return -1
 
 
+class _Board(dict):
+    """The scoreboard: a register name or DRAM cell (`ir._addr_key`) ->
+    [the cycle its last writer completes, the latest cycle a reader
+    completes, the same two as longest-path lengths]."""
+
+    def __missing__(self, key) -> list[int]:
+        e = self[key] = [0, 0, 0, 0]
+        return e
+
+
 class _Slots(dict):
     """Register name -> its `_slot` on one hardware description, each
     register classified, and checked, at its first lookup."""
@@ -133,7 +150,6 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     n = p.n
     xfer = hw.xfer(n)
     lat_of = hw.lat_table(n)
-    succs = p.once(build_deps)[0]
     poly_bytes = WORD_BYTES * n
     banks = hw.banks
 
@@ -144,102 +160,121 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
             for op, cls in FU_CLASS.items()}
     channel_free = dram_busy = 0       # the DRAM channel
     load_b = store_b = stream_b = 0    # its bytes, by kind of transfer
-    complete = [0] * len(p.instrs)
-    ready_at = [0] * len(p.instrs)    # the latest completion of its preds
-    conflicts_total = 0
+    complete = []
+    conflicts_total = cp = 0
     fifo_events: list[tuple[int, int]] = []   # (cycle, +1/-1)
     slot = _Slots(hw)
+    board = _Board()
 
-    for idx, i in enumerate(p.instrs):
-        ready = ready_at[idx]
+    for i in p.instrs:
         cls, pool, lat = unit[i.op]
         if pool is None:
             # a load or store is its own transfer: it ends no earlier than
             # its last word leaves the channel
-            for o in i.srcs + i.dests:
-                if o.__class__ is Vreg:
-                    slot[o.name]        # checked, though no unit reads it
+            if i.op == "load":
+                reg = i.dests[0].name
+                src, put = board[_addr_key(i.srcs[0])], board[reg]
+                load_b += poly_bytes
+            else:
+                reg = i.srcs[0].name
+                src, put = board[reg], board[_addr_key(i.srcs[1])]
+                store_b += poly_bytes
+            slot[reg]                   # checked, though no unit reads it
+            ready = max(src[0], put[0], put[1])
+            path = max(src[2], put[2], put[3])
             start = ready if ready > channel_free else channel_free
             channel_free = start + xfer
             dram_busy += xfer
-            complete[idx] = done = start + (lat if lat > xfer else xfer)
-            for s in succs[idx]:
-                if ready_at[s] < done:
-                    ready_at[s] = done
-            if i.op == "load":
-                load_b += poly_bytes
+            done = start + (lat if lat > xfer else xfer)
+            got = (src,)
+        else:
+            sram = []               # the distinct SRAM slots it accesses
+            reads = streams = 0     # FIFO channels read, sources streamed
+            got = []                # the entries of the keys it reads
+            for o in i.srcs:
+                kind = o.__class__
+                if kind is Vreg:
+                    name = o.name
+                    got.append(board[name])
+                    k = slot[name]
+                    if k < 0:
+                        reads += 1
+                    elif k not in sram:
+                        sram.append(k)
+                elif kind is Addr:
+                    got.append(board[_addr_key(o)])
+                    streams += 1
+            o = i.dests[0]          # every unit writes one result
+            drain = o.__class__ is Addr     # streamed to DRAM
+            writes = 0              # FIFO channels written
+            if drain:
+                put = board[_addr_key(o)]
             else:
-                store_b += poly_bytes
-            continue
-        start = pool.earliest()
-        if ready > start:
-            start = ready
-        first = -1                  # the first SRAM slot the unit accesses
-        sram = None                 # all of them, once there are two
-        reads = writes = 0          # FIFO channels read and written
-        drained = 0
-        for o in i.srcs:
-            kind = o.__class__
-            if kind is Vreg:
-                k = slot[o.name]
+                name = o.name
+                put = board[name]
+                k = slot[name]
                 if k < 0:
-                    reads += 1
-                elif first < 0:
-                    first = k
-                elif k != first:
-                    if sram is None:
-                        sram = {first, k}
-                    else:
-                        sram.add(k)
-            elif kind is Addr:
-                # streamed: the unit starts once the first elements arrive
-                t = ready if ready > channel_free else channel_free
-                channel_free = t + xfer
-                dram_busy += xfer
-                if t + DRAM_BASE > start:
-                    start = t + DRAM_BASE
-                stream_b += poly_bytes
-        for o in i.dests:
-            if o.__class__ is Vreg:
-                k = slot[o.name]
-                if k < 0:
-                    writes += 1
-                elif first < 0:
-                    first = k
-                elif k != first:
-                    if sram is None:
-                        sram = {first, k}
-                    else:
-                        sram.add(k)
-            else:
+                    writes = 1
+                elif k not in sram:
+                    sram.append(k)
+            ready = put[0] if put[0] > put[1] else put[1]
+            path = put[2] if put[2] > put[3] else put[3]
+            for e in got:
+                if e[0] > ready:
+                    ready = e[0]
+                if e[2] > path:
+                    path = e[2]
+            start = pool.earliest()
+            if ready > start:
+                start = ready
+            if streams:
+                # the unit starts once the first elements of each arrive
+                for _ in range(streams):
+                    t = ready if ready > channel_free else channel_free
+                    channel_free = t + xfer
+                    if t + DRAM_BASE > start:
+                        start = t + DRAM_BASE
+                dram_busy += streams * xfer
+                stream_b += streams * poly_bytes
+            # SRAM bank conflicts serialize same-cycle accesses to distinct
+            # slots that share a bank
+            end = start + lat
+            if len(sram) > 1:
+                conf = (sram[0] % banks == sram[1] % banks if len(sram) == 2
+                        else len(sram) - len({k % banks for k in sram}))
+                conflicts_total += conf
+                end += conf
+            pool.take(end)
+            busy[cls] += end - start
+            done = end
+            if drain:
                 # a streamed result drains to DRAM as it is produced
                 t = start if start > channel_free else channel_free
                 channel_free = t + xfer
                 dram_busy += xfer
-                drained = t + DRAM_BASE + xfer
                 stream_b += poly_bytes
-        # SRAM bank conflicts serialize same-cycle accesses to distinct
-        # slots that share a bank
-        end = start + lat
-        if sram is not None:
-            conf = len(sram) - len({k % banks for k in sram})
-            conflicts_total += conf
-            end += conf
-        pool.take(end)
-        busy[cls] += end - start
-        complete[idx] = done = end if end > drained else drained
-        for s in succs[idx]:
-            if ready_at[s] < done:
-                ready_at[s] = done
-        if reads or writes:
-            fifo_events += [(done, 1)] * writes + [(start, -1)] * reads
+                if t + DRAM_BASE + xfer > done:
+                    done = t + DRAM_BASE + xfer
+            if reads or writes:
+                fifo_events += [(done, 1)] * writes + [(start, -1)] * reads
+        # the board: its keys are read until `done`, and written then; the
+        # longest path with unbounded units ends `lat` after `path`
+        complete.append(done)
+        path += lat
+        if path > cp:
+            cp = path
+        for e in got:
+            if e[1] < done:
+                e[1] = done
+            if e[3] < path:
+                e[3] = path
+        put[0] = done
+        put[2] = path
 
     fifo_peak = occ = 0
     for _, delta in sorted(fifo_events, key=lambda e: (e[0], -e[1])):
         occ += delta
         fifo_peak = max(fifo_peak, occ)
-    cp = max(_priorities([lat_of[i.op] for i in p.instrs], succs),
-             default=0)
     busy["dram"] = dram_busy
     fu_count = {cls: hw.fu_count(cls) for cls in busy}
     rep = SimReport(max(complete, default=0), busy, fu_count, load_b,

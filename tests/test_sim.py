@@ -117,11 +117,29 @@ def test_register_reuse_is_on_the_critical_path():
 def test_simulate_invariant_is_an_explicit_error(monkeypatch):
     import effact.sim as sim
     p = machine(header() + "%a = load @x[0]\nstore %a, @y[0]\n")
-    # simulate takes the critical path from the longest-path priorities
-    monkeypatch.setattr(sim, "_priorities",
-                        lambda lat, succs: [10 ** 12] * len(lat))
+
+    class Board(sim._Board):
+        # every key starts on a longest path far beyond any schedule
+        def __missing__(self, key):
+            e = self[key] = [0, 0, 10 ** 12, 0]
+            return e
+
+    monkeypatch.setattr(sim, "_Board", Board)
     with pytest.raises(RuntimeError, match="critical path"):
         simulate(p, HW)
+
+
+def test_dram_bytes_beyond_the_channel_are_an_explicit_error(monkeypatch):
+    # a transfer that holds the channel for one cycle whatever its size
+    # moves more bytes than the simulated cycles carry
+    p = machine(header() + "".join(f"%v{k} = load @x[{k}]\n"
+                                   f"store %v{k}, @y[{k}]\n"
+                                   for k in range(8)), streaming=False)
+    hw = replace(HW, dram_bw=1)
+    assert simulate(p, hw).cycles * hw.dram_bw >= 16 * WORD_BYTES * N
+    monkeypatch.setattr(HardwareDescription, "xfer", lambda self, n: 1)
+    with pytest.raises(RuntimeError, match="do not fit"):
+        simulate(p, hw)
 
 
 def test_serial_ntts_on_one_unit():
@@ -432,10 +450,15 @@ def test_the_last_configuration_allocates_without_the_shared_tables(
 
 
 def test_a_program_is_analyzed_once(monkeypatch):
+    # simulate builds no dependence graph and no longest-path priorities;
     # a second simulate and a second execute_program of one program build
-    # no new dependence graph, machine-form scan or wave plan
+    # no new machine-form scan or wave plan
     from test_compiler import random_image, random_program
     from effact import asm, ir, sim
+    rng = random.Random(6)
+    src = random_program(rng, size=40)
+    machine = compile_program(src, HW)
+    img = random_image(src, rng)
     calls = {}
 
     def count(module, name):
@@ -447,27 +470,27 @@ def test_a_program_is_analyzed_once(monkeypatch):
             return fn(*args, **kw)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((sim, "build_deps"), (asm, "_scan_machine_form"),
-                         (ir, "ssa"), (ir, "build_deps"), (ir, "_waves")):
+    assert not hasattr(sim, "build_deps") and not hasattr(sim, "_priorities")
+    for module, name in ((asm, "_scan_machine_form"), (ir, "ssa"),
+                         (ir, "build_deps"), (ir, "_waves"),
+                         (compiler, "_priorities")):
         count(module, name)
-    rng = random.Random(6)
-    src = random_program(rng, size=40)
-    machine = compile_program(src, HW)
-    img = random_image(src, rng)
     first = simulate(machine, HW).to_dict()
-    assert calls == {"effact.sim.build_deps": 1,
-                     "effact.asm._scan_machine_form": 1}
+    assert calls == {"effact.asm._scan_machine_form": 1}
     assert simulate(machine, HW).to_dict() == first
+    assert calls == {"effact.asm._scan_machine_form": 1}
     out = execute_program(machine, img).dram["y"]
     plan = {"effact.ir._waves": 1, "effact.ir.ssa": 1,
             "effact.ir.build_deps": 1}
-    assert calls == {"effact.sim.build_deps": 1,
-                     "effact.asm._scan_machine_form": 1, **plan}
+    assert calls == {"effact.asm._scan_machine_form": 1, **plan}
     again = execute_program(machine, img).dram["y"]
     assert [x if x is None else x.to_ints() for x in again] == \
         [x if x is None else x.to_ints() for x in out]
-    assert calls == {"effact.sim.build_deps": 1,
-                     "effact.asm._scan_machine_form": 1, **plan}
+    assert calls == {"effact.asm._scan_machine_form": 1, **plan}
+    # a program not yet analyzed is scanned once, and its simulation still
+    # builds no graph
+    simulate(machine.clone(), HW)
+    assert calls == {"effact.asm._scan_machine_form": 2, **plan}
 
 
 def test_compare_streaming():
@@ -697,6 +720,69 @@ def test_simulate_matches_its_oracle_on_random_programs():
     assert None not in errors
     assert any("SRAM" in e for e in errors)
     assert any("fifo" in e for e in errors)
+
+
+# straight-line machine code over few registers and cells, where every
+# key is reused: the cases a scoreboard can get wrong and a graph cannot
+EDGE_HEADER = ".n 16\n.mod q0 97\n.dram x 2\n.dram y 1\n"
+EDGE_CASES = {
+    "reads and writes one register": "r0 = load @x[0]\n"
+    "r0 = mmul r0, r0, q0\nr0 = mac r0, r1, r0, q0\nstore r0, @y[0]\n",
+    "store then load one cell": "r0 = load @x[0]\nr1 = ntt r0, q0\n"
+    "store r1, @x[1]\nr2 = load @x[1]\nstore r2, @y[0]\n",
+    "load then store one cell": "r0 = load @x[0]\nr1 = ntt r0, q0\n"
+    "r2 = load @x[1]\nstore r1, @x[1]\nstore r2, @y[0]\n",
+    "streamed source and result on one cell": "r0 = load @x[1]\n"
+    "@x[0] = mmul @x[0], r0, q0\nr1 = ntt @x[0], q0\n"
+    "@x[0] = ntt r1, q0\nr2 = mmad @x[0], @x[0], q0\nstore r2, @y[0]\n",
+    "fifo channel reuse": "r0 = load @x[0]\nf0 = ntt r0, q0\n"
+    "r1 = mmul f0, f0, q0\nf0 = auto r1, 3, q0\nf1 = ntt f0, q0\n"
+    "f0 = mmad f1, r1, q0\nr2 = ntt f0, q0\nstore r2, @y[0]\n",
+    "three SRAM slots in one unit": "r0 = load @x[0]\nr1 = load @x[1]\n"
+    "r2 = mac r0, r1, r0, q0\nr3 = mac r0, r1, r2, q0\nstore r3, @y[0]\n",
+    "write after write, no read between": "r0 = load @x[0]\n"
+    "r0 = load @x[1]\nr1 = ntt r0, q0\nr1 = mmul r0, r0, q0\n"
+    "f0 = ntt r1, q0\nf0 = ntt r1, q0\nstore f0, @y[0]\n",
+}
+EDGE_HW = (HardwareDescription(slots=4, banks=2, fifo_depth=2),
+           HardwareDescription(slots=4, banks=1, fifo_depth=2,
+                               fu=(("ntt", 1), ("mmul", 1), ("madd", 1),
+                                   ("auto", 1))))
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_simulate_matches_its_oracle_on_edge_cases(case):
+    p = parse_ir(EDGE_HEADER + EDGE_CASES[case])
+    for hw in EDGE_HW:
+        assert same_as_oracles(p, hw) is None
+
+
+@st.composite
+def dense_machine_code(draw):
+    """Straight-line machine code over r0-r2, f0-f1 and three cells."""
+    regs = st.sampled_from(["r0", "r1", "r2", "f0", "f1"])
+    cells = st.sampled_from(["@x[0]", "@x[1]", "@y[0]"])
+    operand = st.one_of(regs, cells)
+    arity = {"ntt": 1, "mmul": 2, "mac": 3, "mmad": 2, "auto": 1}
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["load", "store", *arity]))
+        if op == "load":
+            lines.append(f"{draw(regs)} = load {draw(cells)}")
+        elif op == "store":
+            lines.append(f"store {draw(regs)}, {draw(cells)}")
+        else:
+            srcs = [draw(operand) for _ in range(arity[op])]
+            if op == "auto":
+                srcs.append(str(draw(st.integers(1, 7))))
+            lines.append(f"{draw(operand)} = {op} {', '.join(srcs)}, q0")
+    return EDGE_HEADER + "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=dense_machine_code(), hw=st.sampled_from(EDGE_HW))
+def test_simulate_matches_its_oracle_on_dense_machine_code(text, hw):
+    assert same_as_oracles(parse_ir(text), hw) is None
 
 
 def test_simulate_classifies_each_register_once(monkeypatch):
