@@ -21,16 +21,19 @@ values within them (integrated prepass scheduling), so `alloc_sram` spills
 less.  `_fit` makes that fit-or-reschedule decision, and `back_ends` is
 one loop that passes one table, `made`, to the `_fit` of each
 configuration: the latency order and the slots it needs do not depend on
-the slot count, so an SRAM sweep schedules for latency once.  A schedule
+the slot count, so an SRAM sweep schedules for latency once, merges it
+for the fit check only where the values that no merge removes fit, and
+schedules for pressure once per slot count.  A schedule
 reorders the instructions it is given and copies none: their issue cycles
 are one list in `notes["issue_cycles"]`, aligned with the scheduled
 order, which `back_ends` drops, since later passes change that order.
 
-`def_use` is the one source of def/use facts, the pressure scheduler's
-included, and `_priorities` the scheduler's one longest-path routine;
-the simulator takes its critical path from its own scoreboard pass,
-with no graph.  `pre` keys each pure op by what it reads after
-its replacements: in SSA code a value's first name is its value number.
+`def_use` is the one source of def/use facts after `pre`, the pressure
+scheduler's included, and `_priorities` the scheduler's one longest-path
+routine; the simulator takes its critical path from its own scoreboard
+pass, with no graph.  `pre` keys each pure op by what it reads after
+its replacements: in SSA code a value's first name is its value number,
+and a value is never read when its name is in no source.
 `merge_streaming` makes the sink and source merges (`_merge_memory`)
 over every DRAM cell, and `merge_spill_traffic` over the `__spill`
 cells: one forward scan keeps each cell's last access, one backward scan
@@ -47,9 +50,9 @@ run under it too.  Machine registers are the shared objects of
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
 golden executor.  A program's `def_use`, `build_deps` and `max_liveness`
-are scanned once and kept on it (`p.once`): `peephole_merge` reads the
-`def_use` `pre` made, the pressure schedules the front end's, and
-`alloc_sram` both of the fit check's.  The machine instruction set has
+are scanned once and kept on it (`p.once`): the pressure schedules read
+the front end's `def_use`, the fit check's merge the latency order's,
+and `alloc_sram` both of the fit check's.  The machine instruction set has
 no register-move opcode; copies die in `unroll`, and `lower` rejects one.
 """
 
@@ -371,7 +374,8 @@ def propagate(p: Program) -> Program:
 def pre(p: Program) -> Program:
     """Drop each pure op on registers that repeats an earlier one, its
     readers reading the earlier result, then each pure op whose result is
-    never read (one level: what only it read stays).
+    never read, whose name no source holds (one level: what only it read
+    stays).
 
     The key is `(op, flags, mod, srcs)` taken after the replacements: in
     SSA code each value then has one name, its first, which is its value
@@ -395,12 +399,12 @@ def pre(p: Program) -> Program:
             continue
         seen[key] = i.dests[0]
         instrs.append(i)
-    # dead-code elimination over pure ops whose result is never read; with
-    # none, the program whose def-use was scanned is the output
-    out = p.with_(instrs)
-    live = [i for i, w in zip(instrs, out.once(def_use)[0])
-            if not (i.op in PURE_OPS and w and len(w) == 1)]
-    return out if len(live) == len(instrs) else p.with_(live)
+    # dead-code elimination over pure ops whose result is never read: in
+    # SSA code, whose name is in no source
+    read = {s.name for i in instrs for s in i.srcs if s.__class__ is Vreg}
+    return p.with_([i for i in instrs if not (
+        i.op in PURE_OPS and i.dests[0].__class__ is Vreg
+        and i.dests[0].name not in read)])
 
 
 # ---------------------------------------------------------------------------
@@ -663,25 +667,39 @@ def _fit(p: Program, hw: HardwareDescription, made: dict):
     """(schedule(p, hw), fit).  The latency schedule fits when the slots
     its values need (`max_liveness`, after `merge_streaming` on streaming
     hardware) are at most `hw.slots`; it is then the schedule, and `fit`
-    is it as merged for that check.  Otherwise the same dependence graph
-    is scheduled again with `hw.slots` as the live-value budget (see
-    `_list_schedule`), emitted in issue order, and `fit` is None.  `made`
-    keeps what reads neither `slots` nor `banks`: the latency schedule and
-    its graph by `_latency_key(hw)`, the fit check's merged program and
-    its count by that key, `hw.streaming` and `hw.fifo_depth`."""
+    is it as merged for that check.  With streaming, the merge is made
+    only when the values read twice or more fit (`_max_live`'s second
+    peak, a lower bound of the merged need).  Otherwise the same
+    dependence graph is scheduled again with `hw.slots` as the live-value
+    budget (see `_list_schedule`), emitted in issue order, and `fit` is
+    None.  `made` keeps what another configuration would compute again,
+    keyed by exactly the fields it reads: the latency schedule and its
+    graph by `key = _latency_key(hw)`; the fit check's merged program by
+    `(key, "merged", hw.fifo_depth)`; and the pressure schedule's issue
+    order and cycles by `(key, hw.slots)`, which streaming on and off
+    share.  It keeps those two lists, not an emitted program, which would
+    keep its `def_use` alive."""
     key = _latency_key(hw)
     if key not in made:
         made[key] = _latency_schedule(p, hw)
     graph, latency = made[key]
-    fit_key = (key, hw.streaming, hw.fifo_depth)
-    if fit_key not in made:
-        merged = merge_streaming(latency, hw) if hw.streaming else latency
-        made[fit_key] = merged, max_liveness(merged)
-    merged, need = made[fit_key]
+    need, bound = latency.once(_max_live)
+    fit = latency
+    if hw.streaming:
+        need = bound        # what the merge needs at least
+        if bound <= hw.slots:
+            fit_key = (key, "merged", hw.fifo_depth)
+            if fit_key not in made:
+                made[fit_key] = merge_streaming(latency, hw)
+            fit = made[fit_key]
+            need = fit.once(_max_live)[0]
     if need <= hw.slots:
-        return latency, merged
-    return _emit(p, graph, *_list_schedule(
-        p.instrs, hw, *graph, hw.slots, p.once(_uses))), None
+        return latency, fit
+    pressure_key = (key, hw.slots)
+    if pressure_key not in made:
+        made[pressure_key] = _list_schedule(p.instrs, hw, *graph, hw.slots,
+                                            p.once(_uses))
+    return _emit(p, graph, *made[pressure_key]), None
 
 
 def schedule(p: Program, hw: HardwareDescription) -> Program:
@@ -783,25 +801,37 @@ def max_liveness(p: Program) -> int:
     """Fewest SRAM slots that admit a spill-free allocation.
 
     Mirrors the allocator: sources dying at an instruction release their
-    slots before the destination is placed.  Kept on the program
-    (`p.once(_max_live)`), so that `alloc_sram` of a schedule that passed
-    the fit check reads the count that check made.
+    slots before the destination is placed.  Kept on the program, with
+    the fit check's lower bound (`p.once(_max_live)`), so that
+    `alloc_sram` of a schedule that passed the fit check reads the count
+    that check made.
     """
-    return p.once(_max_live)
+    return p.once(_max_live)[0]
 
 
-def _max_live(p: Program) -> int:
-    """The scan of `max_liveness`."""
+def _max_live(p: Program) -> tuple[int, int]:
+    """The scan of `max_liveness`: its peak, and the peak count of live
+    values read two or more times.  `merge_streaming` merges only values
+    read once, so the second is a lower bound of `max_liveness` of `p`
+    merged: a value read twice keeps its `%` register, its writer and its
+    readers, and where the most of them are live, at the last of their
+    writers, the merged program counts them all."""
     change = [0] * (len(p.instrs) + 1)  # live values gained at each index
-    live = peak = 0
+    multi = [0] * (len(p.instrs) + 1)   # of them, those read twice or more
+    live = peak = live2 = peak2 = 0
     for idx, (i, v) in enumerate(zip(p.instrs, p.once(def_use)[0])):
         live += change[idx]
+        live2 += multi[idx]
         if v and i.dests[0].name.startswith("%"):
             peak = max(peak, live + 1)
             if len(v) > 1:      # live after its writer, up to its last read
                 change[idx + 1] += 1
                 change[v[-1]] -= 1
-    return peak
+                if len(v) > 2:
+                    peak2 = max(peak2, live2 + 1)
+                    multi[idx + 1] += 1
+                    multi[v[-1]] -= 1
+    return peak, peak2
 
 
 def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
@@ -821,7 +851,10 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
 
     Each live value keeps a cursor to its next read in its `def_use` value,
     moved past each instruction that reads it, so a heap entry is current
-    when it names that read.  IrError if a register is read before it is
+    when it names that read.  The heap starts at the first eviction, from
+    the live values' cursors; a program that never spills keeps none.
+    Its entries are totally ordered, so the victims do not depend on when
+    it starts.  IrError if a register is read before it is
     written, or if one instruction's sources and result need more than
     `hw.slots` slots."""
     # each virtual register's value: [writer, reads in scheduled order]
@@ -837,18 +870,24 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     spills = 0
     emitted: list[Instr] = []
     # live vregs by next read, farthest first, ties by the higher name;
-    # lazy: an entry whose next read has passed is skipped when popped
-    rank = {v: k for k, v in enumerate(sorted(value))}
-    by_next: list[tuple[int, int, str]] = []
+    # made at the first eviction; lazy: an entry whose next read has
+    # passed is skipped when popped
+    rank: dict[str, int] = {}
+    by_next: list[tuple[int, int, str]] | None = None
 
     def take_slot(pinned):
-        nonlocal fresh, spills
+        nonlocal fresh, spills, by_next
         if free:
             return heappop(free)
         if fresh < hw.slots:
             fresh += 1
             machine_regs("r", fresh)
             return fresh - 1
+        if by_next is None:
+            rank.update((v, k) for k, v in enumerate(sorted(value)))
+            by_next = [(-value[v][at[value[v][0]]], -rank[v], v)
+                       for v in reg_of]
+            heapify(by_next)
         # every live value is read again (see the loop below), so evict the
         # one read farthest ahead (Belady)
         held = []
@@ -875,7 +914,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     for idx, i in enumerate(p.instrs):
         # each source classified once: a virtual register is reloaded if
         # spilled, pinned to its slot for this instruction and renamed
-        pinned = set()
+        pinned = []
         srcs = []
         for s in i.srcs:
             if s.__class__ is Vreg and s.name[0] == "%":
@@ -887,7 +926,8 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
                     emitted.append(Instr("load", (regs[reg_of[v]],),
                                          (spill_at[v],)))
                     spills += 1
-                pinned.add(v)
+                if v not in pinned:
+                    pinned.append(v)
                 s = regs[reg_of[v]]
             srcs.append(s)
         # a source read here for the last time leaves its slot; the others
@@ -901,7 +941,8 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             while reads[k] <= idx:
                 k += 1
             at[reads[0]] = k
-            heappush(by_next, (-reads[k], -rank[v], v))
+            if by_next is not None:
+                heappush(by_next, (-reads[k], -rank[v], v))
         dests = i.dests
         d = dests[0] if dests else None
         if d.__class__ is Vreg and d.name[0] == "%":
@@ -912,14 +953,16 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             if len(reads) > 1:
                 reg_of[v] = slot
                 at[idx] = 1
-                heappush(by_next, (-reads[1], -rank[v], v))
+                if by_next is not None:
+                    heappush(by_next, (-reads[1], -rank[v], v))
             else:
                 heappush(free, slot)
-        emitted.append(i.with_(srcs=tuple(srcs), dests=dests))
+        emitted.append(Instr(i.op, dests, tuple(srcs), i.mod, i.flags,
+                             i.meta, i.line))
     out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
                   if spill_at else p.dram)
     out.notes["spills"] = spills
-    out.notes["max_live"] = p.once(_max_live)
+    out.notes["max_live"] = p.once(_max_live)[0]
     return out
 
 

@@ -14,6 +14,8 @@ from effact.compiler import (
     FU_OPS,
     HardwareDescription,
     _addr_key,
+    _latency_schedule,
+    _max_live,
     _sub_srcs,
     alloc_sram,
     back_end,
@@ -632,20 +634,24 @@ def test_alloc_spills_under_pressure():
             assert len(regs) <= slots
 
 
-def max_liveness_oracle(p):
+def max_liveness_oracle(p, min_reads=0):
     """The O(n * V) formula max_liveness replaced: at each instruction every
-    register whose last use is there dies before the destinations land."""
-    uses_at = {}
+    register whose last use is there dies before the destinations land.
+    Only registers read by at least `min_reads` source operands count: with
+    2, those that no streaming merge takes out of SRAM."""
+    uses_at, reads = {}, {}
     for idx, i in enumerate(p.instrs):
         for s in i.srcs:
             if isinstance(s, Vreg) and str(s).startswith("%"):
                 uses_at[str(s)] = idx
+                reads[str(s)] = reads.get(str(s), 0) + 1
     live, peak = set(), 0
     for idx, i in enumerate(p.instrs):
         peak = max(peak, len(live))
         live -= {v for v, last in uses_at.items() if last == idx}
         dests = {str(d) for d in i.dests
-                 if isinstance(d, Vreg) and str(d).startswith("%")}
+                 if isinstance(d, Vreg) and str(d).startswith("%")
+                 and reads.get(str(d), 0) >= min_reads}
         live |= dests
         peak = max(peak, len(live))
         live -= {d for d in dests if d not in uses_at}
@@ -663,6 +669,33 @@ def test_max_liveness_matches_quadratic_oracle():
         s = schedule(u, HW)
         for q in (u, s, merge_streaming(s, HW)):
             assert max_liveness(q) == max_liveness_oracle(q)
+            assert q.once(_max_live) == (max_liveness_oracle(q),
+                                         max_liveness_oracle(q, 2))
+
+
+def bound_holds(front, hw):
+    """The values read twice or more that a latency order keeps live at
+    once (`_max_live`'s second peak) are at most what it needs merged for
+    streaming at FIFO depths 1 and 8, which is at most what it needs
+    unmerged: the fit check's lower bound is sound."""
+    latency = _latency_schedule(front, hw)[1]
+    need, bound = latency.once(_max_live)
+    for depth in (1, 8):
+        merged = merge_streaming(latency, replace(hw, fifo_depth=depth))
+        assert bound <= max_liveness(merged) <= need
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_fit_bound_holds_on_random_programs(seed):
+    bound_holds(front_end(random_program(random.Random(seed), size=40)), HW)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(4, 60),
+       lanes=st.sampled_from((4, 128)))
+def test_the_fit_bound_holds_on_any_program(seed, size, lanes):
+    front = front_end(random_program(random.Random(seed), size=size))
+    bound_holds(front, replace(HW, lanes=lanes))
 
 
 def test_alloc_disjoint_lifetimes_share_slot():
@@ -1204,6 +1237,13 @@ GOLDEN = (
 def test_compiled_workloads_are_byte_identical(gen, wp, prefix):
     text = assemble_text(compile_program(gen(wp), HardwareDescription()))
     assert hashlib.sha256(text.encode()).hexdigest()[:8] == prefix
+
+
+@pytest.mark.parametrize("gen,wp,prefix", GOLDEN,
+                         ids=["desk_ks", "hoisted", "helr", "l12_boot",
+                              "l24_ks"])
+def test_the_fit_bound_holds_on_golden_programs(gen, wp, prefix):
+    bound_holds(front_end(gen(wp)), HardwareDescription())
 
 
 def test_front_end_output_is_pinned():

@@ -366,56 +366,116 @@ def test_shared_latency_schedule_changes_no_compile(seed, hws):
         lambda: [simulate(pass_list_back_end(front, h), h) for h in on_off])
 
 
-def test_a_sweep_schedules_for_latency_once(monkeypatch):
-    # counted through the compiler module; the simulator's own dependence
-    # graphs are not.  Only 256 slots fit the latency order of the L24 key
-    # switch, so the other four are rescheduled and merged again.  def_use
-    # scans each program once (`Program.once`): 2 in the front end (`pre`,
-    # then the second `peephole_merge` round; its first round and the
-    # pressure schedules reuse them), 1 each in the fit check's streaming
-    # merge and `max_liveness` (which the 256-slot allocation reuses), and 1
-    # in every other configuration's streaming merge, allocation and spill
-    # merge.
-    calls = dict.fromkeys(("build_deps", "_list_schedule", "merge_streaming",
-                           "max_liveness", "def_use"), 0)
+def count_calls(monkeypatch, names):
+    """Calls made through the compiler module to each of `names`, and
+    under "pressure" the `_list_schedule` calls with a live-value budget;
+    the simulator's own scans are not counted."""
+    calls = dict.fromkeys(names, 0)
+    calls["pressure"] = 0
 
     def counted(name, fn):
         def wrapper(*args, **kw):
             calls[name] += 1
+            if name == "_list_schedule" and len(args) > 6:
+                calls["pressure"] += 1
             return fn(*args, **kw)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(compiler, name,
                             counted(name, getattr(compiler, name)))
+    return calls
+
+
+BACK_END_CALLS = ("build_deps", "_list_schedule", "merge_streaming",
+                  "max_liveness", "_max_live", "def_use")
+
+
+def test_a_sweep_schedules_for_latency_once(monkeypatch):
+    # the latency order of the L24 key switch has 98 values read twice or
+    # more live at once, which no merge removes: 16, 32 and 64 slots are
+    # rescheduled for pressure with no merge of it; 128 slots merges it for
+    # the fit check, which needs 168, and is rescheduled; 256 slots fits
+    # that merge.  `_max_live` scans the latency order, the fit check's
+    # merge (which the 256-slot allocation reuses) and the four merged
+    # pressure schedules.  def_use scans each program once
+    # (`Program.once`): 2 in the front end (the two `peephole_merge`
+    # rounds; the pressure schedules reuse the second), 1 each for the
+    # latency order and the fit check's merge, and 1 in every other
+    # configuration's streaming merge and allocation, and in all five spill
+    # merges.
+    calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
-    assert calls.pop("def_use") <= 17
-    assert calls == {"build_deps": 1, "_list_schedule": 5,
-                     "merge_streaming": 5, "max_liveness": 1}
+    assert calls == {"build_deps": 1, "_list_schedule": 5, "pressure": 4,
+                     "merge_streaming": 5, "max_liveness": 0,
+                     "_max_live": 6, "def_use": 17}
 
 
 def test_compare_streaming_schedules_for_latency_once(monkeypatch):
-    # neither configuration fits the latency order of the L24 key switch:
-    # one latency schedule, then for each configuration a fit check
-    # (`max_liveness`, after a merge with streaming) and a pressure
-    # schedule, which is merged with streaming
-    calls = dict.fromkeys(("build_deps", "_list_schedule", "merge_streaming",
-                           "max_liveness", "def_use"), 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(compiler, name,
-                            counted(name, getattr(compiler, name)))
+    # neither configuration fits the latency order of the L24 key switch,
+    # and with streaming no merge could (see the sweep above): one latency
+    # schedule and its one liveness scan, then one pressure schedule for
+    # the 64 slots of both, merged with streaming only
+    calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     compare_streaming(text, HardwareDescription())
-    assert calls == {"build_deps": 1, "_list_schedule": 3,
-                     "merge_streaming": 2, "max_liveness": 2, "def_use": 8}
+    assert calls == {"build_deps": 1, "_list_schedule": 2, "pressure": 1,
+                     "merge_streaming": 1, "max_liveness": 0,
+                     "_max_live": 3, "def_use": 7}
+
+
+def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
+        monkeypatch):
+    # with streaming, `_fit` merges a latency order for its fit check only
+    # when the values it keeps live that are read twice or more
+    # (`_max_live`'s second peak, 16 for the desk key switch) fit in the
+    # slots, and then once per FIFO depth
+    latency, bounds = [], []
+    real_latency, real_merge = (compiler._latency_schedule,
+                                compiler.merge_streaming)
+
+    def latency_schedule(p, hw):
+        out = real_latency(p, hw)
+        latency.append(out[1])
+        return out
+
+    def merge(p, hw):
+        if any(p is q for q in latency):
+            bounds.append((p.once(compiler._max_live)[1], hw.slots))
+        return real_merge(p, hw)
+
+    monkeypatch.setattr(compiler, "_latency_schedule", latency_schedule)
+    monkeypatch.setattr(compiler, "merge_streaming", merge)
+    hws = [HardwareDescription(slots=s, fifo_depth=d)
+           for s in (8, 12, 16, 20, 40) for d in (1, 8)]
+    for _ in back_ends(front_end(DESK_KS), hws):
+        pass
+    assert len(latency) == 1
+    assert latency[0].once(compiler._max_live)[1] == 16
+    assert bounds == [(16, 16), (16, 16)]
+
+
+# one HardwareDescription field changed at a time, for the desk key switch,
+# whose latency order needs 27 slots, 18 merged at FIFO depth 8 and 24 at
+# depth 1, and keeps 16 values read twice live: at 20 slots the streaming
+# fit check fits at depth 8 only, at 12 it merges nothing
+ONE_FIELD = (("slots", 12), ("slots", 40), ("streaming", False),
+             ("fifo_depth", 1), ("banks", 2), ("lanes", 4), ("dram_bw", 16),
+             ("fu", ONE_EACH), ("ntt_pipelines", 1),
+             ("lat_override", (("mmul", 7),)))
+
+
+def test_shared_tables_are_keyed_by_every_field_they_read():
+    base = HardwareDescription(slots=20)
+    hws = [base] + [replace(base, **{k: v}) for k, v in ONE_FIELD]
+    front = front_end(DESK_KS)
+    want = {hw: (print_program(q), q.notes)
+            for hw in hws for q in [back_end(front, hw)]}
+    for seed in range(3):
+        order = random.Random(seed).sample(hws * 2, 2 * len(hws))
+        got = [(print_program(q), q.notes) for q in back_ends(front, order)]
+        assert got == [want[hw] for hw in order]
 
 
 def test_the_last_configuration_allocates_without_the_shared_tables(
