@@ -11,7 +11,16 @@ it (`Program.once`; a program cannot change), so a compile -> assemble ->
 disassemble -> simulate round trip scans each of its two programs once.
 Every program is scanned before it is assembled or simulated: nothing marks
 a program as machine code without the scan.  Machine opcodes, their rules
-and their `.ebin` codes are those of `ir.OPCODES`.
+and their `.ebin` codes are those of `ir.OPCODES`.  The scan checks an
+instruction against the table once per shape (`_MACHINE_SHAPES`), and the
+operands of every instruction: no virtual register, every address
+concrete and in range.
+
+The binary codecs work once per distinct operand and record head, not once
+per occurrence: `assemble_binary` copies the bytes of each into the one
+output buffer, and `disassemble_binary` reads the operand fields of all
+records column by column with numpy and decodes each distinct one once.
+Their output and their errors are those of a record-by-record codec.
 """
 
 from __future__ import annotations
@@ -64,26 +73,47 @@ def check_machine_form(prog: Program):
     prog.once(_scan_machine_form)
 
 
+# The instruction shapes that have passed the scan's checks of the opcode
+# table: (opcode, whether it has no modulus, its flags, number of results,
+# class of each operand).  Those checks read nothing else.
+_MACHINE_SHAPES: set = set()
+
+
+def _check_shape(i: Instr):
+    """The checks of an instruction against its `ir.OPCODES` row."""
+    if i.op not in _CODES:
+        raise IrError(f"opcode '{i.op}' is not machine-level", i.line)
+    check_operands(i)
+    row = OPCODES[i.op]
+    if (i.mod is None) == row.mod:
+        raise IrError(f"{i.op} needs a modulus" if i.mod is None
+                      else f"{i.op} takes no modulus", i.line)
+    if not i.flags <= row.flags:
+        raise IrError(f"{i.op} takes no flags", i.line)
+
+
 def _scan_machine_form(prog: Program):
+    """Each instruction's shape is checked at its first sight in the
+    process (`_check_shape`), and its operands every time: no virtual
+    register, and each address concrete and in range."""
+    dram = dict(prog.dram)
     for i in prog.instrs:
-        if i.op not in _CODES:
-            raise IrError(f"opcode '{i.op}' is not machine-level", i.line)
-        check_operands(i)
-        row = OPCODES[i.op]
-        if (i.mod is None) == row.mod:
-            raise IrError(f"{i.op} needs a modulus" if i.mod is None
-                          else f"{i.op} takes no modulus", i.line)
-        if not i.flags <= row.flags:
-            raise IrError(f"{i.op} takes no flags", i.line)
-        for o in i.dests + i.srcs:
-            if isinstance(o, Vreg) and o.name[:1] == "%":
-                raise IrError(f"virtual register {o} survives in machine "
-                              "code", i.line)
-            if isinstance(o, Addr):
-                if not o.concrete:
+        ops = i.dests + i.srcs
+        shape = (i.op, i.mod is None, i.flags, len(i.dests), *map(type, ops))
+        if shape not in _MACHINE_SHAPES:
+            _check_shape(i)
+            _MACHINE_SHAPES.add(shape)
+        for o in ops:
+            if isinstance(o, Vreg):
+                if o.name[:1] == "%":
+                    raise IrError(f"virtual register {o} survives in "
+                                  "machine code", i.line)
+            elif isinstance(o, Addr):
+                if o.terms:
                     raise IrError(f"non-constant address {o} in machine "
                                   "code", i.line)
-                check_address(prog, o, i.line)
+                if not 0 <= o.base < dram.get(o.sym, 0):
+                    check_address(prog, o, i.line)
 
 
 def assemble_text(prog: Program) -> str:
@@ -102,13 +132,13 @@ def _unpack_name(b: bytes) -> str:
     return b.rstrip(b"\0").decode()
 
 
-def _encode_operand(o, symidx, constidx) -> int:
-    if o is None:
-        return _T_NONE << 21
+def _encode_operand(o, symidx, constidx) -> bytes:
+    """The 24-bit field of an operand, as its three little-endian bytes."""
     if isinstance(o, Addr):
         if symidx.get(o.sym, 64) >= 64 or not 0 <= o.base < (1 << 15):
             raise IrError(f"address {o} not encodable")
-        return (_T_ADDR << 21) | (symidx[o.sym] << 15) | o.base
+        return ((_T_ADDR << 21) | (symidx[o.sym] << 15)
+                | o.base).to_bytes(3, "little")
     if isinstance(o, Vreg):
         tag, k = _T_FIFO if o.name[0] == "f" else _T_REG, int(o.name[1:])
     elif isinstance(o, CRef):
@@ -117,7 +147,7 @@ def _encode_operand(o, symidx, constidx) -> int:
         tag, k = _T_IMM, o.val
     if not 0 <= k < (1 << 21):
         raise IrError(f"operand {o} not encodable")
-    return (tag << 21) | k
+    return ((tag << 21) | k).to_bytes(3, "little")
 
 
 def _entry(table: list, k: int, what: str):
@@ -147,7 +177,19 @@ def _decode_operand(word: int, consts, syms):
     raise IrError(f"bad operand tag {tag}")
 
 
+# An instruction record: the opcode, flags, modulus and pad bytes
+# (`head`), then four 24-bit operand fields, the third source first and
+# the result last.  `lo` holds the third and second sources and the low
+# 16 bits of the first, `hi` its high 8 bits and then the result.
+_RECORD = np.dtype({"names": ["head", "lo", "hi"],
+                    "formats": ["<u4", "<u8", "<u4"]})
+_NO_OPERANDS = (b"", b"\0" * 3, b"\0" * 6, b"\0" * 9)    # absent sources
+
+
 def assemble_binary(prog: Program) -> bytes:
+    """The `.ebin` of a program.  Each distinct operand is encoded once
+    (a register by its name), and each opcode, flags and modulus triple
+    once, into bytes that every record with it copies."""
     check_machine_form(prog)
     mods = list(prog.moduli)
     consts = list(prog.consts)
@@ -171,23 +213,37 @@ def assemble_binary(prog: Program) -> bytes:
             "<IBB2xQ", modidx[c.mod], c.repr, 1 if c.absorb else 0, c.value)
     for name in syms:
         out += _pack_name(name) + struct.pack("<II", prog.dram[name], 0)
+    heads: dict = {}        # (op, flags, mod) -> its four bytes
+    fields: dict = {}       # register name or other operand -> its field
     for i in prog.instrs:
-        flags = 1 if "defer" in i.flags else 0
-        mod = modidx[i.mod] + 1 if i.mod else 0
-        dest = i.dests[0] if i.dests else None
-        srcs = list(i.srcs) + [None] * (3 - len(i.srcs))
-        fields = [_encode_operand(dest, symidx, constidx)]
-        fields += [_encode_operand(s, symidx, constidx) for s in srcs[:3]]
-        packed = 0
-        for f in fields:
-            packed = (packed << 24) | f
-        out += struct.pack("<BBBB", _CODES[i.op], flags, mod, 0)
-        out += packed.to_bytes(12, "little")
+        key = (i.op, i.flags, i.mod)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = bytes((
+                _CODES[i.op], 1 if "defer" in i.flags else 0,
+                modidx[i.mod] + 1 if i.mod else 0, 0))
+        codes = []          # the result's, then the sources', in order
+        for o in i.dests + i.srcs:
+            k = o.name if o.__class__ is Vreg else o
+            f = fields.get(k)
+            if f is None:
+                f = fields[k] = _encode_operand(o, symidx, constidx)
+            codes.append(f)
+        out += head
+        out += _NO_OPERANDS[3 - len(i.srcs)]
+        for f in reversed(codes):
+            out += f
+        if not i.dests:
+            out += _NO_OPERANDS[1]
     return bytes(out)
 
 
 @_collector_scope()
 def disassemble_binary(blob: bytes) -> Program:
+    """The program of an `.ebin`.  The records' operand fields are read
+    column by column (`_RECORD`, `_fields`), and each distinct field and
+    head is decoded once.  An IrError is the one that decoding record by
+    record, each operand field in order and then the head, meets first."""
     if blob[:8] != _EXE_MAGIC:
         raise IrError("bad executable magic")
     if len(blob) < 32:
@@ -199,8 +255,7 @@ def disassemble_binary(blob: bytes) -> Program:
         raise IrError(f"executable is {len(blob)} bytes, its header "
                       f"declares {size}")
     off = 32
-    moduli, table, dram, instrs = {}, {}, {}, []
-    seen: dict = {}       # operand field -> its operand, decoded once
+    moduli, table, dram = {}, {}, {}
     mods = []
     for _ in range(nmods):
         name = _unpack_name(blob[off:off + 16])
@@ -226,27 +281,55 @@ def disassemble_binary(blob: bytes) -> Program:
         dram[name] = count
         syms.append(name)
         off += 24
-    for _ in range(ninstrs):
-        opc, flags, mod, _pad = struct.unpack("<BBBB", blob[off:off + 4])
-        packed = int.from_bytes(blob[off + 4:off + 16], "little")
-        off += 16
-        ops = []
-        for k in range(4):
-            f = (packed >> (24 * (3 - k))) & ((1 << 24) - 1)
-            if f not in seen:
-                seen[f] = _decode_operand(f, consts, syms)
-            ops.append(seen[f])
-        dest = ops[0]
-        srcs = tuple(o for o in ops[1:] if o is not None)
-        if opc not in _OPNAMES:
-            raise IrError(f"unknown opcode {opc}")
-        instrs.append(Instr(
-            _OPNAMES[opc],
-            (dest,) if dest is not None else (),
-            srcs,
-            _entry(mods, mod - 1, "modulus") if mod else None,
-            DEFER if flags & 1 else NO_FLAGS))
-    return Program(n, moduli, table, dram, instrs)
+    records = np.frombuffer(blob, _RECORD, ninstrs, off)
+    fields: dict = {}       # operand field -> () or (its operand,)
+    failed: dict = {}       # field or (head, "head") -> the IrError it raised
+    columns = []            # the result, first, second and third sources
+    for col in _fields(records):
+        words = col.tolist()
+        for f in set(words).difference(fields):
+            try:
+                o = _decode_operand(f, consts, syms)
+            except IrError as e:
+                failed[f] = e
+                o = None
+            fields[f] = () if o is None else (o,)
+        columns.append(list(map(fields.__getitem__, words)))
+    words = records["head"].tolist()
+    heads: dict = {}        # head -> (opcode, modulus, flags)
+    for h in set(words):
+        try:
+            heads[h] = _decode_head(h, mods)
+        except IrError as e:
+            failed[h, "head"] = e
+    if failed:      # the error of the first record that has one
+        for k, fs in enumerate(zip(*(c.tolist() for c in _fields(records)))):
+            for key in (*fs, (words[k], "head")):
+                if key in failed:
+                    raise failed[key]
+    return Program(n, moduli, table, dram, [
+        Instr(op, dests, s0 + s1 + s2, mod, flags)
+        for (op, mod, flags), dests, s0, s1, s2
+        in zip(map(heads.__getitem__, words), *columns)])
+
+
+def _decode_head(h: int, mods: list) -> tuple:
+    """(opcode, modulus, flags) of a record's first four bytes."""
+    opc, flags, mod = h & 0xFF, h >> 8 & 0xFF, h >> 16 & 0xFF
+    if opc not in _OPNAMES:
+        raise IrError(f"unknown opcode {opc}")
+    return (_OPNAMES[opc], _entry(mods, mod - 1, "modulus") if mod else None,
+            DEFER if flags & 1 else NO_FLAGS)
+
+
+def _fields(records: np.ndarray):
+    """The operand fields of the records, one column at a time: the
+    result, then the first, second and third sources."""
+    lo, hi = records["lo"], records["hi"]
+    yield hi >> 8
+    yield lo >> 48 | (hi & 0xFF).astype(np.uint64) << 16
+    yield lo >> 24 & 0xFFFFFF
+    yield lo & 0xFFFFFF
 
 
 # ---------------------------------------------------------------------------

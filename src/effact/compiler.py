@@ -52,8 +52,9 @@ cannot change, see `ir.Program`), and is semantics-preserving under the
 golden executor.  A program's `def_use`, `build_deps` and `max_liveness`
 are scanned once and kept on it (`p.once`): the pressure schedules read
 the front end's `def_use`, the fit check's merge the latency order's,
-and `alloc_sram` both of the fit check's.  The machine instruction set has
-no register-move opcode; copies die in `unroll`, and `lower` rejects one.
+and `alloc_sram` the fit check's `def_use` (it counts its own
+`max_liveness`).  The machine instruction set has no register-move
+opcode; copies die in `unroll`, and `lower` rejects one.
 """
 
 from __future__ import annotations
@@ -802,9 +803,8 @@ def max_liveness(p: Program) -> int:
 
     Mirrors the allocator: sources dying at an instruction release their
     slots before the destination is placed.  Kept on the program, with
-    the fit check's lower bound (`p.once(_max_live)`), so that
-    `alloc_sram` of a schedule that passed the fit check reads the count
-    that check made.
+    the fit check's lower bound (`p.once(_max_live)`); `alloc_sram`
+    counts the same peak in its own loop.
     """
     return p.once(_max_live)[0]
 
@@ -847,7 +847,9 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     loaded again before each read that finds it evicted.
     `notes["spills"]` counts those spill stores and loads, before
     `merge_spill_traffic` streams any of them, and `notes["max_live"]` is
-    the input's `max_liveness`.
+    the input's `max_liveness`, counted here: `live` is the number of
+    values written and still to be read, each result placed after the
+    sources read for the last time have left.
 
     Each live value keeps a cursor to its next read in its `def_use` value,
     moved past each instruction that reads it, so a heap entry is current
@@ -867,7 +869,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     free: list[int] = []             # released slots, a heap; all < fresh
     fresh = 0                        # slots fresh.. have never been taken
     spill_at: dict[str, Addr] = {}   # vreg -> its __spill cell, once stored
-    spills = 0
+    spills = live = peak = 0
     emitted: list[Instr] = []
     # live vregs by next read, farthest first, ties by the higher name;
     # made at the first eviction; lazy: an entry whose next read has
@@ -936,6 +938,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             reads = value[v]
             if reads[-1] <= idx:
                 heappush(free, reg_of.pop(v))
+                live -= 1
                 continue
             k = at[reads[0]] + 1
             while reads[k] <= idx:
@@ -950,7 +953,10 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             slot = take_slot(pinned)
             dests = (regs[slot],)
             reads = value[v]
+            if live >= peak:
+                peak = live + 1
             if len(reads) > 1:
+                live += 1
                 reg_of[v] = slot
                 at[idx] = 1
                 if by_next is not None:
@@ -962,7 +968,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
                   if spill_at else p.dram)
     out.notes["spills"] = spills
-    out.notes["max_live"] = p.once(_max_live)[0]
+    out.notes["max_live"] = peak
     return out
 
 
@@ -973,7 +979,10 @@ def merge_spill_traffic(p: Program) -> Program:
     """The sink and source merges of `merge_streaming`, over the `__spill`
     cells of allocated code: an FU result whose one read is a spill store
     is written straight to the spill cell, and a spill load that one FU
-    operand reads becomes that operand."""
+    operand reads becomes that operand.  A program with no `__spill`
+    symbol has nothing to merge and is returned as it is."""
+    if "__spill" not in p.dram:
+        return p
     instrs = list(p.instrs)
     kill = _merge_memory(instrs, *p.once(def_use), "__spill")
     return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])

@@ -12,7 +12,13 @@ subset is sli / sadd / smul, counted loops (loop/endloop), and skipz.
 position, modulus, flags, unit class, `.ebin` code); every other module
 reads it or a view of it built at import (`FU_CLASS`, `UNITS`, ...).
 `parse_ir` and `asm.check_machine_form` enforce the operand kinds
-(`check_operands`), so no pass checks them again.
+(`check_operands`), so no pass checks them again.  That check reads only
+an instruction's shape (opcode, result count and operand classes) and
+runs once per shape in a process; what depends on the operands
+themselves (defined registers and scalars, known symbols and constants)
+is checked on every instruction.  `parse_ir` parses each distinct token
+once per text and `print_program` prints each distinct address once per
+program: instructions share their operands.
 
 `walk` is the one interpreter of the scalar subset, `ssa` the one renamer
 of what it yields, and `build_deps` the one dependence builder, of one
@@ -393,14 +399,24 @@ class Program:
         return out
 
 
+# The shapes that have passed `check_operands`: (opcode, number of
+# results, class of each operand).  The check reads nothing else, so an
+# instruction of a shape here passes it too.
+_OPERAND_SHAPES: set = set()
+
+
 def check_operands(i: Instr):
-    """Check the operand counts and kinds of `OPCODES`."""
+    """Check the operand counts and kinds of `OPCODES`, once per shape."""
+    shape = (i.op, len(i.dests), *map(type, i.dests + i.srcs))
+    if shape in _OPERAND_SHAPES:
+        return
     dests, srcs = OPCODES[i.op][:2]
     if len(i.srcs) != len(srcs) or len(i.dests) != len(dests):
         raise IrError(f"{i.op} expects {len(srcs)} operands", i.line)
     for o, (ok, complaint) in zip(i.dests + i.srcs, dests + srcs):
         if not isinstance(o, ok):
             raise IrError(f"{i.op} {complaint}", i.line)
+    _OPERAND_SHAPES.add(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +484,13 @@ def _parse_operand(tok: str, line: int):
     raise IrError(f"unrecognized operand '{tok}'", line)
 
 
-def _operand(tok: str, line: int, seen: dict):
-    """`_parse_operand` of a stripped token, built once per parse: `seen`
+def _operands(toks, line: int, seen: dict) -> tuple:
+    """The operands of stripped tokens, each parsed once per parse: `seen`
     maps each token parsed so far to its operand, which every instruction
     naming it shares."""
-    o = seen.get(tok)
-    if o is None:
-        o = seen[tok] = _parse_operand(tok, line)
-    return o
-
-
-def _split_ops(rest: str) -> list[str]:
-    return [t.strip() for t in rest.split(",") if t.strip()]
+    get = seen.get
+    return tuple([get(t) or seen.setdefault(t, _parse_operand(t, line))
+                  for t in toks])
 
 
 @dataclass
@@ -500,15 +511,16 @@ def parse_ir(text: str) -> Program:
     loop_stack: list[int] = []
     seen: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("."):
+        if line[0] == ".":
             _parse_directive(prog, line, lineno)
             continue
         if prog.n == 0:
             raise IrError("instructions before .n directive", lineno)
         instr = _parse_instr(prog, line, lineno, seen)
+        srcs, dests = instr.srcs, instr.dests
         # SSA and scoping checks
         if instr.op == "loop":
             loop_stack.append(lineno)
@@ -516,23 +528,36 @@ def parse_ir(text: str) -> Program:
             if not loop_stack:
                 raise IrError("endloop without loop", lineno)
             loop_stack.pop()
-        # sources first, so that an instruction cannot read its own result
-        for s in instr.srcs:
-            if isinstance(s, Vreg) and str(s).startswith("%") \
-                    and str(s) not in defined:
-                raise IrError(f"use of undefined register {s}", lineno)
-            if isinstance(s, SRef) and str(s) not in defined:
-                raise IrError(f"use of undefined scalar {s}", lineno)
-        for a in instr.srcs + instr.dests:
-            for name, _ in a.terms if isinstance(a, Addr) else ():
-                if name not in defined:
-                    raise IrError(f"use of undefined scalar {name}", lineno)
-        for d in instr.dests:
-            name = str(d)
-            if name.startswith("%") or name.startswith("$"):
-                if name.startswith("%") and name in defined:
-                    raise IrError(f"redefinition of {name}", lineno)
-                defined.add(name)
+        # sources first, so that an instruction cannot read its own
+        # result; then the scalars of every address, then the results
+        terms = False
+        for s in srcs:
+            kind = s.__class__
+            if kind is Vreg:
+                if s.name[0] == "%" and s.name not in defined:
+                    raise IrError(f"use of undefined register {s}", lineno)
+            elif kind is SRef:
+                if s.name not in defined:
+                    raise IrError(f"use of undefined scalar {s}", lineno)
+            elif kind is Addr and s.terms:
+                terms = True
+        for d in dests:
+            if d.__class__ is Addr and d.terms:
+                terms = True
+        if terms:
+            for a in srcs + dests:
+                for name, _ in a.terms if a.__class__ is Addr else ():
+                    if name not in defined:
+                        raise IrError(f"use of undefined scalar {name}",
+                                      lineno)
+        for d in dests:
+            kind = d.__class__
+            if kind is Vreg and d.name[0] == "%":
+                if d.name in defined:
+                    raise IrError(f"redefinition of {d.name}", lineno)
+                defined.add(d.name)
+            elif kind is SRef:
+                defined.add(d.name)
         instrs.append(instr)
     if loop_stack:
         raise IrError("unterminated loop", loop_stack[-1])
@@ -593,17 +618,19 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
     dests: tuple = ()
     body = line
     if "=" in line:
-        lhs, body = (t.strip() for t in line.split("=", 1))
-        dests = tuple(_operand(t, lineno, seen) for t in lhs.split())
+        lhs, body = line.split("=", 1)
+        body = body.strip()
+        dests = _operands(lhs.split(), lineno, seen)
     toks = body.split(None, 1)
     if not toks:
         raise IrError("missing opcode", lineno)
     opname = toks[0]
     rest = toks[1] if len(toks) > 1 else ""
     op, _, flag = opname.partition(".")
-    if op not in OPCODES:
+    row = OPCODES.get(op)
+    if row is None:
         raise IrError(f"unknown opcode '{opname}'", lineno)
-    if flag and flag not in OPCODES[op].flags:
+    if flag and flag not in row.flags:
         raise IrError(f"unknown opcode suffix '.{flag}'", lineno)
     flags = DEFER if flag else NO_FLAGS
 
@@ -612,7 +639,7 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
             raise IrError("bconv needs ': src-mods -> dst-mods'", lineno)
         args, basis = rest.split(":", 1)
         srcm, dstm = (t.split() for t in basis.split("->", 1))
-        srcs = tuple(_operand(t, lineno, seen) for t in args.split())
+        srcs = _operands(args.split(), lineno, seen)
         for m in srcm + dstm:
             _require_mod(prog, m, lineno)
         qs = [prog.moduli[m].q for m in srcm + dstm]
@@ -627,20 +654,21 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
                      lineno)
 
     mod = None
-    toks2 = _split_ops(rest)
-    if OPCODES[op].mod:
+    toks = [t for t in map(str.strip, rest.split(",")) if t]
+    if row.mod:
         # the last comma-separated token is the modulus name
-        if len(toks2) < 2:
+        if len(toks) < 2:
             raise IrError(f"{op} needs a modulus", lineno)
-        mod = _require_mod(prog, toks2[-1], lineno)
-        toks2 = toks2[:-1]
-    ops = tuple(_operand(t, lineno, seen) for t in toks2)
+        mod = _require_mod(prog, toks.pop(), lineno)
+    ops = _operands(toks, lineno, seen)
     instr = Instr(op, dests, ops, mod, flags, NO_META, lineno)
     check_operands(instr)
     for o in ops:
-        if isinstance(o, Addr) and o.sym not in prog.dram:
-            raise IrError(f"unknown symbol '@{o.sym}'", lineno)
-        if isinstance(o, CRef) and o.name not in prog.consts:
+        kind = o.__class__
+        if kind is Addr:
+            if o.sym not in prog.dram:
+                raise IrError(f"unknown symbol '@{o.sym}'", lineno)
+        elif kind is CRef and o.name not in prog.consts:
             raise IrError(f"unknown constant '!{o.name}'", lineno)
     return instr
 
@@ -648,19 +676,38 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
 # ---------------------------------------------------------------------------
 # printer
 
-def print_instr(i: Instr) -> str:
-    opname = i.op + ("." + next(iter(i.flags)) if i.flags else "")
+def _text(o, addrs: dict) -> str:
+    """The text of an operand that is not a register (a register's is its
+    name); an address's is built once per `addrs`, which maps each address
+    printed so far to its text."""
+    if o.__class__ is not Addr:
+        return str(o)
+    text = addrs.get(o)
+    if text is None:
+        text = addrs[o] = str(o)
+    return text
+
+
+def print_instr(i: Instr, addrs: dict | None = None) -> str:
+    """The text of an instruction; `addrs` as for `_text`, `print_program`
+    passes one per program."""
+    if addrs is None:
+        addrs = {}
+    opname = i.op + "." + next(iter(i.flags)) if i.flags else i.op
     if i.op == "bconv":
         lhs = " ".join(str(d) for d in i.dests)
         args = " ".join(str(s) for s in i.srcs)
         return (f"{lhs} = bconv {args} : {' '.join(i.meta['src_mods'])} -> "
                 f"{' '.join(i.meta['dst_mods'])}")
-    parts = [str(s) for s in i.srcs]
+    parts = [s.name if s.__class__ is Vreg else _text(s, addrs)
+             for s in i.srcs]
     if i.mod:
         parts.append(i.mod)
     rhs = f"{opname} {', '.join(parts)}" if parts else opname
     if i.dests:
-        return f"{' '.join(str(d) for d in i.dests)} = {rhs}"
+        lhs = " ".join([d.name if d.__class__ is Vreg else _text(d, addrs)
+                        for d in i.dests])
+        return f"{lhs} = {rhs}"
     return rhs
 
 
@@ -674,7 +721,8 @@ def print_program(p: Program) -> str:
         suffix = " absorb" if c.absorb else ""
         lines.append(f".const {c.name} {c.mod} {c.value} "
                      f"{REPR_NAMES[c.repr]}{suffix}")
-    lines += [print_instr(i) for i in p.instrs]
+    addrs: dict = {}
+    lines += [print_instr(i, addrs) for i in p.instrs]
     return "\n".join(lines) + "\n"
 
 

@@ -36,7 +36,6 @@ from effact.poly import (
     negacyclic_mul,
     ntt_fwd,
     ntt_inv,
-    transpose_fixed_network,
 )
 from effact.rns import make_modulus_chain, sm_encode
 from effact.sim import compare_streaming, simulate, sweep_sram
@@ -52,6 +51,7 @@ from effact.workloads import (
 )
 
 from kernel_oracles import schoolbook_negacyclic, substitute_power
+from network_models import transpose_fixed_network
 from test_compiler import random_image, random_program
 
 

@@ -880,6 +880,14 @@ def test_merge_spill_traffic_leaves_other_cells_alone():
         "r1 = mmul r1, @__spill[0], q0", "store r1, @y[2]"]
 
 
+def test_merge_spill_traffic_returns_a_program_without_spills_as_it_is():
+    # no `__spill` symbol: nothing to merge, and no def_use scan for it
+    p = parse_ir(header() + "r0 = load @x[0]\nr1 = ntt r0, q0\n"
+                 "store r1, @y[0]\n")
+    assert merge_spill_traffic(p) is p
+    assert p._kept == {}
+
+
 # ---------------------------------------------------------------------------
 # immutable instructions
 

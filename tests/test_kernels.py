@@ -18,7 +18,6 @@ from effact.poly import (
     automorphism_map,
     automorphism_ntt,
     automorphism_ntt_perm,
-    automorphism_row_map,
     bconv,
     bconv_merged,
     bit_rev,
@@ -31,7 +30,6 @@ from effact.poly import (
     ntt_fwd,
     ntt_inv,
     to_sm,
-    transpose_fixed_network,
     vec_madd,
     vec_mmul,
     vec_msub,
@@ -53,6 +51,7 @@ from kernel_oracles import (
     schoolbook_negacyclic,
     substitute_power,
 )
+from network_models import automorphism_row_map, transpose_fixed_network
 
 
 def mod(q, n, r_bits=None):

@@ -396,33 +396,33 @@ def test_a_sweep_schedules_for_latency_once(monkeypatch):
     # more live at once, which no merge removes: 16, 32 and 64 slots are
     # rescheduled for pressure with no merge of it; 128 slots merges it for
     # the fit check, which needs 168, and is rescheduled; 256 slots fits
-    # that merge.  `_max_live` scans the latency order, the fit check's
-    # merge (which the 256-slot allocation reuses) and the four merged
-    # pressure schedules.  def_use scans each program once
-    # (`Program.once`): 2 in the front end (the two `peephole_merge`
+    # that merge.  `_max_live` scans the latency order and the fit check's
+    # merge; `alloc_sram` counts its own peak.  def_use scans each program
+    # once (`Program.once`): 2 in the front end (the two `peephole_merge`
     # rounds; the pressure schedules reuse the second), 1 each for the
     # latency order and the fit check's merge, and 1 in every other
-    # configuration's streaming merge and allocation, and in all five spill
-    # merges.
+    # configuration's streaming merge and allocation, and in the spill
+    # merges of the three that spill (16, 32 and 64 slots).
     calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
     assert calls == {"build_deps": 1, "_list_schedule": 5, "pressure": 4,
                      "merge_streaming": 5, "max_liveness": 0,
-                     "_max_live": 6, "def_use": 17}
+                     "_max_live": 2, "def_use": 15}
 
 
 def test_compare_streaming_schedules_for_latency_once(monkeypatch):
     # neither configuration fits the latency order of the L24 key switch,
     # and with streaming no merge could (see the sweep above): one latency
     # schedule and its one liveness scan, then one pressure schedule for
-    # the 64 slots of both, merged with streaming only
+    # the 64 slots of both, merged with streaming only; each allocation
+    # counts its own peak
     calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     compare_streaming(text, HardwareDescription())
     assert calls == {"build_deps": 1, "_list_schedule": 2, "pressure": 1,
                      "merge_streaming": 1, "max_liveness": 0,
-                     "_max_live": 3, "def_use": 7}
+                     "_max_live": 1, "def_use": 7}
 
 
 def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
