@@ -13,8 +13,8 @@ Every program is scanned before it is assembled or simulated: nothing marks
 a program as machine code without the scan.  Machine opcodes, their rules
 and their `.ebin` codes are those of `ir.OPCODES`.  The scan checks an
 instruction against the table once per shape (`_MACHINE_SHAPES`), and the
-operands of every instruction: no virtual register, every address
-concrete and in range.
+modulus and operands of every instruction: every modulus and constant
+declared, no virtual register, every address concrete and in range.
 
 The binary codecs work once per distinct operand and record head, not once
 per occurrence: `assemble_binary` copies the bytes of each into the one
@@ -67,9 +67,10 @@ _MEM_MAGIC = b"EMEM0001"
 
 def check_machine_form(prog: Program):
     """Raise IrError unless `prog` is machine code: machine opcodes with
-    the operand kinds, modulus and flags of `ir.OPCODES`, no virtual
-    register, every address concrete and in range.  A pass is kept on the
-    program (see the module docstring)."""
+    the operand kinds, modulus and flags of `ir.OPCODES`, every modulus
+    and constant declared, no virtual register, every address concrete
+    and in range.  A pass is kept on the program (see the module
+    docstring)."""
     prog.once(_scan_machine_form)
 
 
@@ -94,26 +95,32 @@ def _check_shape(i: Instr):
 
 def _scan_machine_form(prog: Program):
     """Each instruction's shape is checked at its first sight in the
-    process (`_check_shape`), and its operands every time: no virtual
-    register, and each address concrete and in range."""
-    dram = dict(prog.dram)
+    process (`_check_shape`), and its modulus and operands every time: a
+    known modulus and constant, no virtual register, and each address
+    concrete and in range."""
+    dram, mods, consts = dict(prog.dram), {None, *prog.moduli}, prog.consts
     for i in prog.instrs:
-        ops = i.dests + i.srcs
-        shape = (i.op, i.mod is None, i.flags, len(i.dests), *map(type, ops))
+        ops, mod = i.dests + i.srcs, i.mod
+        shape = (i.op, mod is None, i.flags, len(i.dests), *map(type, ops))
         if shape not in _MACHINE_SHAPES:
             _check_shape(i)
             _MACHINE_SHAPES.add(shape)
+        if mod not in mods:
+            raise IrError(f"unknown modulus '{mod}'", i.line)
         for o in ops:
-            if isinstance(o, Vreg):
+            kind = o.__class__
+            if kind is Vreg:
                 if o.name[:1] == "%":
                     raise IrError(f"virtual register {o} survives in "
                                   "machine code", i.line)
-            elif isinstance(o, Addr):
+            elif kind is Addr:
                 if o.terms:
                     raise IrError(f"non-constant address {o} in machine "
                                   "code", i.line)
                 if not 0 <= o.base < dram.get(o.sym, 0):
                     check_address(prog, o, i.line)
+            elif kind is CRef and o.name not in consts:
+                raise IrError(f"unknown constant '!{o.name}'", i.line)
 
 
 def assemble_text(prog: Program) -> str:
@@ -128,8 +135,12 @@ def _pack_name(name: str) -> bytes:
     return b.ljust(16, b"\0")
 
 
-def _unpack_name(b: bytes) -> str:
-    return b.rstrip(b"\0").decode()
+def _unpack_name(b: bytes, what: str, k: int) -> str:
+    """The name of entry k of a table of an `.ebin`, else IrError."""
+    try:
+        return b.rstrip(b"\0").decode()
+    except UnicodeDecodeError as e:
+        raise IrError(f"{what} {k}: {e}") from None
 
 
 def _encode_operand(o, symidx, constidx) -> bytes:
@@ -257,15 +268,18 @@ def disassemble_binary(blob: bytes) -> Program:
     off = 32
     moduli, table, dram = {}, {}, {}
     mods = []
-    for _ in range(nmods):
-        name = _unpack_name(blob[off:off + 16])
+    for k in range(nmods):
+        name = _unpack_name(blob[off:off + 16], "modulus", k)
         q, r_bits, _pad = struct.unpack("<QII", blob[off + 16:off + 32])
-        moduli[name] = make_modulus(q, n, r_bits)
+        try:
+            moduli[name] = make_modulus(q, n, r_bits)
+        except ValueError as e:
+            raise IrError(f"modulus {name}: {e}") from None
         mods.append(name)
         off += 32
     consts = []
-    for _ in range(nconsts):
-        name = _unpack_name(blob[off:off + 16])
+    for k in range(nconsts):
+        name = _unpack_name(blob[off:off + 16], "constant", k)
         mi, rep, absorb, value = struct.unpack("<IBB2xQ",
                                                blob[off + 16:off + 32])
         if rep not in REPR_NAMES:
@@ -275,8 +289,8 @@ def disassemble_binary(blob: bytes) -> Program:
         consts.append(name)
         off += 32
     syms = []
-    for _ in range(nsyms):
-        name = _unpack_name(blob[off:off + 16])
+    for k in range(nsyms):
+        name = _unpack_name(blob[off:off + 16], "symbol", k)
         count, _pad = struct.unpack("<II", blob[off + 16:off + 24])
         dram[name] = count
         syms.append(name)

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .asm import (
@@ -20,10 +21,7 @@ from .asm import (
     save_image,
 )
 from .compiler import HardwareDescription, compile_program, lower, parse_hw, unroll
-from .ir import (FU_CLASS, ExecError, IrError, blank_image,
-                 execute_program, parse_ir)
-from .poly import ContractError
-from .rns import ReprError
+from .ir import FU_CLASS, blank_image, execute_program, parse_ir
 from .sim import compare_streaming, simulate, sweep
 from . import workloads
 
@@ -33,33 +31,37 @@ class CliError(Exception):
         super().__init__(f"error[{stage}]: {msg}")
 
 
-def _read_text(path: str, stage: str) -> str:
+@contextmanager
+def _stage(stage: str):
+    """Bad input met in a stage of a command, as a CliError tagged with
+    the stage.  Bad input is an OSError from a file or a ValueError, of
+    which every error the library raises for its input is a subclass; a
+    RuntimeError is a broken invariant and propagates."""
     try:
-        with open(path) as f:
-            return f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise CliError(stage, str(e))
+        yield
+    except (OSError, ValueError) as e:
+        raise CliError(stage, str(e)) from e
+
+
+def _read_text(path: str, stage: str) -> str:
+    with _stage(stage), open(path) as f:
+        return f.read()
 
 
 def _write(path: str | None, data, binary: bool = False):
     if path is None or path == "-":
         (sys.stdout.buffer if binary else sys.stdout).write(data)
         return
-    try:
-        with open(path, "wb" if binary else "w") as f:
-            f.write(data)
-    except OSError as e:
-        raise CliError("write", str(e))
+    with _stage("write"), open(path, "wb" if binary else "w") as f:
+        f.write(data)
 
 
 def _load_hw(args) -> HardwareDescription:
     path = getattr(args, "hw", None) or os.environ.get("EFFACT_HW")
     if not path:
         return HardwareDescription()
-    try:
-        return parse_hw(_read_text(path, "hw"))
-    except (ValueError, IrError) as e:
-        raise CliError("hw", str(e))
+    with _stage("hw"), open(path) as f:
+        return parse_hw(f.read())
 
 
 def _machine_hw(args) -> HardwareDescription:
@@ -68,32 +70,21 @@ def _machine_hw(args) -> HardwareDescription:
     kw = {"slots": args.slots} if args.slots is not None else {}
     if args.no_streaming:
         kw["streaming"] = False
-    try:
+    with _stage("flags"):
         return replace(_load_hw(args), **kw)
-    except ValueError as e:
-        raise CliError("flags", str(e))
 
 
 def _load_program(path: str, stage: str = "parse"):
-    if path.endswith(".ebin"):
-        try:
-            with open(path, "rb") as f:
-                return disassemble_binary(f.read())
-        except (OSError, ValueError) as e:
-            raise CliError(stage, str(e))
-    try:
-        return parse_ir(_read_text(path, stage))
-    except IrError as e:
-        raise CliError(stage, str(e))
+    binary = path.endswith(".ebin")
+    with _stage(stage), open(path, "rb" if binary else "r") as f:
+        return (disassemble_binary if binary else parse_ir)(f.read())
 
 
 def _compile(args, text: str):
     hw = _machine_hw(args)
-    try:
+    with _stage("compile"):
         return compile_program(text, hw, do_pre=not args.no_pre,
                                do_merge=not args.no_merge), hw
-    except IrError as e:
-        raise CliError("compile", str(e))
 
 
 def _add_pass_flags(sp):
@@ -111,10 +102,8 @@ def _add_pass_flags(sp):
 def _cmd_compile(args) -> int:
     machine, _ = _compile(args, _read_text(args.input, "read"))
     binary = (args.output or "").endswith(".ebin")
-    try:
+    with _stage("assemble"):    # a name or address .ebin cannot encode
         out = assemble_binary(machine) if binary else assemble_text(machine)
-    except IrError as e:    # a name or an address the binary cannot encode
-        raise CliError("assemble", str(e))
     _write(args.output, out, binary=binary)
     if args.json:
         notes = {"instructions": len(machine.instrs), **machine.notes}
@@ -125,22 +114,15 @@ def _cmd_compile(args) -> int:
 def _cmd_exec(args) -> int:
     prog = _load_program(args.input)
     if args.input.endswith((".easm", ".ebin")):
-        try:
+        with _stage("exec"):
             check_machine_form(prog)
-        except IrError as e:
-            raise CliError("exec", str(e))
     if args.image:
-        try:
-            with open(args.image, "rb") as f:
-                img = load_image(f.read())
-        except (OSError, ValueError) as e:
-            raise CliError("image", str(e))
+        with _stage("image"), open(args.image, "rb") as f:
+            img = load_image(f.read())
     else:
         img = blank_image(prog)
-    try:
+    with _stage("exec"):
         res = execute_program(prog, img)
-    except (ExecError, IrError, ReprError, ContractError) as e:
-        raise CliError("exec", str(e))
     if args.output:
         _write(args.output, save_image(res, prog.n), binary=True)
     print(f"executed {len(prog.instrs)} instructions; "
@@ -157,10 +139,8 @@ def _sim_input(args):
 
 def _cmd_sim(args) -> int:
     machine, hw = _sim_input(args)
-    try:
+    with _stage("sim"):
         rep = simulate(machine, hw)
-    except ValueError as e:
-        raise CliError("sim", str(e))
     if args.json is not None:
         _write(args.json, rep.to_json() + "\n")
     else:
@@ -181,14 +161,13 @@ def _cmd_sim(args) -> int:
 def _cmd_sweep(args) -> int:
     text = _read_text(args.input, "read")
     hw = _load_hw(args)
-    try:
-        slot_counts = [int(s) for s in args.slots.split(",")]
-    except ValueError:
-        raise CliError("flags", f"bad slot list: {args.slots}")
-    try:
+    with _stage("flags"):
+        try:
+            slot_counts = [int(s) for s in args.slots.split(",")]
+        except ValueError:
+            raise ValueError(f"bad slot list: {args.slots}") from None
+    with _stage("sweep"):
         reports = sweep(text, [replace(hw, slots=s) for s in slot_counts])
-    except (IrError, ValueError) as e:
-        raise CliError("sweep", str(e))
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["slots", "cycles", "fu_utilization", "dram_bytes"])
@@ -201,19 +180,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     prog = loaded = _load_program(args.input)
-    try:
+    with _stage("analyze"):
         if any(i.op not in FU_CLASS for i in prog.instrs):  # not machine code
             prog = lower(unroll(prog))
-    except IrError as e:
-        raise CliError("analyze", str(e))
     mix = workloads.instruction_mix(prog)
     fr = workloads.mix_fractions(mix)
     if args.streaming:
         hw = _load_hw(args)
-        try:
+        with _stage("analyze"):
             cmp = compare_streaming(loaded, hw)
-        except (IrError, ValueError) as e:
-            raise CliError("analyze", str(e))
         summary = {k: v for k, v in cmp.items()
                    if not hasattr(v, "to_dict")}
         summary["streaming_cycles"] = cmp["streaming"].cycles
@@ -267,7 +242,7 @@ def _gen_random(seed: int, size: int = 40) -> str:
 
 
 def _cmd_gen(args) -> int:
-    try:
+    with _stage("gen"):
         if args.workload == "random":
             text = _gen_random(args.seed)
         else:
@@ -283,8 +258,6 @@ def _cmd_gen(args) -> int:
                 text = workloads.gen_hoisted_rotations(wp, steps)
             else:
                 text = workloads.gen_helr_iteration(wp, batch=args.batch)
-    except ValueError as e:
-        raise CliError("gen", str(e))
     _write(args.output, text)
     return 0
 

@@ -81,8 +81,9 @@ class IrError(ValueError):
         self.line = line
 
 
-class ExecError(RuntimeError):
-    pass
+class ExecError(ValueError):
+    """A program or image the executor cannot run: bad input, as every
+    `ValueError` of the stack is (a `RuntimeError` is a broken invariant)."""
 
 
 _GC_GEN0 = 10_000       # the collector's generation-0 threshold in a step
@@ -927,24 +928,23 @@ class MemoryImage:
     def clone(self) -> "MemoryImage":
         return MemoryImage({k: list(v) for k, v in self.dram.items()})
 
-    def fetch(self, sym: str, idx: int) -> RnsPoly:
-        if sym not in self.dram:
+    def _space(self, sym: str, idx: int) -> list:
+        """The slots of a symbol that has a cell idx."""
+        space = self.dram.get(sym)
+        if space is None:
             raise ExecError(f"unknown symbol @{sym}")
-        space = self.dram[sym]
         if not 0 <= idx < len(space):
             raise ExecError(f"@{sym}[{idx}] out of range (size {len(space)})")
-        v = space[idx]
+        return space
+
+    def fetch(self, sym: str, idx: int) -> RnsPoly:
+        v = self._space(sym, idx)[idx]
         if v is None:
             raise ExecError(f"@{sym}[{idx}] read before write")
         return v
 
     def put(self, sym: str, idx: int, value: RnsPoly):
-        if sym not in self.dram:
-            raise ExecError(f"unknown symbol @{sym}")
-        space = self.dram[sym]
-        if not 0 <= idx < len(space):
-            raise ExecError(f"@{sym}[{idx}] out of range (size {len(space)})")
-        space[idx] = value
+        self._space(sym, idx)[idx] = value
 
 
 def blank_image(prog: Program) -> MemoryImage:
@@ -984,7 +984,13 @@ def _fit_modulus(poly: RnsPoly, m: Modulus, op: str,
 
 
 def _image_for(prog: Program, img: MemoryImage) -> MemoryImage:
-    """A copy of img with an empty space for each symbol it lacks."""
+    """A copy of img with an empty space for each symbol it lacks; every
+    slot it holds must be of the program's ring degree."""
+    for sym, space in img.dram.items():
+        for k, v in enumerate(space):
+            if v is not None and v.words.shape[1] != prog.n:
+                raise ExecError(f"@{sym}[{k}] has ring degree "
+                                f"{v.words.shape[1]}, not {prog.n}")
     img = img.clone()
     for sym, count in prog.dram.items():
         if sym not in img.dram:

@@ -6,15 +6,18 @@ the package's codecs against these: equal programs, text and bytes, or
 the same IrError message and line.
 
 Only the helpers the package did not change are imported: the directive
-parser, the modulus and address checks, and the name and index codecs of
-`.ebin` records.
+parser, the modulus and address checks, and the name packer and index
+codec of `.ebin` records.  Two rules are newer than the record-by-record
+codecs, and the oracles keep them too: the machine-form scan rejects an
+undeclared modulus or constant, and the disassembler reports a table name
+that is not UTF-8 or a modulus `make_modulus` rejects as an IrError that
+names the table entry.
 """
 
 import struct
 
 from effact.asm import (_CODES, _EXE_MAGIC, _OPNAMES, _T_ADDR, _T_CONST,
-                        _T_FIFO, _T_IMM, _T_NONE, _T_REG, _entry, _pack_name,
-                        _unpack_name)
+                        _T_FIFO, _T_IMM, _T_NONE, _T_REG, _entry, _pack_name)
 from effact.ir import (DEFER, NO_FLAGS, NO_META, OPCODES, Addr, ConstDef,
                        CRef, Imm, Instr, IrError, Program, SRef, Vreg,
                        _digits, _Header, _parse_affine, _parse_directive,
@@ -210,6 +213,8 @@ def scan_machine_form_oracle(prog):
                           else f"{i.op} takes no modulus", i.line)
         if not i.flags <= row.flags:
             raise IrError(f"{i.op} takes no flags", i.line)
+        if i.mod is not None and i.mod not in prog.moduli:
+            raise IrError(f"unknown modulus '{i.mod}'", i.line)
         for o in i.dests + i.srcs:
             if isinstance(o, Vreg) and o.name[:1] == "%":
                 raise IrError(f"virtual register {o} survives in machine "
@@ -219,6 +224,8 @@ def scan_machine_form_oracle(prog):
                     raise IrError(f"non-constant address {o} in machine "
                                   "code", i.line)
                 check_address(prog, o, i.line)
+            if isinstance(o, CRef) and o.name not in prog.consts:
+                raise IrError(f"unknown constant '!{o.name}'", i.line)
 
 
 def _encode_operand(o, symidx, constidx):
@@ -297,6 +304,13 @@ def _decode_operand(word, consts, syms):
     raise IrError(f"bad operand tag {tag}")
 
 
+def _unpack_name(b, what, k):
+    try:
+        return b.rstrip(b"\0").decode()
+    except UnicodeDecodeError as e:
+        raise IrError(f"{what} {k}: {e}")
+
+
 def disassemble_binary_oracle(blob):
     if blob[:8] != _EXE_MAGIC:
         raise IrError("bad executable magic")
@@ -312,15 +326,18 @@ def disassemble_binary_oracle(blob):
     moduli, table, dram, instrs = {}, {}, {}, []
     seen = {}
     mods = []
-    for _ in range(nmods):
-        name = _unpack_name(blob[off:off + 16])
+    for k in range(nmods):
+        name = _unpack_name(blob[off:off + 16], "modulus", k)
         q, r_bits, _pad = struct.unpack("<QII", blob[off + 16:off + 32])
-        moduli[name] = make_modulus(q, n, r_bits)
+        try:
+            moduli[name] = make_modulus(q, n, r_bits)
+        except ValueError as e:
+            raise IrError(f"modulus {name}: {e}")
         mods.append(name)
         off += 32
     consts = []
-    for _ in range(nconsts):
-        name = _unpack_name(blob[off:off + 16])
+    for k in range(nconsts):
+        name = _unpack_name(blob[off:off + 16], "constant", k)
         mi, rep, absorb, value = struct.unpack("<IBB2xQ",
                                                blob[off + 16:off + 32])
         if rep not in REPR_NAMES:
@@ -330,8 +347,8 @@ def disassemble_binary_oracle(blob):
         consts.append(name)
         off += 32
     syms = []
-    for _ in range(nsyms):
-        name = _unpack_name(blob[off:off + 16])
+    for k in range(nsyms):
+        name = _unpack_name(blob[off:off + 16], "symbol", k)
         count, _pad = struct.unpack("<II", blob[off + 16:off + 24])
         dram[name] = count
         syms.append(name)

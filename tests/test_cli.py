@@ -340,6 +340,22 @@ def test_exec_rejects_bad_image_manifest(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error[image]:")
 
 
+def test_exec_rejects_an_image_of_another_ring_degree(tmp_path, capsys):
+    # an n = 8 image for an n = 16 program: no result image is written,
+    # which no `exec --image` would load
+    prog, mem, out = (tmp_path / name
+                      for name in ("p.eir", "in.emem", "out.emem"))
+    prog.write_text(TINY.replace(".n 8", ".n 16") + "%a = load @x[0]\n"
+                    "%b = load @x[1]\n%m = mmul %a, %b, q0\n"
+                    "store %m, @y[0]\n")
+    mem.write_bytes(tiny_image(repr=SM))
+    assert main(["exec", str(prog), "--image", str(mem),
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error[exec]: @x[0] has ring degree 8, not 16\n"
+    assert not out.exists()
+
+
 def test_bconv_of_many_sources_compiles_and_executes(tmp_path):
     from effact.poly import (RnsPoly, bconv_merged, make_bconv_tables,
                              make_poly, ntt_inv)

@@ -200,22 +200,29 @@ def test_machine_code_codecs_match_their_oracles(instrs):
 
 
 def test_assembly_faults_are_raised_in_record_order():
-    # an unknown modulus, then the result, then each source in order
+    # the scan's faults first, with their instruction's line: an unknown
+    # modulus, then an unknown constant among the operands; then the
+    # encoder's, with no line: the result, then each source in order
     r0, r1 = machine_regs("r", 2)[:2]
     big, wide = Imm(1 << 21), Vreg(f"r{1 << 21}")
     for instrs, want in (
-            ([Instr("auto", (r1,), (r0, big), "q9")], "'q9'"),
-            ([Instr("auto", (r1,), (r0, big), "q0"),
-              Instr("auto", (r1,), (r0, Imm(1)), "q9")],
-             "operand 2097152 not encodable"),
-            ([Instr("auto", (r1,), (r0, Imm(1)), "q9"),
-              Instr("auto", (r1,), (r0, big), "q0")], "'q9'"),
-            ([Instr("mmul", (wide,), (r0, CRef("d")), "q0")],
-             "operand r2097152 not encodable"),
-            ([Instr("mac", (r1,), (r0, wide, CRef("d")), "q0")],
-             "operand r2097152 not encodable"),
-            ([Instr("mmul", (r1,), (r0, CRef("d")), "q0")], "'d'")):
-        assert same_binary_codecs(machine_program(instrs))[1:] == (want, None)
+            ([Instr("auto", (r1,), (r0, big), "q9", line=1)],
+             ("line 1: unknown modulus 'q9'", 1)),
+            ([Instr("auto", (r1,), (r0, big), "q0", line=1),
+              Instr("auto", (r1,), (r0, Imm(1)), "q9", line=2)],
+             ("line 2: unknown modulus 'q9'", 2)),
+            ([Instr("auto", (r1,), (r0, Imm(1)), "q9", line=1),
+              Instr("auto", (r1,), (r0, big), "q0", line=2)],
+             ("line 1: unknown modulus 'q9'", 1)),
+            ([Instr("mmul", (wide,), (r0, CRef("d")), "q0", line=1)],
+             ("line 1: unknown constant '!d'", 1)),
+            ([Instr("mac", (r1,), (r0, wide, CRef("c")), "q0", line=1)],
+             ("operand r2097152 not encodable", None)),
+            ([Instr("mmul", (r1,), (r0, CRef("d")), "q0", line=1)],
+             ("line 1: unknown constant '!d'", 1)),
+            ([Instr("auto", (r1,), (r0, big), "q0", line=1)],
+             ("operand 2097152 not encodable", None))):
+        assert same_binary_codecs(machine_program(instrs))[1:] == want
 
 
 # ---------------------------------------------------------------------------

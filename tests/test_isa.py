@@ -290,6 +290,23 @@ def test_executor_error_paths():
             execute_program(p, image_for(p, x_0=a, x_1=c))
 
 
+def test_executor_rejects_an_image_of_another_ring_degree():
+    # a slot the program reads, one it does not, one it would overwrite,
+    # and one of a symbol it does not declare: every slot is of degree n
+    prog = parse_ir(HEADER + "%a = load @x[0]\nstore %a, @y[0]\n")
+    half = rand_limb(make_modulus(97, N // 2), random.Random(7), repr=SM)
+    full = rand_limb(make_modulus(97, N), random.Random(7), repr=SM)
+    for where in ("x_0", "x_5", "y_0", "z_1"):
+        img = image_for(prog, x_0=full)
+        sym, idx = where.split("_")
+        img.dram.setdefault(sym, [None] * 2)[int(idx)] = half
+        with pytest.raises(ExecError, match=rf"^@{sym}\[{idx}\] has ring "
+                           f"degree {N // 2}, not {N}$"):
+            execute_program(prog, img)
+    out = execute_program(prog, image_for(prog, x_0=full))
+    assert out.dram["y"][0].to_ints() == full.to_ints()
+
+
 def machine_prog():
     one = sm_encode(1, make_modulus(97, N))
     text = (HEADER + f".const one q0 {one} sm\n"

@@ -5,7 +5,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import effact
+import effact.cli
 from effact.ir import OPCODES
 
 
@@ -128,6 +131,63 @@ def test_one_helper_touches_the_collector():
                   and node.func.value.id == "gc"
                   and id(node) not in allowed]
     assert found == []
+
+
+def test_one_context_manager_reports_bad_input():
+    # the CLI turns a caught exception into a CliError in one place,
+    # `cli._stage`, for every stage of every command
+    tree = ast.parse(Path(effact.cli.__file__).read_text())
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_stage"
+               for node in ast.walk(fn)}
+    made = [node for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "CliError"]
+    assert len(made) == 1
+    assert [f"cli.py:{node.lineno}" for node in made
+            if id(node) not in allowed] == []
+
+
+def test_bad_input_errors_are_value_errors():
+    # a ValueError is bad input, which the CLI reports; every exception
+    # class of the library is one (CliError is the CLI's report)
+    root = Path(effact.__file__).parent
+    classes = {cls for path in root.glob("*.py")
+               if path.stem not in ("__init__", "cli")
+               for _, cls in inspect.getmembers(
+                   importlib.import_module(f"effact.{path.stem}"),
+                   inspect.isclass)
+               if issubclass(cls, BaseException)
+               and cls.__module__.startswith("effact.")}
+    assert {cls.__name__ for cls in classes} == {
+        "IrError", "ExecError", "ContractError", "ReprError"}
+    assert all(issubclass(cls, ValueError) for cls in classes)
+
+
+def test_a_broken_invariant_is_not_reported_as_bad_input(tmp_path,
+                                                         monkeypatch, capsys):
+    # a RuntimeError is a bug: it leaves `effact sim` as itself, not as
+    # error[sim]
+    from effact import sim
+    from effact.cli import main
+    src = tmp_path / "p.eir"
+    src.write_text(".n 16\n.mod q0 97\n.dram x 1\n.dram y 1\n"
+                   "%a = load @x[0]\nstore %a, @y[0]\n")
+    easm = tmp_path / "p.easm"
+    assert main(["compile", str(src), "-o", str(easm)]) == 0
+
+    class Board(sim._Board):
+        # every key starts on a longest path far beyond any schedule
+        def __missing__(self, key):
+            e = self[key] = [0, 0, 10 ** 12, 0]
+            return e
+
+    monkeypatch.setattr(sim, "_Board", Board)
+    with pytest.raises(RuntimeError, match="critical path"):
+        main(["sim", str(easm)])
+    assert "error[" not in capsys.readouterr().err
 
 
 def test_no_module_changes_a_meta_in_place():
