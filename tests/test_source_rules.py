@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import effact
-import effact.cli
+from effact import cli, sim
 from effact.ir import OPCODES
 
 
@@ -136,7 +136,7 @@ def test_one_helper_touches_the_collector():
 def test_one_context_manager_reports_bad_input():
     # the CLI turns a caught exception into a CliError in one place,
     # `cli._stage`, for every stage of every command
-    tree = ast.parse(Path(effact.cli.__file__).read_text())
+    tree = ast.parse(Path(cli.__file__).read_text())
     allowed = {id(node) for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) and fn.name == "_stage"
                for node in ast.walk(fn)}
@@ -170,13 +170,11 @@ def test_a_broken_invariant_is_not_reported_as_bad_input(tmp_path,
                                                          monkeypatch, capsys):
     # a RuntimeError is a bug: it leaves `effact sim` as itself, not as
     # error[sim]
-    from effact import sim
-    from effact.cli import main
     src = tmp_path / "p.eir"
     src.write_text(".n 16\n.mod q0 97\n.dram x 1\n.dram y 1\n"
                    "%a = load @x[0]\nstore %a, @y[0]\n")
     easm = tmp_path / "p.easm"
-    assert main(["compile", str(src), "-o", str(easm)]) == 0
+    assert cli.main(["compile", str(src), "-o", str(easm)]) == 0
 
     class Board(sim._Board):
         # every key starts on a longest path far beyond any schedule
@@ -186,7 +184,7 @@ def test_a_broken_invariant_is_not_reported_as_bad_input(tmp_path,
 
     monkeypatch.setattr(sim, "_Board", Board)
     with pytest.raises(RuntimeError, match="critical path"):
-        main(["sim", str(easm)])
+        cli.main(["sim", str(easm)])
     assert "error[" not in capsys.readouterr().err
 
 
