@@ -11,10 +11,9 @@ it (`Program.once`; a program cannot change), so a compile -> assemble ->
 disassemble -> simulate round trip scans each of its two programs once.
 Every program is scanned before it is assembled or simulated: nothing marks
 a program as machine code without the scan.  Machine opcodes, their rules
-and their `.ebin` codes are those of `ir.OPCODES`.  The scan checks an
-instruction against the table once per shape (`_MACHINE_SHAPES`), and the
-modulus and operands of every instruction: every modulus and constant
-declared, no virtual register, every address concrete and in range.
+and their `.ebin` codes are those of `ir.OPCODES`.  The scan checks each
+opcode, each shape once per process (`ir.check_operands`) and the
+references and operands of every instruction (`ir.check_refs`).
 
 The binary codecs work once per distinct operand and record head, not once
 per occurrence: `assemble_binary` copies the bytes of each into the one
@@ -44,8 +43,8 @@ from .ir import (
     Program,
     Vreg,
     _collector_scope,
-    check_address,
     check_operands,
+    check_refs,
     machine_regs,
     parse_ir,
     print_program,
@@ -67,60 +66,25 @@ _MEM_MAGIC = b"EMEM0001"
 
 def check_machine_form(prog: Program):
     """Raise IrError unless `prog` is machine code: machine opcodes with
-    the operand kinds, modulus and flags of `ir.OPCODES`, every modulus
-    and constant declared, no virtual register, every address concrete
-    and in range.  A pass is kept on the program (see the module
-    docstring)."""
+    the operand kinds, modulus and flags of `ir.OPCODES`, every reference
+    declared (`ir.check_refs`), no virtual register, every address
+    concrete and in range.  A pass is kept on the program."""
     prog.once(_scan_machine_form)
 
 
-# The instruction shapes that have passed the scan's checks of the opcode
-# table: (opcode, whether it has no modulus, its flags, number of results,
-# class of each operand).  Those checks read nothing else.
-_MACHINE_SHAPES: set = set()
-
-
-def _check_shape(i: Instr):
-    """The checks of an instruction against its `ir.OPCODES` row."""
-    if i.op not in _CODES:
-        raise IrError(f"opcode '{i.op}' is not machine-level", i.line)
-    check_operands(i)
-    row = OPCODES[i.op]
-    if (i.mod is None) == row.mod:
-        raise IrError(f"{i.op} needs a modulus" if i.mod is None
-                      else f"{i.op} takes no modulus", i.line)
-    if not i.flags <= row.flags:
-        raise IrError(f"{i.op} takes no flags", i.line)
-
-
 def _scan_machine_form(prog: Program):
-    """Each instruction's shape is checked at its first sight in the
-    process (`_check_shape`), and its modulus and operands every time: a
-    known modulus and constant, no virtual register, and each address
-    concrete and in range."""
-    dram, mods, consts = dict(prog.dram), {None, *prog.moduli}, prog.consts
-    for i in prog.instrs:
-        ops, mod = i.dests + i.srcs, i.mod
-        shape = (i.op, mod is None, i.flags, len(i.dests), *map(type, ops))
-        if shape not in _MACHINE_SHAPES:
-            _check_shape(i)
-            _MACHINE_SHAPES.add(shape)
-        if mod not in mods:
-            raise IrError(f"unknown modulus '{mod}'", i.line)
-        for o in ops:
-            kind = o.__class__
-            if kind is Vreg:
-                if o.name[:1] == "%":
-                    raise IrError(f"virtual register {o} survives in "
-                                  "machine code", i.line)
-            elif kind is Addr:
-                if o.terms:
-                    raise IrError(f"non-constant address {o} in machine "
-                                  "code", i.line)
-                if not 0 <= o.base < dram.get(o.sym, 0):
-                    check_address(prog, o, i.line)
-            elif kind is CRef and o.name not in consts:
-                raise IrError(f"unknown constant '!{o.name}'", i.line)
+    """Shapes, then references; an earlier instruction's fault first."""
+    instrs = prog.instrs
+    for k, i in enumerate(instrs):
+        try:
+            if i.op not in _CODES:
+                raise IrError(f"opcode '{i.op}' is not machine-level",
+                              i.line)
+            check_operands(i)
+        except IrError:
+            check_refs(prog, instrs[:k], machine=True)
+            raise
+    check_refs(prog, machine=True)
 
 
 def assemble_text(prog: Program) -> str:

@@ -39,7 +39,6 @@ from .poly import (
     BconvTables,
     RnsPoly,
     Word,
-    automorphism_apply,
     automorphism_ntt,
     bconv,
     bconv_merged,
@@ -339,8 +338,8 @@ def keygen_small(params: CkksParams, seed: int = 0,
             for d in range(params.dnum)))
 
     evk = evk_for(sk.ntt_poly(ext, 2))
-    rot_keys = {s: evk_for(ntt_fwd(to_sm(automorphism_apply(
-        _reduce(sk.coeffs, ext), s)))) for s in rot_steps}
+    rot_keys = {s: evk_for(automorphism_ntt(sk.ntt_poly(ext), s))
+                for s in rot_steps}
     return sk, evk, rot_keys
 
 

@@ -80,6 +80,7 @@ from .ir import (
     _addr_key,
     _collector_scope,
     build_deps,
+    check_refs,
     check_straight_line,
     machine_regs,
     parse_ir,
@@ -261,8 +262,9 @@ def _intern_const(consts: dict, hint: str, mod: str, value: int, rep: int,
 # unrolling: straight-line SSA code in execution order (see ir.ssa)
 
 def unroll(p: Program) -> Program:
-    """`ir.ssa(p)`: straight-line SSA code without copies.  Machine
-    registers (`rN`, `fN`) are rejected."""
+    """`ir.ssa(p)`: straight-line SSA code without copies.  Bad references
+    (`ir.check_refs`) and machine registers (`rN`, `fN`) are rejected."""
+    p.once(check_refs)
     for i in p.instrs:
         for o in i.srcs + i.dests:
             if isinstance(o, Vreg) and not o.name.startswith("%"):

@@ -11,14 +11,14 @@ subset is sli / sadd / smul, counted loops (loop/endloop), and skipz.
 `OPCODES` is the one table of what an opcode is (operand kinds by
 position, modulus, flags, unit class, `.ebin` code); every other module
 reads it or a view of it built at import (`FU_CLASS`, `UNITS`, ...).
-`parse_ir` and `asm.check_machine_form` enforce the operand kinds
-(`check_operands`), so no pass checks them again.  That check reads only
-an instruction's shape (opcode, result count and operand classes) and
-runs once per shape in a process; what depends on the operands
-themselves (defined registers and scalars, known symbols and constants)
-is checked on every instruction.  `parse_ir` parses each distinct token
-once per text and `print_program` prints each distinct address once per
-program: instructions share their operands.
+`parse_ir` and `asm.check_machine_form` check each instruction's shape
+(`check_operands`: operand kinds, modulus and flags) once per shape in a
+process, and `check_refs` is the one rule of what an instruction may
+reference, run wherever a program enters the stack: the parser, the
+compiler's `unroll`, the machine-form scan and `execute_program`.
+`parse_ir` parses each distinct token once per text and `print_program`
+prints each distinct address once per program: instructions share their
+operands.
 
 `walk` is the one interpreter of the scalar subset, `ssa` the one renamer
 of what it yields, and `build_deps` the one dependence builder, of one
@@ -36,8 +36,8 @@ which calls `object.__setattr__` per field.  A `Program` cannot change once
 built: its instructions are a tuple and its tables read-only views, and
 each pass builds a new program (`Program.with_`).  So an analysis of a
 program runs at most once and is kept on it (`Program.once`): the
-compiler's `def_use`, `build_deps`, `asm.check_machine_form` and the
-executor's wave plan (`_waves`).  A second `simulate` or
+compiler's `def_use`, `build_deps`, `asm.check_machine_form`, `check_refs`
+and the executor's wave plan (`_waves`).  A second `simulate` or
 `execute_program` of one program plans nothing again.
 """
 
@@ -332,8 +332,8 @@ class Program:
 
     So an analysis of a program is computed at most once and kept on it
     (`once`): the compiler's `def_use`, the `build_deps` that the
-    scheduler reads, the machine-form check and the executor's wave
-    plan."""
+    scheduler reads, the machine-form check, `check_refs` and the
+    executor's wave plan."""
 
     n: int
     moduli: Mapping[str, Modulus]
@@ -368,13 +368,13 @@ class Program:
     def with_(self, instrs=_SAME, *, consts=_SAME, dram=_SAME) -> "Program":
         """A new program with the given instructions and tables in place of
         this one's, and a copy of its notes.  When its instructions and
-        `dram` are this one's, so are its analyses: each reads only
-        those two."""
+        tables are this one's, so are its analyses: each reads only
+        those."""
         out = Program(self.n, self.moduli,
                       self.consts if consts is _SAME else consts,
                       self.dram if dram is _SAME else dram,
                       self.instrs if instrs is _SAME else instrs, self.notes)
-        if instrs is _SAME and dram is _SAME:
+        if instrs is _SAME and consts is _SAME and dram is _SAME:
             out._kept = self._kept
         return out
 
@@ -386,7 +386,7 @@ class Program:
     def once(self, analysis):
         """analysis(self), computed at the first call for this program and
         kept: an analysis reads only the program's instructions and
-        `dram`, which cannot change.  It must not change what it
+        tables, which cannot change.  It must not change what it
         returns, nor may its callers."""
         kept = self._kept
         if analysis not in kept:
@@ -400,24 +400,69 @@ class Program:
         return out
 
 
-# The shapes that have passed `check_operands`: (opcode, number of
-# results, class of each operand).  The check reads nothing else, so an
-# instruction of a shape here passes it too.
-_OPERAND_SHAPES: set = set()
+# The shapes that have passed `check_operands`: (opcode, no modulus, flags,
+# number of results, class of each operand).  The check reads nothing
+# else, so an instruction of a shape here passes it too.
+_SHAPES: set = set()
 
 
 def check_operands(i: Instr):
-    """Check the operand counts and kinds of `OPCODES`, once per shape."""
-    shape = (i.op, len(i.dests), *map(type, i.dests + i.srcs))
-    if shape in _OPERAND_SHAPES:
+    """Check the operands, modulus and flags of `OPCODES`, once per shape."""
+    ops = i.dests + i.srcs
+    shape = (i.op, i.mod is None, i.flags, len(i.dests), *map(type, ops))
+    if shape in _SHAPES:
         return
-    dests, srcs = OPCODES[i.op][:2]
-    if len(i.srcs) != len(srcs) or len(i.dests) != len(dests):
-        raise IrError(f"{i.op} expects {len(srcs)} operands", i.line)
-    for o, (ok, complaint) in zip(i.dests + i.srcs, dests + srcs):
+    row = OPCODES[i.op]
+    if len(i.srcs) != len(row.srcs) or len(i.dests) != len(row.dests):
+        raise IrError(f"{i.op} expects {len(row.srcs)} operands", i.line)
+    for o, (ok, complaint) in zip(ops, row.dests + row.srcs):
         if not isinstance(o, ok):
             raise IrError(f"{i.op} {complaint}", i.line)
-    _OPERAND_SHAPES.add(shape)
+    if (i.mod is None) == row.mod:
+        raise IrError(f"{i.op} needs a modulus" if i.mod is None
+                      else f"{i.op} takes no modulus", i.line)
+    if not i.flags <= row.flags:
+        raise IrError(f"{i.op} takes no flags", i.line)
+    _SHAPES.add(shape)
+
+
+def check_refs(prog, instrs=None, machine: bool = False):
+    """The one rule of references, for each of `instrs` (default: all of
+    `prog`, a `Program` or the parser's header): its modulus and a bconv's
+    basis declared, each constant declared and of that modulus, each DRAM
+    symbol declared; in `machine` code no virtual register, and addresses
+    concrete and in range.  Faults come modulus first, then by operand."""
+    moduli, consts, dram = prog.moduli, prog.consts, prog.dram
+    for i in prog.instrs if instrs is None else instrs:
+        mod = i.mod
+        if mod is None:
+            if i.op == "bconv":
+                for m in i.meta["src_mods"] + i.meta["dst_mods"]:
+                    if m not in moduli:
+                        raise IrError(f"unknown modulus '{m}'", i.line)
+                continue
+        elif mod not in moduli:
+            raise IrError(f"unknown modulus '{mod}'", i.line)
+        for o in i.dests + i.srcs if machine else i.srcs:
+            kind = o.__class__
+            if kind is Vreg:
+                if machine and o.name[:1] == "%":
+                    raise IrError(f"virtual register {o} survives in "
+                                  "machine code", i.line)
+            elif kind is CRef:
+                c = consts.get(o.name)
+                if c is None:
+                    raise IrError(f"unknown constant '!{o.name}'", i.line)
+                if c.mod != mod:
+                    raise IrError(f"constant !{o.name} is for modulus "
+                                  f"{c.mod}, not {mod}", i.line)
+            elif kind is Addr:
+                if machine and o.terms:
+                    raise IrError(f"non-constant address {o} in machine "
+                                  "code", i.line)
+                size = dram.get(o.sym)
+                if size is None or machine and not 0 <= o.base < size:
+                    check_address(prog, o, i.line)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +686,10 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
         args, basis = rest.split(":", 1)
         srcm, dstm = (t.split() for t in basis.split("->", 1))
         srcs = _operands(args.split(), lineno, seen)
-        for m in srcm + dstm:
-            _require_mod(prog, m, lineno)
+        instr = Instr(op, dests, srcs, None, flags,
+                      {"src_mods": tuple(srcm), "dst_mods": tuple(dstm)},
+                      lineno)
+        check_refs(prog, (instr,))
         qs = [prog.moduli[m].q for m in srcm + dstm]
         if len(set(qs)) != len(qs):
             raise IrError("bconv moduli must be pairwise distinct", lineno)
@@ -650,9 +697,7 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
             raise IrError("bconv operand/basis arity mismatch", lineno)
         if not all(isinstance(o, Vreg) for o in dests + srcs):
             raise IrError("bconv takes registers only", lineno)
-        return Instr(op, dests, srcs, None, flags,
-                     {"src_mods": tuple(srcm), "dst_mods": tuple(dstm)},
-                     lineno)
+        return instr
 
     mod = None
     toks = [t for t in map(str.strip, rest.split(",")) if t]
@@ -664,13 +709,7 @@ def _parse_instr(prog: _Header, line: str, lineno: int,
     ops = _operands(toks, lineno, seen)
     instr = Instr(op, dests, ops, mod, flags, NO_META, lineno)
     check_operands(instr)
-    for o in ops:
-        kind = o.__class__
-        if kind is Addr:
-            if o.sym not in prog.dram:
-                raise IrError(f"unknown symbol '@{o.sym}'", lineno)
-        elif kind is CRef and o.name not in prog.consts:
-            raise IrError(f"unknown constant '!{o.name}'", lineno)
+    check_refs(prog, (instr,))
     return instr
 
 
@@ -955,11 +994,6 @@ def blank_image(prog: Program) -> MemoryImage:
 # ---------------------------------------------------------------------------
 # golden executor
 
-def _const_word(prog: Program, ref: CRef) -> tuple[Word, bool, str]:
-    c = prog.consts[ref.name]
-    return Word(c.value, c.repr), c.absorb, c.mod
-
-
 def _operand_value(env, img, o):
     """The value of a data operand: a register or an address."""
     if isinstance(o, Addr):
@@ -1005,7 +1039,9 @@ def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
     multiplies of one shape in a wave as one kernel call (`_run_waves`).
     That cannot be seen from outside: if anything raises, the program is
     replayed in order, one `_step` per instruction, from the input image,
-    so results and errors are those of in-order execution."""
+    so results and errors are those of in-order execution.  Its references
+    are checked first, once per program (`check_refs`)."""
+    prog.once(check_refs)
     try:
         return _run_waves(prog, _image_for(prog, img))
     except Exception:     # of any type: the replay raises the first one
@@ -1053,10 +1089,8 @@ def _args(prog: Program, i: Instr, env, img: MemoryImage):
         return (val(i.srcs[0]),), False
     bsrc = i.srcs[-1]
     if isinstance(bsrc, CRef):
-        b, absorb, cmod = _const_word(prog, bsrc)
-        if cmod != i.mod:
-            raise ExecError(f"constant !{bsrc.name} is for modulus "
-                            f"{cmod}, not {i.mod}")
+        c = prog.consts[bsrc.name]
+        b, absorb = Word(c.value, c.repr), c.absorb
     else:
         b, absorb = val(bsrc, movable=op != "mmad"), False
     if op == "mmul":

@@ -160,10 +160,10 @@ class _Builder:
         return "!" + self._consts[key]
 
     # -- instruction emitters ----------------------------------------------
-    def _vec(self, op: str, operands: str, bc=False, suffix="") -> str:
+    def _vec(self, op: str, operands: str, suffix="") -> str:
         r = self.fresh()
         self.body.append(f"{r} = {op}{suffix} {operands}")
-        self.counts[_MIX[op][bc]] += 1
+        self.counts[_MIX[op][0]] += 1
         return r
 
     def load(self, sym: str, idx: int) -> str:
@@ -173,11 +173,11 @@ class _Builder:
         self.body.append(f"store {reg}, @{sym}[{idx}]")
         self.counts[_MIX["store"][0]] += 1
 
-    def mmul(self, a: str, b: str, mod: str, bc: bool = False) -> str:
-        return self._vec("mmul", f"{a}, {b}, {mod}", bc)
+    def mmul(self, a: str, b: str, mod: str) -> str:
+        return self._vec("mmul", f"{a}, {b}, {mod}")
 
-    def mmad(self, a: str, b: str, mod: str, bc: bool = False) -> str:
-        return self._vec("mmad", f"{a}, {b}, {mod}", bc)
+    def mmad(self, a: str, b: str, mod: str) -> str:
+        return self._vec("mmad", f"{a}, {b}, {mod}")
 
     def ntt(self, a: str, mod: str) -> str:
         return self._vec("ntt", f"{a}, {mod}")

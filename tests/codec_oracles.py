@@ -7,11 +7,12 @@ the same IrError message and line.
 
 Only the helpers the package did not change are imported: the directive
 parser, the modulus and address checks, and the name packer and index
-codec of `.ebin` records.  Two rules are newer than the record-by-record
+codec of `.ebin` records.  Three rules are newer than the record-by-record
 codecs, and the oracles keep them too: the machine-form scan rejects an
-undeclared modulus or constant, and the disassembler reports a table name
-that is not UTF-8 or a modulus `make_modulus` rejects as an IrError that
-names the table entry.
+undeclared modulus or constant, the parser and the scan reject a constant
+of another modulus than its instruction's, and the disassembler reports a
+table name that is not UTF-8 or a modulus `make_modulus` rejects as an
+IrError that names the table entry.
 """
 
 import struct
@@ -119,6 +120,9 @@ def _parse_instr(prog, line, lineno, seen):
             raise IrError(f"unknown symbol '@{o.sym}'", lineno)
         if isinstance(o, CRef) and o.name not in prog.consts:
             raise IrError(f"unknown constant '!{o.name}'", lineno)
+        if isinstance(o, CRef) and prog.consts[o.name].mod != mod:
+            raise IrError(f"constant !{o.name} is for modulus "
+                          f"{prog.consts[o.name].mod}, not {mod}", lineno)
     return instr
 
 
@@ -226,6 +230,10 @@ def scan_machine_form_oracle(prog):
                 check_address(prog, o, i.line)
             if isinstance(o, CRef) and o.name not in prog.consts:
                 raise IrError(f"unknown constant '!{o.name}'", i.line)
+            if isinstance(o, CRef) and prog.consts[o.name].mod != i.mod:
+                raise IrError(f"constant !{o.name} is for modulus "
+                              f"{prog.consts[o.name].mod}, not {i.mod}",
+                              i.line)
 
 
 def _encode_operand(o, symidx, constidx):

@@ -122,6 +122,32 @@ def test_machine_registers_in_compiler_input_are_tagged_errors(tmp_path,
     assert not (tmp_path / "m.ebin").exists()
 
 
+OTHER_MODULUS = """\
+.n 16
+.mod q0 97
+.mod q1 193
+.dram x 2
+.dram y 2
+.const c q1 5 sm
+%a = load @x[0]
+%b = mmul %a, !c, q0
+store %b, @y[0]
+"""
+
+
+def test_a_constant_of_another_modulus_is_a_tagged_error(tmp_path, capsys):
+    # the executor would reject the multiply on line 8, so every command
+    # that reads the program does, with the line
+    path = tmp_path / "other.eir"
+    path.write_text(OTHER_MODULUS)
+    for cmd in ("compile", "sim", "exec"):
+        capsys.readouterr()
+        assert main([cmd, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error\[\w+\]: line 8: constant !c is for "
+                            r"modulus q1, not q0\n", err), (cmd, err)
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/nonexistent.eir"]) == 1
 

@@ -1,11 +1,11 @@
 """The ISA's text and binary codecs against the record-by-record oracles
-of codec_oracles.py, and the shape memos of the operand checks.
+of codec_oracles.py, and the one shape memo of the operand checks.
 
 Each codec must give what its oracle gives: an equal program, the same
 text or the same bytes, or an exception of the same type, message and
 line.  The operand checks run once per instruction shape in a process,
-so a shape that passed must still let each instruction's own operands
-fail.
+for the parser and the machine-form scan alike, so a shape that passed
+must still let each instruction's own operands fail.
 """
 
 import random
@@ -226,18 +226,29 @@ def test_assembly_faults_are_raised_in_record_order():
 
 
 # ---------------------------------------------------------------------------
-# the shape memos decide only what the shape decides
+# the shape memo decides only what the shape decides
+
+class Shapes(set):
+    """The shape memo of `ir.check_operands`, recording each shape it is
+    asked for and does not hold: each check against the table."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = []
+
+    def __contains__(self, shape):
+        held = super().__contains__(shape)
+        if not held:
+            self.checked.append(shape)
+        return held
+
 
 @pytest.fixture
 def fresh_shapes(monkeypatch):
-    """Empty shape memos, and a count of the table checks run."""
-    monkeypatch.setattr(asm, "_MACHINE_SHAPES", set())
-    monkeypatch.setattr(ir, "_OPERAND_SHAPES", set())
-    runs = []
-    check = asm._check_shape
-    monkeypatch.setattr(asm, "_check_shape",
-                        lambda i: runs.append(i) or check(i))
-    return runs
+    """An empty shape memo, and the shapes checked against the table."""
+    shapes = Shapes()
+    monkeypatch.setattr(ir, "_SHAPES", shapes)
+    return shapes.checked
 
 
 def scan_error(instrs):
@@ -250,39 +261,58 @@ def test_a_passed_shape_still_checks_each_instructions_operands(
         fresh_shapes):
     r0, r1 = machine_regs("r", 2)[:2]
     good = Instr("mmul", (r1,), (r0, Addr("x", 1)), "q0", line=3)
-    check_machine_form(machine_program([good]))
-    assert fresh_shapes == [good]
-    # the same shape: result, register, address
-    for srcs, want in (
-            ((Vreg("%a"), Addr("x", 1)),
+    scaled = good.with_(srcs=(r0, CRef("c")))
+    check_machine_form(machine_program([good, scaled]))
+    assert len(fresh_shapes) == 2
+    # the same shapes: modulus, result, register, address, constant
+    for bad, want in (
+            (good.with_(mod="q9"), "line 3: unknown modulus 'q9'"),
+            (good.with_(dests=(Vreg("%b"),)),
+             "line 3: virtual register %b survives in machine code"),
+            (good.with_(srcs=(Vreg("%a"), Addr("x", 1))),
              "line 3: virtual register %a survives in machine code"),
-            ((r0, Addr("x", 0, (("$i", 1),))),
+            (good.with_(srcs=(r0, Addr("x", 0, (("$i", 1),)))),
              "line 3: non-constant address @x[$i] in machine code"),
-            ((r0, Addr("x", 8)),
+            (good.with_(srcs=(r0, Addr("x", 8))),
              "line 3: address @x[8] out of range (size 8)"),
-            ((r0, Addr("x", -1)),
+            (good.with_(srcs=(r0, Addr("x", -1))),
              "line 3: address @x[-1] out of range (size 8)"),
-            ((r0, Addr("w", 0)), "line 3: unknown symbol '@w'")):
-        assert scan_error([good, good.with_(srcs=srcs)]) == want
-    assert fresh_shapes == [good]
+            (good.with_(srcs=(r0, Addr("w", 0))),
+             "line 3: unknown symbol '@w'"),
+            (scaled.with_(srcs=(r0, CRef("d"))),
+             "line 3: unknown constant '!d'"),
+            (scaled.with_(mod="q1"),
+             "line 3: constant !c is for modulus q0, not q1")):
+        assert scan_error([good, scaled, bad]) == want
+    assert len(fresh_shapes) == 2
     # a shape that differs only in its modulus or its flags is checked
     assert scan_error([good, good.with_(mod=None)]) == \
         "line 3: mmul needs a modulus"
     assert scan_error([good, good.with_(flags=DEFER)]) == \
         "line 3: mmul takes no flags"
-    assert len(fresh_shapes) == 3
+    assert len(fresh_shapes) == 4
     intt = Instr("intt", (r1,), (r0,), "q0")
     check_machine_form(machine_program([intt, intt.with_(flags=DEFER)]))
-    assert fresh_shapes[3:] == [intt, intt.with_(flags=DEFER)]
+    assert len(fresh_shapes) == 6
+    load = Instr("load", (r1,), (Addr("x", 0),))
+    assert scan_error([load.with_(mod="q0")]) == "load takes no modulus"
+    assert len(fresh_shapes) == 7
+    # the parser's shapes are in the same memo, and a shape that the
+    # parser admits is still no machine code
+    copy = Instr("copy", (r1,), (r0,), line=4)
+    assert scan_error([copy]) == "line 4: opcode 'copy' is not machine-level"
+    assert len(fresh_shapes) == 7
 
 
 def test_a_parsed_shape_still_checks_each_instructions_operands(
         fresh_shapes):
     good = HEADER + "%a = load @x[0]\n%b = mmul %a, !c, q0\n"
     parse_ir(good)
-    assert len(ir._OPERAND_SHAPES) == 2
+    assert len(fresh_shapes) == 2
     for line, want in (
             ("%b = mmul %a, !d, q0", "line 8: unknown constant '!d'"),
+            ("%b = mmul %a, !c, q1",
+             "line 8: constant !c is for modulus q0, not q1"),
             ("%b = mmul %z, !c, q0", "line 8: use of undefined register %z"),
             ("%b = load @w[0]", "line 8: unknown symbol '@w'"),
             ("%b = load @x[$i]", "line 8: use of undefined scalar $i"),
@@ -290,5 +320,9 @@ def test_a_parsed_shape_still_checks_each_instructions_operands(
         with pytest.raises(IrError) as e:
             parse_ir(HEADER + "%a = load @x[0]\n" + line + "\n")
         assert str(e.value) == want
-    assert len(ir._OPERAND_SHAPES) == 2
-    assert fresh_shapes == []           # the parser checks no machine form
+    assert len(fresh_shapes) == 2
+    # a parsed shape is the scan's too: machine code of it checks nothing
+    # against the table again
+    check_machine_form(parse_ir(HEADER + "r0 = load @x[0]\n"
+                                "r1 = mmul r0, !c, q0\n"))
+    assert len(fresh_shapes) == 2

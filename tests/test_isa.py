@@ -23,6 +23,7 @@ from effact.ir import (
     NO_META,
     OPCODES,
     Addr,
+    ConstDef,
     CRef,
     Imm,
     Instr,
@@ -332,6 +333,70 @@ def test_assemble_round_trip():
     assert [m.q for m in back.moduli.values()] == \
         [m.q for m in p.moduli.values()]
     assert back.consts.keys() == p.consts.keys()
+
+
+def bad_reference_programs(reg):
+    """Programs built in code that break the rule of references on line 2,
+    each with the message it must raise: registers named `reg` + k."""
+    a, b = Vreg(f"{reg}0"), Vreg(f"{reg}1")
+    consts = {"c": ConstDef("c", "q1", 5, SM)}
+    for bad, want in (
+            (Instr("mmul", (b,), (a, a), "q7", line=2),
+             "line 2: unknown modulus 'q7'"),
+            (Instr("mmul", (b,), (a, CRef("zz")), "q0", line=2),
+             "line 2: unknown constant '!zz'"),
+            (Instr("mmul", (b,), (a, CRef("c")), "q0", line=2),
+             "line 2: constant !c is for modulus q1, not q0")):
+        yield Program(N, {"q0": make_modulus(97, N),
+                          "q1": make_modulus(113, N)}, consts,
+                      {"x": 8, "y": 8},
+                      [Instr("load", (a,), (Addr("x", 0),), line=1), bad,
+                       Instr("store", (), (b, Addr("y", 0)), line=3)]), want
+
+
+def test_programs_built_in_code_meet_the_rule_of_references():
+    # the rule the parser keeps holds wherever a program enters the stack:
+    # an IrError of the instruction's line, never a KeyError
+    entries = ((compile_program, "%"), (execute_program, "%"),
+               (execute_program, "r"), (assemble_binary, "r"),
+               (lambda p: simulate(p, HardwareDescription()), "r"))
+    for enter, reg in entries:
+        for prog, want in bad_reference_programs(reg):
+            for _ in range(2):          # a failing check is not kept
+                with pytest.raises(IrError) as e:
+                    if enter is execute_program:
+                        enter(prog, blank_image(prog))
+                    else:
+                        enter(prog)
+                assert str(e.value) == want
+    # a bconv's basis moduli too
+    prog = Program(N, {"q0": make_modulus(97, N)}, (), {"x": 1}, [
+        Instr("load", (Vreg("%a"),), (Addr("x", 0),), line=1),
+        Instr("bconv", (Vreg("%b"),), (Vreg("%a"),),
+              meta={"src_mods": ("q0",), "dst_mods": ("q9",)}, line=2)])
+    for enter in (compile_program,
+                  lambda p: execute_program(p, blank_image(p))):
+        with pytest.raises(IrError, match="line 2: unknown modulus 'q9'"):
+            enter(prog)
+
+
+def test_a_kept_check_is_keyed_by_the_constants_too():
+    # a program with other constants is a new program to check: the
+    # machine-form scan and the executor's check of references read them
+    p = parse_ir(HEADER + ".const c q0 5 sm\nr0 = load @x[0]\n"
+                 "r1 = mmul r0, !c, q0\nstore r1, @y[0]\n")
+    check_machine_form(p)
+    execute_program(p, image_for(p, x_0=rand_limb(
+        p.moduli["q0"], random.Random(1), repr=SM)))
+    for consts, want in (
+            ({}, "line 8: unknown constant '!c'"),
+            ({"c": ConstDef("c", "q1", 5, SM)},
+             "line 8: constant !c is for modulus q1, not q0")):
+        for check in (check_machine_form,
+                      lambda q: execute_program(q, blank_image(q))):
+            with pytest.raises(IrError) as e:
+                check(p.with_(consts=consts))
+            assert str(e.value) == want
 
 
 def test_binary_input_is_checked():

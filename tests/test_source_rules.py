@@ -304,3 +304,32 @@ def test_every_name_the_benchmark_imports_exists():
             unbound.append(f"harness.py:{node.lineno}: {e}")
     assert unbound == []
     assert calls >= 50
+
+
+def test_one_function_checks_references():
+    # what an instruction may reference (declared constants of its
+    # modulus) is checked by one function, `ir.check_refs`, wherever a
+    # program enters the stack: no other code raises its messages
+    messages = ("unknown constant", "is for modulus")
+    root = Path(effact.__file__).parent
+    found, inside = [], 0
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("ir.py", "check_refs")
+                   for node in ast.walk(fn)}
+        for raised in ast.walk(tree):
+            if not isinstance(raised, ast.Raise):
+                continue
+            for node in ast.walk(raised):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str) \
+                        and any(m in node.value for m in messages):
+                    if id(node) in allowed:
+                        inside += 1
+                    else:
+                        found.append(f"{path.relative_to(root)}:"
+                                     f"{node.lineno}")
+    assert found == []
+    assert inside == len(messages)
