@@ -22,18 +22,20 @@ less.  `_fit` makes that fit-or-reschedule decision, and `back_ends` is
 one loop that passes one table, `made`, to the `_fit` of each
 configuration: the latency order and the slots it needs do not depend on
 the slot count, so an SRAM sweep schedules for latency once, merges it
-for the fit check only where the values that no merge removes fit, and
-schedules for pressure once per slot count.  A schedule
+for the fit check only where the values that no merge takes out of SRAM
+fit, and schedules for pressure once per slot count.  A schedule
 reorders the instructions it is given and copies none: their issue cycles
 are one list in `notes["issue_cycles"]`, aligned with the scheduled
 order, which `back_ends` drops, since later passes change that order.
 
 `def_use` is the one source of def/use facts after `pre`, the pressure
-scheduler's included, and `_priorities` the scheduler's one longest-path
-routine; the simulator takes its critical path from its own scoreboard
-pass, with no graph.  `pre` keys each pure op by what it reads after
-its replacements: in SSA code a value's first name is its value number,
-and a value is never read when its name is in no source.
+scheduler's included: a table of integer arrays (`Values`), which the
+passes' loops read as lists and `_max_live` and `_uses` sum with numpy.
+`_priorities` is the scheduler's one longest-path routine; the simulator
+takes its critical path from its own scoreboard pass, with no graph.
+`pre` keys each pure op by what it reads after its replacements: in SSA
+code a value's first name is its value number, and a value is never
+read when its name is in no source.
 `merge_streaming` makes the sink and source merges (`_merge_memory`)
 over every DRAM cell, and `merge_spill_traffic` over the `__spill`
 cells: one forward scan keeps each cell's last access, one backward scan
@@ -50,24 +52,28 @@ run under it too.  Machine registers are the shared objects of
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
 golden executor.  A program's `def_use`, `build_deps` and `max_liveness`
-are scanned once and kept on it (`p.once`): the pressure schedules read
-the front end's `def_use`, the fit check's merge the latency order's,
-and `alloc_sram` the fit check's `def_use` (it counts its own
-`max_liveness`).  The machine instruction set has no register-move
+are computed once and kept on it (`p.once`).  Only the front end's
+programs and allocated code are scanned for `def_use`: a schedule and a
+streaming merge derive their output's table from their input's
+(`_carry`).  The machine instruction set has no register-move
 opcode; copies die in `unroll`, and `lower` rejects one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+
+import numpy as np
 
 from .ir import (
     DEFER,
     FU_CLASS,
     FU_OPS,
+    OPCODES,
     PURE_OPS,
     UNITS,
     Addr,
@@ -200,42 +206,71 @@ def parse_hw(text: str) -> HardwareDescription:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def def_use(p: Program) -> tuple[list, list[list]]:
-    """The values of a straight-line program, SSA or allocated.
+# The value table of a straight-line program, SSA or allocated.  A value
+# is what an instruction, its writer, writes to a register, read by each
+# source operand that names the register until it is next written (so
+# `mmul %a, %a` reads it twice; the results of a `bconv`, which `lower`
+# expands, are one value).  Integer arrays, -1 for none: `read[s][k]` is
+# the writer of what source operand s of instruction k reads (-1: no
+# register, or one not written before), a row for each operand position
+# of the widest instruction and at least `_ROWS`; `virtual[k]` whether k
+# writes a `%` register.  For each writer k: `count[k]` reads, the last
+# by `last[k]`, and ascending `readers[start[k]:start[k + 1]]`.
+Values = namedtuple("Values", "read virtual count last start readers")
+# the most source operands of a machine instruction (a `mac`'s): no table
+# is narrower, so one that a merge derives has the rows of a scan
+_ROWS = max(len(o.srcs) for o in OPCODES.values() if o.unit)
 
-    A value is the list [writer, reader, ...]: the index of the instruction
-    that writes a register, then one ascending index per source operand
-    that reads it (so `mmul %a, %a` reads it twice), until the register is
-    next written.  wrote[k] is the value instruction k writes, None if it
-    writes no register (the results of a `bconv`, which `lower` expands,
-    share one).  read[s][k] is the writer of the value that source operand
-    s of instruction k reads, None if it is no register or one not written
-    before.  It is one list per operand position: a tuple per instruction
-    would give the garbage collector an object per instruction to count."""
+
+def _values(read: np.ndarray, virtual: np.ndarray) -> Values:
+    """The table of `read` and `virtual`: the reads sorted by writer, then
+    reader."""
+    n = read.shape[1]
+    s, k = np.nonzero(read >= 0)
+    w, readers = np.divmod(np.sort(read[s, k] * n + k), n)
+    count = np.bincount(w, minlength=n)
+    start = np.concatenate(([0], np.cumsum(count)))
+    last = np.where(count > 0, np.append(-1, readers)[start[1:]], -1)
+    return Values(read, virtual, count, last, start, readers)
+
+
+def def_use(p: Program) -> Values:
+    """The value table of `p`, scanned.  A pass whose output has the
+    values of its input, reordered or some of them streamed, keeps the
+    table it derives on that output (`_carry`), so only the front end's
+    programs and allocated code are scanned."""
     instrs = p.instrs
     n = len(instrs)
     last: dict[str, int] = {}
     writer = last.get
     vreg = Vreg
-    wrote: list = [None] * n
-    read: list[list] = []
+    read = [[-1] * n for _ in range(_ROWS)]
+    virtual = [False] * n
     for idx, i in enumerate(instrs):
         srcs = i.srcs
         if len(srcs) > len(read):
-            read += [[None] * n for _ in range(len(srcs) - len(read))]
+            read += [[-1] * n for _ in range(len(srcs) - len(read))]
         s = 0               # a counter: `enumerate` made this loop slower
         for src in srcs:
             if src.__class__ is vreg:
-                j = writer(src.name)
-                if j is not None:
-                    wrote[j].append(idx)
-                    read[s][idx] = j
+                read[s][idx] = writer(src.name, -1)
             s += 1
         for d in i.dests:
             if d.__class__ is vreg:
                 last[d.name] = idx
-                wrote[idx] = [idx]
-    return wrote, read
+                virtual[idx] = d.name[0] == "%"
+    return _values(np.array(read, np.intp), np.array(virtual, bool))
+
+
+def _carry(read: np.ndarray, virtual: np.ndarray, keep) -> Values:
+    """The table of the program made of instructions `keep` of the one
+    `read` and `virtual` describe, in that order: each writer-reader pair
+    of the kept instructions stays, renumbered, and an operand that a
+    dropped instruction wrote reads none."""
+    keep = np.asarray(keep, np.intp)
+    at = np.full(read.shape[1] + 1, -1, np.intp)    # at[-1]: no writer
+    at[keep] = np.arange(len(keep))
+    return _values(at[read[:, keep]], virtual[keep])
 
 
 def _sub_srcs(i: Instr, table: dict) -> Instr:
@@ -442,7 +477,8 @@ def peephole_merge(p: Program) -> Program:
                 for c in consts.values()}
     out = p.with_()
     while True:
-        wrote, read = out.once(def_use)
+        values = out.once(def_use)
+        read, count = values.read.tolist(), values.count.tolist()
         kill = set()
         instrs = list(out.instrs)
         for idx, i in enumerate(instrs):
@@ -451,7 +487,7 @@ def peephole_merge(p: Program) -> Program:
             # fold chained constant multiplies
             j = read[0][idx]
             if (i.op == "mmul" and isinstance(i.srcs[1], CRef)
-                    and j is not None and len(wrote[j]) == 2):
+                    and j >= 0 and count[j] == 1):
                 prod = instrs[j]
                 if (j not in kill and prod.op == "mmul"
                         and isinstance(prod.srcs[1], CRef)):
@@ -464,7 +500,7 @@ def peephole_merge(p: Program) -> Program:
             if i.op == "mmad":
                 for pos in (1, 0):
                     j = read[pos][idx]
-                    if j is None or len(wrote[j]) != 2:
+                    if j < 0 or count[j] != 1:
                         continue
                     prod = instrs[j]
                     if j in kill or prod.op != "mmul" or prod.mod != i.mod:
@@ -522,14 +558,21 @@ class UnitPool:
             heapreplace(self.free_at, until)
 
 
-def _uses(p: Program) -> tuple[list, list[tuple]]:
-    """The values of `def_use(p)`, and for each instruction the
-    distinct writers of the values it reads: what the pressure scheduler
-    counts, kept on the program (`p.once(_uses)`) for every budget it
-    schedules it with."""
-    wrote, read = p.once(def_use)
-    return wrote, [tuple({r[k] for r in read if r[k] is not None})
-                   for k in range(len(p.instrs))]
+def _uses(p: Program) -> tuple[np.ndarray, ...]:
+    """From the distinct (writer, reader) pairs of `def_use(p)`, what the
+    pressure scheduler counts down: by writer, its readers and their sum;
+    by instruction k, its delta before any issue and the writers it reads,
+    `writers[start[k]:start[k + 1]]`.  Kept on the program
+    (`p.once(_uses)`) for every budget."""
+    values = p.once(def_use)
+    n = len(values.count)
+    pairs = np.repeat(np.arange(n), values.count) * n + values.readers
+    w, r = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], n)   # sorted
+    pending = np.bincount(w, minlength=n)
+    unread = np.bincount(w, r, n).astype(np.intp)   # exact below 2 ** 53
+    delta = (pending > 0) - np.bincount(unread[pending == 1], minlength=n)
+    start = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
+    return pending, unread, delta, start, w[np.argsort(r, kind="stable")]
 
 
 def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
@@ -563,21 +606,10 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     live = 0
     pressure = budget is not None
     if pressure:
-        wrote, values = uses
         # by writer: how many of the instructions that read its value have
         # not issued, and the sum of their indices; by instruction, its
         # delta
-        pending = [0] * n_instr
-        unread = [0] * n_instr
-        delta = [0] * n_instr
-        for j, v in enumerate(wrote):
-            if v and len(v) > 1:
-                readers = set(v[1:])
-                pending[j] = len(readers)
-                unread[j] = sum(readers)
-                delta[j] += 1
-                if len(readers) == 1:
-                    delta[unread[j]] -= 1
+        pending, unread, delta, offset, writers = (a.tolist() for a in uses)
         by_delta = [(delta[k], -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
     pools = {cls: UnitPool(hw.fu_count(cls))
@@ -604,7 +636,7 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
         if pressure:
             if pending[idx]:        # its readers depend on it: none issued
                 live += 1
-            for j in values[idx]:
+            for j in writers[offset[idx]:offset[idx + 1]]:
                 pending[j] -= 1
                 unread[j] -= idx
                 if pending[j] == 0:
@@ -650,11 +682,13 @@ def _latency_schedule(p: Program, hw: HardwareDescription):
 
 
 def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
-    """`p` in the given order, the very instruction objects reordered;
-    `notes` get the issue cycles in that order (`issue_cycles`), the
-    makespan and the critical path."""
+    """`p` in the given order, the very instruction objects reordered, with
+    its value table carried; `notes` get the issue cycles in that order
+    (`issue_cycles`), the makespan and the critical path."""
     _, _, lat, prio = graph
     out = p.with_([p.instrs[k] for k in order])
+    values = p.once(def_use)
+    out.keep(def_use, _carry(values.read, values.virtual, order))
     out.notes["issue_cycles"] = [cycles[k] for k in order]
     cp = max(prio, default=0)
     makespan = max((c + l for c, l in zip(cycles, lat)), default=0)
@@ -671,8 +705,8 @@ def _fit(p: Program, hw: HardwareDescription, made: dict):
     its values need (`max_liveness`, after `merge_streaming` on streaming
     hardware) are at most `hw.slots`; it is then the schedule, and `fit`
     is it as merged for that check.  With streaming, the merge is made
-    only when the values read twice or more fit (`_max_live`'s second
-    peak, a lower bound of the merged need).  Otherwise the same
+    only when its lower bound fits (`_merge_bound`: the values read twice
+    or more, and those the FIFOs cannot take).  Otherwise the same
     dependence graph is scheduled again with `hw.slots` as the live-value
     budget (see `_list_schedule`), emitted in issue order, and `fit` is
     None.  `made` keeps what another configuration would compute again,
@@ -686,11 +720,11 @@ def _fit(p: Program, hw: HardwareDescription, made: dict):
     if key not in made:
         made[key] = _latency_schedule(p, hw)
     graph, latency = made[key]
-    need, bound = latency.once(_max_live)
+    need = latency.once(_max_live)[0]
     fit = latency
     if hw.streaming:
-        need = bound        # what the merge needs at least
-        if bound <= hw.slots:
+        need = _merge_bound(latency, hw.fifo_depth)
+        if need <= hw.slots:
             fit_key = (key, "merged", hw.fifo_depth)
             if fit_key not in made:
                 made[fit_key] = merge_streaming(latency, hw)
@@ -717,12 +751,20 @@ def schedule(p: Program, hw: HardwareDescription) -> Program:
 # ---------------------------------------------------------------------------
 # streaming merges
 
-def _merge_memory(instrs: list[Instr], wrote: list, read: list,
-                  sym: str | None = None) -> set[int]:
+def _read_once(values: Values) -> tuple[list, list]:
+    """For the merges' loops: by instruction, the writer its first operand
+    reads; by writer, the one reader of a value read once (else -1)."""
+    return (values.read[0].tolist(),
+            np.where(values.count == 1, values.last, -1).tolist())
+
+
+def _merge_memory(instrs: list[Instr], read: list, once: list,
+                  sym: str | None = None):
     """Sink and source merges over the cells of DRAM symbol `sym` (of every
-    cell if None), in place; returns the indices of the loads and stores
-    merged away, which stay in `instrs`.  `wrote`, `read` =
-    `def_use(p)` of the program `instrs` lists.
+    cell if None), in place, where `read`, `once` = `_read_once` of the
+    program `instrs` lists.  Returns the indices of the loads and stores
+    merged away, which stay in `instrs`, and those of the FUs that write
+    a cell in place of a register.
 
     Sink, in one forward scan: an FU result read only by a store writes the
     cell itself when the cell's last access before the store is at or
@@ -734,54 +776,59 @@ def _merge_memory(instrs: list[Instr], wrote: list, read: list,
     its own store, a later access, so only the backward scan sees it; and
     a source merge moves only reads, which no source check asks about."""
     last: dict = {}         # cell -> index of its last access so far
-    kill = set()
+    kill, sunk = set(), []
     for idx, i in enumerate(instrs):
         if i.op == "store":
-            j, key = read[0][idx], _addr_key(i.srcs[1])
-            if (j is not None and len(wrote[j]) == 2 and sym in (None, key[0])
+            j, key = read[idx], _addr_key(i.srcs[1])
+            if (j >= 0 and once[j] == idx and sym in (None, key[0])
                     and instrs[j].op in FU_OPS and last.get(key, -1) <= j):
                 instrs[j] = instrs[j].with_(dests=(i.srcs[1],))
                 kill.add(idx)
+                sunk.append(j)
         for a in i.srcs + i.dests:
             if a.__class__ is Addr:
                 last[_addr_key(a)] = idx
     written: dict = {}      # cell -> index of its next write
     for idx in range(len(instrs) - 1, -1, -1):
         i = instrs[idx]
-        if i.op == "load":
-            v, key = wrote[idx], _addr_key(i.srcs[0])
-            if (len(v) == 2 and sym in (None, key[0])
-                    and instrs[v[1]].op in FU_OPS
-                    and written.get(key, v[1]) >= v[1]):
-                instrs[v[1]] = _sub_srcs(instrs[v[1]],
-                                         {i.dests[0].name: i.srcs[0]})
+        if i.op == "load" and once[idx] >= 0:
+            r, key = once[idx], _addr_key(i.srcs[0])
+            if (sym in (None, key[0]) and instrs[r].op in FU_OPS
+                    and written.get(key, r) >= r):
+                instrs[r] = _sub_srcs(instrs[r],
+                                      {i.dests[0].name: i.srcs[0]})
                 kill.add(idx)
         for a in i.srcs[1:] if i.op == "store" else i.dests:
             if a.__class__ is Addr:
                 written[_addr_key(a)] = idx
-    return kill
+    return kill, sunk
 
 
 def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
     """Stream the SSA values: the sink and source merges over every DRAM
     cell (`_merge_memory`), then FU-to-FU forwarding of each FU result
     that one FU operand reads through one of `hw.fifo_depth` channels
-    `f<k>`, the lowest free one, held until that read."""
+    `f<k>`, the lowest free one, held until that read.  The output keeps
+    every writer-reader pair but those of the merged loads and stores, so
+    its value table is carried, with no `%` register for a result that
+    is sunk or forwarded."""
     instrs = list(p.instrs)
-    wrote, read = p.once(def_use)
-    kill = _merge_memory(instrs, wrote, read)
+    values = p.once(def_use)
+    read, once = _read_once(values)
+    kill, sunk = _merge_memory(instrs, read, once)
     fifos = machine_regs("f")
     free: list[int] = []               # released ids, a heap; all < fresh
     fresh = 0                          # ids fresh.. have never been taken
     release: list[tuple[int, int]] = []   # (consumer index, fifo id)
+    forwarded = []
     for idx, i in enumerate(instrs):
         while release and release[0][0] <= idx:
             heappush(free, heappop(release)[1])
-        if i.op not in FU_OPS or not isinstance(i.dests[0], Vreg) \
+        r = once[idx]
+        if r < 0 or i.op not in FU_OPS or not isinstance(i.dests[0], Vreg) \
                 or not i.dests[0].name.startswith("%"):
             continue
-        v = wrote[idx]
-        if len(v) != 2 or instrs[v[1]].op not in FU_OPS:
+        if instrs[r].op not in FU_OPS:
             continue
         if free:
             fid = heappop(free)
@@ -792,9 +839,15 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
             continue
         reg = fifos[fid]
         instrs[idx] = i.with_(dests=(reg,))
-        instrs[v[1]] = _sub_srcs(instrs[v[1]], {i.dests[0].name: reg})
-        heappush(release, (v[1], fid))
-    return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
+        instrs[r] = _sub_srcs(instrs[r], {i.dests[0].name: reg})
+        heappush(release, (r, fid))
+        forwarded.append(idx)
+    keep = [k for k in range(len(instrs)) if k not in kill]
+    out = p.with_([instrs[k] for k in keep])
+    virtual = values.virtual.copy()
+    virtual[sunk] = virtual[forwarded] = False
+    out.keep(def_use, _carry(values.read, virtual, keep))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -804,36 +857,45 @@ def max_liveness(p: Program) -> int:
     """Fewest SRAM slots that admit a spill-free allocation.
 
     Mirrors the allocator: sources dying at an instruction release their
-    slots before the destination is placed.  Kept on the program, with
-    the fit check's lower bound (`p.once(_max_live)`); `alloc_sram`
-    counts the same peak in its own loop.
+    slots before the destination is placed.  Kept on the program
+    (`p.once(_max_live)`); `alloc_sram` counts the same peak in its own
+    loop.
     """
     return p.once(_max_live)[0]
 
 
-def _max_live(p: Program) -> tuple[int, int]:
-    """The scan of `max_liveness`: its peak, and the peak count of live
-    values read two or more times.  `merge_streaming` merges only values
-    read once, so the second is a lower bound of `max_liveness` of `p`
-    merged: a value read twice keeps its `%` register, its writer and its
-    readers, and where the most of them are live, at the last of their
-    writers, the merged program counts them all."""
-    change = [0] * (len(p.instrs) + 1)  # live values gained at each index
-    multi = [0] * (len(p.instrs) + 1)   # of them, those read twice or more
-    live = peak = live2 = peak2 = 0
-    for idx, (i, v) in enumerate(zip(p.instrs, p.once(def_use)[0])):
-        live += change[idx]
-        live2 += multi[idx]
-        if v and i.dests[0].name.startswith("%"):
-            peak = max(peak, live + 1)
-            if len(v) > 1:      # live after its writer, up to its last read
-                change[idx + 1] += 1
-                change[v[-1]] -= 1
-                if len(v) > 2:
-                    peak2 = max(peak2, live2 + 1)
-                    multi[idx + 1] += 1
-                    multi[v[-1]] -= 1
-    return peak, peak2
+def _max_live(p: Program) -> tuple[int, np.ndarray, np.ndarray]:
+    """The peak of `max_liveness`, and at each instruction the live values
+    read twice or more and the live FU results that one FU operand reads.
+    The value of a `%` register is live from its writer up to its last
+    read (only at its writer if never read): each count is a cumulative
+    sum of births and deaths."""
+    values = p.once(def_use)
+    n = len(p.instrs)
+    count, virtual = values.count, values.virtual
+    fu = np.fromiter((i.op in FU_OPS for i in p.instrs), bool, n)
+    end = np.where(count > 0, values.last, np.arange(1, n + 1))
+
+    def live(born):
+        writers = np.flatnonzero(born)
+        return np.cumsum(np.bincount(writers, minlength=n + 1)
+                         - np.bincount(end[writers], minlength=n + 1))
+
+    forwardable = virtual & (count == 1) & fu & fu[values.last]
+    return (int(live(virtual).max(initial=0)), live(virtual & (count > 1)),
+            live(forwardable))
+
+
+def _merge_bound(p: Program, fifo_depth: int) -> int:
+    """A lower bound of `max_liveness` of `p` merged for streaming with
+    `fifo_depth` channels: the most values live at one instruction that
+    stay in SRAM.  A merge streams only values read once, and at most
+    `fifo_depth` of the FU results that one FU operand reads are in a
+    channel at once; at the last writer of those values, the merged
+    program counts them all."""
+    _, multi, forwardable = p.once(_max_live)
+    return int((multi + np.maximum(forwardable - fifo_depth, 0))
+               .max(initial=0))
 
 
 def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
@@ -853,21 +915,26 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     values written and still to be read, each result placed after the
     sources read for the last time have left.
 
-    Each live value keeps a cursor to its next read in its `def_use` value,
-    moved past each instruction that reads it, so a heap entry is current
-    when it names that read.  The heap starts at the first eviction, from
-    the live values' cursors; a program that never spills keeps none.
+    Each live value keeps a cursor to its next read in its writer's
+    readers (`def_use`), moved past each instruction that reads it, so a
+    heap entry is current when it names that read.  The heap starts at
+    the first eviction, from the live values' cursors; a program that
+    never spills keeps none.
     Its entries are totally ordered, so the victims do not depend on when
     it starts.  IrError if a register is read before it is
     written, or if one instruction's sources and result need more than
     `hw.slots` slots."""
-    # each virtual register's value: [writer, reads in scheduled order]
-    wrote = p.once(def_use)[0]
-    value = {i.dests[0].name: v for i, v in zip(p.instrs, wrote)
-             if v and i.dests[0].name.startswith("%")}
+    values = p.once(def_use)
+    instrs = p.instrs
+    # each virtual register's writer; its reads, in scheduled order, are
+    # readers[start[j]:start[j + 1]], the last last[j]
+    value = {instrs[j].dests[0].name: j
+             for j in np.flatnonzero(values.virtual).tolist()}
+    last, start = values.last.tolist(), values.start.tolist()
+    readers = values.readers.tolist()
     regs = machine_regs("r")         # grown as slots are first taken
     reg_of: dict[str, int] = {}      # live vreg -> slot
-    at = [0] * len(p.instrs)         # writer -> index of its next read
+    at = [0] * len(instrs)           # writer -> its next read in readers
     free: list[int] = []             # released slots, a heap; all < fresh
     fresh = 0                        # slots fresh.. have never been taken
     spill_at: dict[str, Addr] = {}   # vreg -> its __spill cell, once stored
@@ -889,7 +956,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             return fresh - 1
         if by_next is None:
             rank.update((v, k) for k, v in enumerate(sorted(value)))
-            by_next = [(-value[v][at[value[v][0]]], -rank[v], v)
+            by_next = [(-readers[at[value[v]]], -rank[v], v)
                        for v in reg_of]
             heapify(by_next)
         # every live value is read again (see the loop below), so evict the
@@ -898,8 +965,8 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
         while by_next:
             entry = heappop(by_next)
             victim = entry[2]
-            reads = value[victim]
-            if victim in reg_of and reads[at[reads[0]]] == -entry[0]:
+            if (victim in reg_of
+                    and readers[at[value[victim]]] == -entry[0]):
                 if victim not in pinned:
                     break
                 held.append(entry)
@@ -915,7 +982,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             spills += 1
         return slot
 
-    for idx, i in enumerate(p.instrs):
+    for idx, i in enumerate(instrs):
         # each source classified once: a virtual register is reloaded if
         # spilled, pinned to its slot for this instruction and renamed
         pinned = []
@@ -937,32 +1004,32 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
         # a source read here for the last time leaves its slot; the others
         # move their cursor past this instruction and are filed again
         for v in pinned:
-            reads = value[v]
-            if reads[-1] <= idx:
+            j = value[v]
+            if last[j] <= idx:
                 heappush(free, reg_of.pop(v))
                 live -= 1
                 continue
-            k = at[reads[0]] + 1
-            while reads[k] <= idx:
+            k = at[j] + 1
+            while readers[k] <= idx:
                 k += 1
-            at[reads[0]] = k
+            at[j] = k
             if by_next is not None:
-                heappush(by_next, (-reads[k], -rank[v], v))
+                heappush(by_next, (-readers[k], -rank[v], v))
         dests = i.dests
         d = dests[0] if dests else None
         if d.__class__ is Vreg and d.name[0] == "%":
             v = d.name
             slot = take_slot(pinned)
             dests = (regs[slot],)
-            reads = value[v]
+            j = value[v]
             if live >= peak:
                 peak = live + 1
-            if len(reads) > 1:
+            if last[j] >= 0:
                 live += 1
                 reg_of[v] = slot
-                at[idx] = 1
+                at[j] = start[j]
                 if by_next is not None:
-                    heappush(by_next, (-reads[1], -rank[v], v))
+                    heappush(by_next, (-readers[at[j]], -rank[v], v))
             else:
                 heappush(free, slot)
         emitted.append(Instr(i.op, dests, tuple(srcs), i.mod, i.flags,
@@ -986,7 +1053,7 @@ def merge_spill_traffic(p: Program) -> Program:
     if "__spill" not in p.dram:
         return p
     instrs = list(p.instrs)
-    kill = _merge_memory(instrs, *p.once(def_use), "__spill")
+    kill = _merge_memory(instrs, *_read_once(p.once(def_use)), "__spill")[0]
     return p.with_([ins for k, ins in enumerate(instrs) if k not in kill])
 
 

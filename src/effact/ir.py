@@ -393,6 +393,11 @@ class Program:
             kept[analysis] = analysis(self)
         return kept[analysis]
 
+    def keep(self, analysis, result) -> None:
+        """Keep `result` as what `once(analysis)` returns: for the pass
+        that built this program, which derived it from its input's."""
+        self._kept[analysis] = result
+
     def opcount(self) -> dict[str, int]:
         out = {}
         for i in self.instrs:
@@ -429,9 +434,10 @@ def check_operands(i: Instr):
 def check_refs(prog, instrs=None, machine: bool = False):
     """The one rule of references, for each of `instrs` (default: all of
     `prog`, a `Program` or the parser's header): its modulus and a bconv's
-    basis declared, each constant declared and of that modulus, each DRAM
-    symbol declared; in `machine` code no virtual register, and addresses
-    concrete and in range.  Faults come modulus first, then by operand."""
+    basis declared, each constant declared and of that modulus, the DRAM
+    symbol of each result and source declared; in `machine` code no
+    virtual register, and addresses concrete and in range.  Faults come
+    modulus first, then by operand, results first."""
     moduli, consts, dram = prog.moduli, prog.consts, prog.dram
     for i in prog.instrs if instrs is None else instrs:
         mod = i.mod
@@ -443,7 +449,7 @@ def check_refs(prog, instrs=None, machine: bool = False):
                 continue
         elif mod not in moduli:
             raise IrError(f"unknown modulus '{mod}'", i.line)
-        for o in i.dests + i.srcs if machine else i.srcs:
+        for o in i.dests + i.srcs:
             kind = o.__class__
             if kind is Vreg:
                 if machine and o.name[:1] == "%":

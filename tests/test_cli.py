@@ -148,6 +148,30 @@ def test_a_constant_of_another_modulus_is_a_tagged_error(tmp_path, capsys):
                             r"modulus q1, not q0\n", err), (cmd, err)
 
 
+UNDECLARED_RESULT = """\
+.n 16
+.mod q0 97
+.dram x 2
+%a = load @x[0]
+@w[0] = ntt %a, q0
+"""
+
+
+def test_an_undeclared_result_symbol_is_a_parse_error(tmp_path, capsys):
+    # the parser checks the symbol of a result address as it checks a
+    # source's: `exec` and `analyze` fail where they parse, not on a run
+    # or a count, and `compile` and `sim`, which parse in their compile
+    # stage, fail there with the parser's message
+    path = tmp_path / "w.eir"
+    path.write_text(UNDECLARED_RESULT)
+    for cmd, stage in (("exec", "parse"), ("analyze", "parse"),
+                       ("compile", "compile"), ("sim", "compile")):
+        capsys.readouterr()
+        assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error[{stage}]: line 5: unknown symbol '@w'\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/nonexistent.eir"]) == 1
 

@@ -4,6 +4,7 @@ import random
 from dataclasses import FrozenInstanceError, replace
 from heapq import heappop, heappush
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from effact.compiler import (
     HardwareDescription,
     _addr_key,
     _latency_schedule,
-    _max_live,
+    _merge_bound,
     _sub_srcs,
     alloc_sram,
     back_end,
@@ -35,8 +36,8 @@ from effact.compiler import (
     schedule,
     unroll,
 )
-from effact.ir import (Addr, ExecError, IrError, Vreg, blank_image,
-                       execute_program, parse_ir, print_program)
+from effact.ir import (Addr, ExecError, IrError, Program, Vreg,
+                       blank_image, execute_program, parse_ir, print_program)
 from effact.poly import SM, ContractError, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
 from effact.sim import sweep_sram
@@ -658,6 +659,28 @@ def max_liveness_oracle(p, min_reads=0):
     return peak
 
 
+def merge_bound_oracle(p, depth):
+    """The O(n * V) formula of `_merge_bound`: at each instruction, the
+    registers written at or before it and read after it, those read twice
+    or more and all but `depth` of those that an FU writes and one FU
+    operand reads."""
+    defs, uses = name_keyed_def_use(p.instrs)
+    best = 0
+    for idx in range(len(p.instrs)):
+        multi = forwardable = 0
+        for v, reads in uses.items():
+            j = defs.get(v)
+            if not v.startswith("%") or j is None or not j <= idx < reads[-1]:
+                continue
+            if len(reads) > 1:
+                multi += 1
+            elif (p.instrs[j].op in FU_OPS
+                  and p.instrs[reads[0]].op in FU_OPS):
+                forwardable += 1
+        best = max(best, multi + max(0, forwardable - depth))
+    return best
+
+
 def test_max_liveness_matches_quadratic_oracle():
     rng = random.Random(21)
     sources = [random_program(rng, size=40) for _ in range(10)]
@@ -669,20 +692,25 @@ def test_max_liveness_matches_quadratic_oracle():
         s = schedule(u, HW)
         for q in (u, s, merge_streaming(s, HW)):
             assert max_liveness(q) == max_liveness_oracle(q)
-            assert q.once(_max_live) == (max_liveness_oracle(q),
-                                         max_liveness_oracle(q, 2))
+            for depth in (1, 2, 8):
+                assert _merge_bound(q, depth) == merge_bound_oracle(q, depth)
+            # with more channels than values, the bound is the peak of the
+            # values read twice or more
+            assert _merge_bound(q, len(q.instrs)) == \
+                max_liveness_oracle(q, 2)
 
 
 def bound_holds(front, hw):
-    """The values read twice or more that a latency order keeps live at
-    once (`_max_live`'s second peak) are at most what it needs merged for
-    streaming at FIFO depths 1 and 8, which is at most what it needs
-    unmerged: the fit check's lower bound is sound."""
+    """The fit check's lower bound of a latency order merged for streaming
+    at FIFO depths 1, 2 and 8 (`_merge_bound`: the values read twice or
+    more and the FU-to-FU values beyond the channels) is at most what it
+    needs merged, which is at most what it needs unmerged: the bound is
+    sound."""
     latency = _latency_schedule(front, hw)[1]
-    need, bound = latency.once(_max_live)
-    for depth in (1, 8):
+    need = max_liveness(latency)
+    for depth in (1, 2, 8):
         merged = merge_streaming(latency, replace(hw, fifo_depth=depth))
-        assert bound <= max_liveness(merged) <= need
+        assert _merge_bound(latency, depth) <= max_liveness(merged) <= need
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1099,33 +1127,45 @@ def test_merge_streaming_matches_rescanning_oracle():
     assert merged > 0
 
 
+def readers_of(values, j):
+    """The ascending readers of writer j in a `def_use` table."""
+    return values.readers[values.start[j]:values.start[j + 1]].tolist()
+
+
 def test_def_use_gives_one_value_per_write_of_a_reused_register():
     p = parse_ir(header() + ("r0 = load @x[0]\nr1 = mmul r0, r0, q0\n"
                              "r0 = ntt r1, q0\nstore r0, @y[0]\n"
                              "r0 = mmad r0, r2, q0\nstore r0, @y[1]\n"))
-    wrote, read = def_use(p)
-    assert wrote == [[0, 1, 1], [1, 2], [2, 3, 4], None, [4, 5], None]
-    assert read == [[None, 0, 1, 2, 2, 4], [None, 0, None, None, None, None]]
+    values = def_use(p)
+    assert values.read.tolist() == [[-1, 0, 1, 2, 2, 4],
+                                    [-1, 0, -1, -1, -1, -1], [-1] * 6]
+    assert [readers_of(values, j) for j in range(6)] == [
+        [1, 1], [2], [3, 4], [], [5], []]
+    assert values.count.tolist() == [2, 1, 2, 0, 1, 0]
+    assert values.last.tolist() == [1, 2, 4, -1, 5, -1]
+    assert not values.virtual.any()
     # on allocated code: each write of a register starts a value, which
     # every read up to the register's next write reads
     mc = compile_program(gen_keyswitch(WorkloadParams(n=256, levels=3,
                                                       dnum=2)),
                          replace(HW, slots=6, streaming=False))
-    wrote, read = def_use(mc)
-    writes = {}
+    values = def_use(mc)
+    writes, written = {}, 0
     for k, i in enumerate(mc.instrs):
         for s, src in enumerate(i.srcs):
             if isinstance(src, Vreg):
-                j = read[s][k]
-                assert j == writes[src.name] and k in wrote[j]
+                j = values.read[s][k]
+                assert j == writes[src.name] and k in readers_of(values, j)
         if i.dests and isinstance(i.dests[0], Vreg):
             writes[i.dests[0].name] = k
-            assert wrote[k][0] == k
-    values = [v for v in wrote if v]
-    assert len({id(v) for v in values}) == len(values)
-    assert sum(len(v) - 1 for v in values) == sum(
+            written += 1
+        reads = readers_of(values, k)
+        assert reads == sorted(reads) and values.count[k] == len(reads)
+        assert values.last[k] == (reads[-1] if reads else -1)
+    assert not values.virtual.any()
+    assert values.count.sum() == len(values.readers) == sum(
         isinstance(s, Vreg) for i in mc.instrs for s in i.srcs)
-    assert len(values) > len(writes) > 1       # registers are reused
+    assert written > len(writes) > 1       # registers are reused
 
 
 @pytest.mark.parametrize("gen", ["keyswitch", "bootstrap", "hoisted",
@@ -1140,17 +1180,67 @@ def test_def_use_agrees_with_the_name_keyed_scan(gen):
             "random": lambda: _gen_random(7)}[gen]()
     lowered = lower(unroll(parse_ir(text)))
     for p in (lowered, front_end(text)):
-        wrote, read = def_use(p)
+        values = def_use(p)
         defs, uses = {}, {}
         for k, i in enumerate(p.instrs):
-            if wrote[k]:
+            reads = readers_of(values, k)
+            assert values.count[k] == len(reads)
+            assert values.last[k] == (reads[-1] if reads else -1)
+            if values.virtual[k]:
                 defs[i.dests[0].name] = k
-                if len(wrote[k]) > 1:
-                    uses[i.dests[0].name] = wrote[k][1:]
+                if reads:
+                    uses[i.dests[0].name] = reads
+            else:
+                assert not reads
             for s, src in enumerate(i.srcs):
-                if isinstance(src, Vreg) and read[s][k] is None:
+                j = values.read[s][k]
+                if isinstance(src, Vreg) and j < 0:
                     uses.setdefault(src.name, []).append(k)
+                elif j >= 0:
+                    assert p.instrs[j].dests[0] == src
         assert (defs, uses) == name_keyed_def_use(p.instrs)
+
+
+def same_values(a, b):
+    """Two `def_use` tables are equal, field by field, dtypes too."""
+    return all(x.dtype == y.dtype and np.array_equal(x, y)
+               for x, y in zip(a, b, strict=True))
+
+
+def test_carried_value_tables_equal_a_scan(monkeypatch):
+    # every program `back_ends` makes, latency and pressure orders, the
+    # fit check's and the pressure order's merges and the allocations,
+    # keeps a table equal to a scan of a copy with none
+    made = []
+
+    def recording(fn):
+        def wrapper(*args, **kw):
+            out = fn(*args, **kw)
+            made.append(out)
+            return out
+        return wrapper
+
+    for name in ("_emit", "merge_streaming", "alloc_sram"):
+        monkeypatch.setattr(compiler, name, recording(getattr(compiler,
+                                                               name)))
+    rng = random.Random(32)
+    fronts = [front_end(gen(wp)) for gen, wp, _ in GOLDEN[:3]]
+    fronts += [front_end(random_program(random.Random(seed), size=40))
+               for seed in range(30)]
+    fronts += [front_end(memory_program(rng)) for _ in range(30)]
+    hws = [HardwareDescription(slots=slots, streaming=on, fifo_depth=depth)
+           for slots in (4, 8, 16, 64, 256) for on in (True, False)
+           for depth in (1, 8)]
+    merged = 0
+    for front in fronts:
+        made.clear()
+        for _ in back_ends(front, hws):
+            pass
+        assert {o.__class__ for o in made} == {Program}
+        for q in made:
+            assert same_values(q.once(def_use), def_use(q.clone()))
+            merged += len(q.instrs) < len(front.instrs)
+    assert merged > 0       # some merges dropped loads or stores
 
 
 def test_streaming_fifo_forwarding():

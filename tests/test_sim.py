@@ -392,23 +392,23 @@ BACK_END_CALLS = ("build_deps", "_list_schedule", "merge_streaming",
 
 
 def test_a_sweep_schedules_for_latency_once(monkeypatch):
-    # the latency order of the L24 key switch has 98 values read twice or
-    # more live at once, which no merge removes: 16, 32 and 64 slots are
-    # rescheduled for pressure with no merge of it; 128 slots merges it for
-    # the fit check, which needs 168, and is rescheduled; 256 slots fits
-    # that merge.  `_max_live` scans the latency order and the fit check's
-    # merge; `alloc_sram` counts its own peak.  def_use scans each program
-    # once (`Program.once`): 2 in the front end (the two `peephole_merge`
-    # rounds; the pressure schedules reuse the second), 1 each for the
-    # latency order and the fit check's merge, and 1 in every other
-    # configuration's streaming merge and allocation, and in the spill
-    # merges of the three that spill (16, 32 and 64 slots).
+    # the latency order of the L24 key switch needs 168 slots merged at
+    # FIFO depth 8, and the fit check's lower bound of that need
+    # (`_merge_bound`) is 168 too: 16, 32, 64 and 128 slots are
+    # rescheduled for pressure with no merge of it, and 256 slots merges
+    # it and fits.  `_max_live` scans the latency order and the fit
+    # check's merge; `alloc_sram` counts its own peak.  def_use scans only
+    # programs whose values no pass derived (`Program.once`): 2 in the
+    # front end (the two `peephole_merge` rounds), and the allocated code
+    # of the three configurations that spill (16, 32 and 64 slots), in
+    # their spill merges.  The schedules and the streaming merges carry
+    # the table of their input.
     calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
     assert calls == {"build_deps": 1, "_list_schedule": 5, "pressure": 4,
                      "merge_streaming": 5, "max_liveness": 0,
-                     "_max_live": 2, "def_use": 15}
+                     "_max_live": 2, "def_use": 5}
 
 
 def test_compare_streaming_schedules_for_latency_once(monkeypatch):
@@ -416,21 +416,24 @@ def test_compare_streaming_schedules_for_latency_once(monkeypatch):
     # and with streaming no merge could (see the sweep above): one latency
     # schedule and its one liveness scan, then one pressure schedule for
     # the 64 slots of both, merged with streaming only; each allocation
-    # counts its own peak
+    # counts its own peak.  def_use scans the two `peephole_merge` rounds
+    # and the streaming configuration's allocated code, which spills
     calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     compare_streaming(text, HardwareDescription())
     assert calls == {"build_deps": 1, "_list_schedule": 2, "pressure": 1,
                      "merge_streaming": 1, "max_liveness": 0,
-                     "_max_live": 1, "def_use": 7}
+                     "_max_live": 1, "def_use": 3}
 
 
 def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
         monkeypatch):
     # with streaming, `_fit` merges a latency order for its fit check only
-    # when the values it keeps live that are read twice or more
-    # (`_max_live`'s second peak, 16 for the desk key switch) fit in the
-    # slots, and then once per FIFO depth
+    # when a lower bound of the merged need fits in the slots, and then
+    # once per FIFO depth.  For the desk key switch, the bound
+    # (`_merge_bound`) is 24 at depth 1 and 17 at depth 8, against merged
+    # needs of 24 and 18; 16 of the values it keeps live are read twice or
+    # more, which is the bound with a channel for every value
     latency, bounds = [], []
     real_latency, real_merge = (compiler._latency_schedule,
                                 compiler.merge_streaming)
@@ -442,7 +445,8 @@ def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
 
     def merge(p, hw):
         if any(p is q for q in latency):
-            bounds.append((p.once(compiler._max_live)[1], hw.slots))
+            bounds.append((compiler._merge_bound(p, hw.fifo_depth),
+                           hw.slots, hw.fifo_depth))
         return real_merge(p, hw)
 
     monkeypatch.setattr(compiler, "_latency_schedule", latency_schedule)
@@ -452,8 +456,8 @@ def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
     for _ in back_ends(front_end(DESK_KS), hws):
         pass
     assert len(latency) == 1
-    assert latency[0].once(compiler._max_live)[1] == 16
-    assert bounds == [(16, 16), (16, 16)]
+    assert compiler._merge_bound(latency[0], 100) == 16
+    assert bounds == [(17, 20, 8), (24, 40, 1)]
 
 
 # one HardwareDescription field changed at a time, for the desk key switch,
@@ -1102,7 +1106,30 @@ ORACLE_SLOTS = (4, 8, 16, 32, 64, 256)
 
 
 def same_def_use(p):
-    assert def_use(p) == def_use_oracle(p.instrs)
+    """def_use(p) is the table of what `def_use_oracle` lists."""
+    values = def_use(p)
+    wrote, read = def_use_oracle(p.instrs)
+    rows = values.read.tolist()
+    assert rows[:len(read)] == [[-1 if j is None else j for j in r]
+                                for r in read]
+    assert all(j == -1 for r in rows[len(read):] for j in r)
+    start, readers = values.start.tolist(), values.readers.tolist()
+    assert [readers[a:b] for a, b in zip(start, start[1:])] == [
+        v[1:] if v else [] for v in wrote]
+    assert values.count.tolist() == [len(v) - 1 if v else 0 for v in wrote]
+    assert values.last.tolist() == [v[-1] if v and len(v) > 1 else -1
+                                    for v in wrote]
+    assert values.virtual.tolist() == [
+        v is not None and i.dests[0].name[0] == "%"
+        for i, v in zip(p.instrs, wrote)]
+
+
+def uses_oracle(instrs):
+    """_uses as it was: the values of `def_use_oracle`, and the distinct
+    writers each instruction reads."""
+    wrote, read = def_use_oracle(instrs)
+    return wrote, [tuple({r[k] for r in read if r[k] is not None})
+                   for k in range(len(instrs))]
 
 
 def same_allocation(p, hw):
@@ -1135,7 +1162,7 @@ def same_back_end_loops(front, slot_counts=ORACLE_SLOTS):
     table = HardwareDescription().lat_table(front.n)
     lat = [table[i.op] for i in front.instrs]
     graph = (succs, npreds, lat, _priorities(lat, succs))
-    uses = _uses(front)
+    uses, want_uses = _uses(front), uses_oracle(front.instrs)
     outcomes = []
     for slots in slot_counts:
         orders = []
@@ -1143,7 +1170,7 @@ def same_back_end_loops(front, slot_counts=ORACLE_SLOTS):
             hw = HardwareDescription(slots=slots)
             got = _list_schedule(front.instrs, hw, *graph, budget, uses)
             assert got == list_schedule_oracle(front.instrs, hw, *graph,
-                                               budget, uses)
+                                               budget, want_uses)
             order, cycles = got
             if budget is None:      # emitted in issue-cycle order
                 order = sorted(order, key=lambda k: (cycles[k], k))
