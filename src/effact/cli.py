@@ -22,7 +22,7 @@ from .asm import (
 )
 from .compiler import HardwareDescription, compile_program, lower, parse_hw, unroll
 from .ir import FU_CLASS, blank_image, execute_program, parse_ir
-from .sim import compare_streaming, simulate, sweep
+from .sim import compare_streaming, simulate, sweep_sram
 from . import workloads
 
 
@@ -41,11 +41,6 @@ def _stage(stage: str):
         yield
     except (OSError, ValueError) as e:
         raise CliError(stage, str(e)) from e
-
-
-def _read_text(path: str, stage: str) -> str:
-    with _stage(stage), open(path) as f:
-        return f.read()
 
 
 def _write(path: str | None, data, binary: bool = False):
@@ -74,16 +69,21 @@ def _machine_hw(args) -> HardwareDescription:
         return replace(_load_hw(args), **kw)
 
 
-def _load_program(path: str, stage: str = "parse"):
-    binary = path.endswith(".ebin")
-    with _stage(stage), open(path, "rb" if binary else "r") as f:
-        return (disassemble_binary if binary else parse_ir)(f.read())
+def _load_program(path: str):
+    """Every command's input, `.ebin` or text: a fault reading the file is
+    error[read], one in what it holds error[parse]."""
+    with _stage("read"), open(path, "rb") as f:
+        data = f.read()
+    with _stage("parse"):
+        if path.endswith(".ebin"):
+            return disassemble_binary(data)
+        return parse_ir(data.decode())
 
 
-def _compile(args, text: str):
+def _compile(args, prog):
     hw = _machine_hw(args)
     with _stage("compile"):
-        return compile_program(text, hw, do_pre=not args.no_pre,
+        return compile_program(prog, hw, do_pre=not args.no_pre,
                                do_merge=not args.no_merge), hw
 
 
@@ -100,7 +100,7 @@ def _add_pass_flags(sp):
 
 
 def _cmd_compile(args) -> int:
-    machine, _ = _compile(args, _read_text(args.input, "read"))
+    machine, _ = _compile(args, _load_program(args.input))
     binary = (args.output or "").endswith(".ebin")
     with _stage("assemble"):    # a name or address .ebin cannot encode
         out = assemble_binary(machine) if binary else assemble_text(machine)
@@ -130,15 +130,12 @@ def _cmd_exec(args) -> int:
     return 0
 
 
-def _sim_input(args):
-    path = args.input
-    if path.endswith(".easm") or path.endswith(".ebin"):
-        return _load_program(path), _machine_hw(args)
-    return _compile(args, _read_text(path, "read"))
-
-
 def _cmd_sim(args) -> int:
-    machine, hw = _sim_input(args)
+    machine = _load_program(args.input)
+    if args.input.endswith((".easm", ".ebin")):
+        hw = _machine_hw(args)
+    else:
+        machine, hw = _compile(args, machine)
     with _stage("sim"):
         rep = simulate(machine, hw)
     if args.json is not None:
@@ -159,7 +156,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    text = _read_text(args.input, "read")
+    prog = _load_program(args.input)
     hw = _load_hw(args)
     with _stage("flags"):
         try:
@@ -167,7 +164,7 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise ValueError(f"bad slot list: {args.slots}") from None
     with _stage("sweep"):
-        reports = sweep(text, [replace(hw, slots=s) for s in slot_counts])
+        reports = sweep_sram(prog, hw, slot_counts)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["slots", "cycles", "fu_utilization", "dram_bytes"])

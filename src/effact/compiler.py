@@ -35,7 +35,7 @@ passes' loops read as lists and `_max_live` and `_uses` sum with numpy.
 takes its critical path from its own scoreboard pass, with no graph.
 `pre` keys each pure op by what it reads after its replacements: in SSA
 code a value's first name is its value number, and a value is never
-read when its name is in no source.
+read when its name is in no source.  `peephole_merge` is one pass.
 `merge_streaming` makes the sink and source merges (`_merge_memory`)
 over every DRAM cell, and `merge_spill_traffic` over the `__spill`
 cells: one forward scan keeps each cell's last access, one backward scan
@@ -52,8 +52,9 @@ run under it too.  Machine registers are the shared objects of
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
 golden executor.  A program's `def_use`, `build_deps` and `max_liveness`
-are computed once and kept on it (`p.once`).  Only the front end's
-programs and allocated code are scanned for `def_use`: a schedule and a
+are computed once and kept on it (`p.once`), and so is the parser's
+check of references (`unroll`).  Only the front end's programs and
+allocated code are scanned for `def_use`: a schedule and a
 streaming merge derive their output's table from their input's
 (`_carry`).  The machine instruction set has no register-move
 opcode; copies die in `unroll`, and `lower` rejects one.
@@ -298,7 +299,8 @@ def _intern_const(consts: dict, hint: str, mod: str, value: int, rep: int,
 
 def unroll(p: Program) -> Program:
     """`ir.ssa(p)`: straight-line SSA code without copies.  Bad references
-    (`ir.check_refs`) and machine registers (`rN`, `fN`) are rejected."""
+    (`ir.check_refs`, kept on a parsed program) and machine registers
+    (`rN`, `fN`) are rejected."""
     p.once(check_refs)
     for i in p.instrs:
         for o in i.srcs + i.dests:
@@ -451,8 +453,10 @@ def pre(p: Program) -> Program:
 def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
                      interned) -> Instr | None:
     """mmul(mmul(x, !c1), !c2), same modulus -> mmul(x, !c1*c2*R^-1); the
-    folded constant is interned into `consts`."""
-    if prod.mod != cons.mod:
+    folded constant is interned into `consts`.  None if `prod` is no such
+    multiply or the constants do not compose."""
+    if (prod.op != "mmul" or prod.mod != cons.mod
+            or not isinstance(prod.srcs[1], CRef)):
         return None
     c1 = consts[prod.srcs[1].name]
     c2 = consts[cons.srcs[1].name]
@@ -470,55 +474,51 @@ def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
 
 
 def peephole_merge(p: Program) -> Program:
-    """Rounds of constant folds and MAC fusions until one finds none; each
-    round makes a new program, and the first is `p` as it is."""
+    """Constant folds and MAC fusions in one forward pass, a fixed point: a
+    rewrite moves its producer's reads onto it, so read counts hold, and a
+    reader sees its producer rewritten.  A fold goes on back along the
+    chain: nm * nm does not compose, but nm * (nm * dm) does."""
     consts = dict(p.consts)
     interned = {(c.mod, c.value, c.repr, c.absorb): c.name
                 for c in consts.values()}
-    out = p.with_()
-    while True:
-        values = out.once(def_use)
-        read, count = values.read.tolist(), values.count.tolist()
-        kill = set()
-        instrs = list(out.instrs)
-        for idx, i in enumerate(instrs):
-            if idx in kill:
-                continue
-            # fold chained constant multiplies
+    values = p.once(def_use)
+    read, count = values.read.tolist(), values.count.tolist()
+    kill = set()
+    instrs = list(p.instrs)
+    for idx, i in enumerate(instrs):
+        # fold chained constant multiplies; read[0][idx] follows the fold
+        if i.op == "mmul" and isinstance(i.srcs[1], CRef):
             j = read[0][idx]
-            if (i.op == "mmul" and isinstance(i.srcs[1], CRef)
-                    and j >= 0 and count[j] == 1):
-                prod = instrs[j]
-                if (j not in kill and prod.op == "mmul"
-                        and isinstance(prod.srcs[1], CRef)):
-                    folded = _try_fold_consts(out, consts, prod, i, interned)
-                    if folded is not None:
-                        instrs[idx] = folded
-                        kill.add(j)
-                        continue
-            # fuse a single-use multiply feeding an accumulate into a MAC
-            if i.op == "mmad":
-                for pos in (1, 0):
-                    j = read[pos][idx]
-                    if j < 0 or count[j] != 1:
-                        continue
-                    prod = instrs[j]
-                    if j in kill or prod.op != "mmul" or prod.mod != i.mod:
-                        continue
-                    b, acc = prod.srcs[1], i.srcs[1 - pos]
-                    # a MAC accumulates into a vector, never a constant
-                    if isinstance(acc, CRef) or (
-                            isinstance(b, CRef) and consts[b.name].absorb):
-                        continue
-                    instrs[idx] = i.with_(
-                        op="mac", srcs=(acc, prod.srcs[0], b),
-                        meta=_BC if prod.meta.get("bc") else None)
-                    kill.add(j)
+            while j >= 0 and count[j] == 1:
+                folded = _try_fold_consts(p, consts, instrs[j], i, interned)
+                if folded is None:
                     break
-        if not kill:
-            return out
-        out = out.with_([ins for k, ins in enumerate(instrs)
-                         if k not in kill], consts=consts)
+                instrs[idx] = i = folded
+                kill.add(j)
+                j = read[0][idx] = read[0][j]
+        # fuse a single-use multiply feeding an accumulate into a MAC
+        elif i.op == "mmad":
+            for pos in (1, 0):
+                j = read[pos][idx]
+                if j < 0 or count[j] != 1:
+                    continue
+                prod = instrs[j]
+                if prod.op != "mmul" or prod.mod != i.mod:
+                    continue
+                b, acc = prod.srcs[1], i.srcs[1 - pos]
+                # a MAC accumulates into a vector, never a constant
+                if isinstance(acc, CRef) or (
+                        isinstance(b, CRef) and consts[b.name].absorb):
+                    continue
+                instrs[idx] = i.with_(
+                    op="mac", srcs=(acc, prod.srcs[0], b),
+                    meta=_BC if prod.meta.get("bc") else None)
+                kill.add(j)
+                break
+    if not kill:
+        return p.with_()
+    return p.with_([ins for k, ins in enumerate(instrs) if k not in kill],
+                   consts=consts)
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +858,7 @@ def max_liveness(p: Program) -> int:
 
     Mirrors the allocator: sources dying at an instruction release their
     slots before the destination is placed.  Kept on the program
-    (`p.once(_max_live)`); `alloc_sram` counts the same peak in its own
-    loop.
+    (`p.once(_max_live)`), where `_fit` and `alloc_sram` read it.
     """
     return p.once(_max_live)[0]
 
@@ -911,9 +910,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     loaded again before each read that finds it evicted.
     `notes["spills"]` counts those spill stores and loads, before
     `merge_spill_traffic` streams any of them, and `notes["max_live"]` is
-    the input's `max_liveness`, counted here: `live` is the number of
-    values written and still to be read, each result placed after the
-    sources read for the last time have left.
+    the input's `max_liveness`.
 
     Each live value keeps a cursor to its next read in its writer's
     readers (`def_use`), moved past each instruction that reads it, so a
@@ -938,7 +935,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     free: list[int] = []             # released slots, a heap; all < fresh
     fresh = 0                        # slots fresh.. have never been taken
     spill_at: dict[str, Addr] = {}   # vreg -> its __spill cell, once stored
-    spills = live = peak = 0
+    spills = 0
     emitted: list[Instr] = []
     # live vregs by next read, farthest first, ties by the higher name;
     # made at the first eviction; lazy: an entry whose next read has
@@ -1007,7 +1004,6 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             j = value[v]
             if last[j] <= idx:
                 heappush(free, reg_of.pop(v))
-                live -= 1
                 continue
             k = at[j] + 1
             while readers[k] <= idx:
@@ -1022,10 +1018,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             slot = take_slot(pinned)
             dests = (regs[slot],)
             j = value[v]
-            if live >= peak:
-                peak = live + 1
             if last[j] >= 0:
-                live += 1
                 reg_of[v] = slot
                 at[j] = start[j]
                 if by_next is not None:
@@ -1037,7 +1030,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     out = p.with_(emitted, dram={**p.dram, "__spill": len(spill_at)}
                   if spill_at else p.dram)
     out.notes["spills"] = spills
-    out.notes["max_live"] = peak
+    out.notes["max_live"] = p.once(_max_live)[0]
     return out
 
 

@@ -15,7 +15,9 @@ reads it or a view of it built at import (`FU_CLASS`, `UNITS`, ...).
 (`check_operands`: operand kinds, modulus and flags) once per shape in a
 process, and `check_refs` is the one rule of what an instruction may
 reference, run wherever a program enters the stack: the parser, the
-compiler's `unroll`, the machine-form scan and `execute_program`.
+compiler's `unroll`, the machine-form scan and `execute_program`.  A
+constant is declared once, so the parser's check holds for the program
+it returns, which keeps it: the others check programs built in code.
 `parse_ir` parses each distinct token once per text and `print_program`
 prints each distinct address once per program: instructions share their
 operands.
@@ -24,10 +26,11 @@ operands.
 of what it yields, and `build_deps` the one dependence builder, of one
 graph form (successor lists): the compiler unrolls to `ssa`, the
 scheduler orders by `build_deps` (the simulator's scoreboard keys the
-same accesses, with no graph), and the golden executor runs the levels of `build_deps(ssa(prog))` as its waves.  The
-executor takes programs of any form (virtual or physical registers) and
-a memory image of residue polynomials, delegating every vector opcode to
-the kernels so metadata contracts are enforced for free.
+same accesses, with no graph), and the golden executor runs the levels
+of `build_deps(ssa(prog))` as its waves.  The executor takes programs
+of any form (virtual or physical registers) and a memory image of
+residue polynomials, delegating every vector opcode to the kernels so
+metadata contracts are enforced for free.
 
 The operands (`Vreg`, `SRef`, `CRef`, `Imm`, `Addr`) and `Instr` are
 frozen slotted dataclasses built by storing each field through its slot
@@ -613,7 +616,9 @@ def parse_ir(text: str) -> Program:
         instrs.append(instr)
     if loop_stack:
         raise IrError("unterminated loop", loop_stack[-1])
-    return Program(prog.n, prog.moduli, prog.consts, prog.dram, instrs)
+    out = Program(prog.n, prog.moduli, prog.consts, prog.dram, instrs)
+    out.keep(check_refs, None)      # each instruction's, above
+    return out
 
 
 # operand count range of each directive
@@ -650,6 +655,8 @@ def _apply_directive(prog: _Header, parts: list[str], lineno: int):
     else:
         # .const name mod value repr [absorb]
         name, mod, value, rep = parts[1], parts[2], int(parts[3]), parts[4]
+        if name in prog.consts:
+            raise IrError(f"redefinition of constant !{name}", lineno)
         if mod not in prog.moduli:
             raise IrError(f"unknown modulus '{mod}'", lineno)
         if rep not in REPR_BY_NAME:

@@ -74,14 +74,18 @@ def test_compile_error_exit_code(tmp_path, capsys):
     bad.write_text(".n 16\n%a = frobnicate %b\n")
     assert main(["compile", str(bad)]) == 1
     assert "error[" in capsys.readouterr().err
-    for text in (".n\n", ".n 16\n.mod q0 abc\n", ".n 16\n.mod q0 15\n",
-                 ".n 16\n.dram x\n", ".n 16\n.mod q0 97\n.dram x 2 3\n",
-                 ".n 16\n.mod q0 97\n.dram x 2\n%a = load @x[$j]\n",
-                 ".n 16\n.mod q0 97\n.dram x 2\n%a = load @x[5]\n"
-                 "store %a, @x[0]\n"):
+    # parse faults, then an address out of range, which unrolling finds
+    for text, stage in ((".n\n", "parse"), (".n 16\n.mod q0 abc\n", "parse"),
+                        (".n 16\n.mod q0 15\n", "parse"),
+                        (".n 16\n.dram x\n", "parse"),
+                        (".n 16\n.mod q0 97\n.dram x 2 3\n", "parse"),
+                        (".n 16\n.mod q0 97\n.dram x 2\n%a = load @x[$j]\n",
+                         "parse"),
+                        (".n 16\n.mod q0 97\n.dram x 2\n%a = load @x[5]\n"
+                         "store %a, @x[0]\n", "compile")):
         bad.write_text(text)
         assert main(["compile", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith("error[compile]: line ")
+        assert capsys.readouterr().err.startswith(f"error[{stage}]: line ")
 
 
 MACHINE_REGS = """\
@@ -159,17 +163,32 @@ UNDECLARED_RESULT = """\
 
 def test_an_undeclared_result_symbol_is_a_parse_error(tmp_path, capsys):
     # the parser checks the symbol of a result address as it checks a
-    # source's: `exec` and `analyze` fail where they parse, not on a run
-    # or a count, and `compile` and `sim`, which parse in their compile
-    # stage, fail there with the parser's message
+    # source's, and every command reads its input through one loader:
+    # each fails where it parses, not on a compile, a run or a count
     path = tmp_path / "w.eir"
     path.write_text(UNDECLARED_RESULT)
-    for cmd, stage in (("exec", "parse"), ("analyze", "parse"),
-                       ("compile", "compile"), ("sim", "compile")):
+    for cmd in ("compile", "exec", "sim", "sweep", "analyze"):
         capsys.readouterr()
         assert main([cmd, str(path)]) == 1
         assert capsys.readouterr().err == \
-            f"error[{stage}]: line 5: unknown symbol '@w'\n"
+            "error[parse]: line 5: unknown symbol '@w'\n"
+
+
+def test_every_command_tags_a_read_fault_and_a_parse_fault_alike(
+        tmp_path, capsys):
+    # a file that cannot be read is error[read]; one that is not UTF-8,
+    # or whose .ebin is cut short, is error[parse]
+    text, blob = tmp_path / "bad.eir", tmp_path / "bad.ebin"
+    text.write_bytes(b".n 16\n\xff\n")
+    blob.write_bytes(b"\x00" * 8)
+    for cmd in ("compile", "exec", "sim", "sweep", "analyze"):
+        for path, stage in ((tmp_path / "missing.eir", "read"),
+                            (tmp_path, "read"), (text, "parse"),
+                            (blob, "parse")):
+            capsys.readouterr()
+            assert main([cmd, str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error[{stage}]: "), \
+                (cmd, path)
 
 
 def test_missing_file_exit_code(capsys):
@@ -731,15 +750,12 @@ def test_bad_operand_kinds_are_tagged_errors(case, tmp_path, capsys):
     body, msg = BAD_OPERANDS[case]
     path = tmp_path / "bad.eir"
     path.write_text(HEAD + body)
-    for argv, stage in ((["compile", str(path)], "compile"),
-                        (["compile", str(path), "-o",
-                          str(tmp_path / "bad.easm")], "compile"),
-                        (["compile", str(path), "-o",
-                          str(tmp_path / "bad.ebin")], "compile"),
-                        (["sim", str(path)], "compile"),
-                        (["exec", str(path)], "parse")):
+    for argv in (["compile", str(path)],
+                 ["compile", str(path), "-o", str(tmp_path / "bad.easm")],
+                 ["compile", str(path), "-o", str(tmp_path / "bad.ebin")],
+                 ["sim", str(path)], ["exec", str(path)]):
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error[{stage}]: {msg}")
+        assert capsys.readouterr().err.startswith(f"error[parse]: {msg}")
     assert not (tmp_path / "bad.easm").exists()
     assert not (tmp_path / "bad.ebin").exists()
 
@@ -762,12 +778,10 @@ def test_non_ascii_digits_are_tagged_errors(case, tmp_path, capsys):
     body, msg = NON_ASCII_DIGITS[case]
     path = tmp_path / "bad.easm"
     path.write_text(HEAD + body)
-    for argv, stage in ((["sim", str(path)], "parse"),
-                        (["exec", str(path)], "parse"),
-                        (["compile", str(path)], "compile")):
-        assert main(argv) == 1
+    for cmd in ("sim", "exec", "compile"):
+        assert main([cmd, str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error[{stage}]: {msg}") and \
+        assert err.startswith(f"error[parse]: {msg}") and \
             "Traceback" not in err
 
 

@@ -1,7 +1,7 @@
 import gc
 import hashlib
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from heapq import heappop, heappush
 
 import numpy as np
@@ -15,6 +15,7 @@ from effact.compiler import (
     FU_OPS,
     HardwareDescription,
     _addr_key,
+    _latency_key,
     _latency_schedule,
     _merge_bound,
     _sub_srcs,
@@ -36,7 +37,7 @@ from effact.compiler import (
     schedule,
     unroll,
 )
-from effact.ir import (Addr, ExecError, IrError, Program, Vreg,
+from effact.ir import (FU_CLASS, Addr, ExecError, IrError, Program, Vreg,
                        blank_image, execute_program, parse_ir, print_program)
 from effact.poly import SM, ContractError, make_poly, ntt_fwd
 from effact.rns import make_modulus, make_modulus_chain, sm_encode
@@ -472,6 +473,30 @@ def test_peephole_keeps_multi_use_mmul():
     assert "mac" not in out.opcount()
 
 
+def test_peephole_merge_is_a_fixed_point():
+    # one pass leaves nothing to merge: on the desk programs, the L12
+    # bootstrap, random programs, and a chain whose first two constants
+    # (nm * nm) fold only after the last two (nm * dm) have
+    chain = parse_ir(header() + (
+        ".const a q0 5 nm\n.const b q0 7 nm\n.const c q0 11 dm\n"
+        "%x = load @x[0]\n%u = mmul %x, !a, q0\n%v = mmul %u, !b, q0\n"
+        "%w = mmul %v, !c, q0\nstore %w, @y[0]\n"))
+    rng = random.Random(30)
+    programs = [chain] + [front_end(gen(wp), do_merge=False)
+                          for gen, wp, _ in GOLDEN[:4]]
+    programs += [front_end(random_program(rng), do_merge=False)
+                 for _ in range(40)]
+    programs += [front_end(memory_program(rng), do_merge=False)
+                 for _ in range(20)]
+    for p in programs:
+        once = peephole_merge(p)
+        twice = peephole_merge(once)
+        assert twice.instrs == once.instrs
+        assert dict(twice.consts) == dict(once.consts)
+    assert peephole_merge(chain).opcount() == {"load": 1, "mmul": 1,
+                                               "store": 1}
+
+
 def test_peephole_folds_const_chain():
     m = make_modulus(97, N)
     c1, c2 = sm_encode(5, m), sm_encode(7, m)
@@ -488,6 +513,30 @@ def test_peephole_folds_const_chain():
 
 # ---------------------------------------------------------------------------
 # scheduling
+
+def test_the_latency_schedule_is_keyed_by_every_field_it_reads():
+    # `_fit` keeps a latency schedule in `made` under `_latency_key(hw)`,
+    # and the schedule reads the hardware through `lat_table` and
+    # `fu_count`: no field outside the key changes them, and each field in
+    # the key changes one of them
+    def reads(hw):
+        return (hw.lat_table(2 ** 16),
+                {cls: hw.fu_count(cls) for cls in set(FU_CLASS.values())})
+
+    outside = {"slots": 16, "banks": 2, "fifo_depth": 1, "streaming": False}
+    inside = {"lanes": 64, "dram_bw": 32, "ntt_pipelines": 2,
+              "fu": (("ntt", 1), ("mmul", 4), ("madd", 4), ("auto", 1)),
+              "lat_override": (("mmul", 3),)}
+    assert {*outside, *inside} == {f.name for f in fields(HW)}
+    for name, value in outside.items():
+        hw = replace(HW, **{name: value})
+        assert _latency_key(hw) == _latency_key(HW)
+        assert reads(hw) == reads(HW), name
+    for name, value in inside.items():
+        hw = replace(HW, **{name: value})
+        assert _latency_key(hw) != _latency_key(HW)
+        assert reads(hw) != reads(HW), name
+
 
 def test_schedule_preserves_chains_and_bounds():
     rng = random.Random(8)
@@ -913,7 +962,7 @@ def test_merge_spill_traffic_returns_a_program_without_spills_as_it_is():
     p = parse_ir(header() + "r0 = load @x[0]\nr1 = ntt r0, q0\n"
                  "store r1, @y[0]\n")
     assert merge_spill_traffic(p) is p
-    assert p._kept == {}
+    assert def_use not in p._kept
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from effact import asm
+from effact import asm, compiler, ir
 from effact.asm import (
     assemble_binary,
     assemble_text,
@@ -397,6 +397,31 @@ def test_a_kept_check_is_keyed_by_the_constants_too():
             with pytest.raises(IrError) as e:
                 check(p.with_(consts=consts))
             assert str(e.value) == want
+
+
+def test_a_parsed_program_is_checked_for_references_once(monkeypatch):
+    # the parser checks each instruction against the header read so far,
+    # which a constant declared once cannot change, and keeps that check:
+    # compiling or executing what it returns checks no whole program again
+    text = HEADER + (".const c q0 5 sm\n%a = load @x[0]\n"
+                     "%b = mmul %a, !c, q0\nstore %b, @y[0]\n")
+    whole = []
+    check = ir.check_refs
+
+    def counted(prog, instrs=None, machine=False):
+        if instrs is None:
+            whole.append(prog)
+        return check(prog, instrs, machine)
+
+    for module in (ir, compiler):
+        monkeypatch.setattr(module, "check_refs", counted)
+    compile_program(parse_ir(text))
+    p = parse_ir(text)
+    execute_program(p, image_for(p, x_0=rand_limb(
+        p.moduli["q0"], random.Random(2), repr=SM)))
+    assert whole == []
+    with pytest.raises(IrError, match="line 10: redefinition of constant !c"):
+        parse_ir(text + ".const c q1 5 sm\n")
 
 
 def test_binary_input_is_checked():

@@ -397,33 +397,35 @@ def test_a_sweep_schedules_for_latency_once(monkeypatch):
     # (`_merge_bound`) is 168 too: 16, 32, 64 and 128 slots are
     # rescheduled for pressure with no merge of it, and 256 slots merges
     # it and fits.  `_max_live` scans the latency order and the fit
-    # check's merge; `alloc_sram` counts its own peak.  def_use scans only
-    # programs whose values no pass derived (`Program.once`): 2 in the
-    # front end (the two `peephole_merge` rounds), and the allocated code
-    # of the three configurations that spill (16, 32 and 64 slots), in
-    # their spill merges.  The schedules and the streaming merges carry
+    # check's merge, which the 256-slot allocation reads too, and the input
+    # of each of the other four allocations.  def_use scans only programs
+    # whose values no pass derived (`Program.once`): 2 of the front end's
+    # (the input and the output of `peephole_merge`), and the allocated
+    # code of the three configurations that spill (16, 32 and 64 slots),
+    # in their spill merges.  The schedules and the streaming merges carry
     # the table of their input.
     calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
     assert calls == {"build_deps": 1, "_list_schedule": 5, "pressure": 4,
                      "merge_streaming": 5, "max_liveness": 0,
-                     "_max_live": 2, "def_use": 5}
+                     "_max_live": 6, "def_use": 5}
 
 
 def test_compare_streaming_schedules_for_latency_once(monkeypatch):
     # neither configuration fits the latency order of the L24 key switch,
     # and with streaming no merge could (see the sweep above): one latency
     # schedule and its one liveness scan, then one pressure schedule for
-    # the 64 slots of both, merged with streaming only; each allocation
-    # counts its own peak.  def_use scans the two `peephole_merge` rounds
-    # and the streaming configuration's allocated code, which spills
+    # the 64 slots of both, merged with streaming only, and a liveness
+    # scan of each allocation's input.  def_use scans the input and the
+    # output of `peephole_merge` and the streaming configuration's
+    # allocated code, which spills
     calls = count_calls(monkeypatch, BACK_END_CALLS)
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     compare_streaming(text, HardwareDescription())
     assert calls == {"build_deps": 1, "_list_schedule": 2, "pressure": 1,
                      "merge_streaming": 1, "max_liveness": 0,
-                     "_max_live": 1, "def_use": 3}
+                     "_max_live": 3, "def_use": 3}
 
 
 def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
