@@ -80,11 +80,10 @@ def _load_program(path: str):
         return parse_ir(data.decode())
 
 
-def _compile(args, prog):
-    hw = _machine_hw(args)
+def _compile(args, hw: HardwareDescription, prog):
     with _stage("compile"):
         return compile_program(prog, hw, do_pre=not args.no_pre,
-                               do_merge=not args.no_merge), hw
+                               do_merge=not args.no_merge)
 
 
 def _add_pass_flags(sp):
@@ -100,7 +99,8 @@ def _add_pass_flags(sp):
 
 
 def _cmd_compile(args) -> int:
-    machine, _ = _compile(args, _load_program(args.input))
+    hw = _machine_hw(args)
+    machine = _compile(args, hw, _load_program(args.input))
     binary = (args.output or "").endswith(".ebin")
     with _stage("assemble"):    # a name or address .ebin cannot encode
         out = assemble_binary(machine) if binary else assemble_text(machine)
@@ -131,11 +131,10 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    hw = _machine_hw(args)
     machine = _load_program(args.input)
-    if args.input.endswith((".easm", ".ebin")):
-        hw = _machine_hw(args)
-    else:
-        machine, hw = _compile(args, machine)
+    if not args.input.endswith((".easm", ".ebin")):
+        machine = _compile(args, hw, machine)
     with _stage("sim"):
         rep = simulate(machine, hw)
     if args.json is not None:
@@ -156,13 +155,13 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    prog = _load_program(args.input)
     hw = _load_hw(args)
     with _stage("flags"):
         try:
             slot_counts = [int(s) for s in args.slots.split(",")]
         except ValueError:
             raise ValueError(f"bad slot list: {args.slots}") from None
+    prog = _load_program(args.input)
     with _stage("sweep"):
         reports = sweep_sram(prog, hw, slot_counts)
     buf = io.StringIO()

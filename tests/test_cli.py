@@ -191,6 +191,26 @@ def test_every_command_tags_a_read_fault_and_a_parse_fault_alike(
                 (cmd, path)
 
 
+def test_hardware_and_flag_faults_come_before_input_faults(tmp_path,
+                                                          capsys):
+    # compile, sim and sweep check --hw and their flags before they read
+    # the input: with both wrong, the hardware or flag fault is reported
+    hw = tmp_path / "bad.hw"
+    hw.write_text("lanes = many\n")
+    easm = tmp_path / "bad.easm"
+    easm.write_text(".n 16\nfoo\n")
+    runs = [(cmd, path, ["--hw", str(hw)], "hw")
+            for cmd in ("compile", "sim", "sweep")
+            for path in (tmp_path / "missing.eir", easm)]
+    runs += [("sweep", easm, ["--slots", "8,x"], "flags"),
+             ("sim", easm, ["--slots", "0"], "flags")]
+    for cmd, path, flags, stage in runs:
+        capsys.readouterr()
+        assert main([cmd, str(path), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error[{stage}]: "), \
+            (cmd, path, flags)
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["compile", "/nonexistent.eir"]) == 1
 
