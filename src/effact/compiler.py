@@ -35,7 +35,9 @@ passes' loops read as lists and `_max_live` and `_uses` sum with numpy.
 takes its critical path from its own scoreboard pass, with no graph.
 `pre` keys each pure op by what it reads after its replacements: in SSA
 code a value's first name is its value number, and a value is never
-read when its name is in no source.  `peephole_merge` is one pass.
+read when its name is in no source.  `peephole_merge` is one pass, and
+folds two constant multiplies only through an SM constant, so the merged
+code runs on exactly the data its input runs on.
 `merge_streaming` makes the sink and source merges (`_merge_memory`)
 over every DRAM cell, and `merge_spill_traffic` over the `__spill`
 cells: one forward scan keeps each cell's last access, one backward scan
@@ -43,11 +45,10 @@ its next write, and merged stores stay in the list, which makes both
 exact.
 
 `front_end`, and each program of `back_ends` up to its `yield` (never
-across it), run under `ir._collector_scope`, which raises the cyclic
-collector's generation-0 threshold to at least 10,000 and then restores
-the thresholds; `parse_ir`, `asm.disassemble_binary` and `sim.simulate`
-run under it too.  Machine registers are the shared objects of
-`ir.machine_regs`, not one per operand.
+across it), run under `ir._collector_scope`, which turns the cyclic
+collector off and then on again; `parse_ir`, `asm.disassemble_binary`
+and `sim.simulate` run under it too.  Machine registers are the shared
+objects of `ir.machine_regs`, not one per operand.
 
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
@@ -94,7 +95,7 @@ from .ir import (
     ssa,
 )
 from .poly import make_bconv_tables
-from .rns import DM, NM, SM, ReprError, RnsBasis, compose_repr, mont_mul, sm_encode
+from .rns import DM, NM, SM, RnsBasis, mont_mul, sm_encode
 
 DRAM_BASE = 100               # cycles before the first word of a transfer
 WORD_BYTES = 8
@@ -454,21 +455,24 @@ def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
                      interned) -> Instr | None:
     """mmul(mmul(x, !c1), !c2), same modulus -> mmul(x, !c1*c2*R^-1); the
     folded constant is interned into `consts`.  None if `prod` is no such
-    multiply or the constants do not compose."""
+    multiply or the pair does not fold.  A pair folds only through an SM
+    constant, the identity of MontMult's tags, and an absorbing constant
+    may not follow one that does not absorb: the folded constant has the
+    other's tag and the first's absorb, so the fold accepts exactly the
+    data, of any tag and deferred or not, that the pair accepts."""
     if (prod.op != "mmul" or prod.mod != cons.mod
             or not isinstance(prod.srcs[1], CRef)):
         return None
     c1 = consts[prod.srcs[1].name]
     c2 = consts[cons.srcs[1].name]
-    try:
-        rep = compose_repr(c1.repr, c2.repr)
-    except ReprError:
+    if SM not in (c1.repr, c2.repr) or (c2.absorb and not c1.absorb):
         return None
     m = p.moduli[prod.mod]
     folded = mont_mul(c1.value, c2.value, m)
     c = _intern_const(consts,
                       f"__mrg_{prod.srcs[1].name}_{cons.srcs[1].name}",
-                      prod.mod, folded, rep, c1.absorb or c2.absorb, interned)
+                      prod.mod, folded, c1.repr + c2.repr - SM, c1.absorb,
+                      interned)
     return cons.with_(srcs=(prod.srcs[0], c),
                       meta=_BC if prod.meta.get("bc") else None)
 
@@ -476,8 +480,11 @@ def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
 def peephole_merge(p: Program) -> Program:
     """Constant folds and MAC fusions in one forward pass, a fixed point: a
     rewrite moves its producer's reads onto it, so read counts hold, and a
-    reader sees its producer rewritten.  A fold goes on back along the
-    chain: nm * nm does not compose, but nm * (nm * dm) does."""
+    reader sees its producer rewritten.  A pair folds only through an SM
+    constant, so the folded constant has the tag of the pair's other
+    constant and the absorb of the first: it folds with the producer's own
+    producer only where the producer would have, and the producer, which
+    came first, did not."""
     consts = dict(p.consts)
     interned = {(c.mod, c.value, c.repr, c.absorb): c.name
                 for c in consts.values()}
@@ -486,16 +493,14 @@ def peephole_merge(p: Program) -> Program:
     kill = set()
     instrs = list(p.instrs)
     for idx, i in enumerate(instrs):
-        # fold chained constant multiplies; read[0][idx] follows the fold
+        # fold chained constant multiplies
         if i.op == "mmul" and isinstance(i.srcs[1], CRef):
             j = read[0][idx]
-            while j >= 0 and count[j] == 1:
+            if j >= 0 and count[j] == 1:
                 folded = _try_fold_consts(p, consts, instrs[j], i, interned)
-                if folded is None:
-                    break
-                instrs[idx] = i = folded
-                kill.add(j)
-                j = read[0][idx] = read[0][j]
+                if folded is not None:
+                    instrs[idx] = folded
+                    kill.add(j)
         # fuse a single-use multiply feeding an accumulate into a MAC
         elif i.op == "mmad":
             for pos in (1, 0):

@@ -89,30 +89,26 @@ class ExecError(ValueError):
     `ValueError` of the stack is (a `RuntimeError` is a broken invariant)."""
 
 
-_GC_GEN0 = 10_000       # the collector's generation-0 threshold in a step
-
-
 @contextmanager
 def _collector_scope():
     """One step that builds or walks a whole program (parsing, each
-    compile step, disassembling, simulating) with the collector's
-    generation-0 threshold at least _GC_GEN0, the thresholds restored after
-    it, on an exception too.  A program keeps its instructions and operands
-    by the hundred thousand, and at the default threshold the collector
-    took about a fifth of compile time walking them again.  A disabled
-    collector is left alone.  No caller wraps a `yield` in it, so an
-    abandoned generator cannot leave the thresholds raised.  They are
-    process-wide, so steps on concurrent threads could restore each
-    other's; the package starts no thread."""
+    compile step, disassembling, simulating) with the cyclic collector
+    off, and on again after it, on an exception too.  A program keeps its
+    instructions and operands by the hundred thousand, and at the default
+    threshold the collector took about a fifth of compile time walking
+    them again.  A disabled collector is left alone, and the thresholds
+    are never touched.  No caller wraps a `yield` in it, so an abandoned
+    generator cannot leave the collector off.  The switch is
+    process-wide, so steps on concurrent threads could enable it under
+    each other; the package starts no thread."""
     if not gc.isenabled():
         yield
         return
-    prior = gc.get_threshold()
-    gc.set_threshold(max(prior[0], _GC_GEN0), *prior[1:])
+    gc.disable()
     try:
         yield
     finally:
-        gc.set_threshold(*prior)
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +204,6 @@ class Addr:
         for name, coeff in self.terms:
             parts.append(name if coeff == 1 else f"{coeff}*{name}")
         return f"@{self.sym}[{'+'.join(parts)}]"
-
-    @property
-    def concrete(self) -> bool:
-        return not self.terms
 
 
 @dataclass(frozen=True)
@@ -1050,14 +1042,15 @@ def execute_program(prog: Program, img: MemoryImage) -> MemoryImage:
 
     The vector instructions run in dependence waves, the transforms and
     multiplies of one shape in a wave as one kernel call (`_run_waves`).
-    That cannot be seen from outside: if anything raises, the program is
-    replayed in order, one `_step` per instruction, from the input image,
-    so results and errors are those of in-order execution.  Its references
-    are checked first, once per program (`check_refs`)."""
+    That cannot be seen from outside: if the waves raise a `ValueError`
+    (bad input), the program is replayed in order, one `_step` per
+    instruction, from the input image, so results and errors are those of
+    in-order execution; any other exception is a bug and propagates.  Its
+    references are checked first, once per program (`check_refs`)."""
     prog.once(check_refs)
     try:
         return _run_waves(prog, _image_for(prog, img))
-    except Exception:     # of any type: the replay raises the first one
+    except ValueError:    # bad input: the replay raises the first one
         pass
     out, env = _image_for(prog, img), {}
     for i in walk(prog):

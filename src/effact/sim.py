@@ -68,11 +68,6 @@ class SimReport:
         return (self.dram_load_bytes + self.dram_store_bytes
                 + self.dram_stream_bytes)
 
-    def utilization(self, cls: str) -> float:
-        if self.cycles == 0:
-            return 0.0
-        return self.fu_busy[cls] / (self.cycles * self.fu_count[cls])
-
     @property
     def fu_utilization(self) -> float:
         """Aggregate compute-unit utilization (DRAM excluded)."""

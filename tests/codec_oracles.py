@@ -224,7 +224,7 @@ def scan_machine_form_oracle(prog):
                 raise IrError(f"virtual register {o} survives in machine "
                               "code", i.line)
             if isinstance(o, Addr):
-                if not o.concrete:
+                if o.terms:
                     raise IrError(f"non-constant address {o} in machine "
                                   "code", i.line)
                 check_address(prog, o, i.line)

@@ -40,7 +40,8 @@ from effact.compiler import (
 from effact.ir import (FU_CLASS, Addr, ExecError, IrError, Program, Vreg,
                        blank_image, check_refs, execute_program, parse_ir,
                        print_program)
-from effact.poly import DM, NM, SM, ContractError, make_poly, ntt_fwd
+from effact.poly import (DM, NM, SM, ContractError, make_poly, ntt_fwd,
+                         ntt_inv)
 from effact.rns import ReprError, make_modulus, make_modulus_chain, sm_encode
 from effact.sim import sweep_sram
 from effact.workloads import (
@@ -199,7 +200,7 @@ def test_unroll_loop_and_scalars():
     assert all(i.op in ("load", "store") for i in p.instrs)
     loads = [i for i in p.instrs if i.op == "load"]
     assert [i.srcs[0].base for i in loads] == [2, 4, 6]
-    assert all(i.srcs[0].concrete for i in loads)
+    assert all(not i.srcs[0].terms for i in loads)
 
 
 def test_out_of_range_addresses_are_rejected_when_compiling():
@@ -474,17 +475,27 @@ def test_peephole_keeps_multi_use_mmul():
     assert "mac" not in out.opcount()
 
 
+def chain(*reprs):
+    """x times a chain of constants of the given representations."""
+    names = "abcdefgh"[:len(reprs)]
+    consts = "".join(f".const {c} q0 {5 + 2 * k} {r}\n"
+                     for k, (c, r) in enumerate(zip(names, reprs)))
+    body, a = "%r0 = load @x[0]\n", "%r0"
+    for k, c in enumerate(names):
+        body += f"%r{k + 1} = mmul {a}, !{c}, q0\n"
+        a = f"%r{k + 1}"
+    return parse_ir(header() + consts + body + f"store {a}, @y[0]\n")
+
+
 def test_peephole_merge_is_a_fixed_point():
     # one pass leaves nothing to merge: on the desk programs, the L12
-    # bootstrap, random programs, and a chain whose first two constants
-    # (nm * nm) fold only after the last two (nm * dm) have
-    chain = parse_ir(header() + (
-        ".const a q0 5 nm\n.const b q0 7 nm\n.const c q0 11 dm\n"
-        "%x = load @x[0]\n%u = mmul %x, !a, q0\n%v = mmul %u, !b, q0\n"
-        "%w = mmul %v, !c, q0\nstore %w, @y[0]\n"))
+    # bootstrap, random programs and two constant chains.  nm, nm, dm runs
+    # only on DM data, and !b*!c (sm) would let it run on SM data too, so
+    # nothing folds; nm, sm, sm folds back through its SM constants
+    stuck, folds = chain("nm", "nm", "dm"), chain("nm", "sm", "sm")
     rng = random.Random(30)
-    programs = [chain] + [front_end(gen(wp), do_merge=False)
-                          for gen, wp, _ in GOLDEN[:4]]
+    programs = [stuck, folds] + [front_end(gen(wp), do_merge=False)
+                                 for gen, wp, _ in GOLDEN[:4]]
     programs += [front_end(random_program(rng), do_merge=False)
                  for _ in range(40)]
     programs += [front_end(memory_program(rng), do_merge=False)
@@ -494,7 +505,8 @@ def test_peephole_merge_is_a_fixed_point():
         twice = peephole_merge(once)
         assert twice.instrs == once.instrs
         assert dict(twice.consts) == dict(once.consts)
-    assert peephole_merge(chain).opcount() == {"load": 1, "mmul": 1,
+    assert peephole_merge(stuck).instrs == stuck.instrs
+    assert peephole_merge(folds).opcount() == {"load": 1, "mmul": 1,
                                                "store": 1}
 
 
@@ -522,36 +534,45 @@ def const_chain_program(rng):
 
 
 def test_peephole_merge_keeps_what_constant_chains_compute():
-    # a fold goes on back along its chain, so which constants fold can
-    # differ from folding pair by pair in rounds until none is left: of
-    # seeds 0-5,999, 80 chains compile differently so, and the seeds past
-    # 600 listed run on data of some representation.  With data of each
-    # representation the input runs on, the merged program computes the
-    # same outputs, and one more pass changes nothing
+    # with data of each representation, scale-deferred or not, the merged
+    # program raises exactly when its input raises, and otherwise computes
+    # the same outputs; one more pass changes nothing.  A fold through a
+    # constant that is not SM, or of an absorbing constant after one that
+    # does not absorb, would let the merged code run where its input
+    # raises (nm * nm * dm on SM data, or a deferred input)
     m = make_modulus(97, N)
-    ran = merged = 0
-    for seed in [*range(600), 632, 690, 911, 1004, 1069, 1138, 1419, 2407,
-                 2471, 2501, 2555, 3283, 3299, 4004, 4623, 4891, 5295,
-                 5444, 5538, 5608, 5646, 5926]:
+    ran = merged = raised = deferred = 0
+    for seed in range(600):
         rng = random.Random(seed)
         p = front_end(const_chain_program(rng), do_merge=False)
         q = peephole_merge(p)
         again = peephole_merge(q)
         assert again.instrs == q.instrs, seed
         assert dict(again.consts) == dict(q.consts), seed
+        merged += len(q.instrs) < len(p.instrs)
         for rep in (NM, SM, DM):
-            img = blank_image(p)
-            for k in range(len(img.dram["x"])):
-                img.dram["x"][k] = ntt_fwd(make_poly(
-                    m, [rng.randrange(m.q) for _ in range(N)], repr=rep))
-            try:
-                want = outputs(p, img)
-            except (ContractError, ExecError, ReprError):
-                continue    # the executor rejects the input
-            assert outputs(q, img) == want, (seed, rep)
-            ran += 1
-            merged += len(q.instrs) < len(p.instrs)
-    assert ran >= 300 and merged >= 150, (ran, merged)
+            for defer in (False, True):
+                img = blank_image(p)
+                for k in range(len(img.dram["x"])):
+                    v = ntt_fwd(make_poly(
+                        m, [rng.randrange(m.q) for _ in range(N)], repr=rep))
+                    img.dram["x"][k] = ntt_inv(v, defer_scale=True) \
+                        if defer else v
+                got = []
+                for prog in (p, q):
+                    try:
+                        got.append(outputs(prog, img))
+                    except (ContractError, ExecError, ReprError):
+                        got.append(None)    # the executor rejects it
+                assert got[0] == got[1], (seed, rep, defer)
+                raised += got[0] is None
+                ran += got[0] is not None
+                deferred += defer and got[0] is not None
+    # 421 runs, 17 of them on deferred data, and 3,179 rejections; 355
+    # of the 600 chains merge
+    assert ran >= 400 and raised >= 3000 and merged >= 300, (ran, raised,
+                                                              merged)
+    assert deferred >= 15, deferred
 
 
 def test_peephole_folds_const_chain():
@@ -1502,36 +1523,37 @@ def collector():
 def test_compiles_restore_the_collector_thresholds(collector):
     gc.set_threshold(700, 10, 10)
     compile_program(PRESSURE, HW)
-    assert gc.get_threshold() == (700, 10, 10)
+    assert gc.get_threshold() == (700, 10, 10) and gc.isenabled()
     sweep_sram(PRESSURE, HW, (4, 8))
-    assert gc.get_threshold() == (700, 10, 10)
+    assert gc.get_threshold() == (700, 10, 10) and gc.isenabled()
     # a sweep suspended, then closed, after its first program
     machines = back_ends(front_end(PRESSURE), [replace(HW, slots=s)
                                                for s in (4, 8)])
     next(machines)
-    assert gc.get_threshold() == (700, 10, 10)
+    assert gc.get_threshold() == (700, 10, 10) and gc.isenabled()
     machines.close()
-    assert gc.get_threshold() == (700, 10, 10)
+    assert gc.get_threshold() == (700, 10, 10) and gc.isenabled()
     with pytest.raises(IrError, match="register pressure exceeds 2"):
         compile_program(PRESSURE, replace(HW, slots=2, streaming=False))
-    assert gc.get_threshold() == (700, 10, 10)
+    assert gc.get_threshold() == (700, 10, 10) and gc.isenabled()
 
 
-def test_a_compile_raises_the_threshold_and_never_lowers_it(collector,
-                                                            monkeypatch):
+def test_a_compile_turns_the_collector_off_and_on_again(collector,
+                                                        monkeypatch):
     seen = []
 
     def alloc(p, hw):
-        seen.append(gc.get_threshold())
+        seen.append((gc.isenabled(), gc.get_threshold()))
         return alloc_sram(p, hw)
 
     monkeypatch.setattr(compiler, "alloc_sram", alloc)
-    for gen0, during in ((700, 10_000), (50_000, 50_000)):
+    for gen0 in (700, 50_000):
         gc.set_threshold(gen0, 10, 10)
         compile_program(PRESSURE, HW)
-        assert seen.pop() == (during, 10, 10)
-        assert gc.get_threshold() == (gen0, 10, 10)
+        assert seen.pop() == (False, (gen0, 10, 10))
+        assert gc.isenabled() and gc.get_threshold() == (gen0, 10, 10)
     # a disabled collector is left as it is
     gc.disable()
     compile_program(PRESSURE, HW)
-    assert seen.pop() == (50_000, 10, 10) and not gc.isenabled()
+    assert seen.pop() == (False, (50_000, 10, 10)) and not gc.isenabled()
+    assert gc.get_threshold() == (50_000, 10, 10)

@@ -291,6 +291,29 @@ def test_executor_error_paths():
             execute_program(p, image_for(p, x_0=a, x_1=c))
 
 
+def test_executor_replays_bad_input_only(monkeypatch):
+    # a bug in the waves (a RuntimeError) propagates; bad input (a
+    # ValueError) is replayed in order and raises the first failing
+    # instruction's error
+    m = make_modulus(97, N)
+    a = rand_limb(m, random.Random(8), repr=SM)
+    prog = parse_ir(HEADER + "%a = load @x[0]\n%b = load @x[1]\n"
+                    "%c = mmul %a, %a, q0\n%d = mmul %b, %b, q0\n"
+                    "store %c, @y[0]\nstore %d, @y[1]\n")
+    img = image_for(prog, x_0=a, x_1=a)
+    want = execute_program(prog, img).dram["y"][0].to_ints()
+
+    def broken(operands, error):
+        raise error("stacked")
+
+    monkeypatch.setattr(ir, "_stacked",
+                        lambda ops: broken(ops, RuntimeError))
+    with pytest.raises(RuntimeError, match="stacked"):
+        execute_program(prog, img)
+    monkeypatch.setattr(ir, "_stacked", lambda ops: broken(ops, ValueError))
+    assert execute_program(prog, img).dram["y"][0].to_ints() == want
+
+
 def test_executor_rejects_an_image_of_another_ring_degree():
     # a slot the program reads, one it does not, one it would overwrite,
     # and one of a symbol it does not declare: every slot is of degree n

@@ -207,8 +207,7 @@ def test_report_invariants_random_programs():
         assert rep.cycles >= rep.critical_path
         assert rep.cycles * HW.dram_bw >= rep.dram_bytes
         for cls, busy in rep.fu_busy.items():
-            assert 0.0 <= rep.utilization(cls) <= 1.0
-            assert busy <= rep.cycles * rep.fu_count[cls]
+            assert 0 <= busy <= rep.cycles * rep.fu_count[cls]
         assert rep.dram_bytes % (N * 8) == 0
 
 
