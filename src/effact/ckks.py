@@ -525,7 +525,7 @@ def hrot(ct: Ciphertext, s: int, rot_keys: dict, params: CkksParams) -> Cipherte
     if s % (params.n // 2) == 0:
         return ct
     if s not in rot_keys:
-        raise KeyError(f"no rotation key for step {s}")
+        raise ValueError(f"no rotation key for step {s}")
     ks0, ks1 = key_switch(automorphism_ntt(ct.c1, s), rot_keys[s], params,
                           ct.level)
     return Ciphertext(vec_madd(automorphism_ntt(ct.c0, s), ks0), ks1,

@@ -456,16 +456,16 @@ def _try_fold_consts(p: Program, consts: dict, prod: Instr, cons: Instr,
     """mmul(mmul(x, !c1), !c2), same modulus -> mmul(x, !c1*c2*R^-1); the
     folded constant is interned into `consts`.  None if `prod` is no such
     multiply or the pair does not fold.  A pair folds only through an SM
-    constant, the identity of MontMult's tags, and an absorbing constant
-    may not follow one that does not absorb: the folded constant has the
+    constant, the identity of MontMult's tags: the folded constant has the
     other's tag and the first's absorb, so the fold accepts exactly the
-    data, of any tag and deferred or not, that the pair accepts."""
+    data, of any tag and deferred or not, that the pair accepts (the
+    second multiply never reads deferred data, so its absorb is moot)."""
     if (prod.op != "mmul" or prod.mod != cons.mod
             or not isinstance(prod.srcs[1], CRef)):
         return None
     c1 = consts[prod.srcs[1].name]
     c2 = consts[cons.srcs[1].name]
-    if SM not in (c1.repr, c2.repr) or (c2.absorb and not c1.absorb):
+    if SM not in (c1.repr, c2.repr):
         return None
     m = p.moduli[prod.mod]
     folded = mont_mul(c1.value, c2.value, m)
@@ -482,9 +482,8 @@ def peephole_merge(p: Program) -> Program:
     rewrite moves its producer's reads onto it, so read counts hold, and a
     reader sees its producer rewritten.  A pair folds only through an SM
     constant, so the folded constant has the tag of the pair's other
-    constant and the absorb of the first: it folds with the producer's own
-    producer only where the producer would have, and the producer, which
-    came first, did not."""
+    constant: it folds with the producer's own producer only where the
+    producer would have, and the producer, which came first, did not."""
     consts = dict(p.consts)
     interned = {(c.mod, c.value, c.repr, c.absorb): c.name
                 for c in consts.values()}
@@ -918,14 +917,10 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     the input's `max_liveness`.
 
     Each live value keeps a cursor to its next read in its writer's
-    readers (`def_use`), moved past each instruction that reads it, so a
-    heap entry is current when it names that read.  The heap starts at
-    the first eviction, from the live values' cursors; a program that
-    never spills keeps none.
-    Its entries are totally ordered, so the victims do not depend on when
-    it starts.  IrError if a register is read before it is
-    written, or if one instruction's sources and result need more than
-    `hw.slots` slots."""
+    readers (`def_use`), moved past each instruction that reads it; an
+    eviction scans the live values' cursors for the largest.  IrError if
+    a register is read before it is written, or if one instruction's
+    sources and result need more than `hw.slots` slots."""
     values = p.once(def_use)
     instrs = p.instrs
     # each virtual register's writer; its reads, in scheduled order, are
@@ -942,41 +937,25 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     spill_at: dict[str, Addr] = {}   # vreg -> its __spill cell, once stored
     spills = 0
     emitted: list[Instr] = []
-    # live vregs by next read, farthest first, ties by the higher name;
-    # made at the first eviction; lazy: an entry whose next read has
-    # passed is skipped when popped
-    rank: dict[str, int] = {}
-    by_next: list[tuple[int, int, str]] | None = None
 
     def take_slot(pinned):
-        nonlocal fresh, spills, by_next
+        nonlocal fresh, spills
         if free:
             return heappop(free)
         if fresh < hw.slots:
             fresh += 1
             machine_regs("r", fresh)
             return fresh - 1
-        if by_next is None:
-            rank.update((v, k) for k, v in enumerate(sorted(value)))
-            by_next = [(-readers[at[value[v]]], -rank[v], v)
-                       for v in reg_of]
-            heapify(by_next)
         # every live value is read again (see the loop below), so evict the
-        # one read farthest ahead (Belady)
-        held = []
-        while by_next:
-            entry = heappop(by_next)
-            victim = entry[2]
-            if (victim in reg_of
-                    and readers[at[value[victim]]] == -entry[0]):
-                if victim not in pinned:
-                    break
-                held.append(entry)
-        else:
+        # unpinned one read farthest ahead, ties to the higher name (Belady)
+        victim, far = None, -1
+        for v in reg_of:
+            k = readers[at[value[v]]]
+            if (k > far or k == far and v > victim) and v not in pinned:
+                victim, far = v, k
+        if victim is None:
             raise IrError(f"register pressure exceeds {hw.slots} SRAM "
                           "slots at one instruction")
-        for entry in held:
-            heappush(by_next, entry)
         slot = reg_of.pop(victim)
         if victim not in spill_at:
             spill_at[victim] = Addr("__spill", len(spill_at))
@@ -1004,7 +983,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
                 s = regs[reg_of[v]]
             srcs.append(s)
         # a source read here for the last time leaves its slot; the others
-        # move their cursor past this instruction and are filed again
+        # move their cursor past this instruction
         for v in pinned:
             j = value[v]
             if last[j] <= idx:
@@ -1014,8 +993,6 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             while readers[k] <= idx:
                 k += 1
             at[j] = k
-            if by_next is not None:
-                heappush(by_next, (-readers[k], -rank[v], v))
         dests = i.dests
         d = dests[0] if dests else None
         if d.__class__ is Vreg and d.name[0] == "%":
@@ -1026,8 +1003,6 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
             if last[j] >= 0:
                 reg_of[v] = slot
                 at[j] = start[j]
-                if by_next is not None:
-                    heappush(by_next, (-readers[at[j]], -rank[v], v))
             else:
                 heappush(free, slot)
         emitted.append(Instr(i.op, dests, tuple(srcs), i.mod, i.flags,

@@ -533,23 +533,40 @@ def const_chain_program(rng):
     return parse_ir(header(nmods=1) + consts + body)
 
 
-def test_peephole_merge_keeps_what_constant_chains_compute():
+def test_peephole_merge_keeps_what_constant_chains_compute(monkeypatch):
     # with data of each representation, scale-deferred or not, the merged
     # program raises exactly when its input raises, and otherwise computes
     # the same outputs; one more pass changes nothing.  A fold through a
-    # constant that is not SM, or of an absorbing constant after one that
-    # does not absorb, would let the merged code run where its input
-    # raises (nm * nm * dm on SM data, or a deferred input)
+    # constant that is not SM would let the merged code run where its
+    # input raises (nm * nm * dm on SM data), and so would a folded
+    # constant that absorbs where the first of its pair does not (a
+    # deferred input).  A pair folds whatever the second's absorb, and the
+    # chains that fold a non-absorbing constant with an absorbing one and
+    # still run on some data are counted
+    folds = []      # (c1 absorbs, c2 absorbs) of each fold in one pass
+    fold = compiler._try_fold_consts
+
+    def spy(p, consts, prod, cons, interned):
+        out = fold(p, consts, prod, cons, interned)
+        if out is not None:
+            folds.append((consts[prod.srcs[1].name].absorb,
+                          consts[cons.srcs[1].name].absorb))
+        return out
+
+    monkeypatch.setattr(compiler, "_try_fold_consts", spy)
     m = make_modulus(97, N)
-    ran = merged = raised = deferred = 0
+    ran = merged = raised = deferred = absorbed = 0
     for seed in range(600):
         rng = random.Random(seed)
         p = front_end(const_chain_program(rng), do_merge=False)
+        folds.clear()
         q = peephole_merge(p)
+        into_absorb = (False, True) in folds
         again = peephole_merge(q)
         assert again.instrs == q.instrs, seed
         assert dict(again.consts) == dict(q.consts), seed
         merged += len(q.instrs) < len(p.instrs)
+        runs = False
         for rep in (NM, SM, DM):
             for defer in (False, True):
                 img = blank_image(p)
@@ -568,11 +585,15 @@ def test_peephole_merge_keeps_what_constant_chains_compute():
                 raised += got[0] is None
                 ran += got[0] is not None
                 deferred += defer and got[0] is not None
-    # 421 runs, 17 of them on deferred data, and 3,179 rejections; 355
-    # of the 600 chains merge
+                runs |= got[0] is not None
+        absorbed += into_absorb and runs
+    # 421 runs, 17 of them on deferred data, and 3,179 rejections; 367
+    # of the 600 chains merge, and 28 of them fold a non-absorbing
+    # constant with an absorbing one and run on some data
     assert ran >= 400 and raised >= 3000 and merged >= 300, (ran, raised,
                                                               merged)
     assert deferred >= 15, deferred
+    assert absorbed >= 25, absorbed
 
 
 def test_peephole_folds_const_chain():

@@ -243,7 +243,7 @@ def test_hrot(setup):
     chained = hrot(hrot(ct, 1, rot, params), 3, rot, params)
     # no step-4 key generated: compare against plaintext rotation instead
     assert rel_err(decrypt(chained, sk, params), np.roll(z, -4)) < 2 ** -14
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no rotation key for step 2"):
         hrot(ct, 2, rot, params)
 
 

@@ -333,3 +333,47 @@ def test_one_function_checks_references():
                                      f"{node.lineno}")
     assert found == []
     assert inside == len(messages)
+
+
+def scopes(tree) -> dict:
+    """The qualified name of the class or function around each node
+    (`Program.__setattr__`), "" at module level."""
+    out = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            out[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
+def test_raised_exceptions_are_bad_input_or_bugs():
+    # every `raise X(...)` of the package names a ValueError (bad input:
+    # ValueError itself or a library subclass of it), a RuntimeError (a
+    # bug), the AttributeError of an immutable program, or the CLI's
+    # report
+    anywhere = {"ValueError", "IrError", "ExecError", "ContractError",
+                "ReprError", "RuntimeError"}
+    only_in = {"AttributeError": ("ir.py", "Program.__setattr__"),
+               "CliError": ("cli.py", None)}
+    root = Path(effact.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = scopes(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)):
+                continue
+            name = ast.unparse(node.exc.func)
+            file, owner = only_in.get(name, (None, None))
+            if name in anywhere or file == path.name \
+                    and owner in (None, scope[id(node)]):
+                continue
+            found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
