@@ -22,7 +22,7 @@ from .asm import (
 )
 from .compiler import HardwareDescription, compile_program, lower, parse_hw, unroll
 from .ir import FU_CLASS, blank_image, execute_program, parse_ir
-from .sim import compare_streaming, simulate, sweep_sram
+from .sim import compare_streaming, simulate, sweep
 from . import workloads
 
 
@@ -161,9 +161,10 @@ def _cmd_sweep(args) -> int:
             slot_counts = [int(s) for s in args.slots.split(",")]
         except ValueError:
             raise ValueError(f"bad slot list: {args.slots}") from None
+        hws = [replace(hw, slots=s) for s in slot_counts]
     prog = _load_program(args.input)
     with _stage("sweep"):
-        reports = sweep_sram(prog, hw, slot_counts)
+        reports = sweep(prog, hws)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["slots", "cycles", "fu_utilization", "dram_bytes"])

@@ -106,13 +106,20 @@ _BC = {"bc": True}
 # ---------------------------------------------------------------------------
 # hardware description
 
+# `HardwareDescription.timing(n)`: (opcode, unit class, latency) for each
+# of FU_CLASS; (class, count) in UNITS order, then ("dram", 1), the one
+# channel; and the cycles one polynomial occupies that channel
+Timing = namedtuple("Timing", "ops units xfer")
+_DEFAULT_FU = (("ntt", 2), ("mmul", 4), ("madd", 4), ("auto", 1))
+
+
 @dataclass(frozen=True)
 class HardwareDescription:
     lanes: int = 128
     slots: int = 64               # SRAM capacity, in residue polynomials
     banks: int = 8
     dram_bw: int = 64             # bytes per cycle
-    fu: tuple = (("ntt", 2), ("mmul", 4), ("madd", 4), ("auto", 1))
+    fu: tuple = _DEFAULT_FU
     ntt_pipelines: int = 4
     fifo_depth: int = 8
     streaming: bool = True
@@ -138,29 +145,23 @@ class HardwareDescription:
             if cycles < 1:
                 raise ValueError(f"lat.{op} must be at least 1 cycle")
 
-    def fu_count(self, cls: str) -> int:
-        return dict(self.fu).get(cls, 1)      # "dram": the one channel
-
-    def lat(self, op: str, n: int) -> int:
-        over = dict(self.lat_override)
-        if op in over:
-            return over[op]
+    def timing(self, n: int) -> Timing:
+        """The one cost table of `schedule` and `sim.simulate` on n-word
+        polynomials, and the key of a latency schedule.  A latency is the
+        `lat.<op>` override, or `ceil(n/lanes)`, times log2(n)/ntt_pipelines
+        on the ntt class, or DRAM_BASE + xfer for a transfer.  The
+        scheduler books each unit, the channel too, until its result is
+        ready; the simulator holds the channel for `xfer` only."""
+        over, counts = dict(self.lat_override), dict(self.fu)
+        xfer = max(1, -(-WORD_BYTES * n // self.dram_bw))
         base = max(1, -(-n // self.lanes))
-        if FU_CLASS.get(op) == "ntt":
-            stages = max(1, int(math.log2(n)))
-            return max(1, base * stages // self.ntt_pipelines)
-        if FU_CLASS.get(op) == "dram":
-            return DRAM_BASE + self.xfer(n)
-        return base
-
-    def lat_table(self, n: int) -> dict[str, int]:
-        """lat(op, n) of every machine opcode, for loops that ask it of
-        each instruction."""
-        return {op: self.lat(op, n) for op in FU_CLASS}
-
-    def xfer(self, n: int) -> int:
-        """Cycles one n-word residue polynomial occupies the DRAM channel."""
-        return max(1, -(-WORD_BYTES * n // self.dram_bw))
+        cost = {"ntt": max(1, base * max(1, int(math.log2(n)))
+                           // self.ntt_pipelines),
+                "dram": DRAM_BASE + xfer}
+        return Timing(tuple((op, cls, over.get(op, cost.get(cls, base)))
+                            for op, cls in FU_CLASS.items()),
+                      tuple((cls, counts[cls]) for cls in UNITS)
+                      + (("dram", 1),), xfer)
 
 
 # the .hw keys of the integer fields of HardwareDescription
@@ -173,7 +174,7 @@ _SWITCH = {"1": True, "true": True, "yes": True, "on": True,
 def parse_hw(text: str) -> HardwareDescription:
     """key = value description; fu.<class> and lat.<op> set table entries."""
     kw: dict = {}
-    fu = dict(HardwareDescription.fu)
+    fu = dict(_DEFAULT_FU)
     lat = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -579,7 +580,7 @@ def _uses(p: Program) -> tuple[np.ndarray, ...]:
     return pending, unread, delta, start, w[np.argsort(r, kind="stable")]
 
 
-def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
+def _list_schedule(instrs: list[Instr], timing: Timing,
                    succs: list[list[int]], npreds: list[int], lat: list[int],
                    prio: list[int], budget: int | None = None,
                    uses: tuple | None = None):
@@ -616,9 +617,9 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
         pending, unread, delta, offset, writers = (a.tolist() for a in uses)
         by_delta = [(delta[k], -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
-    pools = {cls: UnitPool(hw.fu_count(cls))
-             for cls in set(FU_CLASS.values())}
-    pool_of = [pools[FU_CLASS[i.op]] for i in instrs]
+    pools = {cls: UnitPool(count) for cls, count in timing.units}
+    unit = {op: pools[cls] for op, cls, _ in timing.ops}
+    pool_of = [unit[i.op] for i in instrs]
     order, cycles = [], [0] * n_instr
     while True:
         heap = by_delta if pressure and live > budget else by_prio
@@ -664,23 +665,17 @@ def _list_schedule(instrs: list[Instr], hw: HardwareDescription,
     return order, cycles
 
 
-def _latency_key(hw: HardwareDescription) -> tuple:
-    """The fields of `hw` that a latency schedule reads."""
-    return hw.lanes, hw.dram_bw, hw.fu, hw.ntt_pipelines, hw.lat_override
-
-
-def _latency_schedule(p: Program, hw: HardwareDescription):
+def _latency_schedule(p: Program, timing: Timing):
     """The dependence graph of `p` as (successors, predecessor counts,
     latencies, priorities), and `p` list-scheduled for latency, emitted in
     issue-cycle order (`_emit`).  This is the part of `schedule` that does
-    not depend on the slot count: it reads the fields of `_latency_key`
-    only."""
+    not depend on the slot count: it reads `timing` only."""
     check_straight_line(p)
     succs, npreds = p.once(build_deps)
-    table = hw.lat_table(p.n)
+    table = {op: cycles for op, _, cycles in timing.ops}
     lat = [table[i.op] for i in p.instrs]
     graph = (succs, npreds, lat, _priorities(lat, succs))
-    order, cycles = _list_schedule(p.instrs, hw, *graph)
+    order, cycles = _list_schedule(p.instrs, timing, *graph)
     order.sort(key=lambda k: (cycles[k], k))
     return graph, _emit(p, graph, order, cycles)
 
@@ -714,32 +709,32 @@ def _fit(p: Program, hw: HardwareDescription, made: dict):
     dependence graph is scheduled again with `hw.slots` as the live-value
     budget (see `_list_schedule`), emitted in issue order, and `fit` is
     None.  `made` keeps what another configuration would compute again,
-    keyed by exactly the fields it reads: the latency schedule and its
-    graph by `key = _latency_key(hw)`; the fit check's merged program by
-    `(key, "merged", hw.fifo_depth)`; and the pressure schedule's issue
-    order and cycles by `(key, hw.slots)`, which streaming on and off
+    keyed by exactly what it reads: the latency schedule and its graph by
+    `timing = hw.timing(p.n)`; the fit check's merged program by
+    `(timing, "merged", hw.fifo_depth)`; and the pressure schedule's issue
+    order and cycles by `(timing, hw.slots)`, which streaming on and off
     share.  It keeps those two lists, not an emitted program, which would
     keep its `def_use` alive."""
-    key = _latency_key(hw)
-    if key not in made:
-        made[key] = _latency_schedule(p, hw)
-    graph, latency = made[key]
+    timing = hw.timing(p.n)
+    if timing not in made:
+        made[timing] = _latency_schedule(p, timing)
+    graph, latency = made[timing]
     need = latency.once(_max_live)[0]
     fit = latency
     if hw.streaming:
         need = _merge_bound(latency, hw.fifo_depth)
         if need <= hw.slots:
-            fit_key = (key, "merged", hw.fifo_depth)
+            fit_key = (timing, "merged", hw.fifo_depth)
             if fit_key not in made:
                 made[fit_key] = merge_streaming(latency, hw)
             fit = made[fit_key]
             need = fit.once(_max_live)[0]
     if need <= hw.slots:
         return latency, fit
-    pressure_key = (key, hw.slots)
+    pressure_key = (timing, hw.slots)
     if pressure_key not in made:
-        made[pressure_key] = _list_schedule(p.instrs, hw, *graph, hw.slots,
-                                            p.once(_uses))
+        made[pressure_key] = _list_schedule(p.instrs, timing, *graph,
+                                            hw.slots, p.once(_uses))
     return _emit(p, graph, *made[pressure_key]), None
 
 

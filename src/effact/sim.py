@@ -5,8 +5,8 @@ units (MAC on the multiplier array, as `schedule` books it), a
 bandwidth-limited DRAM channel with a fixed base latency, SRAM
 bank-conflict serialization, and element-granularity streaming where
 merged operands flow between DRAM and function units without parking in
-SRAM.  Unit classes and latencies come from one machine model: FU_CLASS
-(a view of the opcode table `ir.OPCODES`) and HardwareDescription.lat/xfer.
+SRAM.  What each opcode, unit and transfer costs comes from the one cost
+table that `schedule` reads too, `HardwareDescription.timing`.
 
 `simulate` is one pass over the program, with no dependence graph.  Its
 scoreboard (`_Board`) keeps, for each register and each DRAM cell
@@ -44,8 +44,7 @@ from .compiler import (
     back_ends,
     front_end,
 )
-from .ir import (FU_CLASS, UNITS, Addr, Program, Vreg, _addr_key,
-                 _collector_scope)
+from .ir import Addr, Program, Vreg, _addr_key, _collector_scope
 
 
 @dataclass
@@ -143,16 +142,16 @@ class _Slots(dict):
 def simulate(p: Program, hw: HardwareDescription) -> SimReport:
     check_machine_form(p)
     n = p.n
-    xfer = hw.xfer(n)
-    lat_of = hw.lat_table(n)
+    timing = hw.timing(n)
+    xfer = timing.xfer
     poly_bytes = WORD_BYTES * n
     banks = hw.banks
 
-    pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
-    busy = dict.fromkeys(UNITS, 0)
+    pools = {cls: UnitPool(count) for cls, count in timing.units}
+    busy = dict.fromkeys(pools, 0)
     # each opcode's unit class, units (None for a transfer) and latency
-    unit = {op: (cls, pools.get(cls), lat_of[op])
-            for op, cls in FU_CLASS.items()}
+    unit = {op: (cls, None if cls == "dram" else pools[cls], lat)
+            for op, cls, lat in timing.ops}
     channel_free = dram_busy = 0       # the DRAM channel
     load_b = store_b = stream_b = 0    # its bytes, by kind of transfer
     complete = []
@@ -271,10 +270,9 @@ def simulate(p: Program, hw: HardwareDescription) -> SimReport:
         occ += delta
         fifo_peak = max(fifo_peak, occ)
     busy["dram"] = dram_busy
-    fu_count = {cls: hw.fu_count(cls) for cls in busy}
-    rep = SimReport(max(complete, default=0), busy, fu_count, load_b,
-                    store_b, stream_b, conflicts_total, fifo_peak, cp,
-                    len(p.instrs), complete)
+    rep = SimReport(max(complete, default=0), busy, dict(timing.units),
+                    load_b, store_b, stream_b, conflicts_total, fifo_peak,
+                    cp, len(p.instrs), complete)
     if rep.cycles < rep.critical_path:
         raise RuntimeError(f"simulated {rep.cycles} cycles, below the "
                            f"critical path {rep.critical_path}")

@@ -203,6 +203,8 @@ def test_hardware_and_flag_faults_come_before_input_faults(tmp_path,
             for cmd in ("compile", "sim", "sweep")
             for path in (tmp_path / "missing.eir", easm)]
     runs += [("sweep", easm, ["--slots", "8,x"], "flags"),
+             ("sweep", easm, ["--slots", "0"], "flags"),
+             ("sweep", tmp_path / "missing.eir", ["--slots", "1"], "flags"),
              ("sim", easm, ["--slots", "0"], "flags")]
     for cmd, path, flags, stage in runs:
         capsys.readouterr()

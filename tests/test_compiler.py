@@ -15,7 +15,6 @@ from effact.compiler import (
     FU_OPS,
     HardwareDescription,
     _addr_key,
-    _latency_key,
     _latency_schedule,
     _merge_bound,
     _sub_srcs,
@@ -139,6 +138,11 @@ def random_program(rng, nmods=2, size=24):
     return parse_ir(text)
 
 
+def latency(hw, op, n=N):
+    """The latency of opcode `op` in `hw.timing(n)`."""
+    return next(cycles for name, _, cycles in hw.timing(n).ops if name == op)
+
+
 def random_image(prog, rng):
     img = blank_image(prog)
     for k, q in enumerate((97, 193)):
@@ -163,8 +167,8 @@ def test_hw_validation_and_parsing():
     hw = parse_hw("lanes = 64\nslots = 32\n# comment\nfu.ntt = 3\n"
                   "lat.mmul = 7\nstreaming = false\n")
     assert hw.lanes == 64 and hw.slots == 32
-    assert hw.fu_count("ntt") == 3
-    assert hw.lat("mmul", 4096) == 7
+    assert dict(hw.timing(4096).units)["ntt"] == 3
+    assert latency(hw, "mmul", 4096) == 7
     assert not hw.streaming
     with pytest.raises(ValueError):
         parse_hw("bogus = 3\n")
@@ -179,14 +183,22 @@ def test_hw_validation_and_parsing():
         HardwareDescription(fu=HardwareDescription.fu + (("dram", 4),))
     with pytest.raises(ValueError):
         HardwareDescription(lat_override=(("load", 0),))
-    assert parse_hw("lat.mac = 9\nlat.store = 1\n").lat("mac", N) == 9
+    assert latency(parse_hw("lat.mac = 9\nlat.store = 1\n"), "mac") == 9
 
 
 def test_hw_latency_defaults():
     hw = HardwareDescription(lanes=128, ntt_pipelines=4)
-    assert hw.lat("mmul", 4096) == 32
-    assert hw.lat("ntt", 4096) == 32 * 12 // 4
-    assert hw.lat("load", 4096) == 100 + 4096 * 8 // hw.dram_bw
+    timing = hw.timing(4096)
+    assert ("mmul", "mmul", 32) in timing.ops
+    assert ("ntt", "ntt", 32 * 12 // 4) in timing.ops
+    assert ("load", "dram", 100 + 4096 * 8 // hw.dram_bw) in timing.ops
+    assert [op for op, _, _ in timing.ops] == list(FU_CLASS)
+    assert timing.xfer == 4096 * 8 // hw.dram_bw
+    # unit counts in UNITS order, whatever the order of `fu`, and the one
+    # DRAM channel
+    assert timing.units == (("ntt", 2), ("mmul", 4), ("madd", 4),
+                            ("auto", 1), ("dram", 1))
+    assert replace(hw, fu=hw.fu[::-1]).timing(4096) == timing
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +626,10 @@ def test_peephole_folds_const_chain():
 # scheduling
 
 def test_the_latency_schedule_is_keyed_by_every_field_it_reads():
-    # `_fit` keeps a latency schedule in `made` under `_latency_key(hw)`,
-    # and the schedule reads the hardware through `lat_table` and
-    # `fu_count`: no field outside the key changes them, and each field in
-    # the key changes one of them
-    def reads(hw):
-        return (hw.lat_table(2 ** 16),
-                {cls: hw.fu_count(cls) for cls in set(FU_CLASS.values())})
-
+    # `_fit` keeps a latency schedule in `made` under `hw.timing(p.n)`,
+    # the one argument through which `_latency_schedule` reads the
+    # hardware: no field outside the timing changes it, and each field
+    # inside changes it
     outside = {"slots": 16, "banks": 2, "fifo_depth": 1, "streaming": False}
     inside = {"lanes": 64, "dram_bw": 32, "ntt_pipelines": 2,
               "fu": (("ntt", 1), ("mmul", 4), ("madd", 4), ("auto", 1)),
@@ -629,12 +637,10 @@ def test_the_latency_schedule_is_keyed_by_every_field_it_reads():
     assert {*outside, *inside} == {f.name for f in fields(HW)}
     for name, value in outside.items():
         hw = replace(HW, **{name: value})
-        assert _latency_key(hw) == _latency_key(HW)
-        assert reads(hw) == reads(HW), name
+        assert hw.timing(2 ** 16) == HW.timing(2 ** 16), name
     for name, value in inside.items():
         hw = replace(HW, **{name: value})
-        assert _latency_key(hw) != _latency_key(HW)
-        assert reads(hw) != reads(HW), name
+        assert hw.timing(2 ** 16) != HW.timing(2 ** 16), name
 
 
 def test_schedule_preserves_chains_and_bounds():
@@ -646,14 +652,15 @@ def test_schedule_preserves_chains_and_bounds():
         img = random_image(p, rng)
         assert outputs(u, img) == outputs(s, img)
         assert s.notes["makespan"] >= s.notes["critical_path"]
-        serial = sum(HW.lat(i.op, p.n) for i in u.instrs)
+        serial = sum(latency(HW, i.op, p.n) for i in u.instrs)
         assert s.notes["makespan"] <= serial
         # issue cycles respect dependences
         cycle = s.notes["issue_cycles"]
         assert len(cycle) == len(s.instrs)
         for idx, ps in enumerate(pred_sets(build_deps(s))):
             for j in ps:
-                assert cycle[j] + HW.lat(s.instrs[j].op, p.n) <= cycle[idx]
+                assert (cycle[j] + latency(HW, s.instrs[j].op, p.n)
+                        <= cycle[idx])
 
 
 def test_schedule_overlaps_independent_work():
@@ -713,7 +720,7 @@ def test_pressure_schedule_keeps_semantics_and_dependences(seed, slots):
         b = pos[key(u.instrs[idx])]
         for a in (pos[key(u.instrs[j])] for j in ps):
             assert a < b
-            assert cycle[a] + HW.lat(s.instrs[a].op, p.n) <= cycle[b]
+            assert cycle[a] + latency(HW, s.instrs[a].op, p.n) <= cycle[b]
     assert s.notes["makespan"] >= s.notes["critical_path"]
     try:
         machine = back_end(u, hw)
@@ -743,7 +750,8 @@ def test_critical_path_chain():
     text = header() + ("%a = load @x[0]\n%b = mmul %a, %a, q0\n"
                        "%c = mmul %b, %b, q0\nstore %c, @y[0]\n")
     p = parse_ir(text)
-    lat = HW.lat("load", N) + 2 * HW.lat("mmul", N) + HW.lat("store", N)
+    lat = (latency(HW, "load") + 2 * latency(HW, "mmul")
+           + latency(HW, "store"))
     assert schedule(p, HW).notes["critical_path"] == lat
 
 
@@ -854,11 +862,11 @@ def bound_holds(front, hw):
     more and the FU-to-FU values beyond the channels) is at most what it
     needs merged, which is at most what it needs unmerged: the bound is
     sound."""
-    latency = _latency_schedule(front, hw)[1]
-    need = max_liveness(latency)
+    order = _latency_schedule(front, hw.timing(front.n))[1]
+    need = max_liveness(order)
     for depth in (1, 2, 8):
-        merged = merge_streaming(latency, replace(hw, fifo_depth=depth))
-        assert _merge_bound(latency, depth) <= max_liveness(merged) <= need
+        merged = merge_streaming(order, replace(hw, fifo_depth=depth))
+        assert _merge_bound(order, depth) <= max_liveness(merged) <= need
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import weakref
 from bisect import bisect_left
@@ -47,7 +48,7 @@ from effact.workloads import (
     gen_hoisted_rotations,
     gen_keyswitch,
 )
-from test_compiler import mem_accesses, pred_sets, random_program
+from test_compiler import latency, mem_accesses, pred_sets, random_program
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -65,7 +66,7 @@ def test_single_ntt_latency():
     p = machine(header() + "%a = load @x[0]\n%b = ntt %a, q0\n"
                 "store %b, @y[0]\n", streaming=False)
     rep = simulate(p, HW)
-    lat = HW.lat("load", N) + HW.lat("ntt", N) + HW.lat("store", N)
+    lat = latency(HW, "load") + latency(HW, "ntt") + latency(HW, "store")
     assert rep.cycles == lat
     assert rep.cycles == rep.critical_path
 
@@ -81,7 +82,7 @@ def test_latency_overrides_reach_the_simulator():
     done = {i.op: [] for i in mc.instrs}
     for i, cycle in zip(mc.instrs, rep.complete, strict=True):
         done[i.op].append(cycle)
-    xfer = hw.xfer(N)
+    xfer = hw.timing(N).xfer
     # the second load queues behind the first on the one DRAM channel
     assert done["load"] == [5000, xfer + 5000]
     assert done["mac"] == [xfer + 5000 + 1000]
@@ -99,8 +100,8 @@ def test_transfers_never_outrun_the_channel():
                        "store %a, @y[0]\nstore %b, @y[1]\n")
     mc = compile_program(parse_ir(text), replace(hw, streaming=False))
     rep = simulate(mc, hw)
-    assert hw.xfer(N) > 1
-    assert rep.cycles == 4 * hw.xfer(N)
+    assert hw.timing(N).xfer > 1
+    assert rep.cycles == 4 * hw.timing(N).xfer
     assert rep.cycles * hw.dram_bw >= rep.dram_bytes
 
 
@@ -110,7 +111,7 @@ def test_register_reuse_is_on_the_critical_path():
     text = header() + ("r0 = load @x[0]\nstore r0, @y[0]\n"
                        "r0 = load @x[1]\nstore r0, @y[1]\n")
     rep = simulate(parse_ir(text), HW)
-    assert rep.cycles == 2 * (HW.lat("load", N) + HW.lat("store", N))
+    assert rep.cycles == 2 * (latency(HW, "load") + latency(HW, "store"))
     assert rep.critical_path == rep.cycles
 
 
@@ -137,7 +138,9 @@ def test_dram_bytes_beyond_the_channel_are_an_explicit_error(monkeypatch):
                                    for k in range(8)), streaming=False)
     hw = replace(HW, dram_bw=1)
     assert simulate(p, hw).cycles * hw.dram_bw >= 16 * WORD_BYTES * N
-    monkeypatch.setattr(HardwareDescription, "xfer", lambda self, n: 1)
+    timing = HardwareDescription.timing
+    monkeypatch.setattr(HardwareDescription, "timing",
+                        lambda self, n: timing(self, n)._replace(xfer=1))
     with pytest.raises(RuntimeError, match="do not fit"):
         simulate(p, hw)
 
@@ -427,6 +430,48 @@ def test_compare_streaming_schedules_for_latency_once(monkeypatch):
                      "_max_live": 3, "def_use": 3}
 
 
+def test_descriptions_of_one_timing_share_a_latency_schedule(monkeypatch):
+    # lanes reaches the schedule only through the latencies of the compute
+    # opcodes: with each of them overridden, 4 and 128 lanes have one
+    # Timing, so back_ends schedules the desk key switch for latency once,
+    # and for the pressure of its 12 slots once, for both
+    over = tuple((op, 5) for op, cls in FU_CLASS.items() if cls != "dram")
+    hws = [HardwareDescription(slots=12, lanes=lanes, lat_override=over)
+           for lanes in (4, 128)]
+    front = front_end(DESK_KS)
+    assert hws[0].timing(front.n) == hws[1].timing(front.n)
+    want = [print_program(back_end(front, hw)) for hw in hws]
+    calls = count_calls(monkeypatch, ("_latency_schedule", "_list_schedule"))
+    assert [print_program(q) for q in back_ends(front, hws)] == want
+    assert calls == {"_latency_schedule": 1, "_list_schedule": 2,
+                     "pressure": 1}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hw=st.builds(
+           HardwareDescription, lanes=st.integers(1, 300),
+           dram_bw=st.integers(1, 2 ** 12),
+           ntt_pipelines=st.integers(1, 40),
+           fu=st.tuples(st.permutations(UNITS),
+                        st.lists(st.integers(1, 8), min_size=len(UNITS),
+                                 max_size=len(UNITS)))
+           .map(lambda order_counts: tuple(zip(*order_counts))),
+           lat_override=st.lists(st.tuples(st.sampled_from(list(FU_CLASS)),
+                                           st.integers(1, 10 ** 6)),
+                                 max_size=4).map(tuple)),
+       log_n=st.integers(0, 17))
+def test_timing_matches_its_oracle(hw, log_n):
+    n = 2 ** log_n
+    lat, counts, xfer = costs_oracle(hw, n)
+    timing = hw.timing(n)
+    assert timing.ops == tuple((op, FU_CLASS[op], lat[op])
+                               for op in FU_CLASS)
+    assert timing.units == tuple((cls, counts[cls]) for cls in UNITS) \
+        + (("dram", 1),)
+    assert timing.xfer == xfer
+    hash(timing)
+
+
 def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
         monkeypatch):
     # with streaming, `_fit` merges a latency order for its fit check only
@@ -439,8 +484,8 @@ def test_a_fit_check_merges_only_where_the_values_read_twice_fit(
     real_latency, real_merge = (compiler._latency_schedule,
                                 compiler.merge_streaming)
 
-    def latency_schedule(p, hw):
-        out = real_latency(p, hw)
+    def latency_schedule(p, timing):
+        out = real_latency(p, timing)
         latency.append(out[1])
         return out
 
@@ -634,15 +679,26 @@ def slot_oracle(reg, hw):
     return None
 
 
+def costs_oracle(hw, n):
+    """Each opcode's latency, each unit class's count and the cycles a
+    transfer holds the DRAM channel, from the fields of `hw` by the
+    formulas of docs/formats.md, apart from `HardwareDescription.timing`."""
+    xfer = max(1, -(-WORD_BYTES * n // hw.dram_bw))
+    base = max(1, -(-n // hw.lanes))
+    ntt = max(1, base * max(1, int(math.log2(n))) // hw.ntt_pipelines)
+    lat = {op: {"ntt": ntt, "dram": DRAM_BASE + xfer}.get(cls, base)
+           for op, cls in FU_CLASS.items()}
+    return {**lat, **dict(hw.lat_override)}, dict(hw.fu, dram=1), xfer
+
+
 def simulate_oracle(p, hw):
     """simulate as it was: every operand classified at every use, a list
     of each instruction's register slots and a generator for `ready`."""
     check_machine_form(p)
     n = p.n
-    xfer = hw.xfer(n)
-    lat_of = hw.lat_table(n)
+    lat_of, counts, xfer = costs_oracle(hw, n)
     preds = build_deps_oracle(p)
-    pools = {cls: UnitPool(hw.fu_count(cls)) for cls in UNITS}
+    pools = {cls: UnitPool(counts[cls]) for cls in UNITS}
     busy = dict.fromkeys((*UNITS, "dram"), 0)
     channel_free = 0
     complete = [0] * len(p.instrs)
@@ -703,7 +759,7 @@ def simulate_oracle(p, hw):
         finish.append(max((finish[j] for j in preds[idx]), default=0)
                       + lat_of[i.op])
     cp = max(finish, default=0)
-    fu_count = {cls: hw.fu_count(cls) for cls in busy}
+    fu_count = {cls: counts[cls] for cls in busy}
     return SimReport(max(complete, default=0), busy, fu_count, moved["load"],
                      moved["store"], stream_b, conflicts_total, fifo_peak, cp,
                      len(p.instrs), complete)
@@ -969,8 +1025,8 @@ def list_schedule_oracle(instrs, hw, succs, npreds, lat, prio, budget=None,
 
         by_delta = [(delta(k), -prio[k], k) for _, k in by_prio]
         heapify(by_delta)
-    pools = {cls: UnitPool(hw.fu_count(cls))
-             for cls in set(FU_CLASS.values())}
+    pools = {cls: UnitPool(count)
+             for cls, count in dict(hw.fu, dram=1).items()}
     order, cycles = [], [0] * n_instr
     while True:
         heap = by_delta if budget is not None and live > budget \
@@ -1160,7 +1216,7 @@ def same_back_end_loops(front, slot_counts=ORACLE_SLOTS):
     same_def_use(front)
     succs, npreds = build_deps(front)
     assert pred_sets((succs, npreds)) == build_deps_oracle(front)
-    table = HardwareDescription().lat_table(front.n)
+    table = costs_oracle(HardwareDescription(), front.n)[0]
     lat = [table[i.op] for i in front.instrs]
     graph = (succs, npreds, lat, _priorities(lat, succs))
     uses, want_uses = _uses(front), uses_oracle(front.instrs)
@@ -1169,7 +1225,8 @@ def same_back_end_loops(front, slot_counts=ORACLE_SLOTS):
         orders = []
         for budget in (None, slots):
             hw = HardwareDescription(slots=slots)
-            got = _list_schedule(front.instrs, hw, *graph, budget, uses)
+            got = _list_schedule(front.instrs, hw.timing(front.n), *graph,
+                                 budget, uses)
             assert got == list_schedule_oracle(front.instrs, hw, *graph,
                                                budget, want_uses)
             order, cycles = got

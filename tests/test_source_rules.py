@@ -377,3 +377,29 @@ def test_raised_exceptions_are_bad_input_or_bugs():
                 continue
             found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_only_the_hardware_description_reads_what_code_costs():
+    # what an opcode, a unit and the DRAM channel cost is one table,
+    # `HardwareDescription.timing`, which the scheduler and the simulator
+    # read: no other code reads the fields it is made of, but for the one
+    # listed read, with its reason
+    costs = {"lanes", "ntt_pipelines", "lat_override", "fu", "dram_bw"}
+    allowed = {
+        # the byte bound on a report: its DRAM bytes fit in its cycles
+        ("sim.py", "simulate", "dram_bw"),
+    }
+    root = Path(effact.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = scopes(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in costs):
+                continue
+            owner = scope[id(node)]
+            if owner.split(".")[0] != "HardwareDescription" and \
+                    (path.name, owner, node.attr) not in allowed:
+                found.append(f"{path.name}:{node.lineno}: {owner}."
+                             f"{node.attr}")
+    assert found == []
