@@ -3,7 +3,7 @@
 Layers, bottom to top:
 
 - rns: NTT-friendly moduli and Montgomery representation tags
-- poly: vector kernels (NTT, base conversion, automorphism, transpose)
+- poly: vector kernels (NTT, base conversion, automorphism)
 - ckks: a reference leveled CKKS scheme built on the kernels
 - ir: the accelerator instruction set, its text/binary formats, and a
   golden executor

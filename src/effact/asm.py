@@ -46,7 +46,6 @@ from .ir import (
     check_operands,
     check_refs,
     machine_regs,
-    parse_ir,
     print_program,
 )
 from .poly import BITREV, COEF, NATURAL, NTT, make_poly

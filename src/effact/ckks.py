@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,14 +423,6 @@ def decrypt(ct: Ciphertext, sk: SecretKey, params: CkksParams) -> np.ndarray:
     return decode(decrypt_raw(ct, sk), params, ct.scale)
 
 
-def decrypt_triple(d0: RnsPoly, d1: RnsPoly, d2: RnsPoly, sk: SecretKey,
-                   params: CkksParams, scale: float) -> np.ndarray:
-    """Reference decryption of an unrelinearized product under (1, s, s^2)."""
-    v = vec_madd(d0, vec_mmul(d1, sk.ntt_poly(d0.basis)))
-    v = vec_madd(v, vec_mmul(d2, sk.ntt_poly(d0.basis, 2)))
-    return decode(_device_to_coeffs(v), params, scale)
-
-
 # ---------------------------------------------------------------------------
 # homomorphic operations
 
@@ -530,41 +521,3 @@ def hrot(ct: Ciphertext, s: int, rot_keys: dict, params: CkksParams) -> Cipherte
                           ct.level)
     return Ciphertext(vec_madd(automorphism_ntt(ct.c0, s), ks0), ks1,
                       ct.level, ct.scale)
-
-
-# ---------------------------------------------------------------------------
-# serialization: 32-byte header + per-limb modulus words + coefficients,
-# all little-endian 64-bit
-
-_MAGIC = b"EFCTct01"
-
-
-def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    basis = ct.c0.basis
-    head = _MAGIC + struct.pack("<IIHH4xd", basis.n, ct.level, len(basis), 2,
-                                ct.scale)
-    qs = struct.pack(f"<{len(basis)}Q", *(m.q for m in basis))
-    words = np.stack((ct.c0.words, ct.c1.words)).astype("<u8")
-    return head + qs + words.tobytes()
-
-
-def deserialize_ciphertext(blob: bytes, params: CkksParams) -> Ciphertext:
-    if blob[:8] != _MAGIC:
-        raise ValueError("bad magic")
-    if len(blob) < 32:
-        raise ValueError(f"ciphertext truncated to {len(blob)} bytes")
-    n, level, nlimbs, ncomps, scale = struct.unpack("<IIHH4xd", blob[8:32])
-    if n != params.n or ncomps != 2 or nlimbs != level + 1:
-        raise ValueError("header inconsistent with parameters")
-    size = 32 + 8 * nlimbs * (1 + 2 * n)
-    if len(blob) != size:
-        raise ValueError(f"ciphertext is {len(blob)} bytes, its header "
-                         f"declares {size}")
-    qs = struct.unpack(f"<{nlimbs}Q", blob[32:32 + 8 * nlimbs])
-    basis = params.basis(level)
-    if list(qs) != [m.q for m in basis]:
-        raise ValueError("modulus chain mismatch")
-    words = np.frombuffer(blob, dtype="<u8", offset=32 + 8 * nlimbs)
-    c0, c1 = (make_poly(basis, w, domain=NTT, order=BITREV, repr=SM)
-              for w in words.reshape(2, nlimbs, n))
-    return Ciphertext(c0, c1, level, scale)

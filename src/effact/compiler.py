@@ -52,7 +52,7 @@ objects of `ir.machine_regs`, not one per operand.
 
 Every pass builds a new Program and leaves its input as it was (a program
 cannot change, see `ir.Program`), and is semantics-preserving under the
-golden executor.  A program's `def_use`, `build_deps` and `max_liveness`
+golden executor.  A program's `def_use`, `build_deps` and `_max_live`
 are computed once and kept on it (`p.once`), and so is the parser's
 check of references (`unroll`).  Only the front end's programs and
 allocated code are scanned for `def_use`: a schedule and a
@@ -316,6 +316,11 @@ def unroll(p: Program) -> Program:
 # lowering to the machine opcode set
 
 def lower(p: Program, hw: HardwareDescription | None = None) -> Program:
+    """Straight-line code in machine opcodes: each `intt` becomes a
+    deferred transform and a multiply by the SM constant 1/N, and each
+    `bconv` the constant multiplies and multiply-adds of its two stages.
+    `hw` is not read, since lowering is the same on every machine; it
+    stays because `bench/harness.py` passes it (`lower(p, HW)`)."""
     check_straight_line(p)
     consts, instrs = dict(p.consts), []
     interned: dict = {}
@@ -701,7 +706,7 @@ def _emit(p: Program, graph, order: list[int], cycles: list[int]) -> Program:
 
 def _fit(p: Program, hw: HardwareDescription, made: dict):
     """(schedule(p, hw), fit).  The latency schedule fits when the slots
-    its values need (`max_liveness`, after `merge_streaming` on streaming
+    its values need (`_max_live`, after `merge_streaming` on streaming
     hardware) are at most `hw.slots`; it is then the schedule, and `fit`
     is it as merged for that check.  With streaming, the merge is made
     only when its lower bound fits (`_merge_bound`: the values read twice
@@ -852,22 +857,15 @@ def merge_streaming(p: Program, hw: HardwareDescription) -> Program:
 # ---------------------------------------------------------------------------
 # linear-scan SRAM allocation
 
-def max_liveness(p: Program) -> int:
-    """Fewest SRAM slots that admit a spill-free allocation.
-
-    Mirrors the allocator: sources dying at an instruction release their
-    slots before the destination is placed.  Kept on the program
-    (`p.once(_max_live)`), where `_fit` and `alloc_sram` read it.
-    """
-    return p.once(_max_live)[0]
-
-
 def _max_live(p: Program) -> tuple[int, np.ndarray, np.ndarray]:
-    """The peak of `max_liveness`, and at each instruction the live values
-    read twice or more and the live FU results that one FU operand reads.
+    """The fewest SRAM slots that admit a spill-free allocation, and at
+    each instruction the live values read twice or more and the live FU
+    results that one FU operand reads.  Kept on the program
+    (`p.once(_max_live)`), where `_fit` and `alloc_sram` read it.
     The value of a `%` register is live from its writer up to its last
-    read (only at its writer if never read): each count is a cumulative
-    sum of births and deaths."""
+    read (only at its writer if never read), as in the allocator, where
+    sources dying at an instruction release their slots before its result
+    is placed: each count is a cumulative sum of births and deaths."""
     values = p.once(def_use)
     n = len(p.instrs)
     count, virtual = values.count, values.virtual
@@ -885,12 +883,12 @@ def _max_live(p: Program) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _merge_bound(p: Program, fifo_depth: int) -> int:
-    """A lower bound of `max_liveness` of `p` merged for streaming with
-    `fifo_depth` channels: the most values live at one instruction that
-    stay in SRAM.  A merge streams only values read once, and at most
-    `fifo_depth` of the FU results that one FU operand reads are in a
-    channel at once; at the last writer of those values, the merged
-    program counts them all."""
+    """A lower bound of the slots (`_max_live`) that `p` needs once merged
+    for streaming with `fifo_depth` channels: the most values live at one
+    instruction that stay in SRAM.  A merge streams only values read
+    once, and at most `fifo_depth` of the FU results that one FU operand
+    reads are in a channel at once; at the last writer of those values,
+    the merged program counts them all."""
     _, multi, forwardable = p.once(_max_live)
     return int((multi + np.maximum(forwardable - fifo_depth, 0))
                .max(initial=0))
@@ -909,7 +907,7 @@ def alloc_sram(p: Program, hw: HardwareDescription) -> Program:
     loaded again before each read that finds it evicted.
     `notes["spills"]` counts those spill stores and loads, before
     `merge_spill_traffic` streams any of them, and `notes["max_live"]` is
-    the input's `max_liveness`.
+    the fewest slots the input needs with no spill (`_max_live`).
 
     Each live value keeps a cursor to its next read in its writer's
     readers (`def_use`), moved past each instruction that reads it; an

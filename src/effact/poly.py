@@ -5,7 +5,7 @@ modulo the i-th prime of its basis, with its layout metadata stored once;
 a value modulo one prime is the one-row case.  Everything here is exact
 modular arithmetic on those arrays: elementwise multiply/add, the
 negacyclic NTT, fast base conversion (plain and merged with the deferred
-iNTT scaling), Galois automorphisms in both domains, and a fused
+iNTT scaling), Galois automorphisms in the NTT domain, and a fused
 multiply-accumulate.
 
 Each kernel runs once per polynomial over all of its rows, or once over a
@@ -63,14 +63,6 @@ class Word(NamedTuple):
 # bit-reversal helpers
 
 _brv_cache: dict[int, np.ndarray] = {}
-
-
-def bit_rev(i: int, bits: int) -> int:
-    r = 0
-    for _ in range(bits):
-        r = (r << 1) | (i & 1)
-        i >>= 1
-    return r
 
 
 def bitrev_perm(n: int) -> np.ndarray:
@@ -390,10 +382,6 @@ def make_poly(m: Modulus | RnsBasis, coeffs, domain=COEF, order=NATURAL,
     return _poly(basis, words, domain, order, repr, scale_deferred)
 
 
-def zero_poly(m: Modulus, domain=COEF, order=NATURAL, repr=NM) -> RnsPoly:
-    return make_poly(m, np.zeros(m.n, dtype=np.uint64), domain, order, repr)
-
-
 def gather(basis: RnsBasis, *parts: RnsPoly) -> RnsPoly:
     """The polynomial over basis that takes each modulus's row from the
     parts (the last one holding it); the parts share their metadata.
@@ -554,18 +542,6 @@ def ntt_inv(a: RnsPoly, defer_scale: bool = False) -> RnsPoly:
     return _poly(a.basis, out, COEF, NATURAL, a.repr, defer_scale)
 
 
-def negacyclic_mul(a: RnsPoly, b: RnsPoly) -> RnsPoly:
-    """a*b mod (X^n + 1), via NTT -> elementwise product -> inverse NTT."""
-    _check_pair(a, b)
-    if a.domain != COEF:
-        raise ContractError("negacyclic_mul expects coefficient domain")
-    fa, fb = ntt_fwd(a), ntt_fwd(b)
-    if fa.repr == NM and fb.repr == NM:
-        fa = to_sm(fa)
-    prod = vec_mmul(fa, fb)
-    return ntt_inv(prod)
-
-
 # ---------------------------------------------------------------------------
 # fast base conversion
 
@@ -666,31 +642,6 @@ def bconv_merged(a: RnsPoly, tables: BconvTables) -> RnsPoly:
 
 # ---------------------------------------------------------------------------
 # automorphisms
-
-def automorphism_map(i: int, s: int, n: int) -> tuple[int, int]:
-    """Destination index and sign for coefficient i under X -> X^(5^s)."""
-    two_n = 2 * n
-    e = pow(5, s % max(n // 2, 1), two_n)
-    t = (i * e) % two_n
-    return t % n, (-1 if t >= n else 1)
-
-
-def automorphism_apply(a: RnsPoly, s: int) -> RnsPoly:
-    """Apply the rotation automorphism in the coefficient domain."""
-    if a.domain != COEF or a.order != NATURAL:
-        raise ContractError("coefficient automorphism expects natural order")
-    _check_deferred(a)
-    n = a.basis.n
-    dest = np.empty(n, dtype=np.int64)
-    neg = np.empty(n, dtype=bool)
-    for i in range(n):
-        dest[i], sign = automorphism_map(i, s, n)
-        neg[i] = sign < 0
-    w = a.words
-    out = np.empty_like(w)
-    out[..., dest] = np.where(neg & (w != 0), _kern(a.basis).q - w, w)
-    return _poly(a.basis, out, a.domain, a.order, a.repr)
-
 
 _auto_perm_cache: dict[tuple[int, int], np.ndarray] = {}
 

@@ -214,14 +214,6 @@ def mont_mul(x: int, y: int, m: Modulus) -> int:
     return (x * y * m.r_inv) % m.q
 
 
-def mont_reduce(t: int, m: Modulus) -> int:
-    """Textbook REDC of a double word t < R*q; equals (t * R^{-1}) mod q."""
-    mask = m.r - 1
-    mm = ((t & mask) * m.q_inv_neg) & mask
-    u = (t + mm * m.q) >> m.r_bits
-    return u - m.q if u >= m.q else u
-
-
 def sm_encode(x: int, m: Modulus) -> int:
     """X -> X*R mod q (MontMult by R^2)."""
     return mont_mul(x, m.r2, m)

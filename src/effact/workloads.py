@@ -16,7 +16,6 @@ which drops the one prime q_l; it mirrors ``ckks._divide_round``.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import ckks
@@ -530,27 +529,4 @@ def _fill_keys(img, wp: WorkloadParams, evk, prefix_b: str, prefix_a: str):
         for s, (lb, la) in enumerate(zip(kb.limbs, ka.limbs)):
             img.dram[f"{prefix_b}{d}"][s] = lb
             img.dram[f"{prefix_a}{d}"][s] = la
-    return img
-
-
-def ciphertext_into(img, ct, sym0: str = "ct0", sym1: str = "ct1"):
-    for i, (l0, l1) in enumerate(zip(ct.c0.limbs, ct.c1.limbs)):
-        img.dram[sym0][i] = l0
-        img.dram[sym1][i] = l1
-    return img
-
-
-def plaintexts_into(img, wp: WorkloadParams, sym: str = "pt", rows: int = 1,
-                    level: int | None = None, seed: int = 7):
-    """Fill a plaintext table: slot r*(level+1)+k holds an encoded limb
-    modulo q_k."""
-    params = ckks_params(wp)
-    l = wp.levels if level is None else level
-    rng = random.Random(seed)
-    for r in range(rows):
-        vals = [rng.random() for _ in range(params.n // 2)]
-        coeffs = ckks.encode(vals, params)
-        dev = ckks._coeffs_to_device(coeffs, params.basis(l))
-        for k, limb in enumerate(dev.limbs):
-            img.dram[sym][r * (l + 1) + k] = limb
     return img

@@ -81,3 +81,21 @@ def substitute_power(a, s, q):
         v = a[i] if t < n else -a[i]
         out[j] = (out[j] + v) % q
     return out
+
+
+def bit_rev(i, bits):
+    """i with its low `bits` bits in reverse order."""
+    r = 0
+    for _ in range(bits):
+        r = (r << 1) | (i & 1)
+        i >>= 1
+    return r
+
+
+def mont_reduce(t, m):
+    """Textbook REDC of a double word t < R*q: (t * R^{-1}) mod q, for the
+    modulus q = m.q and R = 2^m.r_bits."""
+    mask = m.r - 1
+    mm = ((t & mask) * m.q_inv_neg) & mask
+    u = (t + mm * m.q) >> m.r_bits
+    return u - m.q if u >= m.q else u

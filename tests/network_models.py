@@ -5,7 +5,9 @@ network.  The tests check them against direct permutations.
 
 import numpy as np
 
-from effact.poly import automorphism_ntt_perm, bit_rev
+from effact.poly import automorphism_ntt_perm
+
+from kernel_oracles import bit_rev
 
 
 def automorphism_row_map(n: int, s: int, lanes: int) -> list[int]:

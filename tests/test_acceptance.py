@@ -20,7 +20,6 @@ from effact.compiler import (
     compile_program,
     front_end,
     lower,
-    max_liveness,
     merge_streaming,
     peephole_merge,
     pre,
@@ -31,9 +30,7 @@ from effact.ir import blank_image, execute_program, parse_ir
 from effact.poly import (
     SM,
     automorphism_ntt,
-    bit_rev,
     make_poly,
-    negacyclic_mul,
     ntt_fwd,
     ntt_inv,
 )
@@ -50,9 +47,11 @@ from effact.workloads import (
     fullscale_params,
 )
 
-from kernel_oracles import schoolbook_negacyclic, substitute_power
+from kernel_oracles import bit_rev, schoolbook_negacyclic, substitute_power
 from network_models import transpose_fixed_network
-from test_compiler import random_image, random_program
+from test_compiler import max_liveness, random_image, random_program
+from test_he_ops import decrypt_triple
+from test_kernels import negacyclic_mul
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_compiled_keyswitch_end_to_end():
     c1 = RnsPoly(basis, tuple(vec_madd(x, y) for x, y
                               in zip(d1.limbs, ks1.limbs)))
     got = ckks.decrypt(ckks.Ciphertext(c0, c1, wp.levels, scale), sk, params)
-    want = ckks.decrypt_triple(d0, d1, d2, sk, params, scale)
+    want = decrypt_triple(d0, d1, d2, sk, params, scale)
     denom = max(np.max(np.abs(want)), 1e-9)
     assert np.max(np.abs(got - want)) / denom < 2 ** -15
     assert time.time() - t0 < 60

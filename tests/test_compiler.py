@@ -16,6 +16,7 @@ from effact.compiler import (
     HardwareDescription,
     _addr_key,
     _latency_schedule,
+    _max_live,
     _merge_bound,
     _sub_srcs,
     alloc_sram,
@@ -26,7 +27,6 @@ from effact.compiler import (
     def_use,
     front_end,
     lower,
-    max_liveness,
     merge_spill_traffic,
     merge_streaming,
     parse_hw,
@@ -53,6 +53,11 @@ from effact.workloads import (
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
+
+
+def max_liveness(p):
+    """The fewest SRAM slots that admit a spill-free allocation of p."""
+    return p.once(_max_live)[0]
 
 
 def header(nmods=2, nx=8, ny=8):

@@ -14,19 +14,15 @@ from effact.poly import (
     ContractError,
     RnsPoly,
     Word,
-    automorphism_apply,
-    automorphism_map,
     automorphism_ntt,
     automorphism_ntt_perm,
     bconv,
     bconv_merged,
-    bit_rev,
     bitrev_perm,
     from_sm,
     mac_fused,
     make_bconv_tables,
     make_poly,
-    negacyclic_mul,
     ntt_fwd,
     ntt_inv,
     to_sm,
@@ -34,7 +30,6 @@ from effact.poly import (
     vec_mmul,
     vec_msub,
     vec_neg,
-    zero_poly,
 )
 from effact.rns import (
     RnsBasis,
@@ -45,6 +40,7 @@ from effact.rns import (
 )
 
 from kernel_oracles import (
+    bit_rev,
     crt_reconstruct,
     intt_direct,
     ntt_direct,
@@ -56,6 +52,14 @@ from network_models import automorphism_row_map, transpose_fixed_network
 
 def mod(q, n, r_bits=None):
     return make_modulus(q, n, r_bits)
+
+
+def negacyclic_mul(a, b):
+    """a*b mod (X^n + 1) by the kernels: NTT, pointwise product, iNTT."""
+    fa, fb = ntt_fwd(a), ntt_fwd(b)
+    if fa.repr == NM and fb.repr == NM:
+        fa = to_sm(fa)
+    return ntt_inv(vec_mmul(fa, fb))
 
 
 def rand_poly(m, rng, **kw):
@@ -123,7 +127,7 @@ def test_mac_fused_matches_composition():
     fused = mac_fused(acc, a, b)
     two = vec_madd(acc, vec_mmul(a, b))
     assert fused.to_ints() == two.to_ints()
-    zero = zero_poly(m, repr=SM)
+    zero = make_poly(m, [0] * m.n, repr=SM)
     assert mac_fused(zero, a, b).to_ints() == vec_mmul(a, b).to_ints()
     assert mac_fused(acc, a, zero).to_ints() == acc.to_ints()
 
@@ -159,7 +163,7 @@ def test_ntt_round_trip_and_zero():
     rng = random.Random(4)
     a = rand_poly(m, rng, repr=SM)
     assert ntt_inv(ntt_fwd(a)).to_ints() == a.to_ints()
-    z = zero_poly(m)
+    z = make_poly(m, [0] * m.n)
     assert ntt_fwd(z).to_ints() == [0] * 256
     assert ntt_inv(ntt_fwd(z)).to_ints() == [0] * 256
     assert ntt_inv(ntt_fwd(z), defer_scale=True).to_ints() == [0] * 256
@@ -243,7 +247,7 @@ def test_bconv_small_examples():
     a = RnsPoly(c, (make_poly(c[0], [2, 0]), make_poly(c[1], [5, 0])))
     out = bconv(a, b)
     assert out.limbs[0].to_ints() == [1, 0]  # 12 mod 11
-    z = RnsPoly(c, (zero_poly(c[0]), zero_poly(c[1])))
+    z = RnsPoly(c, (make_poly(c[0], [0, 0]), make_poly(c[1], [0, 0])))
     assert bconv(z, b).limbs[0].to_ints() == [0, 0]
     one = RnsPoly(c, (make_poly(c[0], [1, 0]), make_poly(c[1], [1, 0])))
     # fast-sum for value 1 is 1 + 35 = 36; the overshoot shows up mod 11
@@ -335,7 +339,8 @@ def test_bconv_merged_small():
             assert g.to_ints() == r.to_ints()
             assert g.repr == SM and not g.scale_deferred
     z = RnsPoly(c, tuple(
-        ntt_inv(ntt_fwd(zero_poly(m, repr=SM)), defer_scale=True) for m in c))
+        ntt_inv(ntt_fwd(make_poly(m, [0] * m.n, repr=SM)), defer_scale=True)
+        for m in c))
     for limb in bconv_merged(z, tables).limbs:
         assert limb.to_ints() == [0, 0]
 
@@ -352,37 +357,15 @@ def test_bconv_merged_contract():
 # ---------------------------------------------------------------------------
 # automorphisms
 
-def test_automorphism_map_examples():
-    assert automorphism_map(0, 1, 16) == (0, 1)
-    assert automorphism_map(3, 1, 16) == (15, 1)
-    assert automorphism_map(4, 1, 16) == (4, -1)
-
-
-def test_automorphism_apply_oracle():
-    n = 16
-    m = make_modulus_chain(n, 1, 20)[0]
-    rng = random.Random(11)
-    a = rand_poly(m, rng)
-    assert automorphism_apply(a, 0).to_ints() == a.to_ints()
-    x = make_poly(m, [0, 1] + [0] * (n - 2))
-    got = automorphism_apply(x, 1)
-    assert got.to_ints() == substitute_power(x.to_ints(), 1, m.q)
-    for s in range(n // 2):
-        got = automorphism_apply(a, s)
-        assert got.to_ints() == substitute_power(a.to_ints(), s, m.q)
-    s1, s2 = 3, 5
-    composed = automorphism_apply(automorphism_apply(a, s1), s2)
-    assert composed.to_ints() == automorphism_apply(a, s1 + s2).to_ints()
-
-
 def test_automorphism_ntt_matches_round_trip():
     n = 256
     m = make_modulus_chain(n, 1, 30)[0]
     rng = random.Random(12)
     a = ntt_fwd(rand_poly(m, rng, repr=SM))
     assert automorphism_ntt(a, 0).to_ints() == a.to_ints()
+    coeffs = ntt_inv(a).to_ints()
     for s in range(n // 2):
-        ref = ntt_fwd(automorphism_apply(ntt_inv(a), s))
+        ref = ntt_fwd(make_poly(m, substitute_power(coeffs, s, m.q), repr=SM))
         assert automorphism_ntt(a, s).to_ints() == ref.to_ints()
 
 

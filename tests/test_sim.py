@@ -30,7 +30,6 @@ from effact.compiler import (
     compile_program,
     def_use,
     front_end,
-    max_liveness,
     merge_spill_traffic,
     merge_streaming,
     schedule,
@@ -48,7 +47,8 @@ from effact.workloads import (
     gen_hoisted_rotations,
     gen_keyswitch,
 )
-from test_compiler import latency, mem_accesses, pred_sets, random_program
+from test_compiler import (latency, max_liveness, mem_accesses, pred_sets,
+                           random_program)
 
 N = 16
 HW = HardwareDescription(slots=8, fifo_depth=4)
@@ -390,7 +390,7 @@ def count_calls(monkeypatch, names):
 
 
 BACK_END_CALLS = ("build_deps", "_list_schedule", "merge_streaming",
-                  "max_liveness", "_max_live", "def_use")
+                  "_max_live", "def_use")
 
 
 def test_a_sweep_schedules_for_latency_once(monkeypatch):
@@ -410,8 +410,7 @@ def test_a_sweep_schedules_for_latency_once(monkeypatch):
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     sweep_sram(text, HardwareDescription(), (16, 32, 64, 128, 256))
     assert calls == {"build_deps": 1, "_list_schedule": 5, "pressure": 4,
-                     "merge_streaming": 5, "max_liveness": 0,
-                     "_max_live": 6, "def_use": 5}
+                     "merge_streaming": 5, "_max_live": 6, "def_use": 5}
 
 
 def test_compare_streaming_schedules_for_latency_once(monkeypatch):
@@ -426,8 +425,7 @@ def test_compare_streaming_schedules_for_latency_once(monkeypatch):
     text = gen_keyswitch(WorkloadParams(n=2 ** 16, levels=24, dnum=4))
     compare_streaming(text, HardwareDescription())
     assert calls == {"build_deps": 1, "_list_schedule": 2, "pressure": 1,
-                     "merge_streaming": 1, "max_liveness": 0,
-                     "_max_live": 3, "def_use": 3}
+                     "merge_streaming": 1, "_max_live": 3, "def_use": 3}
 
 
 def test_descriptions_of_one_timing_share_a_latency_schedule(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -403,3 +404,157 @@ def test_only_the_hardware_description_reads_what_code_costs():
                 found.append(f"{path.name}:{node.lineno}: {owner}."
                              f"{node.attr}")
     assert found == []
+
+
+# library entry points that no command and no benchmark step calls, each
+# kept for its reason
+LIBRARY_ROOTS = {
+    "ckks.hadd": "the desk HE API, beside hmult and hrot",
+    "workloads.fullscale_params": "the paper's full-scale parameter point",
+    "__version__": "the package's version",
+}
+
+
+def qualified(module: str, name: str) -> str:
+    """`ckks.hadd`; a name of the package itself (`__init__.py`) bare."""
+    return f"{module}.{name}" if module else name
+
+
+def module_trees() -> dict:
+    """The parsed modules of the package, keyed by module name ("" for
+    the package itself)."""
+    root = Path(effact.__file__).parent
+    return {("" if path.stem == "__init__" else path.stem):
+            ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+
+
+def effact_module(name: str):
+    """The module name that `effact.X` or `effact.X.Y` names, or None."""
+    parts = name.split(".")
+    return ".".join(parts[1:]) if parts[0] == "effact" else None
+
+
+def imports(tree):
+    """(node, bound name, module, imported name or None) of each import
+    of a tree, at any depth; `from __future__` binds nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`; `import a.b as c` binds `a.b`
+                module = alias.name if alias.asname \
+                    else alias.name.split(".")[0]
+                yield node, alias.asname or module, module, None
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            module = ("effact." if node.level else "") + (node.module or "")
+            for alias in node.names:
+                yield node, alias.asname or alias.name, \
+                    module.rstrip("."), alias.name
+
+
+def benchmark_roots(modules: set) -> set:
+    """Every name of the package that a `bench/*.py` file imports by name
+    or reads as an attribute of an imported module (`ckks.hmult`,
+    `effact.__version__`); `modules` are the package's module names."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    roots = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for _, name, module, item in imports(tree):
+            module = effact_module(module)
+            if module is None:
+                continue
+            target = module if item is None else qualified(module, item)
+            if target in modules:
+                bound[name] = target
+            else:
+                roots.add(target)
+        roots |= {qualified(bound[node.value.id], node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in bound}
+    return roots
+
+
+def script_roots() -> set:
+    """The functions that `pyproject.toml` installs as commands."""
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(path.read_text())["project"]["scripts"]
+    return {qualified(effact_module(target.split(":")[0]),
+                      target.split(":")[1]) for target in scripts.values()}
+
+
+def unreachable(trees: dict, roots) -> list:
+    """The top-level functions, classes and constants of the modules that
+    no path of references leads to from the roots.  A name read in a
+    module is its own top-level name or the one it imports; an attribute
+    `.x` reaches every top-level `x`, so this can only miss dead code.
+    Top-level statements that define nothing run on import: roots too."""
+    defs, imported, by_name, todo = {}, {}, {}, list(roots)
+    for module, tree in trees.items():
+        for _, name, source, item in imports(tree):
+            source = effact_module(source)
+            if source is not None and item is not None:
+                imported[qualified(module, name)] = qualified(source, item)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                names = [n.id for target in assigned(stmt)
+                         for n in ast.walk(target) if isinstance(n, ast.Name)]
+            if not names and not isinstance(stmt, (ast.Import,
+                                                   ast.ImportFrom)):
+                defs[f"{module}:{stmt.lineno}"] = (module, stmt)
+                todo.append(f"{module}:{stmt.lineno}")
+            for name in names:
+                defs[qualified(module, name)] = (module, stmt)
+                by_name.setdefault(name, []).append(qualified(module, name))
+
+    def refs(module, stmt):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute):
+                yield from by_name.get(node.attr, ())
+            elif isinstance(node, ast.Name):
+                yield qualified(module, node.id)
+
+    reached = set()
+    while todo:
+        name = todo.pop()
+        while name in imported:     # an imported name is the one it imports
+            name = imported[name]
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += refs(*defs[name])
+    return sorted(set(defs) - reached)
+
+
+def unread_imports(trees: dict) -> list:
+    """The imports of each module whose bound name the module never
+    reads."""
+    found = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [f"{module or '__init__'}.py:{node.lineno}: {name}"
+                  for node, name, _, _ in imports(tree) if name not in read]
+    return sorted(found)
+
+
+def test_every_top_level_name_is_reachable():
+    # every top-level function, class and constant of the package is
+    # reached by references from a command, from a name the benchmark
+    # uses or from a listed library root; and every import is read
+    trees = module_trees()
+    roots = script_roots() | benchmark_roots(set(trees)) | set(LIBRARY_ROOTS)
+    assert {"cli.main", "ckks.hmult", "sim.simulate"} <= roots
+    assert unreachable(trees, roots) == []
+    assert unread_imports(trees) == []
+
+    # the rule sees a planted orphan and a planted unread import
+    plant = ast.parse("import struct\ndef _orphan():\n    return 0\n")
+    planted = dict(trees, rns=ast.Module(trees["rns"].body + plant.body, []))
+    assert unreachable(planted, roots) == ["rns._orphan"]
+    assert [f.split(": ")[1] for f in unread_imports(planted)] == ["struct"]

@@ -20,7 +20,6 @@ from effact import ir
 from effact.ir import blank_image, execute_program, parse_ir
 from effact.workloads import (
     WorkloadParams,
-    ciphertext_into,
     ckks_params,
     gen_bootstrap_skeleton,
     gen_helr_iteration,
@@ -29,7 +28,6 @@ from effact.workloads import (
     instruction_mix,
     keyswitch_image,
     mix_fractions,
-    plaintexts_into,
     fullscale_params,
     _Builder,
     _emit_divide,
@@ -46,6 +44,28 @@ def keys():
 
 def limbs_of(img, sym):
     return [v.to_ints() for v in img.dram[sym]]
+
+
+def ciphertext_into(img, ct):
+    """Fill `ct0` and `ct1`: slot k holds each component's limb modulo q_k."""
+    for i, (l0, l1) in enumerate(zip(ct.c0.limbs, ct.c1.limbs)):
+        img.dram["ct0"][i] = l0
+        img.dram["ct1"][i] = l1
+    return img
+
+
+def plaintexts_into(img, wp: WorkloadParams, rows: int = 1):
+    """Fill the plaintext table `pt`: slot r*(levels+1)+k holds row r's
+    encoded limb modulo q_k."""
+    params = ckks_params(wp)
+    rng = random.Random(7)
+    for r in range(rows):
+        vals = [rng.random() for _ in range(params.n // 2)]
+        dev = ckks._coeffs_to_device(ckks.encode(vals, params),
+                                     params.basis(wp.levels))
+        for k, limb in enumerate(dev.limbs):
+            img.dram["pt"][r * (wp.levels + 1) + k] = limb
+    return img
 
 
 def test_params_validation():
